@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! Usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES]
-//!              [--epoch-cache] [--epoch-cache-dir DIR]
-//!              [--lockstep | --no-lockstep] [--serial]
+//!              [--epoch-cache] [--epoch-cache-dir DIR] [--serial]
 //!              [--mtx DIR] [--quick] [experiment ...|all]
 //! Experiments: fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table6 sec64
 //!              sec7 insights ablation
@@ -26,12 +25,9 @@
 //! so live controller runs fast-forward through epochs any earlier
 //! sweep already simulated (see DESIGN.md §2, "Epoch-granular
 //! memoization"); `--epoch-cache-dir DIR` adds a disk tier for those
-//! snapshots (and implies `--epoch-cache`). `--no-lockstep` disables the
-//! batched lockstep sweep engine and simulates every configuration on
-//! the scalar path (`--lockstep`, the default, keeps it on; see
-//! DESIGN.md, "Lockstep batch simulation"). `--serial` runs experiments one after
-//! another at full thread count instead of fanning out; use it when
-//! per-experiment progress output matters more than wall clock.
+//! snapshots (and implies `--epoch-cache`). `--serial` runs experiments
+//! one after another at full thread count instead of fanning out; use it
+//! when per-experiment progress output matters more than wall clock.
 //!
 //! With `all` (the default), experiments themselves run concurrently.
 //! The thread budget is apportioned by each experiment's measured cost
@@ -126,7 +122,6 @@ struct Cli {
     cache_mem_cap: Option<usize>,
     epoch_cache: bool,
     epoch_cache_dir: Option<std::path::PathBuf>,
-    lockstep: bool,
     serial: bool,
     mtx_dir: Option<std::path::PathBuf>,
     quick: bool,
@@ -136,8 +131,8 @@ struct Cli {
 fn usage_and_exit(code: i32) -> ! {
     eprintln!(
         "usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES] \
-         [--epoch-cache] [--epoch-cache-dir DIR] [--lockstep | --no-lockstep] \
-         [--serial] [--mtx DIR] [--quick] [experiment ...|all]\n\
+         [--epoch-cache] [--epoch-cache-dir DIR] [--serial] [--mtx DIR] [--quick] \
+         [experiment ...|all]\n\
          experiments: {} all",
         ALL.join(" ")
     );
@@ -151,7 +146,6 @@ fn parse_cli() -> Cli {
         cache_mem_cap: None,
         epoch_cache: false,
         epoch_cache_dir: None,
-        lockstep: true,
         serial: false,
         mtx_dir: None,
         quick: false,
@@ -198,8 +192,6 @@ fn parse_cli() -> Cli {
                 cli.epoch_cache = true;
                 cli.epoch_cache_dir = Some(std::path::PathBuf::from(dir));
             }
-            "--lockstep" => cli.lockstep = true,
-            "--no-lockstep" => cli.lockstep = false,
             "--serial" => cli.serial = true,
             "--mtx" => {
                 let dir = args.next().unwrap_or_else(|| {
@@ -237,7 +229,6 @@ fn main() {
         cache.set_enabled(true);
         cache.set_disk_dir(cli.epoch_cache_dir.clone());
     }
-    sparseadapt::exec::set_lockstep(cli.lockstep);
     // With `--mtx` and no named experiments, the run is the real-matrix
     // suite alone — `all` is not implied.
     let list: Vec<String> = if cli.experiments.is_empty() && cli.mtx_dir.is_some() {

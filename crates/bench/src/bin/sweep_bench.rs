@@ -1,6 +1,7 @@
-//! Timing harness for the sweep engine: measures the scheduler A/B
-//! (static stride vs. work stealing), thread scaling, and the trace
-//! cache's effect on a repeated sweep, then writes the numbers to
+//! Timing harness for the sweep engine: measures thread scaling, the
+//! SoA inner loop against the frozen reference path, the trace cache's
+//! effect on a repeated sweep and the epoch cache's effect on a warm
+//! resweep and on live schemes, then writes the numbers to
 //! `BENCH_sweep.json` at the repository root.
 //!
 //! ```text
@@ -10,11 +11,7 @@
 //!
 //! The cached scenario mirrors what `paper` does end to end: several
 //! experiments sweep the same (spec, workload, config) triples, so the
-//! second and later sweeps should be near-free. The cold scenarios
-//! isolate the scheduler: work stealing wins when per-config simulation
-//! times are skewed (different cache geometries retire the same
-//! workload at very different rates), which leaves static stride's
-//! slowest-stripe thread as the critical path.
+//! second and later sweeps should be near-free.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -24,7 +21,7 @@ use mltree::{Dataset, DecisionTree, TreeParams};
 use serde::Serialize;
 use sparse::suite::{spmspm_suite, spmspv_suite};
 use sparseadapt::epoch_cache::EpochCache;
-use sparseadapt::exec::{self, Schedule};
+use sparseadapt::exec;
 use sparseadapt::features::{feature_names, FEATURE_COUNT};
 use sparseadapt::runtime::run_live;
 use sparseadapt::schemes::{self, ScheduleController};
@@ -42,9 +39,7 @@ struct ScenarioTiming {
     epochs: usize,
     /// One thread, work stealing (degenerates to serial execution).
     serial_s: f64,
-    /// N threads, static strided assignment (the old scheduler).
-    static_stride_s: f64,
-    /// N threads, work stealing (the new scheduler), cache bypassed.
+    /// N threads, work stealing, cache bypassed.
     work_stealing_s: f64,
     /// N threads, work stealing, but through the frozen pre-SoA
     /// reference simulation path (AoS op vectors, per-event heap churn,
@@ -54,40 +49,21 @@ struct ScenarioTiming {
     cached_first_s: f64,
     /// Same sweep again — every config is a cache hit.
     cached_second_s: f64,
-    /// N threads, lockstep batch engine, all caches bypassed: every
-    /// config simulated in one shared-stream pass per lane chunk.
-    lockstep_cold_s: f64,
-    /// work_stealing_s / lockstep_cold_s: the shared-front-end win on a
-    /// cold sweep. Bit-identical traces are enforced — a divergence
-    /// makes the harness exit non-zero instead of reporting it.
-    lockstep_speedup: f64,
-    /// Epoch-cache-warm resweep (trace cache cleared each rep), scalar
-    /// engine forced.
-    epoch_resweep_scalar_s: f64,
-    /// Epoch-cache-warm resweep (trace cache cleared each rep),
-    /// lockstep engine: hit lanes fast-forward out of lockstep and
-    /// resync at the next epoch edge.
-    epoch_resweep_lockstep_s: f64,
-    /// epoch_resweep_scalar_s / epoch_resweep_lockstep_s.
-    lockstep_warm_speedup: f64,
-    /// static_stride_s / work_stealing_s: scheduler win, cold.
-    schedule_speedup: f64,
+    /// Epoch-cache-warm resweep (trace cache cleared each rep): every
+    /// epoch fast-forwards from the epoch tier. Its traces must equal
+    /// the cold sweep's — a mismatch makes the harness exit non-zero.
+    epoch_resweep_s: f64,
     /// serial_s / work_stealing_s: thread-scaling win.
     thread_speedup: f64,
-    /// static_stride_s / cached_second_s: what a repeated sweep costs
-    /// after this change relative to a cold static-stride sweep.
+    /// work_stealing_s / cached_second_s: what a repeated sweep costs
+    /// relative to a cold one.
     resweep_speedup: f64,
     /// legacy_aos_s / work_stealing_s: the SoA + batched-HBM inner-loop
     /// win on an uncached sweep, identical outputs on both sides.
     soa_speedup: f64,
-    /// One trace of this sweep serialized as pretty-free JSON (the old
-    /// disk-cache format).
-    trace_json_bytes: usize,
-    /// The same trace in the binary `trace_bin` format (the new
-    /// disk-cache format).
+    /// One trace of this sweep in the binary `trace_bin` disk-cache
+    /// format.
     trace_bin_bytes: usize,
-    /// trace_bin_bytes / trace_json_bytes.
-    bin_to_json_ratio: f64,
     /// The sweep re-run with the epoch cache recording (trace cache
     /// cleared first): the one-time cost of warming the epoch tier.
     epoch_sweep_warm_s: f64,
@@ -110,19 +86,15 @@ struct ScenarioTiming {
 struct Report {
     threads: usize,
     /// `std::thread::available_parallelism` on the measuring host; the
-    /// scheduler/thread speedups are only meaningful when this is > 1.
+    /// thread speedups are only meaningful when this is > 1.
     host_cpus: usize,
     scale: String,
     sampled_configs: usize,
     scenarios: Vec<ScenarioTiming>,
     /// Geometric means over the scenarios.
-    geomean_schedule_speedup: f64,
     geomean_thread_speedup: f64,
     geomean_resweep_speedup: f64,
     geomean_soa_speedup: f64,
-    geomean_lockstep_speedup: f64,
-    geomean_lockstep_warm_speedup: f64,
-    geomean_bin_to_json_ratio: f64,
     geomean_live_speedup: f64,
     /// SipHash `HashMap` vs vendored `FxHashMap` lookup throughput on
     /// fingerprint-triple keys (the trace/epoch cache key shape).
@@ -256,16 +228,16 @@ fn fxhash_lookup_bench() -> f64 {
     sip_s / fx_s
 }
 
-/// Satellite guarantee: the lockstep engine must be bit-identical to
-/// the scalar engine. A divergence voids every lockstep timing, so the
-/// harness names the offending config and exits non-zero instead of
-/// reporting bogus speedups.
-fn check_lockstep_identity(name: &str, leg: &str, scalar: &SweepData, lockstep: &SweepData) {
-    for (c, (a, b)) in scalar.traces.iter().zip(lockstep.traces.iter()).enumerate() {
+/// The epoch-cache-warm resweep must reproduce the cold sweep bit for
+/// bit. A divergence voids every epoch-cache timing, so the harness
+/// names the offending config and exits non-zero instead of reporting
+/// bogus speedups.
+fn check_resweep_identity(name: &str, cold: &SweepData, warm: &SweepData) {
+    for (c, (a, b)) in cold.traces.iter().zip(warm.traces.iter()).enumerate() {
         if **a != **b {
             eprintln!(
-                "sweep_bench: lockstep/scalar divergence on scenario {name} ({leg}), config \
-                 {c}: the engines must be bit-identical"
+                "sweep_bench: epoch-cache-warm resweep diverged from the cold sweep on \
+                 scenario {name}, config {c}: the traces must be bit-identical"
             );
             std::process::exit(1);
         }
@@ -287,9 +259,6 @@ fn bench_scenario(
     let (serial_s, _) = time_min(reps, || {
         SweepData::simulate_uncached(spec, workload, configs, 1)
     });
-    let (static_stride_s, _) = time_min(reps, || {
-        SweepData::simulate_with_schedule(spec, workload, configs, threads, Schedule::StaticStride)
-    });
     let (work_stealing_s, sweep) = time_min(reps, || {
         SweepData::simulate_uncached(spec, workload, configs, threads)
     });
@@ -302,13 +271,6 @@ fn bench_scenario(
             "SoA and legacy paths diverged on config {c}: the A/B is void"
         );
     }
-    let (lockstep_cold_s, lockstep) = time_min(reps, || {
-        SweepData::simulate_lockstep_uncached(spec, workload, configs, threads)
-    });
-    check_lockstep_identity(name, "cold", &sweep, &lockstep);
-    let trace_json_bytes = serde_json::to_string(&*sweep.traces[0])
-        .expect("trace serializes")
-        .len();
     let trace_bin_bytes = sparseadapt::trace_bin::encode_trace(&sweep.traces[0]).len();
     TraceCache::global().clear();
     let (cached_first_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
@@ -327,23 +289,14 @@ fn bench_scenario(
     epoch_cache.clear();
     TraceCache::global().clear();
     let (epoch_sweep_warm_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
-    // Epoch-cache-warm engine A/B: the epoch tier is hot and the trace
-    // cache is cleared before every pass, so both engines replay every
-    // epoch from the cache — the lockstep side fast-forwards hit lanes
-    // out of lockstep and must still match the scalar engine bit for
-    // bit.
-    exec::set_lockstep(false);
-    let (epoch_resweep_scalar_s, warm_scalar) = time_min(reps, || {
+    // Epoch-cache-warm resweep: the epoch tier is hot and the trace
+    // cache is cleared before every pass, so every epoch replays from
+    // the cache and must still match the cold sweep bit for bit.
+    let (epoch_resweep_s, warm) = time_min(reps, || {
         TraceCache::global().clear();
         SweepData::simulate(spec, workload, configs, threads)
     });
-    exec::set_lockstep(true);
-    let (epoch_resweep_lockstep_s, warm_lockstep) = time_min(reps, || {
-        TraceCache::global().clear();
-        SweepData::simulate(spec, workload, configs, threads)
-    });
-    check_lockstep_identity(name, "epoch-cache-warm", &warm_scalar, &warm_lockstep);
-    check_lockstep_identity(name, "warm-vs-cold", &sweep, &warm_lockstep);
+    check_resweep_identity(name, &sweep, &warm);
     // First live pass after the sweep: constant-config prefixes
     // fast-forward; each scheme's post-divergence tail simulates once
     // and is recorded.
@@ -365,23 +318,15 @@ fn bench_scenario(
         configs: configs.len(),
         epochs: sweep.traces[0].len(),
         serial_s,
-        static_stride_s,
         work_stealing_s,
         legacy_aos_s,
         cached_first_s,
         cached_second_s,
-        lockstep_cold_s,
-        lockstep_speedup: work_stealing_s / lockstep_cold_s,
-        epoch_resweep_scalar_s,
-        epoch_resweep_lockstep_s,
-        lockstep_warm_speedup: epoch_resweep_scalar_s / epoch_resweep_lockstep_s,
-        schedule_speedup: static_stride_s / work_stealing_s,
+        epoch_resweep_s,
         thread_speedup: serial_s / work_stealing_s,
-        resweep_speedup: static_stride_s / cached_second_s,
+        resweep_speedup: work_stealing_s / cached_second_s,
         soa_speedup: legacy_aos_s / work_stealing_s,
-        trace_json_bytes,
         trace_bin_bytes,
-        bin_to_json_ratio: trace_bin_bytes as f64 / trace_json_bytes as f64,
         epoch_sweep_warm_s,
         live_cold_s,
         live_warm_first_s,
@@ -423,8 +368,8 @@ fn main() {
     }
     if quick {
         // CI smoke leg: the point is exercising every code path
-        // (including both engine differential checks), not producing
-        // stable numbers.
+        // (including both identity checks), not producing stable
+        // numbers.
         reps = 1;
         sampled = sampled.min(6);
     }
@@ -456,23 +401,14 @@ fn main() {
         eprintln!("# scenario {} ({:?})", mspec.id, kernel);
         let t = bench_scenario(mspec.id, spec, &wl, &configs, threads, reps);
         eprintln!(
-            "#   serial {:.2}s | static {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | bin/json {:.3}",
+            "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | \
+             warm resweep {:.3}s",
             t.serial_s,
-            t.static_stride_s,
             t.work_stealing_s,
             t.legacy_aos_s,
             t.soa_speedup,
             t.cached_second_s,
-            t.bin_to_json_ratio
-        );
-        eprintln!(
-            "#   lockstep cold {:.2}s ({:.2}x vs scalar) | warm resweep scalar {:.3}s vs \
-             lockstep {:.3}s ({:.2}x)",
-            t.lockstep_cold_s,
-            t.lockstep_speedup,
-            t.epoch_resweep_scalar_s,
-            t.epoch_resweep_lockstep_s,
-            t.lockstep_warm_speedup
+            t.epoch_resweep_s
         );
         eprintln!(
             "#   live cold {:.3}s | warm-first {:.3}s | warm {:.3}s ({:.2}x, hit rate {:.3})",
@@ -483,30 +419,22 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut notes = vec![
-        "serial_s is one thread; *_stride/*_stealing are N threads, trace cache bypassed".into(),
+        "serial_s is one thread; work_stealing_s is N threads, trace cache bypassed".into(),
         format!(
             "every timing is the minimum over {reps} repetitions (best-of-N; OS noise only ever \
              adds time to a deterministic computation)"
         ),
         "cached_second_s repeats an identical sweep; every config is a trace-cache hit".into(),
-        "resweep_speedup is the repeated-sweep cost after this change vs a cold static-stride sweep, \
-         the situation `paper all` hits whenever two experiments share a (spec, workload, config) triple"
+        "resweep_speedup is the repeated-sweep cost vs a cold sweep, the situation `paper all` \
+         hits whenever two experiments share a (spec, workload, config) triple"
             .into(),
         "legacy_aos_s runs the frozen pre-SoA inner loop (AoS op vectors, per-event heap \
          traffic, unbatched HBM, allocating prefetch); soa_speedup is the inner-loop win with \
          bit-identical traces asserted on every config"
             .into(),
-        "trace_*_bytes compare one trace serialized in the old JSON disk format vs the new \
-         trace_bin binary format"
-            .into(),
-        "lockstep_cold_s runs the batch engine (one shared op-stream decode per lane chunk, \
-         scalar per-config replay driven by a precomputed round plan) over all configs at \
-         once, caches bypassed; lockstep_speedup is its win over the scalar work-stealing \
-         sweep with bit-identical traces enforced (the harness exits non-zero on divergence)"
-            .into(),
-        "epoch_resweep_{scalar,lockstep}_s re-run the sweep with the epoch tier hot and the \
-         trace cache cleared each rep, forcing each engine via set_lockstep: lanes that hit \
-         fast-forward out of lockstep and resync at the next epoch edge"
+        "epoch_resweep_s re-runs the sweep with the epoch tier hot and the trace cache \
+         cleared each rep; its traces must equal the cold sweep's (the harness exits non-zero \
+         on divergence)"
             .into(),
         "live_* time the live-scheme evaluation path (closed-loop SparseAdapt with a \
          deterministic downclock ensemble that forces one reconfiguration, plus live replays \
@@ -527,7 +455,7 @@ fn main() {
     ];
     if host_cpus <= 1 {
         notes.push(
-            "host has a single CPU: schedule/thread speedups necessarily measure ~1x here; \
+            "host has a single CPU: thread speedups necessarily measure ~1x here; \
              the wall-clock win on this host comes from the trace cache and the simulator \
              inner-loop optimizations"
                 .into(),
@@ -538,13 +466,9 @@ fn main() {
         host_cpus,
         scale: format!("{:?}", harness.scale),
         sampled_configs: sampled,
-        geomean_schedule_speedup: geomean(scenarios.iter().map(|s| s.schedule_speedup)),
         geomean_thread_speedup: geomean(scenarios.iter().map(|s| s.thread_speedup)),
         geomean_resweep_speedup: geomean(scenarios.iter().map(|s| s.resweep_speedup)),
         geomean_soa_speedup: geomean(scenarios.iter().map(|s| s.soa_speedup)),
-        geomean_lockstep_speedup: geomean(scenarios.iter().map(|s| s.lockstep_speedup)),
-        geomean_lockstep_warm_speedup: geomean(scenarios.iter().map(|s| s.lockstep_warm_speedup)),
-        geomean_bin_to_json_ratio: geomean(scenarios.iter().map(|s| s.bin_to_json_ratio)),
         geomean_live_speedup: geomean(scenarios.iter().map(|s| s.live_speedup)),
         fxhash_lookup_speedup: fxhash_lookup_bench(),
         scenarios,
@@ -553,16 +477,12 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, json + "\n").expect("write benchmark report");
     eprintln!(
-        "# geomeans: schedule {:.2}x, threads {:.2}x, resweep {:.2}x, soa {:.2}x, lockstep \
-         {:.2}x (warm {:.2}x), live {:.2}x, bin/json {:.3}, fxhash {:.2}x -> {out}",
-        report.geomean_schedule_speedup,
+        "# geomeans: threads {:.2}x, resweep {:.2}x, soa {:.2}x, live {:.2}x, fxhash {:.2}x \
+         -> {out}",
         report.geomean_thread_speedup,
         report.geomean_resweep_speedup,
         report.geomean_soa_speedup,
-        report.geomean_lockstep_speedup,
-        report.geomean_lockstep_warm_speedup,
         report.geomean_live_speedup,
-        report.geomean_bin_to_json_ratio,
         report.fxhash_lookup_speedup
     );
 }

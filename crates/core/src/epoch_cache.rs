@@ -59,6 +59,7 @@ use transmuter::machine::{
 use transmuter::workload::Workload;
 
 use crate::trace_bin;
+use crate::trace_cache::write_then_rename;
 
 /// Full identity of one cached epoch. The first three components name
 /// the run family (machine × workload × configuration *active for this
@@ -913,13 +914,9 @@ impl EpochCache {
         let Some(path) = self.disk_path(key) else {
             return;
         };
-        let bytes = encode_epoch(epoch);
-        // Write-then-rename so a concurrent reader (another process
-        // sharing the directory) never sees a torn file. Keys are
-        // content fingerprints, so racing writers publish identical
-        // bytes and the last rename wins harmlessly.
-        let tmp = path.with_extension(format!("bin.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
+        // Keys are content fingerprints, so racing writers publish
+        // identical bytes and the last rename wins harmlessly.
+        if write_then_rename(&path, &encode_epoch(epoch)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1385,6 +1382,38 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.disk_hits as usize, first.epochs.len());
         assert_eq!(s.hits, 0);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_rename_removes_the_temporary() {
+        let dir = std::env::temp_dir().join(format!("sa-epoch-rename-{}", std::process::id()));
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let spec = MachineSpec::default().with_epoch_ops(120);
+        let wl = tiny_workload(12);
+        let cfg = TransmuterConfig::baseline();
+        // Learn the run's file names, then put a directory at each, so
+        // every publish fails at the final rename.
+        let cache = EpochCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let first = run_hooked(&cache, spec, &wl, cfg);
+        let planted = listing();
+        for name in &planted {
+            std::fs::remove_file(dir.join(name)).expect("remove");
+            std::fs::create_dir(dir.join(name)).expect("plant dir");
+        }
+        let cache = EpochCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        assert_eq!(run_hooked(&cache, spec, &wl, cfg), first);
+        assert_eq!(cache.stats().disk_writes, 0);
+        assert_eq!(listing(), planted, "a failed publish left a temporary");
         let _ = std::fs::remove_dir_all(dir);
     }
 

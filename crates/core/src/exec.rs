@@ -8,65 +8,14 @@
 //! whichever worker finishes early steals the next index. Results are
 //! gathered *by index*, so the output order — and therefore everything
 //! downstream — is identical to a serial run.
-//!
-//! [`Schedule::StaticStride`] is kept (and exercised by the perf
-//! harness, `sa-bench`'s `sweep_bench`) so the scheduling win stays
-//! measurable against the old policy.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Scheduling policy for [`parallel_map_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// The pre-work-stealing policy: worker `t` owns jobs
-    /// `t, t+T, t+2T, …`. Kept for A/B timing.
-    StaticStride,
-    /// Workers pull the next unclaimed index from a shared atomic
-    /// counter.
-    WorkStealing,
-}
-
 /// The default worker count: one per available hardware thread.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
-}
-
-/// Process-wide engine selector for sweep simulation: `true` (the
-/// default) routes multi-config sweeps through the config-vectorized
-/// lockstep engine ([`transmuter::MachineBatch`]); `false` keeps the
-/// scalar one-`Machine`-per-config path, which doubles as the
-/// differential reference. Values: 0 = scalar, 1 = lockstep (default),
-/// 2 = unset-by-env sentinel before first read.
-static LOCKSTEP: AtomicUsize = AtomicUsize::new(2);
-
-fn lockstep_from_env() -> usize {
-    match std::env::var("SA_LOCKSTEP") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") => 0,
-        _ => 1,
-    }
-}
-
-/// Selects the sweep engine: `true` = lockstep (default), `false` =
-/// scalar reference. Overrides the `SA_LOCKSTEP` environment variable.
-pub fn set_lockstep(on: bool) {
-    LOCKSTEP.store(on as usize, Ordering::Relaxed);
-}
-
-/// `true` when sweeps run through the lockstep engine. Defaults to on;
-/// the first read honours `SA_LOCKSTEP=0` (CI's differential jobs flip
-/// engines per leg without touching call sites).
-pub fn lockstep_enabled() -> bool {
-    match LOCKSTEP.load(Ordering::Relaxed) {
-        2 => {
-            let v = lockstep_from_env();
-            // A racing `set_lockstep` wins over the env default.
-            let _ = LOCKSTEP.compare_exchange(2, v, Ordering::Relaxed, Ordering::Relaxed);
-            LOCKSTEP.load(Ordering::Relaxed) == 1
-        }
-        v => v == 1,
-    }
 }
 
 /// Splits a thread budget across `jobs` concurrent outer jobs, returning
@@ -180,8 +129,8 @@ impl std::error::Error for PoolFull {}
 /// fast rejection ([`PoolFull`]) rather than an unbounded latency tail.
 /// Jobs are executed in FIFO admission order by whichever worker frees
 /// up first — the same whoever-is-idle-steals-next policy as
-/// [`Schedule::WorkStealing`], expressed over a queue instead of an
-/// index counter.
+/// [`parallel_map`], expressed over a queue instead of an index
+/// counter.
 ///
 /// Dropping the pool finishes already-admitted jobs, then joins the
 /// workers.
@@ -307,20 +256,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map_with(Schedule::WorkStealing, n, threads, f)
-}
-
-/// [`parallel_map`] with an explicit scheduling policy (for the perf
-/// harness; everything else should use [`parallel_map`]).
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f`.
-pub fn parallel_map_with<T, F>(schedule: Schedule, n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     let threads = threads.max(1).min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
@@ -332,24 +267,15 @@ where
     let next = &next;
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut produced: Vec<(usize, T)> = Vec::new();
-                    match schedule {
-                        Schedule::StaticStride => {
-                            let mut i = t;
-                            while i < n {
-                                produced.push((i, f(i)));
-                                i += threads;
-                            }
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
-                        Schedule::WorkStealing => loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            produced.push((i, f(i)));
-                        },
+                        produced.push((i, f(i)));
                     }
                     produced
                 })
@@ -374,11 +300,9 @@ mod tests {
 
     #[test]
     fn results_are_in_index_order() {
-        for schedule in [Schedule::StaticStride, Schedule::WorkStealing] {
-            for threads in [1, 2, 3, 8, 64] {
-                let out = parallel_map_with(schedule, 37, threads, |i| i * i);
-                assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-            }
+        for threads in [1, 2, 3, 8, 64] {
+            let out = parallel_map(37, threads, |i| i * i);
+            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 

@@ -76,19 +76,11 @@ impl SweepData {
                 config: c.fingerprint(),
             })
             .collect();
-        let traces = if sweep_engine(configs.len()) == "lockstep" {
-            TraceCache::global().get_or_simulate_batch(&keys, |missing| {
-                let miss_cfgs: Vec<TransmuterConfig> =
-                    missing.iter().map(|&i| configs[i]).collect();
-                simulate_traces_lockstep(spec, workload, &miss_cfgs, threads, true)
+        let traces = exec::parallel_map(configs.len(), threads, |ci| {
+            TraceCache::global().get_or_simulate(keys[ci], || {
+                simulate_trace_adaptive_keyed(spec, workload, configs[ci], spec_fp, wl_fp)
             })
-        } else {
-            exec::parallel_map(configs.len(), threads, |ci| {
-                TraceCache::global().get_or_simulate(keys[ci], || {
-                    simulate_trace_adaptive_keyed(spec, workload, configs[ci], spec_fp, wl_fp)
-                })
-            })
-        };
+        });
         SweepData::assemble(spec, workload, configs, traces)
     }
 
@@ -106,55 +98,10 @@ impl SweepData {
         configs: &[TransmuterConfig],
         threads: usize,
     ) -> SweepData {
-        Self::simulate_with_schedule(
-            spec,
-            workload,
-            configs,
-            threads,
-            exec::Schedule::WorkStealing,
-        )
-    }
-
-    /// Uncached sweep with an explicit scheduling policy, for the perf
-    /// harness's A/B comparison.
-    ///
-    /// # Panics
-    ///
-    /// As for [`SweepData::simulate`].
-    pub fn simulate_with_schedule(
-        spec: MachineSpec,
-        workload: &Workload,
-        configs: &[TransmuterConfig],
-        threads: usize,
-        schedule: exec::Schedule,
-    ) -> SweepData {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let traces = exec::parallel_map_with(schedule, configs.len(), threads, |ci| {
+        let traces = exec::parallel_map(configs.len(), threads, |ci| {
             Arc::new(simulate_trace(spec, workload, configs[ci]))
         });
-        SweepData::assemble(spec, workload, configs, traces)
-    }
-
-    /// Uncached sweep through the lockstep batch engine — the
-    /// counterpart of [`SweepData::simulate_uncached`] for the perf
-    /// harness's engine A/B. Bit-identical traces, but the shared op
-    /// stream is decoded once per lane chunk instead of once per
-    /// configuration. Bypasses the trace cache *and* the epoch cache.
-    ///
-    /// # Panics
-    ///
-    /// As for [`SweepData::simulate`].
-    pub fn simulate_lockstep_uncached(
-        spec: MachineSpec,
-        workload: &Workload,
-        configs: &[TransmuterConfig],
-        threads: usize,
-    ) -> SweepData {
-        assert!(!configs.is_empty(), "need at least one configuration");
-        let traces = simulate_traces_lockstep(spec, workload, configs, threads, false)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
         SweepData::assemble(spec, workload, configs, traces)
     }
 
@@ -173,14 +120,13 @@ impl SweepData {
         threads: usize,
     ) -> SweepData {
         assert!(!configs.is_empty(), "need at least one configuration");
-        let traces =
-            exec::parallel_map_with(exec::Schedule::WorkStealing, configs.len(), threads, |ci| {
-                Arc::new(crate::trace_cache::simulate_trace_reference(
-                    spec,
-                    workload,
-                    configs[ci],
-                ))
-            });
+        let traces = exec::parallel_map(configs.len(), threads, |ci| {
+            Arc::new(crate::trace_cache::simulate_trace_reference(
+                spec,
+                workload,
+                configs[ci],
+            ))
+        });
         SweepData::assemble(spec, workload, configs, traces)
     }
 
@@ -262,78 +208,6 @@ impl SweepData {
     pub fn config_index(&self, cfg: &TransmuterConfig) -> Option<usize> {
         self.configs.iter().position(|c| c == cfg)
     }
-}
-
-/// The engine [`SweepData::simulate`] will use for an `n_configs`-wide
-/// sweep under the current [`exec::lockstep_enabled`] switch: the
-/// lockstep batch engine needs at least two lanes to share a front-end,
-/// so single-config sweeps always take the scalar path.
-pub fn sweep_engine(n_configs: usize) -> &'static str {
-    if exec::lockstep_enabled() && n_configs > 1 {
-        "lockstep"
-    } else {
-        "scalar"
-    }
-}
-
-/// Simulates every configuration's epoch trace through the lockstep
-/// batch engine ([`transmuter::MachineBatch`]): the shared op stream is
-/// decoded once per lane chunk instead of once per configuration.
-/// Bit-identical to per-config [`simulate_trace`] by construction (and
-/// by the differential suites). With `epoch_cache` set and the global
-/// [`crate::epoch_cache::EpochCache`] enabled, each lane gets its own
-/// hook, so cached epochs fast-forward (desyncing the lane until the
-/// next epoch edge) exactly as on the scalar adaptive path.
-///
-/// Lanes are chunked across up to `threads` OS threads; each chunk runs
-/// as one batch.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty.
-pub fn simulate_traces_lockstep(
-    spec: MachineSpec,
-    workload: &Workload,
-    configs: &[TransmuterConfig],
-    threads: usize,
-    epoch_cache: bool,
-) -> Vec<Vec<EpochRecord>> {
-    use transmuter::machine::StaticController;
-    use transmuter::{LaneDriver, MachineBatch};
-
-    assert!(!configs.is_empty(), "need at least one configuration");
-    let spec_fp = spec.fingerprint();
-    let wl_fp = workload.fingerprint();
-    let threads = threads.clamp(1, configs.len());
-    let chunk = configs.len().div_ceil(threads);
-    let n_chunks = configs.len().div_ceil(chunk);
-    let per_chunk = exec::parallel_map(n_chunks, threads, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(configs.len());
-        let lanes = &configs[lo..hi];
-        let mut batch = MachineBatch::new(spec, lanes);
-        let cache = crate::epoch_cache::EpochCache::global();
-        let runs = if epoch_cache && cache.is_enabled() {
-            let mut hooks: Vec<_> = lanes
-                .iter()
-                .map(|_| cache.hook_for(spec_fp, wl_fp))
-                .collect();
-            let mut ctrls = vec![StaticController; lanes.len()];
-            let mut drivers: Vec<LaneDriver<'_>> = ctrls
-                .iter_mut()
-                .zip(hooks.iter_mut())
-                .map(|(ctrl, hook)| LaneDriver {
-                    controller: ctrl,
-                    hook: Some(hook),
-                })
-                .collect();
-            batch.run_with(workload, &mut drivers)
-        } else {
-            batch.run(workload)
-        };
-        runs.into_iter().map(|r| r.epochs).collect::<Vec<_>>()
-    });
-    per_chunk.into_iter().flatten().collect()
 }
 
 /// Deterministically samples `s` configurations from the runtime space
@@ -461,36 +335,6 @@ mod tests {
             assert_eq!(serial.traces, par.traces, "threads={threads}");
             for c in 0..configs.len() {
                 assert_eq!(serial.static_metrics(c), par.static_metrics(c));
-            }
-        }
-        // The old static-stride schedule must agree too.
-        let strided = SweepData::simulate_with_schedule(
-            spec,
-            &wl,
-            &configs,
-            4,
-            crate::exec::Schedule::StaticStride,
-        );
-        assert_eq!(serial.traces, strided.traces);
-    }
-
-    #[test]
-    fn lockstep_sweep_is_bit_identical_to_scalar() {
-        let spec = MachineSpec::default().with_epoch_ops(300);
-        let mut configs = vec![
-            TransmuterConfig::baseline(),
-            TransmuterConfig::best_avg_cache(),
-            TransmuterConfig::maximum(),
-        ];
-        configs.extend(sample_configs(MemKind::Cache, 7, 9).into_iter().skip(3));
-        let wl = workload();
-        // Uncached on purpose: a cache hit would make this trivially true.
-        let scalar = SweepData::simulate_uncached(spec, &wl, &configs, 1);
-        for threads in [1, 3] {
-            let lockstep = SweepData::simulate_lockstep_uncached(spec, &wl, &configs, threads);
-            assert_eq!(scalar.traces, lockstep.traces, "threads={threads}");
-            for c in 0..configs.len() {
-                assert_eq!(scalar.static_metrics(c), lockstep.static_metrics(c));
             }
         }
     }

@@ -29,9 +29,7 @@
 //! An optional disk layer ([`TraceCache::set_disk_dir`]) persists traces
 //! in the compact [`crate::trace_bin`] binary format so repeated
 //! *processes* (e.g. successive `paper` invocations while iterating on
-//! report code) skip simulation too. Traces written by older versions as
-//! JSON are still readable: a lookup that misses on `.bin` falls back to
-//! the legacy `.json` file and migrates it to binary in passing.
+//! report code) skip simulation too.
 //!
 //! The disk layer is safe to *share between live processes* (e.g. the
 //! shards of a `sparseadapt-serve` cluster mounting one `--cache-dir`):
@@ -82,15 +80,6 @@ impl TraceKey {
     fn file_name(&self) -> String {
         format!(
             "trace-{:016x}-{:016x}-{:016x}.bin",
-            self.spec, self.workload, self.config
-        )
-    }
-
-    /// Name used by the pre-binary JSON disk layer; still read as a
-    /// fallback so existing caches keep their value.
-    fn legacy_file_name(&self) -> String {
-        format!(
-            "trace-{:016x}-{:016x}-{:016x}.json",
             self.spec, self.workload, self.config
         )
     }
@@ -270,119 +259,6 @@ impl TraceCache {
         trace
     }
 
-    /// Batch counterpart of [`TraceCache::get_or_simulate`] for the
-    /// lockstep sweep path: resolves every key against memory and disk
-    /// first, then simulates all still-missing keys in **one** call to
-    /// `simulate` — which receives the missing indices into `keys` (in
-    /// order) and must return one trace per index — so an N-config sweep
-    /// with K cached configs batches the remaining N−K into a single
-    /// lockstep run instead of N−K scalar ones.
-    ///
-    /// Concurrency: a racing scalar or batch lookup that fills a key
-    /// first wins; the loser's trace is dropped (bit-identical by
-    /// determinism). Unlike [`TraceCache::get_or_simulate`], an
-    /// *in-flight* foreign simulation of one of the missing keys is not
-    /// waited for before simulating — the batch may redo that config's
-    /// work and discard it. Sweeps of the same workload rarely overlap;
-    /// correctness is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `simulate` returns a different number of traces than it
-    /// was asked for.
-    pub fn get_or_simulate_batch(
-        &self,
-        keys: &[TraceKey],
-        simulate: impl FnOnce(&[usize]) -> Vec<Vec<EpochRecord>>,
-    ) -> Vec<Arc<Vec<EpochRecord>>> {
-        // One lock pass creates/touches every slot.
-        let slots: Vec<Slot> = {
-            let mut inner = self.inner.lock().expect("trace cache lock");
-            keys.iter()
-                .map(|&key| {
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    let entry = inner.map.entry(key).or_insert_with(|| Entry {
-                        slot: Slot::default(),
-                        last_use: clock,
-                        bytes: 0,
-                    });
-                    entry.last_use = clock;
-                    entry.slot.clone()
-                })
-                .collect()
-        };
-        let mut out: Vec<Option<Arc<Vec<EpochRecord>>>> = vec![None; keys.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(t) = slot.get() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(t.clone());
-            } else if let Some(t) = self.disk_load(&keys[i]) {
-                out[i] = Some(self.publish(&keys[i], slot, Arc::new(t), &self.disk_hits, false));
-            } else {
-                missing.push(i);
-            }
-        }
-        if !missing.is_empty() {
-            let traces = simulate(&missing);
-            assert_eq!(
-                traces.len(),
-                missing.len(),
-                "batch simulate must return one trace per missing key"
-            );
-            for (&i, t) in missing.iter().zip(traces) {
-                out[i] = Some(self.publish(&keys[i], &slots[i], Arc::new(t), &self.misses, true));
-            }
-        }
-        out.into_iter()
-            .map(|t| t.expect("every key resolved"))
-            .collect()
-    }
-
-    /// Installs `trace` into `slot` (keeping a racing earlier fill if one
-    /// beat us — determinism makes the bytes identical), charges
-    /// `counter` when ours won, optionally publishes to disk, and
-    /// accounts the bytes against the memory cap.
-    fn publish(
-        &self,
-        key: &TraceKey,
-        slot: &Slot,
-        trace: Arc<Vec<EpochRecord>>,
-        counter: &AtomicU64,
-        store_to_disk: bool,
-    ) -> Arc<Vec<EpochRecord>> {
-        let mut computed = false;
-        let got = slot
-            .get_or_init(|| {
-                computed = true;
-                trace
-            })
-            .clone();
-        if computed {
-            counter.fetch_add(1, Ordering::Relaxed);
-            if store_to_disk {
-                self.disk_store(key, &got);
-            }
-            let bytes = trace_bytes(&got);
-            let mut inner = self.inner.lock().expect("trace cache lock");
-            let ours = match inner.map.get_mut(key) {
-                Some(entry) if Arc::ptr_eq(&entry.slot, slot) && entry.bytes == 0 => {
-                    entry.bytes = bytes;
-                    true
-                }
-                _ => false,
-            };
-            if ours {
-                inner.resident += bytes;
-                self.enforce_cap(&mut inner);
-            }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
     /// Evicts least-recently-used *completed* traces until the resident
     /// set fits the cap. In-flight entries (empty slots) are exempt:
     /// evicting one would let a concurrent lookup start a duplicate
@@ -446,32 +322,23 @@ impl TraceCache {
         self.disk_write_skips.store(0, Ordering::Relaxed);
     }
 
-    fn disk_paths(&self, key: &TraceKey) -> Option<(PathBuf, PathBuf)> {
+    fn disk_path(&self, key: &TraceKey) -> Option<PathBuf> {
         self.disk_dir
             .lock()
             .expect("disk_dir lock")
             .as_ref()
-            .map(|d| (d.join(key.file_name()), d.join(key.legacy_file_name())))
+            .map(|d| d.join(key.file_name()))
     }
 
+    /// Reads the trace for `key` from the disk layer. A missing, corrupt
+    /// or stale-version file reads as a miss, and the caller re-derives.
     fn disk_load(&self, key: &TraceKey) -> Option<Vec<EpochRecord>> {
-        let (bin_path, json_path) = self.disk_paths(key)?;
-        if let Ok(bytes) = std::fs::read(&bin_path) {
-            if let Ok(trace) = trace_bin::decode_trace(&bytes) {
-                return Some(trace);
-            }
-            // Corrupt or stale-version file: fall through and re-derive.
-        }
-        // Legacy JSON fallback; migrate to binary so the next process
-        // gets the fast path.
-        let text = std::fs::read_to_string(json_path).ok()?;
-        let trace: Vec<EpochRecord> = serde_json::from_str(&text).ok()?;
-        self.disk_store(key, &trace);
-        Some(trace)
+        let bytes = std::fs::read(self.disk_path(key)?).ok()?;
+        trace_bin::decode_trace(&bytes).ok()
     }
 
     fn disk_store(&self, key: &TraceKey, trace: &[EpochRecord]) {
-        let Some((bin_path, _)) = self.disk_paths(key) else {
+        let Some(bin_path) = self.disk_path(key) else {
             return;
         };
         // Advisory per-key write lock: two *processes* simulating the
@@ -484,15 +351,28 @@ impl TraceCache {
             self.disk_write_skips.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let bytes = trace_bin::encode_trace(trace);
-        // Write-then-rename so a concurrent process never reads a
-        // half-written file; the temporary is pid-suffixed so even a
-        // broken stale lock cannot let two writers share one temporary.
-        let tmp = bin_path.with_extension(format!("bin.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, &bin_path).is_ok() {
+        if write_then_rename(&bin_path, &trace_bin::encode_trace(trace)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// Publishes `bytes` at `path` so that a concurrent reader (another
+/// process sharing the directory) sees either the old file or the
+/// complete new one, never a torn write: the bytes go to a temporary
+/// beside `path`, which is then renamed into place. The temporary is
+/// pid-suffixed, so even a broken stale [`PathLock`] cannot let two
+/// writers share one, and it is removed again if the write or the
+/// rename fails, so a failed publish leaves nothing behind.
+pub(crate) fn write_then_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// How old a lock file may grow before it is presumed abandoned (its
@@ -683,37 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_traces_are_read_and_migrated() {
-        let dir = std::env::temp_dir().join(format!(
-            "sa-trace-cache-json-migrate-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let spec = MachineSpec::default().with_epoch_ops(100);
-        let wl = tiny_workload(5);
-        let cfg = TransmuterConfig::baseline();
-        let trace = simulate_trace(spec, &wl, cfg);
-        let key = TraceKey::new(&spec, &wl, &cfg);
-        // Plant a pre-binary-era JSON trace only.
-        std::fs::write(
-            dir.join(key.legacy_file_name()),
-            serde_json::to_string(&trace).expect("json"),
-        )
-        .expect("write json");
-        let cache = TraceCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let loaded = cache.get_or_simulate_for(&spec, &wl, &cfg, || {
-            unreachable!("JSON fallback should satisfy this lookup")
-        });
-        assert_eq!(*loaded, trace);
-        assert_eq!(cache.stats().disk_hits, 1);
-        // The lookup migrated the trace to the binary format.
-        let bin = std::fs::read(dir.join(key.file_name())).expect("migrated .bin");
-        assert_eq!(trace_bin::decode_trace(&bin).expect("decode"), trace);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn second_cache_instance_hits_the_firsts_disk_entry() {
         // Two `TraceCache` instances sharing one directory model two
         // daemon processes mounting the same `--cache-dir`: the second
@@ -817,6 +666,30 @@ mod tests {
         });
         assert_eq!(sims.load(Ordering::Relaxed), 1, "corrupt file must miss");
         assert_eq!(*got, simulate_trace(spec, &wl, cfg));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_rename_removes_the_temporary() {
+        let dir =
+            std::env::temp_dir().join(format!("sa-trace-cache-rename-{}", std::process::id()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(15);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        // A directory at the target path makes the final rename fail.
+        std::fs::create_dir_all(dir.join(key.file_name())).expect("plant dir");
+        let cache = TraceCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let got = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
+        assert_eq!(*got, simulate_trace(spec, &wl, cfg));
+        assert_eq!(cache.stats().disk_writes, 0);
+        // Neither the temporary nor the write lock is left behind.
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("read dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec![key.file_name()]);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -163,11 +163,6 @@ pub struct SweepResult {
     pub best_eff: ConfigScore,
     /// Server-side wall time of the sweep, milliseconds.
     pub wall_ms: f64,
-    /// The sweep engine that simulated the traces: `"lockstep"` (batch
-    /// simulation sharing one op-stream decode across configurations)
-    /// or `"scalar"` (one machine per configuration). `/v2` only — the
-    /// v1 compatibility shim strips it from the job view.
-    pub engine: String,
 }
 
 /// `POST /v2/matrices`: register a MatrixMarket matrix by content. The

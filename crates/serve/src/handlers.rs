@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use sparseadapt::epoch_cache::{simulate_trace_adaptive_keyed, EpochCache, EpochKey};
 use sparseadapt::service::{self, summarize_trace};
-use sparseadapt::stitch::{sample_configs, sweep_engine, SweepData};
+use sparseadapt::stitch::{sample_configs, SweepData};
 use sparseadapt::trace_cache::{TraceCache, TraceKey};
 
 use crate::api::{
@@ -236,7 +236,7 @@ pub fn job(state: &AppState, id_str: &str, version: ApiVersion) -> Response {
             &ApiError::new(code::BAD_REQUEST, "job id must be an integer"),
         );
     };
-    match state.jobs.render(id, version == ApiVersion::V2) {
+    match state.jobs.render(id) {
         Some(doc) => finish(version, 200, &doc),
         None => error_response(
             version,
@@ -490,7 +490,6 @@ fn run_sweep(
         best_perf: best_perf.ok_or("sweep produced no configurations")?,
         best_eff: best_eff.ok_or("sweep produced no configurations")?,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        engine: sweep_engine(data.configs.len()).to_string(),
     };
     serde_json::to_string(&result).map_err(|e| format!("result serialization failed: {e}"))
 }

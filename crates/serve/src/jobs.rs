@@ -105,19 +105,11 @@ impl JobRegistry {
             .map(|j| j.state.clone())
     }
 
-    /// Renders one job as its `GET /vN/jobs/<id>` JSON document. With
-    /// `v2` false the v1 compatibility shim applies: result fields
-    /// introduced after the v1 freeze ([`V2_ONLY_RESULT_KEYS`]) are
-    /// stripped, so v1 clients keep seeing exactly the documents they
-    /// were written against.
-    pub fn render(&self, id: u64, v2: bool) -> Option<String> {
+    /// Renders one job as its `GET /vN/jobs/<id>` JSON document.
+    pub fn render(&self, id: u64) -> Option<String> {
         let jobs = self.jobs.lock().expect("job registry lock");
         let job = jobs.get(&id)?;
-        let mut view = job_value(id, job, true);
-        if !v2 {
-            strip_v2_only_result_keys(&mut view);
-        }
-        Some(serde_json::to_string(&view).expect("job view serializes"))
+        Some(serde_json::to_string(&job_value(id, job, true)).expect("job view serializes"))
     }
 
     /// Renders the whole registry as the `GET /v1/jobs` JSON document
@@ -130,24 +122,6 @@ impl JobRegistry {
             .collect();
         serde_json::to_string(&Value::Obj(vec![("jobs".to_string(), Value::Arr(arr))]))
             .expect("job list serializes")
-    }
-}
-
-/// Result-document fields that exist only in the `/v2` API. The v1 job
-/// view strips them (the stored result JSON is always the full v2
-/// document).
-const V2_ONLY_RESULT_KEYS: &[&str] = &["engine"];
-
-/// Removes [`V2_ONLY_RESULT_KEYS`] from a job view's `result` object,
-/// if present.
-fn strip_v2_only_result_keys(view: &mut Value) {
-    let Value::Obj(fields) = view else { return };
-    for (name, v) in fields.iter_mut() {
-        if name == "result" {
-            if let Value::Obj(result) = v {
-                result.retain(|(k, _)| !V2_ONLY_RESULT_KEYS.contains(&k.as_str()));
-            }
-        }
     }
 }
 
@@ -199,24 +173,9 @@ mod tests {
             reg.state(id),
             Some(JobState::Done("{\"configs\": 4}".to_string()))
         );
-        let view = reg.render(id, true).expect("job exists");
+        let view = reg.render(id).expect("job exists");
         assert!(view.contains("\"status\": \"done\"") || view.contains("\"status\":\"done\""));
         assert!(view.contains("\"configs\""));
-    }
-
-    #[test]
-    fn v1_view_strips_v2_only_result_fields() {
-        let reg = JobRegistry::new();
-        let id = reg.create("sweep spmspm/R01");
-        reg.finish(id, "{\"configs\": 4, \"engine\": \"lockstep\"}".to_string());
-        let v2 = reg.render(id, true).expect("job exists");
-        assert!(v2.contains("\"engine\""), "v2 keeps the engine field: {v2}");
-        let v1 = reg.render(id, false).expect("job exists");
-        assert!(
-            !v1.contains("\"engine\""),
-            "v1 shim must strip the engine field: {v1}"
-        );
-        assert!(v1.contains("\"configs\""), "other fields survive: {v1}");
     }
 
     #[test]
@@ -235,7 +194,7 @@ mod tests {
     #[test]
     fn unknown_job_renders_none() {
         let reg = JobRegistry::new();
-        assert!(reg.render(999, true).is_none());
+        assert!(reg.render(999).is_none());
         assert!(reg.state(999).is_none());
     }
 }

@@ -13,7 +13,7 @@ use sparse::CooMatrix;
 
 /// Splitmix-style step for in-test value streams (the vendored
 /// proptest has range strategies but no composite matrix strategies,
-/// so matrices are derived from one seed, like the lockstep suite).
+/// so each matrix is derived from one seed).
 fn step(x: &mut u64) -> u64 {
     *x = x
         .wrapping_mul(6364136223846793005)

@@ -25,22 +25,6 @@ impl AccessOutcome {
     }
 }
 
-/// Precomputed set/tag extraction parameters for the batched hot path.
-///
-/// [`CacheBank::locate`] divides by `line_bytes` and `n_sets` on every
-/// access; both are powers of two in every supported geometry, so the
-/// batch engine hoists the equivalent shift/mask form once per round
-/// (geometry only changes at epoch edges, between rounds) and calls the
-/// `*_with` entry points. The extraction is value-identical to the
-/// division form — `x / 2^k == x >> k` for unsigned integers — so the
-/// scalar reference path and the batched path stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LocateParams {
-    line_shift: u32,
-    set_mask: usize,
-    tag_shift: u32,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
@@ -144,68 +128,8 @@ impl CacheBank {
         self.set_slice(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
-    /// The bank's current locate parameters, or `None` when the line size
-    /// is not a power of two (the set count always is, by construction).
-    /// Valid until the next [`CacheBank::resize`].
-    pub(crate) fn locate_params(&self) -> Option<LocateParams> {
-        if !self.line_bytes.is_power_of_two() {
-            return None;
-        }
-        Some(LocateParams {
-            line_shift: self.line_bytes.trailing_zeros(),
-            set_mask: self.n_sets - 1,
-            tag_shift: self.n_sets.trailing_zeros(),
-        })
-    }
-
-    #[inline]
-    fn locate_with(addr: u64, p: LocateParams) -> (usize, u64) {
-        let line = addr >> p.line_shift;
-        ((line as usize) & p.set_mask, line >> p.tag_shift)
-    }
-
-    /// [`CacheBank::access`] with hoisted locate parameters (batched hot
-    /// path); bit-identical outcome and state evolution.
-    pub(crate) fn access_with(&mut self, addr: u64, write: bool, p: LocateParams) -> AccessOutcome {
-        debug_assert_eq!(Some(p), self.locate_params(), "stale locate params");
-        self.stats.accesses += 1;
-        let (set, tag) = Self::locate_with(addr, p);
-        let out = self.touch_at(set, tag, write, false);
-        if let AccessOutcome::Miss { .. } = out {
-            self.stats.misses += 1;
-        }
-        out
-    }
-
-    /// [`CacheBank::probe`] with hoisted locate parameters.
-    pub(crate) fn probe_with(&self, addr: u64, p: LocateParams) -> bool {
-        debug_assert_eq!(Some(p), self.locate_params(), "stale locate params");
-        let (set, tag) = Self::locate_with(addr, p);
-        self.set_slice(set).iter().any(|l| l.valid && l.tag == tag)
-    }
-
-    /// [`CacheBank::install_prefetch`] with hoisted locate parameters.
-    pub(crate) fn install_prefetch_with(&mut self, addr: u64, p: LocateParams) -> Option<u64> {
-        debug_assert_eq!(Some(p), self.locate_params(), "stale locate params");
-        self.stats.prefetches += 1;
-        let (set, tag) = Self::locate_with(addr, p);
-        match self.touch_at(set, tag, false, true) {
-            AccessOutcome::Hit => None,
-            AccessOutcome::Miss { writeback } => {
-                if writeback.is_some() {
-                    self.stats.writebacks += 1;
-                }
-                writeback
-            }
-        }
-    }
-
     fn touch(&mut self, addr: u64, write: bool, is_prefetch: bool) -> AccessOutcome {
         let (set, tag) = self.locate(addr);
-        self.touch_at(set, tag, write, is_prefetch)
-    }
-
-    fn touch_at(&mut self, set: usize, tag: u64, write: bool, is_prefetch: bool) -> AccessOutcome {
         self.tick += 1;
         let tick = self.tick;
         let base = set * self.ways as usize;

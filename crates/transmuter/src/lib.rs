@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 mod codec;
 pub mod config;
@@ -65,7 +64,6 @@ pub mod prefetch;
 pub mod reconfig;
 pub mod workload;
 
-pub use batch::{LaneDriver, MachineBatch};
 pub use config::{MachineSpec, TransmuterConfig};
 pub use counters::Telemetry;
 pub use machine::{

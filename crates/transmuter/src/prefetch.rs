@@ -59,14 +59,6 @@ impl PrefetchBuf {
         &self.addrs[..self.len]
     }
 
-    /// Empties the buffer without touching the backing storage, so the
-    /// batched hot path can reuse one buffer across accesses instead of
-    /// zero-initialising 256 bytes per access. Only `addrs[..len]` is
-    /// ever read, so a cleared buffer behaves exactly like a fresh one.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
     fn push(&mut self, addr: u64) {
         self.addrs[self.len] = addr;
         self.len += 1;
@@ -107,11 +99,6 @@ impl StridePrefetcher {
         self.degree
     }
 
-    /// Line size the prefetcher aligns targets to.
-    pub(crate) fn line_bytes(&self) -> u32 {
-        self.line_bytes
-    }
-
     /// Changes the degree (a super-fine-grained reconfiguration); the
     /// stride table survives.
     ///
@@ -139,20 +126,6 @@ impl StridePrefetcher {
     /// stride exists).
     #[inline]
     pub fn observe_into(&mut self, pc: u32, addr: u64, out: &mut PrefetchBuf) {
-        if let Some(stride) = self.train(pc, addr) {
-            if self.degree > 0 {
-                self.emit(addr, stride, out);
-            }
-        }
-    }
-
-    /// The table-maintenance half of [`StridePrefetcher::observe_into`]:
-    /// updates the stride entry for this access site and returns the
-    /// (post-update) stride when the site is confident enough to issue.
-    /// The trajectory is independent of `degree`, which only gates
-    /// emission — so a degree-0 trainer tracks the exact same state.
-    #[inline]
-    pub(crate) fn train(&mut self, pc: u32, addr: u64) -> Option<i64> {
         let slot = (pc as usize) % TABLE_SIZE;
         let e = &mut self.table[slot];
         if e.valid && e.pc == pc {
@@ -164,8 +137,29 @@ impl StridePrefetcher {
                 e.confidence = e.confidence.saturating_sub(1);
             }
             e.last_addr = addr;
-            if e.confidence >= CONF_ISSUE {
-                return Some(e.stride);
+            if e.confidence >= CONF_ISSUE && self.degree > 0 {
+                let line = self.line_bytes as i64;
+                // Prefetch `degree` *lines* ahead along the stride
+                // direction, de-duplicated by line.
+                let dir = if e.stride >= 0 { 1 } else { -1 };
+                let mut last_line = addr as i64 / line;
+                let mut k = 1i64;
+                while out.len() < self.degree as usize && k <= 4 * self.degree as i64 {
+                    let target = addr as i64 + k * e.stride.max(-line * 64).min(line * 64);
+                    let target_line = target / line;
+                    if target >= 0 && target_line != last_line {
+                        out.push((target_line * line) as u64);
+                        last_line = target_line;
+                    } else if target_line == last_line && e.stride.abs() < line {
+                        // Small strides: jump whole lines instead.
+                        let jump = (last_line + dir) * line;
+                        if jump >= 0 {
+                            out.push(jump as u64);
+                            last_line += dir;
+                        }
+                    }
+                    k += 1;
+                }
             }
         } else {
             *e = StrideEntry {
@@ -175,37 +169,6 @@ impl StridePrefetcher {
                 confidence: 0,
                 valid: true,
             };
-        }
-        None
-    }
-
-    /// The emission half of [`StridePrefetcher::observe_into`]: appends
-    /// the line-aligned prefetch targets for a confident access. Factored
-    /// out so the batch engine can replay pre-trained stride decisions
-    /// through the exact same target-generation code.
-    #[inline]
-    pub(crate) fn emit(&self, addr: u64, stride: i64, out: &mut PrefetchBuf) {
-        let line = self.line_bytes as i64;
-        // Prefetch `degree` *lines* ahead along the stride direction,
-        // de-duplicated by line.
-        let dir = if stride >= 0 { 1 } else { -1 };
-        let mut last_line = addr as i64 / line;
-        let mut k = 1i64;
-        while out.len() < self.degree as usize && k <= 4 * self.degree as i64 {
-            let target = addr as i64 + k * stride.max(-line * 64).min(line * 64);
-            let target_line = target / line;
-            if target >= 0 && target_line != last_line {
-                out.push((target_line * line) as u64);
-                last_line = target_line;
-            } else if target_line == last_line && stride.abs() < line {
-                // Small strides: jump whole lines instead.
-                let jump = (last_line + dir) * line;
-                if jump >= 0 {
-                    out.push(jump as u64);
-                    last_line += dir;
-                }
-            }
-            k += 1;
         }
     }
 

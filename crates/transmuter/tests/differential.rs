@@ -174,6 +174,17 @@ fn all_shapes_agree_across_configs() {
 }
 
 #[test]
+fn empty_phase_streams_produce_one_empty_epoch() {
+    let spec = MachineSpec::default();
+    let streams = vec![OpStream::with_capacity(0); spec.geometry.gpe_count()];
+    let wl = Workload::new("empty", vec![Phase::new("nil", streams)]);
+    for cfg in [TransmuterConfig::baseline(), TransmuterConfig::maximum()] {
+        assert_paths_agree(spec, cfg, &wl);
+        assert_eq!(Machine::new(spec, cfg).run(&wl).epochs.len(), 1);
+    }
+}
+
+#[test]
 fn agreement_holds_under_tight_epoch_quota() {
     // Tiny epochs maximise quota pauses and epoch-boundary stitching.
     let spec = MachineSpec::default().with_epoch_ops(50);

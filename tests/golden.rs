@@ -389,68 +389,3 @@ fn digest_function_is_stable() {
          with a deliberate golden regeneration"
     );
 }
-
-/// The lockstep leg for the real-matrix kernel family: a
-/// [`transmuter::MachineBatch`] over the four configuration presets
-/// must produce traces bit-identical to four scalar [`Machine`] runs
-/// for each of the SpMV / SpTRSV / SymGS fixture workloads. (The
-/// engine-level property suite in `transmuter/tests/lockstep_props.rs`
-/// covers random op soups; this pins the real kernel shapes — level
-/// ladders, gather-heavy single phases — to the same guarantee.)
-#[test]
-fn lockstep_batch_matches_scalar_for_mtx_kernels() {
-    use transmuter::MachineBatch;
-    let configs = [
-        TransmuterConfig::baseline(),
-        TransmuterConfig::best_avg_cache(),
-        TransmuterConfig::best_avg_spm(),
-        TransmuterConfig::maximum(),
-    ];
-    let n_gpes = 16;
-    let spec = workloads::spmspv_spec(Scale::Quick);
-    let named: Vec<(&str, Workload)> = vec![
-        (
-            "spmv",
-            workloads::spmv_workload_csr(&fixture_csr("wing_64.mtx"), MemKind::Cache, 19, n_gpes),
-        ),
-        (
-            "sptrsv",
-            workloads::sptrsv_workload_csr(
-                &fixture_csr("mesh_sym_48.mtx"),
-                MemKind::Cache,
-                23,
-                n_gpes,
-            ),
-        ),
-        (
-            "symgs",
-            workloads::symgs_workload_csr(
-                &fixture_csr("net_pat_56.mtx"),
-                MemKind::Cache,
-                29,
-                n_gpes,
-            ),
-        ),
-    ];
-    for (name, wl) in &named {
-        let batch = MachineBatch::new(spec, &configs).run(wl);
-        for (cfg, lane) in configs.iter().zip(&batch) {
-            let scalar = Machine::new(spec, *cfg).run(wl);
-            assert_eq!(
-                trace_digest(&lane.epochs),
-                trace_digest(&scalar.epochs),
-                "{name}: lockstep lane diverged from scalar under {cfg:?}"
-            );
-            assert_eq!(
-                lane.time_s.to_bits(),
-                scalar.time_s.to_bits(),
-                "{name} time"
-            );
-            assert_eq!(
-                lane.energy_j.to_bits(),
-                scalar.energy_j.to_bits(),
-                "{name} energy"
-            );
-        }
-    }
-}
