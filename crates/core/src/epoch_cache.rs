@@ -13,10 +13,12 @@
 //! runs arriving at an epoch with the same entry state, configuration,
 //! workload and machine execute that epoch bit-identically (the
 //! simulator is deterministic and controllers act only at boundaries).
-//! Content addressing is also what makes the *remote* tier sound: a
-//! peer can only answer a key it was asked for, and the key already
-//! pins every input of the epoch, so remote bytes either decode to the
-//! one correct answer or are rejected as a miss.
+//! Content addressing is also what makes the *remote* tier sound: the
+//! key pins every input of the epoch, and every encoded blob carries the
+//! key it was stored under, which decoding checks against the key that
+//! was asked for. So remote (and disk) bytes either decode to the one
+//! correct answer or are rejected as a miss — a well-formed blob for a
+//! *different* key included.
 //!
 //! Structure mirrors the trace cache where the problems are the same:
 //! a mutex-guarded map with an LRU byte budget in memory, and an
@@ -540,7 +542,7 @@ impl EpochCache {
     /// caller simulates.
     fn remote_lookup(&self, key: &EpochKey) -> Option<Arc<CachedEpoch>> {
         let fetched = self.fetch_guarded(key, 1)?;
-        let Some(epoch) = fetched.and_then(|bytes| decode_epoch(&bytes).ok()) else {
+        let Some(epoch) = fetched.and_then(|bytes| decode_epoch(&bytes, key).ok()) else {
             self.remote_misses.fetch_add(1, Ordering::Relaxed);
             self.note_negative(*key);
             return None;
@@ -569,7 +571,7 @@ impl EpochCache {
             return None;
         }
         let fetched = self.fetch_guarded(key, chain)?;
-        let decoded = fetched.and_then(|bytes| decode_fetched_segment(&bytes));
+        let decoded = fetched.and_then(|bytes| decode_fetched_segment(&bytes, key));
         let Some((segment, digests)) = decoded else {
             self.remote_misses.fetch_add(1, Ordering::Relaxed);
             self.note_negative(*key);
@@ -677,12 +679,12 @@ impl EpochCache {
         {
             let inner = self.inner.lock().expect("epoch cache lock");
             if let Some(entry) = inner.map.get(key) {
-                return Some(encode_epoch(&entry.epoch));
+                return Some(encode_epoch(key, &entry.epoch));
             }
         }
         let path = self.disk_path(key)?;
         let bytes = std::fs::read(&path).ok()?;
-        match decode_epoch(&bytes) {
+        match decode_epoch(&bytes, key) {
             Ok(_) => Some(bytes),
             Err(_) => {
                 self.quarantine(&path);
@@ -715,7 +717,7 @@ impl EpochCache {
             last = Some(epoch);
         }
         let exit = &last?.exit;
-        Some(encode_segment(&records, &digests, exit))
+        Some(encode_segment(key, &records, &digests, exit))
     }
 
     /// Whether `key` is held locally (resident or on disk), without
@@ -752,10 +754,11 @@ impl EpochCache {
     ///
     /// # Errors
     ///
-    /// The [`DecodeError`] for malformed or version-skewed bytes —
-    /// nothing is admitted in that case.
+    /// The [`DecodeError`] for malformed or version-skewed bytes, or
+    /// for a blob stored under another key — nothing is admitted in
+    /// that case.
     pub fn import(&self, key: &EpochKey, bytes: &[u8]) -> Result<(), DecodeError> {
-        let epoch = decode_epoch(bytes)?;
+        let epoch = decode_epoch(bytes, key)?;
         self.push_received.fetch_add(1, Ordering::Relaxed);
         self.push_bytes_received
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -890,7 +893,7 @@ impl EpochCache {
     fn disk_load(&self, key: &EpochKey) -> Option<CachedEpoch> {
         let path = self.disk_path(key)?;
         let bytes = std::fs::read(&path).ok()?;
-        match decode_epoch(&bytes) {
+        match decode_epoch(&bytes, key) {
             Ok(epoch) => Some(epoch),
             Err(_) => {
                 self.quarantine(&path);
@@ -899,7 +902,7 @@ impl EpochCache {
         }
     }
 
-    /// Moves a corrupt or version-skewed disk entry aside (so the next
+    /// Moves a corrupt, version-skewed or misnamed disk entry aside (so the next
     /// recompute can republish cleanly) and counts it. Best-effort: a
     /// failed rename just leaves the bad file to lose the next publish
     /// race.
@@ -916,7 +919,7 @@ impl EpochCache {
         };
         // Keys are content fingerprints, so racing writers publish
         // identical bytes and the last rename wins harmlessly.
-        if write_then_rename(&path, &encode_epoch(epoch)).is_ok() {
+        if write_then_rename(&path, &encode_epoch(key, epoch)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -927,8 +930,9 @@ pub const EPOCH_MAGIC: [u8; 4] = *b"SAEP";
 /// Disk-tier/wire format version. Bumped whenever the epoch-record
 /// framing ([`trace_bin`]), the snapshot wire format, or the header
 /// changes; unknown versions read as [`DecodeError::VersionSkew`],
-/// never as garbage. Version 2 added the payload checksum.
-pub const EPOCH_VERSION: u16 = 2;
+/// never as garbage. Version 2 added the payload checksum, version 3
+/// the key.
+pub const EPOCH_VERSION: u16 = 3;
 
 /// Why a `SAEP` byte string failed to decode. Every variant reads as a
 /// cache miss; the typed split exists so tests (and the push endpoint's
@@ -958,6 +962,9 @@ pub enum DecodeError {
     BadRecord,
     /// The exit snapshot failed [`MachineState::from_bytes`].
     BadSnapshot,
+    /// The blob is intact but was stored under a different key than the
+    /// one asked for.
+    KeyMismatch,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -976,6 +983,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::ChecksumMismatch => write!(f, "epoch payload checksum mismatch"),
             DecodeError::BadRecord => write!(f, "malformed epoch record"),
             DecodeError::BadSnapshot => write!(f, "malformed exit snapshot"),
+            DecodeError::KeyMismatch => write!(f, "epoch stored under another key"),
         }
     }
 }
@@ -1001,22 +1009,31 @@ fn successor_key(key: &EpochKey, exit: &MachineState) -> EpochKey {
 pub const SEGMENT_MAGIC: [u8; 4] = *b"SAEG";
 /// Segment wire-format version. Bumped on any layout change; a peer on
 /// another version reads as [`DecodeError::VersionSkew`], i.e. a miss.
-pub const SEGMENT_VERSION: u16 = 1;
+/// Version 2 added the first epoch's key.
+pub const SEGMENT_VERSION: u16 = 2;
 
-/// Serialises a run of consecutive cached epochs for the shard-to-shard
-/// wire: a 16-byte header like [`encode_epoch`]'s (the `SAEG` magic,
-/// version, zero flags, FNV-1a 64 payload checksum), then — each
-/// length-prefixed — every record in the [`trace_bin`] framing, every
-/// epoch's exit digest (LE `u64`s), and the *last* epoch's full exit
-/// state. Interior states are represented only by their digests, which
-/// is what makes a long segment ~20x smaller than the equivalent chain
-/// of [`encode_epoch`] blobs: the requester fast-forwards through the
-/// records and needs a full state only where it resumes simulating.
-pub fn encode_segment(records: &[EpochRecord], digests: &[u64], exit: &MachineState) -> Vec<u8> {
+/// Serialises a run of consecutive cached epochs, the first stored
+/// under `first`, for the shard-to-shard wire: a 16-byte header like
+/// [`encode_epoch`]'s (the `SAEG` magic, version, zero flags, FNV-1a 64
+/// payload checksum), then `first` and — each length-prefixed — every
+/// record in the [`trace_bin`] framing, every epoch's exit digest (LE
+/// `u64`s), and the *last* epoch's full exit state. Interior states are
+/// represented only by their digests, which is what makes a long
+/// segment ~20x smaller than the equivalent chain of [`encode_epoch`]
+/// blobs: the requester fast-forwards through the records and needs a
+/// full state only where it resumes simulating.
+pub fn encode_segment(
+    first: &EpochKey,
+    records: &[EpochRecord],
+    digests: &[u64],
+    exit: &MachineState,
+) -> Vec<u8> {
     assert_eq!(records.len(), digests.len());
     let recs = trace_bin::encode_trace(records);
     let state = exit.to_bytes();
-    let mut payload = Vec::with_capacity(24 + recs.len() + digests.len() * 8 + state.len());
+    let mut payload =
+        Vec::with_capacity(KEY_BYTES + 24 + recs.len() + digests.len() * 8 + state.len());
+    put_key(&mut payload, first);
     payload.extend_from_slice(&(recs.len() as u64).to_le_bytes());
     payload.extend_from_slice(&recs);
     payload.extend_from_slice(&(digests.len() as u64 * 8).to_le_bytes());
@@ -1034,17 +1051,22 @@ pub fn encode_segment(records: &[EpochRecord], digests: &[u64], exit: &MachineSt
     out
 }
 
-/// Inverse of [`encode_segment`]: the segment plus the per-epoch exit
-/// digests (`digests[i]` belongs to `records[i]`; the last one is
-/// verified against the decoded state).
+/// Inverse of [`encode_segment`] for a segment whose first epoch is
+/// `first`: the segment plus the per-epoch exit digests (`digests[i]`
+/// belongs to `records[i]`; the last one is verified against the
+/// decoded state).
 ///
 /// # Errors
 ///
 /// A typed [`DecodeError`] on any malformed, truncated, version-skewed,
-/// checksum-failing, or internally inconsistent input — the cache
-/// treats every error as a miss and simulates; it never fast-forwards
-/// through suspect bytes.
-pub fn decode_segment(bytes: &[u8]) -> Result<(CachedSegment, Vec<u64>), DecodeError> {
+/// checksum-failing, or internally inconsistent input, and
+/// [`DecodeError::KeyMismatch`] for a segment that starts at another
+/// key — the cache treats every error as a miss and simulates; it never
+/// fast-forwards through suspect bytes.
+pub fn decode_segment(
+    bytes: &[u8],
+    first: &EpochKey,
+) -> Result<(CachedSegment, Vec<u64>), DecodeError> {
     if bytes.len() < SEGMENT_MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
@@ -1063,7 +1085,8 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(CachedSegment, Vec<u64>), DecodeE
     if fnv1a64(payload) != checksum {
         return Err(DecodeError::ChecksumMismatch);
     }
-    let (record_bytes, rest) = split_len_prefixed(payload).ok_or(DecodeError::Truncated)?;
+    let rest = strip_key(payload, first)?;
+    let (record_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
     let (digest_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
     let (state_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
     if !rest.is_empty() {
@@ -1084,16 +1107,16 @@ pub fn decode_segment(bytes: &[u8]) -> Result<(CachedSegment, Vec<u64>), DecodeE
     Ok((CachedSegment { records, exit }, digests))
 }
 
-/// Decodes a `chain > 1` fetch response: an [`encode_segment`] blob,
-/// or — from a peer that doesn't chain (feature off, older wire
-/// version) — a bare [`encode_epoch`] blob, degraded to a length-1
-/// segment. The magics make the two cases unambiguous; anything else
-/// is a miss.
-fn decode_fetched_segment(bytes: &[u8]) -> Option<(CachedSegment, Vec<u64>)> {
+/// Decodes a `chain > 1` fetch response for `key`: an
+/// [`encode_segment`] blob, or — from a peer that doesn't chain
+/// (feature off, older wire version) — a bare [`encode_epoch`] blob,
+/// degraded to a length-1 segment. The magics make the two cases
+/// unambiguous; anything else, or a blob for another key, is a miss.
+fn decode_fetched_segment(bytes: &[u8], key: &EpochKey) -> Option<(CachedSegment, Vec<u64>)> {
     if bytes.starts_with(&SEGMENT_MAGIC) {
-        return decode_segment(bytes).ok();
+        return decode_segment(bytes, key).ok();
     }
-    let epoch = decode_epoch(bytes).ok()?;
+    let epoch = decode_epoch(bytes, key).ok()?;
     let digest = epoch.exit.digest();
     Some((
         CachedSegment {
@@ -1116,15 +1139,53 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serialises one cached epoch for the disk tier and the shard-to-shard
-/// wire: a 16-byte header (magic, version, zero flags, FNV-1a 64
-/// payload checksum), then the epoch record in the [`trace_bin`]
-/// framing and the exit snapshot via [`MachineState::to_bytes`], each
-/// length-prefixed.
-pub fn encode_epoch(epoch: &CachedEpoch) -> Vec<u8> {
+/// Encoded size of an [`EpochKey`]: five LE `u64`s.
+const KEY_BYTES: usize = 40;
+
+fn put_key(out: &mut Vec<u8>, key: &EpochKey) {
+    for field in [
+        key.spec,
+        key.workload,
+        key.config,
+        key.index,
+        key.entry_digest,
+    ] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+}
+
+/// Strips the encoded key off the front of a payload, checking it is
+/// `expected`.
+fn strip_key<'a>(payload: &'a [u8], expected: &EpochKey) -> Result<&'a [u8], DecodeError> {
+    let mut rest = payload;
+    let mut field = || {
+        let (value, tail) = split_u64(rest).ok_or(DecodeError::Truncated)?;
+        rest = tail;
+        Ok(value)
+    };
+    let key = EpochKey {
+        spec: field()?,
+        workload: field()?,
+        config: field()?,
+        index: field()?,
+        entry_digest: field()?,
+    };
+    if key != *expected {
+        return Err(DecodeError::KeyMismatch);
+    }
+    Ok(rest)
+}
+
+/// Serialises one cached epoch, stored under `key`, for the disk tier
+/// and the shard-to-shard wire: a 16-byte header (magic, version, zero
+/// flags, FNV-1a 64 payload checksum), then the key, the epoch record
+/// in the [`trace_bin`] framing and the exit snapshot via
+/// [`MachineState::to_bytes`], the last two length-prefixed.
+pub fn encode_epoch(key: &EpochKey, epoch: &CachedEpoch) -> Vec<u8> {
     let record = trace_bin::encode_trace(std::slice::from_ref(&epoch.record));
     let state = epoch.exit.to_bytes();
-    let mut payload = Vec::with_capacity(16 + record.len() + state.len());
+    let mut payload = Vec::with_capacity(KEY_BYTES + 16 + record.len() + state.len());
+    put_key(&mut payload, key);
     payload.extend_from_slice(&(record.len() as u64).to_le_bytes());
     payload.extend_from_slice(&record);
     payload.extend_from_slice(&(state.len() as u64).to_le_bytes());
@@ -1138,14 +1199,15 @@ pub fn encode_epoch(epoch: &CachedEpoch) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_epoch`].
+/// Inverse of [`encode_epoch`] for the epoch stored under `key`.
 ///
 /// # Errors
 ///
 /// A typed [`DecodeError`] on any malformed, truncated, version-skewed,
-/// or checksum-failing input — the cache treats every error as a miss
-/// and re-simulates; it never restores from suspect bytes.
-pub fn decode_epoch(bytes: &[u8]) -> Result<CachedEpoch, DecodeError> {
+/// or checksum-failing input, and [`DecodeError::KeyMismatch`] for an
+/// intact blob stored under another key — the cache treats every error
+/// as a miss and re-simulates; it never restores from suspect bytes.
+pub fn decode_epoch(bytes: &[u8], key: &EpochKey) -> Result<CachedEpoch, DecodeError> {
     if bytes.len() < EPOCH_MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
@@ -1164,7 +1226,8 @@ pub fn decode_epoch(bytes: &[u8]) -> Result<CachedEpoch, DecodeError> {
     if fnv1a64(payload) != checksum {
         return Err(DecodeError::ChecksumMismatch);
     }
-    let (record_bytes, rest) = split_len_prefixed(payload).ok_or(DecodeError::Truncated)?;
+    let rest = strip_key(payload, key)?;
+    let (record_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
     let (state_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
     if !rest.is_empty() {
         return Err(DecodeError::TrailingBytes);
@@ -1620,27 +1683,112 @@ mod tests {
             entry_digest: Machine::new(spec, cfg).snapshot().digest(),
         };
         let full = peer.export_segment(&first, CHAIN_CAP).expect("segment");
-        let (segment, digests) = decode_segment(&full).expect("decodes");
+        let (segment, digests) = decode_segment(&full, &first).expect("decodes");
         assert_eq!(segment.records.len(), run.epochs.len(), "covers the run");
         assert_eq!(digests.len(), segment.records.len());
         assert_eq!(segment.exit.digest(), *digests.last().expect("digests"));
         // A cap of 2 stops the walk early.
         let capped = peer.export_segment(&first, 2).expect("capped segment");
-        assert_eq!(decode_segment(&capped).expect("decodes").0.records.len(), 2);
+        assert_eq!(
+            decode_segment(&capped, &first)
+                .expect("decodes")
+                .0
+                .records
+                .len(),
+            2
+        );
         // Segments are atomic: any torn or twiddled byte fails the
         // checksum and reads as a miss.
         let torn = &full[..full.len() - 3];
-        assert!(decode_segment(torn).is_err());
+        assert!(decode_segment(torn, &first).is_err());
         let mut flipped = full.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert!(decode_segment(&flipped).is_err());
+        assert!(decode_segment(&flipped, &first).is_err());
         // An unknown key exports nothing.
         let missing = EpochKey {
             entry_digest: first.entry_digest ^ 1,
             ..first
         };
         assert!(peer.export_segment(&missing, CHAIN_CAP).is_none());
+    }
+
+    /// A peer that answers every key with one fixed, well-formed blob —
+    /// the epoch of some *other* key.
+    struct Misaddressed(Vec<u8>);
+
+    impl RemoteFetcher for Misaddressed {
+        fn fetch(&self, _key: &EpochKey, _budget: Duration, _chain: usize) -> Option<Vec<u8>> {
+            Some(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn blobs_for_another_key_are_rejected_by_fetch_and_import() {
+        let spec = MachineSpec::default().with_epoch_ops(120);
+        let wl = tiny_workload(10);
+        let cfg = TransmuterConfig::baseline();
+        let source = EpochCache::new();
+        run_hooked(&source, spec, &wl, cfg);
+        let keys = source.hottest(usize::MAX);
+        assert!(keys.len() >= 2, "need two keys");
+        let (a, b) = (keys[0], keys[1]);
+        let blob_a = source.export(&a).expect("resident entry exports");
+        assert_eq!(decode_epoch(&blob_a, &b), Err(DecodeError::KeyMismatch));
+
+        // Each fetch gets a fresh cache: a first miss would otherwise
+        // suppress the next lookup of `b` before any bytes arrive.
+        let asking = |blob: &[u8]| {
+            let local = EpochCache::new();
+            local.set_remote(Some(Arc::new(Misaddressed(blob.to_vec()))));
+            local.set_remote_config(RemoteConfig {
+                chain: 8,
+                ..RemoteConfig::default()
+            });
+            local
+        };
+        let local = asking(&blob_a);
+        assert!(local.lookup(&b).is_none(), "a misaddressed blob is a miss");
+        let s = local.stats();
+        assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
+        // The chained path rejects it too, as a bare epoch or a segment.
+        let segment_a = source.export_segment(&a, 8).expect("segment exports");
+        for blob in [&blob_a, &segment_a] {
+            let local = asking(blob);
+            assert!(local.remote_segment(&b).is_none());
+            let s = local.stats();
+            assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
+        }
+
+        assert_eq!(local.import(&b, &blob_a), Err(DecodeError::KeyMismatch));
+        assert_eq!(local.stats().entries, 0, "nothing admitted");
+        assert_eq!(local.import(&a, &blob_a), Ok(()));
+    }
+
+    #[test]
+    fn disk_file_under_another_keys_name_is_quarantined() {
+        let dir = std::env::temp_dir().join(format!("sa-epoch-misnamed-{}", std::process::id()));
+        let cache = EpochCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let spec = MachineSpec::default().with_epoch_ops(120);
+        let wl = tiny_workload(4);
+        let cfg = TransmuterConfig::baseline();
+        let first = run_hooked(&cache, spec, &wl, cfg);
+        let keys = cache.hottest(usize::MAX);
+        assert!(keys.len() >= 2, "need two keys");
+        let (a, b) = (keys[0], keys[1]);
+        std::fs::copy(dir.join(a.file_name()), dir.join(b.file_name())).expect("copy");
+        cache.clear();
+        assert!(cache.lookup(&b).is_none(), "the misnamed file is a miss");
+        assert_eq!(cache.stats().disk_quarantined, 1);
+        assert!(
+            cache.lookup(&a).is_some(),
+            "the correctly named file still hits"
+        );
+        // The run recomputes the quarantined epoch and republishes it.
+        cache.clear();
+        assert_eq!(run_hooked(&cache, spec, &wl, cfg), first);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// A fetcher that always misses and counts how often it was asked.
@@ -1729,7 +1877,7 @@ mod tests {
         });
         for key in &keys {
             let bytes = source.export(key).expect("resident entry exports");
-            assert!(decode_epoch(&bytes).is_ok());
+            assert!(decode_epoch(&bytes, key).is_ok());
             sink.import(key, &bytes).expect("import valid bytes");
         }
         let s = sink.stats();

@@ -201,11 +201,27 @@ impl Pool {
     ///
     /// Returns [`PoolFull`] when `queue_cap` jobs are already waiting.
     pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), PoolFull> {
+        self.try_submit_with((), |()| job()).map_err(|()| PoolFull)
+    }
+
+    /// [`Pool::try_submit`] for a job that consumes `input`: a rejected
+    /// job is dropped, but its input comes back to the caller, which
+    /// still owns whatever the job would have consumed (the serve
+    /// daemon's reply handle, which then answers 429).
+    ///
+    /// # Errors
+    ///
+    /// Returns `input` when `queue_cap` jobs are already waiting.
+    pub fn try_submit_with<T: Send + 'static>(
+        &self,
+        input: T,
+        job: impl FnOnce(T) + Send + 'static,
+    ) -> Result<(), T> {
         let mut state = self.shared.state.lock().expect("pool lock");
         if state.queue.len() >= self.shared.queue_cap {
-            return Err(PoolFull);
+            return Err(input);
         }
-        state.queue.push_back(Box::new(job));
+        state.queue.push_back(Box::new(move || job(input)));
         self.shared.queued.fetch_add(1, Ordering::Relaxed);
         drop(state);
         self.shared.cv.notify_one();
@@ -414,6 +430,28 @@ mod tests {
         assert_eq!(pool.try_submit(|| {}), Err(PoolFull));
         block_tx.send(()).unwrap();
         drop(pool);
+    }
+
+    #[test]
+    fn rejected_input_comes_back_to_the_caller() {
+        let pool = Pool::new(1, 1);
+        let (block_tx, block_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        pool.try_submit(move || {
+            started_tx.send(()).unwrap();
+            block_rx.recv().unwrap();
+        })
+        .unwrap();
+        started_rx.recv().unwrap();
+        pool.try_submit(|| {}).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<String>();
+        let input = String::from("reply");
+        let back = pool.try_submit_with(input, move |s| tx.send(s).unwrap());
+        assert_eq!(back, Err(String::from("reply")));
+        block_tx.send(()).unwrap();
+        drop(pool);
+        // The rejected job never ran: its sender was dropped unused.
+        assert!(rx.recv().is_err());
     }
 
     #[test]

@@ -331,8 +331,6 @@ pub struct DrainStatusDoc {
     pub draining: bool,
     /// Whether an earlier request had already started the drain.
     pub already_requested: bool,
-    /// The serve engine doing the draining.
-    pub engine: String,
 }
 
 /// The envelope version served under `/v2/*`.
@@ -348,14 +346,14 @@ pub mod code {
     pub const NOT_FOUND: &str = "not_found";
     /// Wrong verb for the path (405).
     pub const METHOD_NOT_ALLOWED: &str = "method_not_allowed";
-    /// Body over [`crate::http::MAX_BODY_BYTES`] (413).
+    /// Head or body over the limits (413/431): see
+    /// [`crate::http::MAX_HEAD_BYTES`] and [`crate::http::MAX_BODY_BYTES`].
     pub const PAYLOAD_TOO_LARGE: &str = "payload_too_large";
     /// Admission queue full — back off and retry (429).
     pub const QUEUE_FULL: &str = "queue_full";
-    /// The reactor shed the request before admission — connection cap
-    /// or dispatch queue overflow (503). Back off and retry, same as
-    /// [`QUEUE_FULL`]; the distinct code records *where* the edge
-    /// pushed back.
+    /// The reactor shed the connection at the connection cap (503).
+    /// Back off and retry, same as [`QUEUE_FULL`]; the distinct code
+    /// records *where* the edge pushed back.
     pub const OVERLOADED: &str = "overloaded";
     /// The admitted job died without answering (500).
     pub const WORKER_CRASHED: &str = "worker_crashed";
@@ -434,7 +432,7 @@ impl ApiError {
             404 => code::NOT_FOUND,
             405 => code::METHOD_NOT_ALLOWED,
             409 => code::TOPOLOGY_CONFLICT,
-            413 => code::PAYLOAD_TOO_LARGE,
+            413 | 431 => code::PAYLOAD_TOO_LARGE,
             429 => code::QUEUE_FULL,
             503 => code::SHARD_UNAVAILABLE,
             _ => code::INTERNAL,
@@ -499,6 +497,16 @@ pub enum ApiVersion {
 }
 
 impl ApiVersion {
+    /// The dialect a request path speaks: `/v2/*` answers in the
+    /// envelope, every other path in the bare v1 shape.
+    pub fn of_path(path: &str) -> ApiVersion {
+        if path.starts_with("/v2/") {
+            ApiVersion::V2
+        } else {
+            ApiVersion::V1
+        }
+    }
+
     /// Wraps a success payload (already-serialized JSON) for this
     /// dialect. The payload is spliced, not re-parsed: all typed
     /// serialization is deterministic, so identical requests produce
@@ -510,19 +518,25 @@ impl ApiVersion {
         }
     }
 
-    /// Wraps an already-serialized [`ApiError`] for this dialect.
-    pub fn err_body_json(self, err_json: &str) -> String {
+    /// Wraps an [`ApiError`] for this dialect.
+    pub fn err_body(self, err: &ApiError) -> String {
+        let err_json = err.to_json();
         match self {
-            ApiVersion::V1 => err_json.to_string(),
+            ApiVersion::V1 => err_json,
             ApiVersion::V2 => {
                 format!("{{\"v\": {API_VERSION}, \"data\": null, \"error\": {err_json}}}")
             }
         }
     }
 
-    /// Wraps an [`ApiError`] for this dialect.
-    pub fn err_body(self, err: &ApiError) -> String {
-        self.err_body_json(&err.to_json())
+    /// A structured error response in this dialect, with a
+    /// `Retry-After` header when the error carries a backoff hint.
+    pub fn error_response(self, status: u16, err: &ApiError) -> crate::http::Response {
+        let resp = crate::http::Response::json(status, self.err_body(err));
+        match err.retry_after_s() {
+            Some(s) => resp.with_header("retry-after", s.to_string()),
+            None => resp,
+        }
     }
 
     /// The job-poll path prefix for this dialect.

@@ -5,8 +5,7 @@
 //!                [--rps TARGET] [--out FILE] [--guard FILE] [--guard-factor F]
 //!                [--replay FILE]
 //!                [--open-loop [--connections N] [--open-rps R]
-//!                 [--open-duration SECONDS] [--quick]
-//!                 [--embed-baseline FILE]]
+//!                 [--open-duration SECONDS] [--quick]]
 //!        loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS]
 //!                [--out FILE]
 //! ```
@@ -46,7 +45,7 @@ fn usage_and_exit(code: i32) -> ! {
         "usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--concurrency N] \
          [--rps TARGET] [--out FILE] [--guard FILE] [--guard-factor F] [--replay FILE] \
          [--open-loop [--connections N] [--open-rps R] [--open-duration SECONDS] \
-         [--quick] [--embed-baseline FILE]] | \
+         [--quick]] | \
          loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS] [--out FILE]"
     );
     std::process::exit(code);
@@ -153,9 +152,6 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
                     })
             }
             "--quick" => config.quick = true,
-            "--embed-baseline" => {
-                config.embed_baseline = Some(PathBuf::from(need(&mut args, "--embed-baseline")))
-            }
             "--epoch-ab" => epoch_ab.enabled = true,
             "--serve-exe" => {
                 epoch_ab.serve_exe = Some(PathBuf::from(need(&mut args, "--serve-exe")))

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! Usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-//!              [--reactor | --threaded] [--max-conns N]
-//!              [--idle-timeout-ms MS] [--dispatchers N]
+//!              [--max-conns N] [--idle-timeout-ms MS]
 //!              [--cache-dir DIR] [--cache-mem-cap BYTES]
 //!              [--epoch-cache] [--epoch-cache-dir DIR]
 //!              [--epoch-peer-fetch] [--epoch-fetch-budget-ms MS]
@@ -31,9 +30,7 @@
 //! wall-clock budget per lookup; `--epoch-warm-push K` pushes the K
 //! hottest epochs to ring neighbors after each completed sweep.
 //!
-//! The serve core defaults to the epoll reactor (`--reactor`);
-//! `--threaded` selects the thread-per-connection engine. Either way
-//! the process drains cleanly on SIGINT/SIGTERM or `POST
+//! The process drains cleanly on SIGINT/SIGTERM or `POST
 //! /v2/admin/drain`: it stops accepting, finishes in-flight work, and
 //! exits 0.
 
@@ -41,13 +38,13 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use serve::shard::{spawn_shards, start_router, RouterConfig, ShardSpawn};
-use serve::{start, Engine, ServeConfig};
+use serve::{start, ServeConfig};
 
 fn usage_and_exit(code: i32) -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
-         [--reactor | --threaded] [--max-conns N] [--idle-timeout-ms MS] \
-         [--dispatchers N] [--cache-dir DIR] [--cache-mem-cap BYTES] \
+         [--max-conns N] [--idle-timeout-ms MS] \
+         [--cache-dir DIR] [--cache-mem-cap BYTES] \
          [--epoch-cache] [--epoch-cache-dir DIR] [--epoch-peer-fetch] \
          [--epoch-fetch-budget-ms MS] [--epoch-warm-push K] \
          [--addr-file PATH] [--router --shards N [--shard-weights W,..] \
@@ -144,8 +141,6 @@ fn parse_cli() -> Cli {
                         usage_and_exit(2)
                     })
             }
-            "--reactor" => cli.config.engine = Engine::Reactor,
-            "--threaded" => cli.config.engine = Engine::Threaded,
             "--max-conns" => {
                 cli.config.max_conns = need(&mut args, "--max-conns")
                     .parse()
@@ -165,15 +160,6 @@ fn parse_cli() -> Cli {
                         eprintln!("--idle-timeout-ms needs a positive integer");
                         usage_and_exit(2)
                     })
-            }
-            "--dispatchers" => {
-                cli.config.dispatchers =
-                    need(&mut args, "--dispatchers")
-                        .parse()
-                        .unwrap_or_else(|_| {
-                            eprintln!("--dispatchers needs an integer");
-                            usage_and_exit(2)
-                        })
             }
             "--router" => cli.router = true,
             "--shards" => {
@@ -238,9 +224,8 @@ fn run_daemon(mut config: ServeConfig) {
         }
     };
     eprintln!(
-        "# sparseadapt-serve listening on {} — engine {}, {} workers, queue cap {} (scale {:?})",
+        "# sparseadapt-serve listening on {} — {} workers, queue cap {} (scale {:?})",
         handle.addr,
-        handle.state.engine.as_str(),
         handle.state.pool.workers(),
         handle.state.pool.queue_cap(),
         handle.state.harness.scale,
@@ -269,7 +254,6 @@ fn run_router(cli: Cli) {
         queue_cap: cli.config.queue_cap,
         cache_dir: cli.config.cache_dir.clone(),
         cache_mem_cap: cli.config.cache_mem_cap,
-        engine: cli.config.engine,
         // Epoch flags are forwarded per shard; `--epoch-cache-dir` is
         // deliberately NOT forwarded — each shard's disk tier must stay
         // private or cross-shard fetches would be unobservable.
@@ -291,7 +275,6 @@ fn run_router(cli: Cli) {
         weights: cli.weights,
         vnodes: cli.vnodes,
         record: cli.record,
-        engine: cli.config.engine,
         allow_admin: cli.allow_admin,
     }) {
         Ok(handle) => handle,

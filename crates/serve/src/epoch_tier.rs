@@ -26,13 +26,13 @@
 //! correct.
 //!
 //! Soundness: keys are content fingerprints over machine × workload ×
-//! config × epoch index × entry-state digest, so a peer can only answer
-//! with the one epoch those inputs determine; the payload is
-//! checksummed and fully validated by
-//! [`sparseadapt::epoch_cache::decode_epoch`] before admission, so
-//! corrupt or version-skewed answers read as misses.
+//! config × epoch index × entry-state digest, so a key names exactly one
+//! epoch. The payload carries the key it was stored under, is
+//! checksummed, and is fully validated by
+//! [`sparseadapt::epoch_cache::decode_epoch`] against the key asked for
+//! before admission, so corrupt, version-skewed or misaddressed answers
+//! read as misses.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,8 +125,7 @@ fn fetch_one(
     stream.set_write_timeout(Some(left)).ok()?;
     let _ = stream.set_nodelay(true);
     write_request(&mut stream, "GET", target, None).ok()?;
-    let mut reader = BufReader::new(&stream);
-    let resp = read_response(&mut reader).ok()?;
+    let resp = read_response(&stream).ok()?;
     (resp.status == 200).then_some(resp.body)
 }
 
@@ -180,6 +179,5 @@ fn push_one(addr: SocketAddr, target: &str, bytes: &[u8]) -> bool {
     if write_request_bytes(&mut stream, "PUT", target, bytes).is_err() {
         return false;
     }
-    let mut reader = BufReader::new(&stream);
-    matches!(read_response(&mut reader), Ok(resp) if resp.status == 200)
+    matches!(read_response(&stream), Ok(resp) if resp.status == 200)
 }

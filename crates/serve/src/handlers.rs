@@ -1,10 +1,12 @@
-//! One function per endpoint: parse, resolve, admit, execute, render.
+//! One function per endpoint: parse, resolve, execute, render.
 //!
-//! POST routes (simulation work) go through the bounded pool via
-//! [`crate::queue`]; GET routes (metrics, job polls, health) answer
-//! inline from the connection thread because they only read counters.
-//! `POST /v1/simulate` additionally coalesces: concurrent identical
-//! requests share one admitted job and receive byte-identical bodies.
+//! Routes that only read in-process state (health, metrics, job polls,
+//! drain, topology) return their [`Response`] on the reactor's loop
+//! thread. Every other handler runs on a pool worker, admitted by
+//! [`crate::queue::admit`], and answers through the request's
+//! [`Reply`]. `POST /v{1,2}/simulate` additionally coalesces: a request
+//! whose key is already in flight leaves its reply with the leader,
+//! which answers every follower with the same bytes.
 //!
 //! Every handler is *version-aware*: `/v1/*` and `/v2/*` both land
 //! here, carrying an [`ApiVersion`]. Handlers compute one typed payload
@@ -15,8 +17,6 @@
 //! payload, so a v1 and a v2 request for the same simulation share one
 //! computation.
 
-use std::cell::Cell;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,46 +31,20 @@ use crate::api::{
     RecommendApiRequest, ResolvedSim, SimulateRequest, SimulateResponse, SweepAccepted,
     SweepRequest, SweepResult, TopologyAck, TopologyDoc, UploadMatrixRequest, UploadMatrixResponse,
 };
-use crate::http::Response;
-use crate::metrics::{QueueGauges, ReactorSnapshot};
-use crate::queue::{self, AdmitError};
+use crate::http::{Request, Response};
+use crate::metrics::QueueGauges;
+use crate::reactor::Reply;
 use crate::server::AppState;
 
 /// The maximum `sampled` a sweep request may ask for — bounds one job's
 /// memory and wall time regardless of what the client sends.
 pub const MAX_SWEEP_SAMPLED: u64 = 4096;
 
-/// The queue-full rejection, with a backoff hint derived from current
-/// queue depth.
-fn queue_full(state: &AppState) -> ApiError {
-    ApiError::new(code::QUEUE_FULL, "admission queue full; retry later")
-        .with_retry_after_ms(queue::retry_after_s(&state.pool) * 1000)
-}
-
-fn crashed(what: &str) -> ApiError {
-    ApiError::new(code::WORKER_CRASHED, format!("worker crashed while {what}"))
-}
-
-/// Renders a `(status, inner-json)` pair — the unit the coalescer
-/// caches — into a response for the request's dialect. `inner` is the
-/// data document below 400 and a serialized [`ApiError`] at/above it.
+/// Renders a success document (`inner`, already serialized JSON) into
+/// a response for the request's dialect. Errors go through
+/// [`ApiVersion::error_response`].
 fn finish(version: ApiVersion, status: u16, inner: &str) -> Response {
-    if status < 400 {
-        return Response::json(status, version.ok_body(inner));
-    }
-    let retry = serde_json::from_str::<ApiError>(inner)
-        .ok()
-        .and_then(|e| e.retry_after_s());
-    let resp = Response::json(status, version.err_body_json(inner));
-    match retry {
-        Some(s) => resp.with_header("retry-after", s.to_string()),
-        None => resp,
-    }
-}
-
-/// Renders a handler-level error for the request's dialect.
-fn error_response(version: ApiVersion, status: u16, err: &ApiError) -> Response {
-    finish(version, status, &err.to_json())
+    Response::json(status, version.ok_body(inner))
 }
 
 /// `GET /healthz`.
@@ -86,15 +60,11 @@ pub fn metrics(state: &AppState) -> Response {
         queue_cap: state.pool.queue_cap(),
         workers: state.pool.workers(),
     };
-    let reactor = match &state.reactor {
-        Some(stats) => stats.snapshot(state.engine.as_str()),
-        None => ReactorSnapshot::threaded(),
-    };
     let mut snap = state.metrics.snapshot(
         gauges,
         TraceCache::global().stats(),
         EpochCache::global().stats(),
-        reactor,
+        state.reactor.snapshot(),
     );
     snap.topology_epoch = state.topology_epoch();
     Response::json(
@@ -112,7 +82,7 @@ pub fn admin_method_not_allowed() -> Response {
     Response::json(405, ApiVersion::V2.err_body(&err))
 }
 
-/// `POST /v2/admin/drain`: ask the serve engine to drain gracefully.
+/// `POST /v2/admin/drain`: ask the reactor to drain gracefully.
 /// Returns immediately; the daemon stops accepting, finishes in-flight
 /// work, closes idle connections, and (when run via the binary) exits 0
 /// once the drain completes. Idempotent — repeated calls report the
@@ -123,7 +93,6 @@ pub fn drain(state: &AppState, version: ApiVersion) -> Response {
     let doc = DrainStatusDoc {
         draining: true,
         already_requested: already,
-        engine: state.engine.as_str().to_string(),
     };
     finish(
         version,
@@ -156,7 +125,7 @@ pub fn topology_get(state: &AppState, version: ApiVersion) -> Response {
 pub fn topology_put(state: &AppState, body: &[u8], version: ApiVersion) -> Response {
     let doc: TopologyDoc = match parse_body(body, version, TopologyDoc::FIELDS) {
         Ok(doc) => doc,
-        Err(err) => return error_response(version, 400, &err),
+        Err(err) => return version.error_response(400, &err),
     };
     let mut held = state.topology.lock().expect("topology lock");
     let stale = held.as_ref().is_some_and(|h| h.epoch > doc.epoch);
@@ -182,14 +151,17 @@ pub fn topology_put(state: &AppState, body: &[u8], version: ApiVersion) -> Respo
 /// follows the content-addressed digest chain and returns one compact
 /// (`SAEG`) segment instead: records for up to `N` consecutive epochs
 /// plus the last one's exit state, fast-forwarding the requester's
-/// whole run in one response. Answered inline (no pool): it only reads
-/// the cache, and peers call it from inside their own hot paths under
-/// a budget, so queueing behind simulation work would defeat the tier.
-pub fn epoch_get(token: &str, query: &str) -> Response {
-    let Some(key) = EpochKey::parse_token(token) else {
-        return Response::error(400, "malformed epoch cache key");
+/// whole run in one response. Runs on the pool: a segment export
+/// decodes and digests up to the chain's length of machine states, and
+/// the disk tier may be read. A busy shard therefore answers later, and
+/// the requester falls back to simulating once its fetch budget
+/// expires.
+pub fn epoch_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
+    let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
+        return reply.send(Response::error(400, "malformed epoch cache key"));
     };
-    let chain = query
+    let chain = req
+        .query
         .split('&')
         .find_map(|kv| kv.strip_prefix("chain="))
         .and_then(|n| n.parse::<usize>().ok())
@@ -199,27 +171,36 @@ pub fn epoch_get(token: &str, query: &str) -> Response {
     } else {
         EpochCache::global().export(&key)
     };
-    match bytes {
+    reply.send(match bytes {
         Some(bytes) => Response::octet(200, bytes),
         None => Response::error(404, "epoch not cached on this shard"),
-    }
+    });
 }
 
 /// `PUT /v2/cache/epoch/{token}`: the receive side of the post-sweep
-/// warm push. The body is decoded and fully validated before admission;
-/// malformed, corrupt, or version-skewed pushes are rejected with the
-/// typed decode error and admit nothing.
-pub fn epoch_put(token: &str, body: &[u8]) -> Response {
-    let Some(key) = EpochKey::parse_token(token) else {
-        return Response::error(400, "malformed epoch cache key");
+/// warm push. The body is decoded and fully validated (its key
+/// included) before admission; malformed, corrupt, version-skewed or
+/// misaddressed pushes are rejected with the typed decode error and
+/// admit nothing. Runs on the pool: decoding walks whole machine
+/// states, and admission may write the disk tier.
+pub fn epoch_put(_state: &Arc<AppState>, req: Request, reply: Reply) {
+    let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
+        return reply.send(Response::error(400, "malformed epoch cache key"));
     };
     if !EpochCache::global().is_enabled() {
-        return Response::error(409, "epoch cache disabled on this shard");
+        return reply.send(Response::error(409, "epoch cache disabled on this shard"));
     }
-    match EpochCache::global().import(&key, body) {
+    reply.send(match EpochCache::global().import(&key, &req.body) {
         Ok(()) => Response::json(200, "{\"accepted\": true}"),
         Err(e) => Response::error(400, &format!("epoch push rejected: {e}")),
-    }
+    });
+}
+
+/// The key token of a `/v2/cache/epoch/{token}` path.
+fn epoch_token(req: &Request) -> &str {
+    req.path
+        .strip_prefix("/v2/cache/epoch/")
+        .unwrap_or_default()
 }
 
 /// `GET /v1/jobs` and `GET /v2/jobs`.
@@ -230,53 +211,51 @@ pub fn jobs(state: &AppState, version: ApiVersion) -> Response {
 /// `GET /v1/jobs/<id>` and `GET /v2/jobs/<id>`.
 pub fn job(state: &AppState, id_str: &str, version: ApiVersion) -> Response {
     let Ok(id) = id_str.parse::<u64>() else {
-        return error_response(
-            version,
+        return version.error_response(
             400,
             &ApiError::new(code::BAD_REQUEST, "job id must be an integer"),
         );
     };
     match state.jobs.render(id) {
         Some(doc) => finish(version, 200, &doc),
-        None => error_response(
-            version,
+        None => version.error_response(
             404,
             &ApiError::new(code::NOT_FOUND, format!("no such job {id}")),
         ),
     }
 }
 
-/// `POST /v{1,2}/simulate`: coalesced, admitted, cache-backed
-/// simulation.
-pub fn simulate(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Response {
-    let req: SimulateRequest = match parse_body(body, version, SimulateRequest::FIELDS) {
-        Ok(req) => req,
-        Err(err) => return error_response(version, 400, &err),
+/// `POST /v{1,2}/simulate`: coalesced, cache-backed simulation, run
+/// in place on the pool worker that admitted it. A request whose key is
+/// already in flight leaves its reply with the leader and returns at
+/// once, freeing its worker; the leader answers every follower in the
+/// follower's own dialect, with the leader's 500 if it panics.
+pub fn simulate(state: &Arc<AppState>, req: Request, reply: Reply) {
+    let version = reply.version();
+    let parsed: SimulateRequest = match parse_body(&req.body, version, SimulateRequest::FIELDS) {
+        Ok(parsed) => parsed,
+        Err(err) => return reply.error(400, &err),
     };
-    let resolved = match req.resolve() {
+    let resolved = match parsed.resolve() {
         Ok(r) => r,
-        Err(msg) => return error_response(version, 400, &ApiError::new(code::BAD_REQUEST, msg)),
+        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
     };
-    let key = resolved.key();
-    let led = Cell::new(false);
-    let (status, inner) = state.coalescer.get_or_compute(key, || {
-        led.set(true);
-        let st = Arc::clone(state);
-        let r = resolved.clone();
-        match queue::run_admitted(&state.pool, move || run_simulate(&st, &r)) {
-            Ok(out) => out,
-            Err(AdmitError::Full) => (429, queue_full(state).to_json()),
-            Err(AdmitError::Crashed) => (500, crashed("simulating").to_json()),
-        }
-    });
-    if !led.get() {
+    let Some((inner, waiters)) = state
+        .coalescer
+        .run(resolved.key(), reply, || run_simulate(state, &resolved))
+    else {
         state.metrics.record_coalesced();
+        return;
+    };
+    for waiter in waiters {
+        let response = finish(waiter.version(), 200, &inner);
+        waiter.send(response);
     }
-    finish(version, status, &inner)
 }
 
-/// Executes one resolved simulation on a pool worker.
-fn run_simulate(state: &AppState, r: &ResolvedSim) -> (u16, String) {
+/// Executes one resolved simulation on a pool worker; returns the
+/// serialized [`SimulateResponse`].
+fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
     let started = Instant::now();
     let spec = r.kernel.spec(state.harness.scale);
     let (workload, workload_fp) = state.suite_workload(r);
@@ -307,101 +286,93 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> (u16, String) {
         cached: !ran.load(Ordering::Relaxed),
         sim_ms: started.elapsed().as_secs_f64() * 1e3,
     };
-    (
-        200,
-        serde_json::to_string(&response).expect("simulate response serializes"),
-    )
+    serde_json::to_string(&response).expect("simulate response serializes")
 }
 
 /// `POST /v2/matrices`: parse and register a MatrixMarket upload under
 /// its canonical content hash. Parsing and canonicalisation walk the
-/// whole file, so the work is admitted through the pool like any other
-/// POST; the response carries the `mtx:<hash>` id that later simulate
-/// and sweep requests name.
-pub fn upload_matrix(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Response {
-    let req: UploadMatrixRequest = match parse_body(body, version, UploadMatrixRequest::FIELDS) {
-        Ok(req) => req,
-        Err(err) => return error_response(version, 400, &err),
-    };
-    let admitted = queue::run_admitted(&state.pool, move || {
-        match sa_bench::mtx::register_text(&req.mtx) {
-            Ok((source, deduplicated)) => {
-                let sa_bench::mtx::MatrixSource::Mtx { ref matrix, .. } = source else {
-                    unreachable!("register_text always yields an Mtx source");
-                };
-                let response = UploadMatrixResponse {
-                    matrix: source.id().to_string(),
-                    rows: u64::from(matrix.rows()),
-                    cols: u64::from(matrix.cols()),
-                    nnz: matrix.to_csr().nnz() as u64,
-                    deduplicated,
-                };
-                (
-                    200,
-                    serde_json::to_string(&response).expect("upload response serializes"),
-                )
-            }
-            Err(e) => (
-                400,
-                ApiError::new(code::BAD_REQUEST, format!("invalid MatrixMarket body: {e}"))
-                    .to_json(),
-            ),
+/// whole file, so the handler runs on the pool like any other upload or
+/// simulation; the response carries the `mtx:<hash>` id that later
+/// simulate and sweep requests name.
+pub fn upload_matrix(_state: &Arc<AppState>, req: Request, reply: Reply) {
+    let version = reply.version();
+    let parsed: UploadMatrixRequest =
+        match parse_body(&req.body, version, UploadMatrixRequest::FIELDS) {
+            Ok(parsed) => parsed,
+            Err(err) => return reply.error(400, &err),
+        };
+    match sa_bench::mtx::register_text(&parsed.mtx) {
+        Ok((source, deduplicated)) => {
+            let sa_bench::mtx::MatrixSource::Mtx { ref matrix, .. } = source else {
+                unreachable!("register_text always yields an Mtx source");
+            };
+            let response = UploadMatrixResponse {
+                matrix: source.id().to_string(),
+                rows: u64::from(matrix.rows()),
+                cols: u64::from(matrix.cols()),
+                nnz: matrix.to_csr().nnz() as u64,
+                deduplicated,
+            };
+            let inner = serde_json::to_string(&response).expect("upload response serializes");
+            reply.send(finish(version, 200, &inner));
         }
-    });
-    match admitted {
-        Ok((status, inner)) => finish(version, status, &inner),
-        Err(AdmitError::Full) => error_response(version, 429, &queue_full(state)),
-        Err(AdmitError::Crashed) => error_response(version, 500, &crashed("registering a matrix")),
+        Err(e) => reply.error(
+            400,
+            &ApiError::new(code::BAD_REQUEST, format!("invalid MatrixMarket body: {e}")),
+        ),
     }
 }
 
 /// `POST /v{1,2}/recommend`: model inference on a pool worker.
-pub fn recommend(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Response {
-    let req: RecommendApiRequest = match parse_body(body, version, RecommendApiRequest::FIELDS) {
-        Ok(req) => req,
-        Err(err) => return error_response(version, 400, &err),
-    };
-    let kernel = match parse_kernel(&req.kernel) {
-        Ok(k) => k,
-        Err(msg) => return error_response(version, 400, &ApiError::new(code::BAD_REQUEST, msg)),
-    };
-    let l1_kind = req.l1_kind.unwrap_or_default();
-    let mode = req.mode.unwrap_or_default();
-    let harness = state.harness;
-    let admitted = queue::run_admitted(&state.pool, move || {
-        let ensemble = sa_bench::models::ensemble(harness.scale, l1_kind, mode, harness.threads);
-        let spec = kernel.spec(harness.scale);
-        let core_req = service::RecommendRequest {
-            telemetry: req.telemetry,
-            current: req.current,
-            policy: req.policy,
-            last_epoch_time_s: req.last_epoch_time_s,
+pub fn recommend(state: &Arc<AppState>, req: Request, reply: Reply) {
+    let version = reply.version();
+    let parsed: RecommendApiRequest =
+        match parse_body(&req.body, version, RecommendApiRequest::FIELDS) {
+            Ok(parsed) => parsed,
+            Err(err) => return reply.error(400, &err),
         };
-        let resp = service::recommend(&ensemble, &spec, &core_req);
-        serde_json::to_string(&resp).expect("recommend response serializes")
-    });
-    match admitted {
-        Ok(inner) => finish(version, 200, &inner),
-        Err(AdmitError::Full) => error_response(version, 429, &queue_full(state)),
-        Err(AdmitError::Crashed) => error_response(version, 500, &crashed("recommending")),
-    }
+    let kernel = match parse_kernel(&parsed.kernel) {
+        Ok(k) => k,
+        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
+    };
+    let harness = state.harness;
+    let ensemble = sa_bench::models::ensemble(
+        harness.scale,
+        parsed.l1_kind.unwrap_or_default(),
+        parsed.mode.unwrap_or_default(),
+        harness.threads,
+    );
+    let spec = kernel.spec(harness.scale);
+    let core_req = service::RecommendRequest {
+        telemetry: parsed.telemetry,
+        current: parsed.current,
+        policy: parsed.policy,
+        last_epoch_time_s: parsed.last_epoch_time_s,
+    };
+    let resp = service::recommend(&ensemble, &spec, &core_req);
+    let inner = serde_json::to_string(&resp).expect("recommend response serializes");
+    reply.send(finish(version, 200, &inner));
 }
 
-/// `POST /v{1,2}/sweep`: launch an asynchronous sweep job; 202 + job id.
-pub fn sweep(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Response {
-    let req: SweepRequest = match parse_body(body, version, SweepRequest::FIELDS) {
-        Ok(req) => req,
-        Err(err) => return error_response(version, 400, &err),
+/// `POST /v{1,2}/sweep`: launch an asynchronous sweep job; 202 + job
+/// id. The pool worker that admitted the request registers the job,
+/// answers 202, and then runs the sweep in place, so a full queue
+/// rejects the request with 429 before any job exists.
+pub fn sweep(state: &Arc<AppState>, req: Request, reply: Reply) {
+    let version = reply.version();
+    let parsed: SweepRequest = match parse_body(&req.body, version, SweepRequest::FIELDS) {
+        Ok(parsed) => parsed,
+        Err(err) => return reply.error(400, &err),
     };
-    let resolved = match req.resolve() {
+    let resolved = match parsed.resolve() {
         Ok(r) => r,
-        Err(msg) => return error_response(version, 400, &ApiError::new(code::BAD_REQUEST, msg)),
+        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
     };
-    let sampled = req
+    let sampled = parsed
         .sampled
         .unwrap_or(state.harness.sampled_configs as u64)
         .clamp(1, MAX_SWEEP_SAMPLED) as usize;
-    let seed = req.seed.unwrap_or(state.harness.seed);
+    let seed = parsed.seed.unwrap_or(state.harness.seed);
     let desc = format!(
         "sweep {}/{} l1={:?} sampled={sampled}",
         kernel_name(resolved.kernel),
@@ -409,45 +380,32 @@ pub fn sweep(state: &Arc<AppState>, body: &[u8], version: ApiVersion) -> Respons
         resolved.l1_kind
     );
     let id = state.jobs.create(&desc);
-    let job_state = Arc::clone(state);
-    let submitted = queue::submit_detached(&state.pool, move || {
-        job_state.jobs.mark_running(id);
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_sweep(&job_state, &resolved, sampled, seed)
-        }));
-        let succeeded = matches!(out, Ok(Ok(_)));
-        match out {
-            Ok(Ok(json)) => job_state.jobs.finish(id, json),
-            Ok(Err(msg)) => job_state.jobs.fail(id, msg),
-            Err(_) => job_state.jobs.fail(id, "sweep panicked".to_string()),
-        }
-        // Optional warm push: the sweep just minted the hottest epoch
-        // entries in the fleet; ship the top of the LRU to ring
-        // neighbors on a detached thread so job completion (and this
-        // pool worker) never wait on peers.
-        if succeeded && job_state.epoch_warm_push > 0 && EpochCache::global().is_enabled() {
-            let st = Arc::clone(&job_state);
-            std::thread::spawn(move || {
-                crate::epoch_tier::warm_push(&st, st.self_addr, st.epoch_warm_push);
-            });
-        }
-    });
-    match submitted {
-        Ok(()) => {
-            let accepted = SweepAccepted {
-                job_id: id,
-                status: "queued".to_string(),
-                poll: format!("{}/{id}", version.jobs_prefix()),
-            };
-            let inner = serde_json::to_string(&accepted).expect("accepted document serializes");
-            finish(version, 202, &inner)
-        }
-        Err(_) => {
-            state
-                .jobs
-                .fail(id, "rejected by admission control".to_string());
-            error_response(version, 429, &queue_full(state))
-        }
+    let accepted = SweepAccepted {
+        job_id: id,
+        status: "queued".to_string(),
+        poll: format!("{}/{id}", version.jobs_prefix()),
+    };
+    let inner = serde_json::to_string(&accepted).expect("accepted document serializes");
+    reply.send(finish(version, 202, &inner));
+
+    state.jobs.mark_running(id);
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_sweep(state, &resolved, sampled, seed)
+    }));
+    let succeeded = matches!(out, Ok(Ok(_)));
+    match out {
+        Ok(Ok(json)) => state.jobs.finish(id, json),
+        Ok(Err(msg)) => state.jobs.fail(id, msg),
+        Err(_) => state.jobs.fail(id, "sweep panicked".to_string()),
+    }
+    // Optional warm push: the sweep just minted the hottest epoch
+    // entries in the fleet; ship the top of the LRU to ring neighbors
+    // on a detached thread so this pool worker never waits on peers.
+    if succeeded && state.epoch_warm_push > 0 && EpochCache::global().is_enabled() {
+        let st = Arc::clone(state);
+        std::thread::spawn(move || {
+            crate::epoch_tier::warm_push(&st, st.self_addr, st.epoch_warm_push);
+        });
     }
 }
 

@@ -17,9 +17,9 @@
 //! - [`coalesce`] — in-flight dedup of identical simulate requests
 //! - [`jobs`] — async sweep-job registry behind 202 + `GET /v1/jobs/<id>`
 //! - [`metrics`] — counters, latency histogram, `/metrics` document
-//! - [`server`] — listener, serve engines, graceful drain, shutdown
-//! - [`reactor`] — epoll readiness loop (default engine): connection
-//!   state machines, dispatcher pool, eventfd wakeups, timer wheel
+//! - [`server`] — listener, shared state, graceful drain, shutdown
+//! - [`reactor`] — the epoll readiness loop: connection state machines,
+//!   replies, eventfd wakeups, timer wheel
 //! - [`shard`] — cluster mode: consistent-hash router, health checks,
 //!   failover, merged metrics, shard process spawning
 //! - [`loadgen`] — the load-testing client (closed-loop cold/warm
@@ -46,5 +46,5 @@ pub mod router;
 pub mod server;
 pub mod shard;
 
-pub use server::{start, DrainControl, Engine, ServeConfig, ServerHandle};
+pub use server::{start, DrainControl, ServeConfig, ServerHandle};
 pub use shard::{start_router, RouterConfig, RouterHandle};

@@ -25,7 +25,6 @@
 //! error — the status code is only the fallback for bodies that don't
 //! parse.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -70,10 +69,6 @@ pub struct LoadgenConfig {
     pub open_duration_s: f64,
     /// Shrink every phase for CI smoke runs.
     pub quick: bool,
-    /// A baseline report (typically a `--threaded` run) embedded
-    /// verbatim into this report's `threaded_baseline` field, so one
-    /// `BENCH_serve.json` carries both engines side by side.
-    pub embed_baseline: Option<PathBuf>,
 }
 
 impl Default for LoadgenConfig {
@@ -92,7 +87,6 @@ impl Default for LoadgenConfig {
             open_rps: 500.0,
             open_duration_s: 10.0,
             quick: false,
-            embed_baseline: None,
         }
     }
 }
@@ -179,9 +173,6 @@ pub struct OpenLoopStats {
 pub struct Report {
     /// Daemon address the run hit.
     pub addr: String,
-    /// Serve engine the daemon reported (`reactor` / `threaded`;
-    /// `unknown` when `/metrics` could not be scraped).
-    pub engine: String,
     /// Warm-phase connections.
     pub concurrency: usize,
     /// Open-loop connections (0 when the phase didn't run).
@@ -207,8 +198,6 @@ pub struct Report {
     pub server_coalesced_total: u64,
     /// Open-loop phase figures (`--open-loop` runs only).
     pub open_loop: Option<OpenLoopStats>,
-    /// An embedded baseline report (`--embed-baseline`), verbatim.
-    pub threaded_baseline: Option<Value>,
 }
 
 /// One prepared request: method, target, body.
@@ -398,8 +387,7 @@ fn connect(addr: &str) -> std::io::Result<TcpStream> {
 
 fn issue(stream: &mut TcpStream, req: &PreparedRequest) -> Result<(u16, Vec<u8>), std::io::Error> {
     write_request(stream, &req.method, &req.target, Some(&req.body))?;
-    let mut reader = BufReader::new(&*stream);
-    let resp = read_response(&mut reader)?;
+    let resp = read_response(stream)?;
     Ok((resp.status, resp.body))
 }
 
@@ -408,8 +396,7 @@ fn issue(stream: &mut TcpStream, req: &PreparedRequest) -> Result<(u16, Vec<u8>)
 fn get(addr: &str, target: &str) -> Result<Vec<u8>, String> {
     let mut stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     write_request(&mut stream, "GET", target, None).map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(&stream);
-    let resp = read_response(&mut reader).map_err(|e| e.to_string())?;
+    let resp = read_response(&stream).map_err(|e| e.to_string())?;
     Ok(resp.body)
 }
 
@@ -450,8 +437,8 @@ fn response_says_cached(body: &[u8]) -> bool {
         .unwrap_or(false)
 }
 
-fn scrape_cache_stats(addr: &str) -> (f64, u64, String) {
-    let unknown = || (0.0, 0, "unknown".to_string());
+fn scrape_cache_stats(addr: &str) -> (f64, u64) {
+    let unknown = || (0.0, 0);
     let Ok(body) = get(addr, "/metrics") else {
         return unknown();
     };
@@ -485,31 +472,7 @@ fn scrape_cache_stats(addr: &str) -> (f64, u64, String) {
             Some(Value::Int(i)) => i.max(0) as u64,
             _ => 0,
         };
-    let engine =
-        match field(&["merged", "reactor", "engine"]).or_else(|| field(&["reactor", "engine"])) {
-            Some(Value::Str(s)) => s,
-            _ => "unknown".to_string(),
-        };
-    (hit_ratio, coalesced, engine)
-}
-
-/// Parses `--embed-baseline FILE` into a JSON value for verbatim
-/// embedding; `None` (and a warning on stderr) when unreadable.
-fn load_embedded_baseline(path: &PathBuf) -> Option<Value> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("warning: embed-baseline {}: {e}", path.display());
-            return None;
-        }
-    };
-    match serde_json::parse_value_str(&text) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("warning: embed-baseline {}: {e}", path.display());
-            None
-        }
-    }
+    (hit_ratio, coalesced)
 }
 
 /// Runs the configured load: recorded-trace replay when `replay` is
@@ -583,11 +546,10 @@ fn run_replay(cfg: &LoadgenConfig, path: &PathBuf) -> Result<Report, String> {
         }
     });
     let warm = acc.stats(started.elapsed().as_secs_f64());
-    let (server_hit_ratio, server_coalesced_total, engine) = scrape_cache_stats(&cfg.addr);
+    let (server_hit_ratio, server_coalesced_total) = scrape_cache_stats(&cfg.addr);
     let empty = PhaseAccumulator::default().stats(0.0);
     Ok(Report {
         addr: cfg.addr.clone(),
-        engine,
         concurrency: cfg.concurrency,
         concurrent_conns: 0,
         target_rps: 0.0,
@@ -599,7 +561,6 @@ fn run_replay(cfg: &LoadgenConfig, path: &PathBuf) -> Result<Report, String> {
         server_hit_ratio,
         server_coalesced_total,
         open_loop: None,
-        threaded_baseline: cfg.embed_baseline.as_ref().and_then(load_embedded_baseline),
     })
 }
 
@@ -692,7 +653,7 @@ fn run_mix(cfg: &LoadgenConfig) -> Result<Report, String> {
         None
     };
 
-    let (server_hit_ratio, server_coalesced_total, engine) = scrape_cache_stats(&cfg.addr);
+    let (server_hit_ratio, server_coalesced_total) = scrape_cache_stats(&cfg.addr);
     let warm_over_cold_rps = if cold.rps > 0.0 {
         warm.rps / cold.rps
     } else {
@@ -700,7 +661,6 @@ fn run_mix(cfg: &LoadgenConfig) -> Result<Report, String> {
     };
     Ok(Report {
         addr: cfg.addr.clone(),
-        engine,
         concurrency: cfg.concurrency,
         concurrent_conns: open_loop.as_ref().map_or(0, |o| o.connections),
         target_rps: cfg.target_rps.unwrap_or(0.0),
@@ -712,7 +672,6 @@ fn run_mix(cfg: &LoadgenConfig) -> Result<Report, String> {
         server_hit_ratio,
         server_coalesced_total,
         open_loop,
-        threaded_baseline: cfg.embed_baseline.as_ref().and_then(load_embedded_baseline),
     })
 }
 
@@ -1295,7 +1254,6 @@ fn run_epoch_arm(
         queue_cap: 64,
         cache_dir: None,
         cache_mem_cap: None,
-        engine: crate::Engine::Reactor,
         epoch_cache: true,
         epoch_peer_fetch: peer_fetch,
         epoch_fetch_budget_ms: cfg.budget_ms.max(1),
@@ -1581,7 +1539,6 @@ mod tests {
         };
         Report {
             addr: "127.0.0.1:0".to_string(),
-            engine: "threaded".to_string(),
             concurrency: 1,
             concurrent_conns: 0,
             target_rps: 0.0,
@@ -1593,7 +1550,6 @@ mod tests {
             server_hit_ratio: 0.0,
             server_coalesced_total: 0,
             open_loop: None,
-            threaded_baseline: None,
         }
     }
 }

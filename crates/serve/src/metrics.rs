@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -167,8 +167,7 @@ pub struct MetricsSnapshot {
     /// disk, and the cluster fetch/push tier). All zero when the epoch
     /// cache is off.
     pub epoch_cache: EpochCacheSnapshot,
-    /// Connection-level I/O gauges from the serve engine. Under the
-    /// threaded engine every counter is zero and `engine` says so.
+    /// Connection-level I/O gauges from the reactor.
     pub reactor: ReactorSnapshot,
     /// The cluster-topology epoch this member holds (the last topology
     /// a router pushed), or 0 for a standalone daemon. Merging takes
@@ -180,11 +179,8 @@ pub struct MetricsSnapshot {
 /// JSON shape of the reactor's connection gauges in `/metrics`.
 /// Counters are cumulative since boot; `conns_*` are point-in-time
 /// gauges sampled at render.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReactorSnapshot {
-    /// Which serve engine produced these numbers (`"reactor"`,
-    /// `"threaded"`, or `"mixed"` after a cross-engine merge).
-    pub engine: String,
     /// Open connections (any state).
     pub conns_open: u64,
     /// Connections with a request in flight (dispatched or writing).
@@ -202,30 +198,11 @@ pub struct ReactorSnapshot {
     pub partial_writes_total: u64,
     /// Accepts refused because the connection cap was reached.
     pub accept_overflows_total: u64,
-    /// 503 responses shed at the edge (cap overflow + dispatch-queue
-    /// overflow).
+    /// 503 responses shed at the edge when the connection cap is
+    /// reached.
     pub shed_503_total: u64,
     /// Idle keep-alive connections reaped by the timer wheel.
     pub idle_closed_total: u64,
-}
-
-impl ReactorSnapshot {
-    /// The all-zero document the threaded engine reports.
-    pub fn threaded() -> ReactorSnapshot {
-        ReactorSnapshot {
-            engine: "threaded".to_string(),
-            conns_open: 0,
-            conns_active: 0,
-            conns_idle: 0,
-            accepted_total: 0,
-            epoll_wakeups_total: 0,
-            partial_reads_total: 0,
-            partial_writes_total: 0,
-            accept_overflows_total: 0,
-            shed_503_total: 0,
-            idle_closed_total: 0,
-        }
-    }
 }
 
 /// JSON shape of the trace-cache stats (mirrors
@@ -436,9 +413,6 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         e.remote_entries += s.epoch_cache.remote_entries;
         e.remote_resident_bytes += s.epoch_cache.remote_resident_bytes;
         let r = &mut merged.reactor;
-        if r.engine != s.reactor.engine {
-            r.engine = "mixed".to_string();
-        }
         r.conns_open += s.reactor.conns_open;
         r.conns_active += s.reactor.conns_active;
         r.conns_idle += s.reactor.conns_idle;
@@ -491,14 +465,16 @@ impl ServerMetrics {
         }
     }
 
-    /// Records one answered request.
+    /// Records one answered request. A poisoned lock is recovered: each
+    /// update leaves the map valid, and this runs from the `Drop` of an
+    /// unanswered [`crate::reactor::Reply`], which must not panic.
     pub fn record(&self, route: &str, status: u16, latency_ms: f64) {
         self.total.fetch_add(1, Ordering::Relaxed);
         if status == 429 {
             self.rejected_429.fetch_add(1, Ordering::Relaxed);
         }
         self.latency.observe_ms(latency_ms);
-        let mut map = self.by_route.lock().expect("metrics lock");
+        let mut map = self.by_route.lock().unwrap_or_else(PoisonError::into_inner);
         *map.entry((route.to_string(), status)).or_insert(0) += 1;
     }
 
@@ -598,7 +574,7 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorSnapshot::default(),
         );
         assert_eq!(s.requests_total, 4);
         assert_eq!(s.rejected_429_total, 1);
@@ -627,9 +603,8 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorSnapshot::default(),
         );
-        snap_a.reactor.engine = "reactor".to_string();
         snap_a.reactor.conns_open = 100;
         snap_a.reactor.shed_503_total = 3;
         snap_a.topology_epoch = 3;
@@ -637,15 +612,13 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
+            ReactorSnapshot::default(),
         );
-        snap_b.reactor.engine = "reactor".to_string();
         snap_b.reactor.conns_open = 50;
         snap_b.reactor.epoll_wakeups_total = 7;
         snap_b.topology_epoch = 5;
         let snaps = [snap_a, snap_b];
         let m = merge_snapshots(&snaps).expect("non-empty");
-        assert_eq!(m.reactor.engine, "reactor");
         assert_eq!(m.reactor.conns_open, 150);
         assert_eq!(m.reactor.shed_503_total, 3);
         assert_eq!(m.reactor.epoll_wakeups_total, 7);
@@ -672,21 +645,6 @@ mod tests {
     #[test]
     fn merging_nothing_yields_none() {
         assert!(merge_snapshots(&[]).is_none());
-    }
-
-    #[test]
-    fn cross_engine_merge_reports_mixed() {
-        let m = ServerMetrics::new();
-        let threaded = m.snapshot(
-            gauges(),
-            CacheStats::default(),
-            EpochCacheStats::default(),
-            ReactorSnapshot::threaded(),
-        );
-        let mut reactor = threaded.clone();
-        reactor.reactor.engine = "reactor".to_string();
-        let merged = merge_snapshots(&[threaded, reactor]).expect("non-empty");
-        assert_eq!(merged.reactor.engine, "mixed");
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub(crate) enum ConnState {
     /// Waiting for (more of) a request; the incremental parser holds
     /// any partial bytes.
     Reading,
-    /// A complete request was handed to the dispatcher; the reactor
-    /// will hear back through the completion queue.
+    /// A complete request was handed to the route; its answer comes
+    /// back through the completion queue.
     Dispatched,
     /// Flushing a response; `EPOLLOUT` drives continuation on partial
     /// writes.

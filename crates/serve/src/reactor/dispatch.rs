@@ -1,40 +1,26 @@
-//! Dispatcher pool and completion plumbing between the reactor thread
-//! and route handlers.
+//! The path an answer takes back to the reactor thread.
 //!
-//! The reactor never runs handlers inline — a handler that blocks on
-//! the simulation pool would stall every multiplexed socket. Parsed
-//! requests are pushed onto a bounded queue consumed by a small pool of
-//! dispatcher threads; each runs the route function, renders the
-//! response to bytes, and pushes a [`Completion`] onto the shared
-//! completion queue, signalling the reactor through an eventfd so the
-//! `epoll_wait` call wakes immediately.
+//! The loop thread hands each parsed request to the route together with
+//! a [`Reply`]. Whoever ends up holding the reply — the loop itself for
+//! a route that only reads in-process state, a pool worker for anything
+//! that simulates, reads disk or talks to the network, or a coalescing
+//! leader answering its followers — renders the response to bytes and
+//! pushes a [`Completion`] onto the shared completion queue, signalling
+//! the reactor through an eventfd so its `epoll_wait` call wakes
+//! immediately.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 
-use crate::http::{response_bytes, Request};
-use crate::server::RouteFn;
-
-/// A unit of work for a dispatcher thread.
-pub(crate) struct Job {
-    /// Slab slot of the originating connection.
-    pub slot: u32,
-    /// Slot generation at dispatch time (stale completions are dropped).
-    pub gen: u32,
-    /// The parsed request.
-    pub req: Request,
-    /// Whether the connection should keep-alive after this response
-    /// (false once draining or the client asked to close).
-    pub keep_alive: bool,
-}
+use crate::api::{code, ApiError, ApiVersion};
+use crate::http::{response_bytes, Response};
+use crate::metrics::ServerMetrics;
 
 /// A finished response headed back to the reactor.
 pub(crate) struct Completion {
     /// Slab slot of the originating connection.
     pub slot: u32,
-    /// Slot generation at dispatch time.
+    /// Slot generation at dispatch time (stale completions are dropped).
     pub gen: u32,
     /// Fully rendered response bytes.
     pub bytes: Vec<u8>,
@@ -78,55 +64,6 @@ impl Drop for EventFd {
     }
 }
 
-/// Bounded MPMC job queue (mutex + condvar; `std::sync::mpsc` receivers
-/// are not `Sync`, so they cannot feed a thread pool directly).
-struct JobQueue {
-    inner: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    cap: usize,
-    closed: AtomicBool,
-}
-
-impl JobQueue {
-    /// Nonblocking push; `Err` when the queue is at capacity (the
-    /// reactor sheds with a 503 instead of blocking). The rejected job
-    /// rides back in the `Err` by design — the caller still owns it.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.inner.lock().unwrap();
-        if q.len() >= self.cap {
-            return Err(job);
-        }
-        q.push_back(job);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; `None` once closed and empty.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.inner.lock().unwrap();
-        loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.ready.notify_all();
-    }
-
-    fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().is_empty()
-    }
-}
-
 /// Completions accumulated for the reactor, paired with the eventfd
 /// that wakes it.
 pub(crate) struct CompletionQueue {
@@ -148,187 +85,140 @@ impl CompletionQueue {
         self.wake.fd()
     }
 
-    /// Queues a completion and wakes the reactor.
+    /// Queues a completion and wakes the reactor. A poisoned lock is
+    /// recovered: every push leaves the vector valid, and this runs in
+    /// [`Reply`]'s `Drop`, which must not panic.
     pub fn push(&self, completion: Completion) {
-        self.inner.lock().unwrap().push(completion);
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(completion);
         self.wake.signal();
     }
 
     /// Takes every pending completion and clears the wake signal.
     pub fn drain(&self) -> Vec<Completion> {
         self.wake.drain();
-        std::mem::take(&mut *self.inner.lock().unwrap())
+        std::mem::take(&mut *self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
-/// Handle to the dispatcher thread pool.
-pub(crate) struct Dispatcher {
-    jobs: Arc<JobQueue>,
-    busy: Arc<Mutex<usize>>,
-    threads: Vec<JoinHandle<()>>,
+/// The one answer a dispatched request gets.
+///
+/// [`Reply::send`] records the request under its route label in the
+/// server's metrics (latency runs from route entry, admission wait
+/// included), renders the response and queues the bytes for the loop
+/// thread. A reply dropped unanswered — its handler panicked — answers
+/// 500 `worker_crashed` instead, so no connection is left waiting.
+pub struct Reply {
+    slot: u32,
+    gen: u32,
+    keep_alive: bool,
+    version: ApiVersion,
+    label: &'static str,
+    started: Instant,
+    metrics: Arc<ServerMetrics>,
+    completions: Arc<CompletionQueue>,
+    answered: bool,
 }
 
-impl Dispatcher {
-    /// Spawns `threads` dispatcher workers consuming a queue of
-    /// capacity `cap`, producing into `completions`.
-    pub fn spawn(
-        threads: usize,
-        cap: usize,
-        route: RouteFn,
+impl Reply {
+    /// A reply for the request on connection `(slot, gen)`, its latency
+    /// clock started now.
+    pub(crate) fn new(
+        slot: u32,
+        gen: u32,
+        keep_alive: bool,
+        version: ApiVersion,
+        metrics: Arc<ServerMetrics>,
         completions: Arc<CompletionQueue>,
-    ) -> Dispatcher {
-        let jobs = Arc::new(JobQueue {
-            inner: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            cap,
-            closed: AtomicBool::new(false),
-        });
-        let busy = Arc::new(Mutex::new(0usize));
-        let handles = (0..threads.max(1))
-            .map(|i| {
-                let jobs = Arc::clone(&jobs);
-                let busy = Arc::clone(&busy);
-                let route = Arc::clone(&route);
-                let completions = Arc::clone(&completions);
-                std::thread::Builder::new()
-                    .name(format!("serve-dispatch-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = jobs.pop() {
-                            *busy.lock().unwrap() += 1;
-                            let resp = route(&job.req);
-                            let bytes = response_bytes(&resp, job.keep_alive);
-                            // Drop the busy mark *before* publishing the
-                            // completion: drain-completeness is gated on
-                            // the connection slab, so a completion must
-                            // never be observable while its worker still
-                            // counts as busy.
-                            *busy.lock().unwrap() -= 1;
-                            completions.push(Completion {
-                                slot: job.slot,
-                                gen: job.gen,
-                                bytes,
-                                close_after: !job.keep_alive,
-                            });
-                        }
-                    })
-                    .expect("spawn dispatcher thread")
-            })
-            .collect();
-        Dispatcher {
-            jobs,
-            busy,
-            threads: handles,
+    ) -> Reply {
+        Reply {
+            slot,
+            gen,
+            keep_alive,
+            version,
+            label: "unrouted",
+            started: Instant::now(),
+            metrics,
+            completions,
+            answered: false,
         }
     }
 
-    /// Nonblocking submit; `Err` returns the job when the queue is full
-    /// so the reactor can shed it.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        self.jobs.try_push(job)
+    /// The dialect of the request's path; error answers use it.
+    pub fn version(&self) -> ApiVersion {
+        self.version
     }
 
-    /// True when no jobs are queued and no worker is mid-handler (used
-    /// by graceful drain).
-    pub fn idle(&self) -> bool {
-        self.jobs.is_empty() && *self.busy.lock().unwrap() == 0
+    /// Names the route the request matched: the label its answer is
+    /// counted under in `/metrics`.
+    pub fn set_route(&mut self, label: &'static str) {
+        self.label = label;
     }
 
-    /// Closes the queue and joins every worker.
-    pub fn shutdown(mut self) {
-        self.jobs.close();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+    /// Answers the request.
+    pub fn send(mut self, response: Response) {
+        self.answer(&response);
+    }
+
+    /// Answers with a structured error in the request's dialect.
+    pub fn error(self, status: u16, err: &ApiError) {
+        let response = self.version.error_response(status, err);
+        self.send(response);
+    }
+
+    fn answer(&mut self, response: &Response) {
+        self.answered = true;
+        self.metrics.record(
+            self.label,
+            response.status,
+            self.started.elapsed().as_secs_f64() * 1e3,
+        );
+        self.completions.push(Completion {
+            slot: self.slot,
+            gen: self.gen,
+            bytes: response_bytes(response, self.keep_alive),
+            close_after: !self.keep_alive,
+        });
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            let err = ApiError::new(
+                code::WORKER_CRASHED,
+                format!("worker crashed while serving {}", self.label),
+            );
+            let response = self.version.error_response(500, &err);
+            self.answer(&response);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::http::Response;
-    use std::time::Duration;
-
-    fn parse_request(raw: &[u8]) -> Request {
-        let mut parser = crate::http::RequestParser::new();
-        parser.feed(raw);
-        match parser.next_request() {
-            crate::http::Parsed::Request(req) => *req,
-            other => panic!("expected request, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dispatcher_runs_route_and_completes() {
+impl Reply {
+    /// A reply with no connection behind it, for handler tests that run
+    /// without a reactor: the returned closure takes every answer
+    /// queued so far, as text.
+    pub(crate) fn detached(version: ApiVersion) -> (Reply, impl Fn() -> Vec<String>) {
         let completions = Arc::new(CompletionQueue::new().expect("eventfd"));
-        let route: RouteFn =
-            Arc::new(|req: &Request| Response::json(200, format!("{{\"path\":\"{}\"}}", req.path)));
-        let dispatcher = Dispatcher::spawn(2, 16, route, Arc::clone(&completions));
-        dispatcher
-            .try_submit(Job {
-                slot: 3,
-                gen: 1,
-                req: parse_request(b"GET /ping HTTP/1.1\r\n\r\n"),
-                keep_alive: true,
-            })
-            .unwrap_or_else(|_| panic!("queue full"));
-        let mut drained = Vec::new();
-        for _ in 0..200 {
-            drained = completions.drain();
-            if !drained.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(drained.len(), 1);
-        let completion = &drained[0];
-        assert_eq!((completion.slot, completion.gen), (3, 1));
-        assert!(!completion.close_after);
-        let text = String::from_utf8_lossy(&completion.bytes).into_owned();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
-        assert!(text.contains("keep-alive"), "got: {text}");
-        assert!(text.contains("/ping"), "got: {text}");
-        assert!(dispatcher.idle());
-        dispatcher.shutdown();
-    }
-
-    #[test]
-    fn full_queue_returns_job_for_shedding() {
-        let completions = Arc::new(CompletionQueue::new().expect("eventfd"));
-        // A route that parks forever keeps the single worker busy so the
-        // queue backs up deterministically.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let route_gate = Arc::clone(&gate);
-        let route: RouteFn = Arc::new(move |_req: &Request| {
-            let (lock, cv) = &*route_gate;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            Response::json(200, "{}".to_string())
-        });
-        let dispatcher = Dispatcher::spawn(1, 1, route, Arc::clone(&completions));
-        let job = |slot| Job {
-            slot,
-            gen: 0,
-            req: parse_request(b"GET / HTTP/1.1\r\n\r\n"),
-            keep_alive: true,
+        let reply = Reply::new(
+            0,
+            0,
+            false,
+            version,
+            Arc::new(ServerMetrics::new()),
+            Arc::clone(&completions),
+        );
+        let answers = move || {
+            completions
+                .drain()
+                .into_iter()
+                .map(|c| String::from_utf8(c.bytes).expect("UTF-8 response"))
+                .collect()
         };
-        // First job occupies the worker (may briefly sit queued), second
-        // fills the queue, third must bounce.
-        dispatcher.try_submit(job(0)).unwrap_or_else(|_| panic!());
-        for _ in 0..200 {
-            if dispatcher.jobs.is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        dispatcher.try_submit(job(1)).unwrap_or_else(|_| panic!());
-        let bounced = dispatcher.try_submit(job(2));
-        assert!(bounced.is_err(), "third job should be shed");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        dispatcher.shutdown();
+        (reply, answers)
     }
 }

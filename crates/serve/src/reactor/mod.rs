@@ -1,21 +1,22 @@
 //! Readiness-driven serve core: one epoll loop multiplexing thousands
-//! of keep-alive sockets onto a small dispatcher pool.
+//! of keep-alive sockets, with request handlers on the app's pool.
 //!
-//! The threaded engine spends a thread per connection, which caps
-//! fan-out at whatever the OS will schedule. This module replaces the
-//! accept path with a single reactor thread running
-//! `epoll_wait` (via the vendored [`sysio`] shim — no external crates):
-//! every socket is nonblocking, every connection is an explicit state
-//! machine (`Reading → Dispatched → Writing → keep-alive/close`), and
-//! blocking work (route handlers, which park on the simulation pool)
-//! happens on dispatcher threads that hand rendered response bytes back
-//! through a completion queue + eventfd wakeup.
+//! A single reactor thread runs `epoll_wait` (via the vendored
+//! [`sysio`] shim — no external crates) and owns all socket I/O: every
+//! socket is nonblocking, and every connection is an explicit state
+//! machine (`Reading → Dispatched → Writing → keep-alive/close`). The
+//! loop parses each request and calls the route with a [`Reply`].
+//! Routes that only read in-process state answer on the loop; every
+//! other route submits its handler to the bounded pool, whose worker
+//! renders the response and hands the bytes back through a completion
+//! queue + eventfd wakeup (see `dispatch`). Nothing that simulates,
+//! reads disk or talks to the network runs on the loop thread.
 //!
 //! Backpressure and robustness rules:
 //! - **Connection cap**: accepts beyond `max_conns` get an immediate
 //!   `503 overloaded` (with `retry_after_ms`) and are closed.
-//! - **Dispatch cap**: a full dispatcher queue sheds the same 503
-//!   instead of blocking the loop.
+//! - **Admission**: the pool's queue is the only request buffer; a full
+//!   queue answers 429 `queue_full` (see [`crate::queue`]).
 //! - **Slow clients**: partial writes park the response in the
 //!   connection and arm `EPOLLOUT`; nothing ever blocks in `write`.
 //! - **Slowloris**: the idle deadline is set when a connection enters
@@ -31,6 +32,7 @@ mod timer;
 
 use std::io::{self, Read, Write};
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -38,16 +40,21 @@ use std::time::{Duration, Instant};
 
 use sysio::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-use crate::api::{code, ApiError};
-use crate::http::{
-    response_bytes, Parsed, RequestParser, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES,
-};
-use crate::metrics::ReactorSnapshot;
-use crate::server::{DrainControl, RouteFn};
+use crate::api::{code, ApiError, ApiVersion};
+use crate::http::{response_bytes, Parsed, Request, RequestParser, MAX_BODY_BYTES, MAX_HEAD_BYTES};
+use crate::metrics::{ReactorSnapshot, ServerMetrics};
+use crate::server::DrainControl;
 
 use conn::{token, untoken, Conn, ConnState, Slab};
-use dispatch::{CompletionQueue, Dispatcher, Job};
+use dispatch::CompletionQueue;
+pub use dispatch::Reply;
 use timer::TimerWheel;
+
+/// A request handler driving one listener: it answers through the
+/// [`Reply`], on the loop thread or after handing both to a pool, so
+/// the same reactor serves the daemon ([`crate::server::start`]) and
+/// the cluster router ([`crate::shard::start_router`]).
+pub(crate) type RouteFn = Arc<dyn Fn(Request, Reply) + Send + Sync>;
 
 /// Epoll data word for the listener.
 const TOK_LISTENER: u64 = u64::MAX;
@@ -67,10 +74,6 @@ pub(crate) struct ReactorConfig {
     pub max_conns: usize,
     /// Idle keep-alive timeout.
     pub idle_timeout: Duration,
-    /// Dispatcher threads.
-    pub dispatchers: usize,
-    /// Dispatcher queue capacity.
-    pub dispatch_cap: usize,
 }
 
 /// Live reactor counters, exported through `/metrics`.
@@ -94,11 +97,10 @@ impl ReactorStats {
     }
 
     /// Point-in-time snapshot for the metrics endpoint.
-    pub fn snapshot(&self, engine: &str) -> ReactorSnapshot {
+    pub fn snapshot(&self) -> ReactorSnapshot {
         let open = self.conns_open.load(Ordering::Relaxed);
         let active = self.conns_active.load(Ordering::Relaxed);
         ReactorSnapshot {
-            engine: engine.to_string(),
             conns_open: open,
             conns_active: active,
             conns_idle: open.saturating_sub(active),
@@ -113,16 +115,28 @@ impl ReactorStats {
     }
 }
 
-/// Spawns the reactor thread. `drain_idle` reports whether the rest of
-/// the server (admission queue, pool) has gone quiet, which gates drain
-/// completion alongside the reactor's own connection/dispatcher state.
+/// Everything the reactor thread shares with the server that spawns
+/// it: the route, the shutdown and drain signals, and the counters.
+pub(crate) struct Shared {
+    /// Answers every parsed request.
+    pub route: RouteFn,
+    /// Cooperative shutdown flag, checked every loop turn.
+    pub stop: Arc<AtomicBool>,
+    /// Graceful-drain coordination.
+    pub drain: Arc<DrainControl>,
+    /// Whether the server's pool has gone quiet; with an empty
+    /// connection slab, it completes a drain.
+    pub drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
+    /// Connection-level I/O counters.
+    pub stats: Arc<ReactorStats>,
+    /// Per-route request counters, recorded by each [`Reply`].
+    pub metrics: Arc<ServerMetrics>,
+}
+
+/// Spawns the reactor thread.
 pub(crate) fn spawn(
     listener: TcpListener,
-    route: RouteFn,
-    stop: Arc<AtomicBool>,
-    drain: Arc<DrainControl>,
-    drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
-    stats: Arc<ReactorStats>,
+    shared: Shared,
     cfg: ReactorConfig,
 ) -> io::Result<JoinHandle<()>> {
     let epfd = sysio::epoll_create()?;
@@ -130,23 +144,13 @@ pub(crate) fn spawn(
     sysio::epoll_add(epfd, completions.wake_fd(), EPOLLIN, TOK_WAKE)?;
     // The listener arrives nonblocking from `server::start`.
     sysio::epoll_add(epfd, listener_fd(&listener), EPOLLIN, TOK_LISTENER)?;
-    let dispatcher = Dispatcher::spawn(
-        cfg.dispatchers,
-        cfg.dispatch_cap,
-        route,
-        Arc::clone(&completions),
-    );
     let mut reactor = Reactor {
         epfd,
         listener: Some(listener),
         slab: Slab::default(),
         wheel: TimerWheel::new(Instant::now()),
-        dispatcher: Some(dispatcher),
+        shared,
         completions,
-        stop,
-        drain,
-        drain_idle,
-        stats,
         cfg,
         active: 0,
         draining: false,
@@ -169,12 +173,11 @@ fn stream_fd(stream: &std::net::TcpStream) -> i32 {
     stream.as_raw_fd()
 }
 
-/// The rendered 503 sent when capacity (connections or dispatch queue)
-/// is exhausted.
+/// The rendered 503 sent when the connection cap is reached.
 fn shed_bytes(context: &str) -> Vec<u8> {
     let err = ApiError::new(code::OVERLOADED, format!("server overloaded: {context}"))
         .with_retry_after_ms(SHED_RETRY_MS);
-    response_bytes(&Response::from_api_error(503, &err), false)
+    response_bytes(&ApiVersion::V1.error_response(503, &err), false)
 }
 
 struct Reactor {
@@ -182,12 +185,8 @@ struct Reactor {
     listener: Option<TcpListener>,
     slab: Slab,
     wheel: TimerWheel,
-    dispatcher: Option<Dispatcher>,
+    shared: Shared,
     completions: Arc<CompletionQueue>,
-    stop: Arc<AtomicBool>,
-    drain: Arc<DrainControl>,
-    drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
-    stats: Arc<ReactorStats>,
     cfg: ReactorConfig,
     /// Connections in `Dispatched` or `Writing` state.
     active: usize,
@@ -197,8 +196,8 @@ struct Reactor {
 impl Reactor {
     fn run(&mut self) {
         let mut events = vec![sysio::EpollEvent::default(); 1024];
-        while !self.stop.load(Ordering::SeqCst) {
-            if self.drain.requested() && !self.draining {
+        while !self.shared.stop.load(Ordering::SeqCst) {
+            if self.shared.drain.requested() && !self.draining {
                 self.begin_drain();
             }
             let n = match sysio::epoll_wait(self.epfd, &mut events, WAIT_MS) {
@@ -206,7 +205,8 @@ impl Reactor {
                 Err(_) => break,
             };
             if n > 0 {
-                self.stats
+                self.shared
+                    .stats
                     .epoll_wakeups_total
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -223,7 +223,7 @@ impl Reactor {
             self.tick_timers();
             self.publish_gauges();
             if self.draining && self.drain_complete() {
-                self.drain.mark_completed();
+                self.shared.drain.mark_completed();
                 break;
             }
         }
@@ -231,10 +231,12 @@ impl Reactor {
     }
 
     fn publish_gauges(&self) {
-        self.stats
+        self.shared
+            .stats
             .conns_open
             .store(self.slab.len() as u64, Ordering::Relaxed);
-        self.stats
+        self.shared
+            .stats
             .conns_active
             .store(self.active as u64, Ordering::Relaxed);
     }
@@ -249,10 +251,14 @@ impl Reactor {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if self.slab.len() >= self.cfg.max_conns {
-                        self.stats
+                        self.shared
+                            .stats
                             .accept_overflows_total
                             .fetch_add(1, Ordering::Relaxed);
-                        self.stats.shed_503_total.fetch_add(1, Ordering::Relaxed);
+                        self.shared
+                            .stats
+                            .shed_503_total
+                            .fetch_add(1, Ordering::Relaxed);
                         // Best effort: the socket buffer of a fresh
                         // connection always has room for a small 503.
                         let _ = stream.set_nonblocking(true);
@@ -263,7 +269,10 @@ impl Reactor {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.stats.accepted_total.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .stats
+                        .accepted_total
+                        .fetch_add(1, Ordering::Relaxed);
                     let now = Instant::now();
                     let deadline = now + self.cfg.idle_timeout;
                     let fd = stream_fd(&stream);
@@ -365,7 +374,8 @@ impl Reactor {
         if conn.parser.buffered() > 0 {
             match conn.parser.next_request() {
                 Parsed::Incomplete => {
-                    self.stats
+                    self.shared
+                        .stats
                         .partial_reads_total
                         .fetch_add(1, Ordering::Relaxed);
                 }
@@ -381,27 +391,30 @@ impl Reactor {
         self.update_interest(slot);
     }
 
-    fn dispatch(&mut self, slot: u32, req: crate::http::Request) {
-        let keep_alive = req.keep_alive() && !self.drain.requested();
+    /// Hands a parsed request to the route. Its answer arrives through
+    /// the completion queue, even when the route answers on this thread:
+    /// the next loop turn writes it, so a peer pipelining thousands of
+    /// inline requests cannot recurse the loop or starve other sockets.
+    fn dispatch(&mut self, slot: u32, req: Request) {
+        let keep_alive = req.keep_alive() && !self.shared.drain.requested();
+        let gen = current_gen(&self.slab, slot);
         let Some(conn) = self.slab.get_mut_unchecked(slot) else {
             return;
         };
         conn.state = ConnState::Dispatched;
         self.active += 1;
-        let gen = current_gen(&self.slab, slot);
-        let job = Job {
+        let reply = Reply::new(
             slot,
             gen,
-            req,
             keep_alive,
-        };
-        let dispatcher = self.dispatcher.as_ref().expect("dispatcher alive");
-        if dispatcher.try_submit(job).is_err() {
-            // Queue full: shed with 503 instead of blocking the loop.
-            self.active -= 1;
-            self.stats.shed_503_total.fetch_add(1, Ordering::Relaxed);
-            self.queue_write(slot, shed_bytes("dispatch queue full"), true);
-        }
+            ApiVersion::of_path(&req.path),
+            Arc::clone(&self.shared.metrics),
+            Arc::clone(&self.completions),
+        );
+        // A route that panics here drops its reply, which answers 500;
+        // the loop thread itself must survive.
+        let route = &self.shared.route;
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| route(req, reply)));
     }
 
     // -- write path -----------------------------------------------------
@@ -444,7 +457,8 @@ impl Reactor {
                     conn.out_pos += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.stats
+                    self.shared
+                        .stats
                         .partial_writes_total
                         .fetch_add(1, Ordering::Relaxed);
                     self.update_interest(slot);
@@ -462,7 +476,7 @@ impl Reactor {
     /// A response fully flushed: close, or return to keep-alive and
     /// immediately try any pipelined request already buffered.
     fn finish_write(&mut self, slot: u32) -> bool {
-        let draining = self.drain.requested();
+        let draining = self.shared.drain.requested();
         let idle_timeout = self.cfg.idle_timeout;
         let Some(conn) = self.slab.get_mut_unchecked(slot) else {
             return false;
@@ -527,7 +541,10 @@ impl Reactor {
                 continue; // closed since scheduling; wheel entry is stale
             };
             if conn.state == ConnState::Reading && now >= conn.idle_deadline {
-                self.stats.idle_closed_total.fetch_add(1, Ordering::Relaxed);
+                self.shared
+                    .stats
+                    .idle_closed_total
+                    .fetch_add(1, Ordering::Relaxed);
                 self.close_conn(slot);
             } else {
                 // Early fire (clamped horizon) or mid-request: keep
@@ -570,17 +587,12 @@ impl Reactor {
     }
 
     fn drain_complete(&self) -> bool {
-        self.slab.len() == 0
-            && self.dispatcher.as_ref().is_none_or(Dispatcher::idle)
-            && (self.drain_idle)()
+        self.slab.len() == 0 && (self.shared.drain_idle)()
     }
 
     fn teardown(&mut self) {
         for slot in self.slab.live_slots() {
             self.close_conn(slot);
-        }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            dispatcher.shutdown();
         }
         sysio::close_fd(self.epfd);
         self.publish_gauges();
@@ -590,4 +602,67 @@ impl Reactor {
 /// Current generation of a live slot (used when re-deriving a token).
 fn current_gen(slab: &Slab, slot: u32) -> u32 {
     slab.gen_of(slot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{read_response, Response};
+    use sparseadapt::exec::Pool;
+    use std::net::TcpStream;
+
+    #[test]
+    fn panicking_handler_answers_500_and_the_connection_serves_on() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr");
+        // `/pool-panic` dies on a pool worker, `/loop-panic` on the loop
+        // thread itself; anything else answers 200 from the pool.
+        let pool = Arc::new(Pool::new(1, 4));
+        let route: RouteFn = Arc::new(move |req: Request, reply: Reply| {
+            assert_ne!(req.path, "/loop-panic", "route dies on the loop");
+            crate::queue::admit(&pool, reply, move |reply| {
+                assert_ne!(req.path, "/pool-panic", "handler dies on the pool");
+                reply.send(Response::json(200, "{}"));
+            });
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let shared = Shared {
+            route,
+            stop: Arc::clone(&stop),
+            drain: Arc::new(DrainControl::new()),
+            drain_idle: Arc::new(|| true),
+            stats: Arc::new(ReactorStats::new()),
+            metrics: Arc::new(ServerMetrics::new()),
+        };
+        let cfg = ReactorConfig {
+            max_conns: 8,
+            idle_timeout: Duration::from_secs(30),
+        };
+        let reactor = spawn(listener, shared, cfg).expect("reactor starts");
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let limit = Some(Duration::from_secs(30));
+        stream.set_read_timeout(limit).expect("read timeout");
+        for (path, status) in [
+            ("/pool-panic", 500),
+            ("/ok", 200),
+            ("/loop-panic", 500),
+            ("/ok", 200),
+        ] {
+            stream
+                .write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+                .expect("write");
+            let resp = read_response(&stream).expect("one answer per request");
+            assert_eq!(resp.status, status, "{path}");
+            assert_eq!(resp.header("connection"), Some("keep-alive"), "{path}");
+            let body = String::from_utf8_lossy(&resp.body);
+            assert_eq!(
+                body.contains("\"worker_crashed\""),
+                status == 500,
+                "{path}: {body}"
+            );
+        }
+        stop.store(true, Ordering::SeqCst);
+        reactor.join().expect("reactor thread exits cleanly");
+    }
 }

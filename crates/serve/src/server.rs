@@ -1,34 +1,25 @@
-//! The daemon: listener, serve engines, shared state, shutdown.
+//! The daemon: listener, serve engine, shared state, shutdown.
 //!
-//! Two engines drive connections:
-//!
-//! - **Reactor** (default): one epoll loop multiplexes every socket and
-//!   hands parsed requests to a dispatcher pool
-//!   (see [`crate::reactor`]). Scales to tens of thousands of
-//!   keep-alive connections.
-//! - **Threaded**: one accept loop, one thread per live connection —
-//!   the original engine, kept as a fallback and as the differential
-//!   baseline (both render responses through
-//!   [`crate::http::response_bytes`], so their wire bytes are
-//!   identical).
-//!
-//! Either way, a bounded [`sparseadapt::exec::Pool`] owns *all*
-//! simulation work; its worker count and queue capacity bound CPU and
+//! One epoll loop multiplexes every socket (see [`crate::reactor`]) and
+//! scales to tens of thousands of keep-alive connections. Its thread
+//! only does I/O and answers routes that read in-process state; a
+//! bounded [`sparseadapt::exec::Pool`] runs every other handler in
+//! place. The pool's worker count and queue capacity bound CPU and
 //! memory under load, and a full queue turns into an HTTP 429 at the
 //! edge (see [`crate::queue`]).
 //!
-//! Shutdown is cooperative: a shared flag checked by both engines on
-//! their poll ticks, so tests can boot and tear down servers
-//! in-process. Graceful drain ([`DrainControl`]) additionally stops
-//! accepting (the listener is dropped, so new connects are refused),
-//! lets in-flight requests finish, closes idle keep-alives, and then
-//! signals completion so the daemon can exit 0.
+//! Shutdown is cooperative: a shared flag the loop checks on every
+//! turn, so tests can boot and tear down servers in-process. Graceful
+//! drain ([`DrainControl`]) additionally stops accepting (the listener
+//! is dropped, so new connects are refused), lets in-flight requests
+//! finish, closes idle keep-alives, and then signals completion so the
+//! daemon can exit 0.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,52 +32,22 @@ use transmuter::workload::Workload;
 
 use crate::api::{kernel_name, ResolvedSim, TopologyDoc};
 use crate::coalesce::Coalescer;
-use crate::http::{read_request, write_response, ReadOutcome, Request, Response};
 use crate::jobs::JobRegistry;
 use crate::metrics::ServerMetrics;
-use crate::reactor::{self, ReactorStats};
+use crate::reactor::{self, ReactorStats, Reply, RouteFn};
 use crate::router;
-
-/// A boxed request handler driving one listener: the closure owns
-/// routing *and* metrics recording, so the same accept loop serves both
-/// the daemon ([`start`]) and the cluster router
-/// ([`crate::shard::start_router`]).
-pub(crate) type RouteFn = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
-
-/// How often blocked reads wake up to check the shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(200);
 
 /// Listen backlog requested on every bound listener (see `start`).
 const LISTEN_BACKLOG: i32 = 4096;
 
-/// Which serve core drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Epoll readiness loop; scales to thousands of keep-alive sockets.
-    #[default]
-    Reactor,
-    /// Thread-per-connection; the original engine and the differential
-    /// baseline.
-    Threaded,
-}
-
-impl Engine {
-    /// Stable wire/report name for the engine.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Threaded => "threaded",
-        }
-    }
-}
-
 /// Graceful-drain coordination shared between the admin endpoint, the
-/// signal watcher, and the serve engine.
+/// signal watcher, and the reactor.
 ///
-/// `request()` flips a flag both engines poll; once the engine has
-/// stopped accepting, flushed in-flight requests, and closed every
-/// connection, it calls `mark_completed()`, releasing anyone parked in
-/// `wait_completed()` (the daemon's main thread, which then exits 0).
+/// `request()` flips a flag the reactor polls; once it has stopped
+/// accepting, flushed in-flight requests, closed every connection and
+/// seen the pool go idle, it calls `mark_completed()`, releasing anyone
+/// parked in `wait_completed()` (the daemon's main thread, which then
+/// exits 0).
 #[derive(Debug, Default)]
 pub struct DrainControl {
     requested: AtomicBool,
@@ -100,7 +61,7 @@ impl DrainControl {
         DrainControl::default()
     }
 
-    /// Asks the serve engine to drain. Idempotent.
+    /// Asks the reactor to drain. Idempotent.
     pub fn request(&self) {
         self.requested.store(true, Ordering::SeqCst);
     }
@@ -160,15 +121,11 @@ pub struct ServeConfig {
     /// from here (written via temp-file + rename so readers never see a
     /// partial write).
     pub addr_file: Option<PathBuf>,
-    /// Which serve core drives connections.
-    pub engine: Engine,
-    /// Reactor only: hard cap on concurrently open connections; accepts
-    /// beyond it are shed with a 503.
+    /// Hard cap on concurrently open connections; accepts beyond it are
+    /// shed with a 503.
     pub max_conns: usize,
-    /// Reactor only: idle keep-alive timeout in milliseconds.
+    /// Idle keep-alive timeout in milliseconds.
     pub idle_timeout_ms: u64,
-    /// Reactor only: dispatcher threads (0 = `max(8, 2 × workers)`).
-    pub dispatchers: usize,
     /// Install a SIGINT/SIGTERM watcher that triggers a graceful drain.
     /// Only the daemon binary sets this; in-process test servers must
     /// not mask the test runner's signals.
@@ -202,10 +159,8 @@ impl Default for ServeConfig {
             cache_dir: None,
             cache_mem_cap: None,
             addr_file: None,
-            engine: Engine::Reactor,
             max_conns: 12288,
             idle_timeout_ms: 30_000,
-            dispatchers: 0,
             handle_signals: false,
             epoch_cache: false,
             epoch_cache_dir: None,
@@ -219,23 +174,23 @@ impl Default for ServeConfig {
 /// Everything the handlers share.
 #[derive(Debug)]
 pub struct AppState {
-    /// The bounded worker pool all POST work runs on.
+    /// The bounded worker pool every handler that simulates, reads
+    /// disk or talks to the network runs on.
     pub pool: Pool,
     /// Request counters and latency histogram.
-    pub metrics: ServerMetrics,
-    /// In-flight coalescer for identical simulate requests. The value
-    /// is `(status, body)` so waiters receive byte-identical responses.
-    pub coalescer: Coalescer<String, (u16, String)>,
+    pub metrics: Arc<ServerMetrics>,
+    /// In-flight coalescer for identical simulate requests: followers
+    /// park their replies on the leader, which answers each with the
+    /// one document it computed.
+    pub coalescer: Coalescer<String, Reply>,
     /// Async sweep jobs.
     pub jobs: JobRegistry,
     /// Scale/threads/seed settings shared with the bench harness.
     pub harness: Harness,
     /// Graceful-drain coordination (admin endpoint + signal watcher).
     pub drain: Arc<DrainControl>,
-    /// Reactor counters when the reactor engine is active.
-    pub reactor: Option<Arc<ReactorStats>>,
-    /// Which engine this server runs.
-    pub engine: Engine,
+    /// Connection-level reactor counters.
+    pub reactor: Arc<ReactorStats>,
     /// The cluster topology as last pushed by a router
     /// (`POST /v2/admin/topology`), or `None` for a standalone daemon.
     /// Shards serve this back on `GET /v2/admin/topology` and stamp its
@@ -304,7 +259,7 @@ impl AppState {
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::shutdown`])
-/// stops the accept loop and lets connection threads drain.
+/// stops the reactor and closes its connections.
 #[derive(Debug)]
 pub struct ServerHandle {
     /// The bound address (with the concrete port when 0 was asked).
@@ -316,7 +271,7 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Signals shutdown and joins the accept loop.
+    /// Signals shutdown and joins the reactor thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -335,7 +290,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds, spawns the accept loop, and returns immediately.
+/// Binds, spawns the reactor, and returns immediately.
 ///
 /// # Errors
 ///
@@ -396,19 +351,14 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     }
 
     let drain = Arc::new(DrainControl::new());
-    let reactor_stats = match config.engine {
-        Engine::Reactor => Some(Arc::new(ReactorStats::new())),
-        Engine::Threaded => None,
-    };
     let state = Arc::new(AppState {
         pool: Pool::new(workers, config.queue_cap),
-        metrics: ServerMetrics::new(),
+        metrics: Arc::new(ServerMetrics::new()),
         coalescer: Coalescer::new(),
         jobs: JobRegistry::new(),
         harness: Harness::default(),
         drain: Arc::clone(&drain),
-        reactor: reactor_stats.clone(),
-        engine: config.engine,
+        reactor: Arc::new(ReactorStats::new()),
         topology: Mutex::new(None),
         self_addr: addr,
         epoch_warm_push: config.epoch_warm_push,
@@ -428,16 +378,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
 
     let route: RouteFn = {
         let state = Arc::clone(&state);
-        Arc::new(move |req| {
-            let started = Instant::now();
-            let (label, response) = router::route(&state, req);
-            state.metrics.record(
-                label,
-                response.status,
-                started.elapsed().as_secs_f64() * 1e3,
-            );
-            response
-        })
+        Arc::new(move |req, reply| router::route(&state, req, reply))
     };
     let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = {
         let state = Arc::clone(&state);
@@ -446,29 +387,21 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     if let Some(fd) = signal_fd {
         spawn_signal_watcher(fd, Arc::clone(&drain));
     }
-    let accept = match config.engine {
-        Engine::Reactor => reactor::spawn(
-            listener,
+    let accept = reactor::spawn(
+        listener,
+        reactor::Shared {
             route,
-            Arc::clone(&stop),
-            Arc::clone(&drain),
+            stop: Arc::clone(&stop),
+            drain,
             drain_idle,
-            reactor_stats.expect("reactor stats exist for reactor engine"),
-            reactor::ReactorConfig {
-                max_conns: config.max_conns.max(1),
-                idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
-                dispatchers: if config.dispatchers == 0 {
-                    (workers * 2).max(8)
-                } else {
-                    config.dispatchers
-                },
-                dispatch_cap: (config.queue_cap * 4).max(256),
-            },
-        )?,
-        Engine::Threaded => {
-            spawn_accept_loop(listener, Arc::clone(&stop), route, drain, drain_idle)
-        }
-    };
+            stats: Arc::clone(&state.reactor),
+            metrics: Arc::clone(&state.metrics),
+        },
+        reactor::ReactorConfig {
+            max_conns: config.max_conns.max(1),
+            idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
+        },
+    )?;
 
     Ok(ServerHandle {
         addr,
@@ -493,108 +426,4 @@ fn spawn_signal_watcher(fd: i32, drain: Arc<DrainControl>) {
             sysio::close_fd(fd);
         })
         .expect("spawn signal watcher");
-}
-
-/// Runs the threaded accept loop on its own thread: one detached
-/// connection thread per peer, every request answered by `route`. On a
-/// drain request the loop drops the listener (refusing new connects),
-/// waits for live connections and pool work to finish, then marks the
-/// drain complete.
-pub(crate) fn spawn_accept_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    route: RouteFn,
-    drain: Arc<DrainControl>,
-    drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || accept_loop(listener, &route, &stop, &drain, &drain_idle))
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    route: &RouteFn,
-    stop: &Arc<AtomicBool>,
-    drain: &Arc<DrainControl>,
-    drain_idle: &Arc<dyn Fn() -> bool + Send + Sync>,
-) {
-    let live = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::SeqCst) && !drain.requested() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let route = Arc::clone(route);
-                let stop = Arc::clone(stop);
-                let drain = Arc::clone(drain);
-                let live = Arc::clone(&live);
-                live.fetch_add(1, Ordering::SeqCst);
-                // Connection threads are detached; each exits on peer
-                // close or on the next poll tick after shutdown.
-                std::thread::spawn(move || {
-                    serve_connection(&stream, &route, &stop, &drain);
-                    live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-    // Refuse new connects immediately (closing beats leaving them to
-    // queue in the backlog).
-    drop(listener);
-    if drain.requested() && !stop.load(Ordering::SeqCst) {
-        while live.load(Ordering::SeqCst) > 0 || !drain_idle() {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        drain.mark_completed();
-    }
-}
-
-fn serve_connection(
-    stream: &TcpStream,
-    route: &RouteFn,
-    stop: &Arc<AtomicBool>,
-    drain: &Arc<DrainControl>,
-) {
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return;
-    }
-    // Responses are small and latency-sensitive; never trade them for
-    // Nagle batching.
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_request(&mut reader) {
-            Ok(ReadOutcome::Request(req)) => {
-                // Draining connections answer with `connection: close`
-                // so well-behaved clients stop reusing them.
-                let keep_alive = req.keep_alive() && !drain.requested();
-                let response = route(&req);
-                if write_response(&mut &*stream, &response, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Closed) => return,
-            Ok(ReadOutcome::Malformed(response)) => {
-                let _ = write_response(&mut &*stream, &response, false);
-                return;
-            }
-            // Read-timeout tick: loop back to check the shutdown and
-            // drain flags (idle keep-alives close out during a drain).
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if drain.requested() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }

@@ -41,7 +41,7 @@
 //! every shard and the first `200` wins; the listing merges all
 //! registries with a `"shard"` field injected per entry.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -50,18 +50,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use sparseadapt::exec::parallel_map;
+use sparseadapt::exec::{parallel_map, Pool};
 
 use crate::api::{
     code, parse_body, AddShardRequest, ApiError, ApiVersion, DrainStatusDoc, ReweightRequest,
     ShardDoc, TopologyChangeResponse, TopologyDoc,
 };
 use crate::http::{read_response, write_request, Request, Response};
-use crate::metrics::{
-    merge_snapshots, MetricsSnapshot, QueueGauges, ReactorSnapshot, ServerMetrics,
-};
-use crate::reactor::{self, ReactorStats};
-use crate::server::{spawn_accept_loop, DrainControl, Engine, RouteFn};
+use crate::metrics::{merge_snapshots, MetricsSnapshot, QueueGauges, ServerMetrics};
+use crate::queue;
+use crate::reactor::{self, ReactorStats, Reply, RouteFn};
+use crate::server::DrainControl;
 
 /// Virtual nodes per unit of shard weight on the hash ring. More vnodes
 /// smooth the key distribution and shrink the fraction of keys that
@@ -93,6 +92,11 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 const DRAIN_SETTLE: Duration = Duration::from_secs(1);
 /// Read timeout for control-plane pushes to shards.
 const PUSH_TIMEOUT: Duration = Duration::from_secs(2);
+/// Router pool workers. Proxying blocks on shard round-trips, not the
+/// CPU, so the router runs far more workers than a shard.
+const ROUTER_WORKERS: usize = 16;
+/// Router pool queue capacity: requests waiting for a router worker.
+const ROUTER_QUEUE_CAP: usize = 1024;
 
 /// 64-bit FNV-1a. Inlined rather than shared with the workload
 /// fingerprinting: ring placement is a wire-level contract of its own
@@ -508,17 +512,18 @@ pub struct RouterState {
     allow_admin: bool,
     /// The router's own request counters/latency histogram (its view of
     /// end-to-end cluster latency, shard time included).
-    pub metrics: ServerMetrics,
+    pub metrics: Arc<ServerMetrics>,
+    /// Runs every router route that talks to shards: proxying, fan-out
+    /// and topology mutations (which push to every shard).
+    pool: Pool,
     rerouted: AtomicU64,
     resharded: AtomicU64,
     /// f64 bits of the last topology change's moved key-space fraction.
     last_moved_bits: AtomicU64,
     record: Option<Mutex<std::fs::File>>,
     started: Instant,
-    /// Which engine the router's own listener runs.
-    engine: Engine,
-    /// Reactor counters when the router rides the reactor engine.
-    reactor: Option<Arc<ReactorStats>>,
+    /// The router's own reactor counters.
+    reactor: Arc<ReactorStats>,
     /// Graceful-drain coordination for the router's own listener
     /// (`POST /v2/admin/drain` on the router).
     drain: Arc<DrainControl>,
@@ -624,15 +629,13 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Optional JSONL request log (`loadgen --replay` input).
     pub record: Option<PathBuf>,
-    /// Which serve core drives the router's own listener.
-    pub engine: Engine,
     /// Whether `/v2/admin` topology *mutations* are accepted. Off by
     /// default: an exposed router must opt into runtime resharding.
     pub allow_admin: bool,
 }
 
 /// A running router; dropping it (or [`RouterHandle::shutdown`]) stops
-/// the accept loop and the health checker. Shard processes are owned by
+/// the reactor and the health checker. Shard processes are owned by
 /// the caller (see [`spawn_shards`]), not by this handle.
 #[derive(Debug)]
 pub struct RouterHandle {
@@ -722,10 +725,6 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let reactor_stats = match config.engine {
-        Engine::Reactor => Some(Arc::new(ReactorStats::new())),
-        Engine::Threaded => None,
-    };
     let slots: Vec<Arc<ShardSlot>> = config
         .shards
         .iter()
@@ -742,59 +741,41 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         next_id: AtomicU32::new(config.shards.len() as u32),
         vnodes,
         allow_admin: config.allow_admin,
-        metrics: ServerMetrics::new(),
+        metrics: Arc::new(ServerMetrics::new()),
+        pool: Pool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP),
         rerouted: AtomicU64::new(0),
         resharded: AtomicU64::new(0),
         last_moved_bits: AtomicU64::new(0.0f64.to_bits()),
         record,
         started: Instant::now(),
-        engine: config.engine,
-        reactor: reactor_stats.clone(),
+        reactor: Arc::new(ReactorStats::new()),
         drain: Arc::clone(&drain),
     });
     let stop = Arc::new(AtomicBool::new(false));
 
     let route: RouteFn = {
         let state = Arc::clone(&state);
-        Arc::new(move |req| {
-            let started = Instant::now();
-            let (label, response) = route_router(&state, req);
-            state.metrics.record(
-                label,
-                response.status,
-                started.elapsed().as_secs_f64() * 1e3,
-            );
-            response
-        })
+        Arc::new(move |req, reply| route_router(&state, req, reply))
     };
-    // The router has no admission pool of its own; a drain only has
-    // connections to wait for.
-    let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = Arc::new(|| true);
-    let accept = match config.engine {
-        Engine::Reactor => reactor::spawn(
-            listener,
-            route,
-            Arc::clone(&stop),
-            Arc::clone(&drain),
-            drain_idle,
-            reactor_stats.expect("reactor stats exist for reactor engine"),
-            reactor::ReactorConfig {
-                max_conns: 12288,
-                idle_timeout: Duration::from_millis(30_000),
-                // Proxying blocks on shard round-trips, not the CPU, so
-                // the router gets a deeper dispatcher pool than a shard.
-                dispatchers: 16,
-                dispatch_cap: 1024,
-            },
-        )?,
-        Engine::Threaded => spawn_accept_loop(
-            listener,
-            Arc::clone(&stop),
-            route,
-            Arc::clone(&drain),
-            drain_idle,
-        ),
+    let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = {
+        let state = Arc::clone(&state);
+        Arc::new(move || state.pool.queue_depth() == 0 && state.pool.in_flight() == 0)
     };
+    let accept = reactor::spawn(
+        listener,
+        reactor::Shared {
+            route,
+            stop: Arc::clone(&stop),
+            drain,
+            drain_idle,
+            stats: Arc::clone(&state.reactor),
+            metrics: Arc::clone(&state.metrics),
+        },
+        reactor::ReactorConfig {
+            max_conns: 12288,
+            idle_timeout: Duration::from_millis(30_000),
+        },
+    )?;
     let health = {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
@@ -840,8 +821,7 @@ fn forward(
     stream.set_write_timeout(Some(CONNECT_TIMEOUT))?;
     let _ = stream.set_nodelay(true);
     write_request(&mut stream, method, target, body)?;
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader)
+    read_response(&stream)
 }
 
 /// Strips hop-by-hop headers a proxied response must not carry twice
@@ -870,54 +850,53 @@ fn mark_moved(mut resp: Response, version: ApiVersion, kind: &str) -> Response {
     resp.with_header(&header, "1")
 }
 
-fn version_of(path: &str) -> ApiVersion {
-    if path.starts_with("/v2/") {
-        ApiVersion::V2
-    } else {
-        ApiVersion::V1
-    }
+/// Where a matched router route runs.
+enum Handler {
+    /// Answered on the loop thread: the route reads router state only.
+    Loop(Response),
+    /// Run on the router's pool: the route talks to shards.
+    Pool(fn(&Arc<RouterState>, &Request) -> Response),
 }
 
 /// Dispatches one router request. Mirrors [`crate::router::route`]'s
 /// label contract so the router's `/metrics` breakdown reads the same
 /// way a shard's does.
-fn route_router(state: &Arc<RouterState>, req: &Request) -> (&'static str, Response) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => ("GET /healthz", router_healthz(state)),
-        ("GET", "/metrics") => ("GET /metrics", router_metrics(state)),
-        ("GET", "/v2/admin/topology") => ("GET /v2/admin/topology", admin_topology_get(state)),
-        ("POST", "/v2/admin/topology") => ("POST /v2/admin/topology", admin_reweight(state, req)),
-        ("POST", "/v2/admin/shards") => ("POST /v2/admin/shards", admin_add_shard(state, req)),
+fn route_router(state: &Arc<RouterState>, req: Request, mut reply: Reply) {
+    use Handler::{Loop, Pool};
+    let (label, handler) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => ("GET /healthz", Loop(router_healthz(state))),
+        ("GET", "/metrics") => ("GET /metrics", Pool(|st, _| router_metrics(st))),
+        ("GET", "/v2/admin/topology") => {
+            ("GET /v2/admin/topology", Loop(admin_topology_get(state)))
+        }
+        ("POST", "/v2/admin/topology") => ("POST /v2/admin/topology", Pool(admin_reweight)),
+        ("POST", "/v2/admin/shards") => ("POST /v2/admin/shards", Pool(admin_add_shard)),
         ("DELETE", path) if path.starts_with("/v2/admin/shards/") => (
             "DELETE /v2/admin/shards/:id",
-            admin_remove_shard(state, req, &path["/v2/admin/shards/".len()..]),
+            Pool(|st, req| admin_remove_shard(st, req, &req.path["/v2/admin/shards/".len()..])),
         ),
-        ("POST", "/v2/admin/drain") => ("POST /v2/admin/drain", router_drain(state)),
-        ("GET", "/v1/jobs") => ("GET /v1/jobs", jobs_list(state, ApiVersion::V1)),
-        ("GET", "/v2/jobs") => ("GET /v2/jobs", jobs_list(state, ApiVersion::V2)),
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            ("GET /v1/jobs/:id", jobs_get(state, req))
-        }
-        ("GET", path) if path.starts_with("/v2/jobs/") => {
-            ("GET /v2/jobs/:id", jobs_get(state, req))
-        }
-        ("POST", "/v1/simulate") => ("POST /v1/simulate", proxy_post(state, req)),
-        ("POST", "/v2/simulate") => ("POST /v2/simulate", proxy_post(state, req)),
-        ("POST", "/v1/recommend") => ("POST /v1/recommend", proxy_post(state, req)),
-        ("POST", "/v2/recommend") => ("POST /v2/recommend", proxy_post(state, req)),
-        ("POST", "/v1/sweep") => ("POST /v1/sweep", proxy_post(state, req)),
-        ("POST", "/v2/sweep") => ("POST /v2/sweep", proxy_post(state, req)),
+        ("POST", "/v2/admin/drain") => ("POST /v2/admin/drain", Loop(router_drain(state))),
+        ("GET", "/v1/jobs") => ("GET /v1/jobs", Pool(|st, _| jobs_list(st, ApiVersion::V1))),
+        ("GET", "/v2/jobs") => ("GET /v2/jobs", Pool(|st, _| jobs_list(st, ApiVersion::V2))),
+        ("GET", path) if path.starts_with("/v1/jobs/") => ("GET /v1/jobs/:id", Pool(jobs_get)),
+        ("GET", path) if path.starts_with("/v2/jobs/") => ("GET /v2/jobs/:id", Pool(jobs_get)),
+        ("POST", "/v1/simulate") => ("POST /v1/simulate", Pool(proxy_post)),
+        ("POST", "/v2/simulate") => ("POST /v2/simulate", Pool(proxy_post)),
+        ("POST", "/v1/recommend") => ("POST /v1/recommend", Pool(proxy_post)),
+        ("POST", "/v2/recommend") => ("POST /v2/recommend", Pool(proxy_post)),
+        ("POST", "/v1/sweep") => ("POST /v1/sweep", Pool(proxy_post)),
+        ("POST", "/v2/sweep") => ("POST /v2/sweep", Pool(proxy_post)),
         // Uploads route by body content hash (no kernel/matrix fields
         // to key on); any shard can take one, because registrations
         // spill to the shared cache tier every shard mounts.
-        ("POST", "/v2/matrices") => ("POST /v2/matrices", proxy_post(state, req)),
+        ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(proxy_post)),
         // Known admin paths answer wrong-method hits with an enveloped
         // 405 (never a 404: the path exists, the verb is wrong).
         (_, "/v2/admin/topology" | "/v2/admin/shards" | "/v2/admin/drain") => {
-            ("method_not_allowed", admin_method_not_allowed())
+            ("method_not_allowed", Loop(admin_method_not_allowed()))
         }
         (_, path) if path.starts_with("/v2/admin/shards/") => {
-            ("method_not_allowed", admin_method_not_allowed())
+            ("method_not_allowed", Loop(admin_method_not_allowed()))
         }
         (
             _,
@@ -925,9 +904,20 @@ fn route_router(state: &Arc<RouterState>, req: &Request) -> (&'static str, Respo
             | "/v2/jobs" | "/v2/simulate" | "/v2/recommend" | "/v2/sweep" | "/v2/matrices",
         ) => (
             "method_not_allowed",
-            Response::error(405, "method not allowed for this path"),
+            Loop(Response::error(405, "method not allowed for this path")),
         ),
-        _ => ("not_found", Response::error(404, "no such endpoint")),
+        _ => ("not_found", Loop(Response::error(404, "no such endpoint"))),
+    };
+    reply.set_route(label);
+    match handler {
+        Loop(response) => reply.send(response),
+        Pool(handler) => {
+            let st = Arc::clone(state);
+            queue::admit(&state.pool, reply, move |reply| {
+                let response = handler(&st, &req);
+                reply.send(response);
+            });
+        }
     }
 }
 
@@ -1043,7 +1033,6 @@ fn router_drain(state: &RouterState) -> Response {
     let doc = DrainStatusDoc {
         draining: true,
         already_requested: already,
-        engine: state.engine.as_str().to_string(),
     };
     admin_ok(&serde_json::to_string(&doc).expect("drain status serializes"))
 }
@@ -1283,7 +1272,7 @@ fn admin_reweight(state: &Arc<RouterState>, req: &Request) -> Response {
 fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
     let body = String::from_utf8_lossy(&req.body).into_owned();
     state.record(&req.method, &req.path, &body);
-    let version = version_of(&req.path);
+    let version = ApiVersion::of_path(&req.path);
     let view = state.view();
     let key = routing_key(&req.body);
     let order = view.ring.order(&key);
@@ -1331,11 +1320,7 @@ fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
         "no shard reachable for this request",
     )
     .with_retry_after_ms(1000);
-    let resp = Response::json(503, version.err_body(&err));
-    match err.retry_after_s() {
-        Some(s) => resp.with_header("retry-after", s.to_string()),
-        None => resp,
-    }
+    version.error_response(503, &err)
 }
 
 /// Fans a `GET` out to every shard in parallel (reusing the exec
@@ -1351,8 +1336,8 @@ fn fan_out_get(view: &TopologyView, target: &str) -> Vec<(Arc<ShardSlot>, Option
 
 /// `GET /vN/jobs/<id>`: ids are per-shard, so ask everyone; the first
 /// shard that knows the id answers.
-fn jobs_get(state: &RouterState, req: &Request) -> Response {
-    let version = version_of(&req.path);
+fn jobs_get(state: &Arc<RouterState>, req: &Request) -> Response {
+    let version = ApiVersion::of_path(&req.path);
     let view = state.view();
     for (_, resp) in fan_out_get(&view, &req.path) {
         if let Some(resp) = resp.filter(|r| r.status == 200) {
@@ -1365,7 +1350,7 @@ fn jobs_get(state: &RouterState, req: &Request) -> Response {
 
 /// `GET /vN/jobs`: merge every shard's registry, tagging each entry
 /// with its shard id (ids alone are ambiguous cluster-wide).
-fn jobs_list(state: &RouterState, version: ApiVersion) -> Response {
+fn jobs_list(state: &Arc<RouterState>, version: ApiVersion) -> Response {
     // Shards are always asked in the bare v1 dialect; the router wraps
     // the merged document for the client's dialect.
     let view = state.view();
@@ -1398,7 +1383,7 @@ fn jobs_list(state: &RouterState, version: ApiVersion) -> Response {
 
 /// `GET /metrics`: scrape every shard, merge the histograms, and report
 /// the router's own counters alongside the per-shard documents.
-fn router_metrics(state: &RouterState) -> Response {
+fn router_metrics(state: &Arc<RouterState>) -> Response {
     let view = state.view();
     let scraped = fan_out_get(&view, "/metrics");
     let mut shard_docs: Vec<String> = Vec::with_capacity(scraped.len());
@@ -1427,20 +1412,16 @@ fn router_metrics(state: &RouterState) -> Response {
     let merged_doc = merge_snapshots(&snaps)
         .map(|m| serde_json::to_string(&m).expect("merged snapshot serializes"))
         .unwrap_or_else(|| "null".to_string());
-    let own_reactor = match &state.reactor {
-        Some(stats) => stats.snapshot(state.engine.as_str()),
-        None => ReactorSnapshot::threaded(),
-    };
     let mut own = state.metrics.snapshot(
         QueueGauges {
-            queue_depth: 0,
-            in_flight: 0,
-            queue_cap: 0,
-            workers: 0,
+            queue_depth: state.pool.queue_depth(),
+            in_flight: state.pool.in_flight(),
+            queue_cap: state.pool.queue_cap(),
+            workers: state.pool.workers(),
         },
         sparseadapt::trace_cache::CacheStats::default(),
         sparseadapt::epoch_cache::EpochCacheStats::default(),
-        own_reactor,
+        state.reactor.snapshot(),
     );
     own.topology_epoch = view.epoch;
     let own_doc = serde_json::to_string(&own).expect("router snapshot serializes");
@@ -1483,8 +1464,6 @@ pub struct ShardSpawn {
     pub cache_mem_cap: Option<usize>,
     /// Directory for the address rendezvous files.
     pub run_dir: PathBuf,
-    /// Serve engine each shard daemon runs.
-    pub engine: Engine,
     /// Enable the per-shard epoch cache (memory tier) on every shard.
     pub epoch_cache: bool,
     /// Enable shard-to-shard epoch fetch-on-miss on every shard.
@@ -1546,10 +1525,6 @@ pub fn spawn_shards(spawn: &ShardSpawn) -> io::Result<Vec<ShardChild>> {
             .arg(spawn.workers.to_string())
             .arg("--queue-cap")
             .arg(spawn.queue_cap.to_string())
-            .arg(match spawn.engine {
-                Engine::Reactor => "--reactor",
-                Engine::Threaded => "--threaded",
-            })
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null());
         if let Some(dir) = &spawn.cache_dir {

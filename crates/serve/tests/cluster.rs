@@ -6,7 +6,6 @@
 //! cost is amortized across every assertion (routing, caching,
 //! cross-process disk tier, failover, record/replay, merged metrics).
 
-use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -18,15 +17,13 @@ use serve::shard::{routing_key, spawn_shards, start_router, Ring, RouterConfig, 
 fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "POST", target, Some(body)).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn get(addr: &std::net::SocketAddr, target: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "GET", target, None).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn body_str(resp: &Response) -> &str {
@@ -86,7 +83,6 @@ fn cluster_end_to_end() {
         queue_cap: 32,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        engine: serve::Engine::Reactor,
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
@@ -101,7 +97,6 @@ fn cluster_end_to_end() {
         weights: Vec::new(),
         vnodes: 0,
         record: Some(record_path.clone()),
-        engine: serve::Engine::Reactor,
         allow_admin: false,
     })
     .expect("router boots");

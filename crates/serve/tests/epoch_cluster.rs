@@ -8,7 +8,6 @@
 //! results with the tier disabled, budget-expiry fallback against a
 //! hung peer, and post-sweep warm push.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -19,15 +18,13 @@ use serve::shard::{spawn_shards, ShardSpawn};
 fn post(addr: &SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "POST", target, Some(body)).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn get(addr: &SocketAddr, target: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "GET", target, None).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn body_str(resp: &Response) -> &str {
@@ -122,7 +119,6 @@ fn epoch_tier_cluster_end_to_end() {
             queue_cap: 32,
             cache_dir: None,
             cache_mem_cap: None,
-            engine: serve::Engine::Reactor,
             epoch_cache: true,
             epoch_peer_fetch: peer_fetch,
             epoch_fetch_budget_ms: budget_ms,

@@ -1,24 +1,24 @@
-//! Adversarial-client and engine-parity tests for the reactor serve
-//! core: slow clients, oversized heads, mid-body disconnects,
-//! connection-cap shedding, graceful drain, and byte-level response
-//! parity between `--reactor` and `--threaded`.
+//! Adversarial-client tests for the reactor serve core: slow clients,
+//! oversized heads, mid-body disconnects, connection-cap shedding,
+//! graceful drain, and a loop thread that keeps answering while every
+//! pool worker is busy.
 //!
 //! Each test boots its own server on an ephemeral port. The trace
-//! cache is process-wide, so only the parity test simulates (and warms
-//! its matrix first); every other test sticks to cache-free endpoints.
+//! cache is process-wide, so only the busy-pool test simulates (a sweep
+//! of a matrix no other test here touches); every other test sticks to
+//! cache-free endpoints.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use serve::{start, Engine, ServeConfig};
+use serve::{start, ServeConfig};
 
-fn config(engine: Engine) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue_cap: 16,
-        engine,
         ..ServeConfig::default()
     }
 }
@@ -92,78 +92,9 @@ fn metric_u64(doc: &serde::Value, path: &[&str]) -> u64 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Engine parity
-// ---------------------------------------------------------------------------
-
-/// Zeroes every occurrence of a numeric JSON field so wall-clock noise
-/// (`sim_ms`, per-request `content-length` drift from it) can't fail a
-/// byte comparison.
-fn zero_field(text: &str, key: &str) -> String {
-    let mut out = String::new();
-    let mut rest = text;
-    while let Some(i) = rest.find(key) {
-        out.push_str(&rest[..i + key.len()]);
-        out.push('0');
-        let after = &rest[i + key.len()..];
-        let end = after
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-            .unwrap_or(after.len());
-        rest = &after[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn normalize(raw: &[u8]) -> String {
-    let text = String::from_utf8_lossy(raw).into_owned();
-    let text = zero_field(&text, "\"sim_ms\":");
-    zero_field(&text, "content-length: ")
-}
-
-#[test]
-fn engines_serve_byte_identical_responses() {
-    let reactor = start(config(Engine::Reactor)).expect("reactor boots");
-    let threaded = start(config(Engine::Threaded)).expect("threaded boots");
-
-    // Warm the (process-wide) trace cache on both so the comparison
-    // pass sees identical `cached` flags.
-    let sim = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
-    for server in [&reactor, &threaded] {
-        let warm = raw_roundtrip(&server.addr, &close_request("POST", "/v1/simulate", sim));
-        assert_eq!(status_of(&warm), 200, "warm pass failed");
-    }
-
-    let typo = r#"{"kernel": "spmspv", "matrix": "R09", "confg_name": "maximum"}"#;
-    let traffic: &[(&str, &str, &str)] = &[
-        ("GET", "/healthz", ""),
-        ("GET", "/nope", ""),
-        ("POST", "/healthz", "{}"),
-        ("POST", "/v1/simulate", "not json"),
-        ("POST", "/v2/simulate", "not json"),
-        ("POST", "/v1/simulate", sim),
-        ("POST", "/v2/simulate", sim),
-        ("POST", "/v2/simulate", typo),
-        ("GET", "/v1/jobs", ""),
-        ("GET", "/v2/jobs/999999", ""),
-    ];
-    for (method, target, body) in traffic {
-        let wire = close_request(method, target, body);
-        let from_reactor = normalize(&raw_roundtrip(&reactor.addr, &wire));
-        let from_threaded = normalize(&raw_roundtrip(&threaded.addr, &wire));
-        assert_eq!(
-            from_reactor, from_threaded,
-            "engines diverged on {method} {target}"
-        );
-    }
-
-    reactor.shutdown();
-    threaded.shutdown();
-}
-
 #[test]
 fn reactor_serves_pipelined_requests_in_order() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     let mut stream = TcpStream::connect(&server.addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
@@ -189,7 +120,7 @@ fn reactor_serves_pipelined_requests_in_order() {
 
 #[test]
 fn slowloris_connection_hits_idle_timeout() {
-    let mut cfg = config(Engine::Reactor);
+    let mut cfg = config();
     cfg.idle_timeout_ms = 250;
     let server = start(cfg).expect("server boots");
 
@@ -219,23 +150,20 @@ fn slowloris_connection_hits_idle_timeout() {
 
 #[test]
 fn oversized_request_line_gets_431() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     // More than MAX_HEAD_BYTES with no terminator: the parser must give
     // up with 431, not buffer forever.
     let raw = vec![b'A'; serve::http::MAX_HEAD_BYTES + 1024];
     let resp = raw_roundtrip(&server.addr, &raw);
-    assert_eq!(
-        status_of(&resp),
-        431,
-        "got: {}",
-        String::from_utf8_lossy(&resp)
-    );
+    let text = String::from_utf8_lossy(&resp);
+    assert_eq!(status_of(&resp), 431, "got: {text}");
+    assert!(text.contains("\"payload_too_large\""), "body: {text}");
     server.shutdown();
 }
 
 #[test]
 fn mid_body_disconnect_leaves_server_healthy() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+    let server = start(config()).expect("server boots");
     for _ in 0..4 {
         let mut stream = TcpStream::connect(&server.addr).expect("connect");
         stream
@@ -253,7 +181,7 @@ fn mid_body_disconnect_leaves_server_healthy() {
 
 #[test]
 fn connection_cap_overflow_sheds_503() {
-    let mut cfg = config(Engine::Reactor);
+    let mut cfg = config();
     cfg.max_conns = 2;
     let server = start(cfg).expect("server boots");
 
@@ -310,17 +238,62 @@ fn connection_cap_overflow_sheds_503() {
 }
 
 #[test]
-fn reactor_metrics_report_engine_and_gauges() {
-    let server = start(config(Engine::Reactor)).expect("server boots");
+fn reactor_metrics_report_gauges() {
+    let server = start(config()).expect("server boots");
     let health = raw_roundtrip(&server.addr, &close_request("GET", "/healthz", ""));
     assert_eq!(status_of(&health), 200);
     let doc = metrics_doc(&server.addr);
-    assert_eq!(
-        field(&doc, &["reactor", "engine"]),
-        Some(serde::Value::Str("reactor".to_string()))
-    );
     assert!(metric_u64(&doc, &["reactor", "accepted_total"]) >= 2);
     assert!(metric_u64(&doc, &["reactor", "epoll_wakeups_total"]) >= 1);
+    server.shutdown();
+}
+
+#[test]
+fn health_and_metrics_answer_while_every_worker_is_busy() {
+    let mut cfg = config();
+    cfg.workers = 1;
+    let server = start(cfg).expect("server boots");
+    // A sweep of many configurations holds the only pool worker (about
+    // a second in release builds) once its 202 is out.
+    let accepted = raw_roundtrip(
+        &server.addr,
+        &close_request(
+            "POST",
+            "/v2/sweep",
+            r#"{"kernel": "spmspv", "matrix": "R16", "sampled": 256}"#,
+        ),
+    );
+    assert_eq!(
+        status_of(&accepted),
+        202,
+        "got: {}",
+        String::from_utf8_lossy(&accepted)
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.state.pool.in_flight() == 0 {
+        assert!(Instant::now() < deadline, "the sweep never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for target in ["/healthz", "/metrics"] {
+        let asked = Instant::now();
+        let resp = raw_roundtrip(&server.addr, &close_request("GET", target, ""));
+        let took = asked.elapsed();
+        assert_eq!(status_of(&resp), 200, "{target}");
+        assert!(took < Duration::from_secs(1), "{target} took {took:?}");
+    }
+    assert_eq!(
+        server.state.pool.in_flight(),
+        1,
+        "the sweep must still hold the worker, or the test proved nothing"
+    );
+    // Let the sweep finish so the server shuts down with an idle pool.
+    while server.state.pool.in_flight() > 0 {
+        assert!(
+            Instant::now() < deadline + Duration::from_secs(120),
+            "sweep never finished"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     server.shutdown();
 }
 
@@ -328,8 +301,9 @@ fn reactor_metrics_report_engine_and_gauges() {
 // Graceful drain
 // ---------------------------------------------------------------------------
 
-fn drain_roundtrip(engine: Engine) {
-    let server = start(config(engine)).expect("server boots");
+#[test]
+fn drain_endpoint_stops_reactor_engine() {
+    let server = start(config()).expect("server boots");
     let addr = server.addr;
     let resp = raw_roundtrip(&addr, &close_request("POST", "/v2/admin/drain", ""));
     assert_eq!(
@@ -347,14 +321,4 @@ fn drain_roundtrip(engine: Engine) {
         TcpStream::connect(addr).is_err(),
         "drained server still accepting"
     );
-}
-
-#[test]
-fn drain_endpoint_stops_reactor_engine() {
-    drain_roundtrip(Engine::Reactor);
-}
-
-#[test]
-fn drain_endpoint_stops_threaded_engine() {
-    drain_roundtrip(Engine::Threaded);
 }

@@ -8,7 +8,7 @@
 //! processes and the boot cost is amortized across the control-plane
 //! shape checks, the reweight, and the full rolling restart.
 
-use std::io::{BufReader, Write as _};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,8 +41,7 @@ fn request(
     stream
         .write_all(format!("{head}{body}").as_bytes())
         .expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn get(addr: &SocketAddr, target: &str) -> Response {
@@ -173,7 +172,6 @@ fn elastic_cluster_end_to_end() {
             queue_cap: 64,
             cache_dir: Some(cache_dir.clone()),
             cache_mem_cap: None,
-            engine: serve::Engine::Reactor,
             epoch_cache: false,
             epoch_peer_fetch: false,
             epoch_fetch_budget_ms: 25,
@@ -191,7 +189,6 @@ fn elastic_cluster_end_to_end() {
         queue_cap: 64,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        engine: serve::Engine::Reactor,
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
@@ -206,7 +203,6 @@ fn elastic_cluster_end_to_end() {
         weights: vec![1.0, 1.0, 2.0],
         vnodes: 0,
         record: None,
-        engine: serve::Engine::Reactor,
         allow_admin: true,
     })
     .expect("router boots");
@@ -266,7 +262,6 @@ fn elastic_cluster_end_to_end() {
         weights: vec![1.0, 1.0, 2.0],
         vnodes: 0,
         record: None,
-        engine: serve::Engine::Reactor,
         allow_admin: false,
     })
     .expect("read-only router boots");
@@ -350,7 +345,7 @@ fn elastic_cluster_end_to_end() {
                 let outcome = TcpStream::connect(addr).and_then(|mut stream| {
                     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
                     write_request(&mut stream, "POST", "/v2/simulate", Some(body))?;
-                    read_response(&mut BufReader::new(&stream))
+                    read_response(&stream)
                 });
                 match outcome {
                     Ok(resp) if resp.status >= 500 => {

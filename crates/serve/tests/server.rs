@@ -4,7 +4,6 @@
 //! memo are process-wide, so concurrent test functions would race on
 //! cache counters and make the coalescing/caching assertions flaky.
 
-use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Barrier;
 
@@ -14,15 +13,13 @@ use serve::{start, ServeConfig};
 fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "POST", target, Some(body)).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn get(addr: &std::net::SocketAddr, target: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "GET", target, None).expect("write");
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader).expect("read")
+    read_response(&stream).expect("read")
 }
 
 fn body_str(resp: &Response) -> &str {
