@@ -67,6 +67,10 @@ struct ScenarioTiming {
     /// The sweep re-run with the epoch cache recording (trace cache
     /// cleared first): the one-time cost of warming the epoch tier.
     epoch_sweep_warm_s: f64,
+    /// The epoch tier's accounted footprint right after that recording
+    /// sweep: every epoch's exit snapshot, shared cache pages counted
+    /// once.
+    epoch_resident_mb: f64,
     /// Live-scheme evaluation (live SparseAdapt + greedy replay +
     /// ProfileAdapt replay), epoch cache disabled.
     live_cold_s: f64,
@@ -289,6 +293,7 @@ fn bench_scenario(
     epoch_cache.clear();
     TraceCache::global().clear();
     let (epoch_sweep_warm_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
+    let epoch_resident_mb = epoch_cache.stats().resident_bytes as f64 / (1u64 << 20) as f64;
     // Epoch-cache-warm resweep: the epoch tier is hot and the trace
     // cache is cleared before every pass, so every epoch replays from
     // the cache and must still match the cold sweep bit for bit.
@@ -328,6 +333,7 @@ fn bench_scenario(
         soa_speedup: legacy_aos_s / work_stealing_s,
         trace_bin_bytes,
         epoch_sweep_warm_s,
+        epoch_resident_mb,
         live_cold_s,
         live_warm_first_s,
         live_warm_s,
@@ -402,13 +408,14 @@ fn main() {
         let t = bench_scenario(mspec.id, spec, &wl, &configs, threads, reps);
         eprintln!(
             "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | \
-             warm resweep {:.3}s",
+             warm resweep {:.3}s | epoch tier {:.1} MiB",
             t.serial_s,
             t.work_stealing_s,
             t.legacy_aos_s,
             t.soa_speedup,
             t.cached_second_s,
-            t.epoch_resweep_s
+            t.epoch_resweep_s,
+            t.epoch_resident_mb
         );
         eprintln!(
             "#   live cold {:.3}s | warm-first {:.3}s | warm {:.3}s ({:.2}x, hit rate {:.3})",
@@ -445,7 +452,9 @@ fn main() {
          tests/epoch_cache_differential.rs"
             .into(),
         "epoch_sweep_warm_s is the one-time cost of the recording sweep (snapshotting machine \
-         state at every epoch boundary) relative to cached_first_s"
+         state at every epoch boundary) relative to cached_first_s; epoch_resident_mb is the \
+         epoch tier's accounted memory right after it (snapshots share unchanged cache pages, \
+         each counted once)"
             .into(),
         "fxhash_lookup_speedup: the trace/epoch cache maps moved from SipHash HashMap to the \
          vendored FxHashMap; keys are already uniformly distributed fingerprints, so SipHash's \

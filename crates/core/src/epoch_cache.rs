@@ -49,11 +49,12 @@
 //! keeping an independent witness for differential tests.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use fxhash::{FxHashMap, FxHashSet};
+use transmuter::cache::Page;
 use transmuter::config::{MachineSpec, TransmuterConfig};
 use transmuter::machine::{
     CachedEpoch, CachedSegment, EpochBoundary, EpochHook, EpochRecord, Machine, MachineState,
@@ -123,6 +124,11 @@ struct Entry {
     epoch: Arc<CachedEpoch>,
     /// Logical timestamp of the most recent lookup (LRU order).
     last_use: u64,
+    /// Bytes the entry owns outright: everything but the exit
+    /// snapshot's shared pages.
+    fixed: usize,
+    /// Bytes reachable from the entry, shared pages included; what the
+    /// remote quota charges.
     bytes: usize,
     /// Whether the entry arrived from a peer (remote fetch or warm
     /// push) rather than local simulation or disk. Remote entries are
@@ -131,19 +137,138 @@ struct Entry {
     remote: bool,
 }
 
-#[derive(Default)]
+impl Entry {
+    /// A not yet used entry; sizing it walks the snapshot's page tables,
+    /// so callers do it before taking the cache lock.
+    fn new(epoch: Arc<CachedEpoch>, remote: bool) -> Entry {
+        let fixed = std::mem::size_of::<CachedEpoch>() + epoch.exit.approx_fixed_bytes();
+        let bytes = std::mem::size_of::<CachedEpoch>() + epoch.exit.approx_heap_bytes();
+        Entry {
+            epoch,
+            last_use: 0,
+            fixed,
+            bytes,
+            remote,
+        }
+    }
+}
+
+/// Source of the caches' page-claim tokens ([`Page::hold`]): one per
+/// cache, never reused.
+static NEXT_TOKEN: AtomicU32 = AtomicU32::new(1);
+
+/// The memory tier. `resident` counts every entry's fixed bytes plus
+/// each shared page once, however many resident snapshots hold it:
+/// consecutive exit snapshots of one run share most of their pages.
+/// A page's references are counted on the page itself under this
+/// cache's claim token, or in `side` when another cache claimed it
+/// first.
 struct Inner {
     map: FxHashMap<EpochKey, Entry>,
+    token: u32,
+    /// References to resident pages that another cache has claimed,
+    /// keyed by page address (a resident entry keeps its pages alive,
+    /// so an address names one page while it is here). Almost always
+    /// empty: pages are shared across caches only when one machine
+    /// records into two.
+    side: FxHashMap<usize, u32>,
     clock: u64,
     resident: usize,
     remote_resident: usize,
     cap: Option<usize>,
 }
 
-/// Approximate heap footprint of one resident epoch, for the memory
-/// cap. Dominated by the exit snapshot (cache bank line arrays).
-fn epoch_bytes(e: &CachedEpoch) -> usize {
-    std::mem::size_of::<CachedEpoch>() + e.exit.approx_heap_bytes()
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner {
+            map: FxHashMap::default(),
+            token: NEXT_TOKEN.fetch_add(1, Ordering::Relaxed),
+            side: FxHashMap::default(),
+            clock: 0,
+            resident: 0,
+            remote_resident: 0,
+            cap: None,
+        }
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // Pages can outlive the cache; leave none claimed by it.
+        self.clear();
+    }
+}
+
+impl Inner {
+    /// Counts one more resident reference to `page`; `true` for the
+    /// first.
+    fn hold(&mut self, page: &Arc<Page>) -> bool {
+        let addr = Arc::as_ptr(page) as usize;
+        if let Some(n) = self.side.get_mut(&addr) {
+            *n += 1;
+            return false;
+        }
+        page.hold(self.token).unwrap_or_else(|| {
+            self.side.insert(addr, 1);
+            true
+        })
+    }
+
+    /// Drops one resident reference to `page`; `true` for the last.
+    fn release(&mut self, page: &Arc<Page>) -> bool {
+        let addr = Arc::as_ptr(page) as usize;
+        match self.side.get_mut(&addr) {
+            Some(1) => {
+                self.side.remove(&addr);
+                true
+            }
+            Some(n) => {
+                *n -= 1;
+                false
+            }
+            None => page.release(self.token),
+        }
+    }
+
+    fn insert(&mut self, key: EpochKey, entry: Entry) {
+        self.resident += entry.fixed;
+        for page in entry.epoch.exit.pages() {
+            if self.hold(page) {
+                self.resident += Page::HEAP_BYTES;
+            }
+        }
+        if entry.remote {
+            self.remote_resident += entry.bytes;
+        }
+        self.map.insert(key, entry);
+    }
+
+    fn remove(&mut self, key: &EpochKey) -> Option<Entry> {
+        let entry = self.map.remove(key)?;
+        self.resident -= entry.fixed;
+        for page in entry.epoch.exit.pages() {
+            if self.release(page) {
+                self.resident -= Page::HEAP_BYTES;
+            }
+        }
+        if entry.remote {
+            self.remote_resident -= entry.bytes;
+        }
+        Some(entry)
+    }
+
+    fn clear(&mut self) {
+        for entry in self.map.values() {
+            for page in entry.epoch.exit.pages() {
+                page.release_all(self.token);
+            }
+        }
+        self.map.clear();
+        self.side.clear();
+        self.resident = 0;
+        self.remote_resident = 0;
+        self.clock = 0;
+    }
 }
 
 /// How many recently-missed remote keys are remembered for negative-
@@ -458,12 +583,7 @@ impl EpochCache {
     /// tier, if any, is left untouched). The enabled flag, cap, and
     /// remote tier installation are kept.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("epoch cache lock");
-        inner.map.clear();
-        inner.resident = 0;
-        inner.remote_resident = 0;
-        inner.clock = 0;
-        drop(inner);
+        self.inner.lock().expect("epoch cache lock").clear();
         self.negative.lock().expect("epoch negative lock").clear();
         self.fetch_samples
             .lock()
@@ -796,36 +916,24 @@ impl EpochCache {
     /// the caps. Re-admitting a resident key only refreshes its LRU
     /// slot.
     fn admit(&self, key: EpochKey, epoch: Arc<CachedEpoch>, remote: bool) {
-        let bytes = epoch_bytes(&epoch);
         let quota = if remote {
             Some(self.remote_config().quota_bytes)
         } else {
             None
         };
+        let mut entry = Entry::new(epoch, remote);
         let mut inner = self.inner.lock().expect("epoch cache lock");
         inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                o.get_mut().last_use = clock;
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Entry {
-                    epoch,
-                    last_use: clock,
-                    bytes,
-                    remote,
-                });
-                inner.resident += bytes;
-                if remote {
-                    inner.remote_resident += bytes;
-                    if let Some(quota) = quota {
-                        self.enforce_remote_quota(&mut inner, quota);
-                    }
-                }
-                self.enforce_cap(&mut inner);
-            }
+        entry.last_use = inner.clock;
+        if let Some(resident) = inner.map.get_mut(&key) {
+            resident.last_use = entry.last_use;
+            return;
         }
+        inner.insert(key, entry);
+        if let Some(quota) = quota {
+            self.enforce_remote_quota(&mut inner, quota);
+        }
+        self.enforce_cap(&mut inner);
     }
 
     /// Evicts least-recently-used epochs until the resident set fits the
@@ -839,11 +947,7 @@ impl EpochCache {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| *k);
             let Some(key) = victim else { break };
-            if let Some(entry) = inner.map.remove(&key) {
-                inner.resident -= entry.bytes;
-                if entry.remote {
-                    inner.remote_resident -= entry.bytes;
-                }
+            if inner.remove(&key).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -861,9 +965,7 @@ impl EpochCache {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| *k);
             let Some(key) = victim else { break };
-            if let Some(entry) = inner.map.remove(&key) {
-                inner.resident -= entry.bytes;
-                inner.remote_resident -= entry.bytes;
+            if inner.remove(&key).is_some() {
                 self.remote_evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -931,8 +1033,8 @@ pub const EPOCH_MAGIC: [u8; 4] = *b"SAEP";
 /// framing ([`trace_bin`]), the snapshot wire format, or the header
 /// changes; unknown versions read as [`DecodeError::VersionSkew`],
 /// never as garbage. Version 2 added the payload checksum, version 3
-/// the key.
-pub const EPOCH_VERSION: u16 = 3;
+/// the key, version 4 keys on the page-folded state digest.
+pub const EPOCH_VERSION: u16 = 4;
 
 /// Why a `SAEP` byte string failed to decode. Every variant reads as a
 /// cache miss; the typed split exists so tests (and the push endpoint's
@@ -1009,8 +1111,9 @@ fn successor_key(key: &EpochKey, exit: &MachineState) -> EpochKey {
 pub const SEGMENT_MAGIC: [u8; 4] = *b"SAEG";
 /// Segment wire-format version. Bumped on any layout change; a peer on
 /// another version reads as [`DecodeError::VersionSkew`], i.e. a miss.
-/// Version 2 added the first epoch's key.
-pub const SEGMENT_VERSION: u16 = 2;
+/// Version 2 added the first epoch's key, version 3 carries page-folded
+/// state digests.
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// Serialises a run of consecutive cached epochs, the first stored
 /// under `first`, for the shard-to-shard wire: a 16-byte header like
@@ -1540,6 +1643,82 @@ mod tests {
         assert!(s.resident_bytes <= one + one / 2);
         let warm = run_hooked(&cache, spec, &wl, cfg);
         assert_eq!(warm, plain, "post-eviction re-simulation must be identical");
+    }
+
+    /// Fixed bytes plus each distinct page once, recounted from the
+    /// resident entries.
+    fn recount_resident(cache: &EpochCache) -> usize {
+        let inner = cache.inner.lock().expect("epoch cache lock");
+        let mut pages = FxHashSet::default();
+        let mut fixed = 0;
+        for entry in inner.map.values() {
+            fixed += std::mem::size_of::<CachedEpoch>() + entry.epoch.exit.approx_fixed_bytes();
+            pages.extend(entry.epoch.exit.pages().map(|p| Arc::as_ptr(p) as usize));
+        }
+        fixed + pages.len() * Page::HEAP_BYTES
+    }
+
+    #[test]
+    fn resident_bytes_count_each_shared_page_once() {
+        // A pool of epochs from three runs: consecutive exit snapshots
+        // of one run share pages.
+        let spec = MachineSpec::default().with_epoch_ops(20);
+        let source = EpochCache::new();
+        for tag in [13, 14, 15] {
+            run_hooked(
+                &source,
+                spec,
+                &tiny_workload(tag),
+                TransmuterConfig::baseline(),
+            );
+        }
+        let pool: Vec<(EpochKey, Arc<CachedEpoch>)> = {
+            let inner = source.inner.lock().expect("epoch cache lock");
+            inner
+                .map
+                .iter()
+                .map(|(k, e)| (*k, Arc::clone(&e.epoch)))
+                .collect()
+        };
+        let page_refs: usize = pool.iter().map(|(_, e)| e.exit.pages().count()).sum();
+        let reachable: usize = pool.iter().map(|(_, e)| e.exit.approx_heap_bytes()).sum();
+        assert!(pool.len() > 8, "need a pool of epochs");
+        assert!(
+            source.stats().resident_bytes + page_refs / 4 * Page::HEAP_BYTES < reachable,
+            "the pool's snapshots should share pages"
+        );
+
+        // Random inserts (local and remote), evictions under random caps
+        // and clears, on two caches holding the same pages: each counts
+        // every page once, whichever of them claimed it.
+        let caches = [EpochCache::new(), EpochCache::new()];
+        let mut caps = [None, None];
+        let mut shared_claims = 0;
+        let mut x = 5u64;
+        for step in 0..1200 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let c = (x >> 40) as usize & 1;
+            match x >> 59 {
+                0 => caches[c].clear(),
+                1..=3 => {
+                    caps[c] = (x & 3 != 0).then(|| (x >> 8) as usize % (reachable / 4));
+                    caches[c].set_memory_cap(caps[c]);
+                }
+                _ => {
+                    let (key, epoch) = &pool[(x >> 20) as usize % pool.len()];
+                    caches[c].admit(*key, Arc::clone(epoch), (x >> 12) & 1 == 1);
+                }
+            }
+            for (cache, cap) in caches.iter().zip(caps) {
+                let resident = cache.stats().resident_bytes;
+                assert_eq!(resident, recount_resident(cache), "step {step}");
+                assert!(cap.is_none_or(|cap| resident <= cap), "step {step}");
+                shared_claims += cache.inner.lock().expect("epoch cache lock").side.len();
+            }
+        }
+        assert!(shared_claims > 0, "pages claimed by the other cache");
     }
 
     #[test]

@@ -20,6 +20,17 @@ fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
     read_response(&stream).expect("read")
 }
 
+/// [`post`] that also appends the body to `sent`.
+fn post_logged(
+    sent: &mut Vec<String>,
+    addr: &std::net::SocketAddr,
+    target: &str,
+    body: &str,
+) -> Response {
+    sent.push(body.to_string());
+    post(addr, target, body)
+}
+
 fn get(addr: &std::net::SocketAddr, target: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "GET", target, None).expect("write");
@@ -113,11 +124,11 @@ fn cluster_end_to_end() {
     // Each workload routes to one owner shard; the repeat must be a
     // memory hit on that same shard (disjoint hot key ranges).
     let matrices = ["R01", "R02", "R03", "R04"];
-    let mut posts = 0u64;
+    // Body of every POST routed to a shard, in order.
+    let mut sent: Vec<String> = Vec::new();
     for m in &matrices {
         let body = sim_body(m);
-        let cold = post(&addr, "/v1/simulate", &body);
-        posts += 1;
+        let cold = post_logged(&mut sent, &addr, "/v1/simulate", &body);
         assert_eq!(cold.status, 200, "body: {}", body_str(&cold));
         assert!(
             !cached_flag(&parse(&cold)),
@@ -125,8 +136,7 @@ fn cluster_end_to_end() {
         );
     }
     for m in &matrices {
-        let warm = post(&addr, "/v1/simulate", &sim_body(m));
-        posts += 1;
+        let warm = post_logged(&mut sent, &addr, "/v1/simulate", &sim_body(m));
         assert_eq!(warm.status, 200);
         assert!(
             cached_flag(&parse(&warm)),
@@ -157,20 +167,19 @@ fn cluster_end_to_end() {
     );
 
     // -- v2 envelope through the router -------------------------------
-    let v2 = post(&addr, "/v2/simulate", &sim_body("R01"));
-    posts += 1;
+    let v2 = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body("R01"));
     assert_eq!(v2.status, 200);
     let v2_doc = parse(&v2);
     assert_eq!(field(&v2_doc, &["v"]), Some(serde::Value::UInt(2)));
     assert!(cached_flag(&v2_doc));
 
     // -- async sweep + job polling through the router -----------------
-    let sweep = post(
+    let sweep = post_logged(
+        &mut sent,
         &addr,
         "/v1/sweep",
         r#"{"kernel": "spmspv", "matrix": "R01", "sampled": 2}"#,
     );
-    posts += 1;
     assert_eq!(sweep.status, 202, "body: {}", body_str(&sweep));
     let job_id = as_u64(&field(&parse(&sweep), &["job_id"]).expect("job_id"));
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -214,8 +223,7 @@ fn cluster_end_to_end() {
         mtx: mtx_text.to_string(),
     })
     .expect("upload body serializes");
-    let up = post(&addr, "/v2/matrices", &upload_body);
-    posts += 1;
+    let up = post_logged(&mut sent, &addr, "/v2/matrices", &upload_body);
     assert_eq!(up.status, 200, "body: {}", body_str(&up));
     let up_doc = parse(&up);
     let mtx_id = match field(&up_doc, &["data", "matrix"]) {
@@ -235,8 +243,7 @@ fn cluster_end_to_end() {
         "the upload must spill into the shared cache tier"
     );
     // Identical body → same routing key → same shard → dedup.
-    let up2 = post(&addr, "/v2/matrices", &upload_body);
-    posts += 1;
+    let up2 = post_logged(&mut sent, &addr, "/v2/matrices", &upload_body);
     assert_eq!(up2.status, 200);
     assert_eq!(
         field(&parse(&up2), &["data", "deduplicated"]),
@@ -245,8 +252,7 @@ fn cluster_end_to_end() {
     );
     for kernel in ["spmv", "sptrsv", "symgs"] {
         let body = format!(r#"{{"kernel": "{kernel}", "matrix": "{mtx_id}"}}"#);
-        let cold = post(&addr, "/v2/simulate", &body);
-        posts += 1;
+        let cold = post_logged(&mut sent, &addr, "/v2/simulate", &body);
         assert_eq!(
             cold.status,
             200,
@@ -254,8 +260,7 @@ fn cluster_end_to_end() {
             body_str(&cold)
         );
         assert!(!cached_flag(&parse(&cold)), "first {kernel} run is cold");
-        let warm = post(&addr, "/v2/simulate", &body);
-        posts += 1;
+        let warm = post_logged(&mut sent, &addr, "/v2/simulate", &body);
         assert_eq!(warm.status, 200);
         assert!(
             cached_flag(&parse(&warm)),
@@ -265,14 +270,15 @@ fn cluster_end_to_end() {
 
     // -- failover: kill the owner of R01 mid-service ------------------
     let ring = Ring::new(3, serve::shard::DEFAULT_VNODES);
-    let victim = ring.assign(&routing_key(sim_body("R01").as_bytes()));
+    let owner = |body: &String| ring.assign(&routing_key(body.as_bytes()));
+    let victim = owner(&sim_body("R01"));
     shards[victim as usize].kill();
+    let pre_kill = sent.len();
 
     // The very next request for R01 hits the dead owner, fails
     // transport, and must fail over to the next ring node — which has
     // never simulated R01 but finds it in the shared disk tier.
-    let failed_over = post(&addr, "/v1/simulate", &sim_body("R01"));
-    posts += 1;
+    let failed_over = post_logged(&mut sent, &addr, "/v1/simulate", &sim_body("R01"));
     assert_eq!(
         failed_over.status,
         200,
@@ -284,8 +290,7 @@ fn cluster_end_to_end() {
         cached_flag(&parse(&failed_over)),
         "the failover shard must hit the shared disk tier, not re-simulate"
     );
-    let failed_over_v2 = post(&addr, "/v2/simulate", &sim_body("R01"));
-    posts += 1;
+    let failed_over_v2 = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body("R01"));
     assert_eq!(failed_over_v2.status, 200);
     assert_eq!(
         field(&parse(&failed_over_v2), &["rerouted"]),
@@ -296,8 +301,7 @@ fn cluster_end_to_end() {
     // -- burst with one shard down: no client-visible 5xx -------------
     for m in &matrices {
         for version in ["/v1/simulate", "/v2/simulate"] {
-            let resp = post(&addr, version, &sim_body(m));
-            posts += 1;
+            let resp = post_logged(&mut sent, &addr, version, &sim_body(m));
             assert!(
                 resp.status == 200,
                 "{version} {m} after shard kill: status {} body {}",
@@ -313,8 +317,18 @@ fn cluster_end_to_end() {
         field(&metrics, &["shard_count"]),
         Some(serde::Value::UInt(3))
     );
+    // The killed shard's counters died with it: the merge must cover
+    // what the surviving shards answered — every pre-kill POST the
+    // victim did not own, and every POST since (health probes and job
+    // polls only add to it).
+    let survivors_answered = sent[..pre_kill]
+        .iter()
+        .filter(|body| owner(body) != victim)
+        .count()
+        + (sent.len() - pre_kill);
     assert!(
-        as_u64(&field(&metrics, &["merged", "requests_total"]).expect("merged total")) >= posts,
+        as_u64(&field(&metrics, &["merged", "requests_total"]).expect("merged total"))
+            >= survivors_answered as u64,
         "merged metrics must aggregate shard counters"
     );
     assert!(as_u64(&field(&metrics, &["rerouted_total"]).expect("rerouted")) >= 2);
@@ -327,8 +341,8 @@ fn cluster_end_to_end() {
     // -- record + replay ----------------------------------------------
     let records = loadgen::load_replay(&record_path).expect("record log parses");
     assert_eq!(
-        records.len() as u64,
-        posts,
+        records.len(),
+        sent.len(),
         "every routed POST must be recorded"
     );
     assert!(records.iter().all(|r| r.method == "POST"));
@@ -339,7 +353,7 @@ fn cluster_end_to_end() {
         ..LoadgenConfig::default()
     })
     .expect("replay runs");
-    assert_eq!(replay_report.warm.requests, posts);
+    assert_eq!(replay_report.warm.requests, sent.len() as u64);
     assert_eq!(
         replay_report.warm.errors, 0,
         "replaying the recorded trace against the degraded cluster must not error"

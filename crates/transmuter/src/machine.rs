@@ -18,14 +18,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use crate::cache::CacheBank;
+use crate::cache::{BankPages, CacheBank, Page};
 use crate::config::{MachineSpec, MemKind, SharingMode, TransmuterConfig};
 use crate::counters::{RawEpochCounters, Telemetry};
 use crate::hbm::Hbm;
 use crate::metrics::Metrics;
 use crate::power::{EnergyTable, PowerModel};
-use crate::prefetch::{PrefetchBuf, StridePrefetcher};
+use crate::prefetch::{PrefetchBuf, PrefetcherState, StridePrefetcher};
 use crate::reconfig::{self, ReconfigCost};
 use crate::workload::{Op, OpStream, OpTag, Region, Workload};
 
@@ -235,6 +236,12 @@ pub trait EpochHook {
 /// the HBM channel regulators, per-epoch counter accumulation, GPE clocks
 /// and the run-loop position.
 ///
+/// Cache lines are held as tables of shared, immutable [`Page`]s:
+/// snapshots taken at consecutive hooked boundaries of one run share
+/// every page the epoch between them did not touch, and pages without a
+/// valid line are not stored at all. Only the valid prefetcher entries
+/// are kept. Equality, the digest and the byte form see content only.
+///
 /// Produced by [`Machine::snapshot`] (or internally at epoch boundaries
 /// for [`EpochHook`]s); consumed by [`Machine::restore`]. Snapshots
 /// serialise via [`MachineState::to_bytes`] for on-disk caching.
@@ -242,9 +249,9 @@ pub trait EpochHook {
 pub struct MachineState {
     cfg: TransmuterConfig,
     table: EnergyTable,
-    l1: Vec<CacheBank>,
-    l1_pf: Vec<StridePrefetcher>,
-    l2: Vec<CacheBank>,
+    l1: Vec<BankPages>,
+    l1_pf: Vec<PrefetcherState>,
+    l2: Vec<BankPages>,
     l1_busy_ps: Vec<u64>,
     l2_busy_ps: Vec<u64>,
     hbm: Hbm,
@@ -267,7 +274,9 @@ impl MachineState {
     /// A cheap, stable digest of the full snapshot. Equal states always
     /// digest equally; by construction of the hash the converse holds in
     /// practice (64-bit collision odds), which is what makes the digest
-    /// usable as the entry-state component of an epoch-cache key.
+    /// usable as the entry-state component of an epoch-cache key. Cache
+    /// lines enter through their pages' cached hashes, so the cost is one
+    /// word per page, not per line.
     pub fn digest(&self) -> u64 {
         self.view().digest()
     }
@@ -277,24 +286,25 @@ impl MachineState {
         &self.cfg
     }
 
-    /// Approximate heap footprint of the snapshot, for cache budget
-    /// accounting.
+    /// Approximate heap bytes reachable from the snapshot, shared pages
+    /// included: what this one snapshot would cost on its own.
     pub fn approx_heap_bytes(&self) -> usize {
+        self.approx_fixed_bytes() + self.pages().count() * Page::HEAP_BYTES
+    }
+
+    /// Approximate heap bytes the snapshot owns outright: everything but
+    /// its shared [`pages`](MachineState::pages) — the page tables,
+    /// prefetcher entries, HBM channels and per-unit vectors.
+    pub fn approx_fixed_bytes(&self) -> usize {
+        let banks = self.l1.iter().chain(&self.l2);
         std::mem::size_of::<MachineState>()
-            + self
-                .l1
-                .iter()
-                .map(CacheBank::approx_heap_bytes)
-                .sum::<usize>()
-            + self
-                .l2
-                .iter()
-                .map(CacheBank::approx_heap_bytes)
-                .sum::<usize>()
+            + (self.l1.len() + self.l2.len()) * std::mem::size_of::<BankPages>()
+            + banks.map(BankPages::table_bytes).sum::<usize>()
+            + self.l1_pf.len() * std::mem::size_of::<PrefetcherState>()
             + self
                 .l1_pf
                 .iter()
-                .map(StridePrefetcher::approx_heap_bytes)
+                .map(PrefetcherState::approx_heap_bytes)
                 .sum::<usize>()
             + self.hbm.approx_heap_bytes()
             + (self.l1_busy_ps.len()
@@ -306,7 +316,14 @@ impl MachineState {
             + self.loop_state.states.len()
     }
 
-    fn view(&self) -> StateView<'_> {
+    /// The shared cache pages the snapshot references. Snapshots of one
+    /// run share the pages their epochs left untouched, so a store of
+    /// many snapshots counts each page once, by `Arc` identity.
+    pub fn pages(&self) -> impl Iterator<Item = &Arc<Page>> {
+        self.l1.iter().chain(&self.l2).flat_map(BankPages::pages)
+    }
+
+    fn view(&self) -> StateView<'_, BankPages, PrefetcherState> {
         StateView {
             cfg: &self.cfg,
             table: &self.table,
@@ -393,17 +410,17 @@ impl MachineState {
         let n_l1 = r.len(STATE_MAX_UNITS)?;
         let mut l1 = Vec::with_capacity(n_l1);
         for _ in 0..n_l1 {
-            l1.push(CacheBank::decode_from(&mut r)?);
+            l1.push(BankPages::decode_from(&mut r)?);
         }
         let n_pf = r.len(STATE_MAX_UNITS)?;
         let mut l1_pf = Vec::with_capacity(n_pf);
         for _ in 0..n_pf {
-            l1_pf.push(StridePrefetcher::decode_from(&mut r)?);
+            l1_pf.push(PrefetcherState::decode_from(&mut r)?);
         }
         let n_l2 = r.len(STATE_MAX_UNITS)?;
         let mut l2 = Vec::with_capacity(n_l2);
         for _ in 0..n_l2 {
-            l2.push(CacheBank::decode_from(&mut r)?);
+            l2.push(BankPages::decode_from(&mut r)?);
         }
         let n = r.len(STATE_MAX_UNITS)?;
         let mut l1_busy_ps = Vec::with_capacity(n);
@@ -472,15 +489,22 @@ impl MachineState {
     }
 }
 
+/// A cache bank or prefetcher that folds into the state digest the same
+/// way in its live and its snapshot form.
+pub(crate) trait DigestInto {
+    fn digest_into(&self, h: &mut fxhash::FxHasher);
+}
+
 /// Borrowed view over the carried state of a machine (or a snapshot), so
 /// the digest is implemented once and computed in place — no cloning on
-/// the per-epoch lookup path.
-pub(crate) struct StateView<'a> {
+/// the per-epoch lookup path. `B` and `P` are the live or snapshot form
+/// of the cache banks and prefetchers.
+pub(crate) struct StateView<'a, B, P> {
     cfg: &'a TransmuterConfig,
     table: &'a EnergyTable,
-    l1: &'a [CacheBank],
-    l1_pf: &'a [StridePrefetcher],
-    l2: &'a [CacheBank],
+    l1: &'a [B],
+    l1_pf: &'a [P],
+    l2: &'a [B],
     l1_busy_ps: &'a [u64],
     l2_busy_ps: &'a [u64],
     hbm: &'a Hbm,
@@ -494,7 +518,7 @@ pub(crate) struct StateView<'a> {
     loop_state: &'a LoopState,
 }
 
-impl StateView<'_> {
+impl<B: DigestInto, P: DigestInto> StateView<'_, B, P> {
     pub(crate) fn digest(&self) -> u64 {
         use std::hash::Hasher as _;
         let mut h = fxhash::FxHasher::default();
@@ -743,6 +767,7 @@ impl Machine {
             // the memoization layer.
             if path == SimPath::Soa {
                 if let Some(h) = hook.as_deref_mut() {
+                    self.commit_pages(&ls);
                     let b = EpochBoundary {
                         index: records.len(),
                         config_fp: self.cfg.fingerprint(),
@@ -824,6 +849,7 @@ impl Machine {
                 }
             }
             if let (Some(h), Some(b)) = (hook.as_deref_mut(), entry) {
+                self.commit_pages(&ls);
                 h.record(
                     &b,
                     CachedEpoch {
@@ -853,6 +879,7 @@ impl Machine {
             let rec = self.harvest_epoch(records.len(), pending_reconfig);
             self.reset_epoch_accumulators();
             if let (Some(h), Some(b)) = (hook, entry) {
+                self.commit_pages(&ls);
                 h.record(
                     &b,
                     CachedEpoch {
@@ -1455,13 +1482,26 @@ impl Machine {
         self.epoch_start_ps = self.gpe_time_ps[0];
     }
 
-    pub(crate) fn view<'a>(&'a self, ls: &'a LoopState) -> StateView<'a> {
+    pub(crate) fn view<'a>(
+        &'a self,
+        ls: &'a LoopState,
+    ) -> StateView<'a, CacheBank, StridePrefetcher> {
+        self.view_with(ls, &self.l1, &self.l2)
+    }
+
+    /// [`Machine::view`] with the cache banks supplied by the caller.
+    fn view_with<'a, B>(
+        &'a self,
+        ls: &'a LoopState,
+        l1: &'a [B],
+        l2: &'a [B],
+    ) -> StateView<'a, B, StridePrefetcher> {
         StateView {
             cfg: &self.cfg,
             table: &self.table,
-            l1: &self.l1,
+            l1,
             l1_pf: &self.l1_pf,
-            l2: &self.l2,
+            l2,
             l1_busy_ps: &self.l1_busy_ps,
             l2_busy_ps: &self.l2_busy_ps,
             hbm: &self.hbm,
@@ -1476,6 +1516,38 @@ impl Machine {
         }
     }
 
+    /// Commits every cache bank's touched pages (hooked boundaries only),
+    /// so the next digest folds cached page hashes and the next snapshot
+    /// shares every untouched page. Debug builds check the commit
+    /// against a from-scratch copy of the live lines: a line mutation
+    /// that did not mark its page would leave a stale page behind.
+    fn commit_pages(&mut self, ls: &LoopState) {
+        for b in self.l1.iter_mut().chain(self.l2.iter_mut()) {
+            b.commit();
+        }
+        debug_assert_eq!(
+            self.view(ls).digest(),
+            self.digest_from_scratch(ls),
+            "a cache line changed without marking its page"
+        );
+    }
+
+    /// The state digest with every page copied and hashed from the live
+    /// lines, bypassing the committed page tables.
+    fn digest_from_scratch(&self, ls: &LoopState) -> u64 {
+        let l1: Vec<BankPages> = self
+            .l1
+            .iter()
+            .map(CacheBank::snapshot_from_scratch)
+            .collect();
+        let l2: Vec<BankPages> = self
+            .l2
+            .iter()
+            .map(CacheBank::snapshot_from_scratch)
+            .collect();
+        self.view_with(ls, &l1, &l2).digest()
+    }
+
     /// Captures everything the machine carries across epoch boundaries
     /// (see [`MachineState`]). Pairs with [`Machine::restore`].
     pub fn snapshot(&self) -> MachineState {
@@ -1486,9 +1558,9 @@ impl Machine {
         MachineState {
             cfg: self.cfg,
             table: self.table,
-            l1: self.l1.clone(),
-            l1_pf: self.l1_pf.clone(),
-            l2: self.l2.clone(),
+            l1: self.l1.iter().map(CacheBank::snapshot).collect(),
+            l1_pf: self.l1_pf.iter().map(StridePrefetcher::snapshot).collect(),
+            l2: self.l2.iter().map(CacheBank::snapshot).collect(),
             l1_busy_ps: self.l1_busy_ps.clone(),
             l2_busy_ps: self.l2_busy_ps.clone(),
             hbm: self.hbm.clone(),
@@ -1528,6 +1600,11 @@ impl Machine {
             "snapshot is from a different machine geometry"
         );
         assert_eq!(
+            self.l1_pf.len(),
+            state.l1_pf.len(),
+            "snapshot is from a different machine geometry"
+        );
+        assert_eq!(
             self.gpe_time_ps.len(),
             state.gpe_time_ps.len(),
             "snapshot is from a different machine geometry"
@@ -1535,9 +1612,15 @@ impl Machine {
         self.cfg = state.cfg;
         self.table = state.table;
         self.power = PowerModel::new(state.table, &self.spec, &state.cfg);
-        self.l1.clone_from(&state.l1);
-        self.l1_pf.clone_from(&state.l1_pf);
-        self.l2.clone_from(&state.l2);
+        for (bank, snap) in self.l1.iter_mut().zip(&state.l1) {
+            bank.restore(snap);
+        }
+        for (pf, snap) in self.l1_pf.iter_mut().zip(&state.l1_pf) {
+            pf.restore(snap);
+        }
+        for (bank, snap) in self.l2.iter_mut().zip(&state.l2) {
+            bank.restore(snap);
+        }
         self.l1_busy_ps.clone_from(&state.l1_busy_ps);
         self.l2_busy_ps.clone_from(&state.l2_busy_ps);
         self.hbm = state.hbm.clone();

@@ -6,6 +6,8 @@
 //! stride repeats (2-bit confidence), accesses at that site trigger
 //! `degree` line prefetches ahead of the stream.
 
+use crate::machine::DigestInto;
+
 /// One stride-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct StrideEntry {
@@ -172,26 +174,86 @@ impl StridePrefetcher {
         }
     }
 
-    /// Approximate heap footprint, for cache budget accounting.
-    pub(crate) fn approx_heap_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<StrideEntry>()
+    /// The prefetcher as a snapshot holds it: only the valid entries.
+    pub(crate) fn snapshot(&self) -> PrefetcherState {
+        PrefetcherState {
+            degree: self.degree,
+            line_bytes: self.line_bytes,
+            entries: valid_entries(&self.table),
+        }
     }
 
-    /// Folds the prefetcher's state into a digest. Only valid table
-    /// entries are hashed (with their slot index).
-    pub(crate) fn digest_into(&self, h: &mut fxhash::FxHasher) {
-        use std::hash::Hasher as _;
-        h.write_u8(self.degree);
-        h.write_u32(self.line_bytes);
-        for (i, e) in self.table.iter().enumerate() {
-            if e.valid {
-                h.write_u64(i as u64);
-                h.write_u32(e.pc);
-                h.write_u64(e.last_addr);
-                h.write_i64(e.stride);
-                h.write_u8(e.confidence);
-            }
+    /// Reinstates a snapshot's prefetcher.
+    pub(crate) fn restore(&mut self, state: &PrefetcherState) {
+        self.degree = state.degree;
+        self.line_bytes = state.line_bytes;
+        self.table.fill(StrideEntry::default());
+        for &(i, e) in state.entries.iter() {
+            self.table[i as usize] = e;
         }
+    }
+}
+
+impl DigestInto for StridePrefetcher {
+    fn digest_into(&self, h: &mut fxhash::FxHasher) {
+        let valid = self.table.iter().enumerate().filter(|(_, e)| e.valid);
+        fold_entries(h, self.degree, self.line_bytes, valid);
+    }
+}
+
+impl DigestInto for PrefetcherState {
+    fn digest_into(&self, h: &mut fxhash::FxHasher) {
+        fold_entries(h, self.degree, self.line_bytes, self.valid());
+    }
+}
+
+/// The valid entries of a stride table, each with its slot.
+fn valid_entries(table: &[StrideEntry]) -> Box<[(u8, StrideEntry)]> {
+    table
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.valid)
+        .map(|(i, e)| (i as u8, *e))
+        .collect()
+}
+
+/// The digest of one prefetcher: degree, line size, then each valid
+/// table entry with its slot index.
+fn fold_entries<'a>(
+    h: &mut fxhash::FxHasher,
+    degree: u8,
+    line_bytes: u32,
+    valid: impl Iterator<Item = (usize, &'a StrideEntry)>,
+) {
+    use std::hash::Hasher as _;
+    h.write_u8(degree);
+    h.write_u32(line_bytes);
+    for (i, e) in valid {
+        h.write_u64(i as u64);
+        h.write_u32(e.pc);
+        h.write_u64(e.last_addr);
+        h.write_i64(e.stride);
+        h.write_u8(e.confidence);
+    }
+}
+
+/// A prefetcher as a snapshot holds it: degree, line size and only the
+/// valid table entries, each with its slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PrefetcherState {
+    degree: u8,
+    line_bytes: u32,
+    entries: Box<[(u8, StrideEntry)]>,
+}
+
+impl PrefetcherState {
+    fn valid(&self) -> impl Iterator<Item = (usize, &StrideEntry)> {
+        self.entries.iter().map(|(i, e)| (*i as usize, e))
+    }
+
+    /// Approximate heap footprint, for cache budget accounting.
+    pub(crate) fn approx_heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.entries)
     }
 
     /// Serialises the prefetcher (degree, line size, valid entries) for
@@ -200,28 +262,25 @@ impl StridePrefetcher {
         use crate::codec::PutBytes as _;
         out.put_u8(self.degree);
         out.put_u32(self.line_bytes);
-        let valid = self.table.iter().filter(|e| e.valid).count();
-        out.put_u64(valid as u64);
-        for (i, e) in self.table.iter().enumerate() {
-            if e.valid {
-                out.put_u64(i as u64);
-                out.put_u32(e.pc);
-                out.put_u64(e.last_addr);
-                out.put_i64(e.stride);
-                out.put_u8(e.confidence);
-            }
+        out.put_u64(self.entries.len() as u64);
+        for (i, e) in self.valid() {
+            out.put_u64(i as u64);
+            out.put_u32(e.pc);
+            out.put_u64(e.last_addr);
+            out.put_i64(e.stride);
+            out.put_u8(e.confidence);
         }
     }
 
-    /// Inverse of [`StridePrefetcher::encode_into`]; `None` on malformed
+    /// Inverse of [`PrefetcherState::encode_into`]; `None` on malformed
     /// bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<StridePrefetcher> {
+    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<PrefetcherState> {
         let degree = r.u8()?;
         if degree as usize > PrefetchBuf::CAPACITY {
             return None;
         }
         let line_bytes = r.u32()?;
-        let mut p = StridePrefetcher::new(degree, line_bytes);
+        let mut table = [StrideEntry::default(); TABLE_SIZE];
         let valid = r.len(TABLE_SIZE)?;
         for _ in 0..valid {
             let i = r.u64()? as usize;
@@ -232,8 +291,7 @@ impl StridePrefetcher {
             if confidence > CONF_MAX {
                 return None;
             }
-            let slot = p.table.get_mut(i)?;
-            *slot = StrideEntry {
+            *table.get_mut(i)? = StrideEntry {
                 pc,
                 last_addr,
                 stride,
@@ -241,7 +299,11 @@ impl StridePrefetcher {
                 valid: true,
             };
         }
-        Some(p)
+        Some(PrefetcherState {
+            degree,
+            line_bytes,
+            entries: valid_entries(&table),
+        })
     }
 }
 
