@@ -130,8 +130,8 @@ struct Entry {
     /// Bytes reachable from the entry, shared pages included; what the
     /// remote quota charges.
     bytes: usize,
-    /// Whether the entry arrived from a peer (remote fetch or warm
-    /// push) rather than local simulation or disk. Remote entries are
+    /// Whether the entry arrived from a peer by remote fetch rather
+    /// than from local simulation or disk. Remote entries are
     /// accounted against [`RemoteConfig::quota_bytes`] and evicted
     /// among themselves first.
     remote: bool,
@@ -371,15 +371,6 @@ pub struct EpochCacheStats {
     pub remote_inflight_skipped: u64,
     /// Remote-sourced epochs evicted by the remote byte quota.
     pub remote_evictions: u64,
-    /// Warm-push entries sent to peers (recorded by the pusher via
-    /// [`EpochCache::note_push_sent`]).
-    pub push_sent: u64,
-    /// Bytes sent in warm pushes.
-    pub push_bytes_sent: u64,
-    /// Warm-push entries accepted from peers ([`EpochCache::import`]).
-    pub push_received: u64,
-    /// Bytes accepted in warm pushes.
-    pub push_bytes_received: u64,
     /// Distinct epochs currently held in memory.
     pub entries: usize,
     /// Accounted bytes of in-memory epochs.
@@ -442,10 +433,6 @@ pub struct EpochCache {
     remote_negative_suppressed: AtomicU64,
     remote_inflight_skipped: AtomicU64,
     remote_evictions: AtomicU64,
-    push_sent: AtomicU64,
-    push_bytes_sent: AtomicU64,
-    push_received: AtomicU64,
-    push_bytes_received: AtomicU64,
 }
 
 impl std::fmt::Debug for EpochCache {
@@ -566,10 +553,6 @@ impl EpochCache {
             remote_negative_suppressed: self.remote_negative_suppressed.load(Ordering::Relaxed),
             remote_inflight_skipped: self.remote_inflight_skipped.load(Ordering::Relaxed),
             remote_evictions: self.remote_evictions.load(Ordering::Relaxed),
-            push_sent: self.push_sent.load(Ordering::Relaxed),
-            push_bytes_sent: self.push_bytes_sent.load(Ordering::Relaxed),
-            push_received: self.push_received.load(Ordering::Relaxed),
-            push_bytes_received: self.push_bytes_received.load(Ordering::Relaxed),
             entries,
             resident_bytes: resident,
             remote_entries,
@@ -605,10 +588,6 @@ impl EpochCache {
             &self.remote_negative_suppressed,
             &self.remote_inflight_skipped,
             &self.remote_evictions,
-            &self.push_sent,
-            &self.push_bytes_sent,
-            &self.push_received,
-            &self.push_bytes_received,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -867,51 +846,6 @@ impl EpochCache {
         self.disk_load(key).map(Arc::new)
     }
 
-    /// Accepts one encoded epoch pushed by a peer (the receive side of
-    /// the post-sweep warm push). Decodes, verifies, and admits it as a
-    /// remote-sourced entry; also clears any negative-lookup record for
-    /// the key.
-    ///
-    /// # Errors
-    ///
-    /// The [`DecodeError`] for malformed or version-skewed bytes, or
-    /// for a blob stored under another key — nothing is admitted in
-    /// that case.
-    pub fn import(&self, key: &EpochKey, bytes: &[u8]) -> Result<(), DecodeError> {
-        let epoch = decode_epoch(bytes, key)?;
-        self.push_received.fetch_add(1, Ordering::Relaxed);
-        self.push_bytes_received
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.negative
-            .lock()
-            .expect("epoch negative lock")
-            .remove(key);
-        let epoch = Arc::new(epoch);
-        self.disk_store(key, &epoch);
-        self.admit(*key, epoch, true);
-        Ok(())
-    }
-
-    /// Records one warm-push send (counters only; the transport lives
-    /// in the serving layer).
-    pub fn note_push_sent(&self, bytes: usize) {
-        self.push_sent.fetch_add(1, Ordering::Relaxed);
-        self.push_bytes_sent
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// The `k` most-recently-used resident keys — the candidates a
-    /// post-sweep warm push ships to ring neighbors.
-    pub fn hottest(&self, k: usize) -> Vec<EpochKey> {
-        let inner = self.inner.lock().expect("epoch cache lock");
-        let mut keys: Vec<(u64, EpochKey)> =
-            inner.map.iter().map(|(k, e)| (e.last_use, *k)).collect();
-        drop(inner);
-        keys.sort_unstable_by_key(|k| std::cmp::Reverse(k.0));
-        keys.truncate(k);
-        keys.into_iter().map(|(_, key)| key).collect()
-    }
-
     /// Puts an epoch into the memory tier (no disk write) and trims to
     /// the caps. Re-admitting a resident key only refreshes its LRU
     /// slot.
@@ -1037,8 +971,8 @@ pub const EPOCH_MAGIC: [u8; 4] = *b"SAEP";
 pub const EPOCH_VERSION: u16 = 4;
 
 /// Why a `SAEP` byte string failed to decode. Every variant reads as a
-/// cache miss; the typed split exists so tests (and the push endpoint's
-/// 400s) can tell version skew from corruption.
+/// cache miss; the typed split exists so tests can tell version skew
+/// from corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The bytes do not start with [`EPOCH_MAGIC`].
@@ -1498,6 +1432,30 @@ mod tests {
         Machine::new(spec, cfg).run_with_hook(wl, &mut hook)
     }
 
+    /// The keys of a fixed-config run recorded in `cache`, in epoch
+    /// order: the chain from the machine's initial state, each key
+    /// entered in the state the epoch before it exited in.
+    fn recorded_keys(
+        cache: &EpochCache,
+        spec: MachineSpec,
+        wl: &Workload,
+        cfg: TransmuterConfig,
+    ) -> Vec<EpochKey> {
+        let mut key = EpochKey {
+            spec: spec.fingerprint(),
+            workload: wl.fingerprint(),
+            config: cfg.fingerprint(),
+            index: 0,
+            entry_digest: Machine::new(spec, cfg).snapshot().digest(),
+        };
+        let mut keys = Vec::new();
+        while let Some(epoch) = cache.peek(&key) {
+            keys.push(key);
+            key = successor_key(&key, &epoch.exit);
+        }
+        keys
+    }
+
     #[test]
     fn warm_rerun_hits_every_epoch_and_matches() {
         let cache = EpochCache::new();
@@ -1903,13 +1861,13 @@ mod tests {
     }
 
     #[test]
-    fn blobs_for_another_key_are_rejected_by_fetch_and_import() {
+    fn blobs_for_another_key_are_rejected_by_fetch() {
         let spec = MachineSpec::default().with_epoch_ops(120);
         let wl = tiny_workload(10);
         let cfg = TransmuterConfig::baseline();
         let source = EpochCache::new();
         run_hooked(&source, spec, &wl, cfg);
-        let keys = source.hottest(usize::MAX);
+        let keys = recorded_keys(&source, spec, &wl, cfg);
         assert!(keys.len() >= 2, "need two keys");
         let (a, b) = (keys[0], keys[1]);
         let blob_a = source.export(&a).expect("resident entry exports");
@@ -1938,10 +1896,6 @@ mod tests {
             let s = local.stats();
             assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
         }
-
-        assert_eq!(local.import(&b, &blob_a), Err(DecodeError::KeyMismatch));
-        assert_eq!(local.stats().entries, 0, "nothing admitted");
-        assert_eq!(local.import(&a, &blob_a), Ok(()));
     }
 
     #[test]
@@ -1953,7 +1907,7 @@ mod tests {
         let wl = tiny_workload(4);
         let cfg = TransmuterConfig::baseline();
         let first = run_hooked(&cache, spec, &wl, cfg);
-        let keys = cache.hottest(usize::MAX);
+        let keys = recorded_keys(&cache, spec, &wl, cfg);
         assert!(keys.len() >= 2, "need two keys");
         let (a, b) = (keys[0], keys[1]);
         std::fs::copy(dir.join(a.file_name()), dir.join(b.file_name())).expect("copy");
@@ -2038,41 +1992,39 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trips_and_quota_evicts_remote_entries() {
+    fn fetched_entries_round_trip_and_quota_evicts_remote_entries() {
         let spec = MachineSpec::default().with_epoch_ops(120);
         let wl = tiny_workload(9);
         let cfg = TransmuterConfig::baseline();
-        let source = EpochCache::new();
-        let run = run_hooked(&source, spec, &wl, cfg);
-        let keys = source.hottest(usize::MAX);
+        let peer = Arc::new(EpochCache::new());
+        let run = run_hooked(&peer, spec, &wl, cfg);
+        let keys = recorded_keys(&peer, spec, &wl, cfg);
         assert_eq!(keys.len(), run.epochs.len());
-        let sink = EpochCache::new();
-        // Quota of about one epoch: pushes land but older remote
-        // entries are evicted to stay under it.
-        let one = source.stats().resident_bytes / run.epochs.len();
-        sink.set_remote_config(RemoteConfig {
+        let local = EpochCache::new();
+        local.set_remote(Some(Arc::new(CacheBacked(Arc::clone(&peer)))));
+        // Quota of about one and a half epochs: fetches land but older
+        // remote entries are evicted to stay under it.
+        let one = peer.stats().resident_bytes / run.epochs.len();
+        local.set_remote_config(RemoteConfig {
             quota_bytes: one + one / 2,
             ..RemoteConfig::default()
         });
-        for key in &keys {
-            let bytes = source.export(key).expect("resident entry exports");
-            assert!(decode_epoch(&bytes, key).is_ok());
-            sink.import(key, &bytes).expect("import valid bytes");
-        }
-        let s = sink.stats();
-        assert_eq!(s.push_received as usize, keys.len());
-        assert!(s.push_bytes_received > 0);
+        assert_eq!(run_hooked(&local, spec, &wl, cfg), run);
+        let s = local.stats();
+        assert_eq!(s.remote_hits as usize, keys.len());
+        assert_eq!(s.inserts, 0, "every epoch came from the peer");
         assert!(s.remote_evictions > 0, "quota should have evicted");
         assert!(s.remote_resident_bytes <= one + one / 2);
         assert_eq!(s.remote_entries, s.entries, "all entries remote-sourced");
-        // Importing garbage is a typed error and admits nothing.
-        assert_eq!(sink.import(&keys[0], b"SA"), Err(DecodeError::Truncated));
-        assert!(matches!(
-            sink.import(&keys[0], b"SAEPgarbage"),
-            Err(DecodeError::VersionSkew { .. })
-        ));
-        // A replayed run over the surviving entries is still identical.
-        let replay = run_hooked(&sink, spec, &wl, cfg);
-        assert_eq!(replay, run);
+        // Garbage from a peer is a miss and admits nothing.
+        for garbage in [&b"SA"[..], b"SAEPgarbage"] {
+            let asking = EpochCache::new();
+            asking.set_remote(Some(Arc::new(Misaddressed(garbage.to_vec()))));
+            assert!(asking.lookup(&keys[0]).is_none());
+            let s = asking.stats();
+            assert_eq!((s.remote_misses, s.entries), (1, 0));
+        }
+        // A rerun over the surviving entries is still identical.
+        assert_eq!(run_hooked(&local, spec, &wl, cfg), run);
     }
 }

@@ -1,51 +1,50 @@
 //! The `loadgen` load-testing client.
 //!
 //! ```text
-//! Usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--concurrency N]
-//!                [--rps TARGET] [--out FILE] [--guard FILE] [--guard-factor F]
-//!                [--replay FILE]
-//!                [--open-loop [--connections N] [--open-rps R]
-//!                 [--open-duration SECONDS] [--quick]]
+//! Usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--connections N]
+//!                [--rps R | --replay FILE]
+//!                [--out FILE] [--guard FILE] [--guard-factor F]
 //!        loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS]
 //!                [--out FILE]
 //! ```
 //!
-//! Runs a cold pass (every unique request once, empty-cache latencies)
-//! then a warm phase (concurrent closed-loop or rate-paced traffic),
-//! prints the report, and optionally writes it to `--out`
-//! (`BENCH_serve.json`). With `--replay FILE` the fixed mix is replaced
-//! by a recorded JSONL trace (as written by `serve --router --record`):
-//! each request fires at its recorded timestamp offset. Exits non-zero
-//! when any response falls outside {2xx, 429-class rejections} or when
-//! `--guard` detects a warm-p99 regression.
+//! Every measured request goes through one epoll engine and is timed
+//! from its due time. By default the run is a cold pass (the mix once
+//! on one connection) then a closed loop: `--connections` keep-alive
+//! sockets, each re-armed the moment its response lands, for
+//! `--duration` seconds. `--rps R` replaces the closed loop with an
+//! open loop: Poisson arrivals at `R` per second over the connections,
+//! which do not slow down when the server does. `--replay FILE`
+//! replaces both with a recorded JSONL trace (as written by `serve
+//! --router --record`), each request due at its recorded offset,
+//! round-robin over the connections.
 //!
-//! `--open-loop` appends a third phase after cold/warm: `--connections`
-//! keep-alive sockets multiplexed on one epoll loop, issuing at a
-//! Poisson-paced `--open-rps` regardless of completions (the
-//! coordinated-omission-resistant mode — latency is measured from each
-//! request's *scheduled* time). Any open-loop error or server-initiated
-//! disconnect also fails the run.
+//! The report is printed and, with `--out`, merged into that file
+//! under the run's kind: `closed_loop`, `open_loop` or `replay`.
+//! `--guard FILE` compares the run's p99 with the block of the same
+//! kind in `FILE`. The run exits non-zero on any response outside
+//! {2xx, backpressure}, any server-initiated disconnect, or a guard
+//! breach.
 //!
 //! `--epoch-ab` is a self-contained mode: it spawns two fresh two-shard
 //! clusters from `--serve-exe` (default: the `serve` binary next to
 //! this one) — remote epoch tier on, then off — warms shard A, measures
 //! the same simulate mix live on shard B, and merges the comparison
-//! into `--out` (`BENCH_serve.json`) as the `cluster_epoch_tier` block.
-//! It fails when the arms' simulation payloads differ or the tier-on
-//! arm saw no remote hits.
+//! into `--out` as the `cluster_epoch_tier` block. It fails when the
+//! arms' simulation payloads differ, the tier-on arm saw no remote
+//! hits, or any pass saw an error.
 
 use std::path::PathBuf;
 
+use serde::Serialize;
 use serve::loadgen::{
-    check_guard, merge_epoch_ab, run, run_epoch_ab, EpochAbConfig, LoadgenConfig,
+    check_guard, merge_report, run, run_epoch_ab, EpochAbConfig, LoadgenConfig, PhaseStats,
 };
 
 fn usage_and_exit(code: i32) -> ! {
     eprintln!(
-        "usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--concurrency N] \
-         [--rps TARGET] [--out FILE] [--guard FILE] [--guard-factor F] [--replay FILE] \
-         [--open-loop [--connections N] [--open-rps R] [--open-duration SECONDS] \
-         [--quick]] | \
+        "usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--connections N] \
+         [--rps R | --replay FILE] [--out FILE] [--guard FILE] [--guard-factor F] | \
          loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS] [--out FILE]"
     );
     std::process::exit(code);
@@ -85,18 +84,18 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
                         usage_and_exit(2)
                     })
             }
-            "--concurrency" => {
-                config.concurrency = need(&mut args, "--concurrency")
+            "--connections" => {
+                config.connections = need(&mut args, "--connections")
                     .parse()
                     .ok()
                     .filter(|&n: &usize| n > 0)
                     .unwrap_or_else(|| {
-                        eprintln!("--concurrency needs a positive integer");
+                        eprintln!("--connections needs a positive integer");
                         usage_and_exit(2)
                     })
             }
             "--rps" => {
-                config.target_rps = Some(
+                config.rps = Some(
                     need(&mut args, "--rps")
                         .parse()
                         .ok()
@@ -120,38 +119,6 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
                         usage_and_exit(2)
                     })
             }
-            "--open-loop" => config.open_loop = true,
-            "--connections" => {
-                config.connections = need(&mut args, "--connections")
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--connections needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
-            "--open-rps" => {
-                config.open_rps = need(&mut args, "--open-rps")
-                    .parse()
-                    .ok()
-                    .filter(|&r: &f64| r > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--open-rps needs a positive rate");
-                        usage_and_exit(2)
-                    })
-            }
-            "--open-duration" => {
-                config.open_duration_s = need(&mut args, "--open-duration")
-                    .parse()
-                    .ok()
-                    .filter(|&s: &f64| s > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--open-duration needs a positive number of seconds");
-                        usage_and_exit(2)
-                    })
-            }
-            "--quick" => config.quick = true,
             "--epoch-ab" => epoch_ab.enabled = true,
             "--serve-exe" => {
                 epoch_ab.serve_exe = Some(PathBuf::from(need(&mut args, "--serve-exe")))
@@ -173,12 +140,42 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
             }
         }
     }
+    if config.rps.is_some() && config.replay.is_some() {
+        eprintln!("--rps and --replay are two different schedules; pass one");
+        usage_and_exit(2)
+    }
     (config, epoch_ab)
+}
+
+/// Prints `report` and merges it into `--out` under `key`; exits 1 when
+/// the file cannot be written.
+fn publish(config: &LoadgenConfig, key: &str, report: &impl Serialize) {
+    let json = serde_json::to_string_pretty(report).expect("report serializes");
+    println!("{json}");
+    if let Some(path) = &config.out {
+        if let Err(e) = merge_report(path, key, report.to_value()) {
+            eprintln!("loadgen: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Reports a phase's request errors and server-initiated disconnects;
+/// true when there were any.
+fn phase_failed(name: &str, phase: &PhaseStats) -> bool {
+    let failed = phase.errors > 0 || phase.disconnects > 0;
+    if failed {
+        eprintln!(
+            "loadgen: {name}: {} errors, {} disconnects",
+            phase.errors, phase.disconnects
+        );
+    }
+    failed
 }
 
 /// Runs the self-contained epoch-tier A/B and exits. Failure modes:
 /// differing payloads across arms, no remote hits with the tier on, or
-/// request errors in any measured phase.
+/// request errors in any pass.
 fn run_epoch_ab_mode(config: &LoadgenConfig, cli: &EpochAbCli) -> ! {
     let serve_exe = cli.serve_exe.clone().unwrap_or_else(|| {
         std::env::current_exe()
@@ -206,14 +203,7 @@ fn run_epoch_ab_mode(config: &LoadgenConfig, cli: &EpochAbCli) -> ! {
             std::process::exit(1);
         }
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{json}");
-    if let Some(path) = &config.out {
-        if let Err(e) = merge_epoch_ab(path, &report) {
-            eprintln!("loadgen: epoch-ab: {e}");
-            std::process::exit(1);
-        }
-    }
+    publish(config, "cluster_epoch_tier", &report);
     eprintln!(
         "# epoch tier on: live B mean {:.2} ms (remote hit ratio {:.3}, fetch p50 {:.2} ms, \
          p95 {:.2} ms); off: {:.2} ms; speedup {:.2}x; payloads identical: {}",
@@ -235,11 +225,8 @@ fn run_epoch_ab_mode(config: &LoadgenConfig, cli: &EpochAbCli) -> ! {
         failed = true;
     }
     for (name, arm) in [("on", &report.tier_on), ("off", &report.tier_off)] {
-        let errors = arm.warm_a.errors + arm.live_b.errors;
-        if errors > 0 {
-            eprintln!("loadgen: epoch-ab: tier-{name} arm saw {errors} request errors");
-            failed = true;
-        }
+        failed |= phase_failed(&format!("epoch-ab tier-{name} warm A"), &arm.warm_a);
+        failed |= phase_failed(&format!("epoch-ab tier-{name} live B"), &arm.live_b);
     }
     std::process::exit(i32::from(failed))
 }
@@ -249,6 +236,7 @@ fn main() {
     if epoch_ab.enabled {
         run_epoch_ab_mode(&config, &epoch_ab);
     }
+    let key = config.key();
     let report = match run(&config) {
         Ok(report) => report,
         Err(e) => {
@@ -256,24 +244,34 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    println!("{json}");
-    if let Some(path) = &config.out {
-        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("loadgen: writing {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    publish(&config, key, &report);
+    let warm = &report.warm;
     eprintln!(
-        "# cold {:.1} req/s (p99 {:.1} ms) -> warm {:.1} req/s (p99 {:.2} ms), {:.1}x; \
-         server hit ratio {:.3}",
-        report.cold.rps,
-        report.cold.p99_ms,
-        report.warm.rps,
-        report.warm.p99_ms,
-        report.warm_over_cold_rps,
+        "# {key}: {} conns (ramp {:.1}s), {} sent -> {:.1} req/s ({} ok / {} rejected / \
+         {} errors / {} disconnects), p50 {:.2} ms, p99 {:.2} ms, {} stalled (max {} on one \
+         conn); server hit ratio {:.3}",
+        report.connections,
+        warm.connect_s,
+        warm.requests,
+        warm.rps,
+        warm.ok,
+        warm.rejected,
+        warm.errors,
+        warm.disconnects,
+        warm.p50_ms,
+        warm.p99_ms,
+        warm.stalled,
+        warm.max_conn_stalls,
         report.server_hit_ratio,
     );
+    let mut failed = phase_failed(key, warm);
+    if let Some(cold) = &report.cold {
+        eprintln!(
+            "# cold {:.1} req/s (p99 {:.1} ms); warm/cold {:.1}x",
+            cold.rps, cold.p99_ms, report.warm_over_cold_rps,
+        );
+        failed |= phase_failed("cold pass", cold);
+    }
     if report.cold_cache_hits > 0 {
         eprintln!(
             "# warning: {} cold-pass responses were already cached — start a fresh daemon \
@@ -281,41 +279,8 @@ fn main() {
             report.cold_cache_hits
         );
     }
-    let mut failed = false;
-    if report.cold.errors + report.warm.errors > 0 {
-        eprintln!(
-            "loadgen: {} responses outside {{2xx, 429}}",
-            report.cold.errors + report.warm.errors
-        );
-        failed = true;
-    }
-    if let Some(open) = &report.open_loop {
-        eprintln!(
-            "# open loop: {} conns (ramp {:.1}s), offered {:.1} rps -> achieved {:.1} rps \
-             ({} ok / {} rejected / {} errors / {} disconnects), p99 {:.2} ms, \
-             {} stalled issues (max {} on one conn)",
-            open.connections,
-            open.connect_s,
-            open.offered_rps,
-            open.achieved_rps,
-            open.ok,
-            open.rejected,
-            open.errors,
-            open.disconnects,
-            open.p99_ms,
-            open.stalled_issues,
-            open.max_conn_stalls,
-        );
-        if open.errors > 0 || open.disconnects > 0 {
-            eprintln!(
-                "loadgen: open loop saw {} errors and {} disconnects",
-                open.errors, open.disconnects
-            );
-            failed = true;
-        }
-    }
     if let Some(guard) = &config.guard {
-        if let Err(e) = check_guard(&report, guard, config.guard_factor) {
+        if let Err(e) = check_guard(&report, key, guard, config.guard_factor) {
             eprintln!("loadgen: guard: {e}");
             failed = true;
         }

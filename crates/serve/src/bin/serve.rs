@@ -6,7 +6,6 @@
 //!              [--cache-dir DIR] [--cache-mem-cap BYTES]
 //!              [--epoch-cache] [--epoch-cache-dir DIR]
 //!              [--epoch-peer-fetch] [--epoch-fetch-budget-ms MS]
-//!              [--epoch-warm-push K]
 //!              [--addr-file PATH]
 //!              [--router --shards N [--shard-weights W,..] [--vnodes N]
 //!               [--allow-admin] [--record FILE]]
@@ -27,8 +26,7 @@
 //! *not* shared across router-spawned shards). `--epoch-peer-fetch`
 //! lets a shard fetch missing epochs from cluster peers (discovered
 //! from the pushed topology) with a hard `--epoch-fetch-budget-ms`
-//! wall-clock budget per lookup; `--epoch-warm-push K` pushes the K
-//! hottest epochs to ring neighbors after each completed sweep.
+//! wall-clock budget per lookup.
 //!
 //! The process drains cleanly on SIGINT/SIGTERM or `POST
 //! /v2/admin/drain`: it stops accepting, finishes in-flight work, and
@@ -46,7 +44,7 @@ fn usage_and_exit(code: i32) -> ! {
          [--max-conns N] [--idle-timeout-ms MS] \
          [--cache-dir DIR] [--cache-mem-cap BYTES] \
          [--epoch-cache] [--epoch-cache-dir DIR] [--epoch-peer-fetch] \
-         [--epoch-fetch-budget-ms MS] [--epoch-warm-push K] \
+         [--epoch-fetch-budget-ms MS] \
          [--addr-file PATH] [--router --shards N [--shard-weights W,..] \
          [--vnodes N] [--allow-admin] [--record FILE]]"
     );
@@ -130,14 +128,6 @@ fn parse_cli() -> Cli {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| {
                         eprintln!("--epoch-fetch-budget-ms needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
-            "--epoch-warm-push" => {
-                cli.config.epoch_warm_push = need(&mut args, "--epoch-warm-push")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("--epoch-warm-push needs an integer");
                         usage_and_exit(2)
                     })
             }
@@ -260,7 +250,6 @@ fn run_router(cli: Cli) {
         epoch_cache: cli.config.epoch_cache,
         epoch_peer_fetch: cli.config.epoch_peer_fetch,
         epoch_fetch_budget_ms: cli.config.epoch_fetch_budget_ms,
-        epoch_warm_push: cli.config.epoch_warm_push,
         run_dir,
     }) {
         Ok(shards) => shards,

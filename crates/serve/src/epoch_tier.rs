@@ -1,18 +1,16 @@
-//! The cluster tier of the epoch cache: shard-to-shard fetch-on-miss
-//! and post-sweep warm pushes.
+//! The cluster tier of the epoch cache: shard-to-shard fetch-on-miss.
 //!
 //! Peers are discovered from the versioned topology the router pushes
 //! (`POST /v2/admin/topology`, PR 9) — a shard with no pushed topology
 //! simply has no peers and the tier is inert. [`PeerFetcher`] is the
-//! [`RemoteFetcher`] the daemon installs into the global
-//! [`EpochCache`] when `--epoch-peer-fetch` is on: on a local
-//! (memory + `SAEP` disk) miss it asks healthy, active peers for the
-//! key over `GET /v2/cache/epoch/{token}` under a hard latency budget,
-//! and gives up — letting the hot path simulate — the moment the
-//! budget runs out. A `?chain=N` query asks the peer to follow the
-//! content-addressed digest chain and return up to `N` consecutive
-//! epochs in one response, collapsing a round trip per epoch into one
-//! per run.
+//! [`RemoteFetcher`] the daemon installs into the global epoch cache
+//! when `--epoch-peer-fetch` is on: on a local (memory + `SAEP` disk)
+//! miss it asks healthy, active peers for the key over
+//! `GET /v2/cache/epoch/{token}` under a hard latency budget, and gives
+//! up — letting the hot path simulate — the moment the budget runs out.
+//! A `?chain=N` query asks the peer to follow the content-addressed
+//! digest chain and return up to `N` consecutive epochs in one
+//! response, collapsing a round trip per epoch into one per run.
 //!
 //! Budget semantics: the budget is a wall-clock deadline for the whole
 //! fetch attempt. Each socket operation (connect, write, read) gets the
@@ -37,9 +35,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sparseadapt::epoch_cache::{EpochCache, EpochKey, RemoteFetcher};
+use sparseadapt::epoch_cache::{EpochKey, RemoteFetcher};
 
-use crate::http::{read_response, write_request, write_request_bytes};
+use crate::http::{read_response, write_request};
 use crate::server::AppState;
 
 /// Path prefix of the shard-to-shard cache protocol.
@@ -127,57 +125,4 @@ fn fetch_one(
     write_request(&mut stream, "GET", target, None).ok()?;
     let resp = read_response(&stream).ok()?;
     (resp.status == 200).then_some(resp.body)
-}
-
-/// Post-sweep warm push: ships the `k` hottest resident epochs to up to
-/// two ring neighbors (the peers adjacent to this shard in the pushed
-/// topology's shard order), via `PUT /v2/cache/epoch/{token}`.
-/// Best-effort and fully asynchronous to the sweep response — a dead
-/// neighbor just drops its copies. Returns how many entries were
-/// accepted by peers.
-pub fn warm_push(state: &AppState, self_addr: SocketAddr, k: usize) -> usize {
-    let cache = EpochCache::global();
-    let peers = peers_of(state, self_addr);
-    if peers.is_empty() || k == 0 {
-        return 0;
-    }
-    // "Ring neighbors": the two peers that follow this shard's position
-    // in the topology's shard order (peers_of preserves document order,
-    // which is id order on the router side).
-    let neighbors: Vec<SocketAddr> = peers.iter().copied().take(2).collect();
-    let mut accepted = 0;
-    for key in cache.hottest(k) {
-        let Some(bytes) = cache.export(&key) else {
-            continue;
-        };
-        let target = format!("{EPOCH_PATH}{}", key.token());
-        for &addr in &neighbors {
-            if push_one(addr, &target, &bytes) {
-                cache.note_push_sent(bytes.len());
-                accepted += 1;
-            }
-        }
-    }
-    accepted
-}
-
-/// Generous per-operation timeout for warm pushes: they run off the
-/// hot path (post-sweep, on a detached thread), so reliability beats
-/// latency here.
-const PUSH_TIMEOUT: Duration = Duration::from_millis(2_000);
-
-fn push_one(addr: SocketAddr, target: &str, bytes: &[u8]) -> bool {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, PUSH_TIMEOUT) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(PUSH_TIMEOUT)).is_err()
-        || stream.set_write_timeout(Some(PUSH_TIMEOUT)).is_err()
-    {
-        return false;
-    }
-    let _ = stream.set_nodelay(true);
-    if write_request_bytes(&mut stream, "PUT", target, bytes).is_err() {
-        return false;
-    }
-    matches!(read_response(&stream), Ok(resp) if resp.status == 200)
 }

@@ -177,25 +177,6 @@ pub fn epoch_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
     });
 }
 
-/// `PUT /v2/cache/epoch/{token}`: the receive side of the post-sweep
-/// warm push. The body is decoded and fully validated (its key
-/// included) before admission; malformed, corrupt, version-skewed or
-/// misaddressed pushes are rejected with the typed decode error and
-/// admit nothing. Runs on the pool: decoding walks whole machine
-/// states, and admission may write the disk tier.
-pub fn epoch_put(_state: &Arc<AppState>, req: Request, reply: Reply) {
-    let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
-        return reply.send(Response::error(400, "malformed epoch cache key"));
-    };
-    if !EpochCache::global().is_enabled() {
-        return reply.send(Response::error(409, "epoch cache disabled on this shard"));
-    }
-    reply.send(match EpochCache::global().import(&key, &req.body) {
-        Ok(()) => Response::json(200, "{\"accepted\": true}"),
-        Err(e) => Response::error(400, &format!("epoch push rejected: {e}")),
-    });
-}
-
 /// The key token of a `/v2/cache/epoch/{token}` path.
 fn epoch_token(req: &Request) -> &str {
     req.path
@@ -392,20 +373,10 @@ pub fn sweep(state: &Arc<AppState>, req: Request, reply: Reply) {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_sweep(state, &resolved, sampled, seed)
     }));
-    let succeeded = matches!(out, Ok(Ok(_)));
     match out {
         Ok(Ok(json)) => state.jobs.finish(id, json),
         Ok(Err(msg)) => state.jobs.fail(id, msg),
         Err(_) => state.jobs.fail(id, "sweep panicked".to_string()),
-    }
-    // Optional warm push: the sweep just minted the hottest epoch
-    // entries in the fleet; ship the top of the LRU to ring neighbors
-    // on a detached thread so this pool worker never waits on peers.
-    if succeeded && state.epoch_warm_push > 0 && EpochCache::global().is_enabled() {
-        let st = Arc::clone(state);
-        std::thread::spawn(move || {
-            crate::epoch_tier::warm_push(&st, st.self_addr, st.epoch_warm_push);
-        });
     }
 }
 

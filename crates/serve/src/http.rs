@@ -152,6 +152,27 @@ pub fn response_bytes(response: &Response, keep_alive: bool) -> Vec<u8> {
     wire
 }
 
+/// Client side: a request's exact wire bytes, with an optional JSON
+/// body. Head and body share one buffer for the same delayed-ACK reason
+/// as [`response_bytes`]; the load generator sends these bytes as they
+/// are, so its requests and [`write_request`]'s cannot drift apart.
+pub fn request_bytes(method: &str, target: &str, body: Option<&str>) -> Vec<u8> {
+    let body = body.unwrap_or("");
+    let head = format!(
+        "{method} {target} HTTP/1.1\r\nhost: sparseadapt-serve\r\ncontent-length: {}\r\n{}\r\n",
+        body.len(),
+        if body.is_empty() {
+            ""
+        } else {
+            "content-type: application/json\r\n"
+        },
+    );
+    let mut wire = Vec::with_capacity(head.len() + body.len());
+    wire.extend_from_slice(head.as_bytes());
+    wire.extend_from_slice(body.as_bytes());
+    wire
+}
+
 /// Client side: writes a request with an optional JSON body.
 ///
 /// # Errors
@@ -163,45 +184,7 @@ pub fn write_request(
     target: &str,
     body: Option<&str>,
 ) -> io::Result<()> {
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {target} HTTP/1.1\r\nhost: sparseadapt-serve\r\ncontent-length: {}\r\n{}\r\n",
-        body.len(),
-        if body.is_empty() {
-            ""
-        } else {
-            "content-type: application/json\r\n"
-        },
-    );
-    // Single write for the same delayed-ACK reason as `response_bytes`.
-    let mut wire = Vec::with_capacity(head.len() + body.len());
-    wire.extend_from_slice(head.as_bytes());
-    wire.extend_from_slice(body.as_bytes());
-    stream.write_all(&wire)?;
-    stream.flush()
-}
-
-/// Client side: writes a request with a binary body
-/// (`application/octet-stream`) — the warm-push side of the
-/// shard-to-shard epoch-cache protocol.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_request_bytes(
-    stream: &mut TcpStream,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    let head = format!(
-        "{method} {target} HTTP/1.1\r\nhost: sparseadapt-serve\r\ncontent-length: {}\r\ncontent-type: application/octet-stream\r\n\r\n",
-        body.len(),
-    );
-    let mut wire = Vec::with_capacity(head.len() + body.len());
-    wire.extend_from_slice(head.as_bytes());
-    wire.extend_from_slice(body);
-    stream.write_all(&wire)?;
+    stream.write_all(&request_bytes(method, target, body))?;
     stream.flush()
 }
 
@@ -393,10 +376,9 @@ impl RequestParser {
 }
 
 /// The client-side twin of [`RequestParser`]: buffers fragmented
-/// response bytes and peels complete responses off the front. The
-/// open-loop load generator, which multiplexes thousands of connections
-/// on one thread, feeds it directly; every blocking client reads
-/// through [`read_response`].
+/// response bytes and peels complete responses off the front. The load
+/// generator, which multiplexes its connections on one thread, feeds it
+/// directly; every blocking client reads through [`read_response`].
 #[derive(Debug, Default)]
 pub struct ResponseParser {
     buf: Vec<u8>,
@@ -536,6 +518,27 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.header("retry-after"), Some("1"));
         assert_eq!(resp.body, b"{\"ok\":true}");
+    }
+
+    #[test]
+    fn request_bytes_parse_back_through_the_request_parser() {
+        for body in [None, Some(""), Some("{\"k\": 1}")] {
+            let mut p = RequestParser::new();
+            p.feed(&request_bytes("POST", "/v2/simulate?x=1", body));
+            let Parsed::Request(req) = p.next_request() else {
+                panic!("expected a request for body {body:?}");
+            };
+            assert_eq!(req.method, "POST");
+            assert_eq!(
+                (req.path.as_str(), req.query.as_str()),
+                ("/v2/simulate", "x=1")
+            );
+            let body = body.unwrap_or("");
+            assert_eq!(req.body, body.as_bytes());
+            // Only a non-empty body is labelled JSON.
+            assert_eq!(req.header("content-type").is_some(), !body.is_empty());
+            assert_eq!(p.buffered(), 0, "one request, no trailing bytes");
+        }
     }
 
     #[test]

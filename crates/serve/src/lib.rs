@@ -22,9 +22,12 @@
 //!   replies, eventfd wakeups, timer wheel
 //! - [`shard`] — cluster mode: consistent-hash router, health checks,
 //!   failover, merged metrics, shard process spawning
-//! - [`loadgen`] — the load-testing client (closed-loop cold/warm
-//!   phases, open-loop high-fanout mode, exact percentiles, p99
-//!   regression guard)
+//! - [`epoch_tier`] — the cluster epoch-cache tier: budgeted peer
+//!   fetch-on-miss
+//! - [`loadgen`] — the load-testing client: one epoll engine that times
+//!   every request from its due time, driving the cold pass, closed
+//!   loop, open loop, replay and epoch-tier A/B schedules; exact
+//!   percentiles, p99 regression guard
 //!
 //! See `DESIGN.md` §"Serving layer" for the API schema and the
 //! backpressure model, and `README.md` for a curl quickstart.

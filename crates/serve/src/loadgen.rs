@@ -1,34 +1,45 @@
 //! The load-testing client behind the `loadgen` binary.
 //!
-//! Two phases against a live daemon:
+//! One engine sends every measured request: keep-alive connections
+//! multiplexed on one client-side epoll loop. Every arrival has a due
+//! time and a connection, waits behind that connection's in-flight
+//! request, and is timed from its due time, so a request that queued
+//! behind a slow one keeps its wait instead of silently thinning the
+//! arrival stream (the coordinated-omission fix). Each mode is a
+//! schedule for that engine:
 //!
-//! 1. **Cold**: every unique request in the mix once, sequentially, on
-//!    a fresh connection — measures uncached simulation latency.
-//! 2. **Warm**: `concurrency` closed-loop (or rate-paced) connections
-//!    cycling through the same mix for `duration_s` — every simulate
-//!    now hits the trace cache, so the throughput delta against the
-//!    cold phase is the cache's measured payoff.
+//! - **cold pass**: one connection, the mix once, each request due the
+//!   moment the previous response lands — uncached simulation latency
+//!   on a fresh daemon;
+//! - **closed loop** (the default): `connections` connections cycling
+//!   through the mix for `duration_s`, each re-armed the moment its
+//!   response lands — with the cache warm, the throughput delta
+//!   against the cold pass is the cache's measured payoff;
+//! - **open loop** (`rps`): Poisson arrivals at `rps` for `duration_s`,
+//!   each on a random connection, that do not slow down when the
+//!   server does;
+//! - **replay** (`replay`): the records of a JSONL log, as written by
+//!   the router's `--record` flag, at their recorded offsets,
+//!   round-robin over the connections;
+//! - **epoch-tier A/B** ([`run_epoch_ab`]): the simulate mix once per
+//!   pass on one connection.
 //!
-//! Latencies are recorded per request and percentiles computed exactly
-//! from the raw samples (the server's `/metrics` histogram is
-//! bucket-resolution; this client is the precise instrument).
+//! The closed and open loops run after a cold pass over the same mix.
+//! Percentiles are exact, from raw samples (the server's `/metrics`
+//! histogram is bucket-resolution; this client is the precise
+//! instrument). Outcomes are classified by the daemon's structured
+//! error shape (`{code, message, retry_after_ms?}`): `queue_full` and
+//! `overloaded` count as backpressure wherever they appear, any other
+//! code as an error, and the status is only the fallback for bodies
+//! that don't parse.
 //!
-//! A third mode, `--replay FILE`, substitutes a recorded trace for the
-//! fixed mix: JSONL records (as produced by the router's `--record`
-//! flag) carry relative timestamps and request bodies, and the replay
-//! fires each request at its recorded offset — reproducing a captured
-//! arrival process instead of a synthetic closed loop.
-//!
-//! Outcome classification reads the daemon's structured error shape
-//! (`{code, message, retry_after_ms?}`): a `queue_full` code counts as
-//! admission backpressure wherever it appears, anything else as an
-//! error — the status code is only the fallback for bodies that don't
-//! parse.
+//! The only blocking calls are control calls outside the measurement:
+//! the closing `/metrics` scrape and the A/B's topology push.
 
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize, Value};
@@ -36,39 +47,29 @@ use sparseadapt::ReconfigPolicy;
 use transmuter::config::TransmuterConfig;
 use transmuter::counters::Telemetry;
 
-use crate::api::{ApiError, RecommendApiRequest, ShardDoc, SimulateRequest, TopologyDoc};
-use crate::http::{read_response, write_request, ResponseParser};
+use crate::api::{code, ApiError, RecommendApiRequest, ShardDoc, SimulateRequest, TopologyDoc};
+use crate::http::{read_response, request_bytes, write_request, Response, ResponseParser};
 
 /// Client-side settings.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     /// Daemon address, `host:port`.
     pub addr: String,
-    /// Warm-phase duration, seconds.
+    /// Length of the closed or open loop, seconds.
     pub duration_s: f64,
-    /// Concurrent warm-phase connections.
-    pub concurrency: usize,
-    /// Total target request rate; `None` runs closed-loop (as fast as
-    /// responses come back).
-    pub target_rps: Option<f64>,
-    /// Where to write the JSON report; `None` prints to stdout only.
-    pub out: Option<PathBuf>,
-    /// Baseline report to guard against (p99 regression).
-    pub guard: Option<PathBuf>,
-    /// Fail when warm p99 exceeds `guard_factor` × the baseline's.
-    pub guard_factor: f64,
-    /// Recorded-trace replay log (JSONL); replaces the cold/warm mix.
-    pub replay: Option<PathBuf>,
-    /// Run the open-loop high-fanout phase after the warm phase.
-    pub open_loop: bool,
-    /// Open-loop keep-alive connections.
+    /// Keep-alive connections of the closed loop, open loop or replay.
     pub connections: usize,
-    /// Open-loop offered arrival rate (Poisson), requests/second.
-    pub open_rps: f64,
-    /// Open-loop duration, seconds.
-    pub open_duration_s: f64,
-    /// Shrink every phase for CI smoke runs.
-    pub quick: bool,
+    /// Poisson arrival rate, requests/second: runs the open loop instead
+    /// of the closed loop.
+    pub rps: Option<f64>,
+    /// Recorded-trace replay log (JSONL); replaces the mix.
+    pub replay: Option<PathBuf>,
+    /// File the report is merged into, under [`LoadgenConfig::key`].
+    pub out: Option<PathBuf>,
+    /// Baseline file whose block of the same kind guards p99.
+    pub guard: Option<PathBuf>,
+    /// Fail when p99 exceeds `guard_factor` × the baseline's.
+    pub guard_factor: f64,
 }
 
 impl Default for LoadgenConfig {
@@ -76,89 +77,65 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             addr: "127.0.0.1:7878".to_string(),
             duration_s: 5.0,
-            concurrency: 4,
-            target_rps: None,
+            connections: 4,
+            rps: None,
+            replay: None,
             out: None,
             guard: None,
             guard_factor: 4.0,
-            replay: None,
-            open_loop: false,
-            connections: 1000,
-            open_rps: 500.0,
-            open_duration_s: 10.0,
-            quick: false,
         }
     }
 }
 
-/// Aggregated latency/throughput figures of one phase.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseStats {
-    /// Requests issued.
-    pub requests: u64,
-    /// 200/202 responses.
-    pub ok: u64,
-    /// 429 responses (admission control working as designed).
-    pub rejected_429: u64,
-    /// Anything else (connection failures, 4xx/5xx): a test failure.
-    pub errors: u64,
-    /// Phase wall time, seconds.
-    pub wall_s: f64,
-    /// Answered requests per second.
-    pub rps: f64,
-    /// Mean latency, ms.
-    pub mean_ms: f64,
-    /// Exact percentiles from raw samples, ms.
-    pub p50_ms: f64,
-    /// 95th percentile, ms.
-    pub p95_ms: f64,
-    /// 99th percentile, ms.
-    pub p99_ms: f64,
-    /// Worst observed latency, ms.
-    pub max_ms: f64,
+impl LoadgenConfig {
+    /// The kind of run, which is the key its report is filed under in
+    /// `--out` and looked up under in `--guard`: `closed_loop`,
+    /// `open_loop` or `replay`.
+    pub fn key(&self) -> &'static str {
+        if self.replay.is_some() {
+            "replay"
+        } else if self.rps.is_some() {
+            "open_loop"
+        } else {
+            "closed_loop"
+        }
+    }
 }
 
-/// Figures of the open-loop high-fanout phase. Unlike the closed-loop
-/// phases, arrivals here follow a fixed Poisson schedule that does not
-/// slow down when the server does, and every latency is measured from
-/// the request's *scheduled* time — the classic coordinated-omission
-/// fix: a stalled connection inflates the percentiles instead of
-/// silently thinning the arrival stream.
+/// Figures of one phase of the engine.
 #[derive(Debug, Clone, Serialize)]
-pub struct OpenLoopStats {
-    /// Keep-alive connections held open for the phase.
-    pub connections: u64,
-    /// Requested Poisson arrival rate.
-    pub offered_rps: f64,
-    /// Completed responses per second of wall time.
-    pub achieved_rps: f64,
-    /// Arrivals scheduled (sent or stalled).
-    pub offered: u64,
-    /// Responses completed.
+pub struct PhaseStats {
+    /// Arrivals scheduled: sent, queued or lost with their connection.
+    pub requests: u64,
+    /// Responses received.
     pub completed: u64,
     /// 200/202 responses.
     pub ok: u64,
-    /// Backpressure responses (429 `queue_full` / 503 `overloaded`).
+    /// Backpressure responses (`queue_full` / `overloaded`, or a bare
+    /// 429).
     pub rejected: u64,
-    /// Anything else: a test failure.
+    /// Anything else, plus arrivals lost with a dropped connection or
+    /// left unanswered: a test failure.
     pub errors: u64,
     /// Connections the server dropped mid-phase.
     pub disconnects: u64,
-    /// Arrivals that found their connection still busy and had to
-    /// queue behind the in-flight request.
-    pub stalled_issues: u64,
+    /// Arrivals that found their connection busy and queued behind its
+    /// in-flight request.
+    pub stalled: u64,
     /// Worst per-connection stall count.
     pub max_conn_stalls: u64,
     /// Wall time of the up-front connect ramp, seconds. A value
     /// approaching the server's idle timeout means early connections
-    /// can idle out before the arrival phase starts — a methodology
-    /// problem, not a server bug.
+    /// can idle out before the first arrival — a methodology problem,
+    /// not a server bug.
     pub connect_s: f64,
-    /// Phase wall time, seconds.
+    /// Phase wall time after the ramp, seconds.
     pub wall_s: f64,
-    /// Mean scheduled-to-response latency, ms.
+    /// Responses per second of wall time.
+    pub rps: f64,
+    /// Mean latency from the due time, ms.
     pub mean_ms: f64,
-    /// Median, ms.
+    /// Median, ms (exact, from raw samples).
     pub p50_ms: f64,
     /// 95th percentile, ms.
     pub p95_ms: f64,
@@ -168,36 +145,36 @@ pub struct OpenLoopStats {
     pub max_ms: f64,
 }
 
-/// The whole `BENCH_serve.json` document.
+/// One run's report: the block `--out` files under the run's key.
 #[derive(Debug, Clone, Serialize)]
 pub struct Report {
     /// Daemon address the run hit.
     pub addr: String,
-    /// Warm-phase connections.
-    pub concurrency: usize,
-    /// Open-loop connections (0 when the phase didn't run).
-    pub concurrent_conns: u64,
-    /// Requested rate (0 = closed loop).
-    pub target_rps: f64,
-    /// Unique requests in the mix.
+    /// Connections of the measured phase.
+    pub connections: usize,
+    /// Poisson arrival rate of the open loop; 0 for the closed loop and
+    /// replay.
+    pub offered_rps: f64,
+    /// Distinct requests: the mix, or the replay log's records.
     pub mix_size: usize,
-    /// Cold pass (empty trace cache, sequential).
-    pub cold: PhaseStats,
+    /// The cold pass before a closed or open loop; `None` for replay,
+    /// whose recording is the whole arrival process.
+    pub cold: Option<PhaseStats>,
     /// Cold-pass simulate responses that reported `cached: true`. Zero
     /// against a fresh daemon; anything else means the server's trace
     /// cache was already warm and `warm_over_cold_rps` understates the
     /// cache payoff.
     pub cold_cache_hits: u64,
-    /// Warm pass (cache-served, concurrent).
+    /// The measured phase: the closed loop, the open loop or the
+    /// replay.
     pub warm: PhaseStats,
-    /// `warm.rps / cold.rps` — the cache's measured speedup.
+    /// `warm.rps / cold.rps` — for the closed loop, the cache's measured
+    /// speedup; 0 without a cold pass.
     pub warm_over_cold_rps: f64,
     /// Server-reported trace-cache hit ratio after the run.
     pub server_hit_ratio: f64,
     /// Server-reported coalesced request count after the run.
     pub server_coalesced_total: u64,
-    /// Open-loop phase figures (`--open-loop` runs only).
-    pub open_loop: Option<OpenLoopStats>,
 }
 
 /// One prepared request: method, target, body.
@@ -232,7 +209,7 @@ pub struct ReplayRecord {
 /// # Errors
 ///
 /// Returns a message naming the first unparseable line.
-pub fn load_replay(path: &PathBuf) -> Result<Vec<ReplayRecord>, String> {
+pub fn load_replay(path: &Path) -> Result<Vec<ReplayRecord>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("replay {}: {e}", path.display()))?;
     let mut records = Vec::new();
@@ -304,100 +281,36 @@ pub fn default_mix() -> Vec<PreparedRequest> {
     mix
 }
 
-#[derive(Default)]
-struct PhaseAccumulator {
-    latencies_ms: Mutex<Vec<f64>>,
-    ok: AtomicU64,
-    rejected_429: AtomicU64,
-    errors: AtomicU64,
+// ---------------------------------------------------------------------------
+// Outcomes
+// ---------------------------------------------------------------------------
+
+/// How one response counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Ok,
+    Rejected,
+    Error,
 }
 
-impl PhaseAccumulator {
-    /// Classifies one exchange. The structured error body is the
-    /// primary signal — a `queue_full` code is admission backpressure
-    /// regardless of transport details — and the status code is the
-    /// fallback for responses whose body doesn't parse as an
-    /// [`ApiError`] (connection failures pass `None`, `None`).
-    fn record(&self, status: Option<u16>, body: Option<&[u8]>, latency_ms: f64) {
-        self.latencies_ms
-            .lock()
-            .expect("latency lock")
-            .push(latency_ms);
-        match status {
-            Some(200) | Some(202) => self.ok.fetch_add(1, Ordering::Relaxed),
-            Some(s) => match body.and_then(parse_api_error) {
-                // `overloaded` is the reactor's connection/dispatch shed:
-                // like `queue_full` it asks the client to back off, so it
-                // counts as backpressure, not an error.
-                Some(err)
-                    if err.code == crate::api::code::QUEUE_FULL
-                        || err.code == crate::api::code::OVERLOADED =>
-                {
-                    self.rejected_429.fetch_add(1, Ordering::Relaxed)
-                }
-                Some(_) => self.errors.fetch_add(1, Ordering::Relaxed),
-                None if s == 429 => self.rejected_429.fetch_add(1, Ordering::Relaxed),
-                None => self.errors.fetch_add(1, Ordering::Relaxed),
-            },
-            None => self.errors.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    fn stats(&self, wall_s: f64) -> PhaseStats {
-        let mut lat = self.latencies_ms.lock().expect("latency lock").clone();
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let requests = lat.len() as u64;
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
+/// Classifies one response. The structured error body is the primary
+/// signal: `queue_full` (admission) and `overloaded` (the reactor's
+/// connection shed) ask the client to back off, so they count as
+/// backpressure whatever the status, and any other code is an error.
+/// The status is the fallback for bodies that don't parse as an
+/// [`ApiError`]: a bare 429 is backpressure, anything else an error.
+fn classify(status: u16, body: &[u8]) -> Outcome {
+    match status {
+        200 | 202 => Outcome::Ok,
+        _ => match parse_api_error(body) {
+            Some(err) if err.code == code::QUEUE_FULL || err.code == code::OVERLOADED => {
+                Outcome::Rejected
             }
-            let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-            lat[rank - 1]
-        };
-        PhaseStats {
-            requests,
-            ok: self.ok.load(Ordering::Relaxed),
-            rejected_429: self.rejected_429.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            wall_s,
-            rps: if wall_s > 0.0 {
-                requests as f64 / wall_s
-            } else {
-                0.0
-            },
-            mean_ms: if lat.is_empty() {
-                0.0
-            } else {
-                lat.iter().sum::<f64>() / lat.len() as f64
-            },
-            p50_ms: pct(0.50),
-            p95_ms: pct(0.95),
-            p99_ms: pct(0.99),
-            max_ms: lat.last().copied().unwrap_or(0.0),
-        }
+            Some(_) => Outcome::Error,
+            None if status == 429 => Outcome::Rejected,
+            None => Outcome::Error,
+        },
     }
-}
-
-fn connect(addr: &str) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    // Request latency is the measurement; Nagle batching would be noise.
-    let _ = stream.set_nodelay(true);
-    Ok(stream)
-}
-
-fn issue(stream: &mut TcpStream, req: &PreparedRequest) -> Result<(u16, Vec<u8>), std::io::Error> {
-    write_request(stream, &req.method, &req.target, Some(&req.body))?;
-    let resp = read_response(stream)?;
-    Ok((resp.status, resp.body))
-}
-
-/// Runs one GET and returns the body (used for the final `/metrics`
-/// scrape).
-fn get(addr: &str, target: &str) -> Result<Vec<u8>, String> {
-    let mut stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    write_request(&mut stream, "GET", target, None).map_err(|e| e.to_string())?;
-    let resp = read_response(&stream).map_err(|e| e.to_string())?;
-    Ok(resp.body)
 }
 
 /// Extracts the structured [`ApiError`] from an error body, looking
@@ -437,360 +350,248 @@ fn response_says_cached(body: &[u8]) -> bool {
         .unwrap_or(false)
 }
 
-fn scrape_cache_stats(addr: &str) -> (f64, u64) {
-    let unknown = || (0.0, 0);
-    let Ok(body) = get(addr, "/metrics") else {
-        return unknown();
-    };
-    let Ok(text) = String::from_utf8(body) else {
-        return unknown();
-    };
-    let Ok(value) = serde_json::parse_value_str(&text) else {
-        return unknown();
-    };
-    let field = |path: &[&str]| -> Option<Value> {
-        let mut cur = value.clone();
-        for key in path {
-            let Value::Obj(pairs) = cur else { return None };
-            cur = pairs.into_iter().find(|(k, _)| k == key)?.1;
-        }
-        Some(cur)
-    };
-    // A router's /metrics nests the cluster-wide view under "merged";
-    // a plain daemon answers with the fields at the top level.
-    let hit_ratio = match field(&["merged", "trace_cache", "hit_ratio"])
-        .or_else(|| field(&["trace_cache", "hit_ratio"]))
-    {
-        Some(Value::Float(f)) => f,
-        Some(Value::UInt(u)) => u as f64,
-        Some(Value::Int(i)) => i as f64,
-        _ => 0.0,
-    };
-    let coalesced =
-        match field(&["merged", "coalesced_total"]).or_else(|| field(&["coalesced_total"])) {
-            Some(Value::UInt(u)) => u,
-            Some(Value::Int(i)) => i.max(0) as u64,
-            _ => 0,
-        };
-    (hit_ratio, coalesced)
+/// Whether a cold-pass response shows the daemon already had the
+/// answer: a successful simulate, on either dialect, saying `cached`.
+fn is_cold_cache_hit(target: &str, status: u16, body: &[u8]) -> bool {
+    status == 200 && target.ends_with("/simulate") && response_says_cached(body)
 }
 
-/// Runs the configured load: recorded-trace replay when `replay` is
-/// set, otherwise the cold pass followed by the warm phase.
-///
-/// # Errors
-///
-/// Returns a message on connection failure, an unreadable replay log,
-/// or a mix that cannot be issued at all.
-pub fn run(cfg: &LoadgenConfig) -> Result<Report, String> {
-    match &cfg.replay {
-        Some(path) => run_replay(cfg, path),
-        None => run_mix(cfg),
-    }
-}
-
-/// Replays a recorded trace: each record fires at its recorded offset
-/// (closed-loop workers pull the schedule; a late start never reorders
-/// arrivals). The replay fills the report's warm phase; there is no
-/// cold pass — the recording *is* the arrival process.
-fn run_replay(cfg: &LoadgenConfig, path: &PathBuf) -> Result<Report, String> {
-    let records = load_replay(path)?;
-    if records.is_empty() {
-        return Err(format!("replay {}: no records", path.display()));
-    }
-    let acc = PhaseAccumulator::default();
-    let next = AtomicUsize::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.concurrency.max(1) {
-            let acc = &acc;
-            let next = &next;
-            let records = &records;
-            let addr = cfg.addr.clone();
-            scope.spawn(move || {
-                let Ok(mut stream) = connect(&addr) else {
-                    return;
-                };
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(record) = records.get(i) else {
-                        return;
-                    };
-                    let due = Duration::from_millis(record.ts_ms);
-                    let elapsed = started.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                    let req = PreparedRequest {
-                        method: record.method.clone(),
-                        target: record.target.clone(),
-                        body: record.body.clone(),
-                    };
-                    let issued = Instant::now();
-                    match issue(&mut stream, &req) {
-                        Ok((status, body)) => acc.record(
-                            Some(status),
-                            Some(&body),
-                            issued.elapsed().as_secs_f64() * 1e3,
-                        ),
-                        Err(_) => {
-                            acc.record(None, None, issued.elapsed().as_secs_f64() * 1e3);
-                            match connect(&addr) {
-                                Ok(s) => stream = s,
-                                Err(_) => return,
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let warm = acc.stats(started.elapsed().as_secs_f64());
-    let (server_hit_ratio, server_coalesced_total) = scrape_cache_stats(&cfg.addr);
-    let empty = PhaseAccumulator::default().stats(0.0);
-    Ok(Report {
-        addr: cfg.addr.clone(),
-        concurrency: cfg.concurrency,
-        concurrent_conns: 0,
-        target_rps: 0.0,
-        mix_size: records.len(),
-        cold: empty,
-        cold_cache_hits: 0,
-        warm,
-        warm_over_cold_rps: 0.0,
-        server_hit_ratio,
-        server_coalesced_total,
-        open_loop: None,
-    })
-}
-
-/// The default two-phase run: cold pass, then the warm closed loop,
-/// then (with `--open-loop`) the high-fanout open-loop phase.
-fn run_mix(cfg: &LoadgenConfig) -> Result<Report, String> {
-    let mix = default_mix();
-
-    // Cold pass: sequential, one connection per request so cold
-    // latencies are independent measurements.
-    let cold_acc = PhaseAccumulator::default();
-    let mut cold_cache_hits = 0u64;
-    let cold_started = Instant::now();
-    for req in &mix {
-        let started = Instant::now();
-        let outcome = connect(&cfg.addr)
-            .ok()
-            .and_then(|mut s| issue(&mut s, req).ok());
-        let Some((status, body)) = outcome else {
-            return Err(format!("cold pass: {} {} failed", req.method, req.target));
-        };
-        cold_acc.record(
-            Some(status),
-            Some(&body),
-            started.elapsed().as_secs_f64() * 1e3,
-        );
-        if status == 200 && req.target == "/v1/simulate" && response_says_cached(&body) {
-            cold_cache_hits += 1;
-        }
-    }
-    let cold = cold_acc.stats(cold_started.elapsed().as_secs_f64());
-
-    // Warm phase: `concurrency` connections cycling through the mix.
-    let warm_acc = PhaseAccumulator::default();
-    let next = AtomicUsize::new(0);
-    let deadline = Instant::now() + Duration::from_secs_f64(cfg.duration_s);
-    let per_conn_interval = cfg
-        .target_rps
-        .map(|rps| Duration::from_secs_f64(cfg.concurrency as f64 / rps.max(0.001)));
-    let warm_started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..cfg.concurrency.max(1) {
-            let warm_acc = &warm_acc;
-            let next = &next;
-            let mix = &mix;
-            let addr = cfg.addr.clone();
-            scope.spawn(move || {
-                let Ok(mut stream) = connect(&addr) else {
-                    return;
-                };
-                let mut slot = Instant::now();
-                while Instant::now() < deadline {
-                    if let Some(interval) = per_conn_interval {
-                        let now = Instant::now();
-                        if slot > now {
-                            std::thread::sleep(slot - now);
-                        }
-                        slot += interval;
-                    }
-                    let req = &mix[next.fetch_add(1, Ordering::Relaxed) % mix.len()];
-                    let started = Instant::now();
-                    match issue(&mut stream, req) {
-                        Ok((status, body)) => {
-                            warm_acc.record(
-                                Some(status),
-                                Some(&body),
-                                started.elapsed().as_secs_f64() * 1e3,
-                            );
-                        }
-                        Err(_) => {
-                            warm_acc.record(None, None, started.elapsed().as_secs_f64() * 1e3);
-                            // Reconnect once; give up on repeat failure.
-                            match connect(&addr) {
-                                Ok(s) => stream = s,
-                                Err(_) => return,
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let warm = warm_acc.stats(warm_started.elapsed().as_secs_f64());
-
-    // Open-loop phase: thousands of keep-alive connections, a Poisson
-    // arrival schedule that does not slow down with the server.
-    let open_loop = if cfg.open_loop {
-        Some(run_open_loop(cfg, &mix)?)
-    } else {
-        None
-    };
-
-    let (server_hit_ratio, server_coalesced_total) = scrape_cache_stats(&cfg.addr);
-    let warm_over_cold_rps = if cold.rps > 0.0 {
-        warm.rps / cold.rps
-    } else {
-        0.0
-    };
-    Ok(Report {
-        addr: cfg.addr.clone(),
-        concurrency: cfg.concurrency,
-        concurrent_conns: open_loop.as_ref().map_or(0, |o| o.connections),
-        target_rps: cfg.target_rps.unwrap_or(0.0),
-        mix_size: mix.len(),
-        cold,
-        cold_cache_hits,
-        warm,
-        warm_over_cold_rps,
-        server_hit_ratio,
-        server_coalesced_total,
-        open_loop,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop high-fanout mode
-// ---------------------------------------------------------------------------
-
-/// One multiplexed client connection in the open-loop phase.
-struct OpenConn {
-    stream: TcpStream,
-    parser: ResponseParser,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Scheduled time of the in-flight request (one outstanding per
-    /// connection, mirroring a real keep-alive client).
-    inflight: Option<Instant>,
-    /// Scheduled times of arrivals that found the connection busy.
-    backlog: std::collections::VecDeque<Instant>,
-    /// How many arrivals stalled behind this connection.
-    stalls: u64,
-    interest: u32,
-    dead: bool,
-}
-
-/// A prepared request's exact wire bytes (what [`write_request`] would
-/// send), so the hot loop never formats.
-fn request_wire_bytes(req: &PreparedRequest) -> Vec<u8> {
-    let head = format!(
-        "{} {} HTTP/1.1\r\nhost: sparseadapt-serve\r\ncontent-length: {}\r\n{}\r\n",
-        req.method,
-        req.target,
-        req.body.len(),
-        if req.body.is_empty() {
-            ""
-        } else {
-            "content-type: application/json\r\n"
-        },
-    );
-    let mut wire = Vec::with_capacity(head.len() + req.body.len());
-    wire.extend_from_slice(head.as_bytes());
-    wire.extend_from_slice(req.body.as_bytes());
-    wire
-}
-
-struct OpenLoopRun {
-    epfd: i32,
-    conns: Vec<OpenConn>,
-    wire: Vec<Vec<u8>>,
-    next_req: usize,
-    outstanding: usize,
-    latencies_ms: Vec<f64>,
+/// The counts of one phase, before its latencies are summarised.
+#[derive(Debug, Default)]
+struct Tally {
+    requests: u64,
     ok: u64,
     rejected: u64,
     errors: u64,
     disconnects: u64,
     stalled: u64,
+    latencies_ms: Vec<f64>,
 }
 
-impl OpenLoopRun {
-    /// An arrival fires against connection `idx`: send immediately if
-    /// the connection is free, otherwise queue the scheduled time (the
-    /// stall is the signal — a closed-loop client would silently slow
-    /// its arrival process here).
-    fn arrive(&mut self, idx: usize, sched: Instant) {
-        let conn = &mut self.conns[idx];
-        if conn.dead {
-            self.errors += 1;
-            return;
+impl Tally {
+    fn record(&mut self, outcome: Outcome, latency_ms: f64) {
+        self.latencies_ms.push(latency_ms);
+        match outcome {
+            Outcome::Ok => self.ok += 1,
+            Outcome::Rejected => self.rejected += 1,
+            Outcome::Error => self.errors += 1,
         }
-        if conn.inflight.is_some() || !conn.backlog.is_empty() {
-            conn.stalls += 1;
-            self.stalled += 1;
-            conn.backlog.push_back(sched);
-            return;
-        }
-        self.send(idx, sched);
     }
 
-    fn send(&mut self, idx: usize, sched: Instant) {
-        let wire = self.wire[self.next_req % self.wire.len()].clone();
-        self.next_req += 1;
+    fn finish(self, connect_s: f64, wall_s: f64, max_conn_stalls: u64) -> PhaseStats {
+        let mut lat = self.latencies_ms;
+        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        let pct = |p: f64| -> f64 {
+            if lat.is_empty() {
+                return 0.0;
+            }
+            let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
+            lat[rank - 1]
+        };
+        let completed = lat.len() as u64;
+        PhaseStats {
+            requests: self.requests,
+            completed,
+            ok: self.ok,
+            rejected: self.rejected,
+            errors: self.errors,
+            disconnects: self.disconnects,
+            stalled: self.stalled,
+            max_conn_stalls,
+            connect_s,
+            wall_s,
+            rps: if wall_s > 0.0 {
+                completed as f64 / wall_s
+            } else {
+                0.0
+            },
+            mean_ms: if lat.is_empty() {
+                0.0
+            } else {
+                lat.iter().sum::<f64>() / lat.len() as f64
+            },
+            p50_ms: pct(0.50),
+            p95_ms: pct(0.95),
+            p99_ms: pct(0.99),
+            max_ms: lat.last().copied().unwrap_or(0.0),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------------
+
+/// When a run's requests are due.
+enum Schedule {
+    /// Every connection sends at the start and again the moment each of
+    /// its responses lands, cycling through the requests, until
+    /// `run_for` has passed or `limit` requests were sent.
+    Closed {
+        run_for: Option<Duration>,
+        limit: Option<usize>,
+    },
+    /// Fixed arrivals, in due order.
+    Timed(Vec<Arrival>),
+}
+
+/// One scheduled request.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    /// Due time, as an offset from the start of the run.
+    at: Duration,
+    /// The connection it is sent on.
+    conn: usize,
+    /// The request it sends.
+    req: usize,
+}
+
+/// After a schedule with an end stops issuing, how long the run waits
+/// without any response before it ends and counts what is still
+/// unanswered as errors.
+const STRAGGLER_WINDOW: Duration = Duration::from_secs(5);
+
+/// The Poisson arrivals of the open loop: `rps` on average for
+/// `duration`, each on a random connection, cycling through `mix_len`
+/// requests. Seeded, so every run offers the same schedule.
+fn poisson_arrivals(
+    rps: f64,
+    duration: Duration,
+    connections: usize,
+    mix_len: usize,
+) -> Vec<Arrival> {
+    use rand::{Rng, SeedableRng};
+    let rps = rps.max(1.0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_10ad);
+    let interarrival = |rng: &mut rand::rngs::StdRng| -> Duration {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        Duration::from_secs_f64((-(1.0 - u).ln() / rps).min(1.0))
+    };
+    let mut arrivals = Vec::new();
+    let mut at = interarrival(&mut rng);
+    while at < duration {
+        arrivals.push(Arrival {
+            at,
+            conn: rng.gen_range(0..connections),
+            req: arrivals.len() % mix_len,
+        });
+        at += interarrival(&mut rng);
+    }
+    arrivals
+}
+
+/// One keep-alive connection of the engine.
+struct Conn {
+    stream: TcpStream,
+    parser: ResponseParser,
+    /// Due time and request index of the request on the wire — one per
+    /// connection, as a real keep-alive client has.
+    inflight: Option<(Instant, usize)>,
+    /// Bytes of the in-flight request written so far.
+    written: usize,
+    /// Arrivals that found the connection busy, in due order.
+    backlog: VecDeque<(Instant, usize)>,
+    /// How many arrivals queued behind this connection.
+    stalls: u64,
+    /// The registered epoll interest set.
+    interest: u32,
+    dead: bool,
+}
+
+/// The closed loop's rule for re-arming a connection.
+#[derive(Debug, Clone, Copy)]
+struct Rearm {
+    deadline: Option<Instant>,
+    limit: Option<usize>,
+}
+
+/// A fixed population of connections on one epoll instance, the wire
+/// bytes of every request they may send, and the tally of what came
+/// back.
+struct Engine {
+    epfd: i32,
+    conns: Vec<Conn>,
+    wire: Vec<Vec<u8>>,
+    /// The closed loop's re-arm rule; `None` for timed arrivals.
+    rearm: Option<Rearm>,
+    /// Requests sent so far: the closed loop's place in the mix.
+    sent: usize,
+    /// Arrivals sent or queued but not yet answered.
+    outstanding: usize,
+    last_completion: Instant,
+    tally: Tally,
+    /// Every response with its request index, when the caller keeps them.
+    responses: Option<Vec<(usize, Response)>>,
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        sysio::close_fd(self.epfd);
+    }
+}
+
+impl Engine {
+    /// An arrival for connection `idx`, due at `due`: sent at once if
+    /// the connection is free, otherwise queued behind its in-flight
+    /// request with its due time kept.
+    fn arrive(&mut self, idx: usize, due: Instant, req: usize) {
+        self.tally.requests += 1;
         let conn = &mut self.conns[idx];
-        conn.out = wire;
-        conn.out_pos = 0;
-        conn.inflight = Some(sched);
+        if conn.dead {
+            self.tally.errors += 1;
+            return;
+        }
         self.outstanding += 1;
+        if conn.inflight.is_some() {
+            conn.stalls += 1;
+            self.tally.stalled += 1;
+            conn.backlog.push_back((due, req));
+            return;
+        }
+        self.send(idx, due, req);
+    }
+
+    fn send(&mut self, idx: usize, due: Instant, req: usize) {
+        self.sent += 1;
+        let conn = &mut self.conns[idx];
+        conn.inflight = Some((due, req));
+        conn.written = 0;
         self.flush(idx);
     }
 
-    /// Writes as much pending output as the socket accepts; arms
-    /// `EPOLLOUT` on a partial write.
+    /// Whether the closed loop sends another request at `now`.
+    fn may_rearm(&self, now: Instant) -> bool {
+        self.rearm.is_some_and(|r| {
+            r.deadline.is_none_or(|d| now < d) && r.limit.is_none_or(|l| self.sent < l)
+        })
+    }
+
+    /// Writes as much of the in-flight request as the socket accepts;
+    /// arms `EPOLLOUT` on a partial write.
     fn flush(&mut self, idx: usize) {
-        use std::io::Write;
         loop {
             let conn = &mut self.conns[idx];
-            if conn.dead || conn.out_pos >= conn.out.len() {
+            let Some((_, req)) = conn.inflight else { break };
+            let wire = &self.wire[req];
+            if conn.dead || conn.written >= wire.len() {
                 break;
             }
-            let pos = conn.out_pos;
-            match (&conn.stream).write(&conn.out[pos..]) {
-                Ok(0) => {
-                    self.kill(idx);
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
+            match (&conn.stream).write(&wire[conn.written..]) {
+                Ok(0) => return self.kill(idx),
+                Ok(n) => conn.written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.kill(idx);
-                    return;
-                }
+                Err(_) => return self.kill(idx),
             }
         }
         self.update_interest(idx);
     }
 
+    /// Reads what the socket holds, completes every whole response in
+    /// it, then drops the connection if the server closed it.
     fn on_readable(&mut self, idx: usize, now: Instant) {
-        use std::io::Read;
         let mut buf = [0u8; 16 * 1024];
+        let mut closed = false;
         loop {
             let conn = &mut self.conns[idx];
             if conn.dead {
@@ -798,62 +599,68 @@ impl OpenLoopRun {
             }
             match (&conn.stream).read(&mut buf) {
                 Ok(0) => {
-                    self.kill(idx);
-                    return;
+                    closed = true;
+                    break;
                 }
-                Ok(n) => conn.parser.feed(&buf[..n]),
+                Ok(n) => {
+                    conn.parser.feed(&buf[..n]);
+                    // A short read drained the socket; epoll is level-
+                    // triggered, so anything later wakes the loop again.
+                    if n < buf.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.kill(idx);
-                    return;
+                    closed = true;
+                    break;
                 }
             }
         }
         loop {
-            let conn = &mut self.conns[idx];
-            match conn.parser.next_response() {
-                Ok(Some(resp)) => self.complete(idx, &resp, now),
+            if self.conns[idx].dead {
+                return;
+            }
+            match self.conns[idx].parser.next_response() {
+                Ok(Some(resp)) => self.complete(idx, resp, now),
                 Ok(None) => break,
                 Err(_) => {
-                    self.kill(idx);
-                    return;
+                    closed = true;
+                    break;
                 }
             }
         }
+        if closed {
+            self.kill(idx);
+        }
     }
 
-    fn complete(&mut self, idx: usize, resp: &crate::http::Response, now: Instant) {
-        let conn = &mut self.conns[idx];
-        let Some(sched) = conn.inflight.take() else {
+    /// Records one response, then sends the connection's next queued
+    /// arrival or, in a closed loop, re-arms it at once.
+    fn complete(&mut self, idx: usize, resp: Response, now: Instant) {
+        let Some((due, req)) = self.conns[idx].inflight.take() else {
             // A response with no request in flight: protocol desync.
-            self.kill(idx);
-            return;
+            return self.kill(idx);
         };
         self.outstanding -= 1;
-        self.latencies_ms
-            .push(now.saturating_duration_since(sched).as_secs_f64() * 1e3);
-        match resp.status {
-            200 | 202 => self.ok += 1,
-            _ => match parse_api_error(&resp.body) {
-                Some(err)
-                    if err.code == crate::api::code::QUEUE_FULL
-                        || err.code == crate::api::code::OVERLOADED =>
-                {
-                    self.rejected += 1
-                }
-                _ => self.errors += 1,
-            },
+        self.last_completion = now;
+        let latency_ms = now.saturating_duration_since(due).as_secs_f64() * 1e3;
+        self.tally
+            .record(classify(resp.status, &resp.body), latency_ms);
+        if let Some(kept) = &mut self.responses {
+            kept.push((req, resp));
         }
-        let next = self.conns[idx].backlog.pop_front();
-        if let Some(sched) = next {
-            self.send(idx, sched);
+        if let Some((due, req)) = self.conns[idx].backlog.pop_front() {
+            self.send(idx, due, req);
+        } else if self.may_rearm(now) {
+            self.arrive(idx, now, self.sent % self.wire.len());
         }
     }
 
     /// Drops a connection the server closed (or that errored): its
-    /// in-flight and queued arrivals become errors. No reconnect — the
-    /// phase measures a fixed population of keep-alive sockets, and a
+    /// in-flight and queued arrivals become errors. No reconnect — a
+    /// run measures a fixed population of keep-alive sockets, and a
     /// server that drops one under load should fail the run, not get a
     /// fresh socket.
     fn kill(&mut self, idx: usize) {
@@ -862,245 +669,338 @@ impl OpenLoopRun {
             return;
         }
         conn.dead = true;
-        self.disconnects += 1;
-        let _ = sysio::epoll_del(self.epfd, open_conn_fd(&conn.stream));
-        if conn.inflight.take().is_some() {
-            self.outstanding -= 1;
-            self.errors += 1;
-        }
-        self.errors += conn.backlog.len() as u64;
-        let _ = std::mem::take(&mut self.conns[idx].backlog);
+        self.tally.disconnects += 1;
+        let _ = sysio::epoll_del(self.epfd, fd_of(&conn.stream));
+        let lost = usize::from(conn.inflight.take().is_some()) + conn.backlog.len();
+        conn.backlog.clear();
+        self.outstanding -= lost;
+        self.tally.errors += lost as u64;
     }
 
     fn update_interest(&mut self, idx: usize) {
-        let epfd = self.epfd;
         let conn = &mut self.conns[idx];
         if conn.dead {
             return;
         }
         let mut want = sysio::EPOLLIN | sysio::EPOLLRDHUP;
-        if conn.out_pos < conn.out.len() {
+        if conn
+            .inflight
+            .is_some_and(|(_, req)| conn.written < self.wire[req].len())
+        {
             want |= sysio::EPOLLOUT;
         }
         if want != conn.interest {
             conn.interest = want;
-            let _ = sysio::epoll_mod(epfd, open_conn_fd(&conn.stream), want, idx as u64);
+            let _ = sysio::epoll_mod(self.epfd, fd_of(&conn.stream), want, idx as u64);
         }
     }
 }
 
 /// Raw fd of a client stream (safe `AsRawFd` call).
-fn open_conn_fd(stream: &TcpStream) -> i32 {
+fn fd_of(stream: &TcpStream) -> i32 {
     use std::os::fd::AsRawFd;
     stream.as_raw_fd()
 }
 
-/// Runs the open-loop phase: `connections` keep-alive sockets on one
-/// epoll loop, arrivals on a global Poisson schedule at `open_rps`,
-/// each assigned to a random connection. Only the cache-warm simulate
-/// requests from the mix are issued (the phase measures the serve
-/// core's fan-out, not cold simulation latency).
+/// What one run of the engine measured.
+struct Pass {
+    stats: PhaseStats,
+    /// Every response with the index of its request, in completion
+    /// order; empty unless the caller asked to keep them.
+    responses: Vec<(usize, Response)>,
+}
+
+/// Opens `connections` keep-alive sockets to `addr` and runs `schedule`
+/// over `requests` on one epoll loop. Every measured request goes
+/// through here.
 ///
 /// # Errors
 ///
-/// Returns a message when connections cannot be established or the
-/// epoll instance cannot be created.
-fn run_open_loop(cfg: &LoadgenConfig, mix: &[PreparedRequest]) -> Result<OpenLoopStats, String> {
-    use rand::{Rng, SeedableRng};
-
-    let wire: Vec<Vec<u8>> = mix
-        .iter()
-        .filter(|r| r.target.ends_with("/simulate"))
-        .map(request_wire_bytes)
-        .collect();
-    if wire.is_empty() {
-        return Err("open loop: mix has no simulate requests".to_string());
-    }
-    let connections = cfg.connections.max(1);
-    let offered_rps = cfg.open_rps.max(1.0);
-    let duration_s = if cfg.quick {
-        cfg.open_duration_s.min(3.0)
-    } else {
-        cfg.open_duration_s
-    };
-
-    let epfd = sysio::epoll_create().map_err(|e| format!("open loop: epoll_create: {e}"))?;
+/// Returns a message when a connection cannot be opened or the epoll
+/// instance fails; request-level failures are counted in the stats.
+fn drive(
+    addr: &str,
+    connections: usize,
+    requests: &[PreparedRequest],
+    schedule: Schedule,
+    keep_responses: bool,
+) -> Result<Pass, String> {
     let connect_started = Instant::now();
-    let mut conns = Vec::with_capacity(connections);
-    for i in 0..connections {
-        let stream = connect(&cfg.addr).map_err(|e| format!("open loop: connect #{i}: {e}"))?;
+    let mut engine = Engine {
+        epfd: sysio::epoll_create().map_err(|e| format!("epoll_create: {e}"))?,
+        conns: Vec::with_capacity(connections),
+        wire: requests
+            .iter()
+            .map(|r| request_bytes(&r.method, &r.target, Some(&r.body)))
+            .collect(),
+        rearm: None,
+        sent: 0,
+        outstanding: 0,
+        last_completion: connect_started,
+        tally: Tally::default(),
+        responses: keep_responses.then(Vec::new),
+    };
+    for i in 0..connections.max(1) {
+        let stream =
+            TcpStream::connect(addr).map_err(|e| format!("connect #{i} to {addr}: {e}"))?;
+        // Request latency is the measurement; Nagle batching would be noise.
+        let _ = stream.set_nodelay(true);
         stream
             .set_nonblocking(true)
-            .map_err(|e| format!("open loop: nonblocking #{i}: {e}"))?;
-        let _ = stream.set_nodelay(true);
-        sysio::epoll_add(
-            epfd,
-            open_conn_fd(&stream),
-            sysio::EPOLLIN | sysio::EPOLLRDHUP,
-            i as u64,
-        )
-        .map_err(|e| format!("open loop: epoll_add #{i}: {e}"))?;
-        conns.push(OpenConn {
+            .map_err(|e| format!("nonblocking #{i}: {e}"))?;
+        let interest = sysio::EPOLLIN | sysio::EPOLLRDHUP;
+        sysio::epoll_add(engine.epfd, fd_of(&stream), interest, i as u64)
+            .map_err(|e| format!("epoll_add #{i}: {e}"))?;
+        engine.conns.push(Conn {
             stream,
             parser: ResponseParser::new(),
-            out: Vec::new(),
-            out_pos: 0,
             inflight: None,
-            backlog: std::collections::VecDeque::new(),
+            written: 0,
+            backlog: VecDeque::new(),
             stalls: 0,
-            interest: sysio::EPOLLIN | sysio::EPOLLRDHUP,
+            interest,
             dead: false,
         });
     }
     let connect_s = connect_started.elapsed().as_secs_f64();
 
-    let mut run = OpenLoopRun {
-        epfd,
-        conns,
-        wire,
-        next_req: 0,
-        outstanding: 0,
-        latencies_ms: Vec::new(),
-        ok: 0,
-        rejected: 0,
-        errors: 0,
-        disconnects: 0,
-        stalled: 0,
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_10ad);
-    let interarrival = |rng: &mut rand::rngs::StdRng| -> Duration {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        Duration::from_secs_f64((-(1.0 - u).ln() / offered_rps).min(1.0))
-    };
     let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(duration_s);
-    // After arrivals stop, give stragglers a bounded window to answer.
-    let grace = deadline + Duration::from_secs(5);
-    let mut next_arrival = started + interarrival(&mut rng);
-    let mut offered = 0u64;
+    engine.last_completion = started;
+    let (arrivals, stops_issuing) = match schedule {
+        Schedule::Closed { run_for, limit } => {
+            let deadline = run_for.map(|d| started + d);
+            engine.rearm = Some(Rearm { deadline, limit });
+            for idx in 0..engine.conns.len() {
+                if engine.may_rearm(started) {
+                    engine.arrive(idx, started, engine.sent % engine.wire.len());
+                }
+            }
+            (Vec::new(), deadline)
+        }
+        Schedule::Timed(arrivals) => {
+            let last = arrivals.last().map_or(started, |a| started + a.at);
+            (arrivals, Some(last))
+        }
+    };
+    let mut next = 0;
     let mut events = vec![sysio::EpollEvent::default(); 1024];
-
     loop {
         let now = Instant::now();
-        if (now >= deadline && run.outstanding == 0) || now >= grace {
+        while let Some(a) = arrivals.get(next).filter(|a| started + a.at <= now) {
+            engine.arrive(a.conn, started + a.at, a.req);
+            next += 1;
+        }
+        if next == arrivals.len() && engine.outstanding == 0 {
             break;
         }
-        while next_arrival <= Instant::now() && next_arrival < deadline {
-            let idx = rng.gen_range(0..run.conns.len());
-            offered += 1;
-            run.arrive(idx, next_arrival);
-            next_arrival += interarrival(&mut rng);
+        if stops_issuing
+            .is_some_and(|stop| now >= stop.max(engine.last_completion) + STRAGGLER_WINDOW)
+        {
+            break;
         }
-        let now = Instant::now();
-        let until_arrival = if next_arrival < deadline {
-            next_arrival.saturating_duration_since(now)
-        } else {
-            Duration::from_millis(50)
-        };
-        let timeout_ms = until_arrival.as_millis().clamp(0, 50) as i32;
-        let n = sysio::epoll_wait(epfd, &mut events, timeout_ms)
-            .map_err(|e| format!("open loop: epoll_wait: {e}"))?;
+        let timeout_ms = arrivals.get(next).map_or(50, |a| {
+            (started + a.at)
+                .saturating_duration_since(now)
+                .as_millis()
+                .min(50) as i32
+        });
+        let n = sysio::epoll_wait(engine.epfd, &mut events, timeout_ms)
+            .map_err(|e| format!("epoll_wait: {e}"))?;
         let now = Instant::now();
         for ev in events.iter().copied().take(n) {
             let idx = ev.data as usize;
-            if idx >= run.conns.len() {
-                continue;
-            }
-            if ev.events & (sysio::EPOLLHUP | sysio::EPOLLERR) != 0 {
-                run.kill(idx);
-                continue;
-            }
             if ev.events & sysio::EPOLLOUT != 0 {
-                run.flush(idx);
+                engine.flush(idx);
             }
             if ev.events & (sysio::EPOLLIN | sysio::EPOLLRDHUP) != 0 {
-                run.on_readable(idx, now);
+                engine.on_readable(idx, now);
+            }
+            if ev.events & (sysio::EPOLLHUP | sysio::EPOLLERR) != 0 {
+                engine.kill(idx);
             }
         }
     }
     let wall_s = started.elapsed().as_secs_f64();
-    sysio::close_fd(epfd);
-
-    let mut lat = std::mem::take(&mut run.latencies_ms);
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pct = |p: f64| -> f64 {
-        if lat.is_empty() {
-            return 0.0;
-        }
-        let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1]
-    };
-    let completed = lat.len() as u64;
-    Ok(OpenLoopStats {
-        connections: connections as u64,
-        offered_rps,
-        achieved_rps: if wall_s > 0.0 {
-            completed as f64 / wall_s
-        } else {
-            0.0
-        },
-        offered,
-        completed,
-        ok: run.ok,
-        rejected: run.rejected,
-        errors: run.errors,
-        disconnects: run.disconnects,
-        stalled_issues: run.stalled,
-        max_conn_stalls: run.conns.iter().map(|c| c.stalls).max().unwrap_or(0),
-        connect_s,
-        wall_s,
-        mean_ms: if lat.is_empty() {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / lat.len() as f64
-        },
-        p50_ms: pct(0.50),
-        p95_ms: pct(0.95),
-        p99_ms: pct(0.99),
-        max_ms: lat.last().copied().unwrap_or(0.0),
+    // Whatever is still unanswered when the run gives up is lost.
+    engine.tally.errors += engine.outstanding as u64;
+    let max_conn_stalls = engine.conns.iter().map(|c| c.stalls).max().unwrap_or(0);
+    let tally = std::mem::take(&mut engine.tally);
+    Ok(Pass {
+        stats: tally.finish(connect_s, wall_s, max_conn_stalls),
+        responses: engine.responses.take().unwrap_or_default(),
     })
 }
 
-/// Checks the p99 regression guard: warm p99 must stay within
-/// `guard_factor` × the baseline report's warm p99.
+// ---------------------------------------------------------------------------
+// Control calls and reports
+// ---------------------------------------------------------------------------
+
+/// One blocking exchange on a fresh connection, outside any
+/// measurement: the `/metrics` scrape and the A/B's topology push.
+fn control(addr: &str, method: &str, target: &str, body: Option<&str>) -> Result<Response, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    write_request(&mut stream, method, target, body)
+        .map_err(|e| format!("{method} {target} to {addr}: {e}"))?;
+    read_response(&stream).map_err(|e| format!("{method} {target} to {addr}: {e}"))
+}
+
+/// The daemon's `/metrics` document; `None` when the scrape fails.
+fn scrape_metrics(addr: &str) -> Option<Value> {
+    let resp = control(addr, "GET", "/metrics", None).ok()?;
+    serde_json::parse_value_str(std::str::from_utf8(&resp.body).ok()?).ok()
+}
+
+/// The number at `path` in a JSON document, if there is one.
+fn number_at(doc: &Value, path: &[&str]) -> Option<f64> {
+    let mut cur = doc;
+    for key in path {
+        let Value::Obj(pairs) = cur else { return None };
+        cur = serde::obj_get(pairs, key);
+    }
+    match *cur {
+        Value::Float(f) => Some(f),
+        Value::UInt(u) => Some(u as f64),
+        Value::Int(i) => Some(i as f64),
+        _ => None,
+    }
+}
+
+/// Runs the configured load: a cold pass then the closed or open loop
+/// over the default mix, or a recorded-trace replay.
 ///
 /// # Errors
 ///
-/// Returns a message describing the breach (or an unreadable baseline).
-pub fn check_guard(report: &Report, baseline_path: &PathBuf, factor: f64) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("guard baseline {}: {e}", baseline_path.display()))?;
-    let value = serde_json::parse_value_str(&text)
-        .map_err(|e| format!("guard baseline {}: {e}", baseline_path.display()))?;
-    let Value::Obj(pairs) = value else {
-        return Err("guard baseline is not a JSON object".to_string());
+/// Returns a message on connection failure or an unreadable or empty
+/// replay log.
+pub fn run(cfg: &LoadgenConfig) -> Result<Report, String> {
+    let connections = cfg.connections.max(1);
+    let duration = Duration::from_secs_f64(cfg.duration_s);
+    let (requests, cold, schedule) = match &cfg.replay {
+        Some(path) => {
+            let records = load_replay(path)?;
+            if records.is_empty() {
+                return Err(format!("replay {}: no records", path.display()));
+            }
+            let arrivals = records
+                .iter()
+                .enumerate()
+                .map(|(i, r)| Arrival {
+                    at: Duration::from_millis(r.ts_ms),
+                    conn: i % connections,
+                    req: i,
+                })
+                .collect();
+            let requests: Vec<PreparedRequest> = records
+                .into_iter()
+                .map(|r| PreparedRequest {
+                    method: r.method,
+                    target: r.target,
+                    body: r.body,
+                })
+                .collect();
+            (requests, None, Schedule::Timed(arrivals))
+        }
+        None => {
+            let mix = default_mix();
+            let once = Schedule::Closed {
+                run_for: None,
+                limit: Some(mix.len()),
+            };
+            let cold =
+                drive(&cfg.addr, 1, &mix, once, true).map_err(|e| format!("cold pass: {e}"))?;
+            let schedule = match cfg.rps {
+                Some(rps) => {
+                    Schedule::Timed(poisson_arrivals(rps, duration, connections, mix.len()))
+                }
+                None => Schedule::Closed {
+                    run_for: Some(duration),
+                    limit: None,
+                },
+            };
+            (mix, Some(cold), schedule)
+        }
     };
-    let warm = pairs
-        .iter()
-        .find(|(k, _)| k == "warm")
-        .map(|(_, v)| v.clone())
-        .ok_or("guard baseline has no warm phase")?;
-    let Value::Obj(warm_pairs) = warm else {
-        return Err("guard baseline warm phase is not an object".to_string());
+    let warm = drive(&cfg.addr, connections, &requests, schedule, false)?.stats;
+    let cold_cache_hits = cold.as_ref().map_or(0, |c| {
+        c.responses
+            .iter()
+            .filter(|(i, r)| is_cold_cache_hit(&requests[*i].target, r.status, &r.body))
+            .count() as u64
+    });
+    let cold = cold.map(|c| c.stats);
+    let metrics = scrape_metrics(&cfg.addr).unwrap_or(Value::Null);
+    // A router's /metrics nests the cluster-wide view under "merged";
+    // a plain daemon answers with the fields at the top level.
+    let at = |path: &[&str]| {
+        let mut merged = vec!["merged"];
+        merged.extend_from_slice(path);
+        number_at(&metrics, &merged).or_else(|| number_at(&metrics, path))
     };
-    let baseline_p99 = warm_pairs
-        .iter()
-        .find(|(k, _)| k == "p99_ms")
-        .and_then(|(_, v)| match v {
-            Value::Float(f) => Some(*f),
-            Value::UInt(u) => Some(*u as f64),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        })
-        .ok_or("guard baseline has no warm.p99_ms")?;
+    Ok(Report {
+        addr: cfg.addr.clone(),
+        connections,
+        offered_rps: cfg.rps.filter(|_| cfg.replay.is_none()).unwrap_or(0.0),
+        mix_size: requests.len(),
+        warm_over_cold_rps: cold
+            .as_ref()
+            .filter(|c| c.rps > 0.0)
+            .map_or(0.0, |c| warm.rps / c.rps),
+        cold,
+        cold_cache_hits,
+        warm,
+        server_hit_ratio: at(&["trace_cache", "hit_ratio"]).unwrap_or(0.0),
+        server_coalesced_total: at(&["coalesced_total"]).unwrap_or(0.0) as u64,
+    })
+}
+
+/// Checks the p99 regression guard: the run's measured-phase p99 must
+/// stay within `factor` × the p99 of the baseline's block of the same
+/// kind (`<key>.warm.p99_ms`).
+///
+/// # Errors
+///
+/// Returns a message describing the breach, or a baseline that is
+/// unreadable or has no block of this kind.
+pub fn check_guard(report: &Report, key: &str, baseline: &Path, factor: f64) -> Result<(), String> {
+    let text = std::fs::read_to_string(baseline)
+        .map_err(|e| format!("guard baseline {}: {e}", baseline.display()))?;
+    let doc = serde_json::parse_value_str(&text)
+        .map_err(|e| format!("guard baseline {}: {e}", baseline.display()))?;
+    let baseline_p99 = number_at(&doc, &[key, "warm", "p99_ms"])
+        .ok_or_else(|| format!("guard baseline has no {key}.warm.p99_ms"))?;
     let limit = baseline_p99 * factor;
     if report.warm.p99_ms > limit {
         return Err(format!(
-            "warm p99 {:.2} ms exceeds guard {:.2} ms ({factor}x baseline {:.2} ms)",
-            report.warm.p99_ms, limit, baseline_p99
+            "{key} p99 {:.2} ms exceeds guard {limit:.2} ms ({factor}x baseline {baseline_p99:.2} ms)",
+            report.warm.p99_ms
         ));
     }
     Ok(())
+}
+
+/// Merges `block` into the JSON document at `path` under `key`, keeping
+/// the blocks of other kinds (an unreadable or non-object file is
+/// replaced by a fresh document).
+///
+/// # Errors
+///
+/// Returns a message when the merged document cannot be written.
+pub fn merge_report(path: &Path, key: &str, block: Value) -> Result<(), String> {
+    let mut pairs = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::parse_value_str(&text).ok())
+        .and_then(|value| match value {
+            Value::Obj(pairs) => Some(pairs),
+            _ => None,
+        })
+        .unwrap_or_default();
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, slot)) => *slot = block,
+        None => pairs.push((key.to_string(), block)),
+    }
+    let json = serde_json::to_string_pretty(&Value::Obj(pairs)).map_err(|e| e.to_string())?;
+    std::fs::write(path, format!("{json}\n"))
+        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,7 +1008,7 @@ pub fn check_guard(report: &Report, baseline_path: &PathBuf, factor: f64) -> Res
 // ---------------------------------------------------------------------------
 
 /// Settings of the self-contained cluster epoch-tier A/B. Unlike the
-/// main load phases this mode does not hit a caller-provided daemon: it
+/// other modes this one does not hit a caller-provided daemon: it
 /// spawns its own two-shard clusters (one per arm) from `serve_exe`, so
 /// both arms start from a provably cold tier.
 #[derive(Debug, Clone)]
@@ -1196,52 +1096,10 @@ fn normalized_sim_body(body: &[u8]) -> Option<String> {
     serde_json::to_string(&Value::Obj(strip(pairs))).ok()
 }
 
-/// Scrapes B's epoch-cache counters after a pass; zeros when the scrape
-/// fails (the arm still reports its latencies).
-fn scrape_epoch_stats(addr: &str) -> (u64, u64, u64, f64, f64, f64) {
-    let Ok(body) = get(addr, "/metrics") else {
-        return (0, 0, 0, 0.0, 0.0, 0.0);
-    };
-    let Some(value) = std::str::from_utf8(&body)
-        .ok()
-        .and_then(|text| serde_json::parse_value_str(text).ok())
-    else {
-        return (0, 0, 0, 0.0, 0.0, 0.0);
-    };
-    let field = |name: &str| -> Option<Value> {
-        let Value::Obj(pairs) = &value else {
-            return None;
-        };
-        let Value::Obj(epoch) = serde::obj_get(pairs, "epoch_cache") else {
-            return None;
-        };
-        Some(serde::obj_get(epoch, name).clone())
-    };
-    let int = |name: &str| match field(name) {
-        Some(Value::UInt(u)) => u,
-        Some(Value::Int(i)) => i.max(0) as u64,
-        _ => 0,
-    };
-    let float = |name: &str| match field(name) {
-        Some(Value::Float(f)) => f,
-        Some(Value::UInt(u)) => u as f64,
-        Some(Value::Int(i)) => i as f64,
-        _ => 0.0,
-    };
-    (
-        int("remote_hits"),
-        int("remote_misses"),
-        int("remote_chain_entries"),
-        float("remote_hit_ratio"),
-        float("remote_fetch_p50_ms"),
-        float("remote_fetch_p95_ms"),
-    )
-}
-
 /// Runs one arm: spawn a fresh two-shard cluster, push it a topology,
 /// warm A with the mix, measure the mix on B, scrape B's counters.
-/// Returns the arm plus B's normalized response payloads (for the
-/// cross-arm identity check).
+/// Returns the arm plus B's normalized response payloads in mix order
+/// (for the cross-arm identity check).
 fn run_epoch_arm(
     cfg: &EpochAbConfig,
     peer_fetch: bool,
@@ -1257,17 +1115,16 @@ fn run_epoch_arm(
         epoch_cache: true,
         epoch_peer_fetch: peer_fetch,
         epoch_fetch_budget_ms: cfg.budget_ms.max(1),
-        epoch_warm_push: 0,
         run_dir,
     })
     .map_err(|e| format!("epoch-ab shard spawn: {e}"))?;
-    let (a, b) = (shards[0].addr, shards[1].addr);
+    let (a, b) = (shards[0].addr.to_string(), shards[1].addr.to_string());
 
     // Both arms get the same topology so "off" measures the fetch
     // flag, not a discovery difference.
     let doc = TopologyDoc {
         epoch: 1,
-        shards: [a, b]
+        shards: [&a, &b]
             .iter()
             .enumerate()
             .map(|(i, addr)| ShardDoc {
@@ -1280,77 +1137,47 @@ fn run_epoch_arm(
             .collect(),
     };
     let topo_body = serde_json::to_string(&doc).expect("topology serializes");
-    for addr in [a, b] {
-        let req = PreparedRequest {
-            method: "POST".to_string(),
-            target: "/v2/admin/topology".to_string(),
-            body: topo_body.clone(),
-        };
-        let (status, body) = issue_to(&addr, &req)?;
-        if status != 200 {
+    for addr in [&a, &b] {
+        let resp = control(addr, "POST", "/v2/admin/topology", Some(&topo_body))?;
+        if resp.status != 200 {
             return Err(format!(
-                "epoch-ab topology push to {addr}: {status} {}",
-                String::from_utf8_lossy(&body)
+                "epoch-ab topology push to {addr}: {} {}",
+                resp.status,
+                String::from_utf8_lossy(&resp.body)
             ));
         }
     }
 
     let mix = epoch_ab_mix();
-    let warm_acc = PhaseAccumulator::default();
-    let warm_started = Instant::now();
-    for req in &mix {
-        timed_issue(&a, req, &warm_acc);
+    let once = || Schedule::Closed {
+        run_for: None,
+        limit: Some(mix.len()),
+    };
+    let warm_a = drive(&a, 1, &mix, once(), false)?.stats;
+    let live = drive(&b, 1, &mix, once(), true)?;
+    let mut payloads = vec![None; mix.len()];
+    for (i, resp) in &live.responses {
+        if resp.status == 200 {
+            payloads[*i] = normalized_sim_body(&resp.body);
+        }
     }
-    let warm_a = warm_acc.stats(warm_started.elapsed().as_secs_f64());
 
-    let live_acc = PhaseAccumulator::default();
-    let mut payloads = Vec::with_capacity(mix.len());
-    let live_started = Instant::now();
-    for req in &mix {
-        payloads.push(timed_issue(&b, req, &live_acc));
-    }
-    let live_b = live_acc.stats(live_started.elapsed().as_secs_f64());
-
-    let (remote_hits, remote_misses, remote_chain_entries, remote_hit_ratio, p50, p95) =
-        scrape_epoch_stats(&b.to_string());
+    let metrics = scrape_metrics(&b).unwrap_or(Value::Null);
+    let at = |name: &str| number_at(&metrics, &["epoch_cache", name]).unwrap_or(0.0);
     drop(shards);
     Ok((
         EpochAbArm {
             warm_a,
-            live_b,
-            remote_hits,
-            remote_misses,
-            remote_chain_entries,
-            remote_hit_ratio,
-            remote_fetch_p50_ms: p50,
-            remote_fetch_p95_ms: p95,
+            live_b: live.stats,
+            remote_hits: at("remote_hits") as u64,
+            remote_misses: at("remote_misses") as u64,
+            remote_chain_entries: at("remote_chain_entries") as u64,
+            remote_hit_ratio: at("remote_hit_ratio"),
+            remote_fetch_p50_ms: at("remote_fetch_p50_ms"),
+            remote_fetch_p95_ms: at("remote_fetch_p95_ms"),
         },
         payloads,
     ))
-}
-
-fn issue_to(addr: &SocketAddr, req: &PreparedRequest) -> Result<(u16, Vec<u8>), String> {
-    let mut stream = connect(&addr.to_string()).map_err(|e| format!("connect {addr}: {e}"))?;
-    issue(&mut stream, req).map_err(|e| format!("request to {addr}: {e}"))
-}
-
-/// One timed request against `addr`, recorded into `acc`; returns the
-/// normalized payload for 2xx responses.
-fn timed_issue(addr: &SocketAddr, req: &PreparedRequest, acc: &PhaseAccumulator) -> Option<String> {
-    let started = Instant::now();
-    match issue_to(addr, req) {
-        Ok((status, body)) => {
-            let latency = started.elapsed().as_secs_f64() * 1e3;
-            acc.record(Some(status), Some(&body), latency);
-            (status == 200)
-                .then(|| normalized_sim_body(&body))
-                .flatten()
-        }
-        Err(_) => {
-            acc.record(None, None, started.elapsed().as_secs_f64() * 1e3);
-            None
-        }
-    }
 }
 
 /// Runs the full A/B: the tier-on arm, then a fresh tier-off arm, and
@@ -1381,36 +1208,13 @@ pub fn run_epoch_ab(cfg: &EpochAbConfig) -> Result<EpochAbReport, String> {
         && on_payloads.iter().all(Option::is_some)
         && on_payloads == off_payloads;
     Ok(EpochAbReport {
-        mix_size: epoch_ab_mix().len(),
+        mix_size: on_payloads.len(),
         budget_ms: cfg.budget_ms,
         tier_on,
         tier_off,
         warm_speedup,
         identical,
     })
-}
-
-/// Merges the A/B into `path` as its `cluster_epoch_tier` field,
-/// preserving an existing `BENCH_serve.json` document (an unreadable or
-/// non-object file is replaced by a fresh one).
-///
-/// # Errors
-///
-/// Returns a message when the merged document cannot be written.
-pub fn merge_epoch_ab(path: &PathBuf, report: &EpochAbReport) -> Result<(), String> {
-    let mut pairs = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::parse_value_str(&text).ok())
-        .and_then(|value| match value {
-            Value::Obj(pairs) => Some(pairs),
-            _ => None,
-        })
-        .unwrap_or_default();
-    pairs.retain(|(k, _)| k != "cluster_epoch_tier");
-    pairs.push(("cluster_epoch_tier".to_string(), report.to_value()));
-    let json = serde_json::to_string_pretty(&Value::Obj(pairs)).map_err(|e| e.to_string())?;
-    std::fs::write(path, format!("{json}\n"))
-        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -1439,12 +1243,12 @@ mod tests {
 
     #[test]
     fn percentiles_are_exact_on_raw_samples() {
-        let acc = PhaseAccumulator::default();
+        let mut tally = Tally::default();
         for i in 1..=100 {
-            acc.record(Some(200), None, i as f64);
+            tally.record(Outcome::Ok, i as f64);
         }
-        let s = acc.stats(10.0);
-        assert_eq!(s.requests, 100);
+        let s = tally.finish(0.0, 10.0, 0);
+        assert_eq!(s.completed, 100);
         assert_eq!(s.ok, 100);
         assert_eq!(s.p50_ms, 50.0);
         assert_eq!(s.p95_ms, 95.0);
@@ -1455,24 +1259,38 @@ mod tests {
 
     #[test]
     fn structured_errors_classify_by_code_not_status() {
-        let acc = PhaseAccumulator::default();
-        // A queue_full body counts as backpressure even off a 503 (a
-        // router may relay a shard's rejection with its own status).
-        let full = br#"{"code": "queue_full", "message": "busy", "retry_after_ms": 1000}"#;
-        acc.record(Some(503), Some(full), 1.0);
-        // The v2 envelope carries the same error one level down.
-        let enveloped =
-            br#"{"v": 2, "data": null, "error": {"code": "queue_full", "message": "busy"}}"#;
-        acc.record(Some(429), Some(enveloped), 1.0);
-        // A structured non-queue error is an error even on 429.
-        let bad = br#"{"code": "bad_request", "message": "nope"}"#;
-        acc.record(Some(429), Some(bad), 1.0);
-        // Unparseable body falls back to the status code.
-        acc.record(Some(429), Some(b"busy"), 1.0);
-        acc.record(Some(500), Some(b"boom"), 1.0);
-        let s = acc.stats(1.0);
-        assert_eq!(s.rejected_429, 3);
-        assert_eq!(s.errors, 2);
+        let cases: [(u16, &[u8], Outcome); 5] = [
+            // A queue_full body counts as backpressure even off a 503 (a
+            // router may relay a shard's rejection with its own status).
+            (
+                503,
+                br#"{"code": "queue_full", "message": "busy", "retry_after_ms": 1000}"#,
+                Outcome::Rejected,
+            ),
+            // The v2 envelope carries the same error one level down.
+            (
+                429,
+                br#"{"v": 2, "data": null, "error": {"code": "queue_full", "message": "busy"}}"#,
+                Outcome::Rejected,
+            ),
+            // A structured non-queue error is an error even on 429.
+            (
+                429,
+                br#"{"code": "bad_request", "message": "nope"}"#,
+                Outcome::Error,
+            ),
+            // Unparseable body falls back to the status code.
+            (429, b"busy", Outcome::Rejected),
+            (500, b"boom", Outcome::Error),
+        ];
+        for (status, body, want) in cases {
+            assert_eq!(
+                classify(status, body),
+                want,
+                "{status} {}",
+                String::from_utf8_lossy(body)
+            );
+        }
     }
 
     #[test]
@@ -1485,6 +1303,23 @@ mod tests {
             br#"{"v": 2, "data": {"cached": false}}"#
         ));
         assert!(!response_says_cached(b"not json"));
+    }
+
+    #[test]
+    fn cold_cache_hits_count_every_simulate_dialect() {
+        let enveloped = br#"{"v": 2, "data": {"cached": true}}"#;
+        assert!(is_cold_cache_hit("/v2/simulate", 200, enveloped));
+        assert!(is_cold_cache_hit(
+            "/v1/simulate",
+            200,
+            br#"{"cached": true}"#
+        ));
+        assert!(!is_cold_cache_hit(
+            "/v1/recommend",
+            200,
+            br#"{"cached": true}"#
+        ));
+        assert!(!is_cold_cache_hit("/v2/simulate", 429, enveloped));
     }
 
     #[test]
@@ -1515,41 +1350,62 @@ mod tests {
         let dir = std::env::temp_dir().join("sa_serve_guard_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("baseline.json");
-        std::fs::write(&path, r#"{"warm": {"p99_ms": 10.0}}"#).expect("write baseline");
+        std::fs::write(
+            &path,
+            r#"{"closed_loop": {"warm": {"p99_ms": 10.0}}, "open_loop": {"warm": {"p99_ms": 100.0}}}"#,
+        )
+        .expect("write baseline");
         let mut report = synthetic_report();
         report.warm.p99_ms = 25.0;
-        assert!(check_guard(&report, &path, 4.0).is_ok());
+        assert!(check_guard(&report, "closed_loop", &path, 4.0).is_ok());
         report.warm.p99_ms = 45.0;
-        assert!(check_guard(&report, &path, 4.0).is_err());
+        assert!(check_guard(&report, "closed_loop", &path, 4.0).is_err());
+        // Each kind is held to its own block only.
+        assert!(check_guard(&report, "open_loop", &path, 4.0).is_ok());
+        assert!(check_guard(&report, "replay", &path, 4.0).is_err());
+    }
+
+    #[test]
+    fn reports_merge_under_their_kind() {
+        let dir = std::env::temp_dir().join(format!("sa_serve_merge_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("report.json");
+        let _ = std::fs::remove_file(&path);
+        let mut report = synthetic_report();
+        merge_report(&path, "closed_loop", report.to_value()).expect("first write");
+        merge_report(&path, "open_loop", report.to_value()).expect("second kind");
+        report.warm.p99_ms = 7.0;
+        merge_report(&path, "closed_loop", report.to_value()).expect("overwrite");
+        let doc = serde_json::parse_value_str(&std::fs::read_to_string(&path).expect("read"))
+            .expect("JSON");
+        let Value::Obj(pairs) = &doc else {
+            panic!("report file is an object");
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["closed_loop", "open_loop"]);
+        assert_eq!(
+            number_at(&doc, &["closed_loop", "warm", "p99_ms"]),
+            Some(7.0)
+        );
+        assert_eq!(number_at(&doc, &["open_loop", "warm", "p99_ms"]), Some(1.0));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     fn synthetic_report() -> Report {
-        let phase = PhaseStats {
-            requests: 1,
-            ok: 1,
-            rejected_429: 0,
-            errors: 0,
-            wall_s: 1.0,
-            rps: 1.0,
-            mean_ms: 1.0,
-            p50_ms: 1.0,
-            p95_ms: 1.0,
-            p99_ms: 1.0,
-            max_ms: 1.0,
-        };
+        let mut tally = Tally::default();
+        tally.record(Outcome::Ok, 1.0);
+        let phase = tally.finish(0.0, 1.0, 0);
         Report {
             addr: "127.0.0.1:0".to_string(),
-            concurrency: 1,
-            concurrent_conns: 0,
-            target_rps: 0.0,
+            connections: 1,
+            offered_rps: 0.0,
             mix_size: 1,
-            cold: phase.clone(),
+            cold: Some(phase.clone()),
             cold_cache_hits: 0,
             warm: phase,
             warm_over_cold_rps: 1.0,
             server_hit_ratio: 0.0,
             server_coalesced_total: 0,
-            open_loop: None,
         }
     }
 }

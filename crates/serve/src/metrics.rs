@@ -254,7 +254,7 @@ impl From<CacheStats> for TraceCacheSnapshot {
 /// JSON shape of the epoch-cache stats (mirrors
 /// [`sparseadapt::epoch_cache::EpochCacheStats`] plus derived ratios).
 /// The `remote_*` counters are the cluster tier: fetch-on-miss hits,
-/// misses, bytes and latency, plus the warm-push exchange counts.
+/// misses, bytes and latency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochCacheSnapshot {
     /// Epoch-boundary lookups observed.
@@ -292,14 +292,6 @@ pub struct EpochCacheSnapshot {
     pub remote_inflight_skipped: u64,
     /// Remote-sourced epochs evicted by the remote byte quota.
     pub remote_evictions: u64,
-    /// Warm-push entries this shard sent to peers.
-    pub push_sent: u64,
-    /// Bytes sent in warm pushes.
-    pub push_bytes_sent: u64,
-    /// Warm-push entries this shard accepted from peers.
-    pub push_received: u64,
-    /// Bytes accepted in warm pushes.
-    pub push_bytes_received: u64,
     /// Epochs resident in memory.
     pub entries: usize,
     /// Bytes resident in memory.
@@ -334,10 +326,6 @@ impl From<EpochCacheStats> for EpochCacheSnapshot {
             remote_negative_suppressed: s.remote_negative_suppressed,
             remote_inflight_skipped: s.remote_inflight_skipped,
             remote_evictions: s.remote_evictions,
-            push_sent: s.push_sent,
-            push_bytes_sent: s.push_bytes_sent,
-            push_received: s.push_received,
-            push_bytes_received: s.push_bytes_received,
             entries: s.entries,
             resident_bytes: s.resident_bytes,
             remote_entries: s.remote_entries,
@@ -404,10 +392,6 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         e.remote_negative_suppressed += s.epoch_cache.remote_negative_suppressed;
         e.remote_inflight_skipped += s.epoch_cache.remote_inflight_skipped;
         e.remote_evictions += s.epoch_cache.remote_evictions;
-        e.push_sent += s.epoch_cache.push_sent;
-        e.push_bytes_sent += s.epoch_cache.push_bytes_sent;
-        e.push_received += s.epoch_cache.push_received;
-        e.push_bytes_received += s.epoch_cache.push_bytes_received;
         e.entries += s.epoch_cache.entries;
         e.resident_bytes += s.epoch_cache.resident_bytes;
         e.remote_entries += s.epoch_cache.remote_entries;

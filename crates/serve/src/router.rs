@@ -59,13 +59,10 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
         // Upload is a /v2-only surface: the v1 shim predates content-
         // addressed matrices and stays frozen.
         ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(handlers::upload_matrix)),
-        // Shard-to-shard epoch-cache protocol (/v2-only, binary). GET
-        // serves one encoded epoch; PUT accepts a warm push.
+        // Shard-to-shard epoch-cache protocol (/v2-only, binary, read
+        // only): GET serves one encoded epoch or a chained segment.
         ("GET", path) if path.starts_with("/v2/cache/epoch/") => {
             ("GET /v2/cache/epoch/:key", Pool(handlers::epoch_get))
-        }
-        ("PUT", path) if path.starts_with("/v2/cache/epoch/") => {
-            ("PUT /v2/cache/epoch/:key", Pool(handlers::epoch_put))
         }
         (_, path) if path.starts_with("/v2/cache/epoch/") => (
             "method_not_allowed",

@@ -145,9 +145,6 @@ pub struct ServeConfig {
     /// Hard wall-clock budget for one peer fetch, milliseconds; expiry
     /// falls back to local simulation.
     pub epoch_fetch_budget_ms: u64,
-    /// After each sweep, push this many of the hottest epoch entries to
-    /// ring neighbors (0 = off). Implies `epoch_cache`.
-    pub epoch_warm_push: usize,
 }
 
 impl Default for ServeConfig {
@@ -166,7 +163,6 @@ impl Default for ServeConfig {
             epoch_cache_dir: None,
             epoch_peer_fetch: false,
             epoch_fetch_budget_ms: 25,
-            epoch_warm_push: 0,
         }
     }
 }
@@ -198,12 +194,9 @@ pub struct AppState {
     /// view against the router's. The epoch-cache cluster tier
     /// ([`crate::epoch_tier`]) also reads its peers from here.
     pub topology: Mutex<Option<TopologyDoc>>,
-    /// The address this daemon is bound at — what the peer fetcher and
-    /// warm pusher exclude from the topology's shard list to avoid
-    /// asking themselves.
+    /// The address this daemon is bound at — what the peer fetcher
+    /// excludes from the topology's shard list to avoid asking itself.
     pub self_addr: SocketAddr,
-    /// Post-sweep warm-push fan-out (hottest-entry count; 0 = off).
-    pub epoch_warm_push: usize,
     /// Memoized workloads with their content fingerprints.
     /// Construction (op-stream generation) and fingerprinting both walk
     /// every op, so each costs more than a cached simulation lookup —
@@ -315,15 +308,11 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     if config.cache_mem_cap.is_some() {
         TraceCache::global().set_memory_cap(config.cache_mem_cap);
     }
-    // Epoch tier: the memory tier turns on with any epoch flag (disk,
-    // peer fetch and warm push are all meaningless without it). The
-    // disk dir is NOT defaulted under `cache_dir` on purpose — see the
+    // Epoch tier: the memory tier turns on with any epoch flag (disk
+    // and peer fetch are both meaningless without it). The disk dir is
+    // NOT defaulted under `cache_dir` on purpose — see the
     // `epoch_cache_dir` field docs.
-    if config.epoch_cache
-        || config.epoch_cache_dir.is_some()
-        || config.epoch_peer_fetch
-        || config.epoch_warm_push > 0
-    {
+    if config.epoch_cache || config.epoch_cache_dir.is_some() || config.epoch_peer_fetch {
         EpochCache::global().set_enabled(true);
     }
     if let Some(dir) = &config.epoch_cache_dir {
@@ -361,7 +350,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         reactor: Arc::new(ReactorStats::new()),
         topology: Mutex::new(None),
         self_addr: addr,
-        epoch_warm_push: config.epoch_warm_push,
         workloads: Mutex::new(HashMap::new()),
     });
     let stop = Arc::new(AtomicBool::new(false));

@@ -1470,8 +1470,6 @@ pub struct ShardSpawn {
     pub epoch_peer_fetch: bool,
     /// Per-fetch wall-clock budget forwarded to every shard, ms.
     pub epoch_fetch_budget_ms: u64,
-    /// Post-sweep warm-push fan-out forwarded to every shard (0 = off).
-    pub epoch_warm_push: usize,
 }
 
 /// A spawned shard process; killed (and reaped) on drop.
@@ -1540,10 +1538,6 @@ pub fn spawn_shards(spawn: &ShardSpawn) -> io::Result<Vec<ShardChild>> {
             cmd.arg("--epoch-peer-fetch")
                 .arg("--epoch-fetch-budget-ms")
                 .arg(spawn.epoch_fetch_budget_ms.to_string());
-        }
-        if spawn.epoch_warm_push > 0 {
-            cmd.arg("--epoch-warm-push")
-                .arg(spawn.epoch_warm_push.to_string());
         }
         let child = cmd.spawn()?;
         let addr = wait_for_addr(&addr_file, Duration::from_secs(10))?;

@@ -97,7 +97,6 @@ fn cluster_end_to_end() {
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
-        epoch_warm_push: 0,
         run_dir: base.join("run"),
     })
     .expect("shards boot");
@@ -348,7 +347,7 @@ fn cluster_end_to_end() {
     assert!(records.iter().all(|r| r.method == "POST"));
     let replay_report = loadgen::run(&LoadgenConfig {
         addr: addr.to_string(),
-        concurrency: 2,
+        connections: 2,
         replay: Some(record_path.clone()),
         ..LoadgenConfig::default()
     })

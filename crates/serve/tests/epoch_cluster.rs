@@ -6,7 +6,7 @@
 //! One sequential `#[test]` amortizes the process-boot cost across the
 //! assertions: remote hits on a warm peer, structural identity of the
 //! results with the tier disabled, budget-expiry fallback against a
-//! hung peer, and post-sweep warm push.
+//! hung peer, and a read-only protocol surface.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -111,7 +111,7 @@ fn epoch_tier_cluster_end_to_end() {
     // warm run on B can only be fed by A over the wire. A generous
     // budget keeps slow CI machines from turning real hits into
     // deadline misses.
-    let spawn = |count: usize, peer_fetch: bool, budget_ms: u64, warm_push: usize, dir: &str| {
+    let spawn = |count: usize, peer_fetch: bool, budget_ms: u64, dir: &str| {
         spawn_shards(&ShardSpawn {
             exe: exe.clone(),
             count,
@@ -122,16 +122,15 @@ fn epoch_tier_cluster_end_to_end() {
             epoch_cache: true,
             epoch_peer_fetch: peer_fetch,
             epoch_fetch_budget_ms: budget_ms,
-            epoch_warm_push: warm_push,
             run_dir: base.join(dir),
         })
         .expect("shards boot")
     };
-    let cluster = spawn(2, true, 2_000, 4, "cluster");
+    let cluster = spawn(2, true, 2_000, "cluster");
     let (a, b) = (cluster[0].addr, cluster[1].addr);
     // Control shard: epoch cache on, peer fetch off. Its results are
     // the "tier disabled" reference the warm peer must reproduce.
-    let control = spawn(1, false, 25, 0, "control");
+    let control = spawn(1, false, 25, "control");
     let c = control[0].addr;
 
     push_topology(&[a, b], &[a, b]);
@@ -196,6 +195,20 @@ fn epoch_tier_cluster_end_to_end() {
         404,
         "well-formed but unknown keys are a miss"
     );
+    // The tier is read-only: nothing can write a peer's epoch cache.
+    let mut stream = TcpStream::connect(a).expect("connect");
+    write_request(
+        &mut stream,
+        "PUT",
+        "/v2/cache/epoch/0000000000000000-0000000000000000-0000000000000000-0000000000000000-0000000000000000",
+        Some("SAEP"),
+    )
+    .expect("write");
+    assert_eq!(
+        read_response(&stream).expect("read").status,
+        405,
+        "PUT on an epoch key is not a route"
+    );
 
     // -- budget expiry falls back to compute --------------------------
     // A topology pointing at a bound-but-never-accepting listener: the
@@ -203,7 +216,7 @@ fn epoch_tier_cluster_end_to_end() {
     // tight budget the shard must give up and simulate locally.
     let hung = TcpListener::bind("127.0.0.1:0").expect("hung listener");
     let hung_addr = hung.local_addr().expect("hung addr");
-    let tight = spawn(1, true, 60, 0, "tight");
+    let tight = spawn(1, true, 60, "tight");
     let d = tight[0].addr;
     push_topology(&[d, hung_addr], &[d]);
 
@@ -231,58 +244,6 @@ fn epoch_tier_cluster_end_to_end() {
         "budgeted fetches must not stall the request"
     );
     drop(hung);
-
-    // -- post-sweep warm push -----------------------------------------
-    let sweep = post(
-        &a,
-        "/v2/sweep",
-        r#"{"kernel": "spmspv", "matrix": "R02", "sampled": 2}"#,
-    );
-    assert_eq!(sweep.status, 202, "body: {}", body_str(&sweep));
-    let job_id = as_u64(
-        &field(&parse(&sweep), &["data", "job_id"])
-            .or_else(|| field(&parse(&sweep), &["job_id"]))
-            .expect("job_id"),
-    );
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let poll = get(&a, &format!("/v2/jobs/{job_id}"));
-        assert_eq!(poll.status, 200, "body: {}", body_str(&poll));
-        let status =
-            field(&parse(&poll), &["data", "status"]).or_else(|| field(&parse(&poll), &["status"]));
-        match status {
-            Some(serde::Value::Str(s)) if s == "done" => break,
-            Some(serde::Value::Str(s)) if s == "failed" => {
-                panic!("sweep failed: {}", body_str(&poll))
-            }
-            _ => {
-                assert!(Instant::now() < deadline, "sweep did not finish in time");
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
-    }
-    // The push runs on a detached thread after the job completes; give
-    // it a moment to land on B.
-    let push_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if epoch_counter(&b, "push_received") > 0 {
-            break;
-        }
-        assert!(
-            Instant::now() < push_deadline,
-            "warm push never landed on B (A push_sent = {})",
-            epoch_counter(&a, "push_sent"),
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    assert!(
-        epoch_counter(&a, "push_sent") > 0,
-        "A must account the epochs it pushed"
-    );
-    assert!(
-        epoch_counter(&b, "push_bytes_received") > 0,
-        "pushed epochs must account their bytes"
-    );
 
     // -- merged metrics carry the epoch tier --------------------------
     for addr in [a, b, c, d] {

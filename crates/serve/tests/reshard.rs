@@ -175,7 +175,6 @@ fn elastic_cluster_end_to_end() {
             epoch_cache: false,
             epoch_peer_fetch: false,
             epoch_fetch_budget_ms: 25,
-            epoch_warm_push: 0,
             run_dir,
         })
         .expect("shard boots")
@@ -192,7 +191,6 @@ fn elastic_cluster_end_to_end() {
         epoch_cache: false,
         epoch_peer_fetch: false,
         epoch_fetch_budget_ms: 25,
-        epoch_warm_push: 0,
         run_dir: base.join("run"),
     })
     .expect("shards boot");
