@@ -51,13 +51,8 @@ pub fn collect_options(scale: Scale, threads: usize) -> CollectOptions {
     }
 }
 
-/// Loads (or trains and caches) the ensemble for (scale, L1 kind, mode).
-///
-/// Memoised per process: when experiments run concurrently, the first
-/// request for a given (scale, L1 kind, mode) trains/loads while later
-/// requests block on its slot and then share the result — the
-/// disk-level cache under `models/` is never written to by two threads
-/// at once.
+/// Loads (or trains and caches) the ensemble for (scale, L1 kind, mode),
+/// as an owned copy for callers that hand it to a controller.
 ///
 /// # Panics
 ///
@@ -68,16 +63,33 @@ pub fn ensemble(
     mode: OptMode,
     threads: usize,
 ) -> PredictiveEnsemble {
-    type Slot = Arc<OnceLock<PredictiveEnsemble>>;
-    static MEMO: OnceLock<Mutex<HashMap<String, Slot>>> = OnceLock::new();
-    let key = format!("{scale:?}/{l1_kind:?}/{}", mode.name());
-    let slot: Slot = {
-        let mut memo = MEMO
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("model memo lock");
-        memo.entry(key).or_default().clone()
-    };
+    (*shared_ensemble(scale, l1_kind, mode, threads)).clone()
+}
+
+/// Loads (or trains and caches) the ensemble for (scale, L1 kind, mode),
+/// shared rather than copied.
+///
+/// Memoised per process: when experiments run concurrently, the first
+/// request for a given (scale, L1 kind, mode) trains/loads while later
+/// requests block on its slot and then share the result — the
+/// disk-level cache under `models/` is never written to by two threads
+/// at once.
+///
+/// # Panics
+///
+/// Panics on unrecoverable I/O failure of the model cache.
+pub fn shared_ensemble(
+    scale: Scale,
+    l1_kind: MemKind,
+    mode: OptMode,
+    threads: usize,
+) -> Arc<PredictiveEnsemble> {
+    let slot: Slot = memo()
+        .lock()
+        .expect("model memo lock")
+        .entry((scale, l1_kind, mode))
+        .or_default()
+        .clone();
     slot.get_or_init(|| {
         let dir = model_dir(scale);
         let copts = collect_options(scale, threads);
@@ -86,8 +98,31 @@ pub fn ensemble(
             grid: scale == Scale::Paper,
             ..TrainOptions::default()
         };
-        train_or_load_both(&dir, l1_kind, mode, &copts, &topts)
-            .expect("model cache directory must be writable")
+        Arc::new(
+            train_or_load_both(&dir, l1_kind, mode, &copts, &topts)
+                .expect("model cache directory must be writable"),
+        )
     })
     .clone()
+}
+
+/// The ensemble for (scale, L1 kind, mode) if this process has already
+/// loaded it: never loads, trains or waits. `None` when it is not
+/// loaded yet, or when the memo's lock is held.
+pub fn loaded_ensemble(
+    scale: Scale,
+    l1_kind: MemKind,
+    mode: OptMode,
+) -> Option<Arc<PredictiveEnsemble>> {
+    let memo = memo().try_lock().ok()?;
+    memo.get(&(scale, l1_kind, mode))?.get().cloned()
+}
+
+type Slot = Arc<OnceLock<Arc<PredictiveEnsemble>>>;
+type Memo = Mutex<HashMap<(Scale, MemKind, OptMode), Slot>>;
+
+/// One slot per (scale, L1 kind, mode); a slot fills once.
+fn memo() -> &'static Memo {
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }

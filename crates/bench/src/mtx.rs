@@ -71,13 +71,15 @@ impl MatrixSource {
 
     /// Resolves an id: suite ids go through the suite table, `mtx:`
     /// ids through the registry (memory first, then the spill
-    /// directory).
+    /// directory). A registered matrix's id is rebuilt from the hash it
+    /// is registered under, which the registry verified on the way in,
+    /// so resolving never re-hashes the matrix.
     pub fn resolve(id: &str) -> Option<MatrixSource> {
         if let Some(hex) = id.strip_prefix("mtx:") {
             let hash = u64::from_str_radix(hex, 16).ok()?;
             let matrix = lookup(hash)?;
             return Some(MatrixSource::Mtx {
-                id: mtx::content_id(&matrix),
+                id: mtx::hash_id(hash),
                 matrix,
             });
         }
@@ -126,7 +128,7 @@ fn spill_path(dir: &Path, hash: u64) -> PathBuf {
 /// duplicate). Persists to the spill directory when one is attached.
 pub fn register(m: CooMatrix) -> (MatrixSource, bool) {
     let hash = mtx::content_hash(&m);
-    let id = mtx::content_id(&m);
+    let id = mtx::hash_id(hash);
     let mut reg = registry().lock().unwrap();
     let (matrix, dedup) = match reg.by_hash.get(&hash) {
         Some(existing) => (Arc::clone(existing), true),
@@ -211,7 +213,12 @@ pub fn scan_dir(dir: &Path) -> Result<Vec<(String, MatrixSource)>, String> {
 mod tests {
     use super::*;
 
+    // The registry is process-wide and tests run concurrently, so each
+    // test registers content no other test does: the spill test drops
+    // its own entry from memory, which must not undo another test's
+    // registration between its two `register_text` calls.
     const TINY: &str = "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 2.0\n2 2 3.0\n3 1 -1.0\n3 3 4.0\n";
+    const TINY_SPILLED: &str = "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 5.0\n2 2 3.0\n3 1 -1.0\n3 3 4.0\n";
 
     #[test]
     fn register_then_resolve_round_trips() {
@@ -221,6 +228,15 @@ mod tests {
         assert_eq!(src.id().len(), "mtx:".len() + 16);
         let back = MatrixSource::resolve(src.id()).expect("registered id resolves");
         assert_eq!(back, src);
+        // The id is rebuilt from the hash, not echoed: hex digits in
+        // either case name the one lower-case id the content hashes to.
+        let MatrixSource::Mtx { matrix, .. } = &back else {
+            panic!("an mtx id resolves to an Mtx source");
+        };
+        assert_eq!(back.id(), mtx::content_id(matrix));
+        let upper = format!("mtx:{}", src.id()["mtx:".len()..].to_ascii_uppercase());
+        let from_upper = MatrixSource::resolve(&upper).expect("upper-case hex resolves");
+        assert_eq!(from_upper.id(), src.id());
         // Second registration of the same content is a dedup.
         let (again, dedup2) = register_text(TINY).unwrap();
         assert!(dedup2);
@@ -241,7 +257,7 @@ mod tests {
     fn spill_dir_survives_memory_miss() {
         let dir = std::env::temp_dir().join(format!("sa-mtx-spill-{}", std::process::id()));
         set_spill_dir(Some(dir.clone()));
-        let (src, _) = register_text(TINY).unwrap();
+        let (src, _) = register_text(TINY_SPILLED).unwrap();
         let hash = u64::from_str_radix(&src.id()["mtx:".len()..], 16).unwrap();
         assert!(spill_path(&dir, hash).exists());
         // Drop the in-memory entry and resolve again through the spill.

@@ -17,7 +17,10 @@
 //! Concurrency: each key maps to an `Arc<OnceLock<...>>` slot. A second
 //! thread asking for an in-flight key blocks on `get_or_init` instead of
 //! duplicating the simulation, and the per-key slot keeps the outer map
-//! lock uncontended while simulations run.
+//! lock uncontended while simulations run. [`TraceCache::peek`] is the
+//! lookup for a thread that must not wait (the serve daemon's event
+//! loop): it answers completed in-memory traces only, and gives up
+//! rather than block on the map lock.
 //!
 //! Memory: the resident set is bounded. [`TraceCache::set_memory_cap`]
 //! sets a byte budget; once completed traces exceed it, the
@@ -257,6 +260,26 @@ impl TraceCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         trace
+    }
+
+    /// The trace for `key` if it is already complete in memory: a
+    /// lookup that never simulates, never reads disk and never waits.
+    /// `None` when the trace is absent, still in flight, or the map's
+    /// lock is held (an eviction scan may hold it for a while). A hit
+    /// counts as a hit and refreshes the entry's LRU position, exactly
+    /// as a [`TraceCache::get_or_simulate`] hit does; a `None` counts
+    /// nothing, since the caller falls back to `get_or_simulate`, which
+    /// counts that lookup itself.
+    pub fn peek(&self, key: &TraceKey) -> Option<Arc<Vec<EpochRecord>>> {
+        let mut guard = self.inner.try_lock().ok()?;
+        let inner = &mut *guard;
+        let entry = inner.map.get_mut(key)?;
+        let trace = Arc::clone(entry.slot.get()?);
+        inner.clock += 1;
+        entry.last_use = inner.clock;
+        drop(guard);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(trace)
     }
 
     /// Evicts least-recently-used *completed* traces until the resident
@@ -762,6 +785,104 @@ mod tests {
             }
         });
         assert!(cache.resident_bytes() <= 2 * one);
+    }
+
+    #[test]
+    fn peek_hits_a_resident_trace_and_counts_one_hit() {
+        let cache = TraceCache::new();
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(40);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let stored = cache.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        let peeked = cache.peek(&key).expect("resident trace");
+        assert!(
+            Arc::ptr_eq(&stored, &peeked),
+            "a peek shares the resident trace"
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.disk_hits), (1, 1, 0));
+    }
+
+    #[test]
+    fn peeked_entry_outlives_an_older_unpeeked_one_under_a_cap() {
+        let cache = TraceCache::new();
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let cfg = TransmuterConfig::baseline();
+        let wls: Vec<Workload> = (41..44).map(tiny_workload).collect();
+        let keys: Vec<TraceKey> = wls.iter().map(|w| TraceKey::new(&spec, w, &cfg)).collect();
+        let one = trace_bytes(&simulate_trace(spec, &wls[0], cfg));
+        // Room for two traces.
+        cache.set_memory_cap(Some(2 * one));
+        for (key, wl) in keys.iter().zip(&wls).take(2) {
+            cache.get_or_simulate(*key, || simulate_trace(spec, wl, cfg));
+        }
+        // The oldest entry is refreshed by a peek, so the third insert
+        // evicts the second one instead.
+        assert!(cache.peek(&keys[0]).is_some());
+        cache.get_or_simulate(keys[2], || simulate_trace(spec, &wls[2], cfg));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.peek(&keys[0]).is_some(), "the peeked entry stays");
+        assert!(cache.peek(&keys[1]).is_none(), "the unpeeked entry went");
+    }
+
+    #[test]
+    fn peek_gives_up_on_an_in_flight_trace_and_a_held_lock() {
+        let cache = TraceCache::new();
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(44);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let (cache, wl) = (&cache, &wl);
+            let leader = scope.spawn(move || {
+                cache.get_or_simulate(key, || {
+                    started_tx.send(()).expect("signal start");
+                    release_rx.recv().expect("release");
+                    simulate_trace(spec, wl, cfg)
+                })
+            });
+            started_rx.recv().expect("simulation started");
+            // The simulation is parked until released, so a peek that
+            // waited for it would never return.
+            assert!(
+                cache.peek(&key).is_none(),
+                "an in-flight trace is not a hit"
+            );
+            release_tx.send(()).expect("release the simulation");
+            leader.join().expect("leader thread");
+        });
+        let held = cache.inner.lock().expect("trace cache lock");
+        assert!(cache.peek(&key).is_none(), "a held lock is not waited for");
+        drop(held);
+        assert!(cache.peek(&key).is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1), "only the last peek counts");
+    }
+
+    #[test]
+    fn peek_misses_absent_and_disk_only_traces_without_counting_or_simulating() {
+        let dir = std::env::temp_dir().join(format!("sa-trace-cache-peek-{}", std::process::id()));
+        let cache = TraceCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(45);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        assert!(cache.peek(&key).is_none(), "absent");
+        cache.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        assert_eq!(cache.stats().disk_writes, 1);
+        // Forget the in-memory copy: the trace now lives on disk only.
+        cache.clear();
+        assert!(cache.peek(&key).is_none(), "disk-only");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.disk_hits, s.entries), (0, 0, 0, 0));
+        // The disk copy is still there for the blocking lookup.
+        cache.get_or_simulate(key, || unreachable!("served from disk"));
+        assert_eq!(cache.stats().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     // --- property tests -------------------------------------------------

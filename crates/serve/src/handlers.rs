@@ -1,12 +1,18 @@
 //! One function per endpoint: parse, resolve, execute, render.
 //!
 //! Routes that only read in-process state (health, metrics, job polls,
-//! drain, topology) return their [`Response`] on the reactor's loop
-//! thread. Every other handler runs on a pool worker, admitted by
-//! [`crate::queue::admit`], and answers through the request's
-//! [`Reply`]. `POST /v{1,2}/simulate` additionally coalesces: a request
-//! whose key is already in flight leaves its reply with the leader,
-//! which answers every follower with the same bytes.
+//! drain, topology) answer on the reactor's loop thread. So do the
+//! memory hits of `POST /v{1,2}/simulate` (a trace already in memory)
+//! and `POST /v{1,2}/recommend` (a model already loaded): those two
+//! handlers are entered on the loop, decode a body of at most
+//! [`LOOP_BODY_MAX`] bytes, and probe in-memory maps without building,
+//! loading or waiting on a lock. Everything else — a miss, a busy lock,
+//! a larger body, an uploaded matrix, and the sweep, upload and epoch
+//! routes — runs on a pool worker, admitted by [`crate::queue::admit`],
+//! and answers through the request's [`Reply`]. Simulate misses also
+//! coalesce on the pool: a request whose key is already in flight
+//! leaves its reply with the leader, which answers every follower with
+//! the same bytes.
 //!
 //! Every handler is *version-aware*: `/v1/*` and `/v2/*` both land
 //! here, carrying an [`ApiVersion`]. Handlers compute one typed payload
@@ -21,10 +27,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use sa_bench::experiments::Kernel;
+use serde::Deserialize;
 use sparseadapt::epoch_cache::{simulate_trace_adaptive_keyed, EpochCache, EpochKey};
 use sparseadapt::service::{self, summarize_trace};
 use sparseadapt::stitch::{sample_configs, SweepData};
 use sparseadapt::trace_cache::{TraceCache, TraceKey};
+use sparseadapt::PredictiveEnsemble;
+use transmuter::machine::EpochRecord;
 
 use crate::api::{
     code, kernel_name, parse_body, parse_kernel, ApiError, ApiVersion, ConfigScore, DrainStatusDoc,
@@ -33,6 +43,7 @@ use crate::api::{
 };
 use crate::http::{Request, Response};
 use crate::metrics::QueueGauges;
+use crate::queue;
 use crate::reactor::Reply;
 use crate::server::AppState;
 
@@ -40,11 +51,41 @@ use crate::server::AppState;
 /// memory and wall time regardless of what the client sends.
 pub const MAX_SWEEP_SAMPLED: u64 = 4096;
 
+/// The largest request body a handler decodes on the loop thread. Every
+/// body of the recorded serving mix (`loadgen::default_mix`) is well
+/// under it. A larger body goes to the pool undecoded: the parser takes
+/// about 19 ms on a [`crate::http::MAX_BODY_BYTES`] body of numbers,
+/// and on the loop that would stall every connection.
+pub const LOOP_BODY_MAX: usize = 4 * 1024;
+
 /// Renders a success document (`inner`, already serialized JSON) into
 /// a response for the request's dialect. Errors go through
 /// [`ApiVersion::error_response`].
 fn finish(version: ApiVersion, status: u16, inner: &str) -> Response {
     Response::json(status, version.ok_body(inner))
+}
+
+/// Answers with a success document in the reply's dialect.
+fn send_ok(reply: Reply, status: u16, inner: &str) {
+    let response = finish(reply.version(), status, inner);
+    reply.send(response);
+}
+
+/// `result`'s value, handed back with the reply; an error is answered
+/// 400 here instead.
+fn or_400<T>(result: Result<T, ApiError>, reply: Reply) -> Option<(T, Reply)> {
+    match result {
+        Ok(value) => Some((value, reply)),
+        Err(err) => {
+            reply.error(400, &err);
+            None
+        }
+    }
+}
+
+/// A `bad_request` error carrying a resolver's message.
+fn bad_request(msg: String) -> ApiError {
+    ApiError::new(code::BAD_REQUEST, msg)
 }
 
 /// `GET /healthz`.
@@ -118,15 +159,59 @@ pub fn topology_get(state: &AppState, version: ApiVersion) -> Response {
     )
 }
 
+/// Runs `job` on the pool with the request's reply; a full queue
+/// answers 429 (see [`queue::admit`]).
+fn to_pool(
+    state: &Arc<AppState>,
+    reply: Reply,
+    job: impl FnOnce(&Arc<AppState>, Reply) + Send + 'static,
+) {
+    let st = Arc::clone(state);
+    queue::admit(&state.pool, reply, move |reply| job(&st, reply));
+}
+
+/// Decodes the body of a request entered on the loop thread. A body of
+/// at most [`LOOP_BODY_MAX`] bytes is decoded here and handed back with
+/// the reply. A larger one goes to the pool undecoded, to be decoded
+/// there and passed to `on_pool`; that returns `None`, as does a body
+/// that does not decode, once its 400 is answered.
+fn decode_on_loop<T: Deserialize + Send + 'static>(
+    state: &Arc<AppState>,
+    req: Request,
+    reply: Reply,
+    fields: &'static [&'static str],
+    on_pool: fn(&Arc<AppState>, T, Reply),
+) -> Option<(T, Reply)> {
+    if req.body.len() > LOOP_BODY_MAX {
+        to_pool(state, reply, move |state, reply| {
+            if let Some((parsed, reply)) =
+                or_400(parse_body(&req.body, reply.version(), fields), reply)
+            {
+                on_pool(state, parsed, reply);
+            }
+        });
+        return None;
+    }
+    or_400(parse_body(&req.body, reply.version(), fields), reply)
+}
+
 /// `POST /v2/admin/topology` on a shard: accept a topology push from
-/// the router. Stale pushes (epoch lower than what the shard already
-/// holds) are ignored so an out-of-order delivery cannot roll the view
-/// back; the ack always reports the epoch the shard now holds.
-pub fn topology_put(state: &AppState, body: &[u8], version: ApiVersion) -> Response {
-    let doc: TopologyDoc = match parse_body(body, version, TopologyDoc::FIELDS) {
-        Ok(doc) => doc,
-        Err(err) => return version.error_response(400, &err),
-    };
+/// the router. Entered on the loop thread, which applies a push of at
+/// most [`LOOP_BODY_MAX`] bytes itself; a larger one is decoded and
+/// applied on the pool.
+pub fn topology_put(state: &Arc<AppState>, req: Request, reply: Reply) {
+    if let Some((doc, reply)) =
+        decode_on_loop(state, req, reply, TopologyDoc::FIELDS, apply_topology)
+    {
+        apply_topology(state, doc, reply);
+    }
+}
+
+/// Applies a decoded topology push. Stale pushes (epoch lower than what
+/// the shard already holds) are ignored so an out-of-order delivery
+/// cannot roll the view back; the ack always reports the epoch the
+/// shard now holds.
+fn apply_topology(state: &Arc<AppState>, doc: TopologyDoc, reply: Reply) {
     let mut held = state.topology.lock().expect("topology lock");
     let stale = held.as_ref().is_some_and(|h| h.epoch > doc.epoch);
     if !stale {
@@ -138,11 +223,11 @@ pub fn topology_put(state: &AppState, body: &[u8], version: ApiVersion) -> Respo
         accepted: !stale,
         epoch,
     };
-    finish(
-        version,
+    send_ok(
+        reply,
         200,
         &serde_json::to_string(&ack).expect("topology ack serializes"),
-    )
+    );
 }
 
 /// `GET /v2/cache/epoch/{token}`: the serve side of the cluster epoch
@@ -206,31 +291,72 @@ pub fn job(state: &AppState, id_str: &str, version: ApiVersion) -> Response {
     }
 }
 
-/// `POST /v{1,2}/simulate`: coalesced, cache-backed simulation, run
-/// in place on the pool worker that admitted it. A request whose key is
-/// already in flight leaves its reply with the leader and returns at
-/// once, freeing its worker; the leader answers every follower in the
-/// follower's own dialect, with the leader's 500 if it panics.
+/// `POST /v{1,2}/simulate`, entered on the loop thread. A trace that
+/// is already complete in memory is answered right here: the body is
+/// decoded and resolved, then the workload memo and the trace cache are
+/// probed without building, simulating, reading disk or waiting on a
+/// lock. Everything else goes to the pool as the decoded request: a
+/// miss, a busy lock, a body over [`LOOP_BODY_MAX`], and an uploaded
+/// (`mtx:`) matrix, whose resolution may read the spill directory.
 pub fn simulate(state: &Arc<AppState>, req: Request, reply: Reply) {
-    let version = reply.version();
-    let parsed: SimulateRequest = match parse_body(&req.body, version, SimulateRequest::FIELDS) {
-        Ok(parsed) => parsed,
-        Err(err) => return reply.error(400, &err),
+    let Some((parsed, reply)) =
+        decode_on_loop(state, req, reply, SimulateRequest::FIELDS, simulate_on_pool)
+    else {
+        return;
     };
-    let resolved = match parsed.resolve() {
-        Ok(r) => r,
-        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
+    if parsed.matrix.starts_with("mtx:") {
+        return to_pool(state, reply, move |state, reply| {
+            simulate_on_pool(state, parsed, reply);
+        });
+    }
+    let Some((resolved, reply)) = or_400(parsed.resolve().map_err(bad_request), reply) else {
+        return;
     };
+    match memory_hit(state, &resolved) {
+        Some(inner) => send_ok(reply, 200, &inner),
+        None => to_pool(state, reply, move |state, reply| {
+            simulate_resolved(state, &resolved, reply);
+        }),
+    }
+}
+
+/// The serialized [`SimulateResponse`] for a trace already complete in
+/// memory, or `None` when answering would mean building, simulating,
+/// reading disk or waiting. Times `sim_ms` as [`run_simulate`] does.
+fn memory_hit(state: &AppState, r: &ResolvedSim) -> Option<String> {
+    let started = Instant::now();
+    let spec = r.kernel.spec(state.harness.scale);
+    let key = TraceKey {
+        spec: spec.fingerprint(),
+        workload: state.memoized_fingerprint(r)?,
+        config: r.config.fingerprint(),
+    };
+    let trace = TraceCache::global().peek(&key)?;
+    Some(simulate_response(r, &trace, true, started))
+}
+
+/// Simulate on the pool for a request the loop did not resolve.
+fn simulate_on_pool(state: &Arc<AppState>, parsed: SimulateRequest, reply: Reply) {
+    if let Some((resolved, reply)) = or_400(parsed.resolve().map_err(bad_request), reply) {
+        simulate_resolved(state, &resolved, reply);
+    }
+}
+
+/// Coalesced, cache-backed simulation, run in place on the pool worker
+/// that admitted it. A request whose key is already in flight leaves
+/// its reply with the leader and returns at once, freeing its worker;
+/// the leader answers every follower in the follower's own dialect,
+/// with the leader's 500 if it panics.
+fn simulate_resolved(state: &Arc<AppState>, resolved: &ResolvedSim, reply: Reply) {
     let Some((inner, waiters)) = state
         .coalescer
-        .run(resolved.key(), reply, || run_simulate(state, &resolved))
+        .run(resolved.key(), reply, || run_simulate(state, resolved))
     else {
         state.metrics.record_coalesced();
         return;
     };
     for waiter in waiters {
-        let response = finish(waiter.version(), 200, &inner);
-        waiter.send(response);
+        send_ok(waiter, 200, &inner);
     }
 }
 
@@ -259,12 +385,23 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
         // path hashes nothing twice.
         simulate_trace_adaptive_keyed(spec, &workload, r.config, key.spec, key.workload)
     });
+    simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started)
+}
+
+/// Serializes the [`SimulateResponse`] for a trace; `sim_ms` runs from
+/// `started` to the end of the summary.
+fn simulate_response(
+    r: &ResolvedSim,
+    trace: &[EpochRecord],
+    cached: bool,
+    started: Instant,
+) -> String {
     let response = SimulateResponse {
         kernel: kernel_name(r.kernel).to_string(),
         matrix: r.matrix.id().to_string(),
         config: r.config,
-        summary: summarize_trace(&trace),
-        cached: !ran.load(Ordering::Relaxed),
+        summary: summarize_trace(trace),
+        cached,
         sim_ms: started.elapsed().as_secs_f64() * 1e3,
     };
     serde_json::to_string(&response).expect("simulate response serializes")
@@ -304,35 +441,72 @@ pub fn upload_matrix(_state: &Arc<AppState>, req: Request, reply: Reply) {
     }
 }
 
-/// `POST /v{1,2}/recommend`: model inference on a pool worker.
+/// `POST /v{1,2}/recommend`, entered on the loop thread. With the model
+/// this process has already loaded, the one inference is answered right
+/// here. Loading a model (which reads `models/`, or trains) runs on the
+/// pool, as does a body over [`LOOP_BODY_MAX`].
 pub fn recommend(state: &Arc<AppState>, req: Request, reply: Reply) {
-    let version = reply.version();
-    let parsed: RecommendApiRequest =
-        match parse_body(&req.body, version, RecommendApiRequest::FIELDS) {
-            Ok(parsed) => parsed,
-            Err(err) => return reply.error(400, &err),
-        };
-    let kernel = match parse_kernel(&parsed.kernel) {
-        Ok(k) => k,
-        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
+    let Some((parsed, reply)) = decode_on_loop(
+        state,
+        req,
+        reply,
+        RecommendApiRequest::FIELDS,
+        recommend_on_pool,
+    ) else {
+        return;
+    };
+    let Some((kernel, reply)) = or_400(parse_kernel(&parsed.kernel).map_err(bad_request), reply)
+    else {
+        return;
     };
     let harness = state.harness;
-    let ensemble = sa_bench::models::ensemble(
-        harness.scale,
+    let l1_kind = parsed.l1_kind.unwrap_or_default();
+    let mode = parsed.mode.unwrap_or_default();
+    match sa_bench::models::loaded_ensemble(harness.scale, l1_kind, mode) {
+        Some(ensemble) => answer_recommend(state, &ensemble, kernel, parsed, reply),
+        None => to_pool(state, reply, move |state, reply| {
+            answer_recommend(state, &load_ensemble(state, &parsed), kernel, parsed, reply);
+        }),
+    }
+}
+
+/// Recommend on the pool for a body the loop did not decode.
+fn recommend_on_pool(state: &Arc<AppState>, parsed: RecommendApiRequest, reply: Reply) {
+    if let Some((kernel, reply)) = or_400(parse_kernel(&parsed.kernel).map_err(bad_request), reply)
+    {
+        answer_recommend(state, &load_ensemble(state, &parsed), kernel, parsed, reply);
+    }
+}
+
+/// The ensemble a recommend request names, loaded (or trained) on first
+/// use: pool work.
+fn load_ensemble(state: &AppState, parsed: &RecommendApiRequest) -> Arc<PredictiveEnsemble> {
+    sa_bench::models::shared_ensemble(
+        state.harness.scale,
         parsed.l1_kind.unwrap_or_default(),
         parsed.mode.unwrap_or_default(),
-        harness.threads,
-    );
-    let spec = kernel.spec(harness.scale);
+        state.harness.threads,
+    )
+}
+
+/// Runs one policy step with `ensemble` and answers it.
+fn answer_recommend(
+    state: &AppState,
+    ensemble: &PredictiveEnsemble,
+    kernel: Kernel,
+    parsed: RecommendApiRequest,
+    reply: Reply,
+) {
+    let spec = kernel.spec(state.harness.scale);
     let core_req = service::RecommendRequest {
         telemetry: parsed.telemetry,
         current: parsed.current,
         policy: parsed.policy,
         last_epoch_time_s: parsed.last_epoch_time_s,
     };
-    let resp = service::recommend(&ensemble, &spec, &core_req);
+    let resp = service::recommend(ensemble, &spec, &core_req);
     let inner = serde_json::to_string(&resp).expect("recommend response serializes");
-    reply.send(finish(version, 200, &inner));
+    send_ok(reply, 200, &inner);
 }
 
 /// `POST /v{1,2}/sweep`: launch an asynchronous sweep job; 202 + job

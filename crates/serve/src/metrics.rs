@@ -26,7 +26,9 @@ pub const LATENCY_BUCKETS_MS: [f64; 14] = [
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     counts: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
-    sum_ms: AtomicU64, // microseconds, to keep the atomic integral
+    /// Sum of every observation in nanoseconds: integral for the atomic,
+    /// and fine enough that a sub-microsecond answer still adds to it.
+    sum_ns: AtomicU64,
     observations: AtomicU64,
 }
 
@@ -38,8 +40,8 @@ impl LatencyHistogram {
             .position(|&edge| ms <= edge)
             .unwrap_or(LATENCY_BUCKETS_MS.len());
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ms
-            .fetch_add((ms * 1000.0).round() as u64, Ordering::Relaxed);
+        self.sum_ns
+            .fetch_add((ms * 1e6).round() as u64, Ordering::Relaxed);
         self.observations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -55,7 +57,7 @@ impl LatencyHistogram {
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
         let count = self.observations.load(Ordering::Relaxed);
-        let sum_ms = self.sum_ms.load(Ordering::Relaxed) as f64 / 1000.0;
+        let sum_ms = self.sum_ns.load(Ordering::Relaxed) as f64 / 1e6;
         HistogramSnapshot {
             bucket_upper_ms: LATENCY_BUCKETS_MS.to_vec(),
             count,
@@ -535,6 +537,22 @@ mod tests {
         assert_eq!(s.p95_ms, 0.25);
         assert_eq!(s.p99_ms, 32.0);
         assert!((s.mean_ms - s.sum_ms / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sub_microsecond_latencies_still_add_to_the_sum() {
+        let h = LatencyHistogram::default();
+        for _ in 0..1000 {
+            h.observe_ms(0.0004);
+        }
+        let s = h.snapshot();
+        assert_eq!(s.count, 1000);
+        assert!((s.sum_ms - 0.4).abs() < 1e-9, "sum_ms = {}", s.sum_ms);
+        assert!(
+            (s.mean_ms - 0.0004).abs() < 1e-12,
+            "mean_ms = {}",
+            s.mean_ms
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Admission control: every handler that simulates, reads disk or talks
 //! to the network runs on the bounded [`sparseadapt::exec::Pool`], and a
 //! full queue becomes an HTTP 429 with a `Retry-After` hint instead of
-//! unbounded memory growth.
+//! unbounded memory growth. Simulate and recommend requests answered
+//! from memory on the loop thread never enter the queue, so its
+//! capacity (`--queue-cap`) bounds only the work that needs a worker.
 //!
 //! Connections are cheap (one slab entry on the reactor loop); the
 //! *handler* concurrency is what must be bounded, because each

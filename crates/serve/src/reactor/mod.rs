@@ -6,17 +6,21 @@
 //! socket is nonblocking, and every connection is an explicit state
 //! machine (`Reading → Dispatched → Writing → keep-alive/close`). The
 //! loop parses each request and calls the route with a [`Reply`].
-//! Routes that only read in-process state answer on the loop; every
-//! other route submits its handler to the bounded pool, whose worker
-//! renders the response and hands the bytes back through a completion
-//! queue + eventfd wakeup (see `dispatch`). Nothing that simulates,
-//! reads disk or talks to the network runs on the loop thread.
+//! Routes that only read in-process state answer on the loop, and so do
+//! simulate and recommend requests whose trace or model is already in
+//! memory (see [`crate::handlers`]). Every other request goes to the
+//! bounded pool, whose worker renders the response and hands the bytes
+//! back through a completion queue + eventfd wakeup (see `dispatch`).
+//! Nothing that simulates, reads disk, loads a model or talks to the
+//! network runs on the loop thread, and the loop decodes no request
+//! body larger than [`crate::handlers::LOOP_BODY_MAX`].
 //!
 //! Backpressure and robustness rules:
 //! - **Connection cap**: accepts beyond `max_conns` get an immediate
 //!   `503 overloaded` (with `retry_after_ms`) and are closed.
 //! - **Admission**: the pool's queue is the only request buffer; a full
-//!   queue answers 429 `queue_full` (see [`crate::queue`]).
+//!   queue answers 429 `queue_full` (see [`crate::queue`]). Requests
+//!   answered on the loop never enter it.
 //! - **Slow clients**: partial writes park the response in the
 //!   connection and arm `EPOLLOUT`; nothing ever blocks in `write`.
 //! - **Slowloris**: the idle deadline is set when a connection enters

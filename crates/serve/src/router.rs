@@ -6,9 +6,12 @@
 //! counter instead of one counter per id.
 //!
 //! Routes that only read in-process state answer on the reactor's loop
-//! thread; the rest run on the pool (see [`crate::queue::admit`]), so
-//! nothing that simulates, reads disk or talks to the network holds the
-//! loop.
+//! thread. Simulate, recommend and the topology push are entered on the
+//! loop too: their handlers answer what they can from memory and admit
+//! the rest to the pool themselves (see [`crate::handlers`]). Sweep,
+//! upload and the epoch-cache `GET` always run on the pool (see
+//! [`crate::queue::admit`]), so nothing that simulates, reads disk or
+//! talks to the network holds the loop.
 //!
 //! `/v1/*` and `/v2/*` dispatch to the same handlers; the
 //! [`ApiVersion`] argument selects the response dialect (bare v1
@@ -27,16 +30,20 @@ use crate::server::AppState;
 enum Handler {
     /// Answered on the loop thread.
     Loop(Response),
+    /// Called on the loop thread with the request and its reply: the
+    /// handler answers from memory where it can and admits the rest of
+    /// its work to the pool itself.
+    Split(fn(&Arc<AppState>, Request, Reply)),
     /// Submitted to the pool; the handler owns the request and answers
     /// through the reply.
     Pool(fn(&Arc<AppState>, Request, Reply)),
 }
 
 /// Routes one request: answers it on the calling (loop) thread, or
-/// admits its handler to the pool.
+/// admits its handler to the pool, or lets the handler choose.
 pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
     use ApiVersion::{V1, V2};
-    use Handler::{Loop, Pool};
+    use Handler::{Loop, Pool, Split};
     let (label, handler) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => ("GET /healthz", Loop(handlers::healthz())),
         ("GET", "/metrics") => ("GET /metrics", Loop(handlers::metrics(state))),
@@ -50,10 +57,10 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
             "GET /v2/jobs/:id",
             Loop(handlers::job(state, &path["/v2/jobs/".len()..], V2)),
         ),
-        ("POST", "/v1/simulate") => ("POST /v1/simulate", Pool(handlers::simulate)),
-        ("POST", "/v2/simulate") => ("POST /v2/simulate", Pool(handlers::simulate)),
-        ("POST", "/v1/recommend") => ("POST /v1/recommend", Pool(handlers::recommend)),
-        ("POST", "/v2/recommend") => ("POST /v2/recommend", Pool(handlers::recommend)),
+        ("POST", "/v1/simulate") => ("POST /v1/simulate", Split(handlers::simulate)),
+        ("POST", "/v2/simulate") => ("POST /v2/simulate", Split(handlers::simulate)),
+        ("POST", "/v1/recommend") => ("POST /v1/recommend", Split(handlers::recommend)),
+        ("POST", "/v2/recommend") => ("POST /v2/recommend", Split(handlers::recommend)),
         ("POST", "/v1/sweep") => ("POST /v1/sweep", Pool(handlers::sweep)),
         ("POST", "/v2/sweep") => ("POST /v2/sweep", Pool(handlers::sweep)),
         // Upload is a /v2-only surface: the v1 shim predates content-
@@ -74,10 +81,9 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
             "GET /v2/admin/topology",
             Loop(handlers::topology_get(state, V2)),
         ),
-        ("POST", "/v2/admin/topology") => (
-            "POST /v2/admin/topology",
-            Loop(handlers::topology_put(state, &req.body, V2)),
-        ),
+        ("POST", "/v2/admin/topology") => {
+            ("POST /v2/admin/topology", Split(handlers::topology_put))
+        }
         // Known admin paths answer wrong-method hits with an enveloped
         // /v2 error (the path exists, only the verb is wrong); the bare
         // data paths below keep their historical unenveloped 405.
@@ -98,6 +104,7 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
     reply.set_route(label);
     match handler {
         Loop(response) => reply.send(response),
+        Split(handler) => handler(state, req, reply),
         Pool(handler) => {
             let st = Arc::clone(state);
             queue::admit(&state.pool, reply, move |reply| handler(&st, req, reply));

@@ -2,11 +2,12 @@
 //!
 //! One epoll loop multiplexes every socket (see [`crate::reactor`]) and
 //! scales to tens of thousands of keep-alive connections. Its thread
-//! only does I/O and answers routes that read in-process state; a
-//! bounded [`sparseadapt::exec::Pool`] runs every other handler in
-//! place. The pool's worker count and queue capacity bound CPU and
-//! memory under load, and a full queue turns into an HTTP 429 at the
-//! edge (see [`crate::queue`]).
+//! only does I/O and answers from memory: routes that read in-process
+//! state, and simulate and recommend requests whose trace or model is
+//! already there. A bounded [`sparseadapt::exec::Pool`] runs every
+//! other handler in place. The pool's worker count and queue capacity
+//! bound CPU and memory under load, and a full queue turns into an HTTP
+//! 429 at the edge (see [`crate::queue`]).
 //!
 //! Shutdown is cooperative: a shared flag the loop checks on every
 //! turn, so tests can boot and tear down servers in-process. Graceful
@@ -109,7 +110,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Pool worker threads (0 = one per available CPU).
     pub workers: usize,
-    /// Admission queue capacity; beyond it, requests get 429.
+    /// Admission queue capacity for requests that need a pool worker;
+    /// beyond it, they get 429. Memory hits answered on the loop never
+    /// queue.
     pub queue_cap: usize,
     /// Optional on-disk trace cache directory.
     pub cache_dir: Option<PathBuf>,
@@ -226,12 +229,7 @@ impl AppState {
     /// is deterministic, and the first insert wins, so callers always
     /// converge on one shared instance (one trace-cache fingerprint).
     pub fn suite_workload(&self, r: &ResolvedSim) -> (Arc<Workload>, u64) {
-        let key = format!(
-            "{}/{}/{:?}",
-            kernel_name(r.kernel),
-            r.matrix.id(),
-            r.l1_kind
-        );
+        let key = workload_key(r);
         if let Some(entry) = self.workloads.lock().expect("workload memo lock").get(&key) {
             return entry.clone();
         }
@@ -249,6 +247,25 @@ impl AppState {
             .or_insert((built, fingerprint))
             .clone()
     }
+
+    /// The fingerprint [`AppState::suite_workload`] memoized for a
+    /// resolved request, if it has: never builds or hashes a workload,
+    /// and gives up (`None`) rather than wait for the memo's lock.
+    pub(crate) fn memoized_fingerprint(&self, r: &ResolvedSim) -> Option<u64> {
+        let memo = self.workloads.try_lock().ok()?;
+        memo.get(&workload_key(r))
+            .map(|(_, fingerprint)| *fingerprint)
+    }
+}
+
+/// The workload memo's key: everything that determines the workload.
+fn workload_key(r: &ResolvedSim) -> String {
+    format!(
+        "{}/{}/{:?}",
+        kernel_name(r.kernel),
+        r.matrix.id(),
+        r.l1_kind
+    )
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::shutdown`])

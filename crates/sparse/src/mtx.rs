@@ -908,7 +908,13 @@ pub fn content_hash(m: &CooMatrix) -> u64 {
 /// The canonical workload-layer identifier for an ingested matrix:
 /// `mtx:` followed by the 16-hex-digit [`content_hash`].
 pub fn content_id(m: &CooMatrix) -> String {
-    format!("mtx:{:016x}", content_hash(m))
+    hash_id(content_hash(m))
+}
+
+/// The [`content_id`] of a matrix whose [`content_hash`] is `hash`,
+/// without the matrix.
+pub fn hash_id(hash: u64) -> String {
+    format!("mtx:{hash:016x}")
 }
 
 #[cfg(test)]
