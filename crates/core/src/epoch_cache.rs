@@ -25,23 +25,25 @@
 //! optional best-effort disk tier (one file per epoch, `b"SAEP"` magic,
 //! checksummed) that reuses the [`crate::trace_bin`] record framing for
 //! the epoch record and [`MachineState::to_bytes`] for the snapshot.
-//! Disk publishes are write-to-temporary + atomic rename, so concurrent
-//! processes sharing a cache directory never observe a torn file; keys
+//! Disk publishes go through a temporary of the writer's own (named by
+//! process and a per-process counter) and an atomic rename, so neither
+//! another process nor another thread ever observes a torn file; keys
 //! are content fingerprints, so racing writers produce identical bytes
 //! and the last rename simply wins. A file that fails to decode —
 //! truncated, bit-flipped, or written by a different codec version — is
 //! *quarantined* (renamed aside) and read as a miss, never as a corrupt
 //! restore.
 //!
-//! The remote tier is pluggable: a [`RemoteFetcher`] installed via
-//! [`EpochCache::set_remote`] is consulted after a memory + disk miss,
-//! under a strict latency budget — the hot simulation path falls back
-//! to computing the epoch whenever the budget expires, so it can never
-//! stall on the network. Negative lookups are suppressed (a key that
-//! just missed remotely is not asked for again), concurrent fetches are
-//! bounded, and remotely-sourced entries live under their own byte
-//! quota with LRU eviction so a chatty peer cannot evict the local
-//! working set.
+//! The cluster tier is pluggable and fetches whole runs: a
+//! [`RemoteFetcher`] installed via [`EpochCache::set_remote`] is asked,
+//! at a static run's boundary that memory and disk cannot answer, for
+//! one [`encode_segment`] blob — the records of every consecutive epoch
+//! a peer holds from that key on, plus one exit state. The fetcher owns
+//! its latency budget; the hot simulation path falls back to computing
+//! the epoch whenever the budget expires, so it can never stall on the
+//! network. Concurrent fetches are bounded, a run asks its peers at
+//! most until the first miss, and a segment is replayed, never stored:
+//! the run that consumes it records nothing it did not simulate.
 //!
 //! The cache is *disabled* by default — sweeps and live runs consult it
 //! only after [`EpochCache::set_enabled`]`(true)` (the `--epoch-cache`
@@ -51,9 +53,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use transmuter::cache::Page;
 use transmuter::config::{MachineSpec, TransmuterConfig};
 use transmuter::machine::{
@@ -127,28 +129,17 @@ struct Entry {
     /// Bytes the entry owns outright: everything but the exit
     /// snapshot's shared pages.
     fixed: usize,
-    /// Bytes reachable from the entry, shared pages included; what the
-    /// remote quota charges.
-    bytes: usize,
-    /// Whether the entry arrived from a peer by remote fetch rather
-    /// than from local simulation or disk. Remote entries are
-    /// accounted against [`RemoteConfig::quota_bytes`] and evicted
-    /// among themselves first.
-    remote: bool,
 }
 
 impl Entry {
-    /// A not yet used entry; sizing it walks the snapshot's page tables,
-    /// so callers do it before taking the cache lock.
-    fn new(epoch: Arc<CachedEpoch>, remote: bool) -> Entry {
+    /// A not yet used entry, sized before the caller takes the cache
+    /// lock.
+    fn new(epoch: Arc<CachedEpoch>) -> Entry {
         let fixed = std::mem::size_of::<CachedEpoch>() + epoch.exit.approx_fixed_bytes();
-        let bytes = std::mem::size_of::<CachedEpoch>() + epoch.exit.approx_heap_bytes();
         Entry {
             epoch,
             last_use: 0,
             fixed,
-            bytes,
-            remote,
         }
     }
 }
@@ -174,7 +165,6 @@ struct Inner {
     side: FxHashMap<usize, u32>,
     clock: u64,
     resident: usize,
-    remote_resident: usize,
     cap: Option<usize>,
 }
 
@@ -186,7 +176,6 @@ impl Default for Inner {
             side: FxHashMap::default(),
             clock: 0,
             resident: 0,
-            remote_resident: 0,
             cap: None,
         }
     }
@@ -237,9 +226,6 @@ impl Inner {
                 self.resident += Page::HEAP_BYTES;
             }
         }
-        if entry.remote {
-            self.remote_resident += entry.bytes;
-        }
         self.map.insert(key, entry);
     }
 
@@ -250,9 +236,6 @@ impl Inner {
             if self.release(page) {
                 self.resident -= Page::HEAP_BYTES;
             }
-        }
-        if entry.remote {
-            self.remote_resident -= entry.bytes;
         }
         Some(entry)
     }
@@ -266,85 +249,49 @@ impl Inner {
         self.map.clear();
         self.side.clear();
         self.resident = 0;
-        self.remote_resident = 0;
         self.clock = 0;
     }
 }
-
-/// How many recently-missed remote keys are remembered for negative-
-/// lookup suppression before the set resets wholesale.
-const NEGATIVE_CAP: usize = 8192;
 
 /// How many recent remote-fetch latency samples back the percentile
 /// estimates in [`EpochCacheStats`]; older samples are overwritten
 /// ring-buffer style.
 const FETCH_SAMPLE_CAP: usize = 4096;
 
-/// Most epochs one [`EpochCache::export_segment`] response may carry;
-/// also clamps [`RemoteConfig::chain`]. Bounds a single response to a
-/// sane size however large the peer's cache is.
-pub const CHAIN_CAP: usize = 512;
+/// Most epochs one segment may carry: what [`EpochCache::export_segment`]
+/// walks at most and what [`decode_segment`] accepts. Bounds a single
+/// response to a sane size however large the peer's cache is.
+pub const SEGMENT_CAP: usize = 256;
 
-/// A pluggable cluster tier: given a key and a latency budget, return
-/// the encoded epoch bytes or `None`.
+/// Most remote fetches in flight at once; a boundary that finds the
+/// tier this busy simulates instead of queueing.
+const MAX_INFLIGHT_FETCHES: u64 = 8;
+
+/// A pluggable cluster tier: given a key, return the peer's
+/// [`encode_segment`] blob starting at it — records for up to
+/// [`SEGMENT_CAP`] consecutive epochs plus the last one's exit state,
+/// found by following the content-addressed digest chain — or `None`.
 ///
-/// `chain` selects the response format. `chain == 1` asks for one bare
-/// [`encode_epoch`] blob for the key. `chain > 1` asks the peer to
-/// follow the content-addressed digest chain from the key and answer
-/// with one [`encode_segment`] blob — records for up to `chain`
-/// consecutive epochs plus the final exit state — collapsing one
-/// network round trip (and one full `MachineState`) per epoch into one
-/// per run.
-///
-/// Implementations must treat `budget` as a hard deadline — the caller
-/// sits on the hot simulation path and falls back to computing the
-/// epoch as soon as `fetch` returns. Returning corrupt bytes is safe
-/// (they fail decoding and read as a miss) but wasteful.
+/// Implementations must bound `fetch` by a hard deadline of their own —
+/// the caller sits on the hot simulation path and falls back to
+/// computing the epoch as soon as `fetch` returns. Returning corrupt
+/// bytes is safe (they fail decoding and read as a miss) but wasteful.
 pub trait RemoteFetcher: Send + Sync {
-    /// Fetches the encoded epoch for `key` (`chain == 1`) or the
-    /// encoded segment of up to `chain` epochs starting at `key`,
-    /// spending at most `budget`.
-    fn fetch(&self, key: &EpochKey, budget: Duration, chain: usize) -> Option<Vec<u8>>;
-}
-
-/// Tuning knobs of the remote tier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteConfig {
-    /// Hard latency budget per fetch; expiry falls back to computing
-    /// the epoch.
-    pub budget: Duration,
-    /// Maximum concurrent fetches; lookups beyond it skip the remote
-    /// tier instead of queueing.
-    pub max_inflight: u64,
-    /// Byte quota for remotely-sourced entries resident in memory; LRU
-    /// eviction among remote entries keeps the local working set safe.
-    pub quota_bytes: usize,
-    /// Epochs requested per fetch (the looked-up key plus its
-    /// successors); clamped to [`CHAIN_CAP`]. `1` disables chaining.
-    pub chain: usize,
-}
-
-impl Default for RemoteConfig {
-    fn default() -> Self {
-        RemoteConfig {
-            budget: Duration::from_millis(25),
-            max_inflight: 8,
-            quota_bytes: 64 << 20,
-            chain: 256,
-        }
-    }
+    /// Fetches the encoded segment starting at `key`.
+    fn fetch(&self, key: &EpochKey) -> Option<Vec<u8>>;
 }
 
 /// Counter snapshot from [`EpochCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochCacheStats {
-    /// Boundary lookups observed.
+    /// Boundary lookups observed: every boundary asked of memory and
+    /// disk, plus every boundary a fetched segment answered.
     pub lookups: u64,
     /// Lookups answered from memory.
     pub hits: u64,
     /// Lookups answered by loading an epoch from the disk tier.
     pub disk_hits: u64,
-    /// Lookups answered by fetching an epoch from a peer.
+    /// Lookups answered by a segment fetched from a peer.
     pub remote_hits: u64,
     /// Fresh epochs recorded (cache misses that simulated).
     pub inserts: u64,
@@ -357,28 +304,19 @@ pub struct EpochCacheStats {
     pub disk_quarantined: u64,
     /// Remote fetches that returned nothing (or undecodable bytes).
     pub remote_misses: u64,
-    /// Extra epochs admitted by chained prefetch, beyond the one each
-    /// remote hit was asked for. These turn later boundary lookups into
-    /// memory hits without their own round trips.
+    /// Epochs fetched segments fast-forwarded beyond the boundary each
+    /// was asked at; they cost no lookup and no round trip of their own.
     pub remote_chain_entries: u64,
     /// Bytes received from peers by remote fetches.
     pub remote_bytes: u64,
     /// Total wall time spent in remote fetches, microseconds.
     pub remote_fetch_us: u64,
-    /// Remote lookups suppressed because the key recently missed.
-    pub remote_negative_suppressed: u64,
-    /// Remote lookups skipped because the in-flight fetch cap was hit.
+    /// Remote fetches skipped because the in-flight fetch cap was hit.
     pub remote_inflight_skipped: u64,
-    /// Remote-sourced epochs evicted by the remote byte quota.
-    pub remote_evictions: u64,
     /// Distinct epochs currently held in memory.
     pub entries: usize,
     /// Accounted bytes of in-memory epochs.
     pub resident_bytes: usize,
-    /// Remote-sourced epochs currently held in memory.
-    pub remote_entries: usize,
-    /// Accounted bytes of remote-sourced in-memory epochs.
-    pub remote_resident_bytes: usize,
     /// Remote-fetch latency p50 over the recent sample window, ms.
     pub remote_fetch_p50_ms: f64,
     /// Remote-fetch latency p95 over the recent sample window, ms.
@@ -413,8 +351,6 @@ pub struct EpochCache {
     inner: Mutex<Inner>,
     disk_dir: Mutex<Option<PathBuf>>,
     remote: Mutex<Option<Arc<dyn RemoteFetcher>>>,
-    remote_cfg: Mutex<Option<RemoteConfig>>,
-    negative: Mutex<FxHashSet<EpochKey>>,
     fetch_samples: Mutex<Vec<u64>>,
     inflight: AtomicU64,
     enabled: AtomicBool,
@@ -430,9 +366,7 @@ pub struct EpochCache {
     remote_chain_entries: AtomicU64,
     remote_bytes: AtomicU64,
     remote_fetch_us: AtomicU64,
-    remote_negative_suppressed: AtomicU64,
     remote_inflight_skipped: AtomicU64,
-    remote_evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for EpochCache {
@@ -493,36 +427,17 @@ impl EpochCache {
     }
 
     /// Installs (or removes, with `None`) the cluster tier. With a
-    /// fetcher installed, memory + disk misses consult peers under the
-    /// configured budget before falling back to simulation.
+    /// fetcher installed, a static run's boundary that memory and disk
+    /// cannot answer asks the peers for a segment before simulating.
     pub fn set_remote(&self, fetcher: Option<Arc<dyn RemoteFetcher>>) {
         *self.remote.lock().expect("epoch remote lock") = fetcher;
     }
 
-    /// Tunes the remote tier (budget, in-flight cap, byte quota).
-    pub fn set_remote_config(&self, cfg: RemoteConfig) {
-        *self.remote_cfg.lock().expect("epoch remote cfg lock") = Some(cfg);
-    }
-
-    /// The remote tier's active tuning.
-    pub fn remote_config(&self) -> RemoteConfig {
-        self.remote_cfg
-            .lock()
-            .expect("epoch remote cfg lock")
-            .unwrap_or_default()
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> EpochCacheStats {
-        let (entries, resident, remote_entries, remote_resident) = {
+        let (entries, resident) = {
             let inner = self.inner.lock().expect("epoch cache lock");
-            let remote_entries = inner.map.values().filter(|e| e.remote).count();
-            (
-                inner.map.len(),
-                inner.resident,
-                remote_entries,
-                inner.remote_resident,
-            )
+            (inner.map.len(), inner.resident)
         };
         let (p50, p95) = {
             let samples = self.fetch_samples.lock().expect("epoch samples lock");
@@ -550,13 +465,9 @@ impl EpochCache {
             remote_chain_entries: self.remote_chain_entries.load(Ordering::Relaxed),
             remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
             remote_fetch_us: self.remote_fetch_us.load(Ordering::Relaxed),
-            remote_negative_suppressed: self.remote_negative_suppressed.load(Ordering::Relaxed),
             remote_inflight_skipped: self.remote_inflight_skipped.load(Ordering::Relaxed),
-            remote_evictions: self.remote_evictions.load(Ordering::Relaxed),
             entries,
             resident_bytes: resident,
-            remote_entries,
-            remote_resident_bytes: remote_resident,
             remote_fetch_p50_ms: p50,
             remote_fetch_p95_ms: p95,
         }
@@ -567,7 +478,6 @@ impl EpochCache {
     /// remote tier installation are kept.
     pub fn clear(&self) {
         self.inner.lock().expect("epoch cache lock").clear();
-        self.negative.lock().expect("epoch negative lock").clear();
         self.fetch_samples
             .lock()
             .expect("epoch samples lock")
@@ -585,28 +495,15 @@ impl EpochCache {
             &self.remote_chain_entries,
             &self.remote_bytes,
             &self.remote_fetch_us,
-            &self.remote_negative_suppressed,
             &self.remote_inflight_skipped,
-            &self.remote_evictions,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Looks up one epoch, consulting memory, then disk, then (when a
-    /// [`RemoteFetcher`] is installed) the cluster. Disk and remote
-    /// hits are promoted into memory.
+    /// Looks up one epoch, consulting memory, then disk. Disk hits are
+    /// promoted into memory.
     pub fn lookup(&self, key: &EpochKey) -> Option<Arc<CachedEpoch>> {
-        self.lookup_gated(key, &mut true)
-    }
-
-    /// [`Self::lookup`] with a per-run gate on the cluster tier:
-    /// `*remote_ok` is cleared on the first remote miss, so a cold run
-    /// pays one peer probe instead of one per epoch boundary. This is
-    /// sound to do because chained prefetch means a remote *hit* warms
-    /// every later boundary the peer knows about — so the first miss
-    /// tells us the peers have nothing more for this run.
-    pub fn lookup_gated(&self, key: &EpochKey, remote_ok: &mut bool) -> Option<Arc<CachedEpoch>> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         {
             let mut inner = self.inner.lock().expect("epoch cache lock");
@@ -618,112 +515,27 @@ impl EpochCache {
                 return Some(entry.epoch.clone());
             }
         }
-        if let Some(epoch) = self.disk_load(key) {
-            let epoch = Arc::new(epoch);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.admit(*key, epoch.clone(), false);
-            return Some(epoch);
-        }
-        if !*remote_ok {
-            return None;
-        }
-        let fetched = self.remote_lookup(key);
-        if fetched.is_none() {
-            *remote_ok = false;
-        }
-        fetched
-    }
-
-    /// The cluster tier, one epoch at a time: budgeted fetch-on-miss
-    /// with negative-lookup suppression and a bounded in-flight fetch
-    /// count. Every failure mode — no fetcher, suppressed, over the
-    /// cap, budget expired, undecodable bytes — is a miss, and the
-    /// caller simulates.
-    fn remote_lookup(&self, key: &EpochKey) -> Option<Arc<CachedEpoch>> {
-        let fetched = self.fetch_guarded(key, 1)?;
-        let Some(epoch) = fetched.and_then(|bytes| decode_epoch(&bytes, key).ok()) else {
-            self.remote_misses.fetch_add(1, Ordering::Relaxed);
-            self.note_negative(*key);
-            return None;
-        };
-        self.remote_hits.fetch_add(1, Ordering::Relaxed);
-        let epoch = Arc::new(epoch);
-        // Write-through to the local disk tier: the next process on
-        // this host should not re-fetch what we already paid for.
-        self.disk_store(key, &epoch);
-        self.admit(*key, epoch.clone(), true);
+        let epoch = Arc::new(self.disk_load(key)?);
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        self.admit(*key, epoch.clone());
         Some(epoch)
     }
 
-    /// The cluster tier, whole-segment variant backing
-    /// [`EpochCacheHook::lookup_segment`]: one budgeted fetch asks a
-    /// peer to follow the digest chain from `key` and answer with
-    /// records for every consecutive epoch it holds plus the final exit
-    /// state ([`encode_segment`]). The last epoch — the only one whose
-    /// full state arrives — is admitted locally; the rest fast-forward
-    /// this run and cost nothing to keep. `None` is a miss and the
-    /// caller simulates.
-    pub fn remote_segment(&self, key: &EpochKey) -> Option<CachedSegment> {
-        let chain = self.remote_config().chain.clamp(1, CHAIN_CAP);
-        if chain < 2 {
-            // Chaining disabled: the per-epoch path is the whole tier.
-            return None;
-        }
-        let fetched = self.fetch_guarded(key, chain)?;
-        let decoded = fetched.and_then(|bytes| decode_fetched_segment(&bytes, key));
-        let Some((segment, digests)) = decoded else {
-            self.remote_misses.fetch_add(1, Ordering::Relaxed);
-            self.note_negative(*key);
-            return None;
-        };
-        self.remote_hits.fetch_add(1, Ordering::Relaxed);
-        self.remote_chain_entries
-            .fetch_add(segment.records.len() as u64 - 1, Ordering::Relaxed);
-        // Admit the last epoch under its derived key: entry digest of
-        // epoch i is the exit digest of epoch i-1 (the requested key's
-        // own entry digest for a length-1 segment).
-        let n = segment.records.len();
-        let last_key = EpochKey {
-            index: key.index + (n as u64 - 1),
-            entry_digest: if n >= 2 {
-                digests[n - 2]
-            } else {
-                key.entry_digest
-            },
-            ..*key
-        };
-        let last = Arc::new(CachedEpoch {
-            record: segment.records[n - 1].clone(),
-            exit: segment.exit.clone(),
-        });
-        self.disk_store(&last_key, &last);
-        self.admit(last_key, last, true);
-        Some(segment)
-    }
-
-    /// Shared plumbing of the remote lookups: resolves the fetcher,
-    /// applies negative-lookup suppression and the in-flight cap, times
-    /// the fetch, and accounts received bytes. The outer `Option` is
-    /// `None` when no fetch was attempted at all (no fetcher installed,
-    /// suppressed, or over the cap); the inner one is the fetch result.
-    #[allow(clippy::option_option)]
-    fn fetch_guarded(&self, key: &EpochKey, chain: usize) -> Option<Option<Vec<u8>>> {
+    /// The cluster tier, backing [`EpochCacheHook::lookup_segment`]:
+    /// one fetch asks a peer to follow the digest chain from `key` and
+    /// answer with records for every consecutive epoch it holds plus the
+    /// final exit state ([`encode_segment`]). The segment answers this
+    /// boundary — one lookup, one remote hit — and fast-forwards the
+    /// run through the rest; nothing of it is stored. Every failure
+    /// mode — no fetcher, over the in-flight cap, budget expired,
+    /// undecodable or misaddressed bytes — is `None`, and the caller
+    /// simulates.
+    fn fetch_segment(&self, key: &EpochKey) -> Option<CachedSegment> {
         let fetcher = self.remote.lock().expect("epoch remote lock").clone()?;
-        let cfg = self.remote_config();
-        if self
-            .negative
-            .lock()
-            .expect("epoch negative lock")
-            .contains(key)
-        {
-            self.remote_negative_suppressed
-                .fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
         if self
             .inflight
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < cfg.max_inflight).then_some(n + 1)
+                (n < MAX_INFLIGHT_FETCHES).then_some(n + 1)
             })
             .is_err()
         {
@@ -731,7 +543,7 @@ impl EpochCache {
             return None;
         }
         let started = Instant::now();
-        let fetched = fetcher.fetch(key, cfg.budget, chain);
+        let fetched = fetcher.fetch(key);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         let elapsed_us = started.elapsed().as_micros() as u64;
         self.remote_fetch_us
@@ -750,17 +562,15 @@ impl EpochCache {
             self.remote_bytes
                 .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         }
-        Some(fetched)
-    }
-
-    fn note_negative(&self, key: EpochKey) {
-        let mut negative = self.negative.lock().expect("epoch negative lock");
-        if negative.len() >= NEGATIVE_CAP {
-            // Wholesale reset beats tracking per-entry age: the set is
-            // a rate limiter, not a source of truth.
-            negative.clear();
-        }
-        negative.insert(key);
+        let Some(segment) = fetched.and_then(|bytes| decode_segment(&bytes, key).ok()) else {
+            self.remote_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.remote_hits.fetch_add(1, Ordering::Relaxed);
+        self.remote_chain_entries
+            .fetch_add(segment.records.len() as u64 - 1, Ordering::Relaxed);
+        Some(segment)
     }
 
     /// Records a freshly simulated epoch in the memory and disk tiers.
@@ -768,47 +578,27 @@ impl EpochCache {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         let epoch = Arc::new(epoch);
         self.disk_store(&key, &epoch);
-        self.admit(key, epoch, false);
+        self.admit(key, epoch);
     }
 
-    /// Serialises one cached epoch for a peer: from memory if resident,
-    /// else verbatim disk bytes (validated before shipping — corrupt
-    /// files are quarantined, not served).
-    pub fn export(&self, key: &EpochKey) -> Option<Vec<u8>> {
-        {
-            let inner = self.inner.lock().expect("epoch cache lock");
-            if let Some(entry) = inner.map.get(key) {
-                return Some(encode_epoch(key, &entry.epoch));
-            }
-        }
-        let path = self.disk_path(key)?;
-        let bytes = std::fs::read(&path).ok()?;
-        match decode_epoch(&bytes, key) {
-            Ok(_) => Some(bytes),
-            Err(_) => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// Serialises `key` and up to `max - 1` of its successors as one
-    /// compact segment ([`encode_segment`]): every epoch's record and
-    /// exit digest, but only the *last* epoch's full exit state. Each
-    /// successor key is derived from the previous epoch's exit state —
-    /// the same digest chain the simulator walks — so one response
-    /// fast-forwards the requester through the whole stretch this shard
-    /// holds, at a fraction of the bytes of one full [`MachineState`]
-    /// per epoch. The walk stops at the first key this shard doesn't
-    /// hold (for adaptive runs, also where the requester's configuration
-    /// trajectory diverges); `None` when even `key` itself is absent.
-    pub fn export_segment(&self, key: &EpochKey, max: usize) -> Option<Vec<u8>> {
-        let max = max.clamp(1, CHAIN_CAP);
+    /// Serialises `key` and up to [`SEGMENT_CAP`]` - 1` of its
+    /// successors as one compact segment ([`encode_segment`]): every
+    /// epoch's record and exit digest, but only the *last* epoch's full
+    /// exit state. Each successor key is derived from the previous
+    /// epoch's exit state — the same digest chain the simulator walks —
+    /// so one response fast-forwards the requester through the whole
+    /// stretch this shard holds, at a fraction of the bytes of one full
+    /// [`MachineState`] per epoch. The walk stops at the first key this
+    /// shard doesn't hold (for adaptive runs, also where the requester's
+    /// configuration trajectory diverges); `None` when even `key` itself
+    /// is absent. Entries are read from memory or validated disk files
+    /// (corrupt files are quarantined, not served).
+    pub fn export_segment(&self, key: &EpochKey) -> Option<Vec<u8>> {
         let mut records = Vec::new();
         let mut digests = Vec::new();
         let mut last: Option<Arc<CachedEpoch>> = None;
         let mut k = *key;
-        while records.len() < max {
+        while records.len() < SEGMENT_CAP {
             let Some(epoch) = self.peek(&k) else { break };
             records.push(epoch.record.clone());
             digests.push(epoch.exit.digest());
@@ -847,15 +637,10 @@ impl EpochCache {
     }
 
     /// Puts an epoch into the memory tier (no disk write) and trims to
-    /// the caps. Re-admitting a resident key only refreshes its LRU
+    /// the cap. Re-admitting a resident key only refreshes its LRU
     /// slot.
-    fn admit(&self, key: EpochKey, epoch: Arc<CachedEpoch>, remote: bool) {
-        let quota = if remote {
-            Some(self.remote_config().quota_bytes)
-        } else {
-            None
-        };
-        let mut entry = Entry::new(epoch, remote);
+    fn admit(&self, key: EpochKey, epoch: Arc<CachedEpoch>) {
+        let mut entry = Entry::new(epoch);
         let mut inner = self.inner.lock().expect("epoch cache lock");
         inner.clock += 1;
         entry.last_use = inner.clock;
@@ -864,9 +649,6 @@ impl EpochCache {
             return;
         }
         inner.insert(key, entry);
-        if let Some(quota) = quota {
-            self.enforce_remote_quota(&mut inner, quota);
-        }
         self.enforce_cap(&mut inner);
     }
 
@@ -883,24 +665,6 @@ impl EpochCache {
             let Some(key) = victim else { break };
             if inner.remove(&key).is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Evicts least-recently-used *remote* epochs until their footprint
-    /// fits the remote byte quota, leaving locally-computed entries
-    /// untouched.
-    fn enforce_remote_quota(&self, inner: &mut Inner, quota: usize) {
-        while inner.remote_resident > quota {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(_, e)| e.remote)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(key) = victim else { break };
-            if inner.remove(&key).is_some() {
-                self.remote_evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -953,8 +717,9 @@ impl EpochCache {
         let Some(path) = self.disk_path(key) else {
             return;
         };
-        // Keys are content fingerprints, so racing writers publish
-        // identical bytes and the last rename wins harmlessly.
+        // Every writer renames a temporary of its own, and keys are
+        // content fingerprints, so racing writers (threads or processes)
+        // publish identical bytes and the last rename wins harmlessly.
         if write_then_rename(&path, &encode_epoch(key, epoch)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
@@ -1089,9 +854,8 @@ pub fn encode_segment(
 }
 
 /// Inverse of [`encode_segment`] for a segment whose first epoch is
-/// `first`: the segment plus the per-epoch exit digests (`digests[i]`
-/// belongs to `records[i]`; the last one is verified against the
-/// decoded state).
+/// `first`. Of the per-epoch exit digests, the last is verified
+/// against the decoded state.
 ///
 /// # Errors
 ///
@@ -1100,10 +864,7 @@ pub fn encode_segment(
 /// [`DecodeError::KeyMismatch`] for a segment that starts at another
 /// key — the cache treats every error as a miss and simulates; it never
 /// fast-forwards through suspect bytes.
-pub fn decode_segment(
-    bytes: &[u8],
-    first: &EpochKey,
-) -> Result<(CachedSegment, Vec<u64>), DecodeError> {
+pub fn decode_segment(bytes: &[u8], first: &EpochKey) -> Result<CachedSegment, DecodeError> {
     if bytes.len() < SEGMENT_MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
@@ -1130,38 +891,18 @@ pub fn decode_segment(
         return Err(DecodeError::TrailingBytes);
     }
     let records = trace_bin::decode_trace(record_bytes).map_err(|_| DecodeError::BadRecord)?;
-    if records.is_empty() || records.len() > CHAIN_CAP || digest_bytes.len() != records.len() * 8 {
+    if records.is_empty() || records.len() > SEGMENT_CAP || digest_bytes.len() != records.len() * 8
+    {
         return Err(DecodeError::BadRecord);
     }
-    let digests: Vec<u64> = digest_bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
     let exit = MachineState::from_bytes(state_bytes).ok_or(DecodeError::BadSnapshot)?;
-    if exit.digest() != *digests.last().expect("non-empty digests") {
+    let (_, last) = digest_bytes
+        .split_last_chunk::<8>()
+        .ok_or(DecodeError::BadRecord)?;
+    if exit.digest() != u64::from_le_bytes(*last) {
         return Err(DecodeError::BadSnapshot);
     }
-    Ok((CachedSegment { records, exit }, digests))
-}
-
-/// Decodes a `chain > 1` fetch response for `key`: an
-/// [`encode_segment`] blob, or — from a peer that doesn't chain
-/// (feature off, older wire version) — a bare [`encode_epoch`] blob,
-/// degraded to a length-1 segment. The magics make the two cases
-/// unambiguous; anything else, or a blob for another key, is a miss.
-fn decode_fetched_segment(bytes: &[u8], key: &EpochKey) -> Option<(CachedSegment, Vec<u64>)> {
-    if bytes.starts_with(&SEGMENT_MAGIC) {
-        return decode_segment(bytes, key).ok();
-    }
-    let epoch = decode_epoch(bytes, key).ok()?;
-    let digest = epoch.exit.digest();
-    Some((
-        CachedSegment {
-            records: vec![epoch.record],
-            exit: epoch.exit,
-        },
-        vec![digest],
-    ))
+    Ok(CachedSegment { records, exit })
 }
 
 /// FNV-1a 64 over `bytes` — the payload checksum of the `SAEP` format.
@@ -1306,7 +1047,7 @@ pub struct EpochCacheHook<'a> {
     spec: u64,
     workload: u64,
     /// Per-run remote gate: cleared on the first remote miss so a cold
-    /// run probes the cluster once, not once per boundary.
+    /// run asks the cluster once, not once per boundary.
     remote_ok: bool,
 }
 
@@ -1324,8 +1065,7 @@ impl EpochCacheHook<'_> {
 
 impl EpochHook for EpochCacheHook<'_> {
     fn lookup(&mut self, boundary: &EpochBoundary) -> Option<Arc<CachedEpoch>> {
-        let key = self.key(boundary);
-        self.cache.lookup_gated(&key, &mut self.remote_ok)
+        self.cache.lookup(&self.key(boundary))
     }
 
     fn lookup_segment(&mut self, boundary: &EpochBoundary) -> Option<CachedSegment> {
@@ -1333,19 +1073,16 @@ impl EpochHook for EpochCacheHook<'_> {
             return None;
         }
         let key = self.key(boundary);
-        // A locally held epoch is served by the per-epoch `lookup` path
-        // for free; the segment fetch is only worth a round trip when
-        // this boundary would otherwise simulate.
+        // A locally held epoch is served by `lookup` for free; the
+        // fetch is only worth a round trip when this boundary would
+        // otherwise simulate.
         if self.cache.has_local(&key) {
             return None;
         }
-        let segment = self.cache.remote_segment(&key);
-        if segment.is_none() {
-            // Same per-run gate as `lookup_gated`: with chained
-            // prefetch, the first remote miss means the cluster has
-            // nothing more for this run.
-            self.remote_ok = false;
-        }
+        // A hit fast-forwards through every epoch the peers hold, so
+        // the first miss means they have nothing more for this run.
+        let segment = self.cache.fetch_segment(&key);
+        self.remote_ok = segment.is_some();
         segment
     }
 
@@ -1397,6 +1134,7 @@ pub fn simulate_trace_adaptive_keyed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fxhash::FxHashSet;
     use transmuter::workload::{Op, Phase};
 
     /// A small workload whose access stride varies with `tag`, so
@@ -1472,6 +1210,9 @@ mod tests {
         assert_eq!(warm, plain);
         let s = cache.stats();
         assert_eq!(s.hits as usize, plain.epochs.len());
+        // One lookup per boundary of each run: the warm run stops at the
+        // hit that finishes it.
+        assert_eq!(s.lookups as usize, 2 * plain.epochs.len());
         assert!(s.hit_rate() > 0.0);
     }
 
@@ -1646,7 +1387,7 @@ mod tests {
             "the pool's snapshots should share pages"
         );
 
-        // Random inserts (local and remote), evictions under random caps
+        // Random inserts, evictions under random caps
         // and clears, on two caches holding the same pages: each counts
         // every page once, whichever of them claimed it.
         let caches = [EpochCache::new(), EpochCache::new()];
@@ -1666,7 +1407,7 @@ mod tests {
                 }
                 _ => {
                     let (key, epoch) = &pool[(x >> 20) as usize % pool.len()];
-                    caches[c].admit(*key, Arc::clone(epoch), (x >> 12) & 1 == 1);
+                    caches[c].admit(*key, Arc::clone(epoch));
                 }
             }
             for (cache, cap) in caches.iter().zip(caps) {
@@ -1720,27 +1461,12 @@ mod tests {
     }
 
     /// A remote tier backed by another in-process cache: what a peer
-    /// shard is, minus the HTTP. Serves single entries only, so every
-    /// boundary costs one fetch (the chain-free baseline).
-    struct CacheBacked(Arc<EpochCache>);
+    /// shard is, minus the HTTP.
+    struct Peer(Arc<EpochCache>);
 
-    impl RemoteFetcher for CacheBacked {
-        fn fetch(&self, key: &EpochKey, _budget: Duration, _chain: usize) -> Option<Vec<u8>> {
-            self.0.export(key)
-        }
-    }
-
-    /// [`CacheBacked`] honoring the chain: what a peer shard is with
-    /// chained prefetch, minus the HTTP.
-    struct ChainBacked(Arc<EpochCache>);
-
-    impl RemoteFetcher for ChainBacked {
-        fn fetch(&self, key: &EpochKey, _budget: Duration, chain: usize) -> Option<Vec<u8>> {
-            if chain > 1 {
-                self.0.export_segment(key, chain)
-            } else {
-                self.0.export(key)
-            }
+    impl RemoteFetcher for Peer {
+        fn fetch(&self, key: &EpochKey) -> Option<Vec<u8>> {
+            self.0.export_segment(key)
         }
     }
 
@@ -1752,19 +1478,22 @@ mod tests {
         let peer = Arc::new(EpochCache::new());
         let warm = run_hooked(&peer, spec, &wl, cfg);
         let local = EpochCache::new();
-        local.set_remote(Some(Arc::new(CacheBacked(Arc::clone(&peer)))));
+        local.set_remote(Some(Arc::new(Peer(Arc::clone(&peer)))));
         let fetched = run_hooked(&local, spec, &wl, cfg);
         assert_eq!(fetched, warm, "remote epochs must replay bit-identically");
         let s = local.stats();
-        assert_eq!(s.remote_hits as usize, warm.epochs.len());
+        assert_eq!(s.remote_hits, 1);
+        assert_eq!(s.remote_chain_entries as usize, warm.epochs.len() - 1);
         assert_eq!(s.hits + s.disk_hits, 0);
         assert_eq!(s.inserts, 0, "every epoch came from the peer");
         assert!(s.remote_bytes > 0);
-        // A fully fast-forwarded run probes one boundary past the last
-        // epoch (the probe that discovers the run is over), so exactly
-        // one remote miss is expected.
-        assert_eq!(s.remote_misses, 1);
-        assert!(s.remote_hit_rate() > 0.5);
+        // The segment carried the run to its end, so the run stops there
+        // without probing a boundary past its last epoch.
+        assert_eq!(s.remote_misses, 0);
+        assert_eq!(s.remote_hit_rate(), 1.0);
+        // The segment answered the one boundary the run looked up.
+        assert_eq!(s.lookups, s.remote_hits);
+        assert_eq!(s.hit_rate(), 1.0);
     }
 
     #[test]
@@ -1778,7 +1507,7 @@ mod tests {
         let warm = run_hooked(&peer, spec, &wl, cfg);
         assert!(warm.epochs.len() > 2, "need a chain worth prefetching");
         let local = EpochCache::new();
-        local.set_remote(Some(Arc::new(ChainBacked(Arc::clone(&peer)))));
+        local.set_remote(Some(Arc::new(Peer(Arc::clone(&peer)))));
         let fetched = run_hooked(&local, spec, &wl, cfg);
         assert_eq!(fetched, warm, "chained epochs must replay bit-identically");
         let s = local.stats();
@@ -1788,21 +1517,16 @@ mod tests {
         assert_eq!(s.remote_hits, 1);
         assert_eq!(s.remote_chain_entries as usize, warm.epochs.len() - 1);
         assert_eq!(s.inserts, 0, "every epoch came from the peer");
-        // The final probe past the last epoch is the only other fetch,
-        // and it misses.
-        assert_eq!(s.remote_misses, 1);
-        // Only the segment's last epoch arrived with a full state, and
-        // it is the one admitted locally.
-        assert_eq!(s.remote_entries, 1);
-        // A rerun re-fetches the segment (interior epochs were never
-        // admitted locally — by design) and still replays identically;
-        // its final probe is suppressed by the negative cache.
+        assert_eq!(s.remote_misses, 0);
+        // A segment is replayed, never stored.
+        assert_eq!(s.entries, 0);
+        // So a rerun fetches the segment again and still replays
+        // identically.
         let again = run_hooked(&local, spec, &wl, cfg);
         assert_eq!(again, warm);
         let s = local.stats();
         assert_eq!(s.remote_hits, 2);
-        assert_eq!(s.remote_misses, 1, "second end-probe was suppressed");
-        assert_eq!(s.remote_negative_suppressed, 1);
+        assert_eq!(s.remote_misses, 0);
     }
 
     #[test]
@@ -1812,28 +1536,13 @@ mod tests {
         let cfg = TransmuterConfig::baseline();
         let peer = EpochCache::new();
         let run = run_hooked(&peer, spec, &wl, cfg);
-        let first = EpochKey {
-            spec: spec.fingerprint(),
-            workload: wl.fingerprint(),
-            config: cfg.fingerprint(),
-            index: 0,
-            entry_digest: Machine::new(spec, cfg).snapshot().digest(),
-        };
-        let full = peer.export_segment(&first, CHAIN_CAP).expect("segment");
-        let (segment, digests) = decode_segment(&full, &first).expect("decodes");
+        let keys = recorded_keys(&peer, spec, &wl, cfg);
+        let first = keys[0];
+        let full = peer.export_segment(&first).expect("segment");
+        let segment = decode_segment(&full, &first).expect("decodes");
         assert_eq!(segment.records.len(), run.epochs.len(), "covers the run");
-        assert_eq!(digests.len(), segment.records.len());
-        assert_eq!(segment.exit.digest(), *digests.last().expect("digests"));
-        // A cap of 2 stops the walk early.
-        let capped = peer.export_segment(&first, 2).expect("capped segment");
-        assert_eq!(
-            decode_segment(&capped, &first)
-                .expect("decodes")
-                .0
-                .records
-                .len(),
-            2
-        );
+        let last = peer.peek(keys.last().expect("keys")).expect("last epoch");
+        assert_eq!(segment.exit, last.exit, "ends in the run's exit state");
         // Segments are atomic: any torn or twiddled byte fails the
         // checksum and reads as a miss.
         let torn = &full[..full.len() - 3];
@@ -1847,15 +1556,30 @@ mod tests {
             entry_digest: first.entry_digest ^ 1,
             ..first
         };
-        assert!(peer.export_segment(&missing, CHAIN_CAP).is_none());
+        assert!(peer.export_segment(&missing).is_none());
+
+        // A run longer than the cap exports its first `SEGMENT_CAP`
+        // epochs, and a segment one longer does not decode.
+        let streams = vec![vec![Op::Flops(1); SEGMENT_CAP + 20]; 16];
+        let long = Workload::new("long", vec![Phase::new("p", streams)]);
+        let spec = MachineSpec::default().with_epoch_ops(1);
+        let run = run_hooked(&peer, spec, &long, cfg);
+        assert!(run.epochs.len() > SEGMENT_CAP, "need a run past the cap");
+        let first = recorded_keys(&peer, spec, &long, cfg)[0];
+        let capped = peer.export_segment(&first).expect("segment");
+        let mut segment = decode_segment(&capped, &first).expect("decodes");
+        assert_eq!(segment.records.len(), SEGMENT_CAP);
+        segment.records.push(segment.records[0].clone());
+        let digests = vec![segment.exit.digest(); SEGMENT_CAP + 1];
+        let over = encode_segment(&first, &segment.records, &digests, &segment.exit);
+        assert_eq!(decode_segment(&over, &first), Err(DecodeError::BadRecord));
     }
 
-    /// A peer that answers every key with one fixed, well-formed blob —
-    /// the epoch of some *other* key.
-    struct Misaddressed(Vec<u8>);
+    /// A peer that answers every key with one fixed blob.
+    struct Fixed(Vec<u8>);
 
-    impl RemoteFetcher for Misaddressed {
-        fn fetch(&self, _key: &EpochKey, _budget: Duration, _chain: usize) -> Option<Vec<u8>> {
+    impl RemoteFetcher for Fixed {
+        fn fetch(&self, _key: &EpochKey) -> Option<Vec<u8>> {
             Some(self.0.clone())
         }
     }
@@ -1870,29 +1594,18 @@ mod tests {
         let keys = recorded_keys(&source, spec, &wl, cfg);
         assert!(keys.len() >= 2, "need two keys");
         let (a, b) = (keys[0], keys[1]);
-        let blob_a = source.export(&a).expect("resident entry exports");
-        assert_eq!(decode_epoch(&blob_a, &b), Err(DecodeError::KeyMismatch));
-
-        // Each fetch gets a fresh cache: a first miss would otherwise
-        // suppress the next lookup of `b` before any bytes arrive.
-        let asking = |blob: &[u8]| {
+        let epoch = |k: &EpochKey| source.peek(k).expect("resident entry");
+        let epoch_a = encode_epoch(&a, &epoch(&a));
+        assert_eq!(decode_epoch(&epoch_a, &b), Err(DecodeError::KeyMismatch));
+        // Asked for `b`, a peer answering with `a`'s segment or with a
+        // bare `SAEP` epoch — `a`'s or even `b`'s own — gives a miss
+        // that admits nothing.
+        let segment_a = source.export_segment(&a).expect("segment exports");
+        let epoch_b = encode_epoch(&b, &epoch(&b));
+        for blob in [segment_a, epoch_a, epoch_b] {
             let local = EpochCache::new();
-            local.set_remote(Some(Arc::new(Misaddressed(blob.to_vec()))));
-            local.set_remote_config(RemoteConfig {
-                chain: 8,
-                ..RemoteConfig::default()
-            });
-            local
-        };
-        let local = asking(&blob_a);
-        assert!(local.lookup(&b).is_none(), "a misaddressed blob is a miss");
-        let s = local.stats();
-        assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
-        // The chained path rejects it too, as a bare epoch or a segment.
-        let segment_a = source.export_segment(&a, 8).expect("segment exports");
-        for blob in [&blob_a, &segment_a] {
-            let local = asking(blob);
-            assert!(local.remote_segment(&b).is_none());
+            local.set_remote(Some(Arc::new(Fixed(blob))));
+            assert!(local.fetch_segment(&b).is_none());
             let s = local.stats();
             assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
         }
@@ -1928,71 +1641,35 @@ mod tests {
     struct CountingMiss(AtomicU64);
 
     impl RemoteFetcher for CountingMiss {
-        fn fetch(&self, _key: &EpochKey, _budget: Duration, _chain: usize) -> Option<Vec<u8>> {
+        fn fetch(&self, _key: &EpochKey) -> Option<Vec<u8>> {
             self.0.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
 
     #[test]
-    fn negative_lookups_are_suppressed() {
+    fn a_cold_run_asks_its_peers_once() {
+        let spec = MachineSpec::default().with_epoch_ops(30);
+        let cfg = TransmuterConfig::baseline();
         let cache = EpochCache::new();
         let fetcher = Arc::new(CountingMiss(AtomicU64::new(0)));
         cache.set_remote(Some(fetcher.clone()));
-        let key = EpochKey {
-            spec: 1,
-            workload: 2,
-            config: 3,
-            index: 0,
-            entry_digest: 4,
-        };
-        assert!(cache.lookup(&key).is_none());
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(
-            fetcher.0.load(Ordering::Relaxed),
-            1,
-            "second ask suppressed"
-        );
-        let s = cache.stats();
-        assert_eq!(s.remote_misses, 1);
-        assert_eq!(s.remote_negative_suppressed, 1);
-    }
-
-    /// A fetcher that records the budget it was handed.
-    struct BudgetProbe(Mutex<Option<Duration>>);
-
-    impl RemoteFetcher for BudgetProbe {
-        fn fetch(&self, _key: &EpochKey, budget: Duration, _chain: usize) -> Option<Vec<u8>> {
-            *self.0.lock().expect("probe lock") = Some(budget);
-            None
+        let asked = || fetcher.0.load(Ordering::Relaxed);
+        for (tag, fetches) in [(16, 1), (17, 2)] {
+            let wl = tiny_workload(tag);
+            let plain = Machine::new(spec, cfg).run(&wl);
+            assert!(plain.epochs.len() > 2, "need a multi-epoch run");
+            assert_eq!(run_hooked(&cache, spec, &wl, cfg), plain);
+            assert_eq!(asked(), fetches, "one fetch per cold run");
         }
+        assert_eq!(cache.stats().remote_misses, 2);
+        // A run this cache already holds never asks.
+        run_hooked(&cache, spec, &tiny_workload(16), cfg);
+        assert_eq!(asked(), 2);
     }
 
     #[test]
-    fn configured_budget_reaches_the_fetcher() {
-        let cache = EpochCache::new();
-        let probe = Arc::new(BudgetProbe(Mutex::new(None)));
-        cache.set_remote(Some(probe.clone()));
-        cache.set_remote_config(RemoteConfig {
-            budget: Duration::from_millis(7),
-            ..RemoteConfig::default()
-        });
-        let key = EpochKey {
-            spec: 9,
-            workload: 9,
-            config: 9,
-            index: 9,
-            entry_digest: 9,
-        };
-        assert!(cache.lookup(&key).is_none());
-        assert_eq!(
-            *probe.0.lock().expect("probe lock"),
-            Some(Duration::from_millis(7))
-        );
-    }
-
-    #[test]
-    fn fetched_entries_round_trip_and_quota_evicts_remote_entries() {
+    fn fetched_segments_round_trip_and_garbage_is_a_miss() {
         let spec = MachineSpec::default().with_epoch_ops(120);
         let wl = tiny_workload(9);
         let cfg = TransmuterConfig::baseline();
@@ -2001,30 +1678,64 @@ mod tests {
         let keys = recorded_keys(&peer, spec, &wl, cfg);
         assert_eq!(keys.len(), run.epochs.len());
         let local = EpochCache::new();
-        local.set_remote(Some(Arc::new(CacheBacked(Arc::clone(&peer)))));
-        // Quota of about one and a half epochs: fetches land but older
-        // remote entries are evicted to stay under it.
-        let one = peer.stats().resident_bytes / run.epochs.len();
-        local.set_remote_config(RemoteConfig {
-            quota_bytes: one + one / 2,
-            ..RemoteConfig::default()
-        });
-        assert_eq!(run_hooked(&local, spec, &wl, cfg), run);
+        local.set_remote(Some(Arc::new(Peer(Arc::clone(&peer)))));
+        let segment = local
+            .fetch_segment(&keys[0])
+            .expect("the peer holds the run");
+        assert_eq!(segment.records, run.epochs);
+        let last = peer.peek(keys.last().expect("keys")).expect("last epoch");
+        assert_eq!(segment.exit, last.exit);
         let s = local.stats();
-        assert_eq!(s.remote_hits as usize, keys.len());
-        assert_eq!(s.inserts, 0, "every epoch came from the peer");
-        assert!(s.remote_evictions > 0, "quota should have evicted");
-        assert!(s.remote_resident_bytes <= one + one / 2);
-        assert_eq!(s.remote_entries, s.entries, "all entries remote-sourced");
+        assert_eq!((s.remote_hits, s.remote_misses, s.entries), (1, 0, 0));
+        assert_eq!(s.remote_chain_entries as usize, keys.len() - 1);
         // Garbage from a peer is a miss and admits nothing.
-        for garbage in [&b"SA"[..], b"SAEPgarbage"] {
+        for garbage in [&b"SA"[..], b"SAEGgarbage", b"SAEPgarbage"] {
             let asking = EpochCache::new();
-            asking.set_remote(Some(Arc::new(Misaddressed(garbage.to_vec()))));
-            assert!(asking.lookup(&keys[0]).is_none());
+            asking.set_remote(Some(Arc::new(Fixed(garbage.to_vec()))));
+            assert!(asking.fetch_segment(&keys[0]).is_none());
             let s = asking.stats();
             assert_eq!((s.remote_misses, s.entries), (1, 0));
         }
-        // A rerun over the surviving entries is still identical.
-        assert_eq!(run_hooked(&local, spec, &wl, cfg), run);
+    }
+
+    #[test]
+    fn racing_inserts_publish_whole_files() {
+        let dir = std::env::temp_dir().join(format!("sa-epoch-race-{}", std::process::id()));
+        let spec = MachineSpec::default().with_epoch_ops(120);
+        let wl = tiny_workload(18);
+        let cfg = TransmuterConfig::baseline();
+        let source = EpochCache::new();
+        run_hooked(&source, spec, &wl, cfg);
+        let key = recorded_keys(&source, spec, &wl, cfg)[0];
+        let epoch = source.peek(&key).expect("resident entry");
+        let cache = EpochCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let path = dir.join(key.file_name());
+        let whole = |bytes: &[u8]| decode_epoch(bytes, &key).is_ok();
+        for round in 0..50 {
+            std::thread::scope(|s| {
+                let writers: Vec<_> = (0..8)
+                    .map(|_| s.spawn(|| cache.insert(key, CachedEpoch::clone(&epoch))))
+                    .collect();
+                // A reader sharing the directory must never see a file
+                // that is still being written.
+                while !writers.iter().all(|w| w.is_finished()) {
+                    if let Ok(bytes) = std::fs::read(&path) {
+                        assert!(whole(&bytes), "round {round}: a reader saw a torn file");
+                    }
+                }
+            });
+            let bytes = std::fs::read(&path).expect("published");
+            assert!(whole(&bytes), "round {round}");
+            let names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                names.iter().all(|n| !n.contains(".tmp.")),
+                "round {round}: {names:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

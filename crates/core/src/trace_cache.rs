@@ -381,15 +381,19 @@ impl TraceCache {
 }
 
 /// Publishes `bytes` at `path` so that a concurrent reader (another
-/// process sharing the directory) sees either the old file or the
-/// complete new one, never a torn write: the bytes go to a temporary
-/// beside `path`, which is then renamed into place. The temporary is
-/// pid-suffixed, so even a broken stale [`PathLock`] cannot let two
-/// writers share one, and it is removed again if the write or the
+/// process or thread sharing the directory) sees either the old file or
+/// the complete new one, never a torn write: the bytes go to a
+/// temporary beside `path`, which is then renamed into place. The
+/// temporary is named by the process and a per-process counter, so no
+/// two writers share one — not two processes past a broken stale
+/// [`PathLock`], and not two threads publishing one epoch key, which
+/// nothing serialises — and it is removed again if the write or the
 /// rename fails, so a failed publish leaves nothing behind.
 pub(crate) fn write_then_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    tmp.push(format!(".tmp.{}.{n}", std::process::id()));
     let tmp = PathBuf::from(tmp);
     let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
     if written.is_err() {

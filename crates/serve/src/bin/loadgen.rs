@@ -29,7 +29,8 @@
 //! `--epoch-ab` is a self-contained mode: it spawns two fresh two-shard
 //! clusters from `--serve-exe` (default: the `serve` binary next to
 //! this one) — remote epoch tier on, then off — warms shard A, measures
-//! the same simulate mix live on shard B, and merges the comparison
+//! the same 105 simulations (the default mix's five kernel/matrix pairs
+//! × 21 sampled configurations) live on shard B, and merges the comparison
 //! into `--out` as the `cluster_epoch_tier` block. It fails when the
 //! arms' simulation payloads differ, the tier-on arm saw no remote
 //! hits, or any pass saw an error.

@@ -24,9 +24,9 @@
 //! `--epoch-cache` enables the in-memory epoch-boundary cache;
 //! `--epoch-cache-dir` adds a per-shard SAEP disk tier (deliberately
 //! *not* shared across router-spawned shards). `--epoch-peer-fetch`
-//! lets a shard fetch missing epochs from cluster peers (discovered
-//! from the pushed topology) with a hard `--epoch-fetch-budget-ms`
-//! wall-clock budget per lookup.
+//! lets a shard fetch the rest of a run it is missing from cluster
+//! peers (discovered from the pushed topology) as one segment, with a
+//! hard `--epoch-fetch-budget-ms` wall-clock budget per fetch.
 //!
 //! The process drains cleanly on SIGINT/SIGTERM or `POST
 //! /v2/admin/drain`: it stops accepting, finishes in-flight work, and

@@ -4,17 +4,19 @@
 //! (`POST /v2/admin/topology`, PR 9) — a shard with no pushed topology
 //! simply has no peers and the tier is inert. [`PeerFetcher`] is the
 //! [`RemoteFetcher`] the daemon installs into the global epoch cache
-//! when `--epoch-peer-fetch` is on: on a local (memory + `SAEP` disk)
-//! miss it asks healthy, active peers for the key over
-//! `GET /v2/cache/epoch/{token}` under a hard latency budget, and gives
-//! up — letting the hot path simulate — the moment the budget runs out.
-//! A `?chain=N` query asks the peer to follow the content-addressed
-//! digest chain and return up to `N` consecutive epochs in one
-//! response, collapsing a round trip per epoch into one per run.
+//! when `--epoch-peer-fetch` is on: at a static run's boundary that
+//! memory and the `SAEP` disk tier cannot answer, it asks healthy,
+//! active peers for the key over `GET /v2/cache/epoch/{token}` under a
+//! hard latency budget, and gives up — letting the hot path simulate —
+//! the moment the budget runs out. A peer answers with one `SAEG`
+//! segment: it follows the content-addressed digest chain from the key
+//! and returns every consecutive epoch it holds, so one round trip
+//! fast-forwards the requester's whole run.
 //!
-//! Budget semantics: the budget is a wall-clock deadline for the whole
-//! fetch attempt. Each socket operation (connect, write, read) gets the
-//! time *remaining* until the deadline as its timeout, and the
+//! Budget semantics: the budget (`--epoch-fetch-budget-ms`) belongs to
+//! the fetcher and is a wall-clock deadline for the whole fetch attempt.
+//! Each socket operation (connect, write, read) gets the time
+//! *remaining* until the deadline as its timeout, and the
 //! peer-iteration loop stops the moment the deadline passes, so one
 //! hung peer costs at most the remaining budget, never a TCP-default
 //! timeout. Because timeouts apply per operation, a byzantine peer
@@ -25,11 +27,11 @@
 //!
 //! Soundness: keys are content fingerprints over machine × workload ×
 //! config × epoch index × entry-state digest, so a key names exactly one
-//! epoch. The payload carries the key it was stored under, is
+//! epoch. The segment carries the key of its first epoch, is
 //! checksummed, and is fully validated by
-//! [`sparseadapt::epoch_cache::decode_epoch`] against the key asked for
-//! before admission, so corrupt, version-skewed or misaddressed answers
-//! read as misses.
+//! [`sparseadapt::epoch_cache::decode_segment`] against the key asked
+//! for before the run replays it, so corrupt, version-skewed or
+//! misaddressed answers read as misses.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -48,21 +50,27 @@ pub const EPOCH_PATH: &str = "/v2/cache/epoch/";
 pub struct PeerFetcher {
     self_addr: SocketAddr,
     state: Arc<AppState>,
+    budget: Duration,
 }
 
 impl std::fmt::Debug for PeerFetcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PeerFetcher")
             .field("self_addr", &self.self_addr)
+            .field("budget", &self.budget)
             .finish_non_exhaustive()
     }
 }
 
 impl PeerFetcher {
     /// A fetcher for the shard bound at `self_addr`, reading peers from
-    /// `state`'s pushed topology.
-    pub fn new(self_addr: SocketAddr, state: Arc<AppState>) -> PeerFetcher {
-        PeerFetcher { self_addr, state }
+    /// `state`'s pushed topology and giving each fetch `budget`.
+    pub fn new(self_addr: SocketAddr, state: Arc<AppState>, budget: Duration) -> PeerFetcher {
+        PeerFetcher {
+            self_addr,
+            state,
+            budget,
+        }
     }
 }
 
@@ -81,8 +89,8 @@ fn peers_of(state: &AppState, me: SocketAddr) -> Vec<SocketAddr> {
 }
 
 impl RemoteFetcher for PeerFetcher {
-    fn fetch(&self, key: &EpochKey, budget: Duration, chain: usize) -> Option<Vec<u8>> {
-        let deadline = Instant::now() + budget;
+    fn fetch(&self, key: &EpochKey) -> Option<Vec<u8>> {
+        let deadline = Instant::now() + self.budget;
         let peers = peers_of(&self.state, self.self_addr);
         if peers.is_empty() {
             return None;
@@ -90,14 +98,7 @@ impl RemoteFetcher for PeerFetcher {
         // Start at a key-determined peer so a cluster warmed by one
         // shard spreads fetch load instead of hammering peer 0.
         let start = (key.entry_digest as usize) % peers.len();
-        // `?chain=N` asks the peer to follow the digest chain and ship
-        // up to N consecutive epochs in one response — one round trip
-        // warms the whole remaining run instead of one epoch.
-        let target = if chain > 1 {
-            format!("{EPOCH_PATH}{}?chain={chain}", key.token())
-        } else {
-            format!("{EPOCH_PATH}{}", key.token())
-        };
+        let target = format!("{EPOCH_PATH}{}", key.token());
         for i in 0..peers.len() {
             let remaining = deadline.checked_duration_since(Instant::now())?;
             let addr = peers[(start + i) % peers.len()];

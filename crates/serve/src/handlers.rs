@@ -231,32 +231,20 @@ fn apply_topology(state: &Arc<AppState>, doc: TopologyDoc, reply: Reply) {
 }
 
 /// `GET /v2/cache/epoch/{token}`: the serve side of the cluster epoch
-/// tier — one encoded (`SAEP`) epoch from this shard's memory or disk
-/// tier, as `application/octet-stream`. With `?chain=N` the shard
-/// follows the content-addressed digest chain and returns one compact
-/// (`SAEG`) segment instead: records for up to `N` consecutive epochs
-/// plus the last one's exit state, fast-forwarding the requester's
-/// whole run in one response. Runs on the pool: a segment export
-/// decodes and digests up to the chain's length of machine states, and
-/// the disk tier may be read. A busy shard therefore answers later, and
-/// the requester falls back to simulating once its fetch budget
-/// expires.
+/// tier. The shard follows the content-addressed digest chain from the
+/// key through its memory and disk tiers and answers one compact
+/// (`SAEG`) segment as `application/octet-stream`: records for up to
+/// [`SEGMENT_CAP`](sparseadapt::epoch_cache::SEGMENT_CAP) consecutive
+/// epochs plus the last one's exit state, fast-forwarding the
+/// requester's whole run in one response. Runs on the pool: an export
+/// decodes and digests up to that many machine states, and the disk
+/// tier may be read. A busy shard therefore answers later, and the
+/// requester falls back to simulating once its fetch budget expires.
 pub fn epoch_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
     let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
         return reply.send(Response::error(400, "malformed epoch cache key"));
     };
-    let chain = req
-        .query
-        .split('&')
-        .find_map(|kv| kv.strip_prefix("chain="))
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1);
-    let bytes = if chain > 1 {
-        EpochCache::global().export_segment(&key, chain)
-    } else {
-        EpochCache::global().export(&key)
-    };
-    reply.send(match bytes {
+    reply.send(match EpochCache::global().export_segment(&key) {
         Some(bytes) => Response::octet(200, bytes),
         None => Response::error(404, "epoch not cached on this shard"),
     });

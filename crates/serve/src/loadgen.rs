@@ -21,8 +21,9 @@
 //! - **replay** (`replay`): the records of a JSONL log, as written by
 //!   the router's `--record` flag, at their recorded offsets,
 //!   round-robin over the connections;
-//! - **epoch-tier A/B** ([`run_epoch_ab`]): the simulate mix once per
-//!   pass on one connection.
+//! - **epoch-tier A/B** ([`run_epoch_ab`]): 105 distinct simulations
+//!   (the default mix's kernel/matrix pairs × sampled configurations)
+//!   once per pass on one connection.
 //!
 //! The closed and open loops run after a cold pass over the same mix.
 //! Percentiles are exact, from raw samples (the server's `/metrics`
@@ -42,9 +43,11 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use sa_bench::Harness;
 use serde::{Deserialize, Serialize, Value};
+use sparseadapt::stitch::sample_configs;
 use sparseadapt::ReconfigPolicy;
-use transmuter::config::TransmuterConfig;
+use transmuter::config::{MemKind, TransmuterConfig};
 use transmuter::counters::Telemetry;
 
 use crate::api::{code, ApiError, RecommendApiRequest, ShardDoc, SimulateRequest, TopologyDoc};
@@ -1035,8 +1038,9 @@ pub struct EpochAbArm {
     /// B's remote fetches that missed (peer didn't have the key or the
     /// budget expired).
     pub remote_misses: u64,
-    /// Extra epochs B prefetched via the digest chain (one round trip
-    /// warms the rest of the run).
+    /// Epochs B fast-forwarded through fetched segments beyond the
+    /// boundary each answered (one round trip replays the rest of the
+    /// run).
     pub remote_chain_entries: u64,
     /// `remote_hits / (remote_hits + remote_misses)`.
     pub remote_hit_ratio: f64,
@@ -1065,13 +1069,32 @@ pub struct EpochAbReport {
     pub identical: bool,
 }
 
-/// The simulate-only subset of the default mix: recommend requests
-/// never enter the epoch-cache path, so they would only dilute the A/B.
+/// Configurations the A/B simulates per kernel/matrix pair.
+const EPOCH_AB_CONFIGS: usize = 21;
+
+/// The A/B's simulate set: each kernel/matrix pair of the default mix
+/// (five), in its own dialect, crossed with [`EPOCH_AB_CONFIGS`] sampled
+/// configurations (the three presets among them) — 105 distinct keys.
+/// Recommend requests never enter the epoch-cache path, so they would
+/// only dilute the A/B.
 fn epoch_ab_mix() -> Vec<PreparedRequest> {
-    default_mix()
+    let configs = sample_configs(MemKind::Cache, EPOCH_AB_CONFIGS, Harness::default().seed);
+    let mut mix: Vec<PreparedRequest> = Vec::new();
+    for r in default_mix()
         .into_iter()
         .filter(|r| r.target.ends_with("/simulate"))
-        .collect()
+    {
+        let mut req: SimulateRequest = serde_json::from_str(&r.body).expect("mix parses");
+        req.config_name = None;
+        for config in &configs {
+            req.config = Some(*config);
+            let body = serde_json::to_string(&req).expect("mix serializes");
+            if !mix.iter().any(|m| m.body == body) {
+                mix.push(PreparedRequest { body, ..r.clone() });
+            }
+        }
+    }
+    mix
 }
 
 /// A simulate response body with the fields that legitimately differ
@@ -1239,6 +1262,26 @@ mod tests {
             // Every body must be valid JSON the server can parse back.
             serde_json::parse_value_str(&req.body).expect("mix body is JSON");
         }
+    }
+
+    #[test]
+    fn epoch_ab_mix_sends_105_distinct_simulations() {
+        let mix = epoch_ab_mix();
+        let mut bodies: Vec<&str> = mix.iter().map(|r| r.body.as_str()).collect();
+        bodies.sort_unstable();
+        bodies.dedup();
+        assert_eq!(bodies.len(), 105);
+        let mut pairs: Vec<(String, String)> = mix
+            .iter()
+            .map(|r| {
+                assert!(r.target.ends_with("/simulate"));
+                let req: SimulateRequest = serde_json::from_str(&r.body).expect("parses");
+                assert!(req.config.is_some());
+                (req.kernel, req.matrix)
+            })
+            .collect();
+        pairs.dedup();
+        assert_eq!(pairs.len(), 5, "{pairs:?}");
     }
 
     #[test]

@@ -259,18 +259,18 @@ impl From<CacheStats> for TraceCacheSnapshot {
 /// misses, bytes and latency.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochCacheSnapshot {
-    /// Epoch-boundary lookups observed.
+    /// Epoch-boundary lookups observed (a fetched segment answers one).
     pub lookups: u64,
     /// Lookups answered from memory.
     pub hits: u64,
     /// Lookups answered from the SAEP disk tier.
     pub disk_hits: u64,
-    /// Lookups answered by fetching from a cluster peer.
+    /// Lookups answered by a segment fetched from a cluster peer.
     pub remote_hits: u64,
     /// Remote fetches that returned nothing usable.
     pub remote_misses: u64,
-    /// Extra epochs admitted by chained prefetch (beyond the one each
-    /// hit was asked for).
+    /// Epochs fetched segments fast-forwarded beyond the boundary each
+    /// answered.
     pub remote_chain_entries: u64,
     /// Fresh epochs recorded (misses that simulated).
     pub inserts: u64,
@@ -288,20 +288,12 @@ pub struct EpochCacheSnapshot {
     pub remote_fetch_p50_ms: f64,
     /// Remote-fetch latency p95 over the recent sample window, ms.
     pub remote_fetch_p95_ms: f64,
-    /// Remote lookups suppressed by the negative cache.
-    pub remote_negative_suppressed: u64,
-    /// Remote lookups skipped at the in-flight fetch cap.
+    /// Remote fetches skipped at the in-flight fetch cap.
     pub remote_inflight_skipped: u64,
-    /// Remote-sourced epochs evicted by the remote byte quota.
-    pub remote_evictions: u64,
     /// Epochs resident in memory.
     pub entries: usize,
     /// Bytes resident in memory.
     pub resident_bytes: usize,
-    /// Remote-sourced epochs resident in memory.
-    pub remote_entries: usize,
-    /// Bytes of remote-sourced epochs resident in memory.
-    pub remote_resident_bytes: usize,
     /// Fraction of lookups answered without simulating, any tier.
     pub hit_ratio: f64,
     /// `remote_hits / (remote_hits + remote_misses)`, 0 when idle.
@@ -325,13 +317,9 @@ impl From<EpochCacheStats> for EpochCacheSnapshot {
             remote_fetch_ms: s.remote_fetch_us as f64 / 1000.0,
             remote_fetch_p50_ms: s.remote_fetch_p50_ms,
             remote_fetch_p95_ms: s.remote_fetch_p95_ms,
-            remote_negative_suppressed: s.remote_negative_suppressed,
             remote_inflight_skipped: s.remote_inflight_skipped,
-            remote_evictions: s.remote_evictions,
             entries: s.entries,
             resident_bytes: s.resident_bytes,
-            remote_entries: s.remote_entries,
-            remote_resident_bytes: s.remote_resident_bytes,
             hit_ratio: s.hit_rate(),
             remote_hit_ratio: s.remote_hit_rate(),
         }
@@ -391,13 +379,9 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         // worst shard, which is the number capacity planning wants.
         e.remote_fetch_p50_ms = e.remote_fetch_p50_ms.max(s.epoch_cache.remote_fetch_p50_ms);
         e.remote_fetch_p95_ms = e.remote_fetch_p95_ms.max(s.epoch_cache.remote_fetch_p95_ms);
-        e.remote_negative_suppressed += s.epoch_cache.remote_negative_suppressed;
         e.remote_inflight_skipped += s.epoch_cache.remote_inflight_skipped;
-        e.remote_evictions += s.epoch_cache.remote_evictions;
         e.entries += s.epoch_cache.entries;
         e.resident_bytes += s.epoch_cache.resident_bytes;
-        e.remote_entries += s.epoch_cache.remote_entries;
-        e.remote_resident_bytes += s.epoch_cache.remote_resident_bytes;
         let r = &mut merged.reactor;
         r.conns_open += s.reactor.conns_open;
         r.conns_active += s.reactor.conns_active;
@@ -512,6 +496,12 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparseadapt::epoch_cache::{EpochKey, RemoteFetcher};
+    use sparseadapt::EpochCache;
+    use std::sync::Arc;
+    use transmuter::config::{MachineSpec, TransmuterConfig};
+    use transmuter::machine::Machine;
+    use transmuter::workload::{Op, Phase, Workload};
 
     fn gauges() -> QueueGauges {
         QueueGauges {
@@ -659,5 +649,59 @@ mod tests {
         };
         let snap: TraceCacheSnapshot = cache.into();
         assert!((snap.hit_ratio - 0.8).abs() < 1e-12);
+    }
+
+    /// A peer shard minus the HTTP: the segment `GET /v2/cache/epoch`
+    /// would answer.
+    struct Peer(Arc<EpochCache>);
+
+    impl RemoteFetcher for Peer {
+        fn fetch(&self, key: &EpochKey) -> Option<Vec<u8>> {
+            self.0.export_segment(key)
+        }
+    }
+
+    #[test]
+    fn epoch_hit_ratios_stay_within_one() {
+        let stream: Vec<Op> = (0..60)
+            .flat_map(|i| {
+                [
+                    Op::Load {
+                        addr: i * 40,
+                        pc: 1,
+                    },
+                    Op::Flops(1),
+                ]
+            })
+            .collect();
+        let wl = Workload::new("peer-warm", vec![Phase::new("p", vec![stream; 16])]);
+        let spec = MachineSpec::default().with_epoch_ops(20);
+        let run = |cache: &EpochCache| {
+            let mut hook = cache.hook_for(spec.fingerprint(), wl.fingerprint());
+            Machine::new(spec, TransmuterConfig::baseline()).run_with_hook(&wl, &mut hook)
+        };
+        // A cold shard records the run; a peer-warm one replays it.
+        let cold = Arc::new(EpochCache::new());
+        let epochs = run(&cold).epochs.len();
+        assert!(epochs > 2, "need a multi-epoch run");
+        let warm = EpochCache::new();
+        warm.set_remote(Some(Arc::new(Peer(Arc::clone(&cold)))));
+        run(&warm);
+        let snapshot = |stats| {
+            ServerMetrics::new().snapshot(
+                gauges(),
+                CacheStats::default(),
+                stats,
+                ReactorSnapshot::default(),
+            )
+        };
+        let (cold, warm) = (snapshot(cold.stats()), snapshot(warm.stats()));
+        assert_eq!(warm.epoch_cache.remote_chain_entries as usize, epochs - 1);
+        assert_eq!(warm.epoch_cache.lookups, warm.epoch_cache.remote_hits);
+        assert_eq!(warm.epoch_cache.hit_ratio, 1.0);
+        assert_eq!(cold.epoch_cache.hit_ratio, 0.0);
+        let m = merge_snapshots(&[cold, warm.clone(), warm]).expect("non-empty");
+        assert_eq!(m.epoch_cache.lookups as usize, epochs + 2);
+        assert_eq!(m.epoch_cache.hit_ratio, 2.0 / (epochs + 2) as f64);
     }
 }

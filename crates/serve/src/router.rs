@@ -67,7 +67,7 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
         // addressed matrices and stays frozen.
         ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(handlers::upload_matrix)),
         // Shard-to-shard epoch-cache protocol (/v2-only, binary, read
-        // only): GET serves one encoded epoch or a chained segment.
+        // only): GET serves the segment of epochs chained from the key.
         ("GET", path) if path.starts_with("/v2/cache/epoch/") => {
             ("GET /v2/cache/epoch/:key", Pool(handlers::epoch_get))
         }

@@ -371,13 +371,10 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     });
     let stop = Arc::new(AtomicBool::new(false));
     if config.epoch_peer_fetch {
-        EpochCache::global().set_remote_config(sparseadapt::epoch_cache::RemoteConfig {
-            budget: Duration::from_millis(config.epoch_fetch_budget_ms.max(1)),
-            ..Default::default()
-        });
         EpochCache::global().set_remote(Some(Arc::new(crate::epoch_tier::PeerFetcher::new(
             addr,
             Arc::clone(&state),
+            Duration::from_millis(config.epoch_fetch_budget_ms.max(1)),
         ))));
     }
 

@@ -156,6 +156,11 @@ fn epoch_tier_cluster_end_to_end() {
         "remote hits must account their payload bytes"
     );
     assert_eq!(
+        epoch_counter(&b, "remote_misses"),
+        0,
+        "a segment that finishes the run leaves nothing to ask for"
+    );
+    assert_eq!(
         epoch_counter(&a, "remote_hits"),
         0,
         "A was cold: nothing existed for it to fetch"
@@ -237,8 +242,8 @@ fn epoch_tier_cluster_end_to_end() {
         epoch_counter(&d, "remote_misses") > 0,
         "the budgeted attempt must be visible as a remote miss"
     );
-    // Negative suppression caps the damage: at most one budgeted probe
-    // per epoch key, so a whole run cannot spend epochs × budget.
+    // The per-run gate caps the damage: a run asks its peers until the
+    // first miss, so it spends one budget, not epochs × budget.
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "budgeted fetches must not stall the request"

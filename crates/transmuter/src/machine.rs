@@ -761,7 +761,11 @@ impl Machine {
         // only); still valid after the loop for the final partial epoch.
         let mut entry: Option<EpochBoundary> = None;
 
-        loop {
+        // A cache hit can carry the run past its last phase; it stops
+        // there. Probing the hook once more could not hit (nothing is
+        // recorded under a finished state once a run has records), and
+        // an unhooked run never gets here finished.
+        while records.is_empty() || ls.phase_idx < workload.phases.len() {
             // Key the epoch about to run. The reference path never
             // consults hooks, so it stays an independent witness against
             // the memoization layer.
