@@ -258,10 +258,16 @@ impl Inner {
 /// ring-buffer style.
 const FETCH_SAMPLE_CAP: usize = 4096;
 
+/// Bytes a segment's per-epoch part may take: each epoch costs its
+/// [`trace_bin::RECORD_BYTES`] record plus an 8-byte exit digest.
+const SEGMENT_RECORD_BUDGET: usize = 256 * 1024;
+
 /// Most epochs one segment may carry: what [`EpochCache::export_segment`]
-/// walks at most and what [`decode_segment`] accepts. Bounds a single
-/// response to a sane size however large the peer's cache is.
-pub const SEGMENT_CAP: usize = 256;
+/// walks at most and what [`decode_segment`] accepts. Set from
+/// [`SEGMENT_RECORD_BUDGET`], it bounds a single response however large
+/// the peer's cache is, and at 1,186 epochs it carries the longest run
+/// of the serving mix (341 epochs of `symgs` on R09) in one fetch.
+pub const SEGMENT_CAP: usize = SEGMENT_RECORD_BUDGET / (trace_bin::RECORD_BYTES + 8);
 
 /// Most remote fetches in flight at once; a boundary that finds the
 /// tier this busy simulates instead of queueing.

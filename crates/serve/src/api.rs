@@ -79,6 +79,60 @@ pub struct SimulateResponse {
     pub sim_ms: f64,
 }
 
+/// The key of [`SimulateResponse::sim_ms`], its last field.
+const SIM_MS_KEY: &str = "\"sim_ms\":";
+
+impl SimulateResponse {
+    /// This response's body in `version`'s dialect, and that body
+    /// without its `sim_ms` value: the one field that differs between
+    /// answers to the same request. `sim_ms` is the last field, so its
+    /// value ends at the first `}` after the key.
+    pub(crate) fn split_body(&self, version: ApiVersion) -> (String, SimulateBody) {
+        let inner = serde_json::to_string(self).expect("simulate response serializes");
+        let text = version.ok_body(&inner);
+        let at = text
+            .rfind(SIM_MS_KEY)
+            .expect("a simulate body carries sim_ms")
+            + SIM_MS_KEY.len();
+        let end = at + text[at..].find('}').expect("sim_ms is the last field");
+        // Sized exactly: the cut body is kept for as long as it is
+        // remembered.
+        let mut cut = String::with_capacity(text.len() - (end - at));
+        cut.push_str(&text[..at]);
+        cut.push_str(&text[end..]);
+        (text, SimulateBody { text: cut, at })
+    }
+}
+
+/// A [`SimulateResponse`] body cut at its `sim_ms` value (see
+/// [`SimulateResponse::split_body`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SimulateBody {
+    /// The body without the value.
+    text: String,
+    /// Where the value goes in `text`.
+    at: usize,
+}
+
+impl SimulateBody {
+    /// The body with `sim_ms` written in, as `serde_json` writes a
+    /// finite float: Rust's shortest round-trip (`{:?}`) form.
+    pub(crate) fn with_sim_ms(&self, sim_ms: f64) -> String {
+        use std::fmt::Write;
+        let (head, tail) = self.text.split_at(self.at);
+        let mut body = String::with_capacity(self.text.len() + 24);
+        body.push_str(head);
+        write!(body, "{sim_ms:?}").expect("writing to a String cannot fail");
+        body.push_str(tail);
+        body
+    }
+
+    /// Bytes of the body without the value.
+    pub(crate) fn len(&self) -> usize {
+        self.text.len()
+    }
+}
+
 /// `POST /v1/recommend`: ask the adaptive policy what the next epoch
 /// should run as. Extends [`sparseadapt::service::RecommendRequest`]
 /// with the model-selection fields (which trained ensemble to consult).
@@ -680,6 +734,53 @@ impl SweepRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A body split from one response, with a finite `sim_ms` written
+        /// back in, is byte for byte the serialized response carrying
+        /// that `sim_ms`, in both dialects.
+        #[test]
+        fn split_body_splices_sim_ms_as_serde_writes_it(
+            sim_ms_bits in 0u64..u64::MAX,
+            split_bits in 0u64..u64::MAX,
+            summary_bits in 0u64..u64::MAX,
+            epochs in 0usize..100_000,
+        ) {
+            let sim_ms = f64::from_bits(sim_ms_bits);
+            if !sim_ms.is_finite() {
+                return Ok(());
+            }
+            let figure = f64::from_bits(summary_bits);
+            let mut response = SimulateResponse {
+                kernel: "symgs".to_string(),
+                matrix: "R09".to_string(),
+                config: TransmuterConfig::maximum(),
+                summary: TraceSummary {
+                    epochs,
+                    time_s: figure,
+                    energy_j: figure * 2.0,
+                    fp_ops: summary_bits,
+                    gflops: -figure,
+                    gflops_per_watt: figure / 3.0,
+                    reconfig_time_s: figure * 1e-9,
+                    reconfig_count: epochs / 2,
+                },
+                cached: epochs % 2 == 0,
+                // The split is made at another value, even a non-finite
+                // one (written as `null`).
+                sim_ms: f64::from_bits(split_bits),
+            };
+            let cut = [ApiVersion::V1, ApiVersion::V2].map(|v| response.split_body(v).1);
+            response.sim_ms = sim_ms;
+            let inner = serde_json::to_string(&response).expect("serializes");
+            for (body, version) in cut.iter().zip([ApiVersion::V1, ApiVersion::V2]) {
+                let whole = version.ok_body(&inner);
+                prop_assert_eq!(&response.split_body(version).0, &whole);
+                prop_assert_eq!(body.with_sim_ms(sim_ms), whole);
+            }
+        }
+    }
 
     #[test]
     fn simulate_request_round_trips_and_resolves() {

@@ -4,15 +4,18 @@
 //! drain, topology) answer on the reactor's loop thread. So do the
 //! memory hits of `POST /v{1,2}/simulate` (a trace already in memory)
 //! and `POST /v{1,2}/recommend` (a model already loaded): those two
-//! handlers are entered on the loop, decode a body of at most
-//! [`LOOP_BODY_MAX`] bytes, and probe in-memory maps without building,
-//! loading or waiting on a lock. Everything else — a miss, a busy lock,
-//! a larger body, an uploaded matrix, and the sweep, upload and epoch
-//! routes — runs on a pool worker, admitted by [`crate::queue::admit`],
-//! and answers through the request's [`Reply`]. Simulate misses also
-//! coalesce on the pool: a request whose key is already in flight
-//! leaves its reply with the leader, which answers every follower with
-//! the same bytes.
+//! handlers are entered on the loop and first look the exact request
+//! bytes up in the [answer memo](crate::answer_memo): a body answered
+//! on the loop before is answered again without being decoded.
+//! Otherwise they decode a body of at most [`LOOP_BODY_MAX`] bytes,
+//! probe in-memory maps without building, loading or waiting on a
+//! lock, and remember what they answer. Everything else — a miss, a
+//! busy lock, a larger body, an uploaded matrix, and the sweep, upload
+//! and epoch routes — runs on a pool worker, admitted by
+//! [`crate::queue::admit`], and answers through the request's
+//! [`Reply`]. Simulate misses also coalesce on
+//! the pool: a request whose key is already in flight leaves its reply
+//! with the leader, which answers every follower with the same bytes.
 //!
 //! Every handler is *version-aware*: `/v1/*` and `/v2/*` both land
 //! here, carrying an [`ApiVersion`]. Handlers compute one typed payload
@@ -36,6 +39,7 @@ use sparseadapt::trace_cache::{TraceCache, TraceKey};
 use sparseadapt::PredictiveEnsemble;
 use transmuter::machine::EpochRecord;
 
+use crate::answer_memo::Answer;
 use crate::api::{
     code, kernel_name, parse_body, parse_kernel, ApiError, ApiVersion, ConfigScore, DrainStatusDoc,
     RecommendApiRequest, ResolvedSim, SimulateRequest, SimulateResponse, SweepAccepted,
@@ -52,7 +56,7 @@ use crate::server::AppState;
 pub const MAX_SWEEP_SAMPLED: u64 = 4096;
 
 /// The largest request body a handler decodes on the loop thread. Every
-/// body of the recorded serving mix (`loadgen::default_mix`) is well
+/// body of the default serving mix (`loadgen::default_mix`) is well
 /// under it. A larger body goes to the pool undecoded: the parser takes
 /// about 19 ms on a [`crate::http::MAX_BODY_BYTES`] body of numbers,
 /// and on the loop that would stall every connection.
@@ -105,6 +109,7 @@ pub fn metrics(state: &AppState) -> Response {
         gauges,
         TraceCache::global().stats(),
         EpochCache::global().stats(),
+        state.answers.stats(),
         state.reactor.snapshot(),
     );
     snap.topology_epoch = state.topology_epoch();
@@ -171,38 +176,43 @@ fn to_pool(
 }
 
 /// Decodes the body of a request entered on the loop thread. A body of
-/// at most [`LOOP_BODY_MAX`] bytes is decoded here and handed back with
-/// the reply. A larger one goes to the pool undecoded, to be decoded
-/// there and passed to `on_pool`; that returns `None`, as does a body
-/// that does not decode, once its 400 is answered.
+/// at most [`LOOP_BODY_MAX`] bytes is decoded here, handed back with
+/// the reply, and left in `body`. A larger one is taken from `body` and
+/// goes to the pool undecoded, to be decoded there and passed to
+/// `on_pool`; that returns `None`, as does a body that does not decode,
+/// once its 400 is answered.
 fn decode_on_loop<T: Deserialize + Send + 'static>(
     state: &Arc<AppState>,
-    req: Request,
+    body: &mut Vec<u8>,
     reply: Reply,
     fields: &'static [&'static str],
     on_pool: fn(&Arc<AppState>, T, Reply),
 ) -> Option<(T, Reply)> {
-    if req.body.len() > LOOP_BODY_MAX {
+    if body.len() > LOOP_BODY_MAX {
+        let body = std::mem::take(body);
         to_pool(state, reply, move |state, reply| {
-            if let Some((parsed, reply)) =
-                or_400(parse_body(&req.body, reply.version(), fields), reply)
+            if let Some((parsed, reply)) = or_400(parse_body(&body, reply.version(), fields), reply)
             {
                 on_pool(state, parsed, reply);
             }
         });
         return None;
     }
-    or_400(parse_body(&req.body, reply.version(), fields), reply)
+    or_400(parse_body(body, reply.version(), fields), reply)
 }
 
 /// `POST /v2/admin/topology` on a shard: accept a topology push from
 /// the router. Entered on the loop thread, which applies a push of at
 /// most [`LOOP_BODY_MAX`] bytes itself; a larger one is decoded and
 /// applied on the pool.
-pub fn topology_put(state: &Arc<AppState>, req: Request, reply: Reply) {
-    if let Some((doc, reply)) =
-        decode_on_loop(state, req, reply, TopologyDoc::FIELDS, apply_topology)
-    {
+pub fn topology_put(state: &Arc<AppState>, mut req: Request, reply: Reply) {
+    if let Some((doc, reply)) = decode_on_loop(
+        state,
+        &mut req.body,
+        reply,
+        TopologyDoc::FIELDS,
+        apply_topology,
+    ) {
         apply_topology(state, doc, reply);
     }
 }
@@ -279,17 +289,30 @@ pub fn job(state: &AppState, id_str: &str, version: ApiVersion) -> Response {
     }
 }
 
-/// `POST /v{1,2}/simulate`, entered on the loop thread. A trace that
-/// is already complete in memory is answered right here: the body is
-/// decoded and resolved, then the workload memo and the trace cache are
-/// probed without building, simulating, reading disk or waiting on a
-/// lock. Everything else goes to the pool as the decoded request: a
+/// `POST /v{1,2}/simulate`, entered on the loop thread. A body this
+/// route answered on the loop before is answered from the [answer
+/// memo](crate::answer_memo) while its trace is still in memory, with a
+/// fresh `sim_ms` timed from the probe. Otherwise a trace that is already
+/// complete in memory is answered right here, and remembered: the body
+/// is decoded and resolved, then the workload memo and the trace cache
+/// are probed without building, simulating, reading disk or waiting on
+/// a lock. Everything else goes to the pool as the decoded request: a
 /// miss, a busy lock, a body over [`LOOP_BODY_MAX`], and an uploaded
 /// (`mtx:`) matrix, whose resolution may read the spill directory.
-pub fn simulate(state: &Arc<AppState>, req: Request, reply: Reply) {
-    let Some((parsed, reply)) =
-        decode_on_loop(state, req, reply, SimulateRequest::FIELDS, simulate_on_pool)
-    else {
+pub fn simulate(state: &Arc<AppState>, mut req: Request, reply: Reply) {
+    let started = Instant::now();
+    if let Some(Answer::Simulate { body, .. }) =
+        state.answers.get(reply.route(), &req.body).as_deref()
+    {
+        return reply.send(Response::json(200, body.with_sim_ms(ms_since(started))));
+    }
+    let Some((parsed, reply)) = decode_on_loop(
+        state,
+        &mut req.body,
+        reply,
+        SimulateRequest::FIELDS,
+        simulate_on_pool,
+    ) else {
         return;
     };
     if parsed.matrix.starts_with("mtx:") {
@@ -301,17 +324,29 @@ pub fn simulate(state: &Arc<AppState>, req: Request, reply: Reply) {
         return;
     };
     match memory_hit(state, &resolved) {
-        Some(inner) => send_ok(reply, 200, &inner),
+        Some((response, trace)) => {
+            let (text, body) = response.split_body(reply.version());
+            state
+                .answers
+                .put(reply.route(), &req.body, Answer::Simulate { body, trace });
+            reply.send(Response::json(200, text));
+        }
         None => to_pool(state, reply, move |state, reply| {
             simulate_resolved(state, &resolved, reply);
         }),
     }
 }
 
-/// The serialized [`SimulateResponse`] for a trace already complete in
-/// memory, or `None` when answering would mean building, simulating,
-/// reading disk or waiting. Times `sim_ms` as [`run_simulate`] does.
-fn memory_hit(state: &AppState, r: &ResolvedSim) -> Option<String> {
+/// Milliseconds since `started`.
+fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
+}
+
+/// The [`SimulateResponse`] for a trace already complete in memory,
+/// with the trace's key, or `None` when answering would mean building,
+/// simulating, reading disk or waiting. Times `sim_ms` as
+/// [`run_simulate`] does.
+fn memory_hit(state: &AppState, r: &ResolvedSim) -> Option<(SimulateResponse, TraceKey)> {
     let started = Instant::now();
     let spec = r.kernel.spec(state.harness.scale);
     let key = TraceKey {
@@ -320,7 +355,7 @@ fn memory_hit(state: &AppState, r: &ResolvedSim) -> Option<String> {
         config: r.config.fingerprint(),
     };
     let trace = TraceCache::global().peek(&key)?;
-    Some(simulate_response(r, &trace, true, started))
+    Some((simulate_response(r, &trace, true, started), key))
 }
 
 /// Simulate on the pool for a request the loop did not resolve.
@@ -373,26 +408,26 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
         // path hashes nothing twice.
         simulate_trace_adaptive_keyed(spec, &workload, r.config, key.spec, key.workload)
     });
-    simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started)
+    let response = simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started);
+    serde_json::to_string(&response).expect("simulate response serializes")
 }
 
-/// Serializes the [`SimulateResponse`] for a trace; `sim_ms` runs from
-/// `started` to the end of the summary.
+/// The [`SimulateResponse`] for a trace; `sim_ms` runs from `started`
+/// to the end of the summary.
 fn simulate_response(
     r: &ResolvedSim,
     trace: &[EpochRecord],
     cached: bool,
     started: Instant,
-) -> String {
-    let response = SimulateResponse {
+) -> SimulateResponse {
+    SimulateResponse {
         kernel: kernel_name(r.kernel).to_string(),
         matrix: r.matrix.id().to_string(),
         config: r.config,
         summary: summarize_trace(trace),
         cached,
-        sim_ms: started.elapsed().as_secs_f64() * 1e3,
-    };
-    serde_json::to_string(&response).expect("simulate response serializes")
+        sim_ms: ms_since(started),
+    }
 }
 
 /// `POST /v2/matrices`: parse and register a MatrixMarket upload under
@@ -429,14 +464,19 @@ pub fn upload_matrix(_state: &Arc<AppState>, req: Request, reply: Reply) {
     }
 }
 
-/// `POST /v{1,2}/recommend`, entered on the loop thread. With the model
-/// this process has already loaded, the one inference is answered right
-/// here. Loading a model (which reads `models/`, or trains) runs on the
-/// pool, as does a body over [`LOOP_BODY_MAX`].
-pub fn recommend(state: &Arc<AppState>, req: Request, reply: Reply) {
+/// `POST /v{1,2}/recommend`, entered on the loop thread. A body this
+/// route answered on the loop before is answered from the [answer
+/// memo](crate::answer_memo). Otherwise, with the model this process
+/// has already loaded, the one inference is answered right here and
+/// remembered. Loading a model (which reads `models/`, or trains) runs
+/// on the pool, as does a body over [`LOOP_BODY_MAX`].
+pub fn recommend(state: &Arc<AppState>, mut req: Request, reply: Reply) {
+    if let Some(Answer::Recommend(body)) = state.answers.get(reply.route(), &req.body).as_deref() {
+        return reply.send(Response::json(200, body.clone()));
+    }
     let Some((parsed, reply)) = decode_on_loop(
         state,
-        req,
+        &mut req.body,
         reply,
         RecommendApiRequest::FIELDS,
         recommend_on_pool,
@@ -451,9 +491,16 @@ pub fn recommend(state: &Arc<AppState>, req: Request, reply: Reply) {
     let l1_kind = parsed.l1_kind.unwrap_or_default();
     let mode = parsed.mode.unwrap_or_default();
     match sa_bench::models::loaded_ensemble(harness.scale, l1_kind, mode) {
-        Some(ensemble) => answer_recommend(state, &ensemble, kernel, parsed, reply),
+        Some(ensemble) => {
+            let inner = recommend_json(state, &ensemble, kernel, parsed);
+            let body = reply.version().ok_body(&inner);
+            state
+                .answers
+                .put(reply.route(), &req.body, Answer::Recommend(body.clone()));
+            reply.send(Response::json(200, body));
+        }
         None => to_pool(state, reply, move |state, reply| {
-            answer_recommend(state, &load_ensemble(state, &parsed), kernel, parsed, reply);
+            answer_recommend(state, kernel, parsed, reply);
         }),
     }
 }
@@ -462,8 +509,18 @@ pub fn recommend(state: &Arc<AppState>, req: Request, reply: Reply) {
 fn recommend_on_pool(state: &Arc<AppState>, parsed: RecommendApiRequest, reply: Reply) {
     if let Some((kernel, reply)) = or_400(parse_kernel(&parsed.kernel).map_err(bad_request), reply)
     {
-        answer_recommend(state, &load_ensemble(state, &parsed), kernel, parsed, reply);
+        answer_recommend(state, kernel, parsed, reply);
     }
+}
+
+/// Answers a recommend on the pool, loading its ensemble if need be.
+fn answer_recommend(state: &AppState, kernel: Kernel, parsed: RecommendApiRequest, reply: Reply) {
+    let ensemble = load_ensemble(state, &parsed);
+    send_ok(
+        reply,
+        200,
+        &recommend_json(state, &ensemble, kernel, parsed),
+    );
 }
 
 /// The ensemble a recommend request names, loaded (or trained) on first
@@ -477,14 +534,13 @@ fn load_ensemble(state: &AppState, parsed: &RecommendApiRequest) -> Arc<Predicti
     )
 }
 
-/// Runs one policy step with `ensemble` and answers it.
-fn answer_recommend(
+/// One policy step with `ensemble`, serialized.
+fn recommend_json(
     state: &AppState,
     ensemble: &PredictiveEnsemble,
     kernel: Kernel,
     parsed: RecommendApiRequest,
-    reply: Reply,
-) {
+) -> String {
     let spec = kernel.spec(state.harness.scale);
     let core_req = service::RecommendRequest {
         telemetry: parsed.telemetry,
@@ -493,8 +549,7 @@ fn answer_recommend(
         last_epoch_time_s: parsed.last_epoch_time_s,
     };
     let resp = service::recommend(ensemble, &spec, &core_req);
-    let inner = serde_json::to_string(&resp).expect("recommend response serializes");
-    send_ok(reply, 200, &inner);
+    serde_json::to_string(&resp).expect("recommend response serializes")
 }
 
 /// `POST /v{1,2}/sweep`: launch an asynchronous sweep job; 202 + job

@@ -13,6 +13,8 @@
 //! - [`http`] — hand-rolled HTTP/1.1 subset (server and client side)
 //! - [`api`] — wire types naming kernels/matrices/config presets
 //! - [`router`] / [`handlers`] — endpoint dispatch and execution
+//! - [`answer_memo`] — warm answers remembered by their exact request
+//!   bytes, so a repeated body skips JSON decode and encode
 //! - [`queue`] — admission control over the bounded pool (429 + Retry-After)
 //! - [`coalesce`] — in-flight dedup of identical simulate requests
 //! - [`jobs`] — async sweep-job registry behind 202 + `GET /v1/jobs/<id>`
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod answer_memo;
 pub mod api;
 pub mod coalesce;
 pub mod epoch_tier;

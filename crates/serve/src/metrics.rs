@@ -15,6 +15,8 @@ use serde::{Deserialize, Serialize};
 use sparseadapt::epoch_cache::EpochCacheStats;
 use sparseadapt::trace_cache::CacheStats;
 
+use crate::answer_memo::AnswerMemoStats;
+
 /// Upper edges of the latency histogram buckets, in milliseconds.
 /// Roughly ×2 per step: sub-millisecond cache hits through multi-second
 /// cold sweeps land in distinct buckets, plus a +Inf overflow bucket.
@@ -124,7 +126,7 @@ pub struct HistogramSnapshot {
 /// All counters the server keeps about itself.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    by_route: Mutex<BTreeMap<(String, u16), u64>>,
+    by_route: Mutex<BTreeMap<(&'static str, u16), u64>>,
     total: AtomicU64,
     rejected_429: AtomicU64,
     latency: LatencyHistogram,
@@ -169,6 +171,8 @@ pub struct MetricsSnapshot {
     /// disk, and the cluster fetch/push tier). All zero when the epoch
     /// cache is off.
     pub epoch_cache: EpochCacheSnapshot,
+    /// The daemon's answer memo: requests answered from their bytes.
+    pub answer_memo: AnswerMemoStats,
     /// Connection-level I/O gauges from the reactor.
     pub reactor: ReactorSnapshot,
     /// The cluster-topology epoch this member holds (the last topology
@@ -382,6 +386,11 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         e.remote_inflight_skipped += s.epoch_cache.remote_inflight_skipped;
         e.entries += s.epoch_cache.entries;
         e.resident_bytes += s.epoch_cache.resident_bytes;
+        let a = &mut merged.answer_memo;
+        a.hits += s.answer_memo.hits;
+        a.fills += s.answer_memo.fills;
+        a.evictions += s.answer_memo.evictions;
+        a.resident_bytes += s.answer_memo.resident_bytes;
         let r = &mut merged.reactor;
         r.conns_open += s.reactor.conns_open;
         r.conns_active += s.reactor.conns_active;
@@ -438,14 +447,14 @@ impl ServerMetrics {
     /// Records one answered request. A poisoned lock is recovered: each
     /// update leaves the map valid, and this runs from the `Drop` of an
     /// unanswered [`crate::reactor::Reply`], which must not panic.
-    pub fn record(&self, route: &str, status: u16, latency_ms: f64) {
+    pub fn record(&self, route: &'static str, status: u16, latency_ms: f64) {
         self.total.fetch_add(1, Ordering::Relaxed);
         if status == 429 {
             self.rejected_429.fetch_add(1, Ordering::Relaxed);
         }
         self.latency.observe_ms(latency_ms);
         let mut map = self.by_route.lock().unwrap_or_else(PoisonError::into_inner);
-        *map.entry((route.to_string(), status)).or_insert(0) += 1;
+        *map.entry((route, status)).or_insert(0) += 1;
     }
 
     /// Records a request whose response was coalesced off a concurrent
@@ -466,6 +475,7 @@ impl ServerMetrics {
         queue: QueueGauges,
         cache: CacheStats,
         epoch: EpochCacheStats,
+        answers: AnswerMemoStats,
         reactor: ReactorSnapshot,
     ) -> MetricsSnapshot {
         let by_route = self
@@ -485,6 +495,7 @@ impl ServerMetrics {
             queue,
             trace_cache: cache.into(),
             epoch_cache: epoch.into(),
+            answer_memo: answers,
             reactor,
             // Stamped by the caller (`handlers::metrics`) from the
             // member's held topology; the counters know nothing of it.
@@ -566,6 +577,7 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
+            AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
         assert_eq!(s.requests_total, 4);
@@ -595,25 +607,45 @@ mod tests {
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
+            AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
         snap_a.reactor.conns_open = 100;
         snap_a.reactor.shed_503_total = 3;
         snap_a.topology_epoch = 3;
+        snap_a.answer_memo = AnswerMemoStats {
+            hits: 40,
+            fills: 4,
+            evictions: 1,
+            resident_bytes: 900,
+        };
         let mut snap_b = b.snapshot(
             gauges(),
             CacheStats::default(),
             EpochCacheStats::default(),
+            AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
         snap_b.reactor.conns_open = 50;
         snap_b.reactor.epoll_wakeups_total = 7;
         snap_b.topology_epoch = 5;
+        snap_b.answer_memo.hits = 2;
+        snap_b.answer_memo.fills = 3;
+        snap_b.answer_memo.resident_bytes = 600;
         let snaps = [snap_a, snap_b];
         let m = merge_snapshots(&snaps).expect("non-empty");
         assert_eq!(m.reactor.conns_open, 150);
         assert_eq!(m.reactor.shed_503_total, 3);
         assert_eq!(m.reactor.epoll_wakeups_total, 7);
+        assert_eq!(
+            m.answer_memo,
+            AnswerMemoStats {
+                hits: 42,
+                fills: 7,
+                evictions: 1,
+                resident_bytes: 1_500,
+            }
+        );
         assert_eq!(m.requests_total, 101);
         assert_eq!(m.rejected_429_total, 1);
         assert_eq!(m.requests_by_route["POST /v1/simulate 200"], 100);
@@ -632,6 +664,7 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parses");
         assert_eq!(back.requests_total, 101);
         assert_eq!(back.latency.counts, m.latency.counts);
+        assert_eq!(back.answer_memo, m.answer_memo);
     }
 
     #[test]
@@ -692,6 +725,7 @@ mod tests {
                 gauges(),
                 CacheStats::default(),
                 stats,
+                AnswerMemoStats::default(),
                 ReactorSnapshot::default(),
             )
         };

@@ -158,6 +158,11 @@ impl Reply {
         self.label = label;
     }
 
+    /// The label of the route the request matched.
+    pub(crate) fn route(&self) -> &'static str {
+        self.label
+    }
+
     /// Answers the request.
     pub fn send(mut self, response: Response) {
         self.answer(&response);

@@ -13,7 +13,9 @@
 //! back through a completion queue + eventfd wakeup (see `dispatch`).
 //! Nothing that simulates, reads disk, loads a model or talks to the
 //! network runs on the loop thread, and the loop decodes no request
-//! body larger than [`crate::handlers::LOOP_BODY_MAX`].
+//! body larger than [`crate::handlers::LOOP_BODY_MAX`]. A simulate or
+//! recommend body it answered before is not decoded at all: the
+//! [answer memo](crate::answer_memo) answers it from its bytes.
 //!
 //! Backpressure and robustness rules:
 //! - **Connection cap**: accepts beyond `max_conns` get an immediate

@@ -8,7 +8,11 @@
 //! Routes that only read in-process state answer on the reactor's loop
 //! thread. Simulate, recommend and the topology push are entered on the
 //! loop too: their handlers answer what they can from memory and admit
-//! the rest to the pool themselves (see [`crate::handlers`]). Sweep,
+//! the rest to the pool themselves (see [`crate::handlers`]). A
+//! simulate or recommend body the loop answered before is answered from
+//! the [answer memo](crate::answer_memo), keyed by the route label set
+//! here, without being decoded; any other body of at most
+//! [`crate::handlers::LOOP_BODY_MAX`] bytes is decoded on the loop. Sweep,
 //! upload and the epoch-cache `GET` always run on the pool (see
 //! [`crate::queue::admit`]), so nothing that simulates, reads disk or
 //! talks to the network holds the loop.
@@ -115,6 +119,7 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer_memo::AnswerMemoStats;
     use crate::http::{Parsed, RequestParser};
     use crate::{start, ServeConfig};
     use std::io::{Read, Write};
@@ -140,6 +145,33 @@ mod tests {
         zero_field(&text, "content-length: ")
     }
 
+    fn request(method: &str, target: &str, body: &str) -> Vec<u8> {
+        format!(
+            "{method} {target} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    /// The bytes `route` renders for `raw` with no reactor in between.
+    fn in_process(state: &Arc<AppState>, raw: &[u8]) -> Vec<u8> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        let Parsed::Request(req) = parser.next_request() else {
+            panic!("test request must parse");
+        };
+        let (reply, answers) = Reply::detached(ApiVersion::of_path(&req.path));
+        route(state, *req, reply);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            if let [answer] = answers().as_slice() {
+                return answer.clone().into_bytes();
+            }
+            assert!(Instant::now() < deadline, "no answer");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn reactor_wire_bytes_match_in_process_route() {
         let server = start(ServeConfig {
@@ -156,24 +188,6 @@ mod tests {
             let mut out = Vec::new();
             stream.read_to_end(&mut out).expect("read response");
             out
-        };
-        // The bytes `route` renders with no reactor in between.
-        let in_process = |raw: &[u8]| {
-            let mut parser = RequestParser::new();
-            parser.feed(raw);
-            let Parsed::Request(req) = parser.next_request() else {
-                panic!("test request must parse");
-            };
-            let (reply, answers) = Reply::detached(ApiVersion::of_path(&req.path));
-            route(&server.state, *req, reply);
-            let deadline = Instant::now() + Duration::from_secs(60);
-            loop {
-                if let [answer] = answers().as_slice() {
-                    return answer.clone().into_bytes();
-                }
-                assert!(Instant::now() < deadline, "no answer");
-                std::thread::sleep(Duration::from_millis(1));
-            }
         };
         let sim = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
         let typo = r#"{"kernel": "spmspv", "matrix": "R09", "confg_name": "maximum"}"#;
@@ -193,16 +207,72 @@ mod tests {
             ("GET", "/v2/jobs/999999", ""),
         ];
         for (i, (method, target, body)) in traffic.iter().enumerate() {
-            let raw = format!(
-                "{method} {target} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            let wire = normalize(&over_the_wire(raw.as_bytes()));
-            let direct = normalize(&in_process(raw.as_bytes()));
+            let raw = request(method, target, body);
+            let wire = normalize(&over_the_wire(&raw));
+            let direct = normalize(&in_process(&server.state, &raw));
             if i > 0 {
                 assert_eq!(wire, direct, "the reactor altered {method} {target}");
             }
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn memo_answers_match_the_decode_path_byte_for_byte() {
+        let boot = || {
+            start(ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                ..ServeConfig::default()
+            })
+            .expect("server boots")
+        };
+        let sim = r#"{"kernel": "spmv", "matrix": "R09", "config_name": "maximum"}"#;
+        let rec = format!(
+            r#"{{"kernel": "spmspv", "mode": "PowerPerformance", "telemetry": {}, "current": {}, "policy": null}}"#,
+            serde_json::to_string(&transmuter::counters::Telemetry::default()).unwrap(),
+            serde_json::to_string(&transmuter::config::TransmuterConfig::maximum()).unwrap(),
+        );
+        let traffic = [
+            ("/v1/simulate", sim),
+            ("/v2/simulate", sim),
+            ("/v1/recommend", rec.as_str()),
+            ("/v2/recommend", rec.as_str()),
+        ];
+        // One daemon simulates the trace and loads the model, both
+        // process-wide; a second one, whose memo is empty, answers each
+        // body on the decode path first and from the memo after.
+        let warm = boot();
+        for (target, body) in traffic {
+            in_process(&warm.state, &request("POST", target, body));
+        }
+        let server = boot();
+        let memo = &server.state.answers;
+        // Sends `raw` until the memo's `counter` moves: a probe that
+        // finds the trace cache's lock held by a concurrent test gives
+        // up, and the pool answers instead.
+        let until = |raw: &[u8], counter: fn(&AnswerMemoStats) -> u64| {
+            for _ in 0..100 {
+                let before = counter(&memo.stats());
+                let answer = in_process(&server.state, raw);
+                if counter(&memo.stats()) > before {
+                    return answer;
+                }
+            }
+            panic!("the answer memo never moved");
+        };
+        for (target, body) in traffic {
+            let raw = request("POST", target, body);
+            let decoded = until(&raw, |s| s.fills);
+            let remembered = until(&raw, |s| s.hits);
+            assert_eq!(
+                normalize(&remembered),
+                normalize(&decoded),
+                "POST {target}: memo vs decode path"
+            );
+            assert!(normalize(&decoded).starts_with("HTTP/1.1 200 OK"));
+        }
+        server.shutdown();
+        warm.shutdown();
     }
 }

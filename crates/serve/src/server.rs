@@ -31,6 +31,7 @@ use sparseadapt::exec::Pool;
 use sparseadapt::trace_cache::TraceCache;
 use transmuter::workload::Workload;
 
+use crate::answer_memo::AnswerMemo;
 use crate::api::{kernel_name, ResolvedSim, TopologyDoc};
 use crate::coalesce::Coalescer;
 use crate::jobs::JobRegistry;
@@ -178,6 +179,9 @@ pub struct AppState {
     pub pool: Pool,
     /// Request counters and latency histogram.
     pub metrics: Arc<ServerMetrics>,
+    /// Answers the loop computed from memory, by route and exact
+    /// request body.
+    pub answers: AnswerMemo,
     /// In-flight coalescer for identical simulate requests: followers
     /// park their replies on the leader, which answers each with the
     /// one document it computed.
@@ -360,6 +364,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let state = Arc::new(AppState {
         pool: Pool::new(workers, config.queue_cap),
         metrics: Arc::new(ServerMetrics::new()),
+        answers: AnswerMemo::default(),
         coalescer: Coalescer::new(),
         jobs: JobRegistry::new(),
         harness: Harness::default(),

@@ -1421,6 +1421,7 @@ fn router_metrics(state: &Arc<RouterState>) -> Response {
         },
         sparseadapt::trace_cache::CacheStats::default(),
         sparseadapt::epoch_cache::EpochCacheStats::default(),
+        crate::answer_memo::AnswerMemoStats::default(),
         state.reactor.snapshot(),
     );
     own.topology_epoch = view.epoch;
