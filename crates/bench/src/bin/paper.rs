@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! Usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES]
-//!              [--epoch-cache] [--epoch-cache-dir DIR] [--serial]
-//!              [--mtx DIR] [--quick] [experiment ...|all]
+//!              [--epoch-cache] [--serial] [--mtx DIR] [--quick]
+//!              [experiment ...|all]
 //! Experiments: fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table6 sec64
 //!              sec7 insights ablation
 //! Scale via SA_SCALE = quick | half | paper (default quick).
@@ -24,10 +24,10 @@
 //! *epoch* granularity, keyed on the machine state entering each epoch,
 //! so live controller runs fast-forward through epochs any earlier
 //! sweep already simulated (see DESIGN.md §2, "Epoch-granular
-//! memoization"); `--epoch-cache-dir DIR` adds a disk tier for those
-//! snapshots (and implies `--epoch-cache`). `--serial` runs experiments
-//! one after another at full thread count instead of fanning out; use it
-//! when per-experiment progress output matters more than wall clock.
+//! memoization"). That cache is memory-only: `--cache-dir` is what
+//! carries work across processes. `--serial` runs experiments one after
+//! another at full thread count instead of fanning out; use it when
+//! per-experiment progress output matters more than wall clock.
 //!
 //! With `all` (the default), experiments themselves run concurrently.
 //! The thread budget is apportioned by each experiment's measured cost
@@ -121,7 +121,6 @@ struct Cli {
     cache_dir: Option<std::path::PathBuf>,
     cache_mem_cap: Option<usize>,
     epoch_cache: bool,
-    epoch_cache_dir: Option<std::path::PathBuf>,
     serial: bool,
     mtx_dir: Option<std::path::PathBuf>,
     quick: bool,
@@ -131,7 +130,7 @@ struct Cli {
 fn usage_and_exit(code: i32) -> ! {
     eprintln!(
         "usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES] \
-         [--epoch-cache] [--epoch-cache-dir DIR] [--serial] [--mtx DIR] [--quick] \
+         [--epoch-cache] [--serial] [--mtx DIR] [--quick] \
          [experiment ...|all]\n\
          experiments: {} all",
         ALL.join(" ")
@@ -145,7 +144,6 @@ fn parse_cli() -> Cli {
         cache_dir: None,
         cache_mem_cap: None,
         epoch_cache: false,
-        epoch_cache_dir: None,
         serial: false,
         mtx_dir: None,
         quick: false,
@@ -184,14 +182,6 @@ fn parse_cli() -> Cli {
                 cli.cache_mem_cap = Some(cap);
             }
             "--epoch-cache" => cli.epoch_cache = true,
-            "--epoch-cache-dir" => {
-                let dir = args.next().unwrap_or_else(|| {
-                    eprintln!("--epoch-cache-dir needs a path");
-                    usage_and_exit(2)
-                });
-                cli.epoch_cache = true;
-                cli.epoch_cache_dir = Some(std::path::PathBuf::from(dir));
-            }
             "--serial" => cli.serial = true,
             "--mtx" => {
                 let dir = args.next().unwrap_or_else(|| {
@@ -225,9 +215,7 @@ fn main() {
         sparseadapt::trace_cache::TraceCache::global().set_memory_cap(cli.cache_mem_cap);
     }
     if cli.epoch_cache {
-        let cache = sparseadapt::epoch_cache::EpochCache::global();
-        cache.set_enabled(true);
-        cache.set_disk_dir(cli.epoch_cache_dir.clone());
+        sparseadapt::epoch_cache::EpochCache::global().set_enabled(true);
     }
     // With `--mtx` and no named experiments, the run is the real-matrix
     // suite alone — `all` is not implied.

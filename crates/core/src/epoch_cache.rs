@@ -1,8 +1,7 @@
 //! Epoch-granular simulation memoization: a process-wide cache of
 //! `(workload, machine, config, epoch, entry-state)` →
-//! `(epoch record, exit machine state)`, with up to three tiers:
-//! in-process memory, per-host disk, and (optionally) the rest of the
-//! cluster.
+//! `(epoch record, exit machine state)`, held in process memory, with
+//! the rest of the cluster as an optional second tier.
 //!
 //! The [`crate::trace_cache`] memoises whole runs; this cache memoises
 //! *epochs*, which is what makes reuse possible **across schemes**: a
@@ -14,31 +13,22 @@
 //! workload and machine execute that epoch bit-identically (the
 //! simulator is deterministic and controllers act only at boundaries).
 //! Content addressing is also what makes the *remote* tier sound: the
-//! key pins every input of the epoch, and every encoded blob carries the
-//! key it was stored under, which decoding checks against the key that
-//! was asked for. So remote (and disk) bytes either decode to the one
-//! correct answer or are rejected as a miss — a well-formed blob for a
+//! key pins every input of the epoch, and every segment a peer sends
+//! carries the key it starts at, which decoding checks against the key
+//! that was asked for. So remote bytes either decode to the one correct
+//! answer or are rejected as a miss — a well-formed segment for a
 //! *different* key included.
 //!
-//! Structure mirrors the trace cache where the problems are the same:
-//! a mutex-guarded map with an LRU byte budget in memory, and an
-//! optional best-effort disk tier (one file per epoch, `b"SAEP"` magic,
-//! checksummed) that reuses the [`crate::trace_bin`] record framing for
-//! the epoch record and [`MachineState::to_bytes`] for the snapshot.
-//! Disk publishes go through a temporary of the writer's own (named by
-//! process and a per-process counter) and an atomic rename, so neither
-//! another process nor another thread ever observes a torn file; keys
-//! are content fingerprints, so racing writers produce identical bytes
-//! and the last rename simply wins. A file that fails to decode —
-//! truncated, bit-flipped, or written by a different codec version — is
-//! *quarantined* (renamed aside) and read as a miss, never as a corrupt
-//! restore.
+//! The memory tier mirrors the trace cache: a mutex-guarded map with an
+//! LRU byte budget. It is the only local tier. Persistence across
+//! processes belongs to the trace cache's disk tier, which stores whole
+//! runs.
 //!
 //! The cluster tier is pluggable and fetches whole runs: a
 //! [`RemoteFetcher`] installed via [`EpochCache::set_remote`] is asked,
-//! at a static run's boundary that memory and disk cannot answer, for
-//! one [`encode_segment`] blob — the records of every consecutive epoch
-//! a peer holds from that key on, plus one exit state. The fetcher owns
+//! at a static run's boundary that memory cannot answer, for one
+//! [`encode_segment`] blob — the records of every consecutive epoch a
+//! peer holds from that key on, plus one exit state. The fetcher owns
 //! its latency budget; the hot simulation path falls back to computing
 //! the epoch whenever the budget expires, so it can never stall on the
 //! network. Concurrent fetches are bounded, a run asks its peers at
@@ -50,7 +40,7 @@
 //! CLI flag). The frozen reference simulation path never consults it,
 //! keeping an independent witness for differential tests.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -64,7 +54,6 @@ use transmuter::machine::{
 use transmuter::workload::Workload;
 
 use crate::trace_bin;
-use crate::trace_cache::write_then_rename;
 
 /// Full identity of one cached epoch. The first three components name
 /// the run family (machine × workload × configuration *active for this
@@ -86,13 +75,6 @@ pub struct EpochKey {
 }
 
 impl EpochKey {
-    fn file_name(&self) -> String {
-        format!(
-            "epoch-{:016x}-{:016x}-{:016x}-{:06}-{:016x}.bin",
-            self.spec, self.workload, self.config, self.index, self.entry_digest
-        )
-    }
-
     /// The wire form of the key: five fixed-width hex fields joined by
     /// `-`, safe in a URL path segment. This is the `{key}` of the
     /// shard-to-shard `GET /v2/cache/epoch/{key}` protocol.
@@ -290,24 +272,17 @@ pub trait RemoteFetcher: Send + Sync {
 /// Counter snapshot from [`EpochCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EpochCacheStats {
-    /// Boundary lookups observed: every boundary asked of memory and
-    /// disk, plus every boundary a fetched segment answered.
+    /// Boundary lookups observed: every boundary asked of memory, plus
+    /// every boundary a fetched segment answered.
     pub lookups: u64,
     /// Lookups answered from memory.
     pub hits: u64,
-    /// Lookups answered by loading an epoch from the disk tier.
-    pub disk_hits: u64,
     /// Lookups answered by a segment fetched from a peer.
     pub remote_hits: u64,
     /// Fresh epochs recorded (cache misses that simulated).
     pub inserts: u64,
     /// Epochs dropped to stay under the memory cap.
     pub evictions: u64,
-    /// Epochs published to the disk tier by this process.
-    pub disk_writes: u64,
-    /// Corrupt/unreadable disk entries quarantined (renamed aside and
-    /// treated as misses).
-    pub disk_quarantined: u64,
     /// Remote fetches that returned nothing (or undecodable bytes).
     pub remote_misses: u64,
     /// Epochs fetched segments fast-forwarded beyond the boundary each
@@ -335,7 +310,7 @@ impl EpochCacheStats {
         if self.lookups == 0 {
             0.0
         } else {
-            (self.hits + self.disk_hits + self.remote_hits) as f64 / self.lookups as f64
+            (self.hits + self.remote_hits) as f64 / self.lookups as f64
         }
     }
 
@@ -355,19 +330,15 @@ impl EpochCacheStats {
 #[derive(Default)]
 pub struct EpochCache {
     inner: Mutex<Inner>,
-    disk_dir: Mutex<Option<PathBuf>>,
     remote: Mutex<Option<Arc<dyn RemoteFetcher>>>,
     fetch_samples: Mutex<Vec<u64>>,
     inflight: AtomicU64,
     enabled: AtomicBool,
     lookups: AtomicU64,
     hits: AtomicU64,
-    disk_hits: AtomicU64,
     remote_hits: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
-    disk_writes: AtomicU64,
-    disk_quarantined: AtomicU64,
     remote_misses: AtomicU64,
     remote_chain_entries: AtomicU64,
     remote_bytes: AtomicU64,
@@ -417,24 +388,14 @@ impl EpochCache {
         self.enforce_cap(&mut inner);
     }
 
-    /// Enables (or disables, with `None`) the on-disk tier. The
-    /// directory is created if missing; per-epoch I/O errors are treated
-    /// as misses.
-    pub fn set_disk_dir(&self, dir: Option<PathBuf>) {
-        if let Some(d) = &dir {
-            if let Err(e) = std::fs::create_dir_all(d) {
-                eprintln!(
-                    "warning: epoch cache dir {} is unusable ({e}); running without disk tier",
-                    d.display()
-                );
-            }
-        }
-        *self.disk_dir.lock().expect("epoch disk_dir lock") = dir;
-    }
+    /// Does nothing: the epoch cache keeps no disk tier. It remains
+    /// because `perfbench` resets process-wide state with
+    /// `set_disk_dir(None)`, and goes when that call does.
+    pub fn set_disk_dir(&self, _dir: Option<PathBuf>) {}
 
     /// Installs (or removes, with `None`) the cluster tier. With a
-    /// fetcher installed, a static run's boundary that memory and disk
-    /// cannot answer asks the peers for a segment before simulating.
+    /// fetcher installed, a static run's boundary that memory cannot
+    /// answer asks the peers for a segment before simulating.
     pub fn set_remote(&self, fetcher: Option<Arc<dyn RemoteFetcher>>) {
         *self.remote.lock().expect("epoch remote lock") = fetcher;
     }
@@ -461,12 +422,9 @@ impl EpochCache {
         EpochCacheStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
             remote_hits: self.remote_hits.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            disk_writes: self.disk_writes.load(Ordering::Relaxed),
-            disk_quarantined: self.disk_quarantined.load(Ordering::Relaxed),
             remote_misses: self.remote_misses.load(Ordering::Relaxed),
             remote_chain_entries: self.remote_chain_entries.load(Ordering::Relaxed),
             remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
@@ -479,9 +437,8 @@ impl EpochCache {
         }
     }
 
-    /// Drops every in-memory epoch and zeroes the counters (the disk
-    /// tier, if any, is left untouched). The enabled flag, cap, and
-    /// remote tier installation are kept.
+    /// Drops every epoch and zeroes the counters. The enabled flag, cap,
+    /// and remote tier installation are kept.
     pub fn clear(&self) {
         self.inner.lock().expect("epoch cache lock").clear();
         self.fetch_samples
@@ -491,12 +448,9 @@ impl EpochCache {
         for counter in [
             &self.lookups,
             &self.hits,
-            &self.disk_hits,
             &self.remote_hits,
             &self.inserts,
             &self.evictions,
-            &self.disk_writes,
-            &self.disk_quarantined,
             &self.remote_misses,
             &self.remote_chain_entries,
             &self.remote_bytes,
@@ -507,24 +461,16 @@ impl EpochCache {
         }
     }
 
-    /// Looks up one epoch, consulting memory, then disk. Disk hits are
-    /// promoted into memory.
+    /// Looks up one epoch in memory.
     pub fn lookup(&self, key: &EpochKey) -> Option<Arc<CachedEpoch>> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner = self.inner.lock().expect("epoch cache lock");
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(entry) = inner.map.get_mut(key) {
-                entry.last_use = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.epoch.clone());
-            }
-        }
-        let epoch = Arc::new(self.disk_load(key)?);
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.admit(*key, epoch.clone());
-        Some(epoch)
+        let mut inner = self.inner.lock().expect("epoch cache lock");
+        inner.clock += 1;
+        let clock = inner.clock;
+        let entry = inner.map.get_mut(key)?;
+        entry.last_use = clock;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.epoch.clone())
     }
 
     /// The cluster tier, backing [`EpochCacheHook::lookup_segment`]:
@@ -579,12 +525,10 @@ impl EpochCache {
         Some(segment)
     }
 
-    /// Records a freshly simulated epoch in the memory and disk tiers.
+    /// Records a freshly simulated epoch.
     pub fn insert(&self, key: EpochKey, epoch: CachedEpoch) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let epoch = Arc::new(epoch);
-        self.disk_store(&key, &epoch);
-        self.admit(key, epoch);
+        self.admit(key, Arc::new(epoch));
     }
 
     /// Serialises `key` and up to [`SEGMENT_CAP`]` - 1` of its
@@ -597,8 +541,7 @@ impl EpochCache {
     /// [`MachineState`] per epoch. The walk stops at the first key this
     /// shard doesn't hold (for adaptive runs, also where the requester's
     /// configuration trajectory diverges); `None` when even `key` itself
-    /// is absent. Entries are read from memory or validated disk files
-    /// (corrupt files are quarantined, not served).
+    /// is absent.
     pub fn export_segment(&self, key: &EpochKey) -> Option<Vec<u8>> {
         let mut records = Vec::new();
         let mut digests = Vec::new();
@@ -615,36 +558,22 @@ impl EpochCache {
         Some(encode_segment(key, &records, &digests, exit))
     }
 
-    /// Whether `key` is held locally (resident or on disk), without
-    /// touching counters, the LRU clock, or the bytes themselves. Used
-    /// to decide if a segment fetch is worth a round trip.
+    /// Whether `key` is resident, without touching counters or the LRU
+    /// clock. Used to decide if a segment fetch is worth a round trip.
     fn has_local(&self, key: &EpochKey) -> bool {
-        {
-            let inner = self.inner.lock().expect("epoch cache lock");
-            if inner.map.contains_key(key) {
-                return true;
-            }
-        }
-        self.disk_path(key)
-            .is_some_and(|p| std::fs::metadata(p).is_ok())
+        let inner = self.inner.lock().expect("epoch cache lock");
+        inner.map.contains_key(key)
     }
 
-    /// A decoded view of one entry, memory first then disk, without
-    /// touching the hit counters or LRU clock (peer exports are not
-    /// local cache traffic).
+    /// One resident entry, without touching the hit counters or LRU
+    /// clock (peer exports are not local cache traffic).
     fn peek(&self, key: &EpochKey) -> Option<Arc<CachedEpoch>> {
-        {
-            let inner = self.inner.lock().expect("epoch cache lock");
-            if let Some(entry) = inner.map.get(key) {
-                return Some(entry.epoch.clone());
-            }
-        }
-        self.disk_load(key).map(Arc::new)
+        let inner = self.inner.lock().expect("epoch cache lock");
+        inner.map.get(key).map(|entry| entry.epoch.clone())
     }
 
-    /// Puts an epoch into the memory tier (no disk write) and trims to
-    /// the cap. Re-admitting a resident key only refreshes its LRU
-    /// slot.
+    /// Puts an epoch into memory and trims to the cap. Re-admitting a
+    /// resident key only refreshes its LRU slot.
     fn admit(&self, key: EpochKey, epoch: Arc<CachedEpoch>) {
         let mut entry = Entry::new(epoch);
         let mut inner = self.inner.lock().expect("epoch cache lock");
@@ -687,68 +616,16 @@ impl EpochCache {
             remote_ok: true,
         }
     }
-
-    fn disk_path(&self, key: &EpochKey) -> Option<PathBuf> {
-        self.disk_dir
-            .lock()
-            .expect("epoch disk_dir lock")
-            .as_ref()
-            .map(|d| d.join(key.file_name()))
-    }
-
-    fn disk_load(&self, key: &EpochKey) -> Option<CachedEpoch> {
-        let path = self.disk_path(key)?;
-        let bytes = std::fs::read(&path).ok()?;
-        match decode_epoch(&bytes, key) {
-            Ok(epoch) => Some(epoch),
-            Err(_) => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// Moves a corrupt, version-skewed or misnamed disk entry aside (so the next
-    /// recompute can republish cleanly) and counts it. Best-effort: a
-    /// failed rename just leaves the bad file to lose the next publish
-    /// race.
-    fn quarantine(&self, path: &Path) {
-        let aside = path.with_extension("quarantined");
-        if std::fs::rename(path, aside).is_ok() {
-            self.disk_quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn disk_store(&self, key: &EpochKey, epoch: &CachedEpoch) {
-        let Some(path) = self.disk_path(key) else {
-            return;
-        };
-        // Every writer renames a temporary of its own, and keys are
-        // content fingerprints, so racing writers (threads or processes)
-        // publish identical bytes and the last rename wins harmlessly.
-        if write_then_rename(&path, &encode_epoch(key, epoch)).is_ok() {
-            self.disk_writes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
-/// File magic of the disk tier: "SparseAdapt EPoch".
-pub const EPOCH_MAGIC: [u8; 4] = *b"SAEP";
-/// Disk-tier/wire format version. Bumped whenever the epoch-record
-/// framing ([`trace_bin`]), the snapshot wire format, or the header
-/// changes; unknown versions read as [`DecodeError::VersionSkew`],
-/// never as garbage. Version 2 added the payload checksum, version 3
-/// the key, version 4 keys on the page-folded state digest.
-pub const EPOCH_VERSION: u16 = 4;
-
-/// Why a `SAEP` byte string failed to decode. Every variant reads as a
+/// Why a `SAEG` byte string failed to decode. Every variant reads as a
 /// cache miss; the typed split exists so tests can tell version skew
 /// from corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The bytes do not start with [`EPOCH_MAGIC`].
+    /// The bytes do not start with [`SEGMENT_MAGIC`].
     BadMagic,
-    /// The codec version is not [`EPOCH_VERSION`] (older or newer
+    /// The codec version is not [`SEGMENT_VERSION`] (older or newer
     /// writer).
     VersionSkew {
         /// The version the bytes claim.
@@ -777,20 +654,22 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::BadMagic => write!(f, "not a SAEP epoch (bad magic)"),
+            DecodeError::BadMagic => write!(f, "not a SAEG segment (bad magic)"),
             DecodeError::VersionSkew { found } => {
                 write!(
                     f,
-                    "epoch codec version {found} (this build speaks {EPOCH_VERSION})"
+                    "segment codec version {found} (this build speaks {SEGMENT_VERSION})"
                 )
             }
-            DecodeError::BadFlags { found } => write!(f, "reserved epoch flags set ({found:#06x})"),
-            DecodeError::Truncated => write!(f, "truncated epoch bytes"),
-            DecodeError::TrailingBytes => write!(f, "trailing bytes after epoch"),
-            DecodeError::ChecksumMismatch => write!(f, "epoch payload checksum mismatch"),
-            DecodeError::BadRecord => write!(f, "malformed epoch record"),
+            DecodeError::BadFlags { found } => {
+                write!(f, "reserved segment flags set ({found:#06x})")
+            }
+            DecodeError::Truncated => write!(f, "truncated segment bytes"),
+            DecodeError::TrailingBytes => write!(f, "trailing bytes after segment"),
+            DecodeError::ChecksumMismatch => write!(f, "segment payload checksum mismatch"),
+            DecodeError::BadRecord => write!(f, "malformed epoch records"),
             DecodeError::BadSnapshot => write!(f, "malformed exit snapshot"),
-            DecodeError::KeyMismatch => write!(f, "epoch stored under another key"),
+            DecodeError::KeyMismatch => write!(f, "segment starts at another key"),
         }
     }
 }
@@ -821,15 +700,15 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"SAEG";
 pub const SEGMENT_VERSION: u16 = 3;
 
 /// Serialises a run of consecutive cached epochs, the first stored
-/// under `first`, for the shard-to-shard wire: a 16-byte header like
-/// [`encode_epoch`]'s (the `SAEG` magic, version, zero flags, FNV-1a 64
-/// payload checksum), then `first` and — each length-prefixed — every
-/// record in the [`trace_bin`] framing, every epoch's exit digest (LE
-/// `u64`s), and the *last* epoch's full exit state. Interior states are
-/// represented only by their digests, which is what makes a long
-/// segment ~20x smaller than the equivalent chain of [`encode_epoch`]
-/// blobs: the requester fast-forwards through the records and needs a
-/// full state only where it resumes simulating.
+/// under `first`, for the shard-to-shard wire: a 16-byte header (the
+/// `SAEG` magic, version, zero flags, FNV-1a 64 payload checksum), then
+/// `first` and — each length-prefixed — every record in the
+/// [`trace_bin`] framing, every epoch's exit digest (LE `u64`s), and
+/// the *last* epoch's full exit state. Interior states are represented
+/// only by their digests, which is what makes a long segment ~20x
+/// smaller than one full state per epoch: the requester fast-forwards
+/// through the records and needs a full state only where it resumes
+/// simulating.
 pub fn encode_segment(
     first: &EpochKey,
     records: &[EpochRecord],
@@ -911,7 +790,7 @@ pub fn decode_segment(bytes: &[u8], first: &EpochKey) -> Result<CachedSegment, D
     Ok(CachedSegment { records, exit })
 }
 
-/// FNV-1a 64 over `bytes` — the payload checksum of the `SAEP` format.
+/// FNV-1a 64 over `bytes` — the payload checksum of the `SAEG` format.
 /// Not cryptographic; it exists to turn bit rot and torn writes into
 /// clean misses, not to authenticate peers.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -958,73 +837,6 @@ fn strip_key<'a>(payload: &'a [u8], expected: &EpochKey) -> Result<&'a [u8], Dec
         return Err(DecodeError::KeyMismatch);
     }
     Ok(rest)
-}
-
-/// Serialises one cached epoch, stored under `key`, for the disk tier
-/// and the shard-to-shard wire: a 16-byte header (magic, version, zero
-/// flags, FNV-1a 64 payload checksum), then the key, the epoch record
-/// in the [`trace_bin`] framing and the exit snapshot via
-/// [`MachineState::to_bytes`], the last two length-prefixed.
-pub fn encode_epoch(key: &EpochKey, epoch: &CachedEpoch) -> Vec<u8> {
-    let record = trace_bin::encode_trace(std::slice::from_ref(&epoch.record));
-    let state = epoch.exit.to_bytes();
-    let mut payload = Vec::with_capacity(KEY_BYTES + 16 + record.len() + state.len());
-    put_key(&mut payload, key);
-    payload.extend_from_slice(&(record.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&record);
-    payload.extend_from_slice(&(state.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&state);
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&EPOCH_MAGIC);
-    out.extend_from_slice(&EPOCH_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Inverse of [`encode_epoch`] for the epoch stored under `key`.
-///
-/// # Errors
-///
-/// A typed [`DecodeError`] on any malformed, truncated, version-skewed,
-/// or checksum-failing input, and [`DecodeError::KeyMismatch`] for an
-/// intact blob stored under another key — the cache treats every error
-/// as a miss and re-simulates; it never restores from suspect bytes.
-pub fn decode_epoch(bytes: &[u8], key: &EpochKey) -> Result<CachedEpoch, DecodeError> {
-    if bytes.len() < EPOCH_MAGIC.len() {
-        return Err(DecodeError::Truncated);
-    }
-    let rest = bytes
-        .strip_prefix(&EPOCH_MAGIC)
-        .ok_or(DecodeError::BadMagic)?;
-    let (version, rest) = split_u16(rest).ok_or(DecodeError::Truncated)?;
-    if version != EPOCH_VERSION {
-        return Err(DecodeError::VersionSkew { found: version });
-    }
-    let (flags, rest) = split_u16(rest).ok_or(DecodeError::Truncated)?;
-    if flags != 0 {
-        return Err(DecodeError::BadFlags { found: flags });
-    }
-    let (checksum, payload) = split_u64(rest).ok_or(DecodeError::Truncated)?;
-    if fnv1a64(payload) != checksum {
-        return Err(DecodeError::ChecksumMismatch);
-    }
-    let rest = strip_key(payload, key)?;
-    let (record_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
-    let (state_bytes, rest) = split_len_prefixed(rest).ok_or(DecodeError::Truncated)?;
-    if !rest.is_empty() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    let mut records = trace_bin::decode_trace(record_bytes).map_err(|_| DecodeError::BadRecord)?;
-    if records.len() != 1 {
-        return Err(DecodeError::BadRecord);
-    }
-    let exit = MachineState::from_bytes(state_bytes).ok_or(DecodeError::BadSnapshot)?;
-    Ok(CachedEpoch {
-        record: records.pop().expect("one record"),
-        exit,
-    })
 }
 
 fn split_u16(b: &[u8]) -> Option<(u16, &[u8])> {
@@ -1238,95 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_survives_a_clear() {
-        let dir = std::env::temp_dir().join(format!("sa-epoch-cache-test-{}", std::process::id()));
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let spec = MachineSpec::default().with_epoch_ops(120);
-        let wl = tiny_workload(4);
-        let cfg = TransmuterConfig::baseline();
-        let first = run_hooked(&cache, spec, &wl, cfg);
-        assert!(cache.stats().disk_writes as usize >= first.epochs.len());
-        cache.clear();
-        let second = run_hooked(&cache, spec, &wl, cfg);
-        assert_eq!(first, second, "disk round-trip changed the run");
-        let s = cache.stats();
-        assert_eq!(s.disk_hits as usize, first.epochs.len());
-        assert_eq!(s.hits, 0);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn failed_rename_removes_the_temporary() {
-        let dir = std::env::temp_dir().join(format!("sa-epoch-rename-{}", std::process::id()));
-        let listing = || {
-            let mut names: Vec<_> = std::fs::read_dir(&dir)
-                .expect("dir")
-                .map(|e| e.expect("entry").file_name())
-                .collect();
-            names.sort();
-            names
-        };
-        let spec = MachineSpec::default().with_epoch_ops(120);
-        let wl = tiny_workload(12);
-        let cfg = TransmuterConfig::baseline();
-        // Learn the run's file names, then put a directory at each, so
-        // every publish fails at the final rename.
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let first = run_hooked(&cache, spec, &wl, cfg);
-        let planted = listing();
-        for name in &planted {
-            std::fs::remove_file(dir.join(name)).expect("remove");
-            std::fs::create_dir(dir.join(name)).expect("plant dir");
-        }
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        assert_eq!(run_hooked(&cache, spec, &wl, cfg), first);
-        assert_eq!(cache.stats().disk_writes, 0);
-        assert_eq!(listing(), planted, "a failed publish left a temporary");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupt_disk_entries_read_as_misses_and_quarantine() {
-        let dir = std::env::temp_dir().join(format!("sa-epoch-corrupt-{}", std::process::id()));
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let spec = MachineSpec::default().with_epoch_ops(120);
-        let wl = tiny_workload(5);
-        let cfg = TransmuterConfig::baseline();
-        let first = run_hooked(&cache, spec, &wl, cfg);
-        // Truncate and bit-flip every published file.
-        for entry in std::fs::read_dir(&dir).expect("dir") {
-            let path = entry.expect("entry").path();
-            let mut bytes = std::fs::read(&path).expect("read");
-            bytes.truncate(bytes.len() / 2);
-            if let Some(b) = bytes.last_mut() {
-                *b ^= 0xFF;
-            }
-            std::fs::write(&path, bytes).expect("write");
-        }
-        cache.clear();
-        let second = run_hooked(&cache, spec, &wl, cfg);
-        assert_eq!(first, second, "corrupt files must re-simulate identically");
-        let s = cache.stats();
-        assert_eq!(s.disk_hits, 0);
-        assert_eq!(
-            s.disk_quarantined as usize,
-            first.epochs.len(),
-            "every corrupt file is quarantined"
-        );
-        // The quarantined copies were moved aside and the recompute
-        // republished clean entries, so a third run disk-hits again.
-        cache.clear();
-        let third = run_hooked(&cache, spec, &wl, cfg);
-        assert_eq!(first, third);
-        assert_eq!(cache.stats().disk_hits as usize, first.epochs.len());
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn memory_cap_evicts_and_rebuilds_identically() {
         let cache = EpochCache::new();
         let spec = MachineSpec::default().with_epoch_ops(120);
@@ -1490,7 +1213,7 @@ mod tests {
         let s = local.stats();
         assert_eq!(s.remote_hits, 1);
         assert_eq!(s.remote_chain_entries as usize, warm.epochs.len() - 1);
-        assert_eq!(s.hits + s.disk_hits, 0);
+        assert_eq!(s.hits, 0);
         assert_eq!(s.inserts, 0, "every epoch came from the peer");
         assert!(s.remote_bytes > 0);
         // The segment carried the run to its end, so the run stops there
@@ -1565,7 +1288,8 @@ mod tests {
         assert!(peer.export_segment(&missing).is_none());
 
         // A run longer than the cap exports its first `SEGMENT_CAP`
-        // epochs, and a segment one longer does not decode.
+        // epochs (the codec property suite checks that one more does
+        // not decode).
         let streams = vec![vec![Op::Flops(1); SEGMENT_CAP + 20]; 16];
         let long = Workload::new("long", vec![Phase::new("p", streams)]);
         let spec = MachineSpec::default().with_epoch_ops(1);
@@ -1573,12 +1297,8 @@ mod tests {
         assert!(run.epochs.len() > SEGMENT_CAP, "need a run past the cap");
         let first = recorded_keys(&peer, spec, &long, cfg)[0];
         let capped = peer.export_segment(&first).expect("segment");
-        let mut segment = decode_segment(&capped, &first).expect("decodes");
+        let segment = decode_segment(&capped, &first).expect("decodes");
         assert_eq!(segment.records.len(), SEGMENT_CAP);
-        segment.records.push(segment.records[0].clone());
-        let digests = vec![segment.exit.digest(); SEGMENT_CAP + 1];
-        let over = encode_segment(&first, &segment.records, &digests, &segment.exit);
-        assert_eq!(decode_segment(&over, &first), Err(DecodeError::BadRecord));
     }
 
     /// A peer that answers every key with one fixed blob.
@@ -1600,47 +1320,18 @@ mod tests {
         let keys = recorded_keys(&source, spec, &wl, cfg);
         assert!(keys.len() >= 2, "need two keys");
         let (a, b) = (keys[0], keys[1]);
-        let epoch = |k: &EpochKey| source.peek(k).expect("resident entry");
-        let epoch_a = encode_epoch(&a, &epoch(&a));
-        assert_eq!(decode_epoch(&epoch_a, &b), Err(DecodeError::KeyMismatch));
-        // Asked for `b`, a peer answering with `a`'s segment or with a
-        // bare `SAEP` epoch — `a`'s or even `b`'s own — gives a miss
-        // that admits nothing.
+        // Asked for `b`, a peer answering with `a`'s segment gives a
+        // miss that admits nothing.
         let segment_a = source.export_segment(&a).expect("segment exports");
-        let epoch_b = encode_epoch(&b, &epoch(&b));
-        for blob in [segment_a, epoch_a, epoch_b] {
-            let local = EpochCache::new();
-            local.set_remote(Some(Arc::new(Fixed(blob))));
-            assert!(local.fetch_segment(&b).is_none());
-            let s = local.stats();
-            assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
-        }
-    }
-
-    #[test]
-    fn disk_file_under_another_keys_name_is_quarantined() {
-        let dir = std::env::temp_dir().join(format!("sa-epoch-misnamed-{}", std::process::id()));
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let spec = MachineSpec::default().with_epoch_ops(120);
-        let wl = tiny_workload(4);
-        let cfg = TransmuterConfig::baseline();
-        let first = run_hooked(&cache, spec, &wl, cfg);
-        let keys = recorded_keys(&cache, spec, &wl, cfg);
-        assert!(keys.len() >= 2, "need two keys");
-        let (a, b) = (keys[0], keys[1]);
-        std::fs::copy(dir.join(a.file_name()), dir.join(b.file_name())).expect("copy");
-        cache.clear();
-        assert!(cache.lookup(&b).is_none(), "the misnamed file is a miss");
-        assert_eq!(cache.stats().disk_quarantined, 1);
-        assert!(
-            cache.lookup(&a).is_some(),
-            "the correctly named file still hits"
+        assert_eq!(
+            decode_segment(&segment_a, &b),
+            Err(DecodeError::KeyMismatch)
         );
-        // The run recomputes the quarantined epoch and republishes it.
-        cache.clear();
-        assert_eq!(run_hooked(&cache, spec, &wl, cfg), first);
-        let _ = std::fs::remove_dir_all(dir);
+        let local = EpochCache::new();
+        local.set_remote(Some(Arc::new(Fixed(segment_a))));
+        assert!(local.fetch_segment(&b).is_none());
+        let s = local.stats();
+        assert_eq!((s.remote_hits, s.remote_misses, s.entries), (0, 1, 0));
     }
 
     /// A fetcher that always misses and counts how often it was asked.
@@ -1702,46 +1393,5 @@ mod tests {
             let s = asking.stats();
             assert_eq!((s.remote_misses, s.entries), (1, 0));
         }
-    }
-
-    #[test]
-    fn racing_inserts_publish_whole_files() {
-        let dir = std::env::temp_dir().join(format!("sa-epoch-race-{}", std::process::id()));
-        let spec = MachineSpec::default().with_epoch_ops(120);
-        let wl = tiny_workload(18);
-        let cfg = TransmuterConfig::baseline();
-        let source = EpochCache::new();
-        run_hooked(&source, spec, &wl, cfg);
-        let key = recorded_keys(&source, spec, &wl, cfg)[0];
-        let epoch = source.peek(&key).expect("resident entry");
-        let cache = EpochCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let path = dir.join(key.file_name());
-        let whole = |bytes: &[u8]| decode_epoch(bytes, &key).is_ok();
-        for round in 0..50 {
-            std::thread::scope(|s| {
-                let writers: Vec<_> = (0..8)
-                    .map(|_| s.spawn(|| cache.insert(key, CachedEpoch::clone(&epoch))))
-                    .collect();
-                // A reader sharing the directory must never see a file
-                // that is still being written.
-                while !writers.iter().all(|w| w.is_finished()) {
-                    if let Ok(bytes) = std::fs::read(&path) {
-                        assert!(whole(&bytes), "round {round}: a reader saw a torn file");
-                    }
-                }
-            });
-            let bytes = std::fs::read(&path).expect("published");
-            assert!(whole(&bytes), "round {round}");
-            let names: Vec<_> = std::fs::read_dir(&dir)
-                .expect("dir")
-                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-                .collect();
-            assert!(
-                names.iter().all(|n| !n.contains(".tmp.")),
-                "round {round}: {names:?}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -133,7 +133,8 @@ impl std::error::Error for PoolFull {}
 /// counter.
 ///
 /// Dropping the pool finishes already-admitted jobs, then joins the
-/// workers.
+/// workers. A job may drop the last owner of the pool: its own worker
+/// is not joined, and exits once the job returns.
 pub struct Pool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -253,8 +254,12 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.state.lock().expect("pool lock").shutdown = true;
         self.shared.cv.notify_all();
+        // A thread cannot join itself.
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -466,6 +471,27 @@ mod tests {
         for (i, rx) in rxs.into_iter().enumerate() {
             assert_eq!(rx.recv().unwrap(), (i * i) as u64);
         }
+    }
+
+    #[test]
+    fn a_job_may_drop_the_last_owner_of_its_pool() {
+        let pool = Arc::new(Pool::new(2, 4));
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let owner = Arc::clone(&pool);
+        pool.try_submit(move || {
+            release_rx.recv().expect("release");
+            // The last clone: the pool drops on this very worker.
+            drop(owner);
+            done_tx.send(()).expect("done");
+        })
+        .expect("queue has room");
+        drop(pool);
+        release_tx.send(()).expect("release the job");
+        assert_eq!(
+            done_rx.recv_timeout(std::time::Duration::from_secs(10)),
+            Ok(())
+        );
     }
 
     #[test]

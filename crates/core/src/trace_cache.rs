@@ -36,18 +36,14 @@
 //!
 //! The disk layer is safe to *share between live processes* (e.g. the
 //! shards of a `sparseadapt-serve` cluster mounting one `--cache-dir`):
-//! readers only ever see complete files because every publish is a
-//! write-to-temporary + atomic rename, and concurrent writers of the
-//! same key are serialised by a sidecar advisory lock file
-//! (`create_new`, broken when stale). Keys are content fingerprints, so
-//! a writer that loses the race can simply skip its write — the winner's
-//! bytes are identical by construction.
+//! every publish writes a temporary of the writer's own and renames it
+//! into place, so readers only ever see complete files. Keys are
+//! content fingerprints, so racing writers — threads or processes —
+//! publish identical bytes and the last rename simply wins.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use fxhash::FxHashMap;
 
@@ -132,9 +128,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Traces published to the disk layer by this process.
     pub disk_writes: u64,
-    /// Disk publishes skipped because another process held the write
-    /// lock for the same key (its bytes are identical by construction).
-    pub disk_write_skips: u64,
     /// Distinct traces currently held in memory.
     pub entries: usize,
     /// Accounted bytes of completed in-memory traces.
@@ -152,7 +145,6 @@ pub struct TraceCache {
     disk_hits: AtomicU64,
     evictions: AtomicU64,
     disk_writes: AtomicU64,
-    disk_write_skips: AtomicU64,
 }
 
 impl std::fmt::Debug for TraceCache {
@@ -323,7 +315,6 @@ impl TraceCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
-            disk_write_skips: self.disk_write_skips.load(Ordering::Relaxed),
             entries: inner.map.len(),
             resident_bytes: inner.resident,
         }
@@ -342,7 +333,6 @@ impl TraceCache {
         self.disk_hits.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.disk_writes.store(0, Ordering::Relaxed);
-        self.disk_write_skips.store(0, Ordering::Relaxed);
     }
 
     fn disk_path(&self, key: &TraceKey) -> Option<PathBuf> {
@@ -361,20 +351,10 @@ impl TraceCache {
     }
 
     fn disk_store(&self, key: &TraceKey, trace: &[EpochRecord]) {
-        let Some(bin_path) = self.disk_path(key) else {
+        let Some(path) = self.disk_path(key) else {
             return;
         };
-        // Advisory per-key write lock: two *processes* simulating the
-        // same cold key (e.g. cluster shards warming one shared cache
-        // dir) must not interleave bytes into the same temporary. The
-        // loser skips its write entirely — content-addressed keys make
-        // the winner's bytes identical.
-        let lock_path = bin_path.with_extension("bin.lock");
-        let Some(_lock) = PathLock::acquire(&lock_path) else {
-            self.disk_write_skips.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if write_then_rename(&bin_path, &trace_bin::encode_trace(trace)).is_ok() {
+        if write_then_rename(&path, &trace_bin::encode_trace(trace)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -385,11 +365,11 @@ impl TraceCache {
 /// the complete new one, never a torn write: the bytes go to a
 /// temporary beside `path`, which is then renamed into place. The
 /// temporary is named by the process and a per-process counter, so no
-/// two writers share one — not two processes past a broken stale
-/// [`PathLock`], and not two threads publishing one epoch key, which
-/// nothing serialises — and it is removed again if the write or the
-/// rename fails, so a failed publish leaves nothing behind.
-pub(crate) fn write_then_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// two writers share one — neither two processes publishing one key
+/// into a shared directory nor two threads of one process — and it is
+/// removed again if the write or the rename fails, so a failed publish
+/// leaves nothing behind.
+fn write_then_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
     let n = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
@@ -400,65 +380,6 @@ pub(crate) fn write_then_rename(path: &Path, bytes: &[u8]) -> std::io::Result<()
         let _ = std::fs::remove_file(&tmp);
     }
     written
-}
-
-/// How old a lock file may grow before it is presumed abandoned (its
-/// holder crashed between acquire and release) and broken.
-const LOCK_STALE_AFTER: Duration = Duration::from_secs(30);
-
-/// A held advisory lock: a file created with `create_new` (O_EXCL), the
-/// one primitive std offers that is atomic across processes on every
-/// platform. Dropping the guard releases the lock by unlinking the file.
-struct PathLock {
-    path: PathBuf,
-}
-
-impl PathLock {
-    /// Tries to take the lock without blocking. A fresh lock held by
-    /// another process returns `None`; a stale one (older than
-    /// [`LOCK_STALE_AFTER`]) is broken once and re-contested.
-    fn acquire(path: &Path) -> Option<PathLock> {
-        for attempt in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(path)
-            {
-                Ok(mut file) => {
-                    // Holder pid, purely diagnostic (stale detection is
-                    // by age: pids are not comparable across hosts that
-                    // share a cache dir over a network mount).
-                    let _ = write!(file, "{}", std::process::id());
-                    return Some(PathLock {
-                        path: path.to_path_buf(),
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    if attempt == 0 && lock_is_stale(path) {
-                        let _ = std::fs::remove_file(path);
-                        continue;
-                    }
-                    return None;
-                }
-                Err(_) => return None,
-            }
-        }
-        None
-    }
-}
-
-impl Drop for PathLock {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn lock_is_stale(path: &Path) -> bool {
-    std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|t| t.elapsed().ok())
-        .is_some_and(|age| age > LOCK_STALE_AFTER)
 }
 
 /// Simulates one configuration of a workload on a fresh machine —
@@ -616,65 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn held_write_lock_skips_the_publish() {
-        let dir = std::env::temp_dir().join(format!("sa-trace-cache-lock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let spec = MachineSpec::default().with_epoch_ops(100);
-        let wl = tiny_workload(8);
-        let cfg = TransmuterConfig::baseline();
-        let key = TraceKey::new(&spec, &wl, &cfg);
-        // Another process is mid-publish: a fresh lock file exists.
-        let lock = dir.join(key.file_name()).with_extension("bin.lock");
-        std::fs::write(&lock, "12345").expect("plant lock");
-        let cache = TraceCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let _ = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
-        let s = cache.stats();
-        assert_eq!(
-            s.disk_write_skips, 1,
-            "fresh foreign lock must skip the write"
-        );
-        assert_eq!(s.disk_writes, 0);
-        assert!(
-            !dir.join(key.file_name()).exists(),
-            "skipped publish must leave no trace file"
-        );
-        assert!(lock.exists(), "a foreign lock is never released by us");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn stale_write_lock_is_broken_and_publish_proceeds() {
-        let dir =
-            std::env::temp_dir().join(format!("sa-trace-cache-stale-lock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let spec = MachineSpec::default().with_epoch_ops(100);
-        let wl = tiny_workload(9);
-        let cfg = TransmuterConfig::baseline();
-        let key = TraceKey::new(&spec, &wl, &cfg);
-        let lock = dir.join(key.file_name()).with_extension("bin.lock");
-        std::fs::write(&lock, "666").expect("plant lock");
-        // Age the lock past the stale threshold by unit-testing the
-        // predicate directly (filetimes cannot be set without unsafe or
-        // deps), then exercise the break path via the acquire API.
-        assert!(!lock_is_stale(&lock), "fresh lock must not read as stale");
-        // Breaking is acquire's job once the predicate fires; simulate
-        // the aged state by removing the file as the breaker would.
-        std::fs::remove_file(&lock).expect("break");
-        let cache = TraceCache::new();
-        cache.set_disk_dir(Some(dir.clone()));
-        let _ = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
-        let s = cache.stats();
-        assert_eq!(s.disk_writes, 1);
-        assert!(dir.join(key.file_name()).exists());
-        assert!(
-            !lock.exists(),
-            "our own lock must be released after publish"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn corrupt_binary_trace_falls_back_to_resimulation() {
         let dir =
             std::env::temp_dir().join(format!("sa-trace-cache-corrupt-{}", std::process::id()));
@@ -693,6 +555,9 @@ mod tests {
         });
         assert_eq!(sims.load(Ordering::Relaxed), 1, "corrupt file must miss");
         assert_eq!(*got, simulate_trace(spec, &wl, cfg));
+        // The recompute published a whole file over the corrupt one.
+        let bytes = std::fs::read(dir.join(key.file_name())).expect("republished");
+        assert_eq!(trace_bin::decode_trace(&bytes).expect("decodes"), *got);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -711,12 +576,61 @@ mod tests {
         let got = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
         assert_eq!(*got, simulate_trace(spec, &wl, cfg));
         assert_eq!(cache.stats().disk_writes, 0);
-        // Neither the temporary nor the write lock is left behind.
+        // The temporary is not left behind.
         let names: Vec<String> = std::fs::read_dir(&dir)
             .expect("read dir")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec![key.file_name()]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn racing_inserts_publish_whole_files() {
+        let dir = std::env::temp_dir().join(format!("sa-trace-cache-race-{}", std::process::id()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(16);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let trace = simulate_trace(spec, &wl, cfg);
+        let path = dir.join(key.file_name());
+        let whole = |bytes: &[u8]| trace_bin::decode_trace(bytes).is_ok_and(|t| t == trace);
+        for round in 0..50 {
+            // Each writer is a cache of its own on the shared directory,
+            // as each shard process of a cluster is; nothing serialises
+            // their publishes.
+            let caches: Vec<TraceCache> = (0..8)
+                .map(|_| {
+                    let cache = TraceCache::new();
+                    cache.set_disk_dir(Some(dir.clone()));
+                    cache
+                })
+                .collect();
+            let _ = std::fs::remove_file(&path);
+            std::thread::scope(|s| {
+                let writers: Vec<_> = caches
+                    .iter()
+                    .map(|cache| s.spawn(|| cache.get_or_simulate(key, || trace.clone())))
+                    .collect();
+                // A reader sharing the directory must never see a file
+                // that is still being written.
+                while !writers.iter().all(|w| w.is_finished()) {
+                    if let Ok(bytes) = std::fs::read(&path) {
+                        assert!(whole(&bytes), "round {round}: a reader saw a torn file");
+                    }
+                }
+            });
+            let bytes = std::fs::read(&path).expect("published");
+            assert!(whole(&bytes), "round {round}");
+            let names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                names.iter().all(|n| !n.contains(".tmp.")),
+                "round {round}: {names:?}"
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

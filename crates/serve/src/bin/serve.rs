@@ -4,10 +4,9 @@
 //! Usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!              [--max-conns N] [--idle-timeout-ms MS]
 //!              [--cache-dir DIR] [--cache-mem-cap BYTES]
-//!              [--epoch-cache] [--epoch-cache-dir DIR]
-//!              [--epoch-peer-fetch] [--epoch-fetch-budget-ms MS]
-//!              [--addr-file PATH]
-//!              [--router --shards N [--shard-weights W,..] [--vnodes N]
+//!              [--epoch-cache] [--epoch-peer-fetch]
+//!              [--epoch-fetch-budget-ms MS] [--addr-file PATH]
+//!              [--router --shards N [--shard-weights W,..]
 //!               [--allow-admin] [--record FILE]]
 //! Scale via SA_SCALE = quick | half | paper (default quick).
 //! ```
@@ -21,12 +20,11 @@
 //! one per shard); `--allow-admin` opts into runtime topology mutations
 //! via the `/v2/admin` control plane (add/remove/reweight shards).
 //!
-//! `--epoch-cache` enables the in-memory epoch-boundary cache;
-//! `--epoch-cache-dir` adds a per-shard SAEP disk tier (deliberately
-//! *not* shared across router-spawned shards). `--epoch-peer-fetch`
-//! lets a shard fetch the rest of a run it is missing from cluster
-//! peers (discovered from the pushed topology) as one segment, with a
-//! hard `--epoch-fetch-budget-ms` wall-clock budget per fetch.
+//! `--epoch-cache` enables the in-memory epoch-boundary cache.
+//! `--epoch-peer-fetch` lets a shard fetch the rest of a run it is
+//! missing from cluster peers (discovered from the pushed topology) as
+//! one segment, with a hard `--epoch-fetch-budget-ms` wall-clock budget
+//! per fetch.
 //!
 //! The process drains cleanly on SIGINT/SIGTERM or `POST
 //! /v2/admin/drain`: it stops accepting, finishes in-flight work, and
@@ -43,10 +41,9 @@ fn usage_and_exit(code: i32) -> ! {
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--max-conns N] [--idle-timeout-ms MS] \
          [--cache-dir DIR] [--cache-mem-cap BYTES] \
-         [--epoch-cache] [--epoch-cache-dir DIR] [--epoch-peer-fetch] \
-         [--epoch-fetch-budget-ms MS] \
+         [--epoch-cache] [--epoch-peer-fetch] [--epoch-fetch-budget-ms MS] \
          [--addr-file PATH] [--router --shards N [--shard-weights W,..] \
-         [--vnodes N] [--allow-admin] [--record FILE]]"
+         [--allow-admin] [--record FILE]]"
     );
     std::process::exit(code);
 }
@@ -58,7 +55,6 @@ struct Cli {
     router: bool,
     shards: usize,
     weights: Vec<f64>,
-    vnodes: usize,
     allow_admin: bool,
     record: Option<PathBuf>,
 }
@@ -69,7 +65,6 @@ fn parse_cli() -> Cli {
         router: false,
         shards: 3,
         weights: Vec::new(),
-        vnodes: 0,
         allow_admin: false,
         record: None,
     };
@@ -116,10 +111,6 @@ fn parse_cli() -> Cli {
                 cli.config.addr_file = Some(PathBuf::from(need(&mut args, "--addr-file")))
             }
             "--epoch-cache" => cli.config.epoch_cache = true,
-            "--epoch-cache-dir" => {
-                cli.config.epoch_cache_dir =
-                    Some(PathBuf::from(need(&mut args, "--epoch-cache-dir")))
-            }
             "--epoch-peer-fetch" => cli.config.epoch_peer_fetch = true,
             "--epoch-fetch-budget-ms" => {
                 cli.config.epoch_fetch_budget_ms = need(&mut args, "--epoch-fetch-budget-ms")
@@ -178,12 +169,6 @@ fn parse_cli() -> Cli {
                     .collect()
             }
             "--allow-admin" => cli.allow_admin = true,
-            "--vnodes" => {
-                cli.vnodes = need(&mut args, "--vnodes").parse().unwrap_or_else(|_| {
-                    eprintln!("--vnodes needs an integer");
-                    usage_and_exit(2)
-                })
-            }
             "--record" => cli.record = Some(PathBuf::from(need(&mut args, "--record"))),
             "--help" | "-h" => usage_and_exit(0),
             other => {
@@ -244,9 +229,6 @@ fn run_router(cli: Cli) {
         queue_cap: cli.config.queue_cap,
         cache_dir: cli.config.cache_dir.clone(),
         cache_mem_cap: cli.config.cache_mem_cap,
-        // Epoch flags are forwarded per shard; `--epoch-cache-dir` is
-        // deliberately NOT forwarded — each shard's disk tier must stay
-        // private or cross-shard fetches would be unobservable.
         epoch_cache: cli.config.epoch_cache,
         epoch_peer_fetch: cli.config.epoch_peer_fetch,
         epoch_fetch_budget_ms: cli.config.epoch_fetch_budget_ms,
@@ -262,7 +244,6 @@ fn run_router(cli: Cli) {
         addr: cli.config.addr,
         shards: shards.iter().map(|s| s.addr).collect(),
         weights: cli.weights,
-        vnodes: cli.vnodes,
         record: cli.record,
         allow_admin: cli.allow_admin,
     }) {

@@ -5,8 +5,7 @@
 //! simply has no peers and the tier is inert. [`PeerFetcher`] is the
 //! [`RemoteFetcher`] the daemon installs into the global epoch cache
 //! when `--epoch-peer-fetch` is on: at a static run's boundary that
-//! memory and the `SAEP` disk tier cannot answer, it asks healthy,
-//! active peers for the key over `GET /v2/cache/epoch/{token}` under a
+//! the shard's own memory cannot answer, it asks healthy, active peers for the key over `GET /v2/cache/epoch/{token}` under a
 //! hard latency budget, and gives up — letting the hot path simulate —
 //! the moment the budget runs out. A peer answers with one `SAEG`
 //! segment: it follows the content-addressed digest chain from the key

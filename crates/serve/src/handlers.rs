@@ -242,14 +242,14 @@ fn apply_topology(state: &Arc<AppState>, doc: TopologyDoc, reply: Reply) {
 
 /// `GET /v2/cache/epoch/{token}`: the serve side of the cluster epoch
 /// tier. The shard follows the content-addressed digest chain from the
-/// key through its memory and disk tiers and answers one compact
-/// (`SAEG`) segment as `application/octet-stream`: records for up to
+/// key through its memory and answers one compact (`SAEG`) segment as
+/// `application/octet-stream`: records for up to
 /// [`SEGMENT_CAP`](sparseadapt::epoch_cache::SEGMENT_CAP) consecutive
 /// epochs plus the last one's exit state, fast-forwarding the
 /// requester's whole run in one response. Runs on the pool: an export
-/// decodes and digests up to that many machine states, and the disk
-/// tier may be read. A busy shard therefore answers later, and the
-/// requester falls back to simulating once its fetch budget expires.
+/// digests up to that many machine states. A busy shard therefore
+/// answers later, and the requester falls back to simulating once its
+/// fetch budget expires.
 pub fn epoch_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
     let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
         return reply.send(Response::error(400, "malformed epoch cache key"));
@@ -402,10 +402,10 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
         ran.store(true, Ordering::Relaxed);
         // Routed through the epoch cache when enabled (a no-op
         // passthrough to `simulate_trace` otherwise): a trace-cache
-        // miss can still fast-forward epoch-by-epoch from memory, the
-        // SAEP disk tier, or — with `--epoch-peer-fetch` — the rest of
-        // the cluster. Fingerprints are reused from `key` so the warm
-        // path hashes nothing twice.
+        // miss can still fast-forward epoch-by-epoch from memory or —
+        // with `--epoch-peer-fetch` — the rest of the cluster.
+        // Fingerprints are reused from `key` so the warm path hashes
+        // nothing twice.
         simulate_trace_adaptive_keyed(spec, &workload, r.config, key.spec, key.workload)
     });
     let response = simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started);

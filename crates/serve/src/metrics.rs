@@ -167,9 +167,8 @@ pub struct MetricsSnapshot {
     pub queue: QueueGauges,
     /// Process-wide trace cache counters.
     pub trace_cache: TraceCacheSnapshot,
-    /// Process-wide epoch cache counters (all tiers: memory, SAEP
-    /// disk, and the cluster fetch/push tier). All zero when the epoch
-    /// cache is off.
+    /// Process-wide epoch cache counters (both tiers: memory and the
+    /// cluster fetch tier). All zero when the epoch cache is off.
     pub epoch_cache: EpochCacheSnapshot,
     /// The daemon's answer memo: requests answered from their bytes.
     pub answer_memo: AnswerMemoStats,
@@ -223,9 +222,6 @@ pub struct TraceCacheSnapshot {
     pub disk_hits: u64,
     /// Traces published to the shared disk tier.
     pub disk_writes: u64,
-    /// Disk publishes skipped because another process held the entry's
-    /// write lock.
-    pub disk_write_skips: u64,
     /// Traces evicted by the memory cap.
     pub evictions: u64,
     /// Traces resident in memory.
@@ -244,7 +240,6 @@ impl From<CacheStats> for TraceCacheSnapshot {
             misses: s.misses,
             disk_hits: s.disk_hits,
             disk_writes: s.disk_writes,
-            disk_write_skips: s.disk_write_skips,
             evictions: s.evictions,
             entries: s.entries,
             resident_bytes: s.resident_bytes,
@@ -267,8 +262,6 @@ pub struct EpochCacheSnapshot {
     pub lookups: u64,
     /// Lookups answered from memory.
     pub hits: u64,
-    /// Lookups answered from the SAEP disk tier.
-    pub disk_hits: u64,
     /// Lookups answered by a segment fetched from a cluster peer.
     pub remote_hits: u64,
     /// Remote fetches that returned nothing usable.
@@ -280,10 +273,6 @@ pub struct EpochCacheSnapshot {
     pub inserts: u64,
     /// Epochs evicted by the memory cap.
     pub evictions: u64,
-    /// Epochs published to the disk tier.
-    pub disk_writes: u64,
-    /// Corrupt/skewed disk entries quarantined (read as misses).
-    pub disk_quarantined: u64,
     /// Bytes received from peers by remote fetches.
     pub remote_bytes: u64,
     /// Total wall time spent in remote fetches, ms.
@@ -309,14 +298,11 @@ impl From<EpochCacheStats> for EpochCacheSnapshot {
         EpochCacheSnapshot {
             lookups: s.lookups,
             hits: s.hits,
-            disk_hits: s.disk_hits,
             remote_hits: s.remote_hits,
             remote_misses: s.remote_misses,
             remote_chain_entries: s.remote_chain_entries,
             inserts: s.inserts,
             evictions: s.evictions,
-            disk_writes: s.disk_writes,
-            disk_quarantined: s.disk_quarantined,
             remote_bytes: s.remote_bytes,
             remote_fetch_ms: s.remote_fetch_us as f64 / 1000.0,
             remote_fetch_p50_ms: s.remote_fetch_p50_ms,
@@ -362,21 +348,17 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         c.misses += s.trace_cache.misses;
         c.disk_hits += s.trace_cache.disk_hits;
         c.disk_writes += s.trace_cache.disk_writes;
-        c.disk_write_skips += s.trace_cache.disk_write_skips;
         c.evictions += s.trace_cache.evictions;
         c.entries += s.trace_cache.entries;
         c.resident_bytes += s.trace_cache.resident_bytes;
         let e = &mut merged.epoch_cache;
         e.lookups += s.epoch_cache.lookups;
         e.hits += s.epoch_cache.hits;
-        e.disk_hits += s.epoch_cache.disk_hits;
         e.remote_hits += s.epoch_cache.remote_hits;
         e.remote_misses += s.epoch_cache.remote_misses;
         e.remote_chain_entries += s.epoch_cache.remote_chain_entries;
         e.inserts += s.epoch_cache.inserts;
         e.evictions += s.epoch_cache.evictions;
-        e.disk_writes += s.epoch_cache.disk_writes;
-        e.disk_quarantined += s.epoch_cache.disk_quarantined;
         e.remote_bytes += s.epoch_cache.remote_bytes;
         e.remote_fetch_ms += s.epoch_cache.remote_fetch_ms;
         // Percentiles cannot be summed; the merged view reports the
@@ -424,7 +406,7 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
     e.hit_ratio = if e.lookups == 0 {
         0.0
     } else {
-        (e.hits + e.disk_hits + e.remote_hits) as f64 / e.lookups as f64
+        (e.hits + e.remote_hits) as f64 / e.lookups as f64
     };
     let attempts = e.remote_hits + e.remote_misses;
     e.remote_hit_ratio = if attempts == 0 {

@@ -137,12 +137,6 @@ pub struct ServeConfig {
     /// Enable the epoch-granular simulation cache (memory tier) for
     /// simulate and sweep work.
     pub epoch_cache: bool,
-    /// Optional on-disk directory for the epoch cache's `SAEP` tier.
-    /// Implies `epoch_cache`. Deliberately separate from `cache_dir`:
-    /// router-mode shards share a trace-cache dir, and sharing the
-    /// epoch tier through disk would make the cluster tier untestable
-    /// (every "remote" lookup would be a disk hit).
-    pub epoch_cache_dir: Option<PathBuf>,
     /// Consult cluster peers (from the pushed topology) on local epoch
     /// misses, under the fetch budget. Implies `epoch_cache`.
     pub epoch_peer_fetch: bool,
@@ -164,7 +158,6 @@ impl Default for ServeConfig {
             idle_timeout_ms: 30_000,
             handle_signals: false,
             epoch_cache: false,
-            epoch_cache_dir: None,
             epoch_peer_fetch: false,
             epoch_fetch_budget_ms: 25,
         }
@@ -329,15 +322,10 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     if config.cache_mem_cap.is_some() {
         TraceCache::global().set_memory_cap(config.cache_mem_cap);
     }
-    // Epoch tier: the memory tier turns on with any epoch flag (disk
-    // and peer fetch are both meaningless without it). The disk dir is
-    // NOT defaulted under `cache_dir` on purpose — see the
-    // `epoch_cache_dir` field docs.
-    if config.epoch_cache || config.epoch_cache_dir.is_some() || config.epoch_peer_fetch {
+    // Epoch tier: peer fetch is meaningless without the memory tier,
+    // so either epoch flag turns it on.
+    if config.epoch_cache || config.epoch_peer_fetch {
         EpochCache::global().set_enabled(true);
-    }
-    if let Some(dir) = &config.epoch_cache_dir {
-        EpochCache::global().set_disk_dir(Some(dir.clone()));
     }
     let workers = if config.workers == 0 {
         sparseadapt::exec::default_threads()

@@ -7,8 +7,9 @@
 //! (kernel/matrix/L1 kind) onto a [`Ring`] of shards, so every shard's
 //! in-memory LRU and memoized suite workloads stay hot for a disjoint
 //! key range, and the shards mount one shared on-disk trace-cache tier
-//! (see `sparseadapt::trace_cache` for the cross-process locking) so a
-//! cold miss on one shard can still hit bytes another shard published.
+//! (see `sparseadapt::trace_cache` for why concurrent publishes stay
+//! whole) so a cold miss on one shard can still hit bytes another shard
+//! published.
 //!
 //! The topology is *elastic*: shards carry a ring `weight`
 //! (heterogeneous hosts get proportional vnode shares) and the shard
@@ -472,7 +473,7 @@ impl TopologyView {
 /// Builds a view from slots: the active ring over non-draining shards,
 /// the full ring over everything. Callers must keep at least one
 /// active shard (the admin handlers enforce it).
-fn build_view(epoch: u64, shards: Vec<Arc<ShardSlot>>, vnodes: usize) -> TopologyView {
+fn build_view(epoch: u64, shards: Vec<Arc<ShardSlot>>) -> TopologyView {
     let active: Vec<(u32, f64)> = shards
         .iter()
         .filter(|s| s.state == ShardState::Active)
@@ -481,8 +482,8 @@ fn build_view(epoch: u64, shards: Vec<Arc<ShardSlot>>, vnodes: usize) -> Topolog
     let all: Vec<(u32, f64)> = shards.iter().map(|s| (s.id, s.weight)).collect();
     TopologyView {
         epoch,
-        ring: Ring::weighted(&active, vnodes),
-        full_ring: Ring::weighted(&all, vnodes),
+        ring: Ring::weighted(&active, DEFAULT_VNODES),
+        full_ring: Ring::weighted(&all, DEFAULT_VNODES),
         shards,
     }
 }
@@ -505,8 +506,6 @@ pub struct RouterState {
     /// hashes from the id, so a reused id would resurrect a dead
     /// shard's arcs.
     next_id: AtomicU32,
-    /// Vnodes per unit weight, fixed at boot.
-    vnodes: usize,
     /// Whether topology *mutations* are accepted (`--allow-admin`).
     /// Reads are always allowed.
     allow_admin: bool,
@@ -625,8 +624,6 @@ pub struct RouterConfig {
     /// Per-shard ring weights; empty means every shard weighs 1.0,
     /// otherwise one positive finite weight per shard.
     pub weights: Vec<f64>,
-    /// Virtual nodes per unit weight ([`DEFAULT_VNODES`] when 0).
-    pub vnodes: usize,
     /// Optional JSONL request log (`loadgen --replay` input).
     pub record: Option<PathBuf>,
     /// Whether `/v2/admin` topology *mutations* are accepted. Off by
@@ -710,11 +707,6 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         )),
         None => None,
     };
-    let vnodes = if config.vnodes == 0 {
-        DEFAULT_VNODES
-    } else {
-        config.vnodes
-    };
     let listener = TcpListener::bind(&config.addr)?;
     // Same backlog resize as `server::start`: the std default of 128
     // collapses under a high-fanout connect burst.
@@ -736,10 +728,9 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         .collect();
     let drain = Arc::new(DrainControl::new());
     let state = Arc::new(RouterState {
-        topology: RwLock::new(Arc::new(build_view(1, slots, vnodes))),
+        topology: RwLock::new(Arc::new(build_view(1, slots))),
         admin: Mutex::new(()),
         next_id: AtomicU32::new(config.shards.len() as u32),
-        vnodes,
         allow_admin: config.allow_admin,
         metrics: Arc::new(ServerMetrics::new()),
         pool: Pool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP),
@@ -1077,7 +1068,7 @@ fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
     let mut shards = view.shards.clone();
     shards.push(ShardSlot::new(id, addr, weight));
-    let next = build_view(view.epoch + 1, shards, state.vnodes);
+    let next = build_view(view.epoch + 1, shards);
     let diff = ring_diff(&view.ring, &next.ring);
     state.note_reshard(&diff);
     let doc = next.doc();
@@ -1143,7 +1134,7 @@ fn admin_remove_shard(state: &Arc<RouterState>, req: &Request, id_str: &str) -> 
             }
         })
         .collect();
-    let next = build_view(view.epoch + 1, shards, state.vnodes);
+    let next = build_view(view.epoch + 1, shards);
     let diff = ring_diff(&view.ring, &next.ring);
     state.note_reshard(&diff);
     let doc = next.doc();
@@ -1185,7 +1176,7 @@ fn drain_and_remove(state: &Arc<RouterState>, id: u32, addr: SocketAddr) {
         // shard), but never build a view with an empty active ring.
         return;
     }
-    state.install(build_view(view.epoch + 1, shards, state.vnodes));
+    state.install(build_view(view.epoch + 1, shards));
     push_topology(state);
 }
 
@@ -1246,7 +1237,7 @@ fn admin_reweight(state: &Arc<RouterState>, req: &Request) -> Response {
             None => Arc::clone(s),
         })
         .collect();
-    let next = build_view(view.epoch + 1, shards, state.vnodes);
+    let next = build_view(view.epoch + 1, shards);
     let diff = ring_diff(&view.ring, &next.ring);
     state.note_reshard(&diff);
     let doc = next.doc();

@@ -105,7 +105,6 @@ fn cluster_end_to_end() {
         addr: "127.0.0.1:0".to_string(),
         shards: shard_addrs.clone(),
         weights: Vec::new(),
-        vnodes: 0,
         record: Some(record_path.clone()),
         allow_admin: false,
     })

@@ -206,7 +206,7 @@ fn epoch_tier_cluster_end_to_end() {
         &mut stream,
         "PUT",
         "/v2/cache/epoch/0000000000000000-0000000000000000-0000000000000000-0000000000000000-0000000000000000",
-        Some("SAEP"),
+        Some("SAEG"),
     )
     .expect("write");
     assert_eq!(

@@ -199,7 +199,6 @@ fn elastic_cluster_end_to_end() {
         addr: "127.0.0.1:0".to_string(),
         shards: shard_addrs.clone(),
         weights: vec![1.0, 1.0, 2.0],
-        vnodes: 0,
         record: None,
         allow_admin: true,
     })
@@ -258,7 +257,6 @@ fn elastic_cluster_end_to_end() {
         addr: "127.0.0.1:0".to_string(),
         shards: shard_addrs.clone(),
         weights: vec![1.0, 1.0, 2.0],
-        vnodes: 0,
         record: None,
         allow_admin: false,
     })
