@@ -26,7 +26,7 @@ use sparseadapt::features::{feature_names, FEATURE_COUNT};
 use sparseadapt::runtime::run_live;
 use sparseadapt::schemes::{self, ScheduleController};
 use sparseadapt::stitch::{sample_configs, SweepData};
-use sparseadapt::trace_cache::TraceCache;
+use sparseadapt::trace_cache::{TraceCache, TraceKey};
 use sparseadapt::{PredictiveEnsemble, ReconfigPolicy, SparseAdaptController};
 use transmuter::config::{ConfigParam, MachineSpec, MemKind, TransmuterConfig};
 use transmuter::metrics::OptMode;
@@ -275,7 +275,8 @@ fn bench_scenario(
             "SoA and legacy paths diverged on config {c}: the A/B is void"
         );
     }
-    let trace_bin_bytes = sparseadapt::trace_bin::encode_trace(&sweep.traces[0]).len();
+    let key = TraceKey::new(&spec, workload, &configs[0]);
+    let trace_bin_bytes = sparseadapt::trace_bin::encode_trace(&key, &sweep.traces[0]).len();
     TraceCache::global().clear();
     let (cached_first_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
     let (cached_second_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));

@@ -23,9 +23,10 @@
 //! * [`exec`] — the work-stealing sweep engine shared by every
 //!   parallel fan-out in the workspace.
 //! * [`trace_cache`] — the process-wide content-addressed cache of
-//!   simulation traces, with a bounded in-memory layer and an optional
-//!   on-disk layer in the [`trace_bin`] binary format.
-//! * [`epoch_cache`] — epoch-granular memoization keyed on
+//!   simulation traces, with a bounded in-memory layer, an optional
+//!   on-disk layer and an optional cluster tier, both of which carry
+//!   traces in the [`trace_bin`] binary format.
+//! * [`epoch_cache`] — the process-local epoch memo, keyed on
 //!   `(machine, workload, config, epoch, entry-state digest)`, letting
 //!   live controller runs fast-forward through epochs a sweep already
 //!   simulated.

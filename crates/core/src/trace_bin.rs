@@ -1,4 +1,5 @@
-//! Compact binary on-disk format for simulation traces.
+//! Compact binary format for simulation traces: the trace cache's disk
+//! files and the bytes a cluster peer answers a trace fetch with.
 //!
 //! The JSON trace files the disk cache originally wrote spend ~900 bytes
 //! per epoch on field names and decimal float rendering. This format
@@ -9,14 +10,16 @@
 //!
 //! # Wire layout
 //!
-//! Header (16 bytes):
+//! Header (48 bytes):
 //!
-//! | offset | size | field                         |
-//! |--------|------|-------------------------------|
-//! | 0      | 4    | magic `b"SATR"`               |
-//! | 4      | 2    | format version (LE, currently 1) |
-//! | 6      | 2    | flags (LE, must be 0)         |
-//! | 8      | 8    | record count (LE)             |
+//! | offset | size | field                                      |
+//! |--------|------|--------------------------------------------|
+//! | 0      | 4    | magic `b"SATR"`                            |
+//! | 4      | 2    | format version (LE, currently 2)           |
+//! | 6      | 2    | flags (LE, must be 0)                      |
+//! | 8      | 8    | record count (LE)                          |
+//! | 16     | 24   | the [`TraceKey`]: spec, workload, config (LE) |
+//! | 40     | 8    | FNV-1a 64 checksum of the records (LE)     |
 //!
 //! Then `count` records of [`RECORD_BYTES`] bytes each: epoch index,
 //! configuration (tag bytes + capacities), metrics, fp-ops, the 18
@@ -26,26 +29,34 @@
 //!
 //! # Versioning rules
 //!
-//! The version is bumped whenever the record layout changes (field
+//! The version is bumped whenever the layout changes (field
 //! added/removed/reordered or a tag encoding changes). Decoders reject
 //! versions they do not know ([`DecodeError::UnsupportedVersion`]) and
 //! the cache falls back to re-simulation; old files are never silently
-//! misread. The `flags` field is reserved and must be zero in version 1.
+//! misread. Version 2 added the key and the checksum. The `flags` field
+//! is reserved and must be zero.
 //!
 //! Decoding is total: corrupted, truncated, or oversized input produces
 //! a [`DecodeError`], never a panic or an attacker-sized allocation.
+//! Decoding is also addressed: [`decode_trace`] takes the key the caller
+//! wants, so bytes stored or sent under another key's name, or whose
+//! records changed after encoding, read as a miss.
+//!
+//! [`TELEMETRY_FEATURES`]: transmuter::counters::TELEMETRY_FEATURES
 
 use transmuter::config::{ClockFreq, MemKind, SharingMode, TransmuterConfig};
 use transmuter::counters::Telemetry;
 use transmuter::machine::EpochRecord;
 use transmuter::metrics::Metrics;
 
+use crate::trace_cache::TraceKey;
+
 /// File magic: "SparseAdapt TRace".
 pub const MAGIC: [u8; 4] = *b"SATR";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Header size in bytes.
-pub const HEADER_BYTES: usize = 16;
+pub const HEADER_BYTES: usize = 48;
 /// Fixed size of one encoded [`EpochRecord`].
 pub const RECORD_BYTES: usize = 213;
 
@@ -67,6 +78,10 @@ pub enum DecodeError {
     BadFlags(u16),
     /// Bytes remain after the declared record count.
     TrailingBytes(usize),
+    /// The bytes are intact but hold the trace of another key.
+    KeyMismatch,
+    /// The records do not match their checksum (bit rot, a torn write).
+    ChecksumMismatch,
     /// An enum tag byte holds an undefined value.
     BadEnum {
         /// Which field failed.
@@ -86,6 +101,8 @@ impl std::fmt::Display for DecodeError {
             DecodeError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
             DecodeError::BadFlags(fl) => write!(f, "reserved flag bits set: {fl:#06x}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after records"),
+            DecodeError::KeyMismatch => write!(f, "trace of another key"),
+            DecodeError::ChecksumMismatch => write!(f, "trace records fail their checksum"),
             DecodeError::BadEnum { field, value } => {
                 write!(f, "invalid tag {value} for {field}")
             }
@@ -95,17 +112,23 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Encodes a trace into the binary format.
-pub fn encode_trace(trace: &[EpochRecord]) -> Vec<u8> {
+/// Encodes the trace of `key` into the binary format.
+pub fn encode_trace(key: &TraceKey, trace: &[EpochRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // flags
     out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    for field in [key.spec, key.workload, key.config] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    out.extend_from_slice(&[0; 8]); // checksum, filled in below
     for rec in trace {
         encode_record(rec, &mut out);
     }
     debug_assert_eq!(out.len(), HEADER_BYTES + trace.len() * RECORD_BYTES);
+    let checksum = fnv1a64(&out[HEADER_BYTES..]);
+    out[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -133,8 +156,15 @@ fn encode_record(rec: &EpochRecord, out: &mut Vec<u8>) {
     out.extend_from_slice(&rec.reconfig_energy_j.to_bits().to_le_bytes());
 }
 
-/// Decodes a binary trace buffer.
-pub fn decode_trace(bytes: &[u8]) -> Result<Vec<EpochRecord>, DecodeError> {
+/// Decodes a binary trace buffer holding the trace of `key`.
+///
+/// # Errors
+///
+/// A typed [`DecodeError`] on any malformed, truncated, version-skewed
+/// or checksum-failing input, and [`DecodeError::KeyMismatch`] for the
+/// intact trace of another key. Callers read every error as a miss.
+pub fn decode_trace(bytes: &[u8], key: &TraceKey) -> Result<Vec<EpochRecord>, DecodeError> {
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
     if bytes.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated {
             needed: HEADER_BYTES,
@@ -154,7 +184,7 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<EpochRecord>, DecodeError> {
     if flags != 0 {
         return Err(DecodeError::BadFlags(flags));
     }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let count = word(8);
     // Exact-length validation up front: a corrupt count can neither
     // trigger a huge preallocation nor read out of bounds.
     let needed = (count as usize)
@@ -173,12 +203,28 @@ pub fn decode_trace(bytes: &[u8]) -> Result<Vec<EpochRecord>, DecodeError> {
     if bytes.len() > needed {
         return Err(DecodeError::TrailingBytes(bytes.len() - needed));
     }
-    let mut out = Vec::with_capacity(count as usize);
-    for i in 0..count as usize {
-        let start = HEADER_BYTES + i * RECORD_BYTES;
-        out.push(decode_record(&bytes[start..start + RECORD_BYTES])?);
+    if [word(16), word(24), word(32)] != [key.spec, key.workload, key.config] {
+        return Err(DecodeError::KeyMismatch);
     }
-    Ok(out)
+    let records = &bytes[HEADER_BYTES..];
+    if fnv1a64(records) != word(40) {
+        return Err(DecodeError::ChecksumMismatch);
+    }
+    records
+        .chunks_exact(RECORD_BYTES)
+        .map(decode_record)
+        .collect()
+}
+
+/// FNV-1a 64 over `bytes`: the records' checksum. Not cryptographic; it
+/// turns bit rot and torn writes into clean misses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 fn decode_record(b: &[u8]) -> Result<EpochRecord, DecodeError> {
@@ -333,6 +379,13 @@ impl Reader<'_> {
 mod tests {
     use super::*;
 
+    /// The key every test trace is encoded under.
+    const KEY: TraceKey = TraceKey {
+        spec: 0x5eed_0001,
+        workload: 0x5eed_0002,
+        config: 0x5eed_0003,
+    };
+
     fn sample_trace(n: usize) -> Vec<EpochRecord> {
         let spec = transmuter::config::MachineSpec::default().with_epoch_ops(100);
         let streams: Vec<Vec<transmuter::workload::Op>> = (0..16)
@@ -361,16 +414,16 @@ mod tests {
     fn round_trips_a_real_trace() {
         let trace = sample_trace(4);
         assert!(!trace.is_empty());
-        let bytes = encode_trace(&trace);
+        let bytes = encode_trace(&KEY, &trace);
         assert_eq!(bytes.len(), HEADER_BYTES + trace.len() * RECORD_BYTES);
-        let back = decode_trace(&bytes).expect("round trip");
+        let back = decode_trace(&bytes, &KEY).expect("round trip");
         assert_eq!(trace, back);
     }
 
     #[test]
     fn binary_is_much_smaller_than_json() {
         let trace = sample_trace(6);
-        let bin = encode_trace(&trace).len();
+        let bin = encode_trace(&KEY, &trace).len();
         let json = serde_json::to_string(&trace).expect("json").len();
         let ratio = bin as f64 / json as f64;
         assert!(
@@ -381,42 +434,48 @@ mod tests {
 
     #[test]
     fn empty_trace_round_trips() {
-        let bytes = encode_trace(&[]);
+        let bytes = encode_trace(&KEY, &[]);
         assert_eq!(bytes.len(), HEADER_BYTES);
-        assert_eq!(decode_trace(&bytes).expect("empty"), Vec::new());
+        assert_eq!(decode_trace(&bytes, &KEY).expect("empty"), Vec::new());
     }
 
     #[test]
     fn rejects_bad_magic_and_version() {
         let trace = sample_trace(2);
-        let good = encode_trace(&trace);
+        let good = encode_trace(&KEY, &trace);
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(matches!(decode_trace(&bad), Err(DecodeError::BadMagic(_))));
+        assert!(matches!(
+            decode_trace(&bad, &KEY),
+            Err(DecodeError::BadMagic(_))
+        ));
         let mut bad = good.clone();
         bad[4] = 99;
-        assert_eq!(decode_trace(&bad), Err(DecodeError::UnsupportedVersion(99)));
+        assert_eq!(
+            decode_trace(&bad, &KEY),
+            Err(DecodeError::UnsupportedVersion(99))
+        );
         let mut bad = good;
         bad[6] = 1;
-        assert_eq!(decode_trace(&bad), Err(DecodeError::BadFlags(1)));
+        assert_eq!(decode_trace(&bad, &KEY), Err(DecodeError::BadFlags(1)));
     }
 
     #[test]
     fn rejects_any_truncation_without_panicking() {
         let trace = sample_trace(2);
-        let bytes = encode_trace(&trace);
+        let bytes = encode_trace(&KEY, &trace);
         for len in 0..bytes.len() {
-            let r = decode_trace(&bytes[..len]);
+            let r = decode_trace(&bytes[..len], &KEY);
             assert!(r.is_err(), "length {len} should fail");
         }
     }
 
     #[test]
     fn huge_declared_count_is_rejected_cheaply() {
-        let mut bytes = encode_trace(&[]);
+        let mut bytes = encode_trace(&KEY, &[]);
         bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            decode_trace(&bytes),
+            decode_trace(&bytes, &KEY),
             Err(DecodeError::Truncated { .. })
         ));
     }
@@ -503,10 +562,10 @@ mod tests {
         fn arbitrary_traces_round_trip(seed in 0u64..u64::MAX, n in 0usize..8) {
             let trace: Vec<EpochRecord> =
                 (0..n as u64).map(|i| synth_record(seed ^ i.wrapping_mul(0xABCD))).collect();
-            let bytes = encode_trace(&trace);
-            let back = decode_trace(&bytes);
+            let bytes = encode_trace(&KEY, &trace);
+            let back = decode_trace(&bytes, &KEY);
             prop_assert!(back.is_ok(), "decode failed: {:?}", back.err());
-            prop_assert_eq!(encode_trace(&back.unwrap()), bytes);
+            prop_assert_eq!(encode_trace(&KEY, &back.unwrap()), bytes);
         }
 
         /// Truncating an encoded trace anywhere yields an error, never a
@@ -514,9 +573,9 @@ mod tests {
         #[test]
         fn truncation_always_errors(seed in 0u64..u64::MAX, cut in 0usize..1000) {
             let trace: Vec<EpochRecord> = (0..3u64).map(|i| synth_record(seed ^ i)).collect();
-            let bytes = encode_trace(&trace);
+            let bytes = encode_trace(&KEY, &trace);
             let cut = cut % bytes.len();
-            prop_assert!(decode_trace(&bytes[..cut]).is_err());
+            prop_assert!(decode_trace(&bytes[..cut], &KEY).is_err());
         }
 
         /// Flipping any header byte is detected: magic, version, flags
@@ -528,13 +587,16 @@ mod tests {
             flip in 1u8..=255,
         ) {
             let trace: Vec<EpochRecord> = (0..2u64).map(|i| synth_record(seed ^ i)).collect();
-            let mut bytes = encode_trace(&trace);
+            let mut bytes = encode_trace(&KEY, &trace);
             bytes[pos] ^= flip;
-            prop_assert!(decode_trace(&bytes).is_err(), "corrupt header byte {} accepted", pos);
+            prop_assert!(
+                decode_trace(&bytes, &KEY).is_err(),
+                "corrupt header byte {} accepted", pos
+            );
         }
 
-        /// Body corruption never panics; it either surfaces as an enum
-        /// error or decodes to a different-but-valid record.
+        /// Body corruption never panics; the checksum turns it into a
+        /// miss.
         #[test]
         fn body_corruption_never_panics(
             seed in 0u64..u64::MAX,
@@ -542,10 +604,104 @@ mod tests {
             flip in 1u8..=255,
         ) {
             let trace: Vec<EpochRecord> = (0..2u64).map(|i| synth_record(seed ^ i)).collect();
-            let mut bytes = encode_trace(&trace);
+            let mut bytes = encode_trace(&KEY, &trace);
             let pos = HEADER_BYTES + pos;
             bytes[pos] ^= flip;
-            let _ = decode_trace(&bytes); // must not panic
+            prop_assert_eq!(decode_trace(&bytes, &KEY), Err(DecodeError::ChecksumMismatch));
+        }
+
+        /// Flipping any single bit anywhere in a valid encoding is a
+        /// clean miss: header fields are validated, the key is compared
+        /// and the records are covered by the checksum, so no flip can
+        /// surface as a different-but-valid trace.
+        #[test]
+        fn single_bit_flip_is_a_clean_miss(
+            seed in 0u64..u64::MAX,
+            raw_pos in 0usize..=1 << 20,
+            bit in 0u8..8,
+        ) {
+            let trace: Vec<EpochRecord> = (0..3u64).map(|i| synth_record(seed ^ i)).collect();
+            let mut bytes = encode_trace(&KEY, &trace);
+            let pos = raw_pos % bytes.len();
+            bytes[pos] ^= 1 << bit;
+            prop_assert!(
+                decode_trace(&bytes, &KEY).is_err(),
+                "bit {} of byte {} flipped, still decoded", bit, pos
+            );
+        }
+
+        /// Overwriting a random span with arbitrary bytes is a clean miss
+        /// (unless the junk happens to equal what it replaced).
+        #[test]
+        fn span_corruption_is_a_clean_miss(
+            seed in 0u64..u64::MAX,
+            raw_start in 0usize..=1 << 20,
+            junk in proptest::collection::vec(0u8..=255, 1..64),
+        ) {
+            let trace: Vec<EpochRecord> = (0..3u64).map(|i| synth_record(seed ^ i)).collect();
+            let valid = encode_trace(&KEY, &trace);
+            let start = raw_start % valid.len();
+            let end = (start + junk.len()).min(valid.len());
+            let mut bytes = valid.clone();
+            bytes[start..end].copy_from_slice(&junk[..end - start]);
+            if bytes != valid {
+                prop_assert!(
+                    decode_trace(&bytes, &KEY).is_err(),
+                    "span [{}, {}) corrupted, still decoded", start, end
+                );
+            }
+        }
+
+        /// Any other format version, older or newer, is rejected with
+        /// the typed error carrying the version it found.
+        #[test]
+        fn version_skew_is_typed(version in 0u16..=u16::MAX) {
+            let mut bytes = encode_trace(&KEY, &[synth_record(7)]);
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            if version != VERSION {
+                prop_assert_eq!(
+                    decode_trace(&bytes, &KEY),
+                    Err(DecodeError::UnsupportedVersion(version))
+                );
+            }
+        }
+
+        /// Junk after the declared records is rejected.
+        #[test]
+        fn trailing_bytes_are_rejected(junk in proptest::collection::vec(0u8..=255, 1..32)) {
+            let mut bytes = encode_trace(&KEY, &[synth_record(7)]);
+            bytes.extend_from_slice(&junk);
+            prop_assert_eq!(
+                decode_trace(&bytes, &KEY),
+                Err(DecodeError::TrailingBytes(junk.len()))
+            );
+        }
+
+        /// An intact encoding asked for under any other key is rejected
+        /// with the typed mismatch, whichever key field differs.
+        #[test]
+        fn another_key_is_a_typed_miss(field in 0usize..3, delta in 1u64..=u64::MAX) {
+            let mut other = KEY;
+            let slot = match field {
+                0 => &mut other.spec,
+                1 => &mut other.workload,
+                _ => &mut other.config,
+            };
+            *slot = slot.wrapping_add(delta);
+            let bytes = encode_trace(&KEY, &[synth_record(7)]);
+            prop_assert_eq!(decode_trace(&bytes, &other), Err(DecodeError::KeyMismatch));
+        }
+
+        /// Arbitrary byte soup never decodes (and never panics), with or
+        /// without a valid magic in front.
+        #[test]
+        fn random_garbage_is_a_clean_miss(
+            soup in proptest::collection::vec(0u8..=255, 0..512),
+            magic in 0u8..2,
+        ) {
+            let mut bytes = if magic == 1 { MAGIC.to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&soup);
+            prop_assert!(decode_trace(&bytes, &KEY).is_err());
         }
 
         /// The binary codec and the legacy JSON path agree on every
@@ -559,7 +715,7 @@ mod tests {
             for rec in &mut trace {
                 scrub_floats(rec);
             }
-            let via_bin = decode_trace(&encode_trace(&trace)).expect("bin");
+            let via_bin = decode_trace(&encode_trace(&KEY, &trace), &KEY).expect("bin");
             let json = serde_json::to_string(&trace).expect("to json");
             let via_json: Vec<EpochRecord> = serde_json::from_str(&json).expect("from json");
             prop_assert_eq!(via_bin, via_json);

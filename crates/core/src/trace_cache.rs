@@ -39,7 +39,16 @@
 //! every publish writes a temporary of the writer's own and renames it
 //! into place, so readers only ever see complete files. Keys are
 //! content fingerprints, so racing writers — threads or processes —
-//! publish identical bytes and the last rename simply wins.
+//! publish identical bytes and the last rename simply wins. Each file
+//! carries its key and a checksum, so a file under another key's name
+//! or with damaged records reads as a miss and is republished.
+//!
+//! An optional cluster tier ([`TraceCache::set_remote`]) is asked when
+//! memory and disk both miss, before simulating: a [`RemoteFetcher`]
+//! returns a peer's [`TraceCache::export`] of the key, the trace's
+//! [`crate::trace_bin`] bytes, and the lookup decodes them against the
+//! key it asked for. Whatever the fetcher returns, a lookup never
+//! serves a trace that fails that decode; it simulates instead.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,12 +85,44 @@ impl TraceKey {
         }
     }
 
-    fn file_name(&self) -> String {
+    /// The key's text form: three fixed-width hex fingerprints joined
+    /// by `-`, as in `GET /v2/cache/trace/{spec}-{workload}-{config}`
+    /// and in the disk tier's file names.
+    pub fn token(&self) -> String {
         format!(
-            "trace-{:016x}-{:016x}-{:016x}.bin",
+            "{:016x}-{:016x}-{:016x}",
             self.spec, self.workload, self.config
         )
     }
+
+    /// Inverse of [`TraceKey::token`]; `None` on anything that is not
+    /// exactly three `-`-separated hex fields.
+    pub fn parse_token(s: &str) -> Option<TraceKey> {
+        let mut parts = s.split('-');
+        let mut next = || u64::from_str_radix(parts.next()?, 16).ok();
+        let key = TraceKey {
+            spec: next()?,
+            workload: next()?,
+            config: next()?,
+        };
+        parts.next().is_none().then_some(key)
+    }
+
+    fn file_name(&self) -> String {
+        format!("trace-{}.bin", self.token())
+    }
+}
+
+/// A pluggable cluster tier: given a key, return a peer's
+/// [`TraceCache::export`] bytes for it, or `None`.
+///
+/// Implementations bound `fetch` by a deadline of their own: the caller
+/// is a lookup that simulates as soon as `fetch` returns nothing.
+/// Returning wrong or corrupt bytes is safe (they fail decoding against
+/// the key and read as a miss) but wasteful.
+pub trait RemoteFetcher: Send + Sync {
+    /// Fetches the encoded trace of `key`.
+    fn fetch(&self, key: &TraceKey) -> Option<Vec<u8>>;
 }
 
 type Slot = Arc<OnceLock<Arc<Vec<EpochRecord>>>>;
@@ -124,6 +165,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Lookups answered by loading a trace from the disk layer.
     pub disk_hits: u64,
+    /// Lookups answered by a trace fetched from a cluster peer.
+    pub remote_hits: u64,
+    /// Peer fetches that returned nothing usable; each such lookup then
+    /// simulated (and counts as a miss too).
+    pub remote_misses: u64,
     /// Traces dropped to stay under the memory cap.
     pub evictions: u64,
     /// Traces published to the disk layer by this process.
@@ -140,9 +186,12 @@ pub struct CacheStats {
 pub struct TraceCache {
     inner: Mutex<Inner>,
     disk_dir: Mutex<Option<PathBuf>>,
+    remote: Mutex<Option<Arc<dyn RemoteFetcher>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
+    remote_hits: AtomicU64,
+    remote_misses: AtomicU64,
     evictions: AtomicU64,
     disk_writes: AtomicU64,
 }
@@ -184,6 +233,13 @@ impl TraceCache {
         *self.disk_dir.lock().expect("disk_dir lock") = dir;
     }
 
+    /// Installs (or removes, with `None`) the cluster tier: with a
+    /// fetcher installed, a lookup that memory and disk cannot answer
+    /// asks it before simulating.
+    pub fn set_remote(&self, fetcher: Option<Arc<dyn RemoteFetcher>>) {
+        *self.remote.lock().expect("remote lock") = fetcher;
+    }
+
     /// Bounds the resident set to `cap` bytes (`None` = unbounded, the
     /// default). Takes effect immediately: if the cache is already over
     /// the new budget, least-recently-used traces are evicted now.
@@ -199,7 +255,8 @@ impl TraceCache {
     }
 
     /// Returns the trace for `key`, simulating with `simulate` only if
-    /// no other lookup (past or concurrently in flight) has produced it.
+    /// no other lookup (past or concurrently in flight) has produced it
+    /// and neither the disk layer nor a cluster peer holds it.
     pub fn get_or_simulate(
         &self,
         key: TraceKey,
@@ -225,8 +282,11 @@ impl TraceCache {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return Arc::new(t);
                 }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let t = Arc::new(simulate());
+                let t = self.remote_load(&key).unwrap_or_else(|| {
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    simulate()
+                });
+                let t = Arc::new(t);
                 self.disk_store(&key, &t);
                 t
             })
@@ -274,6 +334,19 @@ impl TraceCache {
         Some(trace)
     }
 
+    /// The [`crate::trace_bin`] bytes of `key`'s trace if it is complete
+    /// in memory: what a peer's [`RemoteFetcher`] asks this cache for.
+    /// An export is not local cache traffic, so it counts no hit and
+    /// leaves the entry's LRU position alone. `None` when the trace is
+    /// absent or still in flight; it never simulates or reads disk.
+    pub fn export(&self, key: &TraceKey) -> Option<Vec<u8>> {
+        let trace = {
+            let inner = self.inner.lock().expect("trace cache lock");
+            Arc::clone(inner.map.get(key)?.slot.get()?)
+        };
+        Some(trace_bin::encode_trace(key, &trace))
+    }
+
     /// Evicts least-recently-used *completed* traces until the resident
     /// set fits the cap. In-flight entries (empty slots) are exempt:
     /// evicting one would let a concurrent lookup start a duplicate
@@ -313,6 +386,8 @@ impl TraceCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            remote_hits: self.remote_hits.load(Ordering::Relaxed),
+            remote_misses: self.remote_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
             entries: inner.map.len(),
@@ -321,18 +396,24 @@ impl TraceCache {
     }
 
     /// Drops every in-memory trace and zeroes the counters (the disk
-    /// layer, if any, is left untouched).
+    /// layer and the cluster tier, if any, are left installed).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("trace cache lock");
         inner.map.clear();
         inner.resident = 0;
         inner.clock = 0;
         drop(inner);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.disk_writes.store(0, Ordering::Relaxed);
+        for counter in [
+            &self.hits,
+            &self.misses,
+            &self.disk_hits,
+            &self.remote_hits,
+            &self.remote_misses,
+            &self.evictions,
+            &self.disk_writes,
+        ] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 
     fn disk_path(&self, key: &TraceKey) -> Option<PathBuf> {
@@ -343,18 +424,34 @@ impl TraceCache {
             .map(|d| d.join(key.file_name()))
     }
 
-    /// Reads the trace for `key` from the disk layer. A missing, corrupt
-    /// or stale-version file reads as a miss, and the caller re-derives.
+    /// Reads the trace for `key` from the disk layer. A missing, corrupt,
+    /// stale-version or misnamed file reads as a miss, and the caller
+    /// re-derives.
     fn disk_load(&self, key: &TraceKey) -> Option<Vec<EpochRecord>> {
         let bytes = std::fs::read(self.disk_path(key)?).ok()?;
-        trace_bin::decode_trace(&bytes).ok()
+        trace_bin::decode_trace(&bytes, key).ok()
+    }
+
+    /// Asks the cluster tier for `key`, counting a hit or a miss; `None`
+    /// without counting when no tier is installed.
+    fn remote_load(&self, key: &TraceKey) -> Option<Vec<EpochRecord>> {
+        let fetcher = self.remote.lock().expect("remote lock").clone()?;
+        let trace = fetcher
+            .fetch(key)
+            .and_then(|bytes| trace_bin::decode_trace(&bytes, key).ok());
+        let counter = match trace {
+            Some(_) => &self.remote_hits,
+            None => &self.remote_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        trace
     }
 
     fn disk_store(&self, key: &TraceKey, trace: &[EpochRecord]) {
         let Some(path) = self.disk_path(key) else {
             return;
         };
-        if write_then_rename(&path, &trace_bin::encode_trace(trace)).is_ok() {
+        if write_then_rename(&path, &trace_bin::encode_trace(key, trace)).is_ok() {
             self.disk_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -557,7 +654,49 @@ mod tests {
         assert_eq!(*got, simulate_trace(spec, &wl, cfg));
         // The recompute published a whole file over the corrupt one.
         let bytes = std::fs::read(dir.join(key.file_name())).expect("republished");
-        assert_eq!(trace_bin::decode_trace(&bytes).expect("decodes"), *got);
+        assert_eq!(
+            trace_bin::decode_trace(&bytes, &key).expect("decodes"),
+            *got
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_misnamed_file_reads_as_a_miss_and_is_republished() {
+        let dir =
+            std::env::temp_dir().join(format!("sa-trace-cache-misnamed-{}", std::process::id()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let cfg = TransmuterConfig::baseline();
+        let (wl_a, wl_b) = (tiny_workload(8), tiny_workload(9));
+        let (key_a, key_b) = (
+            TraceKey::new(&spec, &wl_a, &cfg),
+            TraceKey::new(&spec, &wl_b, &cfg),
+        );
+        let cache = TraceCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        cache.get_or_simulate(key_a, || simulate_trace(spec, &wl_a, cfg));
+        // A well-formed file copied under another key's name.
+        std::fs::copy(dir.join(key_a.file_name()), dir.join(key_b.file_name())).expect("copy");
+        cache.clear();
+        let sims = AtomicUsize::new(0);
+        let got = cache.get_or_simulate(key_b, || {
+            sims.fetch_add(1, Ordering::Relaxed);
+            simulate_trace(spec, &wl_b, cfg)
+        });
+        assert_eq!(
+            sims.load(Ordering::Relaxed),
+            1,
+            "another key's file must miss"
+        );
+        assert_eq!(*got, simulate_trace(spec, &wl_b, cfg));
+        let s = cache.stats();
+        assert_eq!((s.disk_hits, s.misses, s.disk_writes), (0, 1, 1));
+        // The recompute published the right trace over the copy.
+        let bytes = std::fs::read(dir.join(key_b.file_name())).expect("republished");
+        assert_eq!(
+            trace_bin::decode_trace(&bytes, &key_b).expect("decodes"),
+            *got
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -594,7 +733,7 @@ mod tests {
         let key = TraceKey::new(&spec, &wl, &cfg);
         let trace = simulate_trace(spec, &wl, cfg);
         let path = dir.join(key.file_name());
-        let whole = |bytes: &[u8]| trace_bin::decode_trace(bytes).is_ok_and(|t| t == trace);
+        let whole = |bytes: &[u8]| trace_bin::decode_trace(bytes, &key).is_ok_and(|t| t == trace);
         for round in 0..50 {
             // Each writer is a cache of its own on the shared directory,
             // as each shard process of a cluster is; nothing serialises
@@ -769,6 +908,7 @@ mod tests {
                 cache.peek(&key).is_none(),
                 "an in-flight trace is not a hit"
             );
+            assert!(cache.export(&key).is_none(), "nor is it exported");
             release_tx.send(()).expect("release the simulation");
             leader.join().expect("leader thread");
         });
@@ -801,6 +941,188 @@ mod tests {
         cache.get_or_simulate(key, || unreachable!("served from disk"));
         assert_eq!(cache.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn key_token_round_trips_and_rejects_garbage() {
+        let key = TraceKey {
+            spec: 0xdead_beef_0000_0001,
+            workload: 2,
+            config: u64::MAX,
+        };
+        assert_eq!(TraceKey::parse_token(&key.token()), Some(key));
+        assert_eq!(key.file_name(), format!("trace-{}.bin", key.token()));
+        for bad in [
+            "",
+            "zz",
+            "1-2",
+            "1-2-3-4",
+            "1-2-not_hex",
+            "0123456789abcdef01-2-3",
+        ] {
+            assert_eq!(TraceKey::parse_token(bad), None, "{bad:?}");
+        }
+    }
+
+    /// A cluster tier backed by another in-process cache: what a peer
+    /// shard is, minus the HTTP.
+    struct Peer(Arc<TraceCache>);
+
+    impl RemoteFetcher for Peer {
+        fn fetch(&self, key: &TraceKey) -> Option<Vec<u8>> {
+            self.0.export(key)
+        }
+    }
+
+    /// A peer that answers every key with one fixed blob.
+    struct Fixed(Vec<u8>);
+
+    impl RemoteFetcher for Fixed {
+        fn fetch(&self, _key: &TraceKey) -> Option<Vec<u8>> {
+            Some(self.0.clone())
+        }
+    }
+
+    /// A peer that never has anything and counts how often it was asked.
+    struct CountingMiss(AtomicUsize);
+
+    impl RemoteFetcher for CountingMiss {
+        fn fetch(&self, _key: &TraceKey) -> Option<Vec<u8>> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            None
+        }
+    }
+
+    #[test]
+    fn remote_tier_serves_peer_traces_bit_identically() {
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(50);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let peer = Arc::new(TraceCache::new());
+        let warm = peer.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        let local = TraceCache::new();
+        local.set_remote(Some(Arc::new(Peer(Arc::clone(&peer)))));
+        let fetched = local.get_or_simulate(key, || unreachable!("the peer holds the trace"));
+        assert_eq!(*fetched, *warm, "a fetched trace is the peer's trace");
+        let s = local.stats();
+        assert_eq!((s.remote_hits, s.remote_misses, s.misses), (1, 0, 0));
+        assert_eq!(s.entries, 1, "a fetched trace stays resident");
+        // The rerun is a memory hit and asks nobody.
+        local.get_or_simulate(key, || unreachable!("resident"));
+        let s = local.stats();
+        assert_eq!((s.hits, s.remote_hits), (1, 1));
+        // The peer counted none of it as its own traffic.
+        let p = peer.stats();
+        assert_eq!((p.hits, p.misses), (0, 1));
+    }
+
+    #[test]
+    fn blobs_for_another_key_are_rejected_by_fetch() {
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let cfg = TransmuterConfig::baseline();
+        let (wl_a, wl_b) = (tiny_workload(51), tiny_workload(52));
+        let (a, b) = (
+            TraceKey::new(&spec, &wl_a, &cfg),
+            TraceKey::new(&spec, &wl_b, &cfg),
+        );
+        let peer = TraceCache::new();
+        peer.get_or_simulate(a, || simulate_trace(spec, &wl_a, cfg));
+        let blob_a = peer.export(&a).expect("resident");
+        assert_eq!(
+            trace_bin::decode_trace(&blob_a, &b),
+            Err(trace_bin::DecodeError::KeyMismatch)
+        );
+        // Asked for `b`, a peer answering with `a`'s trace gives a miss,
+        // and the lookup simulates `b` itself.
+        let local = TraceCache::new();
+        local.set_remote(Some(Arc::new(Fixed(blob_a))));
+        let got = local.get_or_simulate(b, || simulate_trace(spec, &wl_b, cfg));
+        assert_eq!(*got, simulate_trace(spec, &wl_b, cfg));
+        let s = local.stats();
+        assert_eq!((s.remote_hits, s.remote_misses, s.misses), (0, 1, 1));
+    }
+
+    #[test]
+    fn fetched_traces_round_trip_and_garbage_is_a_miss() {
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(53);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let peer = TraceCache::new();
+        let trace = peer.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        let blob = peer.export(&key).expect("resident");
+        assert_eq!(
+            trace_bin::decode_trace(&blob, &key).expect("decodes"),
+            *trace
+        );
+        // Garbage and damaged bytes from a peer are misses that simulate.
+        let mut flipped = blob.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x40;
+        for garbage in [b"SA".to_vec(), b"SATRgarbage".to_vec(), flipped] {
+            let asking = TraceCache::new();
+            asking.set_remote(Some(Arc::new(Fixed(garbage))));
+            let got = asking.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+            assert_eq!(*got, *trace);
+            let s = asking.stats();
+            assert_eq!((s.remote_hits, s.remote_misses, s.misses), (0, 1, 1));
+        }
+    }
+
+    #[test]
+    fn a_miss_asks_its_peers_once() {
+        let dir = std::env::temp_dir().join(format!("sa-trace-cache-asks-{}", std::process::id()));
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let wl = tiny_workload(54);
+        let cfg = TransmuterConfig::baseline();
+        let key = TraceKey::new(&spec, &wl, &cfg);
+        let cache = TraceCache::new();
+        cache.set_disk_dir(Some(dir.clone()));
+        let fetcher = Arc::new(CountingMiss(AtomicUsize::new(0)));
+        cache.set_remote(Some(fetcher.clone()));
+        let asked = || fetcher.0.load(Ordering::Relaxed);
+        cache.get_or_simulate(key, || simulate_trace(spec, &wl, cfg));
+        assert_eq!(asked(), 1, "a cold lookup asks once, then simulates");
+        // Neither a resident trace nor a disk copy asks again.
+        cache.get_or_simulate(key, || unreachable!("resident"));
+        cache.clear();
+        cache.get_or_simulate(key, || unreachable!("on disk"));
+        assert_eq!(asked(), 1);
+        let s = cache.stats();
+        assert_eq!(
+            (s.disk_hits, s.remote_misses),
+            (1, 0),
+            "counters were cleared"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn export_counts_no_hit_and_keeps_lru_order() {
+        let cache = TraceCache::new();
+        let spec = MachineSpec::default().with_epoch_ops(100);
+        let cfg = TransmuterConfig::baseline();
+        let wls: Vec<Workload> = (55..58).map(tiny_workload).collect();
+        let keys: Vec<TraceKey> = wls.iter().map(|w| TraceKey::new(&spec, w, &cfg)).collect();
+        assert!(cache.export(&keys[0]).is_none(), "absent");
+        let one = trace_bytes(&simulate_trace(spec, &wls[0], cfg));
+        // Room for two traces.
+        cache.set_memory_cap(Some(2 * one));
+        for (key, wl) in keys.iter().zip(&wls).take(2) {
+            cache.get_or_simulate(*key, || simulate_trace(spec, wl, cfg));
+        }
+        let exported = cache.export(&keys[0]).expect("resident");
+        assert_eq!(
+            trace_bin::decode_trace(&exported, &keys[0]).expect("decodes"),
+            simulate_trace(spec, &wls[0], cfg)
+        );
+        assert_eq!(cache.stats().hits, 0, "an export is not a hit");
+        // The export did not refresh the oldest entry, so the third
+        // insert still evicts it.
+        cache.get_or_simulate(keys[2], || simulate_trace(spec, &wls[2], cfg));
+        assert!(cache.export(&keys[0]).is_none(), "the exported entry went");
+        assert!(cache.export(&keys[1]).is_some());
     }
 
     // --- property tests -------------------------------------------------

@@ -4,8 +4,7 @@
 //! Usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--connections N]
 //!                [--rps R | --replay FILE]
 //!                [--out FILE] [--guard FILE] [--guard-factor F]
-//!        loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS]
-//!                [--out FILE]
+//!        loadgen --peer-ab [--serve-exe PATH] [--out FILE]
 //! ```
 //!
 //! Every measured request goes through one epoll engine and is timed
@@ -26,45 +25,40 @@
 //! {2xx, backpressure}, any server-initiated disconnect, or a guard
 //! breach.
 //!
-//! `--epoch-ab` is a self-contained mode: it spawns two fresh two-shard
+//! `--peer-ab` is a self-contained mode: it spawns two fresh two-shard
 //! clusters from `--serve-exe` (default: the `serve` binary next to
-//! this one) — remote epoch tier on, then off — warms shard A, measures
-//! the same 105 simulations (the default mix's five kernel/matrix pairs
-//! × 21 sampled configurations) live on shard B, and merges the comparison
-//! into `--out` as the `cluster_epoch_tier` block. It fails when the
-//! arms' simulation payloads differ, the tier-on arm saw no remote
-//! hits, or any pass saw an error.
+//! this one) — the trace cache's cluster tier on (`--peer-fetch`, with
+//! a 2,000 ms budget), then off — warms shard A, measures the same 105
+//! simulations (the default mix's five kernel/matrix pairs × 21 sampled
+//! configurations) live on shard B, and merges the comparison into
+//! `--out` as the `cluster_peer_tier` block. It fails when the arms'
+//! simulation payloads differ, the tier-on arm saw no remote hits, or
+//! any pass saw an error.
 
 use std::path::PathBuf;
 
 use serde::Serialize;
-use serve::loadgen::{
-    check_guard, merge_report, run, run_epoch_ab, EpochAbConfig, LoadgenConfig, PhaseStats,
-};
+use serve::loadgen::{check_guard, merge_report, run, run_peer_ab, LoadgenConfig, PhaseStats};
 
 fn usage_and_exit(code: i32) -> ! {
     eprintln!(
         "usage: loadgen [--addr HOST:PORT] [--duration SECONDS] [--connections N] \
          [--rps R | --replay FILE] [--out FILE] [--guard FILE] [--guard-factor F] | \
-         loadgen --epoch-ab [--serve-exe PATH] [--epoch-budget-ms MS] [--out FILE]"
+         loadgen --peer-ab [--serve-exe PATH] [--out FILE]"
     );
     std::process::exit(code);
 }
 
-/// The `--epoch-ab` half of the command line.
-struct EpochAbCli {
+/// The `--peer-ab` half of the command line.
+#[derive(Default)]
+struct PeerAbCli {
     enabled: bool,
     serve_exe: Option<PathBuf>,
-    budget_ms: u64,
 }
 
-fn parse_config() -> (LoadgenConfig, EpochAbCli) {
+fn parse_config() -> (LoadgenConfig, PeerAbCli) {
     let mut config = LoadgenConfig::default();
-    let mut epoch_ab = EpochAbCli {
-        enabled: false,
-        serve_exe: None,
-        budget_ms: 2_000,
-    };
+    let mut peer_ab = PeerAbCli::default();
     let mut args = std::env::args().skip(1);
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| {
@@ -120,19 +114,9 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
                         usage_and_exit(2)
                     })
             }
-            "--epoch-ab" => epoch_ab.enabled = true,
+            "--peer-ab" => peer_ab.enabled = true,
             "--serve-exe" => {
-                epoch_ab.serve_exe = Some(PathBuf::from(need(&mut args, "--serve-exe")))
-            }
-            "--epoch-budget-ms" => {
-                epoch_ab.budget_ms = need(&mut args, "--epoch-budget-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--epoch-budget-ms needs a positive integer");
-                        usage_and_exit(2)
-                    })
+                peer_ab.serve_exe = Some(PathBuf::from(need(&mut args, "--serve-exe")))
             }
             "--help" | "-h" => usage_and_exit(0),
             other => {
@@ -145,7 +129,7 @@ fn parse_config() -> (LoadgenConfig, EpochAbCli) {
         eprintln!("--rps and --replay are two different schedules; pass one");
         usage_and_exit(2)
     }
-    (config, epoch_ab)
+    (config, peer_ab)
 }
 
 /// Prints `report` and merges it into `--out` under `key`; exits 1 when
@@ -174,10 +158,10 @@ fn phase_failed(name: &str, phase: &PhaseStats) -> bool {
     failed
 }
 
-/// Runs the self-contained epoch-tier A/B and exits. Failure modes:
+/// Runs the self-contained peer-tier A/B and exits. Failure modes:
 /// differing payloads across arms, no remote hits with the tier on, or
 /// request errors in any pass.
-fn run_epoch_ab_mode(config: &LoadgenConfig, cli: &EpochAbCli) -> ! {
+fn run_peer_ab_mode(config: &LoadgenConfig, cli: &PeerAbCli) -> ! {
     let serve_exe = cli.serve_exe.clone().unwrap_or_else(|| {
         std::env::current_exe()
             .ok()
@@ -194,48 +178,47 @@ fn run_epoch_ab_mode(config: &LoadgenConfig, cli: &EpochAbCli) -> ! {
         );
         std::process::exit(1);
     }
-    let report = match run_epoch_ab(&EpochAbConfig {
-        serve_exe,
-        budget_ms: cli.budget_ms,
-    }) {
+    let report = match run_peer_ab(&serve_exe) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("loadgen: epoch-ab: {e}");
+            eprintln!("loadgen: peer-ab: {e}");
             std::process::exit(1);
         }
     };
-    publish(config, "cluster_epoch_tier", &report);
+    publish(config, "cluster_peer_tier", &report);
     eprintln!(
-        "# epoch tier on: live B mean {:.2} ms (remote hit ratio {:.3}, fetch p50 {:.2} ms, \
-         p95 {:.2} ms); off: {:.2} ms; speedup {:.2}x; payloads identical: {}",
+        "# peer tier on: live B mean {:.2} ms ({} remote hits, {} remote misses, {} simulated, \
+         fetch p50 {:.2} ms, mean {:.2} ms); off: {:.2} ms; speedup {:.2}x; payloads identical: {}",
         report.tier_on.live_b.mean_ms,
-        report.tier_on.remote_hit_ratio,
-        report.tier_on.remote_fetch_p50_ms,
-        report.tier_on.remote_fetch_p95_ms,
+        report.tier_on.remote_hits,
+        report.tier_on.remote_misses,
+        report.tier_on.misses,
+        report.tier_on.fetch_p50_ms,
+        report.tier_on.fetch_mean_ms,
         report.tier_off.live_b.mean_ms,
         report.warm_speedup,
         report.identical,
     );
     let mut failed = false;
     if !report.identical {
-        eprintln!("loadgen: epoch-ab: arms returned different simulation payloads");
+        eprintln!("loadgen: peer-ab: arms returned different simulation payloads");
         failed = true;
     }
     if report.tier_on.remote_hits == 0 {
-        eprintln!("loadgen: epoch-ab: tier-on arm saw no remote hits");
+        eprintln!("loadgen: peer-ab: tier-on arm saw no remote hits");
         failed = true;
     }
     for (name, arm) in [("on", &report.tier_on), ("off", &report.tier_off)] {
-        failed |= phase_failed(&format!("epoch-ab tier-{name} warm A"), &arm.warm_a);
-        failed |= phase_failed(&format!("epoch-ab tier-{name} live B"), &arm.live_b);
+        failed |= phase_failed(&format!("peer-ab tier-{name} warm A"), &arm.warm_a);
+        failed |= phase_failed(&format!("peer-ab tier-{name} live B"), &arm.live_b);
     }
     std::process::exit(i32::from(failed))
 }
 
 fn main() {
-    let (config, epoch_ab) = parse_config();
-    if epoch_ab.enabled {
-        run_epoch_ab_mode(&config, &epoch_ab);
+    let (config, peer_ab) = parse_config();
+    if peer_ab.enabled {
+        run_peer_ab_mode(&config, &peer_ab);
     }
     let key = config.key();
     let report = match run(&config) {

@@ -4,8 +4,8 @@
 //! Usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!              [--max-conns N] [--idle-timeout-ms MS]
 //!              [--cache-dir DIR] [--cache-mem-cap BYTES]
-//!              [--epoch-cache] [--epoch-peer-fetch]
-//!              [--epoch-fetch-budget-ms MS] [--addr-file PATH]
+//!              [--peer-fetch] [--peer-fetch-budget-ms MS]
+//!              [--addr-file PATH]
 //!              [--router --shards N [--shard-weights W,..]
 //!               [--allow-admin] [--record FILE]]
 //! Scale via SA_SCALE = quick | half | paper (default quick).
@@ -20,11 +20,10 @@
 //! one per shard); `--allow-admin` opts into runtime topology mutations
 //! via the `/v2/admin` control plane (add/remove/reweight shards).
 //!
-//! `--epoch-cache` enables the in-memory epoch-boundary cache.
-//! `--epoch-peer-fetch` lets a shard fetch the rest of a run it is
-//! missing from cluster peers (discovered from the pushed topology) as
-//! one segment, with a hard `--epoch-fetch-budget-ms` wall-clock budget
-//! per fetch.
+//! `--peer-fetch` lets a shard fetch a trace that neither its memory
+//! nor its disk tier holds from cluster peers (discovered from the
+//! pushed topology) before simulating it, with a hard
+//! `--peer-fetch-budget-ms` wall-clock budget per fetch (default 25).
 //!
 //! The process drains cleanly on SIGINT/SIGTERM or `POST
 //! /v2/admin/drain`: it stops accepting, finishes in-flight work, and
@@ -41,7 +40,7 @@ fn usage_and_exit(code: i32) -> ! {
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--max-conns N] [--idle-timeout-ms MS] \
          [--cache-dir DIR] [--cache-mem-cap BYTES] \
-         [--epoch-cache] [--epoch-peer-fetch] [--epoch-fetch-budget-ms MS] \
+         [--peer-fetch] [--peer-fetch-budget-ms MS] \
          [--addr-file PATH] [--router --shards N [--shard-weights W,..] \
          [--allow-admin] [--record FILE]]"
     );
@@ -110,15 +109,14 @@ fn parse_cli() -> Cli {
             "--addr-file" => {
                 cli.config.addr_file = Some(PathBuf::from(need(&mut args, "--addr-file")))
             }
-            "--epoch-cache" => cli.config.epoch_cache = true,
-            "--epoch-peer-fetch" => cli.config.epoch_peer_fetch = true,
-            "--epoch-fetch-budget-ms" => {
-                cli.config.epoch_fetch_budget_ms = need(&mut args, "--epoch-fetch-budget-ms")
+            "--peer-fetch" => cli.config.peer_fetch = true,
+            "--peer-fetch-budget-ms" => {
+                cli.config.peer_fetch_budget_ms = need(&mut args, "--peer-fetch-budget-ms")
                     .parse()
                     .ok()
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| {
-                        eprintln!("--epoch-fetch-budget-ms needs a positive integer");
+                        eprintln!("--peer-fetch-budget-ms needs a positive integer");
                         usage_and_exit(2)
                     })
             }
@@ -229,9 +227,8 @@ fn run_router(cli: Cli) {
         queue_cap: cli.config.queue_cap,
         cache_dir: cli.config.cache_dir.clone(),
         cache_mem_cap: cli.config.cache_mem_cap,
-        epoch_cache: cli.config.epoch_cache,
-        epoch_peer_fetch: cli.config.epoch_peer_fetch,
-        epoch_fetch_budget_ms: cli.config.epoch_fetch_budget_ms,
+        peer_fetch: cli.config.peer_fetch,
+        peer_fetch_budget_ms: cli.config.peer_fetch_budget_ms,
         run_dir,
     }) {
         Ok(shards) => shards,

@@ -11,7 +11,7 @@
 //! probe in-memory maps without building, loading or waiting on a
 //! lock, and remember what they answer. Everything else — a miss, a
 //! busy lock, a larger body, an uploaded matrix, and the sweep, upload
-//! and epoch routes — runs on a pool worker, admitted by
+//! and peer trace routes — runs on a pool worker, admitted by
 //! [`crate::queue::admit`], and answers through the request's
 //! [`Reply`]. Simulate misses also coalesce on
 //! the pool: a request whose key is already in flight leaves its reply
@@ -32,10 +32,9 @@ use std::time::Instant;
 
 use sa_bench::experiments::Kernel;
 use serde::Deserialize;
-use sparseadapt::epoch_cache::{simulate_trace_adaptive_keyed, EpochCache, EpochKey};
 use sparseadapt::service::{self, summarize_trace};
 use sparseadapt::stitch::{sample_configs, SweepData};
-use sparseadapt::trace_cache::{TraceCache, TraceKey};
+use sparseadapt::trace_cache::{simulate_trace, TraceCache, TraceKey};
 use sparseadapt::PredictiveEnsemble;
 use transmuter::machine::EpochRecord;
 
@@ -108,7 +107,6 @@ pub fn metrics(state: &AppState) -> Response {
     let mut snap = state.metrics.snapshot(
         gauges,
         TraceCache::global().stats(),
-        EpochCache::global().stats(),
         state.answers.stats(),
         state.reactor.snapshot(),
     );
@@ -240,31 +238,26 @@ fn apply_topology(state: &Arc<AppState>, doc: TopologyDoc, reply: Reply) {
     );
 }
 
-/// `GET /v2/cache/epoch/{token}`: the serve side of the cluster epoch
-/// tier. The shard follows the content-addressed digest chain from the
-/// key through its memory and answers one compact (`SAEG`) segment as
-/// `application/octet-stream`: records for up to
-/// [`SEGMENT_CAP`](sparseadapt::epoch_cache::SEGMENT_CAP) consecutive
-/// epochs plus the last one's exit state, fast-forwarding the
-/// requester's whole run in one response. Runs on the pool: an export
-/// digests up to that many machine states. A busy shard therefore
-/// answers later, and the requester falls back to simulating once its
-/// fetch budget expires.
-pub fn epoch_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
-    let Some(key) = EpochKey::parse_token(epoch_token(&req)) else {
-        return reply.send(Response::error(400, "malformed epoch cache key"));
+/// `GET /v2/cache/trace/{spec}-{workload}-{config}`: the serve side of
+/// the trace cache's cluster tier. The shard answers a trace complete in
+/// its memory with its `SATR` bytes ([`TraceCache::export`]) as
+/// `application/octet-stream`, counting no hit and moving no LRU
+/// position; a trace it does not hold, or still simulates, is a 404.
+/// Runs on the pool, which may wait on the cache's lock. A busy shard
+/// therefore answers later, and the requester falls back to simulating
+/// once its fetch budget expires.
+pub fn trace_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
+    let token = req
+        .path
+        .strip_prefix(crate::peer_tier::TRACE_PATH)
+        .unwrap_or_default();
+    let Some(key) = TraceKey::parse_token(token) else {
+        return reply.send(Response::error(400, "malformed trace cache key"));
     };
-    reply.send(match EpochCache::global().export_segment(&key) {
+    reply.send(match TraceCache::global().export(&key) {
         Some(bytes) => Response::octet(200, bytes),
-        None => Response::error(404, "epoch not cached on this shard"),
+        None => Response::error(404, "trace not cached on this shard"),
     });
-}
-
-/// The key token of a `/v2/cache/epoch/{token}` path.
-fn epoch_token(req: &Request) -> &str {
-    req.path
-        .strip_prefix("/v2/cache/epoch/")
-        .unwrap_or_default()
 }
 
 /// `GET /v1/jobs` and `GET /v2/jobs`.
@@ -400,13 +393,7 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
     };
     let trace = TraceCache::global().get_or_simulate(key, || {
         ran.store(true, Ordering::Relaxed);
-        // Routed through the epoch cache when enabled (a no-op
-        // passthrough to `simulate_trace` otherwise): a trace-cache
-        // miss can still fast-forward epoch-by-epoch from memory or —
-        // with `--epoch-peer-fetch` — the rest of the cluster.
-        // Fingerprints are reused from `key` so the warm path hashes
-        // nothing twice.
-        simulate_trace_adaptive_keyed(spec, &workload, r.config, key.spec, key.workload)
+        simulate_trace(spec, &workload, r.config)
     });
     let response = simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started);
     serde_json::to_string(&response).expect("simulate response serializes")

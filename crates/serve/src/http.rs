@@ -82,7 +82,7 @@ impl Response {
     }
 
     /// A binary response (`application/octet-stream`) with the given
-    /// status — the shard-to-shard epoch-cache wire format.
+    /// status — the shard-to-shard trace wire format.
     pub fn octet(status: u16, body: Vec<u8>) -> Response {
         Response {
             status,

@@ -24,11 +24,11 @@
 //!   replies, eventfd wakeups, timer wheel
 //! - [`shard`] — cluster mode: consistent-hash router, health checks,
 //!   failover, merged metrics, shard process spawning
-//! - [`epoch_tier`] — the cluster epoch-cache tier: budgeted peer
-//!   fetch-on-miss
+//! - [`peer_tier`] — the trace cache's cluster tier: budgeted peer
+//!   fetch-on-miss of whole traces
 //! - [`loadgen`] — the load-testing client: one epoll engine that times
 //!   every request from its due time, driving the cold pass, closed
-//!   loop, open loop, replay and epoch-tier A/B schedules; exact
+//!   loop, open loop, replay and peer-tier A/B schedules; exact
 //!   percentiles, p99 regression guard
 //!
 //! See `DESIGN.md` §"Serving layer" for the API schema and the
@@ -40,12 +40,12 @@
 pub mod answer_memo;
 pub mod api;
 pub mod coalesce;
-pub mod epoch_tier;
 pub mod handlers;
 pub mod http;
 pub mod jobs;
 pub mod loadgen;
 pub mod metrics;
+pub mod peer_tier;
 pub mod queue;
 pub mod reactor;
 pub mod router;

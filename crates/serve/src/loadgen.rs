@@ -21,7 +21,7 @@
 //! - **replay** (`replay`): the records of a JSONL log, as written by
 //!   the router's `--record` flag, at their recorded offsets,
 //!   round-robin over the connections;
-//! - **epoch-tier A/B** ([`run_epoch_ab`]): 105 distinct simulations
+//! - **peer-tier A/B** ([`run_peer_ab`]): 105 distinct simulations
 //!   (the default mix's kernel/matrix pairs × sampled configurations)
 //!   once per pass on one connection.
 //!
@@ -1007,62 +1007,50 @@ pub fn merge_report(path: &Path, key: &str, block: Value) -> Result<(), String> 
 }
 
 // ---------------------------------------------------------------------------
-// Cluster epoch-tier A/B (`loadgen --epoch-ab`)
+// Cluster peer-tier A/B (`loadgen --peer-ab`)
 // ---------------------------------------------------------------------------
 
-/// Settings of the self-contained cluster epoch-tier A/B. Unlike the
-/// other modes this one does not hit a caller-provided daemon: it
-/// spawns its own two-shard clusters (one per arm) from `serve_exe`, so
-/// both arms start from a provably cold tier.
-#[derive(Debug, Clone)]
-pub struct EpochAbConfig {
-    /// The `serve` binary to spawn shard processes from.
-    pub serve_exe: PathBuf,
-    /// Peer-fetch budget for the tier-on arm, milliseconds.
-    pub budget_ms: u64,
-}
+/// Peer-fetch budget of the A/B's tier-on arm, milliseconds: generous,
+/// so a slow host turns no real hit into a deadline miss.
+const PEER_AB_BUDGET_MS: u64 = 2_000;
 
-/// One arm of the epoch-tier A/B: warm shard A with the simulate mix,
-/// then measure the same mix live on shard B — with the remote tier on
-/// (B fast-forwards through A's epochs) or off (B recomputes all of
-/// them).
+/// One arm of the peer-tier A/B: warm shard A with the simulate mix,
+/// then measure the same mix live on shard B — with the cluster tier
+/// on (B fetches A's traces) or off (B simulates all of them).
 #[derive(Debug, Clone, Serialize)]
-pub struct EpochAbArm {
-    /// The warm pass on shard A (populates A's epoch tier; its cold
+pub struct PeerAbArm {
+    /// The warm pass on shard A (populates A's trace cache; its cold
     /// latencies are the recompute reference).
     pub warm_a: PhaseStats,
     /// The measured live pass on shard B.
     pub live_b: PhaseStats,
-    /// B's epoch-cache remote hits after the pass.
+    /// B's trace-cache lookups answered by a peer after the pass.
     pub remote_hits: u64,
-    /// B's remote fetches that missed (peer didn't have the key or the
-    /// budget expired).
+    /// B's peer fetches that returned nothing usable (the peer did not
+    /// hold the trace or the budget expired).
     pub remote_misses: u64,
-    /// Epochs B fast-forwarded through fetched segments beyond the
-    /// boundary each answered (one round trip replays the rest of the
-    /// run).
-    pub remote_chain_entries: u64,
-    /// `remote_hits / (remote_hits + remote_misses)`.
-    pub remote_hit_ratio: f64,
-    /// Median remote fetch latency on B, milliseconds.
-    pub remote_fetch_p50_ms: f64,
-    /// 95th-percentile remote fetch latency on B, milliseconds.
-    pub remote_fetch_p95_ms: f64,
+    /// B's trace-cache lookups that simulated.
+    pub misses: u64,
+    /// Bucket-resolution median of B's peer fetches, milliseconds.
+    pub fetch_p50_ms: f64,
+    /// Mean wall time of B's peer fetches, milliseconds.
+    pub fetch_mean_ms: f64,
 }
 
-/// The `cluster_epoch_tier` block of `BENCH_serve.json`.
+/// The `cluster_peer_tier` block of `BENCH_serve.json`.
 #[derive(Debug, Clone, Serialize)]
-pub struct EpochAbReport {
+pub struct PeerAbReport {
     /// Simulate requests per pass.
     pub mix_size: usize,
     /// Peer-fetch budget used by the tier-on arm, milliseconds.
     pub budget_ms: u64,
-    /// Remote tier on: B is fed by A over `GET /v2/cache/epoch/{key}`.
-    pub tier_on: EpochAbArm,
-    /// Remote tier off: B recomputes everything locally.
-    pub tier_off: EpochAbArm,
+    /// Cluster tier on: B is fed by A over
+    /// `GET /v2/cache/trace/{spec}-{workload}-{config}`.
+    pub tier_on: PeerAbArm,
+    /// Cluster tier off: B simulates everything locally.
+    pub tier_off: PeerAbArm,
     /// `tier_off.live_b.mean_ms / tier_on.live_b.mean_ms` — the live
-    /// cluster-warm speedup the remote tier buys.
+    /// cluster-warm speedup the tier buys.
     pub warm_speedup: f64,
     /// Whether both arms returned identical simulation payloads
     /// (everything except the `cached` flag and wall-time field).
@@ -1070,15 +1058,15 @@ pub struct EpochAbReport {
 }
 
 /// Configurations the A/B simulates per kernel/matrix pair.
-const EPOCH_AB_CONFIGS: usize = 21;
+const PEER_AB_CONFIGS: usize = 21;
 
 /// The A/B's simulate set: each kernel/matrix pair of the default mix
-/// (five), in its own dialect, crossed with [`EPOCH_AB_CONFIGS`] sampled
+/// (five), in its own dialect, crossed with [`PEER_AB_CONFIGS`] sampled
 /// configurations (the three presets among them) — 105 distinct keys.
-/// Recommend requests never enter the epoch-cache path, so they would
-/// only dilute the A/B.
-fn epoch_ab_mix() -> Vec<PreparedRequest> {
-    let configs = sample_configs(MemKind::Cache, EPOCH_AB_CONFIGS, Harness::default().seed);
+/// Recommend requests never simulate, so they would only dilute the
+/// A/B.
+fn peer_ab_mix() -> Vec<PreparedRequest> {
+    let configs = sample_configs(MemKind::Cache, PEER_AB_CONFIGS, Harness::default().seed);
     let mut mix: Vec<PreparedRequest> = Vec::new();
     for r in default_mix()
         .into_iter()
@@ -1123,24 +1111,23 @@ fn normalized_sim_body(body: &[u8]) -> Option<String> {
 /// warm A with the mix, measure the mix on B, scrape B's counters.
 /// Returns the arm plus B's normalized response payloads in mix order
 /// (for the cross-arm identity check).
-fn run_epoch_arm(
-    cfg: &EpochAbConfig,
+fn run_peer_arm(
+    serve_exe: &Path,
     peer_fetch: bool,
     run_dir: PathBuf,
-) -> Result<(EpochAbArm, Vec<Option<String>>), String> {
+) -> Result<(PeerAbArm, Vec<Option<String>>), String> {
     let shards = crate::shard::spawn_shards(&crate::shard::ShardSpawn {
-        exe: cfg.serve_exe.clone(),
+        exe: serve_exe.to_path_buf(),
         count: 2,
         workers: 2,
         queue_cap: 64,
         cache_dir: None,
         cache_mem_cap: None,
-        epoch_cache: true,
-        epoch_peer_fetch: peer_fetch,
-        epoch_fetch_budget_ms: cfg.budget_ms.max(1),
+        peer_fetch,
+        peer_fetch_budget_ms: PEER_AB_BUDGET_MS,
         run_dir,
     })
-    .map_err(|e| format!("epoch-ab shard spawn: {e}"))?;
+    .map_err(|e| format!("peer-ab shard spawn: {e}"))?;
     let (a, b) = (shards[0].addr.to_string(), shards[1].addr.to_string());
 
     // Both arms get the same topology so "off" measures the fetch
@@ -1164,14 +1151,14 @@ fn run_epoch_arm(
         let resp = control(addr, "POST", "/v2/admin/topology", Some(&topo_body))?;
         if resp.status != 200 {
             return Err(format!(
-                "epoch-ab topology push to {addr}: {} {}",
+                "peer-ab topology push to {addr}: {} {}",
                 resp.status,
                 String::from_utf8_lossy(&resp.body)
             ));
         }
     }
 
-    let mix = epoch_ab_mix();
+    let mix = peer_ab_mix();
     let once = || Schedule::Closed {
         run_for: None,
         limit: Some(mix.len()),
@@ -1186,39 +1173,41 @@ fn run_epoch_arm(
     }
 
     let metrics = scrape_metrics(&b).unwrap_or(Value::Null);
-    let at = |name: &str| number_at(&metrics, &["epoch_cache", name]).unwrap_or(0.0);
+    let at = |path: &[&str]| number_at(&metrics, path).unwrap_or(0.0);
     drop(shards);
     Ok((
-        EpochAbArm {
+        PeerAbArm {
             warm_a,
             live_b: live.stats,
-            remote_hits: at("remote_hits") as u64,
-            remote_misses: at("remote_misses") as u64,
-            remote_chain_entries: at("remote_chain_entries") as u64,
-            remote_hit_ratio: at("remote_hit_ratio"),
-            remote_fetch_p50_ms: at("remote_fetch_p50_ms"),
-            remote_fetch_p95_ms: at("remote_fetch_p95_ms"),
+            remote_hits: at(&["trace_cache", "remote_hits"]) as u64,
+            remote_misses: at(&["trace_cache", "remote_misses"]) as u64,
+            misses: at(&["trace_cache", "misses"]) as u64,
+            fetch_p50_ms: at(&["peer_fetch", "p50_ms"]),
+            fetch_mean_ms: at(&["peer_fetch", "mean_ms"]),
         },
         payloads,
     ))
 }
 
-/// Runs the full A/B: the tier-on arm, then a fresh tier-off arm, and
-/// the cross-arm identity/speedup comparison.
+/// Runs the full A/B with shards spawned from `serve_exe`: the tier-on
+/// arm, then a fresh tier-off arm, and the cross-arm identity/speedup
+/// comparison. Unlike the other modes this one does not hit a
+/// caller-provided daemon: each arm spawns its own two-shard cluster,
+/// so both start from a provably cold cache.
 ///
 /// # Errors
 ///
 /// Returns a message when a cluster fails to boot or a topology push is
 /// rejected; request-level failures are reported in the phase stats
 /// instead.
-pub fn run_epoch_ab(cfg: &EpochAbConfig) -> Result<EpochAbReport, String> {
+pub fn run_peer_ab(serve_exe: &Path) -> Result<PeerAbReport, String> {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos())
         .unwrap_or(0);
-    let base = std::env::temp_dir().join(format!("sa_epoch_ab_{}_{nanos}", std::process::id()));
-    let on = run_epoch_arm(cfg, true, base.join("on"));
-    let off = run_epoch_arm(cfg, false, base.join("off"));
+    let base = std::env::temp_dir().join(format!("sa_peer_ab_{}_{nanos}", std::process::id()));
+    let on = run_peer_arm(serve_exe, true, base.join("on"));
+    let off = run_peer_arm(serve_exe, false, base.join("off"));
     let _ = std::fs::remove_dir_all(&base);
     let (tier_on, on_payloads) = on?;
     let (tier_off, off_payloads) = off?;
@@ -1230,9 +1219,9 @@ pub fn run_epoch_ab(cfg: &EpochAbConfig) -> Result<EpochAbReport, String> {
     let identical = !on_payloads.is_empty()
         && on_payloads.iter().all(Option::is_some)
         && on_payloads == off_payloads;
-    Ok(EpochAbReport {
+    Ok(PeerAbReport {
         mix_size: on_payloads.len(),
-        budget_ms: cfg.budget_ms,
+        budget_ms: PEER_AB_BUDGET_MS,
         tier_on,
         tier_off,
         warm_speedup,
@@ -1265,8 +1254,8 @@ mod tests {
     }
 
     #[test]
-    fn epoch_ab_mix_sends_105_distinct_simulations() {
-        let mix = epoch_ab_mix();
+    fn peer_ab_mix_sends_105_distinct_simulations() {
+        let mix = peer_ab_mix();
         let mut bodies: Vec<&str> = mix.iter().map(|r| r.body.as_str()).collect();
         bodies.sort_unstable();
         bodies.dedup();

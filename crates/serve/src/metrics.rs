@@ -1,5 +1,6 @@
-//! Server observability: request counters, a latency histogram, queue
-//! and cache gauges, rendered as JSON at `/metrics`.
+//! Server observability: request counters, latency histograms (requests
+//! and peer fetches), queue and cache gauges, rendered as JSON at
+//! `/metrics`.
 //!
 //! Counters are lock-free atomics on the hot path; the per-route
 //! breakdown uses a small mutexed map keyed by `(route, status)` — at
@@ -12,7 +13,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use sparseadapt::epoch_cache::EpochCacheStats;
 use sparseadapt::trace_cache::CacheStats;
 
 use crate::answer_memo::AnswerMemoStats;
@@ -123,6 +123,31 @@ pub struct HistogramSnapshot {
     pub p99_ms: f64,
 }
 
+impl HistogramSnapshot {
+    /// Adds `other`'s buckets, count and sum; the derived statistics
+    /// are stale until [`HistogramSnapshot::rederive`].
+    fn absorb(&mut self, other: &HistogramSnapshot) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_ms += other.sum_ms;
+    }
+
+    /// Recomputes the mean and the bucket-resolution percentiles from
+    /// the buckets, count and sum.
+    fn rederive(&mut self) {
+        self.mean_ms = if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ms / self.count as f64
+        };
+        self.p50_ms = percentile_from_counts(&self.counts, self.count, 0.50);
+        self.p95_ms = percentile_from_counts(&self.counts, self.count, 0.95);
+        self.p99_ms = percentile_from_counts(&self.counts, self.count, 0.99);
+    }
+}
+
 /// All counters the server keeps about itself.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
@@ -130,6 +155,7 @@ pub struct ServerMetrics {
     total: AtomicU64,
     rejected_429: AtomicU64,
     latency: LatencyHistogram,
+    peer_fetch: LatencyHistogram,
     coalesced: AtomicU64,
     started: Option<Instant>,
 }
@@ -163,13 +189,13 @@ pub struct MetricsSnapshot {
     pub requests_by_route: BTreeMap<String, u64>,
     /// End-to-end request latency histogram (admission wait included).
     pub latency: HistogramSnapshot,
+    /// Wall time of each fetch the trace cache asked peers for (`count`
+    /// is the fetches); empty without `--peer-fetch`.
+    pub peer_fetch: HistogramSnapshot,
     /// Admission queue gauges.
     pub queue: QueueGauges,
-    /// Process-wide trace cache counters.
+    /// Process-wide trace cache counters, its cluster tier included.
     pub trace_cache: TraceCacheSnapshot,
-    /// Process-wide epoch cache counters (both tiers: memory and the
-    /// cluster fetch tier). All zero when the epoch cache is off.
-    pub epoch_cache: EpochCacheSnapshot,
     /// The daemon's answer memo: requests answered from their bytes.
     pub answer_memo: AnswerMemoStats,
     /// Connection-level I/O gauges from the reactor.
@@ -220,6 +246,11 @@ pub struct TraceCacheSnapshot {
     pub misses: u64,
     /// Lookups answered from the disk layer.
     pub disk_hits: u64,
+    /// Lookups answered by a trace fetched from a cluster peer.
+    pub remote_hits: u64,
+    /// Peer fetches that returned nothing usable (the lookup then
+    /// simulated, and counts as a miss too).
+    pub remote_misses: u64,
     /// Traces published to the shared disk tier.
     pub disk_writes: u64,
     /// Traces evicted by the memory cap.
@@ -228,91 +259,39 @@ pub struct TraceCacheSnapshot {
     pub entries: usize,
     /// Bytes resident in memory.
     pub resident_bytes: usize,
-    /// `(hits + disk_hits) / (hits + disk_hits + misses)`, 0 when idle.
+    /// Fraction of lookups answered without simulating, any tier; 0
+    /// when idle.
     pub hit_ratio: f64,
+}
+
+impl TraceCacheSnapshot {
+    /// Recomputes [`TraceCacheSnapshot::hit_ratio`] from the counters.
+    fn rederive(&mut self) {
+        let answered = self.hits + self.disk_hits + self.remote_hits;
+        self.hit_ratio = if answered + self.misses == 0 {
+            0.0
+        } else {
+            answered as f64 / (answered + self.misses) as f64
+        };
+    }
 }
 
 impl From<CacheStats> for TraceCacheSnapshot {
     fn from(s: CacheStats) -> Self {
-        let answered = s.hits + s.disk_hits + s.misses;
-        TraceCacheSnapshot {
+        let mut snap = TraceCacheSnapshot {
             hits: s.hits,
             misses: s.misses,
             disk_hits: s.disk_hits,
+            remote_hits: s.remote_hits,
+            remote_misses: s.remote_misses,
             disk_writes: s.disk_writes,
             evictions: s.evictions,
             entries: s.entries,
             resident_bytes: s.resident_bytes,
-            hit_ratio: if answered == 0 {
-                0.0
-            } else {
-                (s.hits + s.disk_hits) as f64 / answered as f64
-            },
-        }
-    }
-}
-
-/// JSON shape of the epoch-cache stats (mirrors
-/// [`sparseadapt::epoch_cache::EpochCacheStats`] plus derived ratios).
-/// The `remote_*` counters are the cluster tier: fetch-on-miss hits,
-/// misses, bytes and latency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EpochCacheSnapshot {
-    /// Epoch-boundary lookups observed (a fetched segment answers one).
-    pub lookups: u64,
-    /// Lookups answered from memory.
-    pub hits: u64,
-    /// Lookups answered by a segment fetched from a cluster peer.
-    pub remote_hits: u64,
-    /// Remote fetches that returned nothing usable.
-    pub remote_misses: u64,
-    /// Epochs fetched segments fast-forwarded beyond the boundary each
-    /// answered.
-    pub remote_chain_entries: u64,
-    /// Fresh epochs recorded (misses that simulated).
-    pub inserts: u64,
-    /// Epochs evicted by the memory cap.
-    pub evictions: u64,
-    /// Bytes received from peers by remote fetches.
-    pub remote_bytes: u64,
-    /// Total wall time spent in remote fetches, ms.
-    pub remote_fetch_ms: f64,
-    /// Remote-fetch latency p50 over the recent sample window, ms.
-    pub remote_fetch_p50_ms: f64,
-    /// Remote-fetch latency p95 over the recent sample window, ms.
-    pub remote_fetch_p95_ms: f64,
-    /// Remote fetches skipped at the in-flight fetch cap.
-    pub remote_inflight_skipped: u64,
-    /// Epochs resident in memory.
-    pub entries: usize,
-    /// Bytes resident in memory.
-    pub resident_bytes: usize,
-    /// Fraction of lookups answered without simulating, any tier.
-    pub hit_ratio: f64,
-    /// `remote_hits / (remote_hits + remote_misses)`, 0 when idle.
-    pub remote_hit_ratio: f64,
-}
-
-impl From<EpochCacheStats> for EpochCacheSnapshot {
-    fn from(s: EpochCacheStats) -> Self {
-        EpochCacheSnapshot {
-            lookups: s.lookups,
-            hits: s.hits,
-            remote_hits: s.remote_hits,
-            remote_misses: s.remote_misses,
-            remote_chain_entries: s.remote_chain_entries,
-            inserts: s.inserts,
-            evictions: s.evictions,
-            remote_bytes: s.remote_bytes,
-            remote_fetch_ms: s.remote_fetch_us as f64 / 1000.0,
-            remote_fetch_p50_ms: s.remote_fetch_p50_ms,
-            remote_fetch_p95_ms: s.remote_fetch_p95_ms,
-            remote_inflight_skipped: s.remote_inflight_skipped,
-            entries: s.entries,
-            resident_bytes: s.resident_bytes,
-            hit_ratio: s.hit_rate(),
-            remote_hit_ratio: s.remote_hit_rate(),
-        }
+            hit_ratio: 0.0,
+        };
+        snap.rederive();
+        snap
     }
 }
 
@@ -333,12 +312,8 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         for (route, n) in &s.requests_by_route {
             *merged.requests_by_route.entry(route.clone()).or_insert(0) += n;
         }
-        let h = &mut merged.latency;
-        for (mine, theirs) in h.counts.iter_mut().zip(&s.latency.counts) {
-            *mine += theirs;
-        }
-        h.count += s.latency.count;
-        h.sum_ms += s.latency.sum_ms;
+        merged.latency.absorb(&s.latency);
+        merged.peer_fetch.absorb(&s.peer_fetch);
         merged.queue.queue_depth += s.queue.queue_depth;
         merged.queue.in_flight += s.queue.in_flight;
         merged.queue.queue_cap += s.queue.queue_cap;
@@ -347,27 +322,12 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         c.hits += s.trace_cache.hits;
         c.misses += s.trace_cache.misses;
         c.disk_hits += s.trace_cache.disk_hits;
+        c.remote_hits += s.trace_cache.remote_hits;
+        c.remote_misses += s.trace_cache.remote_misses;
         c.disk_writes += s.trace_cache.disk_writes;
         c.evictions += s.trace_cache.evictions;
         c.entries += s.trace_cache.entries;
         c.resident_bytes += s.trace_cache.resident_bytes;
-        let e = &mut merged.epoch_cache;
-        e.lookups += s.epoch_cache.lookups;
-        e.hits += s.epoch_cache.hits;
-        e.remote_hits += s.epoch_cache.remote_hits;
-        e.remote_misses += s.epoch_cache.remote_misses;
-        e.remote_chain_entries += s.epoch_cache.remote_chain_entries;
-        e.inserts += s.epoch_cache.inserts;
-        e.evictions += s.epoch_cache.evictions;
-        e.remote_bytes += s.epoch_cache.remote_bytes;
-        e.remote_fetch_ms += s.epoch_cache.remote_fetch_ms;
-        // Percentiles cannot be summed; the merged view reports the
-        // worst shard, which is the number capacity planning wants.
-        e.remote_fetch_p50_ms = e.remote_fetch_p50_ms.max(s.epoch_cache.remote_fetch_p50_ms);
-        e.remote_fetch_p95_ms = e.remote_fetch_p95_ms.max(s.epoch_cache.remote_fetch_p95_ms);
-        e.remote_inflight_skipped += s.epoch_cache.remote_inflight_skipped;
-        e.entries += s.epoch_cache.entries;
-        e.resident_bytes += s.epoch_cache.resident_bytes;
         let a = &mut merged.answer_memo;
         a.hits += s.answer_memo.hits;
         a.fills += s.answer_memo.fills;
@@ -386,34 +346,9 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         r.idle_closed_total += s.reactor.idle_closed_total;
         merged.topology_epoch = merged.topology_epoch.max(s.topology_epoch);
     }
-    let h = &mut merged.latency;
-    h.mean_ms = if h.count == 0 {
-        0.0
-    } else {
-        h.sum_ms / h.count as f64
-    };
-    h.p50_ms = percentile_from_counts(&h.counts, h.count, 0.50);
-    h.p95_ms = percentile_from_counts(&h.counts, h.count, 0.95);
-    h.p99_ms = percentile_from_counts(&h.counts, h.count, 0.99);
-    let c = &mut merged.trace_cache;
-    let answered = c.hits + c.disk_hits + c.misses;
-    c.hit_ratio = if answered == 0 {
-        0.0
-    } else {
-        (c.hits + c.disk_hits) as f64 / answered as f64
-    };
-    let e = &mut merged.epoch_cache;
-    e.hit_ratio = if e.lookups == 0 {
-        0.0
-    } else {
-        (e.hits + e.remote_hits) as f64 / e.lookups as f64
-    };
-    let attempts = e.remote_hits + e.remote_misses;
-    e.remote_hit_ratio = if attempts == 0 {
-        0.0
-    } else {
-        e.remote_hits as f64 / attempts as f64
-    };
+    merged.latency.rederive();
+    merged.peer_fetch.rederive();
+    merged.trace_cache.rederive();
     Some(merged)
 }
 
@@ -445,6 +380,12 @@ impl ServerMetrics {
         self.coalesced.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records the wall time of one fetch the trace cache's cluster
+    /// tier sent to peers ([`crate::peer_tier`]).
+    pub fn record_peer_fetch(&self, ms: f64) {
+        self.peer_fetch.observe_ms(ms);
+    }
+
     /// Requests rejected by admission control so far.
     pub fn rejected_429_total(&self) -> u64 {
         self.rejected_429.load(Ordering::Relaxed)
@@ -456,7 +397,6 @@ impl ServerMetrics {
         &self,
         queue: QueueGauges,
         cache: CacheStats,
-        epoch: EpochCacheStats,
         answers: AnswerMemoStats,
         reactor: ReactorSnapshot,
     ) -> MetricsSnapshot {
@@ -474,9 +414,9 @@ impl ServerMetrics {
             coalesced_total: self.coalesced.load(Ordering::Relaxed),
             requests_by_route: by_route,
             latency: self.latency.snapshot(),
+            peer_fetch: self.peer_fetch.snapshot(),
             queue,
             trace_cache: cache.into(),
-            epoch_cache: epoch.into(),
             answer_memo: answers,
             reactor,
             // Stamped by the caller (`handlers::metrics`) from the
@@ -489,12 +429,6 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparseadapt::epoch_cache::{EpochKey, RemoteFetcher};
-    use sparseadapt::EpochCache;
-    use std::sync::Arc;
-    use transmuter::config::{MachineSpec, TransmuterConfig};
-    use transmuter::machine::Machine;
-    use transmuter::workload::{Op, Phase, Workload};
 
     fn gauges() -> QueueGauges {
         QueueGauges {
@@ -558,7 +492,6 @@ mod tests {
         let s = m.snapshot(
             gauges(),
             CacheStats::default(),
-            EpochCacheStats::default(),
             AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
@@ -588,7 +521,6 @@ mod tests {
         let mut snap_a = a.snapshot(
             gauges(),
             CacheStats::default(),
-            EpochCacheStats::default(),
             AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
@@ -604,7 +536,6 @@ mod tests {
         let mut snap_b = b.snapshot(
             gauges(),
             CacheStats::default(),
-            EpochCacheStats::default(),
             AnswerMemoStats::default(),
             ReactorSnapshot::default(),
         );
@@ -666,58 +597,49 @@ mod tests {
         assert!((snap.hit_ratio - 0.8).abs() < 1e-12);
     }
 
-    /// A peer shard minus the HTTP: the segment `GET /v2/cache/epoch`
-    /// would answer.
-    struct Peer(Arc<EpochCache>);
-
-    impl RemoteFetcher for Peer {
-        fn fetch(&self, key: &EpochKey) -> Option<Vec<u8>> {
-            self.0.export_segment(key)
-        }
-    }
-
     #[test]
-    fn epoch_hit_ratios_stay_within_one() {
-        let stream: Vec<Op> = (0..60)
-            .flat_map(|i| {
-                [
-                    Op::Load {
-                        addr: i * 40,
-                        pc: 1,
-                    },
-                    Op::Flops(1),
-                ]
-            })
-            .collect();
-        let wl = Workload::new("peer-warm", vec![Phase::new("p", vec![stream; 16])]);
-        let spec = MachineSpec::default().with_epoch_ops(20);
-        let run = |cache: &EpochCache| {
-            let mut hook = cache.hook_for(spec.fingerprint(), wl.fingerprint());
-            Machine::new(spec, TransmuterConfig::baseline()).run_with_hook(&wl, &mut hook)
-        };
-        // A cold shard records the run; a peer-warm one replays it.
-        let cold = Arc::new(EpochCache::new());
-        let epochs = run(&cold).epochs.len();
-        assert!(epochs > 2, "need a multi-epoch run");
-        let warm = EpochCache::new();
-        warm.set_remote(Some(Arc::new(Peer(Arc::clone(&cold)))));
-        run(&warm);
-        let snapshot = |stats| {
-            ServerMetrics::new().snapshot(
+    fn trace_hit_ratios_stay_within_one_and_peer_fetches_merge() {
+        let snapshot = |cache, fetch_ms: &[f64]| {
+            let m = ServerMetrics::new();
+            for &ms in fetch_ms {
+                m.record_peer_fetch(ms);
+            }
+            m.snapshot(
                 gauges(),
-                CacheStats::default(),
-                stats,
+                cache,
                 AnswerMemoStats::default(),
                 ReactorSnapshot::default(),
             )
         };
-        let (cold, warm) = (snapshot(cold.stats()), snapshot(warm.stats()));
-        assert_eq!(warm.epoch_cache.remote_chain_entries as usize, epochs - 1);
-        assert_eq!(warm.epoch_cache.lookups, warm.epoch_cache.remote_hits);
-        assert_eq!(warm.epoch_cache.hit_ratio, 1.0);
-        assert_eq!(cold.epoch_cache.hit_ratio, 0.0);
+        // A cold shard simulated four traces; a peer-warm one fetched
+        // them, after one fetch that missed and simulated.
+        let cold = snapshot(
+            CacheStats {
+                misses: 4,
+                ..CacheStats::default()
+            },
+            &[],
+        );
+        let warm = snapshot(
+            CacheStats {
+                remote_hits: 4,
+                remote_misses: 1,
+                misses: 1,
+                ..CacheStats::default()
+            },
+            &[0.2, 0.3, 0.4, 3.0, 30.0],
+        );
+        assert_eq!(cold.trace_cache.hit_ratio, 0.0);
+        assert_eq!(warm.trace_cache.hit_ratio, 0.8);
+        assert_eq!(warm.peer_fetch.count, 5);
+        assert_eq!(warm.peer_fetch.p50_ms, 0.5);
         let m = merge_snapshots(&[cold, warm.clone(), warm]).expect("non-empty");
-        assert_eq!(m.epoch_cache.lookups as usize, epochs + 2);
-        assert_eq!(m.epoch_cache.hit_ratio, 2.0 / (epochs + 2) as f64);
+        let c = &m.trace_cache;
+        assert_eq!((c.remote_hits, c.remote_misses, c.misses), (8, 2, 6));
+        assert_eq!(c.hit_ratio, 8.0 / 14.0);
+        assert_eq!(m.peer_fetch.count, 10);
+        assert_eq!(m.peer_fetch.counts[0], 2, "two fetches of at most 0.25 ms");
+        assert!((m.peer_fetch.mean_ms - 33.9 / 5.0).abs() < 1e-9);
+        assert_eq!(m.peer_fetch.p95_ms, 32.0);
     }
 }

@@ -13,7 +13,7 @@
 //! the [answer memo](crate::answer_memo), keyed by the route label set
 //! here, without being decoded; any other body of at most
 //! [`crate::handlers::LOOP_BODY_MAX`] bytes is decoded on the loop. Sweep,
-//! upload and the epoch-cache `GET` always run on the pool (see
+//! upload and the peer trace `GET` always run on the pool (see
 //! [`crate::queue::admit`]), so nothing that simulates, reads disk or
 //! talks to the network holds the loop.
 //!
@@ -26,6 +26,7 @@ use std::sync::Arc;
 use crate::api::ApiVersion;
 use crate::handlers;
 use crate::http::{Request, Response};
+use crate::peer_tier::TRACE_PATH;
 use crate::queue;
 use crate::reactor::Reply;
 use crate::server::AppState;
@@ -70,12 +71,12 @@ pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
         // Upload is a /v2-only surface: the v1 shim predates content-
         // addressed matrices and stays frozen.
         ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(handlers::upload_matrix)),
-        // Shard-to-shard epoch-cache protocol (/v2-only, binary, read
-        // only): GET serves the segment of epochs chained from the key.
-        ("GET", path) if path.starts_with("/v2/cache/epoch/") => {
-            ("GET /v2/cache/epoch/:key", Pool(handlers::epoch_get))
+        // Shard-to-shard trace protocol (/v2-only, binary, read only):
+        // GET serves one trace from memory.
+        ("GET", path) if path.starts_with(TRACE_PATH) => {
+            ("GET /v2/cache/trace/:key", Pool(handlers::trace_get))
         }
-        (_, path) if path.starts_with("/v2/cache/epoch/") => (
+        (_, path) if path.starts_with(TRACE_PATH) => (
             "method_not_allowed",
             Loop(Response::error(405, "method not allowed for this path")),
         ),

@@ -26,7 +26,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sa_bench::Harness;
-use sparseadapt::epoch_cache::EpochCache;
 use sparseadapt::exec::Pool;
 use sparseadapt::trace_cache::TraceCache;
 use transmuter::workload::Workload;
@@ -134,15 +133,13 @@ pub struct ServeConfig {
     /// Only the daemon binary sets this; in-process test servers must
     /// not mask the test runner's signals.
     pub handle_signals: bool,
-    /// Enable the epoch-granular simulation cache (memory tier) for
-    /// simulate and sweep work.
-    pub epoch_cache: bool,
-    /// Consult cluster peers (from the pushed topology) on local epoch
-    /// misses, under the fetch budget. Implies `epoch_cache`.
-    pub epoch_peer_fetch: bool,
+    /// Ask cluster peers (from the pushed topology) for a trace that
+    /// memory and disk do not hold, under the fetch budget, before
+    /// simulating it.
+    pub peer_fetch: bool,
     /// Hard wall-clock budget for one peer fetch, milliseconds; expiry
     /// falls back to local simulation.
-    pub epoch_fetch_budget_ms: u64,
+    pub peer_fetch_budget_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -157,9 +154,8 @@ impl Default for ServeConfig {
             max_conns: 12288,
             idle_timeout_ms: 30_000,
             handle_signals: false,
-            epoch_cache: false,
-            epoch_peer_fetch: false,
-            epoch_fetch_budget_ms: 25,
+            peer_fetch: false,
+            peer_fetch_budget_ms: 25,
         }
     }
 }
@@ -191,8 +187,8 @@ pub struct AppState {
     /// (`POST /v2/admin/topology`), or `None` for a standalone daemon.
     /// Shards serve this back on `GET /v2/admin/topology` and stamp its
     /// epoch into `/metrics` so tests can cross-check every member's
-    /// view against the router's. The epoch-cache cluster tier
-    /// ([`crate::epoch_tier`]) also reads its peers from here.
+    /// view against the router's. The trace cache's cluster tier
+    /// ([`crate::peer_tier`]) also reads its peers from here.
     pub topology: Mutex<Option<TopologyDoc>>,
     /// The address this daemon is bound at — what the peer fetcher
     /// excludes from the topology's shard list to avoid asking itself.
@@ -322,11 +318,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     if config.cache_mem_cap.is_some() {
         TraceCache::global().set_memory_cap(config.cache_mem_cap);
     }
-    // Epoch tier: peer fetch is meaningless without the memory tier,
-    // so either epoch flag turns it on.
-    if config.epoch_cache || config.epoch_peer_fetch {
-        EpochCache::global().set_enabled(true);
-    }
     let workers = if config.workers == 0 {
         sparseadapt::exec::default_threads()
     } else {
@@ -363,11 +354,11 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         workloads: Mutex::new(HashMap::new()),
     });
     let stop = Arc::new(AtomicBool::new(false));
-    if config.epoch_peer_fetch {
-        EpochCache::global().set_remote(Some(Arc::new(crate::epoch_tier::PeerFetcher::new(
+    if config.peer_fetch {
+        TraceCache::global().set_remote(Some(Arc::new(crate::peer_tier::PeerFetcher::new(
             addr,
             Arc::clone(&state),
-            Duration::from_millis(config.epoch_fetch_budget_ms.max(1)),
+            Duration::from_millis(config.peer_fetch_budget_ms.max(1)),
         ))));
     }
 

@@ -50,12 +50,13 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use serde::Value;
+use serde::{Deserialize, Value};
 use sparseadapt::exec::{parallel_map, Pool};
+use transmuter::config::MemKind;
 
 use crate::api::{
-    code, parse_body, AddShardRequest, ApiError, ApiVersion, DrainStatusDoc, ReweightRequest,
-    ShardDoc, TopologyChangeResponse, TopologyDoc,
+    code, kernel_name, parse_body, parse_kernel, AddShardRequest, ApiError, ApiVersion,
+    DrainStatusDoc, ReweightRequest, ShardDoc, TopologyChangeResponse, TopologyDoc,
 };
 use crate::http::{read_response, write_request, Request, Response};
 use crate::metrics::{merge_snapshots, MetricsSnapshot, QueueGauges, ServerMetrics};
@@ -349,21 +350,40 @@ pub fn ring_diff(before: &Ring, after: &Ring) -> RingDiff {
 /// content hash otherwise, so even unparseable bodies route
 /// deterministically and the shard — not the router — owns rejecting
 /// them.
+///
+/// The identity is built the way a shard resolves the names: the
+/// canonical kernel name whatever its case, a missing `l1_kind` as the
+/// default one, and an `mtx:` id by the hash it parses to, so every
+/// spelling of one workload routes to one shard and simulates there
+/// once.
 pub fn routing_key(body: &[u8]) -> String {
-    if let Ok(text) = std::str::from_utf8(body) {
-        if let Ok(Value::Obj(fields)) = serde_json::parse_value_str(text) {
-            let kernel = serde::obj_get(&fields, "kernel");
-            let matrix = serde::obj_get(&fields, "matrix");
-            if let (Value::Str(k), Value::Str(m)) = (kernel, matrix) {
-                let l1 = match serde::obj_get(&fields, "l1_kind") {
-                    Value::Str(s) => s.as_str(),
-                    _ => "default",
-                };
-                return format!("{k}/{m}/{l1}");
-            }
-        }
-    }
-    format!("raw/{:016x}", fnv1a(body))
+    workload_identity(body).unwrap_or_else(|| format!("raw/{:016x}", fnv1a(body)))
+}
+
+/// The canonical `kernel/matrix/l1_kind` a simulate or sweep body names;
+/// `None` when it names no workload a shard would accept.
+fn workload_identity(body: &[u8]) -> Option<String> {
+    let Value::Obj(fields) = serde_json::parse_value_str(std::str::from_utf8(body).ok()?).ok()?
+    else {
+        return None;
+    };
+    let (Value::Str(kernel), Value::Str(matrix)) = (
+        serde::obj_get(&fields, "kernel"),
+        serde::obj_get(&fields, "matrix"),
+    ) else {
+        return None;
+    };
+    let kernel = kernel_name(parse_kernel(kernel).ok()?);
+    let l1_kind: Option<MemKind> =
+        Deserialize::from_value(serde::obj_get(&fields, "l1_kind")).ok()?;
+    let matrix = match matrix.strip_prefix("mtx:") {
+        Some(hex) => sparse::mtx::hash_id(u64::from_str_radix(hex, 16).ok()?),
+        None => matrix.clone(),
+    };
+    Some(format!(
+        "{kernel}/{matrix}/{:?}",
+        l1_kind.unwrap_or_default()
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1411,7 +1431,6 @@ fn router_metrics(state: &Arc<RouterState>) -> Response {
             workers: state.pool.workers(),
         },
         sparseadapt::trace_cache::CacheStats::default(),
-        sparseadapt::epoch_cache::EpochCacheStats::default(),
         crate::answer_memo::AnswerMemoStats::default(),
         state.reactor.snapshot(),
     );
@@ -1456,12 +1475,10 @@ pub struct ShardSpawn {
     pub cache_mem_cap: Option<usize>,
     /// Directory for the address rendezvous files.
     pub run_dir: PathBuf,
-    /// Enable the per-shard epoch cache (memory tier) on every shard.
-    pub epoch_cache: bool,
-    /// Enable shard-to-shard epoch fetch-on-miss on every shard.
-    pub epoch_peer_fetch: bool,
+    /// Enable shard-to-shard trace fetch-on-miss on every shard.
+    pub peer_fetch: bool,
     /// Per-fetch wall-clock budget forwarded to every shard, ms.
-    pub epoch_fetch_budget_ms: u64,
+    pub peer_fetch_budget_ms: u64,
 }
 
 /// A spawned shard process; killed (and reaped) on drop.
@@ -1523,13 +1540,10 @@ pub fn spawn_shards(spawn: &ShardSpawn) -> io::Result<Vec<ShardChild>> {
         if let Some(cap) = spawn.cache_mem_cap {
             cmd.arg("--cache-mem-cap").arg(cap.to_string());
         }
-        if spawn.epoch_cache {
-            cmd.arg("--epoch-cache");
-        }
-        if spawn.epoch_peer_fetch {
-            cmd.arg("--epoch-peer-fetch")
-                .arg("--epoch-fetch-budget-ms")
-                .arg(spawn.epoch_fetch_budget_ms.to_string());
+        if spawn.peer_fetch {
+            cmd.arg("--peer-fetch")
+                .arg("--peer-fetch-budget-ms")
+                .arg(spawn.peer_fetch_budget_ms.to_string());
         }
         let child = cmd.spawn()?;
         let addr = wait_for_addr(&addr_file, Duration::from_secs(10))?;
@@ -1816,12 +1830,48 @@ mod tests {
     #[test]
     fn routing_key_prefers_workload_identity() {
         let body = br#"{"kernel": "spmspm", "matrix": "R01", "config_name": "baseline"}"#;
-        assert_eq!(routing_key(body), "spmspm/R01/default");
-        let with_l1 = br#"{"kernel": "spmspv", "matrix": "R02", "l1_kind": "Spad"}"#;
-        assert_eq!(routing_key(with_l1), "spmspv/R02/Spad");
+        assert_eq!(routing_key(body), "spmspm/R01/Cache");
+        let with_l1 = br#"{"kernel": "spmspv", "matrix": "R02", "l1_kind": "Spm"}"#;
+        assert_eq!(routing_key(with_l1), "spmspv/R02/Spm");
         // A sweep for the same workload routes to the same shard.
         let sweep = br#"{"kernel": "spmspm", "matrix": "R01", "sampled": 16}"#;
-        assert_eq!(routing_key(sweep), "spmspm/R01/default");
+        assert_eq!(routing_key(sweep), "spmspm/R01/Cache");
+    }
+
+    #[test]
+    fn every_spelling_of_one_workload_shares_a_routing_key() {
+        let same = [
+            &br#"{"kernel": "SpMSpV", "matrix": "R10"}"#[..],
+            br#"{"kernel": "spmspv", "matrix": "R10", "l1_kind": "Cache"}"#,
+            br#"{"kernel": "SPMSPV", "matrix": "R10", "l1_kind": null, "sampled": 4}"#,
+        ];
+        for body in same {
+            assert_eq!(routing_key(body), "spmspv/R10/Cache");
+        }
+        let hex = "00000000deadbeef";
+        let upper = routing_key(
+            format!(
+                r#"{{"kernel": "spmv", "matrix": "mtx:{}"}}"#,
+                hex.to_uppercase()
+            )
+            .as_bytes(),
+        );
+        let lower =
+            routing_key(format!(r#"{{"kernel": "SpMV", "matrix": "mtx:{hex}"}}"#).as_bytes());
+        assert_eq!(upper, lower);
+        assert_eq!(lower, format!("spmv/mtx:{hex}/Cache"));
+        // Names a shard would reject route by content hash.
+        for bad in [
+            &br#"{"kernel": "nope", "matrix": "R10"}"#[..],
+            br#"{"kernel": "spmv", "matrix": "mtx:not-hex"}"#,
+            br#"{"kernel": "spmv", "matrix": "R10", "l1_kind": "Spad"}"#,
+        ] {
+            assert!(
+                routing_key(bad).starts_with("raw/"),
+                "{:?}",
+                std::str::from_utf8(bad)
+            );
+        }
     }
 
     #[test]

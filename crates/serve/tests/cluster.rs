@@ -94,9 +94,8 @@ fn cluster_end_to_end() {
         queue_cap: 32,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        epoch_cache: false,
-        epoch_peer_fetch: false,
-        epoch_fetch_budget_ms: 25,
+        peer_fetch: false,
+        peer_fetch_budget_ms: 25,
         run_dir: base.join("run"),
     })
     .expect("shards boot");

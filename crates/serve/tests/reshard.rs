@@ -172,9 +172,8 @@ fn elastic_cluster_end_to_end() {
             queue_cap: 64,
             cache_dir: Some(cache_dir.clone()),
             cache_mem_cap: None,
-            epoch_cache: false,
-            epoch_peer_fetch: false,
-            epoch_fetch_budget_ms: 25,
+            peer_fetch: false,
+            peer_fetch_budget_ms: 25,
             run_dir,
         })
         .expect("shard boots")
@@ -188,9 +187,8 @@ fn elastic_cluster_end_to_end() {
         queue_cap: 64,
         cache_dir: Some(cache_dir.clone()),
         cache_mem_cap: None,
-        epoch_cache: false,
-        epoch_peer_fetch: false,
-        epoch_fetch_budget_ms: 25,
+        peer_fetch: false,
+        peer_fetch_budget_ms: 25,
         run_dir: base.join("run"),
     })
     .expect("shards boot");

@@ -186,23 +186,6 @@ pub struct CachedEpoch {
     pub exit: MachineState,
 }
 
-/// A run of consecutive cached epochs, fast-forwarded in one step: the
-/// records of every epoch in the segment plus the machine state at the
-/// *last* epoch's exit boundary. Interior exit states are deliberately
-/// absent — that is the point of the type. A remote peer following the
-/// content-addressed digest chain can ship a whole run as records plus
-/// one final state, ~20x smaller on the wire than one full
-/// [`MachineState`] per epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedSegment {
-    /// Records of the segment's epochs, in run order. Position and
-    /// reconfiguration attribution are spliced in by the consuming run,
-    /// exactly as for a single [`CachedEpoch`].
-    pub records: Vec<EpochRecord>,
-    /// Machine state at the exit boundary of the last epoch.
-    pub exit: MachineState,
-}
-
 /// Observes epoch boundaries during [`Machine::run_with_hook`] /
 /// [`Machine::run_with_controller_and_hook`], enabling epoch-granular
 /// memoization: a `lookup` hit fast-forwards the run through the epoch by
@@ -214,17 +197,6 @@ pub trait EpochHook {
     /// Called when the run reaches `boundary`, before simulating the
     /// epoch. Returning a cached epoch skips its simulation entirely.
     fn lookup(&mut self, boundary: &EpochBoundary) -> Option<std::sync::Arc<CachedEpoch>>;
-
-    /// Called at `boundary` before [`EpochHook::lookup`], but only on
-    /// the static-controller path ([`Machine::run_with_hook`]): a hook
-    /// that can fast-forward several consecutive epochs at once — e.g.
-    /// from a peer's chained response — returns them here as one
-    /// [`CachedSegment`]. Controller-driven runs never see this call:
-    /// a controller may reconfigure at any interior boundary, which
-    /// would need the interior exit states a segment does not carry.
-    fn lookup_segment(&mut self, _boundary: &EpochBoundary) -> Option<CachedSegment> {
-        None
-    }
 
     /// Called after an epoch was simulated (cache miss), with the same
     /// boundary key `lookup` saw and the freshly produced epoch.
@@ -243,8 +215,10 @@ pub trait EpochHook {
 /// are kept. Equality, the digest and the byte form see content only.
 ///
 /// Produced by [`Machine::snapshot`] (or internally at epoch boundaries
-/// for [`EpochHook`]s); consumed by [`Machine::restore`]. Snapshots
-/// serialise via [`MachineState::to_bytes`] for on-disk caching.
+/// for [`EpochHook`]s); consumed by [`Machine::restore`]. No cache
+/// stores snapshots as bytes; [`MachineState::to_bytes`] exists as the
+/// snapshot tests' content witness, a form that two states share only
+/// when their contents are equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineState {
     cfg: TransmuterConfig,
@@ -399,7 +373,7 @@ impl MachineState {
     }
 
     /// Inverse of [`MachineState::to_bytes`]; `None` on any malformed or
-    /// trailing bytes (the caller treats that as a cache miss).
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Option<MachineState> {
         let mut r = crate::codec::Reader::new(bytes);
         if r.u8()? != STATE_VERSION {
@@ -673,26 +647,17 @@ impl Machine {
         workload: &Workload,
         controller: &mut dyn Controller,
     ) -> RunResult {
-        self.run_impl(workload, controller, SimPath::Soa, None, false)
+        self.run_impl(workload, controller, SimPath::Soa, None)
     }
 
     /// [`Machine::run`] with an [`EpochHook`] observing (and potentially
-    /// short-circuiting) every epoch boundary. The static controller
-    /// never reconfigures, so this path additionally consults
-    /// [`EpochHook::lookup_segment`] and can fast-forward whole cached
-    /// segments in one step.
+    /// short-circuiting) every epoch boundary.
     ///
     /// # Panics
     ///
     /// Panics if a phase's stream count differs from the GPE count.
     pub fn run_with_hook(&mut self, workload: &Workload, hook: &mut dyn EpochHook) -> RunResult {
-        self.run_impl(
-            workload,
-            &mut StaticController,
-            SimPath::Soa,
-            Some(hook),
-            true,
-        )
+        self.run_impl(workload, &mut StaticController, SimPath::Soa, Some(hook))
     }
 
     /// [`Machine::run_with_controller`] with an [`EpochHook`]. The
@@ -709,7 +674,7 @@ impl Machine {
         controller: &mut dyn Controller,
         hook: &mut dyn EpochHook,
     ) -> RunResult {
-        self.run_impl(workload, controller, SimPath::Soa, Some(hook), false)
+        self.run_impl(workload, controller, SimPath::Soa, Some(hook))
     }
 
     /// Runs a workload through the legacy (pre-SoA, per-event) inner
@@ -726,7 +691,7 @@ impl Machine {
         workload: &Workload,
         controller: &mut dyn Controller,
     ) -> RunResult {
-        self.run_impl(workload, controller, SimPath::Reference, None, false)
+        self.run_impl(workload, controller, SimPath::Reference, None)
     }
 
     fn run_impl(
@@ -735,7 +700,6 @@ impl Machine {
         controller: &mut dyn Controller,
         path: SimPath,
         mut hook: Option<&mut dyn EpochHook>,
-        segments_ok: bool,
     ) -> RunResult {
         self.hbm.set_batched(path == SimPath::Soa);
         let n = self.spec.geometry.gpe_count();
@@ -778,33 +742,6 @@ impl Machine {
                         entry_digest: self.view(&ls).digest(),
                     };
                     entry = Some(b);
-                    if segments_ok {
-                        if let Some(seg) = h.lookup_segment(&b) {
-                            // Segment fast-forward: splice every record,
-                            // then restore the one exit state the segment
-                            // carries. Sound only because this path's
-                            // controller is static — no interior boundary
-                            // can change the configuration, so interior
-                            // exit states are never observable.
-                            debug_assert!(!seg.records.is_empty());
-                            for cached_rec in &seg.records {
-                                let mut rec = cached_rec.clone();
-                                rec.index = records.len();
-                                rec.reconfig_time_s = pending_reconfig.0;
-                                rec.reconfig_energy_j = pending_reconfig.1;
-                                pending_reconfig = (0.0, 0.0);
-                                total_energy += rec.metrics.energy_j + rec.reconfig_energy_j;
-                                total_flops += rec.metrics.flops;
-                                total_fp_ops += rec.fp_ops;
-                                records.push(rec);
-                            }
-                            self.restore_with(&seg.exit, &mut ls);
-                            if ls.phase_idx < workload.phases.len() {
-                                self.epoch_start_ps = self.gpe_time_ps[0];
-                            }
-                            continue;
-                        }
-                    }
                     if let Some(cached) = h.lookup(&b) {
                         // Fast-forward: restore the cached exit state and
                         // splice the cached record, attributing this
