@@ -444,13 +444,13 @@ pub fn simulate_trace_adaptive_keyed(
 mod tests {
     use super::*;
     use fxhash::FxHashSet;
-    use transmuter::workload::{Op, Phase};
+    use transmuter::workload::{Op, OpStream, Phase};
 
     /// A small workload whose access stride varies with `tag`, so
     /// different tags genuinely execute differently (not just at
     /// shifted addresses).
     fn tiny_workload(tag: u64) -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..80u64)
                     .flat_map(|i| {

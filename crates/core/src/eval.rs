@@ -162,7 +162,7 @@ mod tests {
     use mltree::{Dataset, DecisionTree, TreeParams};
     use std::collections::BTreeMap;
     use transmuter::config::ConfigParam;
-    use transmuter::workload::{Op, Phase};
+    use transmuter::workload::{Op, OpStream, Phase};
 
     fn identity_ensemble() -> PredictiveEnsemble {
         // Predicts "keep the Best Avg values" regardless of input — the
@@ -179,7 +179,7 @@ mod tests {
     }
 
     fn workload() -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..400u64)
                     .flat_map(|i| {

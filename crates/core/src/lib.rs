@@ -53,10 +53,10 @@
 //! use transmuter::config::{ConfigParam, MachineSpec, TransmuterConfig};
 //! use transmuter::counters::Telemetry;
 //! use transmuter::machine::Machine;
-//! use transmuter::workload::{Op, Phase, Workload};
+//! use transmuter::workload::{Op, OpStream, Phase, Workload};
 //!
 //! // A tiny workload: 16 GPE streams of strided loads and FLOPs.
-//! let streams: Vec<Vec<Op>> = (0..16)
+//! let streams: Vec<OpStream> = (0..16)
 //!     .map(|g| {
 //!         (0..64u64)
 //!             .flat_map(|i| {

@@ -139,7 +139,7 @@ mod tests {
     use std::collections::BTreeMap;
     use transmuter::config::ConfigParam;
     use transmuter::machine::Machine;
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     /// An ensemble that always predicts a fixed clock index and leaves
     /// everything else at the baseline.
@@ -159,7 +159,7 @@ mod tests {
     }
 
     fn small_workload() -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..600u64)
                     .flat_map(|i| {

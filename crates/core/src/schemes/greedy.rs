@@ -34,12 +34,12 @@ mod tests {
     use super::*;
     use crate::stitch::SweepData;
     use transmuter::config::{MachineSpec, TransmuterConfig};
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     fn sweep() -> SweepData {
         // Two phases with opposite affinities: a cache-friendly stream
         // then a scatter, so the greedy schedule has a reason to switch.
-        let stream: Vec<Vec<Op>> = (0..16)
+        let stream: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..300u64)
                     .flat_map(|i| {
@@ -54,7 +54,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let scatter: Vec<Vec<Op>> = (0..16)
+        let scatter: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..300u64)
                     .flat_map(|i| {

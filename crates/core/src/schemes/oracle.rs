@@ -123,10 +123,10 @@ mod tests {
     use crate::schemes::{ideal_greedy, ideal_static};
     use crate::stitch::SweepData;
     use transmuter::config::MachineSpec;
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     fn sweep() -> SweepData {
-        let stream: Vec<Vec<Op>> = (0..16)
+        let stream: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..400u64)
                     .flat_map(|i| {
@@ -141,7 +141,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let scatter: Vec<Vec<Op>> = (0..16)
+        let scatter: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..400u64)
                     .flat_map(|i| {

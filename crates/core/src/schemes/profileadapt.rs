@@ -134,10 +134,10 @@ mod tests {
     use super::*;
     use crate::stitch::{sample_configs, SweepData};
     use transmuter::config::{MachineSpec, MemKind, TransmuterConfig};
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     fn sweep() -> SweepData {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..500u64)
                     .flat_map(|i| {

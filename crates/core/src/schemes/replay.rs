@@ -68,10 +68,10 @@ mod tests {
     use super::*;
     use transmuter::config::MachineSpec;
     use transmuter::machine::Machine;
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     fn workload() -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..400u64)
                     .flat_map(|i| {

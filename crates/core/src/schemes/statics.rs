@@ -29,10 +29,10 @@ mod tests {
     use super::*;
     use crate::stitch::SweepData;
     use transmuter::config::{MachineSpec, TransmuterConfig};
-    use transmuter::workload::{Op, Phase, Workload};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     fn sweep() -> SweepData {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..300u64)
                     .flat_map(|i| {

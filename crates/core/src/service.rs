@@ -206,8 +206,8 @@ mod tests {
     fn summary_matches_hand_computed_totals() {
         let spec = MachineSpec::default().with_epoch_ops(200);
         let wl = {
-            use transmuter::workload::{Op, Phase};
-            let streams: Vec<Vec<Op>> = (0..16)
+            use transmuter::workload::{Op, OpStream, Phase};
+            let streams: Vec<OpStream> = (0..16)
                 .map(|g| {
                     (0..80u64)
                         .flat_map(|i| {

@@ -251,10 +251,10 @@ pub fn sample_configs(l1_kind: MemKind, s: usize, seed: u64) -> Vec<TransmuterCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use transmuter::workload::{Op, Phase};
+    use transmuter::workload::{Op, OpStream, Phase};
 
     fn workload() -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..400u64)
                     .flat_map(|i| {

@@ -388,7 +388,7 @@ mod tests {
 
     fn sample_trace(n: usize) -> Vec<EpochRecord> {
         let spec = transmuter::config::MachineSpec::default().with_epoch_ops(100);
-        let streams: Vec<Vec<transmuter::workload::Op>> = (0..16)
+        let streams: Vec<transmuter::workload::OpStream> = (0..16)
             .map(|g| {
                 (0..n as u64 * 40)
                     .flat_map(|i| {

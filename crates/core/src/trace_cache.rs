@@ -509,10 +509,10 @@ pub fn simulate_trace_reference(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use transmuter::workload::{Op, Phase};
+    use transmuter::workload::{Op, OpStream, Phase};
 
     fn tiny_workload(tag: u64) -> Workload {
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..50u64)
                     .flat_map(|i| {

@@ -17,7 +17,7 @@
 //! previous iterate (zero for the forward sweep, the forward result for
 //! the backward sweep). That is operation-for-operation the naive
 //! in-place sweep, so the scheduled result is bit-identical to
-//! [`reference`].
+//! [`reference`](fn@reference).
 
 use sparse::{CsrMatrix, DenseVector};
 use transmuter::config::MemKind;
@@ -74,7 +74,7 @@ pub struct SymgsBuild {
     /// dependency level.
     pub workload: Workload,
     /// The smoothed iterate after one symmetric sweep (bit-identical to
-    /// [`reference`]).
+    /// [`reference`](fn@reference)).
     pub result: DenseVector,
     /// Dependency levels in the forward sweep.
     pub fwd_levels: usize,

@@ -17,11 +17,33 @@ use sparseadapt::trace_cache::CacheStats;
 
 use crate::answer_memo::AnswerMemoStats;
 
-/// Upper edges of the latency histogram buckets, in milliseconds.
-/// Roughly ×2 per step: sub-millisecond cache hits through multi-second
-/// cold sweeps land in distinct buckets, plus a +Inf overflow bucket.
-pub const LATENCY_BUCKETS_MS: [f64; 14] = [
-    0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0,
+/// Upper edges of the latency histogram buckets, in milliseconds, plus
+/// a +Inf overflow bucket. ×2 per step from 0.25/2^7 ms (about 2 µs)
+/// to 1024 ms, then 4096 ms: loop-thread answers of a few microseconds,
+/// peer fetches of a fraction of a millisecond and multi-second cold
+/// sweeps land in distinct buckets.
+pub const LATENCY_BUCKETS_MS: [f64; 21] = [
+    0.001953125,
+    0.00390625,
+    0.0078125,
+    0.015625,
+    0.03125,
+    0.0625,
+    0.125,
+    0.25,
+    0.5,
+    1.0,
+    2.0,
+    4.0,
+    8.0,
+    16.0,
+    32.0,
+    64.0,
+    128.0,
+    256.0,
+    512.0,
+    1024.0,
+    4096.0,
 ];
 
 /// A fixed-bucket latency histogram (milliseconds).
@@ -439,21 +461,41 @@ mod tests {
         }
     }
 
+    /// Index of the bucket whose upper edge is `edge_ms`.
+    fn bucket(edge_ms: f64) -> usize {
+        LATENCY_BUCKETS_MS
+            .iter()
+            .position(|&e| e == edge_ms)
+            .expect("a bucket edge")
+    }
+
     #[test]
     fn histogram_buckets_and_percentiles() {
         let h = LatencyHistogram::default();
         for _ in 0..98 {
-            h.observe_ms(0.2); // bucket 0 (<= 0.25)
+            h.observe_ms(0.2); // <= 0.25
         }
         h.observe_ms(30.0); // <= 32
         h.observe_ms(2000.0); // <= 4096
         let s = h.snapshot();
         assert_eq!(s.count, 100);
-        assert_eq!(s.counts[0], 98);
+        assert_eq!(s.counts[bucket(0.25)], 98);
         assert_eq!(s.p50_ms, 0.25);
         assert_eq!(s.p95_ms, 0.25);
         assert_eq!(s.p99_ms, 32.0);
         assert!((s.mean_ms - s.sum_ms / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sub_quarter_millisecond_latencies_land_in_their_own_buckets() {
+        let h = LatencyHistogram::default();
+        h.observe_ms(0.1);
+        assert_eq!(h.snapshot().p50_ms, 0.125);
+        let h = LatencyHistogram::default();
+        h.observe_ms(0.001);
+        let s = h.snapshot();
+        assert_eq!(s.counts[0], 1);
+        assert_eq!(s.p50_ms, 0.25 / 128.0);
     }
 
     #[test]
@@ -638,7 +680,11 @@ mod tests {
         assert_eq!((c.remote_hits, c.remote_misses, c.misses), (8, 2, 6));
         assert_eq!(c.hit_ratio, 8.0 / 14.0);
         assert_eq!(m.peer_fetch.count, 10);
-        assert_eq!(m.peer_fetch.counts[0], 2, "two fetches of at most 0.25 ms");
+        assert_eq!(
+            m.peer_fetch.counts[bucket(0.25)],
+            2,
+            "two fetches in (0.125, 0.25] ms"
+        );
         assert!((m.peer_fetch.mean_ms - 33.9 / 5.0).abs() < 1e-9);
         assert_eq!(m.peer_fetch.p95_ms, 32.0);
     }

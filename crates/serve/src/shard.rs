@@ -17,7 +17,7 @@
 //! plane — `POST /v2/admin/shards` adds a running daemon to the ring,
 //! `DELETE /v2/admin/shards/{id}` drains and drops one, and
 //! `POST /v2/admin/topology` reweights. Every mutation bumps a
-//! monotonic topology `epoch`; the whole view ([`TopologyView`]) is
+//! monotonic topology `epoch`; the whole view (`TopologyView`) is
 //! immutable and swapped atomically, so in-flight requests route
 //! against a consistent snapshot, and `If-Match: <epoch>` gives
 //! concurrent operators optimistic concurrency (`409
@@ -68,7 +68,7 @@ use crate::server::DrainControl;
 /// smooth the key distribution and shrink the fraction of keys that
 /// move when the topology changes; 64 keeps the ring a few KiB while
 /// holding the imbalance under ~20% for small clusters.
-pub const DEFAULT_VNODES: usize = 64;
+const VNODES: usize = 64;
 
 /// How long a shard gets to accept a proxied connection.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
@@ -147,9 +147,9 @@ pub fn ring_position(key: &str) -> u64 {
 /// never reused, and every vnode position hashes from the id, so a
 /// shard's arcs stay put across unrelated topology changes (that is
 /// what bounds rebalance cost). Construction is deterministic in the
-/// `(id, weight)` entries and `vnodes`: every router (and every test)
-/// building a ring over the same topology assigns every key
-/// identically, with no coordination.
+/// `(id, weight)` entries: every router (and every test) building a
+/// ring over the same topology assigns every key identically, with no
+/// coordination.
 #[derive(Debug, Clone)]
 pub struct Ring {
     /// `(position, shard id)` points, sorted by position.
@@ -160,20 +160,19 @@ pub struct Ring {
 
 impl Ring {
     /// Builds a uniform ring over ids `0..shards`, each with weight 1
-    /// (`vnodes` points per shard). `shards` must be at least 1.
-    pub fn new(shards: usize, vnodes: usize) -> Ring {
+    /// (`VNODES` points per shard). `shards` must be at least 1.
+    pub fn new(shards: usize) -> Ring {
         assert!(shards >= 1, "a ring needs at least one shard");
         let entries: Vec<(u32, f64)> = (0..shards as u32).map(|id| (id, 1.0)).collect();
-        Ring::weighted(&entries, vnodes)
+        Ring::weighted(&entries)
     }
 
     /// Builds a ring over `(id, weight)` entries. A shard gets
-    /// `round(weight × vnodes)` virtual nodes (at least 1), so a
+    /// `round(weight × VNODES)` virtual nodes (at least 1), so a
     /// weight-2 shard owns about twice the key space of a weight-1
     /// shard. Weights must be positive and finite; ids must be unique.
-    pub fn weighted(entries: &[(u32, f64)], vnodes: usize) -> Ring {
+    pub fn weighted(entries: &[(u32, f64)]) -> Ring {
         assert!(!entries.is_empty(), "a ring needs at least one shard");
-        let vnodes = vnodes.max(1);
         let mut ids: Vec<u32> = Vec::with_capacity(entries.len());
         let mut points = Vec::new();
         for &(id, weight) in entries {
@@ -183,7 +182,7 @@ impl Ring {
             );
             assert!(!ids.contains(&id), "duplicate shard id {id} on the ring");
             ids.push(id);
-            let count = ((weight * vnodes as f64).round() as usize).max(1);
+            let count = ((weight * VNODES as f64).round() as usize).max(1);
             for vnode in 0..count {
                 let h = ring_hash(format!("shard-{id}/vnode-{vnode}").as_bytes());
                 points.push((h, id));
@@ -502,8 +501,8 @@ fn build_view(epoch: u64, shards: Vec<Arc<ShardSlot>>) -> TopologyView {
     let all: Vec<(u32, f64)> = shards.iter().map(|s| (s.id, s.weight)).collect();
     TopologyView {
         epoch,
-        ring: Ring::weighted(&active, DEFAULT_VNODES),
-        full_ring: Ring::weighted(&all, DEFAULT_VNODES),
+        ring: Ring::weighted(&active),
+        full_ring: Ring::weighted(&all),
         shards,
     }
 }
@@ -1584,8 +1583,8 @@ mod tests {
 
     #[test]
     fn assignment_is_deterministic_across_ring_instances() {
-        let a = Ring::new(3, DEFAULT_VNODES);
-        let b = Ring::new(3, DEFAULT_VNODES);
+        let a = Ring::new(3);
+        let b = Ring::new(3);
         for key in keys(500) {
             assert_eq!(a.assign(&key), b.assign(&key));
             assert_eq!(a.order(&key), b.order(&key));
@@ -1595,8 +1594,8 @@ mod tests {
     #[test]
     fn weighted_construction_is_deterministic_and_id_keyed() {
         let entries = [(0u32, 1.0), (7, 2.5), (42, 0.5)];
-        let a = Ring::weighted(&entries, DEFAULT_VNODES);
-        let b = Ring::weighted(&entries, DEFAULT_VNODES);
+        let a = Ring::weighted(&entries);
+        let b = Ring::weighted(&entries);
         assert_eq!(a.ids(), &[0, 7, 42]);
         for key in keys(500) {
             assert_eq!(a.assign(&key), b.assign(&key));
@@ -1610,8 +1609,8 @@ mod tests {
         // `Ring::new` is the weight-1.0 special case; the vnode labels
         // (and therefore every assignment) must be identical, or a
         // weighted upgrade would silently reshuffle existing clusters.
-        let plain = Ring::new(4, DEFAULT_VNODES);
-        let weighted = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], DEFAULT_VNODES);
+        let plain = Ring::new(4);
+        let weighted = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
         for key in keys(500) {
             assert_eq!(plain.assign(&key), weighted.assign(&key));
         }
@@ -1619,7 +1618,7 @@ mod tests {
 
     #[test]
     fn order_covers_every_shard_once_starting_with_the_owner() {
-        let ring = Ring::new(5, DEFAULT_VNODES);
+        let ring = Ring::new(5);
         for key in keys(100) {
             let order = ring.order(&key);
             assert_eq!(order[0], ring.assign(&key));
@@ -1631,7 +1630,7 @@ mod tests {
 
     #[test]
     fn every_shard_owns_a_reasonable_share() {
-        let ring = Ring::new(3, DEFAULT_VNODES);
+        let ring = Ring::new(3);
         let mut counts = [0usize; 3];
         let all = keys(2000);
         for key in &all {
@@ -1649,7 +1648,7 @@ mod tests {
     #[test]
     fn weights_shift_key_shares_proportionally() {
         // Weights 1:1:2 → the heavy shard should own roughly half.
-        let ring = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 2.0)], DEFAULT_VNODES);
+        let ring = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 2.0)]);
         let all = keys(4000);
         let mut counts = [0usize; 3];
         for key in &all {
@@ -1671,8 +1670,8 @@ mod tests {
 
     #[test]
     fn adding_a_shard_moves_a_bounded_fraction_of_keys() {
-        let before = Ring::new(3, DEFAULT_VNODES);
-        let after = Ring::new(4, DEFAULT_VNODES);
+        let before = Ring::new(3);
+        let after = Ring::new(4);
         let all = keys(2000);
         let moved = all
             .iter()
@@ -1693,8 +1692,8 @@ mod tests {
         // The consistent-hashing invariant, exactly: a key either keeps
         // its owner or moves TO the added shard — no third party ever
         // gains or loses a key it would not otherwise touch.
-        let before = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)], DEFAULT_VNODES);
-        let after = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0), (9, 1.5)], DEFAULT_VNODES);
+        let before = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)]);
+        let after = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0), (9, 1.5)]);
         let all = keys(4000);
         let mut moved = 0usize;
         for key in &all {
@@ -1717,8 +1716,8 @@ mod tests {
 
     #[test]
     fn removing_a_shard_moves_only_its_own_keys() {
-        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 2.0)], DEFAULT_VNODES);
-        let after = Ring::weighted(&[(0, 1.0), (2, 2.0)], DEFAULT_VNODES);
+        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 2.0)]);
+        let after = Ring::weighted(&[(0, 1.0), (2, 2.0)]);
         for key in keys(4000) {
             let b = before.assign(&key);
             let a = after.assign(&key);
@@ -1733,8 +1732,8 @@ mod tests {
 
     #[test]
     fn upweighting_moves_keys_only_toward_the_upweighted_shard() {
-        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)], DEFAULT_VNODES);
-        let after = Ring::weighted(&[(0, 1.0), (1, 3.0), (2, 1.0)], DEFAULT_VNODES);
+        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
+        let after = Ring::weighted(&[(0, 1.0), (1, 3.0), (2, 1.0)]);
         for key in keys(4000) {
             let b = before.assign(&key);
             let a = after.assign(&key);
@@ -1750,8 +1749,8 @@ mod tests {
         // and the range's from/to agree with the rings. This is the
         // "only moved key ranges change owners" proof the control
         // plane's moved_fraction reporting rests on.
-        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)], DEFAULT_VNODES);
-        let after = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], DEFAULT_VNODES);
+        let before = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
+        let after = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
         let diff = ring_diff(&before, &after);
         assert!(!diff.moved.is_empty());
         assert!(diff.moved_fraction > 0.0 && diff.moved_fraction < 0.45);
@@ -1772,8 +1771,8 @@ mod tests {
 
     #[test]
     fn ring_diff_ranges_are_disjoint() {
-        let before = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)], DEFAULT_VNODES);
-        let after = Ring::weighted(&[(0, 1.5), (1, 1.0), (2, 1.0), (7, 1.0)], DEFAULT_VNODES);
+        let before = Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)]);
+        let after = Ring::weighted(&[(0, 1.5), (1, 1.0), (2, 1.0), (7, 1.0)]);
         let diff = ring_diff(&before, &after);
         assert!(diff.moved.len() >= 2);
         // Every arc endpoint lies in exactly its own arc; sampling each
@@ -1793,18 +1792,15 @@ mod tests {
 
     #[test]
     fn ring_diff_add_remove_reweight_bound_moved_fraction() {
-        let base = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)], DEFAULT_VNODES);
+        let base = Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
         // Add: bounded by the new shard's share of the new total.
         let add = ring_diff(
             &base,
-            &Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)], DEFAULT_VNODES),
+            &Ring::weighted(&[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]),
         );
         assert!(add.moved_fraction <= 0.25 + 0.10, "{}", add.moved_fraction);
         // Remove: bounded by the removed shard's old share.
-        let remove = ring_diff(
-            &base,
-            &Ring::weighted(&[(0, 1.0), (1, 1.0)], DEFAULT_VNODES),
-        );
+        let remove = ring_diff(&base, &Ring::weighted(&[(0, 1.0), (1, 1.0)]));
         assert!(
             remove.moved_fraction <= 1.0 / 3.0 + 0.10,
             "{}",
@@ -1812,10 +1808,7 @@ mod tests {
         );
         // Reweight: bounded by the share delta the weight change asks
         // for (1→2 of 4 total ≈ +0.25).
-        let reweight = ring_diff(
-            &base,
-            &Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)], DEFAULT_VNODES),
-        );
+        let reweight = ring_diff(&base, &Ring::weighted(&[(0, 1.0), (1, 2.0), (2, 1.0)]));
         assert!(
             reweight.moved_fraction <= 0.25 + 0.10,
             "{}",

@@ -266,7 +266,7 @@ fn cluster_end_to_end() {
     }
 
     // -- failover: kill the owner of R01 mid-service ------------------
-    let ring = Ring::new(3, serve::shard::DEFAULT_VNODES);
+    let ring = Ring::new(3);
     let owner = |body: &String| ring.assign(&routing_key(body.as_bytes()));
     let victim = owner(&sim_body("R01"));
     shards[victim as usize].kill();

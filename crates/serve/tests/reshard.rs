@@ -422,8 +422,8 @@ fn elastic_cluster_end_to_end() {
                 .filter(|(_, _, state)| state == "active")
                 .map(|(id, w, _)| (*id, *w))
                 .collect();
-            let full_ring = Ring::weighted(&full, serve::shard::DEFAULT_VNODES);
-            let active_ring = Ring::weighted(&active, serve::shard::DEFAULT_VNODES);
+            let full_ring = Ring::weighted(&full);
+            let active_ring = Ring::weighted(&active);
             // Scan real workloads for one whose pre-drain owner is the
             // victim; the victim's ring share makes a miss across the
             // whole suite astronomically unlikely.

@@ -1,12 +1,12 @@
 //! Matrix Market (`.mtx`) import/export — `io::Error` compatibility
-//! wrappers over the strict streaming parser in [`mtx`](crate::mtx).
+//! wrappers over the strict streaming parser in [`mtx`].
 //!
 //! The paper's real-world suite comes from SuiteSparse and SNAP, both
 //! distributed as Matrix Market files. These entry points keep the
 //! original `io::Result` signatures for existing callers; new code that
 //! wants the typed [`MtxError`](crate::mtx::MtxError) variants, array
 //! format, skew symmetry or streaming file loads should call
-//! [`mtx`](crate::mtx) directly.
+//! [`mtx`] directly.
 
 use std::io;
 use std::path::Path;

@@ -659,75 +659,32 @@ impl BankPages {
         std::mem::size_of_val(&*self.pages)
     }
 
-    /// Serialises the bank (geometry, tick, stats, valid lines) for the
-    /// epoch cache's disk tier.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_u32(self.capacity_kb);
-        out.put_u32(self.line_bytes);
-        out.put_u32(self.ways);
-        out.put_u64(self.tick);
-        out.put_u64(self.stats.accesses);
-        out.put_u64(self.stats.misses);
-        out.put_u64(self.stats.prefetches);
-        out.put_u64(self.stats.writebacks);
-        let valid_lines = || {
-            self.pages.iter().enumerate().flat_map(|(p, page)| {
-                page.iter().flat_map(move |pg| {
-                    pg.lines
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, l)| l.valid())
-                        .map(move |(i, l)| (p * PAGE_LINES + i, *l))
-                })
+    /// [`MachineState::unshared_copy`](crate::MachineState::unshared_copy)
+    /// of one bank. Each page is sliced to the bank's real slots before
+    /// it is captured, since an invalid slot still counts in the page
+    /// hash and the last page of a bank may be short.
+    pub(crate) fn unshared_copy(&self) -> BankPages {
+        let n_sets = set_count(self.capacity_kb, self.line_bytes, self.ways)
+            .expect("a snapshot holds a bank's geometry");
+        let slots = n_sets * self.ways as usize;
+        let pages = self
+            .pages
+            .iter()
+            .enumerate()
+            .map(|(p, page)| {
+                let len = PAGE_LINES.min(slots - p * PAGE_LINES);
+                page.as_ref().and_then(|pg| Page::capture(&pg.lines[..len]))
             })
-        };
-        out.put_u64(valid_lines().count() as u64);
-        for (slot, l) in valid_lines() {
-            out.put_u64(slot as u64);
-            out.put_u64(l.tag());
-            out.put_u8(l.dirty() as u8);
-            out.put_u64(l.lru);
+            .collect();
+        BankPages {
+            capacity_kb: self.capacity_kb,
+            line_bytes: self.line_bytes,
+            ways: self.ways,
+            tick: self.tick,
+            stats: self.stats,
+            valid: self.valid,
+            pages,
         }
-    }
-
-    /// Inverse of [`BankPages::encode_into`]; `None` on malformed bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<BankPages> {
-        let capacity_kb = r.u32()?;
-        let line_bytes = r.u32()?;
-        let ways = r.u32()?;
-        if capacity_kb == 0 || line_bytes == 0 || ways == 0 {
-            return None;
-        }
-        let n_sets = set_count(capacity_kb, line_bytes, ways)?;
-        let mut lines = vec![INVALID; n_sets * ways as usize];
-        let tick = r.u64()?;
-        let stats = BankStats {
-            accesses: r.u64()?,
-            misses: r.u64()?,
-            prefetches: r.u64()?,
-            writebacks: r.u64()?,
-        };
-        let n = r.len(lines.len())?;
-        for _ in 0..n {
-            let i = r.u64()? as usize;
-            let tag = r.u64()?;
-            let dirty = r.bool()?;
-            let lru = r.u64()?;
-            if tag > TAG_MASK {
-                return None;
-            }
-            *lines.get_mut(i)? = Line::new(tag, dirty, lru);
-        }
-        Some(BankPages {
-            capacity_kb,
-            line_bytes,
-            ways,
-            tick,
-            stats,
-            valid: lines.iter().filter(|l| l.valid()).count(),
-            pages: lines.chunks(PAGE_LINES).map(Page::capture).collect(),
-        })
     }
 }
 
@@ -883,6 +840,28 @@ mod tests {
         bank.restore(&before);
         assert_eq!(bank.snapshot(), before_copy);
         assert_eq!(bank.snapshot_from_scratch(), before_copy);
+    }
+
+    #[test]
+    fn unshared_copy_rehashes_every_page_from_its_slots() {
+        let mut x = 5u64;
+        // The second bank is 2 sets of 3 ways: one short page of 6 slots.
+        for mut bank in [CacheBank::new(8, 32, 4), CacheBank::new(3, 512, 3)] {
+            random_ops(&mut bank, &mut x, 300, false);
+            bank.commit();
+            let snap = bank.snapshot();
+            let copy = snap.unshared_copy();
+            assert_eq!(copy, snap);
+            for (a, b) in snap.pages.iter().zip(copy.pages.iter()) {
+                match (a, b) {
+                    (Some(a), Some(b)) => {
+                        assert!(!Arc::ptr_eq(a, b));
+                        assert_eq!(a.hash, b.hash);
+                    }
+                    (a, b) => assert!(a.is_none() && b.is_none()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -242,60 +242,6 @@ impl TransmuterConfig {
         h.finish()
     }
 
-    /// Serialises the configuration for machine-state snapshots.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_u8(match self.l1_kind {
-            MemKind::Cache => 0,
-            MemKind::Spm => 1,
-        });
-        out.put_u8(match self.l1_sharing {
-            SharingMode::Shared => 0,
-            SharingMode::Private => 1,
-        });
-        out.put_u8(match self.l2_sharing {
-            SharingMode::Shared => 0,
-            SharingMode::Private => 1,
-        });
-        out.put_u32(self.l1_capacity_kb);
-        out.put_u32(self.l2_capacity_kb);
-        out.put_u8(self.clock.index() as u8);
-        out.put_u8(self.prefetch_degree);
-    }
-
-    /// Inverse of [`TransmuterConfig::encode_into`]; `None` on malformed
-    /// bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<TransmuterConfig> {
-        let l1_kind = match r.u8()? {
-            0 => MemKind::Cache,
-            1 => MemKind::Spm,
-            _ => return None,
-        };
-        let l1_sharing = match r.u8()? {
-            0 => SharingMode::Shared,
-            1 => SharingMode::Private,
-            _ => return None,
-        };
-        let l2_sharing = match r.u8()? {
-            0 => SharingMode::Shared,
-            1 => SharingMode::Private,
-            _ => return None,
-        };
-        let l1_capacity_kb = r.u32()?;
-        let l2_capacity_kb = r.u32()?;
-        let clock = *ClockFreq::ALL.get(r.u8()? as usize)?;
-        let prefetch_degree = r.u8()?;
-        Some(TransmuterConfig {
-            l1_kind,
-            l1_sharing,
-            l2_sharing,
-            l1_capacity_kb,
-            l2_capacity_kb,
-            clock,
-            prefetch_degree,
-        })
-    }
-
     /// Compact short string for logs: `c-P/S-8/32-500-4` style.
     pub fn short(&self) -> String {
         format!(

@@ -82,56 +82,6 @@ impl RawEpochCounters {
         h.write_u64(self.mem_bytes_read);
         h.write_u64(self.mem_bytes_written);
     }
-
-    /// Serialises every counter for the epoch cache's disk tier.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_u64(self.l1_accesses);
-        out.put_u64(self.l1_misses);
-        out.put_u64(self.l1_prefetches);
-        out.put_f64(self.l1_occupancy);
-        out.put_u64(self.l2_accesses);
-        out.put_u64(self.l2_misses);
-        out.put_u64(self.l2_prefetches);
-        out.put_f64(self.l2_occupancy);
-        out.put_u64(self.l1_xbar_accesses);
-        out.put_u64(self.l1_xbar_contentions);
-        out.put_u64(self.l2_xbar_accesses);
-        out.put_u64(self.l2_xbar_contentions);
-        out.put_u64(self.gpe_flops);
-        out.put_u64(self.gpe_int_ops);
-        out.put_u64(self.gpe_loads);
-        out.put_u64(self.gpe_stores);
-        out.put_f64(self.lcp_ops);
-        out.put_u64(self.mem_bytes_read);
-        out.put_u64(self.mem_bytes_written);
-    }
-
-    /// Inverse of [`RawEpochCounters::encode_into`]; `None` on truncated
-    /// bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<RawEpochCounters> {
-        Some(RawEpochCounters {
-            l1_accesses: r.u64()?,
-            l1_misses: r.u64()?,
-            l1_prefetches: r.u64()?,
-            l1_occupancy: r.f64()?,
-            l2_accesses: r.u64()?,
-            l2_misses: r.u64()?,
-            l2_prefetches: r.u64()?,
-            l2_occupancy: r.f64()?,
-            l1_xbar_accesses: r.u64()?,
-            l1_xbar_contentions: r.u64()?,
-            l2_xbar_accesses: r.u64()?,
-            l2_xbar_contentions: r.u64()?,
-            gpe_flops: r.u64()?,
-            gpe_int_ops: r.u64()?,
-            gpe_loads: r.u64()?,
-            gpe_stores: r.u64()?,
-            lcp_ops: r.f64()?,
-            mem_bytes_read: r.u64()?,
-            mem_bytes_written: r.u64()?,
-        })
-    }
 }
 
 /// The normalised telemetry snapshot — one row of predictive-model input.

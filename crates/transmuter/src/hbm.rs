@@ -276,64 +276,6 @@ impl Hbm {
         h.write_u64(self.stats.bytes_read);
         h.write_u64(self.stats.bytes_written);
     }
-
-    /// Serialises the model (canonical folded channel views) for the
-    /// epoch cache's disk tier.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_f64(self.ps_per_byte);
-        out.put_f64(self.total_ps_per_byte);
-        out.put_u64(self.latency_ps);
-        out.put_u32(self.line_shift);
-        out.put_u64(self.channels.len() as u64);
-        for ci in 0..self.channels.len() {
-            out.put_u64(self.folded_busy_ps(ci));
-        }
-        out.put_u64(self.stats.bytes_read);
-        out.put_u64(self.stats.bytes_written);
-    }
-
-    /// Inverse of [`Hbm::encode_into`]; `None` on malformed bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<Hbm> {
-        let ps_per_byte = r.f64()?;
-        let total_ps_per_byte = r.f64()?;
-        if !(ps_per_byte.is_finite() && ps_per_byte > 0.0) {
-            return None;
-        }
-        if !(total_ps_per_byte.is_finite() && total_ps_per_byte > 0.0) {
-            return None;
-        }
-        let latency_ps = r.u64()?;
-        let line_shift = r.u32()?;
-        if line_shift >= 64 {
-            return None;
-        }
-        let n = r.len(4096)?;
-        if n == 0 {
-            return None;
-        }
-        let mut channels = Vec::with_capacity(n);
-        for _ in 0..n {
-            channels.push(Channel {
-                busy_until_ps: r.u64()?,
-                pending: Vec::new(),
-            });
-        }
-        let stats = HbmStats {
-            bytes_read: r.u64()?,
-            bytes_written: r.u64()?,
-        };
-        Some(Hbm {
-            ps_per_byte,
-            total_ps_per_byte,
-            latency_ps,
-            line_shift,
-            service_memo: (0, 0),
-            batched: true,
-            channels,
-            stats,
-        })
-    }
 }
 
 /// Equality over the canonical state: folded channel views plus geometry

@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-mod codec;
 pub mod config;
 pub mod counters;
 pub mod hbm;

@@ -111,15 +111,6 @@ impl GpeState {
             GpeState::Done => 2,
         }
     }
-
-    fn from_u8(v: u8) -> Option<GpeState> {
-        match v {
-            0 => Some(GpeState::Running),
-            1 => Some(GpeState::PausedAtQuota),
-            2 => Some(GpeState::Done),
-            _ => None,
-        }
-    }
 }
 
 /// Position of the run loop within a workload, captured alongside the
@@ -212,13 +203,10 @@ pub trait EpochHook {
 /// snapshots taken at consecutive hooked boundaries of one run share
 /// every page the epoch between them did not touch, and pages without a
 /// valid line are not stored at all. Only the valid prefetcher entries
-/// are kept. Equality, the digest and the byte form see content only.
+/// are kept. Equality and the digest see content only.
 ///
 /// Produced by [`Machine::snapshot`] (or internally at epoch boundaries
-/// for [`EpochHook`]s); consumed by [`Machine::restore`]. No cache
-/// stores snapshots as bytes; [`MachineState::to_bytes`] exists as the
-/// snapshot tests' content witness, a form that two states share only
-/// when their contents are equal.
+/// for [`EpochHook`]s); consumed by [`Machine::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineState {
     cfg: TransmuterConfig,
@@ -238,11 +226,6 @@ pub struct MachineState {
     lcp_ops_carry: f64,
     loop_state: LoopState,
 }
-
-/// Snapshot wire-format version ([`MachineState::to_bytes`]).
-const STATE_VERSION: u8 = 1;
-/// Sanity bound on decoded unit counts (banks, GPEs, channels).
-const STATE_MAX_UNITS: usize = 1 << 16;
 
 impl MachineState {
     /// A cheap, stable digest of the full snapshot. Equal states always
@@ -297,6 +280,20 @@ impl MachineState {
         self.l1.iter().chain(&self.l2).flat_map(BankPages::pages)
     }
 
+    /// A copy that shares no cache page with this snapshot: every page
+    /// is captured afresh from its lines, so its hash is recomputed.
+    /// The snapshot tests' content witness: compared later, it still
+    /// equals the snapshot only if no shared page was written since, and
+    /// it digests like the snapshot only if every cached page hash
+    /// matches its lines.
+    pub fn unshared_copy(&self) -> MachineState {
+        MachineState {
+            l1: self.l1.iter().map(BankPages::unshared_copy).collect(),
+            l2: self.l2.iter().map(BankPages::unshared_copy).collect(),
+            ..self.clone()
+        }
+    }
+
     fn view(&self) -> StateView<'_, BankPages, PrefetcherState> {
         StateView {
             cfg: &self.cfg,
@@ -316,150 +313,6 @@ impl MachineState {
             lcp_ops_carry: self.lcp_ops_carry,
             loop_state: &self.loop_state,
         }
-    }
-
-    /// Serialises the snapshot to a self-contained byte buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::codec::PutBytes as _;
-        let mut out = Vec::with_capacity(256 + self.approx_heap_bytes());
-        out.put_u8(STATE_VERSION);
-        self.cfg.encode_into(&mut out);
-        self.table.encode_into(&mut out);
-        out.put_u64(self.l1.len() as u64);
-        for b in &self.l1 {
-            b.encode_into(&mut out);
-        }
-        out.put_u64(self.l1_pf.len() as u64);
-        for p in &self.l1_pf {
-            p.encode_into(&mut out);
-        }
-        out.put_u64(self.l2.len() as u64);
-        for b in &self.l2 {
-            b.encode_into(&mut out);
-        }
-        out.put_u64(self.l1_busy_ps.len() as u64);
-        for &v in &self.l1_busy_ps {
-            out.put_u64(v);
-        }
-        out.put_u64(self.l2_busy_ps.len() as u64);
-        for &v in &self.l2_busy_ps {
-            out.put_u64(v);
-        }
-        self.hbm.encode_into(&mut out);
-        self.raw.encode_into(&mut out);
-        out.put_f64(self.dyn_energy_j);
-        out.put_u64(self.gpe_time_ps.len() as u64);
-        for &v in &self.gpe_time_ps {
-            out.put_u64(v);
-        }
-        out.put_u64(self.gpe_epoch_ops.len() as u64);
-        for &v in &self.gpe_epoch_ops {
-            out.put_u64(v);
-        }
-        out.put_u64(self.epoch_start_ps);
-        out.put_f64(self.lcp_factor);
-        out.put_f64(self.lcp_ops_carry);
-        out.put_u64(self.loop_state.phase_idx as u64);
-        out.put_u8(self.loop_state.entered as u8);
-        out.put_u64(self.loop_state.cursors.len() as u64);
-        for &c in &self.loop_state.cursors {
-            out.put_u64(c as u64);
-        }
-        out.put_u64(self.loop_state.states.len() as u64);
-        for s in &self.loop_state.states {
-            out.put_u8(s.as_u8());
-        }
-        out
-    }
-
-    /// Inverse of [`MachineState::to_bytes`]; `None` on any malformed or
-    /// trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Option<MachineState> {
-        let mut r = crate::codec::Reader::new(bytes);
-        if r.u8()? != STATE_VERSION {
-            return None;
-        }
-        let cfg = TransmuterConfig::decode_from(&mut r)?;
-        let table = EnergyTable::decode_from(&mut r)?;
-        let n_l1 = r.len(STATE_MAX_UNITS)?;
-        let mut l1 = Vec::with_capacity(n_l1);
-        for _ in 0..n_l1 {
-            l1.push(BankPages::decode_from(&mut r)?);
-        }
-        let n_pf = r.len(STATE_MAX_UNITS)?;
-        let mut l1_pf = Vec::with_capacity(n_pf);
-        for _ in 0..n_pf {
-            l1_pf.push(PrefetcherState::decode_from(&mut r)?);
-        }
-        let n_l2 = r.len(STATE_MAX_UNITS)?;
-        let mut l2 = Vec::with_capacity(n_l2);
-        for _ in 0..n_l2 {
-            l2.push(BankPages::decode_from(&mut r)?);
-        }
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut l1_busy_ps = Vec::with_capacity(n);
-        for _ in 0..n {
-            l1_busy_ps.push(r.u64()?);
-        }
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut l2_busy_ps = Vec::with_capacity(n);
-        for _ in 0..n {
-            l2_busy_ps.push(r.u64()?);
-        }
-        let hbm = Hbm::decode_from(&mut r)?;
-        let raw = RawEpochCounters::decode_from(&mut r)?;
-        let dyn_energy_j = r.f64()?;
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut gpe_time_ps = Vec::with_capacity(n);
-        for _ in 0..n {
-            gpe_time_ps.push(r.u64()?);
-        }
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut gpe_epoch_ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            gpe_epoch_ops.push(r.u64()?);
-        }
-        let epoch_start_ps = r.u64()?;
-        let lcp_factor = r.f64()?;
-        let lcp_ops_carry = r.f64()?;
-        let phase_idx = r.u64()? as usize;
-        let entered = r.bool()?;
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut cursors = Vec::with_capacity(n);
-        for _ in 0..n {
-            cursors.push(r.u64()? as usize);
-        }
-        let n = r.len(STATE_MAX_UNITS)?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(GpeState::from_u8(r.u8()?)?);
-        }
-        if !r.is_empty() {
-            return None;
-        }
-        Some(MachineState {
-            cfg,
-            table,
-            l1,
-            l1_pf,
-            l2,
-            l1_busy_ps,
-            l2_busy_ps,
-            hbm,
-            raw,
-            dyn_energy_j,
-            gpe_time_ps,
-            gpe_epoch_ops,
-            epoch_start_ps,
-            lcp_factor,
-            lcp_ops_carry,
-            loop_state: LoopState {
-                phase_idx,
-                entered,
-                cursors,
-                states,
-            },
-        })
     }
 }
 
@@ -1627,7 +1480,7 @@ mod tests {
     use crate::workload::Phase;
 
     fn streaming_workload(n_gpes: usize, loads_per_gpe: u64, stride: u64) -> Workload {
-        let streams: Vec<Vec<Op>> = (0..n_gpes)
+        let streams: Vec<OpStream> = (0..n_gpes)
             .map(|g| {
                 let base = g as u64 * (loads_per_gpe * stride + 4096);
                 (0..loads_per_gpe)
@@ -1694,7 +1547,7 @@ mod tests {
         let spec = MachineSpec::default().with_bandwidth_gbps(0.5);
         // Pointer-chase-like random strides to stay memory bound.
         let n = spec.geometry.gpe_count();
-        let streams: Vec<Vec<Op>> = (0..n)
+        let streams: Vec<OpStream> = (0..n)
             .map(|g| {
                 let mut x = 12345u64 + g as u64;
                 (0..3000)
@@ -1794,7 +1647,7 @@ mod tests {
     fn shared_l1_contends_private_does_not() {
         // All GPEs hammer the same line: in shared mode one bank
         // serialises them.
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|_| (0..500).map(|_| Op::Load { addr: 64, pc: 3 }).collect())
             .collect();
         let wl = Workload::new("hot", vec![Phase::new("hot", streams)]);
@@ -1818,7 +1671,7 @@ mod tests {
             base: 0,
             bytes: 1 << 20,
         };
-        let streams: Vec<Vec<Op>> = (0..16)
+        let streams: Vec<OpStream> = (0..16)
             .map(|g| {
                 (0..1000)
                     .map(|i| Op::Load {
@@ -1862,25 +1715,19 @@ mod tests {
         let mut m = Machine::new(spec, TransmuterConfig::baseline());
         m.run(&wl);
         let snap = m.snapshot();
-        // Byte round trip is lossless.
-        let decoded = MachineState::from_bytes(&snap.to_bytes()).expect("decodes");
-        assert_eq!(snap, decoded);
-        assert_eq!(snap.digest(), decoded.digest());
+        // The unshared copy keeps the content and shares no page.
+        let copy = snap.unshared_copy();
+        assert_eq!(snap, copy);
+        assert_eq!(snap.digest(), copy.digest());
+        assert!(copy
+            .pages()
+            .all(|c| snap.pages().all(|s| !Arc::ptr_eq(c, s))));
         // Restoring into a fresh machine reproduces the state.
         let mut fresh = Machine::new(spec, TransmuterConfig::baseline());
         assert_ne!(fresh.snapshot().digest(), snap.digest());
         fresh.restore(&snap);
         assert_eq!(fresh.snapshot(), snap);
         assert_eq!(fresh.snapshot().digest(), snap.digest());
-    }
-
-    #[test]
-    fn corrupt_snapshot_bytes_fail_to_decode() {
-        let m = Machine::new(MachineSpec::default(), TransmuterConfig::baseline());
-        let mut bytes = m.snapshot().to_bytes();
-        assert!(MachineState::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        bytes.push(0);
-        assert!(MachineState::from_bytes(&bytes).is_none(), "trailing bytes");
     }
 
     /// A minimal in-memory epoch cache for tests.

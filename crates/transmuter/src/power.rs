@@ -126,37 +126,6 @@ impl EnergyTable {
         h.write_u64(self.core_clock_fraction.to_bits());
     }
 
-    /// Serialises every constant for machine-state snapshots.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_f64(self.fp_op);
-        out.put_f64(self.int_op);
-        out.put_f64(self.cache_access_base);
-        out.put_f64(self.cache_access_per_doubling);
-        out.put_f64(self.spm_access_factor);
-        out.put_f64(self.xbar_crossing);
-        out.put_f64(self.hbm_per_byte);
-        out.put_f64(self.leakage_per_kb);
-        out.put_f64(self.core_static);
-        out.put_f64(self.core_clock_fraction);
-    }
-
-    /// Inverse of [`EnergyTable::encode_into`]; `None` on truncated bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<EnergyTable> {
-        Some(EnergyTable {
-            fp_op: r.f64()?,
-            int_op: r.f64()?,
-            cache_access_base: r.f64()?,
-            cache_access_per_doubling: r.f64()?,
-            spm_access_factor: r.f64()?,
-            xbar_crossing: r.f64()?,
-            hbm_per_byte: r.f64()?,
-            leakage_per_kb: r.f64()?,
-            core_static: r.f64()?,
-            core_clock_fraction: r.f64()?,
-        })
-    }
-
     /// Energy of one access to a cache bank of the given capacity.
     pub fn cache_access(&self, capacity_kb: u32) -> f64 {
         let doublings = (capacity_kb as f64 / 4.0).log2().max(0.0);

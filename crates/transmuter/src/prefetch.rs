@@ -255,56 +255,6 @@ impl PrefetcherState {
     pub(crate) fn approx_heap_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.entries)
     }
-
-    /// Serialises the prefetcher (degree, line size, valid entries) for
-    /// the epoch cache's disk tier.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::PutBytes as _;
-        out.put_u8(self.degree);
-        out.put_u32(self.line_bytes);
-        out.put_u64(self.entries.len() as u64);
-        for (i, e) in self.valid() {
-            out.put_u64(i as u64);
-            out.put_u32(e.pc);
-            out.put_u64(e.last_addr);
-            out.put_i64(e.stride);
-            out.put_u8(e.confidence);
-        }
-    }
-
-    /// Inverse of [`PrefetcherState::encode_into`]; `None` on malformed
-    /// bytes.
-    pub(crate) fn decode_from(r: &mut crate::codec::Reader<'_>) -> Option<PrefetcherState> {
-        let degree = r.u8()?;
-        if degree as usize > PrefetchBuf::CAPACITY {
-            return None;
-        }
-        let line_bytes = r.u32()?;
-        let mut table = [StrideEntry::default(); TABLE_SIZE];
-        let valid = r.len(TABLE_SIZE)?;
-        for _ in 0..valid {
-            let i = r.u64()? as usize;
-            let pc = r.u32()?;
-            let last_addr = r.u64()?;
-            let stride = r.i64()?;
-            let confidence = r.u8()?;
-            if confidence > CONF_MAX {
-                return None;
-            }
-            *table.get_mut(i)? = StrideEntry {
-                pc,
-                last_addr,
-                stride,
-                confidence,
-                valid: true,
-            };
-        }
-        Some(PrefetcherState {
-            degree,
-            line_bytes,
-            entries: valid_entries(&table),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -195,16 +195,6 @@ impl OpStream {
     }
 }
 
-impl From<Vec<Op>> for OpStream {
-    fn from(ops: Vec<Op>) -> Self {
-        let mut s = OpStream::with_capacity(ops.len());
-        for op in ops {
-            s.push(op);
-        }
-        s
-    }
-}
-
 impl FromIterator<Op> for OpStream {
     fn from_iter<I: IntoIterator<Item = Op>>(iter: I) -> Self {
         let mut s = OpStream::new();
@@ -334,13 +324,10 @@ pub struct Phase {
 
 impl Phase {
     /// A phase with no SPM mapping and the default LCP load.
-    ///
-    /// Accepts either [`OpStream`]s directly or legacy `Vec<Op>` streams
-    /// (converted into SoA form on the way in).
-    pub fn new<S: Into<OpStream>>(name: &str, streams: Vec<S>) -> Self {
+    pub fn new(name: &str, streams: Vec<OpStream>) -> Self {
         Phase {
             name: name.to_string(),
-            streams: streams.into_iter().map(Into::into).collect(),
+            streams,
             spm_regions: Vec::new(),
             lcp_ops_per_gpe_op: 0.05,
         }
@@ -510,12 +497,14 @@ mod tests {
     fn fp_op_accounting_counts_loads_and_stores() {
         let p = Phase::new(
             "p",
-            vec![vec![
+            vec![[
                 Op::Flops(10),
                 Op::IntOps(99),
                 Op::Load { addr: 0, pc: 0 },
                 Op::Store { addr: 8, pc: 1 },
-            ]],
+            ]
+            .into_iter()
+            .collect()],
         );
         assert_eq!(p.total_fp_ops(), 12);
         let w = Workload::new("w", vec![p]);
@@ -527,7 +516,10 @@ mod tests {
         let mk = |addr| {
             Workload::new(
                 "w",
-                vec![Phase::new("p", vec![vec![Op::Load { addr, pc: 7 }]])],
+                vec![Phase::new(
+                    "p",
+                    vec![[Op::Load { addr, pc: 7 }].into_iter().collect()],
+                )],
             )
         };
         assert_eq!(mk(64).fingerprint(), mk(64).fingerprint());
@@ -537,8 +529,8 @@ mod tests {
         renamed.name = "other".into();
         assert_ne!(mk(64).fingerprint(), renamed.fingerprint());
         // Moving a byte between adjacent strings must not collide.
-        let a = Workload::new("ab", vec![Phase::new("c", Vec::<OpStream>::new())]);
-        let b = Workload::new("a", vec![Phase::new("bc", Vec::<OpStream>::new())]);
+        let a = Workload::new("ab", vec![Phase::new("c", Vec::new())]);
+        let b = Workload::new("a", vec![Phase::new("bc", Vec::new())]);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
@@ -550,7 +542,7 @@ mod tests {
             Op::Load { addr: 64, pc: 7 },
             Op::Store { addr: 96, pc: 8 },
         ];
-        let stream = OpStream::from(ops.clone());
+        let stream: OpStream = ops.iter().copied().collect();
         assert_eq!(stream.len(), 4);
         assert_eq!(stream.iter().collect::<Vec<_>>(), ops);
         assert_eq!(stream.get(2), ops[2]);
@@ -573,12 +565,14 @@ mod tests {
             "w",
             vec![Phase::new(
                 "p",
-                vec![vec![
+                vec![[
                     Op::Flops(5),
                     Op::IntOps(2),
                     Op::Load { addr: 4096, pc: 3 },
                     Op::Store { addr: 8192, pc: 4 },
-                ]],
+                ]
+                .into_iter()
+                .collect()],
             )],
         );
         let mut h = Fnv::new();

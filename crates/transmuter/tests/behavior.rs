@@ -4,7 +4,7 @@
 
 use transmuter::config::{ClockFreq, MachineSpec, SharingMode, TransmuterConfig};
 use transmuter::machine::Machine;
-use transmuter::workload::{Op, Phase, Workload};
+use transmuter::workload::{Op, OpStream, Phase, Workload};
 
 fn run(spec: MachineSpec, cfg: TransmuterConfig, wl: &Workload) -> transmuter::RunResult {
     Machine::new(spec, cfg).run(wl)
@@ -12,7 +12,7 @@ fn run(spec: MachineSpec, cfg: TransmuterConfig, wl: &Workload) -> transmuter::R
 
 /// Each GPE loops over a private working set of `set_bytes`.
 fn looping_workload(set_bytes: u64, iters: u64) -> Workload {
-    let streams: Vec<Vec<Op>> = (0..16)
+    let streams: Vec<OpStream> = (0..16)
         .map(|g| {
             let base = g as u64 * (set_bytes + 4096);
             let elems = set_bytes / 8;
@@ -57,7 +57,7 @@ fn larger_l1_captures_larger_working_sets() {
 #[test]
 fn prefetch_accelerates_streaming() {
     // Pure streaming: every line is touched once, strides are stable.
-    let streams: Vec<Vec<Op>> = (0..16)
+    let streams: Vec<OpStream> = (0..16)
         .map(|g| {
             let base = g as u64 * (1 << 22);
             (0..6_000u64)
@@ -91,7 +91,9 @@ fn prefetch_accelerates_streaming() {
 fn compute_bound_work_scales_with_clock() {
     // Almost no memory traffic: time should scale ~linearly with the
     // clock period.
-    let streams: Vec<Vec<Op>> = (0..16).map(|_| vec![Op::Flops(50_000)]).collect();
+    let streams: Vec<OpStream> = (0..16)
+        .map(|_| [Op::Flops(50_000)].into_iter().collect())
+        .collect();
     let wl = Workload::new("alu", vec![Phase::new("alu", streams)]);
     let spec = MachineSpec::default();
     let fast = run(spec, TransmuterConfig::baseline(), &wl).time_s;
@@ -114,7 +116,7 @@ fn shared_l2_deduplicates_cross_tile_data() {
     // thrashes while shared still fits.
     let block = 100 * 1024u64;
     let elems = block / 8;
-    let streams: Vec<Vec<Op>> = (0..16)
+    let streams: Vec<OpStream> = (0..16)
         .map(|g| {
             (0..30_000u64)
                 .flat_map(move |i| {

@@ -1,14 +1,15 @@
 //! Property tests for the [`MachineState`] snapshot layer that the
-//! epoch cache is built on: serialisation must be a lossless involution,
-//! restore must reproduce the captured state exactly, and the digest
-//! must be sound as a cache-key component (two states with different
-//! digests are genuinely different states).
+//! epoch cache is built on: restore must reproduce the captured state
+//! exactly, and the digest must be sound as a cache-key component (two
+//! states with different digests are genuinely different states).
 //!
 //! Snapshots taken at hooked boundaries share copy-on-write cache pages
 //! with each other and with the live machine, so the second half checks
-//! the sharing: digests folded from cached page hashes equal a
-//! from-scratch recompute, a snapshot never changes after it is taken,
-//! and resuming from any boundary's snapshot reproduces the run.
+//! the sharing against [`MachineState::unshared_copy`], a copy whose
+//! pages are captured afresh from their lines: digests folded from
+//! cached page hashes equal the copy's recompute, a snapshot never
+//! changes after it is taken, and resuming from any boundary's snapshot
+//! reproduces the run.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,25 +66,6 @@ fn end_state(cfg: TransmuterConfig, wl: &Workload) -> (MachineSpec, MachineState
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `from_bytes(to_bytes(s))` is the identity, and the digest is a
-    /// pure function of the state (clone and decode digest equally).
-    #[test]
-    fn byte_roundtrip_is_identity(
-        cfg_seed in 0u64..u64::MAX,
-        stride in 8u64..256,
-        iters in 50u64..300,
-        pcs in 1u32..8,
-        store_every in 1u64..9,
-    ) {
-        let cfg = config_from_seed(cfg_seed);
-        let (_, state) = end_state(cfg, &workload(stride, iters, pcs, store_every));
-        let bytes = state.to_bytes();
-        let decoded = MachineState::from_bytes(&bytes);
-        prop_assert_eq!(decoded.as_ref(), Some(&state));
-        prop_assert_eq!(decoded.unwrap().digest(), state.digest());
-        prop_assert_eq!(state.clone().digest(), state.digest());
-    }
-
     /// Restoring a snapshot into a fresh machine of the same spec and
     /// re-snapshotting reproduces it bit-for-bit, digest included.
     #[test]
@@ -103,27 +85,6 @@ proptest! {
         prop_assert_eq!(again.digest(), state.digest());
     }
 
-    /// Any truncation or trailing garbage is rejected (`None`), never
-    /// silently decoded into some other state — a corrupt disk-cache
-    /// entry must read as a miss, not as wrong physics.
-    #[test]
-    fn damaged_bytes_never_decode(
-        cfg_seed in 0u64..u64::MAX,
-        stride in 8u64..256,
-        iters in 50u64..200,
-        cut_frac in 0.0f64..1.0,
-        garbage in 1usize..16,
-    ) {
-        let cfg = config_from_seed(cfg_seed);
-        let (_, state) = end_state(cfg, &workload(stride, iters, 3, 4));
-        let bytes = state.to_bytes();
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert_eq!(MachineState::from_bytes(&bytes[..cut]), None);
-        let mut padded = bytes.clone();
-        padded.extend(std::iter::repeat_n(0xA5, garbage));
-        prop_assert_eq!(MachineState::from_bytes(&padded), None);
-    }
-
     /// The sound direction of the digest contract: unequal digests imply
     /// unequal states (equal states can never digest differently). The
     /// two states here come from runs whose lengths differ, so they are
@@ -141,7 +102,6 @@ proptest! {
         let (_, b) = end_state(cfg, &workload(stride, iters + extra, 3, 4));
         if a.digest() != b.digest() {
             prop_assert_ne!(&a, &b);
-            prop_assert_ne!(a.to_bytes(), b.to_bytes());
         }
     }
 }
@@ -187,11 +147,12 @@ impl Controller for RandomReconfig {
 }
 
 /// Records every boundary the run looks up and every epoch it records,
-/// and serves hits for boundaries below `serve_below` from `cached`.
+/// with an unshared copy of its exit state, and serves hits for
+/// boundaries below `serve_below` from `cached`.
 #[derive(Default)]
 struct Recorder {
     lookups: Vec<EpochBoundary>,
-    recorded: Vec<(EpochBoundary, Arc<CachedEpoch>, Vec<u8>)>,
+    recorded: Vec<(EpochBoundary, Arc<CachedEpoch>, MachineState)>,
     cached: HashMap<EpochBoundary, Arc<CachedEpoch>>,
     serve_below: usize,
     hits: usize,
@@ -209,8 +170,8 @@ impl EpochHook for Recorder {
     }
 
     fn record(&mut self, boundary: &EpochBoundary, epoch: CachedEpoch) {
-        let bytes = epoch.exit.to_bytes();
-        self.recorded.push((*boundary, Arc::new(epoch), bytes));
+        let copy = epoch.exit.unshared_copy();
+        self.recorded.push((*boundary, Arc::new(epoch), copy));
     }
 }
 
@@ -235,10 +196,11 @@ proptest! {
     /// Every hooked boundary's digest — folded from the cache pages'
     /// cached hashes — equals a from-scratch recompute, on runs that
     /// grow, shrink and flush mid-run. Exit snapshots are recomputed
-    /// from their bytes; entry digests must equal the previous exit's
-    /// wherever the controller kept the configuration. (Debug builds
-    /// additionally check every boundary, reconfigured ones included,
-    /// against a from-scratch copy of the live lines inside the run.)
+    /// through their unshared copies; entry digests must equal the
+    /// previous exit's wherever the controller kept the configuration.
+    /// (Debug builds additionally check every boundary, reconfigured
+    /// ones included, against a from-scratch copy of the live lines
+    /// inside the run.)
     #[test]
     fn committed_digests_match_a_from_scratch_recompute(
         cfg_seed in 0u64..u64::MAX,
@@ -270,9 +232,8 @@ proptest! {
         prop_assert_eq!(from_commits.snapshot(), from_lines.snapshot());
         let fresh = Machine::new(short_epochs(), cfg).snapshot();
         prop_assert_eq!(hook.lookups[0].entry_digest, fresh.digest());
-        for (k, (_, epoch, bytes)) in hook.recorded.iter().enumerate() {
-            let recomputed = MachineState::from_bytes(bytes).expect("snapshot decodes");
-            prop_assert_eq!(&recomputed, &epoch.exit);
+        for (k, (_, epoch, recomputed)) in hook.recorded.iter().enumerate() {
+            prop_assert_eq!(recomputed, &epoch.exit);
             prop_assert_eq!(recomputed.digest(), epoch.exit.digest());
             let kept_config = ctrl.decision(k).is_none_or(|c| c == run.epochs[k].config);
             if let (Some(next), true) = (hook.lookups.get(k + 1), kept_config) {
@@ -285,8 +246,8 @@ proptest! {
         }
     }
 
-    /// Copy-on-write never aliases: a snapshot's bytes do not change
-    /// after the machine that took it runs on, nor after another
+    /// Copy-on-write never aliases: a snapshot still equals its unshared
+    /// copy after the machine that took it runs on, and after another
     /// machine restores it (and so shares its pages) and runs on.
     #[test]
     fn snapshots_do_not_change_after_the_machine_runs_on(
@@ -305,17 +266,17 @@ proptest! {
         let mut machine = Machine::new(short_epochs(), cfg);
         machine.run_with_controller_and_hook(&wl, &mut ctrl, &mut hook);
         let taken = machine.snapshot();
-        let taken_bytes = taken.to_bytes();
+        let taken_copy = taken.unshared_copy();
         // The machine runs on: a second pass mutates every cache again.
         machine.run_with_controller_and_hook(&wl, &mut ctrl, &mut Recorder::default());
-        prop_assert_eq!(taken.to_bytes(), taken_bytes);
+        prop_assert_eq!(&taken, &taken_copy);
         // Another machine adopts one snapshot's pages and runs on.
         let (_, adopted, _) = &hook.recorded[pick % hook.recorded.len()];
         let mut other = Machine::new(short_epochs(), cfg);
         other.restore(&adopted.exit);
         other.run_with_controller_and_hook(&wl, &mut ctrl, &mut Recorder::default());
-        for (k, (_, epoch, bytes)) in hook.recorded.iter().enumerate() {
-            prop_assert!(&epoch.exit.to_bytes() == bytes, "snapshot {} changed", k);
+        for (k, (_, epoch, copy)) in hook.recorded.iter().enumerate() {
+            prop_assert!(&epoch.exit == copy, "snapshot {} changed", k);
         }
     }
 
