@@ -244,7 +244,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const ROUTES: [&str; 2] = ["POST /v1/recommend", "POST /v2/recommend"];
+    const ROUTES: [&str; 2] = ["POST /v2/simulate", "POST /v2/recommend"];
 
     fn text(answer: &Answer) -> &str {
         match answer {

@@ -7,20 +7,17 @@
 //! workloads is the bench harness's business and should not leak into
 //! the core crate.
 //!
-//! # Wire versions
+//! # Wire format
 //!
-//! Two dialects share one set of typed handlers:
+//! Every route speaks one dialect, under `/v2/*`: the envelope
+//! `{"v": 2, "data": ...}` on success and
+//! `{"v": 2, "data": null, "error": {...}}` on failure. The router may
+//! additionally mark a failed-over response with `"rerouted": true` in
+//! the envelope. Only `/healthz` and `/metrics` answer bare documents.
 //!
-//! - `/v1/*` — the original PR-3 surface: bare response documents,
-//!   kept as a compatibility shim. Deprecated; see DESIGN.md §7 for
-//!   the removal policy.
-//! - `/v2/*` — the versioned envelope `{"v": 2, "data": ...}` on
-//!   success and `{"v": 2, "data": null, "error": {...}}` on failure.
-//!   The router may additionally mark a failed-over response with
-//!   `"rerouted": true` in the envelope.
-//!
-//! Errors everywhere (both dialects, router and shards alike) use one
-//! structured shape, [`ApiError`]: `{code, message, retry_after_ms?}`.
+//! Errors everywhere (router and shards alike, and the transport-level
+//! failures no handler sees) carry one structured shape, [`ApiError`]:
+//! `{code, message, retry_after_ms?}`, inside that envelope.
 
 use serde::{Deserialize, Serialize};
 use sparseadapt::service::TraceSummary;
@@ -32,7 +29,7 @@ use transmuter::metrics::OptMode;
 use sa_bench::experiments::Kernel;
 use sa_bench::mtx::MatrixSource;
 
-/// `POST /v1/simulate`: run (or fetch from the trace cache) one
+/// `POST /v2/simulate`: run (or fetch from the trace cache) one
 /// `(kernel, matrix, config)` simulation and return its summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulateRequest {
@@ -83,13 +80,13 @@ pub struct SimulateResponse {
 const SIM_MS_KEY: &str = "\"sim_ms\":";
 
 impl SimulateResponse {
-    /// This response's body in `version`'s dialect, and that body
-    /// without its `sim_ms` value: the one field that differs between
-    /// answers to the same request. `sim_ms` is the last field, so its
-    /// value ends at the first `}` after the key.
-    pub(crate) fn split_body(&self, version: ApiVersion) -> (String, SimulateBody) {
+    /// This response's enveloped body, and that body without its
+    /// `sim_ms` value: the one field that differs between answers to the
+    /// same request. `sim_ms` is the last field, so its value ends at the
+    /// first `}` after the key.
+    pub(crate) fn split_body(&self) -> (String, SimulateBody) {
         let inner = serde_json::to_string(self).expect("simulate response serializes");
-        let text = version.ok_body(&inner);
+        let text = ApiVersion::V2.ok_body(&inner);
         let at = text
             .rfind(SIM_MS_KEY)
             .expect("a simulate body carries sim_ms")
@@ -133,7 +130,7 @@ impl SimulateBody {
     }
 }
 
-/// `POST /v1/recommend`: ask the adaptive policy what the next epoch
+/// `POST /v2/recommend`: ask the adaptive policy what the next epoch
 /// should run as. Extends [`sparseadapt::service::RecommendRequest`]
 /// with the model-selection fields (which trained ensemble to consult).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -168,8 +165,8 @@ impl RecommendApiRequest {
     ];
 }
 
-/// `POST /v1/sweep`: launch an asynchronous configuration sweep; the
-/// response is a job id to poll at `GET /v1/jobs/<id>`.
+/// `POST /v2/sweep`: launch an asynchronous configuration sweep; the
+/// response is a job id to poll at `GET /v2/jobs/<id>`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepRequest {
     /// Kernel name (same vocabulary as [`SimulateRequest::kernel`]).
@@ -260,7 +257,7 @@ pub struct SweepAccepted {
     pub job_id: u64,
     /// Always `"queued"` at accept time.
     pub status: String,
-    /// Poll path, versioned to match the request's dialect.
+    /// Poll path, `/v2/jobs/<id>`.
     pub poll: String,
 }
 
@@ -416,8 +413,7 @@ pub mod code {
     /// Every shard behind the router was unreachable (503).
     pub const SHARD_UNAVAILABLE: &str = "shard_unavailable";
     /// Request carried a top-level field the endpoint does not know
-    /// (400). Only raised on `/v2/*`; `/v1/*` keeps its original
-    /// ignore-unknowns semantics.
+    /// (400).
     pub const UNKNOWN_FIELD: &str = "unknown_field";
     /// A topology mutation carried `If-Match: <epoch>` but the topology
     /// moved underneath it (409). Re-read `GET /v2/admin/topology` and
@@ -476,9 +472,9 @@ impl ApiError {
         self
     }
 
-    /// The default code for a transport-level status (used where the
-    /// failure is detected before any handler runs, e.g. malformed
-    /// HTTP).
+    /// The code a status implies: [`crate::http::Response::error`]
+    /// uses it wherever the status alone names the failure (malformed
+    /// HTTP, unknown paths, wrong verbs, most control-plane refusals).
     pub fn for_status(status: u16, message: &str) -> ApiError {
         let c = match status {
             400 => code::BAD_REQUEST,
@@ -511,93 +507,68 @@ impl ApiError {
     }
 }
 
-/// Parses a request body for the given dialect. `/v1/*` keeps its
-/// original lenient semantics (unknown fields silently ignored, as a
-/// compatibility shim); `/v2/*` rejects any top-level field outside
-/// `known` with [`code::UNKNOWN_FIELD`], so client typos like
-/// `"confg_name"` fail loudly instead of silently falling back to
-/// defaults. Admin endpoints share this exact validation path with the
-/// data plane (`/v2/simulate` et al.) so the two surfaces cannot drift.
+/// Parses a request body, rejecting any top-level field outside `known`
+/// with [`code::UNKNOWN_FIELD`], so client typos like `"confg_name"`
+/// fail loudly instead of silently falling back to defaults. Admin
+/// endpoints share this exact validation path with the data plane
+/// (`/v2/simulate` et al.) so the two surfaces cannot drift.
+///
+/// `_version` is unused: it is kept only because the benchmark names it,
+/// and goes when the benchmark stops doing so.
 pub fn parse_body<T: serde::Deserialize>(
     body: &[u8],
-    version: ApiVersion,
+    _version: ApiVersion,
     known: &[&str],
 ) -> Result<T, ApiError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ApiError::new(code::BAD_REQUEST, "request body is not UTF-8"))?;
     let value = serde_json::parse_value_str(text)
         .map_err(|e| ApiError::new(code::BAD_REQUEST, format!("bad request: {e}")))?;
-    if version == ApiVersion::V2 {
-        let obj = value.as_obj().ok_or_else(|| {
-            ApiError::new(code::BAD_REQUEST, "request body must be a JSON object")
-        })?;
-        if let Some((k, _)) = obj.iter().find(|(k, _)| !known.contains(&k.as_str())) {
-            return Err(ApiError::new(
-                code::UNKNOWN_FIELD,
-                format!("unknown field \"{k}\" (known fields: {})", known.join(", ")),
-            ));
-        }
+    let obj = value
+        .as_obj()
+        .ok_or_else(|| ApiError::new(code::BAD_REQUEST, "request body must be a JSON object"))?;
+    if let Some((k, _)) = obj.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        return Err(ApiError::new(
+            code::UNKNOWN_FIELD,
+            format!("unknown field \"{k}\" (known fields: {})", known.join(", ")),
+        ));
     }
     T::from_value(&value).map_err(|e| ApiError::new(code::BAD_REQUEST, format!("bad request: {e}")))
 }
 
-/// Which wire dialect a request arrived on.
+/// The wire dialect, of which there is one. The enum and its one
+/// variant are kept only because the benchmark names them; they go when
+/// the benchmark stops doing so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApiVersion {
-    /// Bare documents (compatibility shim).
-    V1,
-    /// `{"v": 2, ...}` envelope.
+    /// The `{"v": 2, ...}` envelope.
     V2,
 }
 
 impl ApiVersion {
-    /// The dialect a request path speaks: `/v2/*` answers in the
-    /// envelope, every other path in the bare v1 shape.
-    pub fn of_path(path: &str) -> ApiVersion {
-        if path.starts_with("/v2/") {
-            ApiVersion::V2
-        } else {
-            ApiVersion::V1
-        }
-    }
-
-    /// Wraps a success payload (already-serialized JSON) for this
-    /// dialect. The payload is spliced, not re-parsed: all typed
+    /// Wraps a success payload (already-serialized JSON) in the
+    /// envelope. The payload is spliced, not re-parsed: all typed
     /// serialization is deterministic, so identical requests produce
     /// byte-identical envelopes.
     pub fn ok_body(self, data_json: &str) -> String {
-        match self {
-            ApiVersion::V1 => data_json.to_string(),
-            ApiVersion::V2 => format!("{{\"v\": {API_VERSION}, \"data\": {data_json}}}"),
-        }
+        format!("{{\"v\": {API_VERSION}, \"data\": {data_json}}}")
     }
 
-    /// Wraps an [`ApiError`] for this dialect.
+    /// Wraps an [`ApiError`] in the envelope.
     pub fn err_body(self, err: &ApiError) -> String {
-        let err_json = err.to_json();
-        match self {
-            ApiVersion::V1 => err_json,
-            ApiVersion::V2 => {
-                format!("{{\"v\": {API_VERSION}, \"data\": null, \"error\": {err_json}}}")
-            }
-        }
+        format!(
+            "{{\"v\": {API_VERSION}, \"data\": null, \"error\": {}}}",
+            err.to_json()
+        )
     }
 
-    /// A structured error response in this dialect, with a
-    /// `Retry-After` header when the error carries a backoff hint.
+    /// A structured error response, with a `Retry-After` header when the
+    /// error carries a backoff hint.
     pub fn error_response(self, status: u16, err: &ApiError) -> crate::http::Response {
         let resp = crate::http::Response::json(status, self.err_body(err));
         match err.retry_after_s() {
             Some(s) => resp.with_header("retry-after", s.to_string()),
             None => resp,
-        }
-    }
-
-    /// The job-poll path prefix for this dialect.
-    pub fn jobs_prefix(self) -> &'static str {
-        match self {
-            ApiVersion::V1 => "/v1/jobs",
-            ApiVersion::V2 => "/v2/jobs",
         }
     }
 }
@@ -739,7 +710,7 @@ mod tests {
     proptest! {
         /// A body split from one response, with a finite `sim_ms` written
         /// back in, is byte for byte the serialized response carrying
-        /// that `sim_ms`, in both dialects.
+        /// that `sim_ms`.
         #[test]
         fn split_body_splices_sim_ms_as_serde_writes_it(
             sim_ms_bits in 0u64..u64::MAX,
@@ -771,14 +742,12 @@ mod tests {
                 // one (written as `null`).
                 sim_ms: f64::from_bits(split_bits),
             };
-            let cut = [ApiVersion::V1, ApiVersion::V2].map(|v| response.split_body(v).1);
+            let cut = response.split_body().1;
             response.sim_ms = sim_ms;
             let inner = serde_json::to_string(&response).expect("serializes");
-            for (body, version) in cut.iter().zip([ApiVersion::V1, ApiVersion::V2]) {
-                let whole = version.ok_body(&inner);
-                prop_assert_eq!(&response.split_body(version).0, &whole);
-                prop_assert_eq!(body.with_sim_ms(sim_ms), whole);
-            }
+            let whole = ApiVersion::V2.ok_body(&inner);
+            prop_assert_eq!(&response.split_body().0, &whole);
+            prop_assert_eq!(cut.with_sim_ms(sim_ms), whole);
         }
     }
 

@@ -131,7 +131,6 @@ impl<K, W> std::fmt::Debug for Coalescer<K, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ApiVersion;
     use crate::reactor::Reply;
     use std::panic::AssertUnwindSafe;
 
@@ -167,9 +166,8 @@ mod tests {
     #[test]
     fn panicking_leader_answers_every_follower() {
         let c = Coalescer::<u32, Reply>::new();
-        let (leader, leader_answers) = Reply::detached(ApiVersion::V2);
-        let (followers, mut answers): (Vec<_>, Vec<_>) =
-            (0..3).map(|_| Reply::detached(ApiVersion::V1)).unzip();
+        let (leader, leader_answers) = Reply::detached();
+        let (followers, mut answers): (Vec<_>, Vec<_>) = (0..3).map(|_| Reply::detached()).unzip();
         answers.push(leader_answers);
         let died = std::panic::catch_unwind(AssertUnwindSafe(|| {
             c.run(7, leader, || {

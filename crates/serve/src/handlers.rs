@@ -2,8 +2,8 @@
 //!
 //! Routes that only read in-process state (health, metrics, job polls,
 //! drain, topology) answer on the reactor's loop thread. So do the
-//! memory hits of `POST /v{1,2}/simulate` (a trace already in memory)
-//! and `POST /v{1,2}/recommend` (a model already loaded): those two
+//! memory hits of `POST /v2/simulate` (a trace already in memory)
+//! and `POST /v2/recommend` (a model already loaded): those two
 //! handlers are entered on the loop and first look the exact request
 //! bytes up in the [answer memo](crate::answer_memo): a body answered
 //! on the loop before is answered again without being decoded.
@@ -15,16 +15,12 @@
 //! [`crate::queue::admit`], and answers through the request's
 //! [`Reply`]. Simulate misses also coalesce on
 //! the pool: a request whose key is already in flight leaves its reply
-//! with the leader, which answers every follower with the same bytes.
+//! with the leader, which renders one response and sends every follower
+//! the same bytes.
 //!
-//! Every handler is *version-aware*: `/v1/*` and `/v2/*` both land
-//! here, carrying an [`ApiVersion`]. Handlers compute one typed payload
-//! (serialized once), and the version only decides the final wrapping —
-//! bare document for v1, `{"v": 2, "data": ...}` envelope for v2 — so
-//! the two dialects cannot drift apart. Errors are structured
-//! [`ApiError`]s in both dialects. Coalescing happens on the *inner*
-//! payload, so a v1 and a v2 request for the same simulation share one
-//! computation.
+//! Handlers compute one typed payload, serialize it once and wrap it in
+//! the `{"v": 2, "data": ...}` envelope; errors are structured
+//! [`ApiError`]s in the same envelope.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +44,7 @@ use crate::http::{Request, Response};
 use crate::metrics::QueueGauges;
 use crate::queue;
 use crate::reactor::Reply;
-use crate::server::AppState;
+use crate::server::{AppState, DrainControl};
 
 /// The maximum `sampled` a sweep request may ask for — bounds one job's
 /// memory and wall time regardless of what the client sends.
@@ -61,17 +57,10 @@ pub const MAX_SWEEP_SAMPLED: u64 = 4096;
 /// and on the loop that would stall every connection.
 pub const LOOP_BODY_MAX: usize = 4 * 1024;
 
-/// Renders a success document (`inner`, already serialized JSON) into
-/// a response for the request's dialect. Errors go through
-/// [`ApiVersion::error_response`].
-fn finish(version: ApiVersion, status: u16, inner: &str) -> Response {
-    Response::json(status, version.ok_body(inner))
-}
-
-/// Answers with a success document in the reply's dialect.
-fn send_ok(reply: Reply, status: u16, inner: &str) {
-    let response = finish(reply.version(), status, inner);
-    reply.send(response);
+/// Renders a success document (`inner`, already serialized JSON) in
+/// the envelope. Errors go through [`ApiVersion::error_response`].
+pub(crate) fn finish(status: u16, inner: &str) -> Response {
+    Response::json(status, ApiVersion::V2.ok_body(inner))
 }
 
 /// `result`'s value, handed back with the reply; an error is answered
@@ -117,29 +106,19 @@ pub fn metrics(state: &AppState) -> Response {
     )
 }
 
-/// The enveloped 405 every known `/v2/admin` path returns on a wrong
-/// verb — admin paths exist, so a wrong method must not read as 404,
-/// and the error carries the structured `/v2` envelope like every other
-/// admin answer.
-pub fn admin_method_not_allowed() -> Response {
-    let err = ApiError::new(code::METHOD_NOT_ALLOWED, "method not allowed for this path");
-    Response::json(405, ApiVersion::V2.err_body(&err))
-}
-
-/// `POST /v2/admin/drain`: ask the reactor to drain gracefully.
-/// Returns immediately; the daemon stops accepting, finishes in-flight
-/// work, closes idle connections, and (when run via the binary) exits 0
-/// once the drain completes. Idempotent — repeated calls report the
-/// current state.
-pub fn drain(state: &AppState, version: ApiVersion) -> Response {
-    let already = state.drain.requested();
-    state.drain.request();
+/// `POST /v2/admin/drain`, on a daemon or the router: ask the reactor
+/// to drain gracefully. Returns immediately; the process stops
+/// accepting, finishes in-flight work, closes idle connections, and
+/// (when run via the binary) exits 0 once the drain completes.
+/// Idempotent — repeated calls report the current state.
+pub fn drain(drain: &DrainControl) -> Response {
+    let already = drain.requested();
+    drain.request();
     let doc = DrainStatusDoc {
         draining: true,
         already_requested: already,
     };
     finish(
-        version,
         200,
         &serde_json::to_string(&doc).expect("drain status serializes"),
     )
@@ -149,14 +128,13 @@ pub fn drain(state: &AppState, version: ApiVersion) -> Response {
 /// cluster — the last topology the router pushed, or the standalone
 /// placeholder `{epoch: 0, shards: []}` when no router has spoken.
 /// Tests cross-check this against the router's authoritative document.
-pub fn topology_get(state: &AppState, version: ApiVersion) -> Response {
+pub fn topology_get(state: &AppState) -> Response {
     let doc = state.topology.lock().expect("topology lock").clone();
     let doc = doc.unwrap_or(TopologyDoc {
         epoch: 0,
         shards: Vec::new(),
     });
     finish(
-        version,
         200,
         &serde_json::to_string(&doc).expect("topology serializes"),
     )
@@ -189,14 +167,14 @@ fn decode_on_loop<T: Deserialize + Send + 'static>(
     if body.len() > LOOP_BODY_MAX {
         let body = std::mem::take(body);
         to_pool(state, reply, move |state, reply| {
-            if let Some((parsed, reply)) = or_400(parse_body(&body, reply.version(), fields), reply)
+            if let Some((parsed, reply)) = or_400(parse_body(&body, ApiVersion::V2, fields), reply)
             {
                 on_pool(state, parsed, reply);
             }
         });
         return None;
     }
-    or_400(parse_body(body, reply.version(), fields), reply)
+    or_400(parse_body(body, ApiVersion::V2, fields), reply)
 }
 
 /// `POST /v2/admin/topology` on a shard: accept a topology push from
@@ -231,11 +209,10 @@ fn apply_topology(state: &Arc<AppState>, doc: TopologyDoc, reply: Reply) {
         accepted: !stale,
         epoch,
     };
-    send_ok(
-        reply,
+    reply.send(finish(
         200,
         &serde_json::to_string(&ack).expect("topology ack serializes"),
-    );
+    ));
 }
 
 /// `GET /v2/cache/trace/{spec}-{workload}-{config}`: the serve side of
@@ -260,29 +237,23 @@ pub fn trace_get(_state: &Arc<AppState>, req: Request, reply: Reply) {
     });
 }
 
-/// `GET /v1/jobs` and `GET /v2/jobs`.
-pub fn jobs(state: &AppState, version: ApiVersion) -> Response {
-    finish(version, 200, &state.jobs.render_all())
+/// `GET /v2/jobs`.
+pub fn jobs(state: &AppState) -> Response {
+    finish(200, &state.jobs.render_all())
 }
 
-/// `GET /v1/jobs/<id>` and `GET /v2/jobs/<id>`.
-pub fn job(state: &AppState, id_str: &str, version: ApiVersion) -> Response {
+/// `GET /v2/jobs/<id>`.
+pub fn job(state: &AppState, id_str: &str) -> Response {
     let Ok(id) = id_str.parse::<u64>() else {
-        return version.error_response(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "job id must be an integer"),
-        );
+        return Response::error(400, "job id must be an integer");
     };
     match state.jobs.render(id) {
-        Some(doc) => finish(version, 200, &doc),
-        None => version.error_response(
-            404,
-            &ApiError::new(code::NOT_FOUND, format!("no such job {id}")),
-        ),
+        Some(doc) => finish(200, &doc),
+        None => Response::error(404, &format!("no such job {id}")),
     }
 }
 
-/// `POST /v{1,2}/simulate`, entered on the loop thread. A body this
+/// `POST /v2/simulate`, entered on the loop thread. A body this
 /// route answered on the loop before is answered from the [answer
 /// memo](crate::answer_memo) while its trace is still in memory, with a
 /// fresh `sim_ms` timed from the probe. Otherwise a trace that is already
@@ -318,7 +289,7 @@ pub fn simulate(state: &Arc<AppState>, mut req: Request, reply: Reply) {
     };
     match memory_hit(state, &resolved) {
         Some((response, trace)) => {
-            let (text, body) = response.split_body(reply.version());
+            let (text, body) = response.split_body();
             state
                 .answers
                 .put(reply.route(), &req.body, Answer::Simulate { body, trace });
@@ -361,8 +332,8 @@ fn simulate_on_pool(state: &Arc<AppState>, parsed: SimulateRequest, reply: Reply
 /// Coalesced, cache-backed simulation, run in place on the pool worker
 /// that admitted it. A request whose key is already in flight leaves
 /// its reply with the leader and returns at once, freeing its worker;
-/// the leader answers every follower in the follower's own dialect,
-/// with the leader's 500 if it panics.
+/// the leader renders one response and sends it to every follower, or
+/// they all get the leader's 500 if it panics.
 fn simulate_resolved(state: &Arc<AppState>, resolved: &ResolvedSim, reply: Reply) {
     let Some((inner, waiters)) = state
         .coalescer
@@ -371,8 +342,9 @@ fn simulate_resolved(state: &Arc<AppState>, resolved: &ResolvedSim, reply: Reply
         state.metrics.record_coalesced();
         return;
     };
+    let response = finish(200, &inner);
     for waiter in waiters {
-        send_ok(waiter, 200, &inner);
+        waiter.send(response.clone());
     }
 }
 
@@ -423,9 +395,8 @@ fn simulate_response(
 /// simulation; the response carries the `mtx:<hash>` id that later
 /// simulate and sweep requests name.
 pub fn upload_matrix(_state: &Arc<AppState>, req: Request, reply: Reply) {
-    let version = reply.version();
     let parsed: UploadMatrixRequest =
-        match parse_body(&req.body, version, UploadMatrixRequest::FIELDS) {
+        match parse_body(&req.body, ApiVersion::V2, UploadMatrixRequest::FIELDS) {
             Ok(parsed) => parsed,
             Err(err) => return reply.error(400, &err),
         };
@@ -442,16 +413,16 @@ pub fn upload_matrix(_state: &Arc<AppState>, req: Request, reply: Reply) {
                 deduplicated,
             };
             let inner = serde_json::to_string(&response).expect("upload response serializes");
-            reply.send(finish(version, 200, &inner));
+            reply.send(finish(200, &inner));
         }
-        Err(e) => reply.error(
+        Err(e) => reply.send(Response::error(
             400,
-            &ApiError::new(code::BAD_REQUEST, format!("invalid MatrixMarket body: {e}")),
-        ),
+            &format!("invalid MatrixMarket body: {e}"),
+        )),
     }
 }
 
-/// `POST /v{1,2}/recommend`, entered on the loop thread. A body this
+/// `POST /v2/recommend`, entered on the loop thread. A body this
 /// route answered on the loop before is answered from the [answer
 /// memo](crate::answer_memo). Otherwise, with the model this process
 /// has already loaded, the one inference is answered right here and
@@ -480,7 +451,7 @@ pub fn recommend(state: &Arc<AppState>, mut req: Request, reply: Reply) {
     match sa_bench::models::loaded_ensemble(harness.scale, l1_kind, mode) {
         Some(ensemble) => {
             let inner = recommend_json(state, &ensemble, kernel, parsed);
-            let body = reply.version().ok_body(&inner);
+            let body = ApiVersion::V2.ok_body(&inner);
             state
                 .answers
                 .put(reply.route(), &req.body, Answer::Recommend(body.clone()));
@@ -503,11 +474,10 @@ fn recommend_on_pool(state: &Arc<AppState>, parsed: RecommendApiRequest, reply: 
 /// Answers a recommend on the pool, loading its ensemble if need be.
 fn answer_recommend(state: &AppState, kernel: Kernel, parsed: RecommendApiRequest, reply: Reply) {
     let ensemble = load_ensemble(state, &parsed);
-    send_ok(
-        reply,
+    reply.send(finish(
         200,
         &recommend_json(state, &ensemble, kernel, parsed),
-    );
+    ));
 }
 
 /// The ensemble a recommend request names, loaded (or trained) on first
@@ -539,19 +509,18 @@ fn recommend_json(
     serde_json::to_string(&resp).expect("recommend response serializes")
 }
 
-/// `POST /v{1,2}/sweep`: launch an asynchronous sweep job; 202 + job
+/// `POST /v2/sweep`: launch an asynchronous sweep job; 202 + job
 /// id. The pool worker that admitted the request registers the job,
 /// answers 202, and then runs the sweep in place, so a full queue
 /// rejects the request with 429 before any job exists.
 pub fn sweep(state: &Arc<AppState>, req: Request, reply: Reply) {
-    let version = reply.version();
-    let parsed: SweepRequest = match parse_body(&req.body, version, SweepRequest::FIELDS) {
+    let parsed: SweepRequest = match parse_body(&req.body, ApiVersion::V2, SweepRequest::FIELDS) {
         Ok(parsed) => parsed,
         Err(err) => return reply.error(400, &err),
     };
     let resolved = match parsed.resolve() {
         Ok(r) => r,
-        Err(msg) => return reply.error(400, &ApiError::new(code::BAD_REQUEST, msg)),
+        Err(msg) => return reply.send(Response::error(400, &msg)),
     };
     let sampled = parsed
         .sampled
@@ -568,10 +537,10 @@ pub fn sweep(state: &Arc<AppState>, req: Request, reply: Reply) {
     let accepted = SweepAccepted {
         job_id: id,
         status: "queued".to_string(),
-        poll: format!("{}/{id}", version.jobs_prefix()),
+        poll: format!("/v2/jobs/{id}"),
     };
     let inner = serde_json::to_string(&accepted).expect("accepted document serializes");
-    reply.send(finish(version, 202, &inner));
+    reply.send(finish(202, &inner));
 
     state.jobs.mark_running(id);
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

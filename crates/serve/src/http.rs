@@ -71,14 +71,15 @@ impl Response {
         }
     }
 
-    /// A JSON error response in the daemon's uniform structured error
-    /// shape (`{code, message, retry_after_ms?}`), the code inferred
-    /// from the status. Used where failures are detected before any
-    /// versioned handler runs (malformed HTTP, unknown routes); handler
-    /// errors construct [`crate::api::ApiError`] directly.
+    /// A JSON error response in the daemon's one error envelope, its
+    /// [`crate::api::ApiError`] code inferred from the status. Used
+    /// wherever the status alone names the failure: malformed HTTP,
+    /// unknown routes, wrong verbs, most refusals. An error with another
+    /// code or a backoff hint builds its `ApiError` and goes through
+    /// [`crate::api::ApiVersion::error_response`].
     pub fn error(status: u16, message: &str) -> Response {
         let err = crate::api::ApiError::for_status(status, message);
-        crate::api::ApiVersion::V1.error_response(status, &err)
+        crate::api::ApiVersion::V2.error_response(status, &err)
     }
 
     /// A binary response (`application/octet-stream`) with the given
@@ -153,11 +154,12 @@ pub fn response_bytes(response: &Response, keep_alive: bool) -> Vec<u8> {
 }
 
 /// Client side: a request's exact wire bytes, with an optional JSON
-/// body. Head and body share one buffer for the same delayed-ACK reason
-/// as [`response_bytes`]; the load generator sends these bytes as they
-/// are, so its requests and [`write_request`]'s cannot drift apart.
-pub fn request_bytes(method: &str, target: &str, body: Option<&str>) -> Vec<u8> {
-    let body = body.unwrap_or("");
+/// body, sent as given. Head and body share one buffer for the same
+/// delayed-ACK reason as [`response_bytes`]; the load generator sends
+/// these bytes as they are, so its requests and [`write_request`]'s
+/// cannot drift apart.
+pub fn request_bytes(method: &str, target: &str, body: Option<&[u8]>) -> Vec<u8> {
+    let body = body.unwrap_or_default();
     let head = format!(
         "{method} {target} HTTP/1.1\r\nhost: sparseadapt-serve\r\ncontent-length: {}\r\n{}\r\n",
         body.len(),
@@ -169,7 +171,7 @@ pub fn request_bytes(method: &str, target: &str, body: Option<&str>) -> Vec<u8> 
     );
     let mut wire = Vec::with_capacity(head.len() + body.len());
     wire.extend_from_slice(head.as_bytes());
-    wire.extend_from_slice(body.as_bytes());
+    wire.extend_from_slice(body);
     wire
 }
 
@@ -182,7 +184,7 @@ pub fn write_request(
     stream: &mut TcpStream,
     method: &str,
     target: &str,
-    body: Option<&str>,
+    body: Option<&[u8]>,
 ) -> io::Result<()> {
     stream.write_all(&request_bytes(method, target, body))?;
     stream.flush()
@@ -449,6 +451,13 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
+    /// Asserts `resp` carries `code` in the error envelope.
+    fn assert_enveloped(resp: &Response, code: &str) {
+        let body = std::str::from_utf8(&resp.body).expect("UTF-8 body");
+        let head = format!(r#"{{"v": 2, "data": null, "error": {{"code":"{code}","message":"#);
+        assert!(body.starts_with(&head), "{body}");
+    }
+
     /// Feeds `raw` in one piece and takes the first outcome.
     fn parse_one(raw: &[u8]) -> Parsed {
         let mut p = RequestParser::new();
@@ -459,13 +468,13 @@ mod tests {
     #[test]
     fn parses_a_post_with_body() {
         let out = parse_one(
-            b"POST /v1/simulate?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody",
+            b"POST /v2/simulate?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody",
         );
         let Parsed::Request(req) = out else {
             panic!("expected a request, got {out:?}");
         };
         assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/v1/simulate");
+        assert_eq!(req.path, "/v2/simulate");
         assert_eq!(req.query, "x=1");
         assert_eq!(req.header("host"), Some("h"));
         assert_eq!(req.body, b"body");
@@ -487,18 +496,20 @@ mod tests {
             panic!("expected malformed");
         };
         assert_eq!(resp.status, 400);
+        assert_enveloped(&resp, "bad_request");
     }
 
     #[test]
     fn oversized_body_yields_413() {
         let raw = format!(
-            "POST /v1/simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            "POST /v2/simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
         let Parsed::Malformed(resp) = parse_one(raw.as_bytes()) else {
             panic!("expected malformed");
         };
         assert_eq!(resp.status, 413);
+        assert_enveloped(&resp, "payload_too_large");
     }
 
     #[test]
@@ -522,7 +533,7 @@ mod tests {
 
     #[test]
     fn request_bytes_parse_back_through_the_request_parser() {
-        for body in [None, Some(""), Some("{\"k\": 1}")] {
+        for body in [None, Some(&b""[..]), Some(b"{\"k\": 1}")] {
             let mut p = RequestParser::new();
             p.feed(&request_bytes("POST", "/v2/simulate?x=1", body));
             let Parsed::Request(req) = p.next_request() else {
@@ -533,8 +544,8 @@ mod tests {
                 (req.path.as_str(), req.query.as_str()),
                 ("/v2/simulate", "x=1")
             );
-            let body = body.unwrap_or("");
-            assert_eq!(req.body, body.as_bytes());
+            let body = body.unwrap_or_default();
+            assert_eq!(req.body, body);
             // Only a non-empty body is labelled JSON.
             assert_eq!(req.header("content-type").is_some(), !body.is_empty());
             assert_eq!(p.buffered(), 0, "one request, no trailing bytes");
@@ -543,7 +554,7 @@ mod tests {
 
     #[test]
     fn incremental_parser_resumes_across_fragments() {
-        let raw = b"POST /v1/simulate?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody";
+        let raw = b"POST /v2/simulate?x=1 HTTP/1.1\r\nHost: h\r\nContent-Length: 4\r\n\r\nbody";
         let mut p = RequestParser::new();
         // Feed byte by byte: every prefix must report Incomplete, and
         // only the final byte completes the request.
@@ -557,7 +568,7 @@ mod tests {
                     panic!("expected a request, got {parsed:?}");
                 };
                 assert_eq!(req.method, "POST");
-                assert_eq!(req.path, "/v1/simulate");
+                assert_eq!(req.path, "/v2/simulate");
                 assert_eq!(req.query, "x=1");
                 assert_eq!(req.header("host"), Some("h"));
                 assert_eq!(req.body, b"body");
@@ -591,6 +602,7 @@ mod tests {
             panic!("expected malformed");
         };
         assert_eq!(resp.status, 431);
+        assert_enveloped(&resp, "payload_too_large");
     }
 
     #[test]
@@ -605,6 +617,7 @@ mod tests {
                 panic!("expected malformed for {raw:?}");
             };
             assert_eq!(resp.status, 400, "{raw:?}");
+            assert_enveloped(&resp, "bad_request");
         }
     }
 

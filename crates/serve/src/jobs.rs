@@ -2,12 +2,18 @@
 //!
 //! A sweep over dozens of configurations can run for minutes at paper
 //! scale, far beyond what a synchronous HTTP round-trip should hold
-//! open. `POST /v1/sweep` therefore answers `202 Accepted` with a job
+//! open. `POST /v2/sweep` therefore answers `202 Accepted` with a job
 //! id immediately; the sweep runs on the same bounded worker pool as
 //! synchronous requests and deposits its result (or error) here for
-//! `GET /v1/jobs/<id>` to poll.
+//! `GET /v2/jobs/<id>` to poll.
+//!
+//! Each registry numbers its jobs up from a random start below 2^52, so
+//! the shards of a cluster hand out distinct ids without coordinating,
+//! and the router can relay a poll to whichever shard knows the id.
+//! Ids stay below 2^53, exact in any JSON client's doubles.
 
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -49,14 +55,23 @@ struct Job {
 /// are kept (results included) so a client can poll late; the daemon is
 /// an interactive research tool, not a long-lived production queue, so
 /// no expiry is implemented.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct JobRegistry {
     jobs: Mutex<BTreeMap<u64, Job>>,
     next: AtomicU64,
 }
 
+impl Default for JobRegistry {
+    fn default() -> Self {
+        JobRegistry {
+            jobs: Mutex::new(BTreeMap::new()),
+            next: AtomicU64::new(RandomState::new().hash_one(0u8) >> 12),
+        }
+    }
+}
+
 impl JobRegistry {
-    /// An empty registry.
+    /// An empty registry whose ids start at a random point.
     pub fn new() -> Self {
         JobRegistry::default()
     }
@@ -105,14 +120,14 @@ impl JobRegistry {
             .map(|j| j.state.clone())
     }
 
-    /// Renders one job as its `GET /vN/jobs/<id>` JSON document.
+    /// Renders one job as its `GET /v2/jobs/<id>` JSON document.
     pub fn render(&self, id: u64) -> Option<String> {
         let jobs = self.jobs.lock().expect("job registry lock");
         let job = jobs.get(&id)?;
         Some(serde_json::to_string(&job_value(id, job, true)).expect("job view serializes"))
     }
 
-    /// Renders the whole registry as the `GET /v1/jobs` JSON document
+    /// Renders the whole registry as the `GET /v2/jobs` JSON document
     /// (results elided — poll the individual job for the payload).
     pub fn render_all(&self) -> String {
         let jobs = self.jobs.lock().expect("job registry lock");
@@ -184,6 +199,9 @@ mod tests {
         let a = reg.create("a");
         let b = reg.create("b");
         assert_ne!(a, b);
+        assert!(b < 1 << 53, "ids stay exact as JSON doubles: {b}");
+        // Another registry (another shard) numbers from elsewhere.
+        assert_ne!(JobRegistry::new().create("c"), a);
         reg.fail(b, "rejected".to_string());
         let all = reg.render_all();
         assert!(all.contains("\"jobs\""));

@@ -17,7 +17,7 @@
 //!   bytes, so a repeated body skips JSON decode and encode
 //! - [`queue`] — admission control over the bounded pool (429 + Retry-After)
 //! - [`coalesce`] — in-flight dedup of identical simulate requests
-//! - [`jobs`] — async sweep-job registry behind 202 + `GET /v1/jobs/<id>`
+//! - [`jobs`] — async sweep-job registry behind 202 + `GET /v2/jobs/<id>`
 //! - [`metrics`] — counters, latency histogram, `/metrics` document
 //! - [`server`] — listener, shared state, graceful drain, shutdown
 //! - [`reactor`] — the epoll readiness loop: connection state machines,

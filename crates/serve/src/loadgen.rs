@@ -114,8 +114,8 @@ pub struct PhaseStats {
     pub completed: u64,
     /// 200/202 responses.
     pub ok: u64,
-    /// Backpressure responses (`queue_full` / `overloaded`, or a bare
-    /// 429).
+    /// Backpressure responses (`queue_full` / `overloaded`, or a 429
+    /// whose body is not an error envelope).
     pub rejected: u64,
     /// Anything else, plus arrivals lost with a dropped connection or
     /// left unanswered: a test failure.
@@ -230,9 +230,9 @@ pub fn load_replay(path: &Path) -> Result<Vec<ReplayRecord>, String> {
 
 /// The default mix: six SpMSpV simulate requests (two suite matrices ×
 /// three named configurations), one simulate per solver-family kernel
-/// (SpMV / SpTRSV / SymGS, on the v2 dialect), plus two recommend
-/// requests. Small enough that the cold pass stays in CI budget, varied
-/// enough that the warm phase exercises distinct cache keys.
+/// (SpMV / SpTRSV / SymGS), plus two recommend requests. Small enough
+/// that the cold pass stays in CI budget, varied enough that the warm
+/// phase exercises distinct cache keys.
 pub fn default_mix() -> Vec<PreparedRequest> {
     let mut mix = Vec::new();
     for matrix in ["R09", "R10"] {
@@ -246,7 +246,7 @@ pub fn default_mix() -> Vec<PreparedRequest> {
             };
             mix.push(PreparedRequest {
                 method: "POST".to_string(),
-                target: "/v1/simulate".to_string(),
+                target: "/v2/simulate".to_string(),
                 body: serde_json::to_string(&req).expect("mix serializes"),
             });
         }
@@ -277,7 +277,7 @@ pub fn default_mix() -> Vec<PreparedRequest> {
         };
         mix.push(PreparedRequest {
             method: "POST".to_string(),
-            target: "/v1/recommend".to_string(),
+            target: "/v2/recommend".to_string(),
             body: serde_json::to_string(&req).expect("mix serializes"),
         });
     }
@@ -300,8 +300,8 @@ enum Outcome {
 /// signal: `queue_full` (admission) and `overloaded` (the reactor's
 /// connection shed) ask the client to back off, so they count as
 /// backpressure whatever the status, and any other code is an error.
-/// The status is the fallback for bodies that don't parse as an
-/// [`ApiError`]: a bare 429 is backpressure, anything else an error.
+/// The status is the fallback for bodies that carry no [`ApiError`]
+/// envelope: a 429 is backpressure, anything else an error.
 fn classify(status: u16, body: &[u8]) -> Outcome {
     match status {
         200 | 202 => Outcome::Ok,
@@ -316,45 +316,31 @@ fn classify(status: u16, body: &[u8]) -> Outcome {
     }
 }
 
-/// Extracts the structured [`ApiError`] from an error body, looking
-/// both at the bare v1 shape and inside the v2 envelope's `"error"`
-/// field.
-fn parse_api_error(body: &[u8]) -> Option<ApiError> {
+/// The `key` member (`"data"` or `"error"`) of an enveloped response
+/// body; `None` when the body is not a JSON object.
+fn envelope_member(body: &[u8], key: &str) -> Option<Value> {
     let text = std::str::from_utf8(body).ok()?;
     let Value::Obj(pairs) = serde_json::parse_value_str(text).ok()? else {
         return None;
     };
-    let err_value = match serde::obj_get(&pairs, "error") {
-        Value::Obj(_) => serde::obj_get(&pairs, "error").clone(),
-        _ => Value::Obj(pairs),
-    };
-    serde::Deserialize::from_value(&err_value).ok()
+    Some(serde::obj_get(&pairs, key).clone())
 }
 
-/// Whether a simulate response body carries `"cached": true`, looking
-/// through the v2 envelope's `"data"` field when present.
+/// The structured [`ApiError`] of an error envelope.
+fn parse_api_error(body: &[u8]) -> Option<ApiError> {
+    serde::Deserialize::from_value(&envelope_member(body, "error")?).ok()
+}
+
+/// Whether a simulate response's `data` carries `"cached": true`.
 fn response_says_cached(body: &[u8]) -> bool {
-    fn cached_in(pairs: &[(String, Value)]) -> bool {
-        if pairs
-            .iter()
-            .any(|(k, v)| k == "cached" && *v == Value::Bool(true))
-        {
-            return true;
-        }
-        match serde::obj_get(pairs, "data") {
-            Value::Obj(inner) => cached_in(inner),
-            _ => false,
-        }
-    }
-    std::str::from_utf8(body)
-        .ok()
-        .and_then(|text| serde_json::parse_value_str(text).ok())
-        .map(|value| matches!(value, Value::Obj(ref pairs) if cached_in(pairs)))
-        .unwrap_or(false)
+    let Some(Value::Obj(data)) = envelope_member(body, "data") else {
+        return false;
+    };
+    *serde::obj_get(&data, "cached") == Value::Bool(true)
 }
 
 /// Whether a cold-pass response shows the daemon already had the
-/// answer: a successful simulate, on either dialect, saying `cached`.
+/// answer: a successful simulate saying `cached`.
 fn is_cold_cache_hit(target: &str, status: u16, body: &[u8]) -> bool {
     status == 200 && target.ends_with("/simulate") && response_says_cached(body)
 }
@@ -734,7 +720,7 @@ fn drive(
         conns: Vec::with_capacity(connections),
         wire: requests
             .iter()
-            .map(|r| request_bytes(&r.method, &r.target, Some(&r.body)))
+            .map(|r| request_bytes(&r.method, &r.target, Some(r.body.as_bytes())))
             .collect(),
         rearm: None,
         sent: 0,
@@ -840,7 +826,12 @@ fn drive(
 
 /// One blocking exchange on a fresh connection, outside any
 /// measurement: the `/metrics` scrape and the A/B's topology push.
-fn control(addr: &str, method: &str, target: &str, body: Option<&str>) -> Result<Response, String> {
+fn control(
+    addr: &str,
+    method: &str,
+    target: &str,
+    body: Option<&[u8]>,
+) -> Result<Response, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     write_request(&mut stream, method, target, body)
         .map_err(|e| format!("{method} {target} to {addr}: {e}"))?;
@@ -1061,8 +1052,8 @@ pub struct PeerAbReport {
 const PEER_AB_CONFIGS: usize = 21;
 
 /// The A/B's simulate set: each kernel/matrix pair of the default mix
-/// (five), in its own dialect, crossed with [`PEER_AB_CONFIGS`] sampled
-/// configurations (the three presets among them) — 105 distinct keys.
+/// (five), crossed with [`PEER_AB_CONFIGS`] sampled configurations (the
+/// three presets among them) — 105 distinct keys.
 /// Recommend requests never simulate, so they would only dilute the
 /// A/B.
 fn peer_ab_mix() -> Vec<PreparedRequest> {
@@ -1085,26 +1076,19 @@ fn peer_ab_mix() -> Vec<PreparedRequest> {
     mix
 }
 
-/// A simulate response body with the fields that legitimately differ
-/// between a cold and a peer-warm run (`cached`, `sim_ms`) stripped,
-/// re-serialized for comparison; `None` when the body isn't JSON.
+/// A simulate response's `data` with the fields that legitimately
+/// differ between a cold and a peer-warm run (`cached`, `sim_ms`)
+/// stripped, re-serialized for comparison; `None` when the body carries
+/// no `data` object.
 fn normalized_sim_body(body: &[u8]) -> Option<String> {
-    fn strip(pairs: Vec<(String, Value)>) -> Vec<(String, Value)> {
-        pairs
-            .into_iter()
-            .filter(|(k, _)| k != "cached" && k != "sim_ms")
-            .map(|(k, v)| match v {
-                Value::Obj(inner) if k == "data" => (k, Value::Obj(strip(inner))),
-                other => (k, other),
-            })
-            .collect()
-    }
-    let text = std::str::from_utf8(body).ok()?;
-    let value = serde_json::parse_value_str(text).ok()?;
-    let Value::Obj(pairs) = value else {
+    let Value::Obj(data) = envelope_member(body, "data")? else {
         return None;
     };
-    serde_json::to_string(&Value::Obj(strip(pairs))).ok()
+    let kept = data
+        .into_iter()
+        .filter(|(k, _)| k != "cached" && k != "sim_ms")
+        .collect();
+    serde_json::to_string(&Value::Obj(kept)).ok()
 }
 
 /// Runs one arm: spawn a fresh two-shard cluster, push it a topology,
@@ -1148,7 +1132,12 @@ fn run_peer_arm(
     };
     let topo_body = serde_json::to_string(&doc).expect("topology serializes");
     for addr in [&a, &b] {
-        let resp = control(addr, "POST", "/v2/admin/topology", Some(&topo_body))?;
+        let resp = control(
+            addr,
+            "POST",
+            "/v2/admin/topology",
+            Some(topo_body.as_bytes()),
+        )?;
         if resp.status != 200 {
             return Err(format!(
                 "peer-ab topology push to {addr}: {} {}",
@@ -1237,9 +1226,8 @@ mod tests {
     fn mix_is_varied_and_parseable() {
         let mix = default_mix();
         assert_eq!(mix.len(), 11);
-        assert!(mix.iter().any(|r| r.target == "/v1/simulate"));
-        assert!(mix.iter().any(|r| r.target == "/v2/simulate"));
-        assert!(mix.iter().any(|r| r.target == "/v1/recommend"));
+        let sends = |target: &str| mix.iter().filter(|r| r.target == target).count();
+        assert_eq!((sends("/v2/simulate"), sends("/v2/recommend")), (9, 2));
         for kernel in ["spmv", "sptrsv", "symgs"] {
             let needle = format!("\"kernel\":\"{kernel}\"");
             assert!(
@@ -1291,27 +1279,28 @@ mod tests {
 
     #[test]
     fn structured_errors_classify_by_code_not_status() {
-        let cases: [(u16, &[u8], Outcome); 5] = [
+        let cases: [(u16, &[u8], Outcome); 6] = [
             // A queue_full body counts as backpressure even off a 503 (a
             // router may relay a shard's rejection with its own status).
             (
                 503,
-                br#"{"code": "queue_full", "message": "busy", "retry_after_ms": 1000}"#,
+                br#"{"v": 2, "data": null, "error": {"code": "queue_full", "message": "busy", "retry_after_ms": 1000}}"#,
                 Outcome::Rejected,
             ),
-            // The v2 envelope carries the same error one level down.
             (
-                429,
-                br#"{"v": 2, "data": null, "error": {"code": "queue_full", "message": "busy"}}"#,
+                503,
+                br#"{"v": 2, "data": null, "error": {"code": "overloaded", "message": "shed"}}"#,
                 Outcome::Rejected,
             ),
             // A structured non-queue error is an error even on 429.
             (
                 429,
-                br#"{"code": "bad_request", "message": "nope"}"#,
+                br#"{"v": 2, "data": null, "error": {"code": "bad_request", "message": "nope"}}"#,
                 Outcome::Error,
             ),
-            // Unparseable body falls back to the status code.
+            // A body without the envelope falls back to the status code,
+            // even one that looks like a bare error.
+            (429, br#"{"code": "bad_request", "message": "nope"}"#, Outcome::Rejected),
             (429, b"busy", Outcome::Rejected),
             (500, b"boom", Outcome::Error),
         ];
@@ -1327,7 +1316,8 @@ mod tests {
 
     #[test]
     fn cached_flag_is_found_through_the_v2_envelope() {
-        assert!(response_says_cached(br#"{"cached": true}"#));
+        // Only the envelope's data counts, not a top-level flag.
+        assert!(!response_says_cached(br#"{"cached": true}"#));
         assert!(response_says_cached(
             br#"{"v": 2, "data": {"kernel": "spmspv", "cached": true}}"#
         ));
@@ -1341,16 +1331,12 @@ mod tests {
     fn cold_cache_hits_count_every_simulate_dialect() {
         let enveloped = br#"{"v": 2, "data": {"cached": true}}"#;
         assert!(is_cold_cache_hit("/v2/simulate", 200, enveloped));
-        assert!(is_cold_cache_hit(
-            "/v1/simulate",
-            200,
-            br#"{"cached": true}"#
-        ));
         assert!(!is_cold_cache_hit(
-            "/v1/recommend",
+            "/v2/simulate",
             200,
-            br#"{"cached": true}"#
+            br#"{"v": 2, "data": {"cached": false}}"#
         ));
+        assert!(!is_cold_cache_hit("/v2/recommend", 200, enveloped));
         assert!(!is_cold_cache_hit("/v2/simulate", 429, enveloped));
     }
 
@@ -1360,15 +1346,15 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("replay.jsonl");
         let lines = [
-            r#"{"ts_ms": 20, "method": "POST", "target": "/v1/recommend", "body": "{}"}"#,
+            r#"{"ts_ms": 20, "method": "POST", "target": "/v2/recommend", "body": "{}"}"#,
             "",
-            r#"{"ts_ms": 5, "method": "POST", "target": "/v1/simulate", "body": "{\"kernel\": \"spmspv\"}"}"#,
+            r#"{"ts_ms": 5, "method": "POST", "target": "/v2/simulate", "body": "{\"kernel\": \"spmspv\"}"}"#,
         ];
         std::fs::write(&path, lines.join("\n")).expect("write log");
         let records = load_replay(&path).expect("parses");
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].ts_ms, 5);
-        assert_eq!(records[0].target, "/v1/simulate");
+        assert_eq!(records[0].target, "/v2/simulate");
         assert_eq!(records[1].ts_ms, 20);
         // A body with nested JSON survives the round trip verbatim.
         assert_eq!(records[0].body, "{\"kernel\": \"spmspv\"}");

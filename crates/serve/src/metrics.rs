@@ -207,7 +207,7 @@ pub struct MetricsSnapshot {
     /// Requests whose response was shared from a concurrent identical
     /// request ("coalesced waiters").
     pub coalesced_total: u64,
-    /// Per-`route status` request counts (e.g. `"POST /v1/simulate 200"`).
+    /// Per-`route status` request counts (e.g. `"POST /v2/simulate 200"`).
     pub requests_by_route: BTreeMap<String, u64>,
     /// End-to-end request latency histogram (admission wait included).
     pub latency: HistogramSnapshot,
@@ -526,9 +526,9 @@ mod tests {
     #[test]
     fn snapshot_aggregates_routes_and_429s() {
         let m = ServerMetrics::new();
-        m.record("POST /v1/simulate", 200, 5.0);
-        m.record("POST /v1/simulate", 200, 7.0);
-        m.record("POST /v1/simulate", 429, 0.1);
+        m.record("POST /v2/simulate", 200, 5.0);
+        m.record("POST /v2/simulate", 200, 7.0);
+        m.record("POST /v2/simulate", 429, 0.1);
         m.record("GET /metrics", 200, 0.2);
         m.record_coalesced();
         let s = m.snapshot(
@@ -540,8 +540,8 @@ mod tests {
         assert_eq!(s.requests_total, 4);
         assert_eq!(s.rejected_429_total, 1);
         assert_eq!(s.coalesced_total, 1);
-        assert_eq!(s.requests_by_route["POST /v1/simulate 200"], 2);
-        assert_eq!(s.requests_by_route["POST /v1/simulate 429"], 1);
+        assert_eq!(s.requests_by_route["POST /v2/simulate 200"], 2);
+        assert_eq!(s.requests_by_route["POST /v2/simulate 429"], 1);
         assert_eq!(s.requests_by_route["GET /metrics 200"], 1);
         assert_eq!(s.latency.count, 4);
         // The snapshot serializes (the /metrics handler relies on it).
@@ -553,13 +553,13 @@ mod tests {
     fn merged_snapshots_sum_counters_and_recompute_percentiles() {
         let a = ServerMetrics::new();
         for _ in 0..90 {
-            a.record("POST /v1/simulate", 200, 0.2);
+            a.record("POST /v2/simulate", 200, 0.2);
         }
         let b = ServerMetrics::new();
         for _ in 0..10 {
-            b.record("POST /v1/simulate", 200, 30.0);
+            b.record("POST /v2/simulate", 200, 30.0);
         }
-        b.record("POST /v1/simulate", 429, 0.1);
+        b.record("POST /v2/simulate", 429, 0.1);
         let mut snap_a = a.snapshot(
             gauges(),
             CacheStats::default(),
@@ -603,7 +603,7 @@ mod tests {
         );
         assert_eq!(m.requests_total, 101);
         assert_eq!(m.rejected_429_total, 1);
-        assert_eq!(m.requests_by_route["POST /v1/simulate 200"], 100);
+        assert_eq!(m.requests_by_route["POST /v2/simulate 200"], 100);
         assert_eq!(m.latency.count, 101);
         // 90 of 101 at <=0.25ms, so p50 sits in the first bucket and p95
         // lands where shard b's slow requests are.

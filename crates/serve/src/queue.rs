@@ -37,13 +37,12 @@ pub fn retry_after_s(pool: &Pool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ApiVersion;
     use crate::http::Response;
     use std::sync::mpsc;
 
     /// Admits `handler` and waits (bounded) for the answer it produced.
     fn admitted_answer(pool: &Pool, handler: impl FnOnce(Reply) + Send + 'static) -> String {
-        let (reply, answers) = Reply::detached(ApiVersion::V2);
+        let (reply, answers) = Reply::detached();
         admit(pool, reply, handler);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
@@ -72,7 +71,8 @@ mod tests {
         let pool = Pool::new(1, 8);
         let crashed = admitted_answer(&pool, |_reply| panic!("job dies"));
         assert!(crashed.starts_with("HTTP/1.1 500 "), "got: {crashed}");
-        assert!(crashed.contains("\"worker_crashed\""), "got: {crashed}");
+        let envelope = r#"{"v": 2, "data": null, "error": {"code":"worker_crashed","#;
+        assert!(crashed.contains(envelope), "got: {crashed}");
         assert!(!crashed.contains("retry-after"), "got: {crashed}");
         // The pool survives a crashed job and keeps answering.
         let ok = admitted_answer(&pool, |reply| reply.send(Response::json(200, "1")));
@@ -94,7 +94,7 @@ mod tests {
         // ...fill the single queue slot...
         pool.try_submit(|| {}).expect("second job queued");
         // ...and the next admission must answer 429 on this thread.
-        let (reply, answers) = Reply::detached(ApiVersion::V2);
+        let (reply, answers) = Reply::detached();
         admit(&pool, reply, |_reply| {
             unreachable!("rejected job never runs")
         });
@@ -105,7 +105,8 @@ mod tests {
             "got: {answered:?}"
         );
         assert!(answered[0].contains("retry-after: 1"), "got: {answered:?}");
-        assert!(answered[0].contains("\"queue_full\""), "got: {answered:?}");
+        let envelope = r#"{"v": 2, "data": null, "error": {"code":"queue_full","#;
+        assert!(answered[0].contains(envelope), "got: {answered:?}");
         assert!(retry_after_s(&pool) >= 1);
         block_tx.send(()).expect("unblock worker");
     }

@@ -115,7 +115,6 @@ pub struct Reply {
     slot: u32,
     gen: u32,
     keep_alive: bool,
-    version: ApiVersion,
     label: &'static str,
     started: Instant,
     metrics: Arc<ServerMetrics>,
@@ -130,7 +129,6 @@ impl Reply {
         slot: u32,
         gen: u32,
         keep_alive: bool,
-        version: ApiVersion,
         metrics: Arc<ServerMetrics>,
         completions: Arc<CompletionQueue>,
     ) -> Reply {
@@ -138,18 +136,12 @@ impl Reply {
             slot,
             gen,
             keep_alive,
-            version,
             label: "unrouted",
             started: Instant::now(),
             metrics,
             completions,
             answered: false,
         }
-    }
-
-    /// The dialect of the request's path; error answers use it.
-    pub fn version(&self) -> ApiVersion {
-        self.version
     }
 
     /// Names the route the request matched: the label its answer is
@@ -168,10 +160,9 @@ impl Reply {
         self.answer(&response);
     }
 
-    /// Answers with a structured error in the request's dialect.
+    /// Answers with a structured error.
     pub fn error(self, status: u16, err: &ApiError) {
-        let response = self.version.error_response(status, err);
-        self.send(response);
+        self.send(ApiVersion::V2.error_response(status, err));
     }
 
     fn answer(&mut self, response: &Response) {
@@ -197,8 +188,7 @@ impl Drop for Reply {
                 code::WORKER_CRASHED,
                 format!("worker crashed while serving {}", self.label),
             );
-            let response = self.version.error_response(500, &err);
-            self.answer(&response);
+            self.answer(&ApiVersion::V2.error_response(500, &err));
         }
     }
 }
@@ -208,13 +198,12 @@ impl Reply {
     /// A reply with no connection behind it, for handler tests that run
     /// without a reactor: the returned closure takes every answer
     /// queued so far, as text.
-    pub(crate) fn detached(version: ApiVersion) -> (Reply, impl Fn() -> Vec<String>) {
+    pub(crate) fn detached() -> (Reply, impl Fn() -> Vec<String>) {
         let completions = Arc::new(CompletionQueue::new().expect("eventfd"));
         let reply = Reply::new(
             0,
             0,
             false,
-            version,
             Arc::new(ServerMetrics::new()),
             Arc::clone(&completions),
         );

@@ -183,7 +183,7 @@ fn stream_fd(stream: &std::net::TcpStream) -> i32 {
 fn shed_bytes(context: &str) -> Vec<u8> {
     let err = ApiError::new(code::OVERLOADED, format!("server overloaded: {context}"))
         .with_retry_after_ms(SHED_RETRY_MS);
-    response_bytes(&ApiVersion::V1.error_response(503, &err), false)
+    response_bytes(&ApiVersion::V2.error_response(503, &err), false)
 }
 
 struct Reactor {
@@ -413,7 +413,6 @@ impl Reactor {
             slot,
             gen,
             keep_alive,
-            ApiVersion::of_path(&req.path),
             Arc::clone(&self.shared.metrics),
             Arc::clone(&self.completions),
         );
@@ -662,11 +661,8 @@ mod tests {
             assert_eq!(resp.status, status, "{path}");
             assert_eq!(resp.header("connection"), Some("keep-alive"), "{path}");
             let body = String::from_utf8_lossy(&resp.body);
-            assert_eq!(
-                body.contains("\"worker_crashed\""),
-                status == 500,
-                "{path}: {body}"
-            );
+            let crashed = r#"{"v": 2, "data": null, "error": {"code":"worker_crashed","#;
+            assert_eq!(body.starts_with(crashed), status == 500, "{path}: {body}");
         }
         stop.store(true, Ordering::SeqCst);
         reactor.join().expect("reactor thread exits cleanly");

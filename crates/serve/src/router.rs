@@ -1,7 +1,7 @@
 //! Maps `(method, path)` to a handler and a normalized route label, and
 //! decides where the handler runs.
 //!
-//! The label (e.g. `"GET /v1/jobs/:id"`) is what the per-route metrics
+//! The label (e.g. `"GET /v2/jobs/:id"`) is what the per-route metrics
 //! key on, so unbounded path segments (job ids) collapse to one
 //! counter instead of one counter per id.
 //!
@@ -17,13 +17,11 @@
 //! [`crate::queue::admit`]), so nothing that simulates, reads disk or
 //! talks to the network holds the loop.
 //!
-//! `/v1/*` and `/v2/*` dispatch to the same handlers; the
-//! [`ApiVersion`] argument selects the response dialect (bare v1
-//! document vs. the v2 `{"v": 2, "data": ...}` envelope).
+//! Every data and admin route lives under `/v2/*`; any other path but
+//! `/healthz` and `/metrics` is a 404 `not_found`.
 
 use std::sync::Arc;
 
-use crate::api::ApiVersion;
 use crate::handlers;
 use crate::http::{Request, Response};
 use crate::peer_tier::TRACE_PATH;
@@ -47,60 +45,44 @@ enum Handler {
 /// Routes one request: answers it on the calling (loop) thread, or
 /// admits its handler to the pool, or lets the handler choose.
 pub fn route(state: &Arc<AppState>, req: Request, mut reply: Reply) {
-    use ApiVersion::{V1, V2};
     use Handler::{Loop, Pool, Split};
     let (label, handler) = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => ("GET /healthz", Loop(handlers::healthz())),
         ("GET", "/metrics") => ("GET /metrics", Loop(handlers::metrics(state))),
-        ("GET", "/v1/jobs") => ("GET /v1/jobs", Loop(handlers::jobs(state, V1))),
-        ("GET", "/v2/jobs") => ("GET /v2/jobs", Loop(handlers::jobs(state, V2))),
-        ("GET", path) if path.starts_with("/v1/jobs/") => (
-            "GET /v1/jobs/:id",
-            Loop(handlers::job(state, &path["/v1/jobs/".len()..], V1)),
-        ),
+        ("GET", "/v2/jobs") => ("GET /v2/jobs", Loop(handlers::jobs(state))),
         ("GET", path) if path.starts_with("/v2/jobs/") => (
             "GET /v2/jobs/:id",
-            Loop(handlers::job(state, &path["/v2/jobs/".len()..], V2)),
+            Loop(handlers::job(state, &path["/v2/jobs/".len()..])),
         ),
-        ("POST", "/v1/simulate") => ("POST /v1/simulate", Split(handlers::simulate)),
         ("POST", "/v2/simulate") => ("POST /v2/simulate", Split(handlers::simulate)),
-        ("POST", "/v1/recommend") => ("POST /v1/recommend", Split(handlers::recommend)),
         ("POST", "/v2/recommend") => ("POST /v2/recommend", Split(handlers::recommend)),
-        ("POST", "/v1/sweep") => ("POST /v1/sweep", Pool(handlers::sweep)),
         ("POST", "/v2/sweep") => ("POST /v2/sweep", Pool(handlers::sweep)),
-        // Upload is a /v2-only surface: the v1 shim predates content-
-        // addressed matrices and stays frozen.
         ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(handlers::upload_matrix)),
-        // Shard-to-shard trace protocol (/v2-only, binary, read only):
-        // GET serves one trace from memory.
+        // Shard-to-shard trace protocol (binary, read only): GET serves
+        // one trace from memory.
         ("GET", path) if path.starts_with(TRACE_PATH) => {
             ("GET /v2/cache/trace/:key", Pool(handlers::trace_get))
         }
-        (_, path) if path.starts_with(TRACE_PATH) => (
-            "method_not_allowed",
-            Loop(Response::error(405, "method not allowed for this path")),
-        ),
-        // Admin surface is /v2-only, like uploads.
-        ("POST", "/v2/admin/drain") => ("POST /v2/admin/drain", Loop(handlers::drain(state, V2))),
+        ("POST", "/v2/admin/drain") => {
+            ("POST /v2/admin/drain", Loop(handlers::drain(&state.drain)))
+        }
         ("GET", "/v2/admin/topology") => (
             "GET /v2/admin/topology",
-            Loop(handlers::topology_get(state, V2)),
+            Loop(handlers::topology_get(state)),
         ),
         ("POST", "/v2/admin/topology") => {
             ("POST /v2/admin/topology", Split(handlers::topology_put))
         }
-        // Known admin paths answer wrong-method hits with an enveloped
-        // /v2 error (the path exists, only the verb is wrong); the bare
-        // data paths below keep their historical unenveloped 405.
-        (_, "/v2/admin/drain" | "/v2/admin/topology") => (
-            "method_not_allowed",
-            Loop(handlers::admin_method_not_allowed()),
-        ),
+        // A known path with the wrong verb is a 405, never a 404.
         (
             _,
-            "/healthz" | "/metrics" | "/v1/jobs" | "/v1/simulate" | "/v1/recommend" | "/v1/sweep"
-            | "/v2/jobs" | "/v2/simulate" | "/v2/recommend" | "/v2/sweep" | "/v2/matrices",
+            "/healthz" | "/metrics" | "/v2/jobs" | "/v2/simulate" | "/v2/recommend" | "/v2/sweep"
+            | "/v2/matrices" | "/v2/admin/drain" | "/v2/admin/topology",
         ) => (
+            "method_not_allowed",
+            Loop(Response::error(405, "method not allowed for this path")),
+        ),
+        (_, path) if path.starts_with(TRACE_PATH) => (
             "method_not_allowed",
             Loop(Response::error(405, "method not allowed for this path")),
         ),
@@ -161,7 +143,7 @@ mod tests {
         let Parsed::Request(req) = parser.next_request() else {
             panic!("test request must parse");
         };
-        let (reply, answers) = Reply::detached(ApiVersion::of_path(&req.path));
+        let (reply, answers) = Reply::detached();
         route(state, *req, reply);
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
@@ -195,16 +177,15 @@ mod tests {
         let traffic: &[(&str, &str, &str)] = &[
             // Warms the process-wide trace cache so every later pass
             // sees the same `cached` flag.
-            ("POST", "/v1/simulate", sim),
+            ("POST", "/v2/simulate", sim),
             ("GET", "/healthz", ""),
             ("GET", "/nope", ""),
             ("POST", "/healthz", "{}"),
-            ("POST", "/v1/simulate", "not json"),
+            ("PUT", "/v2/admin/topology", ""),
             ("POST", "/v2/simulate", "not json"),
-            ("POST", "/v1/simulate", sim),
             ("POST", "/v2/simulate", sim),
             ("POST", "/v2/simulate", typo),
-            ("GET", "/v1/jobs", ""),
+            ("GET", "/v2/jobs", ""),
             ("GET", "/v2/jobs/999999", ""),
         ];
         for (i, (method, target, body)) in traffic.iter().enumerate() {
@@ -234,12 +215,7 @@ mod tests {
             serde_json::to_string(&transmuter::counters::Telemetry::default()).unwrap(),
             serde_json::to_string(&transmuter::config::TransmuterConfig::maximum()).unwrap(),
         );
-        let traffic = [
-            ("/v1/simulate", sim),
-            ("/v2/simulate", sim),
-            ("/v1/recommend", rec.as_str()),
-            ("/v2/recommend", rec.as_str()),
-        ];
+        let traffic = [("/v2/simulate", sim), ("/v2/recommend", rec.as_str())];
         // One daemon simulates the trace and loads the model, both
         // process-wide; a second one, whose memo is empty, answers each
         // body on the decode path first and from the memo after.

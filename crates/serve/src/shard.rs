@@ -30,17 +30,18 @@
 //! - background health checks driven off each shard's `/healthz`;
 //! - bounded retry-with-backoff on connect/transport failure;
 //! - failover to the next ring node, marked `"rerouted": true` in the
-//!   v2 response envelope (and an `x-sparseadapt-rerouted` header in
-//!   both dialects, since the bare v1 body has nowhere to put it);
+//!   response envelope and by an `x-sparseadapt-rerouted` header;
 //! - *intentional* moves — a key whose pre-drain owner is still
 //!   finishing its drain — are marked `"resharded"` instead, and the
 //!   two are counted separately in `/metrics`;
 //! - `GET /metrics` scrapes every shard and merges the histograms
 //!   ([`crate::metrics::merge_snapshots`]) into one cluster document.
 //!
-//! Job ids are allocated per shard, so `GET /vN/jobs/<id>` fans out to
-//! every shard and the first `200` wins; the listing merges all
-//! registries with a `"shard"` field injected per entry.
+//! Each shard allocates its own job ids from a random start (see
+//! [`crate::jobs`]), so ids do not collide across shards and
+//! `GET /v2/jobs/<id>` fans out to every shard and relays the one `200`;
+//! the listing merges all registries with a `"shard"` field injected
+//! per entry.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -56,8 +57,9 @@ use transmuter::config::MemKind;
 
 use crate::api::{
     code, kernel_name, parse_body, parse_kernel, AddShardRequest, ApiError, ApiVersion,
-    DrainStatusDoc, ReweightRequest, ShardDoc, TopologyChangeResponse, TopologyDoc,
+    ReweightRequest, ShardDoc, TopologyChangeResponse, TopologyDoc,
 };
+use crate::handlers::{self, finish};
 use crate::http::{read_response, write_request, Request, Response};
 use crate::metrics::{merge_snapshots, MetricsSnapshot, QueueGauges, ServerMetrics};
 use crate::queue;
@@ -823,7 +825,7 @@ fn forward(
     addr: SocketAddr,
     method: &str,
     target: &str,
-    body: Option<&str>,
+    body: Option<&[u8]>,
     read_timeout: Duration,
 ) -> io::Result<Response> {
     let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
@@ -845,15 +847,12 @@ fn sanitize(mut resp: Response) -> Response {
 /// Marks a response that was answered somewhere other than the active
 /// ring owner's pre-change position: `kind` is `"rerouted"` (unplanned
 /// health failover) or `"resharded"` (planned move off a draining
-/// shard). Both dialects get an `x-sparseadapt-<kind>` header; the v2
-/// envelope additionally gets a `"<kind>": true` field spliced in (the
-/// bare v1 body has no envelope to carry it).
-fn mark_moved(mut resp: Response, version: ApiVersion, kind: &str) -> Response {
-    if version == ApiVersion::V2 {
-        if let Ok(text) = std::str::from_utf8(&resp.body) {
-            if let Some(rest) = text.trim_start().strip_prefix('{') {
-                resp.body = format!("{{\"{kind}\": true,{rest}").into_bytes();
-            }
+/// shard). The envelope gets a `"<kind>": true` field spliced in, and
+/// the response an `x-sparseadapt-<kind>` header.
+fn mark_moved(mut resp: Response, kind: &str) -> Response {
+    if let Ok(text) = std::str::from_utf8(&resp.body) {
+        if let Some(rest) = text.trim_start().strip_prefix('{') {
+            resp.body = format!("{{\"{kind}\": true,{rest}").into_bytes();
         }
     }
     let header = format!("x-sparseadapt-{kind}");
@@ -885,34 +884,28 @@ fn route_router(state: &Arc<RouterState>, req: Request, mut reply: Reply) {
             "DELETE /v2/admin/shards/:id",
             Pool(|st, req| admin_remove_shard(st, req, &req.path["/v2/admin/shards/".len()..])),
         ),
-        ("POST", "/v2/admin/drain") => ("POST /v2/admin/drain", Loop(router_drain(state))),
-        ("GET", "/v1/jobs") => ("GET /v1/jobs", Pool(|st, _| jobs_list(st, ApiVersion::V1))),
-        ("GET", "/v2/jobs") => ("GET /v2/jobs", Pool(|st, _| jobs_list(st, ApiVersion::V2))),
-        ("GET", path) if path.starts_with("/v1/jobs/") => ("GET /v1/jobs/:id", Pool(jobs_get)),
+        ("POST", "/v2/admin/drain") => {
+            ("POST /v2/admin/drain", Loop(handlers::drain(&state.drain)))
+        }
+        ("GET", "/v2/jobs") => ("GET /v2/jobs", Pool(|st, _| jobs_list(st))),
         ("GET", path) if path.starts_with("/v2/jobs/") => ("GET /v2/jobs/:id", Pool(jobs_get)),
-        ("POST", "/v1/simulate") => ("POST /v1/simulate", Pool(proxy_post)),
         ("POST", "/v2/simulate") => ("POST /v2/simulate", Pool(proxy_post)),
-        ("POST", "/v1/recommend") => ("POST /v1/recommend", Pool(proxy_post)),
         ("POST", "/v2/recommend") => ("POST /v2/recommend", Pool(proxy_post)),
-        ("POST", "/v1/sweep") => ("POST /v1/sweep", Pool(proxy_post)),
         ("POST", "/v2/sweep") => ("POST /v2/sweep", Pool(proxy_post)),
         // Uploads route by body content hash (no kernel/matrix fields
         // to key on); any shard can take one, because registrations
         // spill to the shared cache tier every shard mounts.
         ("POST", "/v2/matrices") => ("POST /v2/matrices", Pool(proxy_post)),
-        // Known admin paths answer wrong-method hits with an enveloped
-        // 405 (never a 404: the path exists, the verb is wrong).
-        (_, "/v2/admin/topology" | "/v2/admin/shards" | "/v2/admin/drain") => {
-            ("method_not_allowed", Loop(admin_method_not_allowed()))
-        }
-        (_, path) if path.starts_with("/v2/admin/shards/") => {
-            ("method_not_allowed", Loop(admin_method_not_allowed()))
-        }
+        // A known path with the wrong verb is a 405, never a 404.
         (
             _,
-            "/healthz" | "/metrics" | "/v1/jobs" | "/v1/simulate" | "/v1/recommend" | "/v1/sweep"
+            "/healthz" | "/metrics" | "/v2/admin/topology" | "/v2/admin/shards" | "/v2/admin/drain"
             | "/v2/jobs" | "/v2/simulate" | "/v2/recommend" | "/v2/sweep" | "/v2/matrices",
         ) => (
+            "method_not_allowed",
+            Loop(Response::error(405, "method not allowed for this path")),
+        ),
+        (_, path) if path.starts_with("/v2/admin/shards/") => (
             "method_not_allowed",
             Loop(Response::error(405, "method not allowed for this path")),
         ),
@@ -947,36 +940,14 @@ fn router_healthz(state: &RouterState) -> Response {
 // Control plane
 // ---------------------------------------------------------------------------
 
-/// Wraps a success document in the `/v2` envelope (every admin route is
-/// v2-only).
-fn admin_ok(doc_json: &str) -> Response {
-    Response::json(200, ApiVersion::V2.ok_body(doc_json))
-}
-
-/// Wraps a structured error in the `/v2` envelope.
-fn admin_err(status: u16, err: &ApiError) -> Response {
-    Response::json(status, ApiVersion::V2.err_body(err))
-}
-
-/// The enveloped 405 every known admin path returns on a wrong verb.
-fn admin_method_not_allowed() -> Response {
-    admin_err(
-        405,
-        &ApiError::new(code::METHOD_NOT_ALLOWED, "method not allowed for this path"),
-    )
-}
-
 /// Refuses topology mutations unless the router opted in.
 fn require_admin(state: &RouterState) -> Result<(), Response> {
     if state.allow_admin {
         return Ok(());
     }
-    Err(admin_err(
+    Err(Response::error(
         403,
-        &ApiError::new(
-            code::ADMIN_DISABLED,
-            "router started without --allow-admin; topology is read-only",
-        ),
+        "router started without --allow-admin; topology is read-only",
     ))
 }
 
@@ -986,16 +957,10 @@ fn require_admin(state: &RouterState) -> Result<(), Response> {
 fn check_if_match(req: &Request, current: u64) -> Option<Response> {
     let raw = req.header("if-match")?;
     match raw.trim().trim_matches('"').parse::<u64>() {
-        Err(_) => Some(admin_err(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "if-match must be a topology epoch"),
-        )),
-        Ok(want) if want != current => Some(admin_err(
+        Err(_) => Some(Response::error(400, "if-match must be a topology epoch")),
+        Ok(want) if want != current => Some(Response::error(
             409,
-            &ApiError::new(
-                code::TOPOLOGY_CONFLICT,
-                format!("topology is at epoch {current}, request expected {want}"),
-            ),
+            &format!("topology is at epoch {current}, request expected {want}"),
         )),
         Ok(_) => None,
     }
@@ -1008,7 +973,10 @@ fn change_response(doc: TopologyDoc, diff: &RingDiff) -> Response {
         moved_fraction: diff.moved_fraction,
         moved_ranges: diff.moved.len() as u64,
     };
-    admin_ok(&serde_json::to_string(&resp).expect("topology change serializes"))
+    finish(
+        200,
+        &serde_json::to_string(&resp).expect("topology change serializes"),
+    )
 }
 
 /// Best-effort push of the current topology to every shard, so each
@@ -1023,7 +991,7 @@ fn push_topology(state: &Arc<RouterState>) {
             slot.addr,
             "POST",
             "/v2/admin/topology",
-            Some(&doc),
+            Some(doc.as_bytes()),
             PUSH_TIMEOUT,
         );
     }
@@ -1032,19 +1000,10 @@ fn push_topology(state: &Arc<RouterState>) {
 /// `GET /v2/admin/topology` (router): the authoritative topology.
 fn admin_topology_get(state: &RouterState) -> Response {
     let doc = state.view().doc();
-    admin_ok(&serde_json::to_string(&doc).expect("topology serializes"))
-}
-
-/// `POST /v2/admin/drain` (router): drain the router's own listener and
-/// let the binary exit 0 — the last step of replacing a router.
-fn router_drain(state: &RouterState) -> Response {
-    let already = state.drain.requested();
-    state.drain.request();
-    let doc = DrainStatusDoc {
-        draining: true,
-        already_requested: already,
-    };
-    admin_ok(&serde_json::to_string(&doc).expect("drain status serializes"))
+    finish(
+        200,
+        &serde_json::to_string(&doc).expect("topology serializes"),
+    )
 }
 
 /// `POST /v2/admin/shards` (router): add a running daemon to the ring.
@@ -1060,29 +1019,17 @@ fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
     let parsed: AddShardRequest =
         match parse_body(&req.body, ApiVersion::V2, AddShardRequest::FIELDS) {
             Ok(p) => p,
-            Err(e) => return admin_err(400, &e),
+            Err(e) => return ApiVersion::V2.error_response(400, &e),
         };
     let Ok(addr) = parsed.addr.parse::<SocketAddr>() else {
-        return admin_err(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "addr must be a host:port socket address"),
-        );
+        return Response::error(400, "addr must be a host:port socket address");
     };
     let weight = parsed.weight.unwrap_or(1.0);
     if !(weight.is_finite() && weight > 0.0) {
-        return admin_err(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "weight must be positive and finite"),
-        );
+        return Response::error(400, "weight must be positive and finite");
     }
     if view.shards.iter().any(|s| s.addr == addr) {
-        return admin_err(
-            400,
-            &ApiError::new(
-                code::BAD_REQUEST,
-                format!("shard {addr} is already in the topology"),
-            ),
-        );
+        return Response::error(400, &format!("shard {addr} is already in the topology"));
     }
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
     let mut shards = view.shards.clone();
@@ -1113,16 +1060,10 @@ fn admin_remove_shard(state: &Arc<RouterState>, req: &Request, id_str: &str) -> 
         return conflict;
     }
     let Ok(id) = id_str.parse::<u32>() else {
-        return admin_err(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "shard id must be an integer"),
-        );
+        return Response::error(400, "shard id must be an integer");
     };
     let Some(slot) = view.slot(id) else {
-        return admin_err(
-            404,
-            &ApiError::new(code::NOT_FOUND, format!("no shard {id} in the topology")),
-        );
+        return Response::error(404, &format!("no shard {id} in the topology"));
     };
     if slot.state == ShardState::Draining {
         return change_response(view.doc(), &RingDiff::empty());
@@ -1133,12 +1074,9 @@ fn admin_remove_shard(state: &Arc<RouterState>, req: &Request, id_str: &str) -> 
         .filter(|s| s.state == ShardState::Active)
         .count();
     if active <= 1 {
-        return admin_err(
+        return Response::error(
             400,
-            &ApiError::new(
-                code::BAD_REQUEST,
-                "cannot remove the last active shard; add a replacement first",
-            ),
+            "cannot remove the last active shard; add a replacement first",
         );
     }
     let addr = slot.addr;
@@ -1175,7 +1113,7 @@ fn admin_remove_shard(state: &Arc<RouterState>, req: &Request, id_str: &str) -> 
 /// already-accepted requests finish answering, then install a successor
 /// view without the shard.
 fn drain_and_remove(state: &Arc<RouterState>, id: u32, addr: SocketAddr) {
-    let _ = forward(addr, "POST", "/v2/admin/drain", Some("{}"), PUSH_TIMEOUT);
+    let _ = forward(addr, "POST", "/v2/admin/drain", Some(b"{}"), PUSH_TIMEOUT);
     let deadline = Instant::now() + DRAIN_DEADLINE;
     while Instant::now() < deadline {
         if forward(addr, "GET", "/healthz", None, HEALTH_READ_TIMEOUT).is_err() {
@@ -1214,38 +1152,23 @@ fn admin_reweight(state: &Arc<RouterState>, req: &Request) -> Response {
     let parsed: ReweightRequest =
         match parse_body(&req.body, ApiVersion::V2, ReweightRequest::FIELDS) {
             Ok(p) => p,
-            Err(e) => return admin_err(400, &e),
+            Err(e) => return ApiVersion::V2.error_response(400, &e),
         };
     if parsed.shards.is_empty() {
-        return admin_err(
-            400,
-            &ApiError::new(code::BAD_REQUEST, "shards must name at least one shard"),
-        );
+        return Response::error(400, "shards must name at least one shard");
     }
     for entry in &parsed.shards {
         let Some(slot) = view.slot(entry.id) else {
-            return admin_err(
-                404,
-                &ApiError::new(
-                    code::NOT_FOUND,
-                    format!("no shard {} in the topology", entry.id),
-                ),
-            );
+            return Response::error(404, &format!("no shard {} in the topology", entry.id));
         };
         if slot.state != ShardState::Active {
-            return admin_err(
+            return Response::error(
                 400,
-                &ApiError::new(
-                    code::BAD_REQUEST,
-                    format!("shard {} is draining and cannot be reweighted", entry.id),
-                ),
+                &format!("shard {} is draining and cannot be reweighted", entry.id),
             );
         }
         if !(entry.weight.is_finite() && entry.weight > 0.0) {
-            return admin_err(
-                400,
-                &ApiError::new(code::BAD_REQUEST, "weight must be positive and finite"),
-            );
+            return Response::error(400, "weight must be positive and finite");
         }
     }
     let shards: Vec<Arc<ShardSlot>> = view
@@ -1280,9 +1203,7 @@ fn admin_reweight(state: &Arc<RouterState>, req: &Request) -> Response {
 /// - some other shard answered because the owner was unreachable →
 ///   `rerouted` (unplanned failover).
 fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
-    let body = String::from_utf8_lossy(&req.body).into_owned();
-    state.record(&req.method, &req.path, &body);
-    let version = ApiVersion::of_path(&req.path);
+    state.record(&req.method, &req.path, &String::from_utf8_lossy(&req.body));
     let view = state.view();
     let key = routing_key(&req.body);
     let order = view.ring.order(&key);
@@ -1305,7 +1226,7 @@ fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
                 slot.addr,
                 &req.method,
                 &req.path,
-                Some(&body),
+                Some(&req.body),
                 PROXY_READ_TIMEOUT,
             ) {
                 Ok(resp) => {
@@ -1313,11 +1234,11 @@ fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
                     let resp = sanitize(resp);
                     if slot.id != owner {
                         state.rerouted.fetch_add(1, Ordering::Relaxed);
-                        return mark_moved(resp, version, "rerouted");
+                        return mark_moved(resp, "rerouted");
                     }
                     if owner != intended {
                         state.resharded.fetch_add(1, Ordering::Relaxed);
-                        return mark_moved(resp, version, "resharded");
+                        return mark_moved(resp, "resharded");
                     }
                     return resp;
                 }
@@ -1330,7 +1251,7 @@ fn proxy_post(state: &Arc<RouterState>, req: &Request) -> Response {
         "no shard reachable for this request",
     )
     .with_retry_after_ms(1000);
-    version.error_response(503, &err)
+    ApiVersion::V2.error_response(503, &err)
 }
 
 /// Fans a `GET` out to every shard in parallel (reusing the exec
@@ -1344,28 +1265,24 @@ fn fan_out_get(view: &TopologyView, target: &str) -> Vec<(Arc<ShardSlot>, Option
     view.shards.iter().cloned().zip(responses).collect()
 }
 
-/// `GET /vN/jobs/<id>`: ids are per-shard, so ask everyone; the first
-/// shard that knows the id answers.
+/// `GET /v2/jobs/<id>`: the router does not know which shard ran the
+/// job, so ask everyone; the shard that knows the id answers.
 fn jobs_get(state: &Arc<RouterState>, req: &Request) -> Response {
-    let version = ApiVersion::of_path(&req.path);
     let view = state.view();
     for (_, resp) in fan_out_get(&view, &req.path) {
         if let Some(resp) = resp.filter(|r| r.status == 200) {
             return sanitize(resp);
         }
     }
-    let err = ApiError::new(code::NOT_FOUND, "no shard knows this job id");
-    Response::json(404, version.err_body(&err))
+    Response::error(404, "no shard knows this job id")
 }
 
-/// `GET /vN/jobs`: merge every shard's registry, tagging each entry
-/// with its shard id (ids alone are ambiguous cluster-wide).
-fn jobs_list(state: &Arc<RouterState>, version: ApiVersion) -> Response {
-    // Shards are always asked in the bare v1 dialect; the router wraps
-    // the merged document for the client's dialect.
+/// `GET /v2/jobs`: merge every shard's registry, tagging each entry
+/// with the id of the shard that holds it.
+fn jobs_list(state: &Arc<RouterState>) -> Response {
     let view = state.view();
     let mut merged: Vec<Value> = Vec::new();
-    for (slot, resp) in fan_out_get(&view, "/v1/jobs") {
+    for (slot, resp) in fan_out_get(&view, "/v2/jobs") {
         let Some(resp) = resp.filter(|r| r.status == 200) else {
             continue;
         };
@@ -1375,7 +1292,8 @@ fn jobs_list(state: &Arc<RouterState>, version: ApiVersion) -> Response {
         let Ok(Value::Obj(fields)) = serde_json::parse_value_str(text) else {
             continue;
         };
-        if let Some(jobs) = serde::obj_get(&fields, "jobs").as_arr() {
+        let data = serde::obj_get(&fields, "data").as_obj().unwrap_or_default();
+        if let Some(jobs) = serde::obj_get(data, "jobs").as_arr() {
             for job in jobs {
                 let mut entry = match job {
                     Value::Obj(pairs) => pairs.clone(),
@@ -1388,7 +1306,7 @@ fn jobs_list(state: &Arc<RouterState>, version: ApiVersion) -> Response {
     }
     let doc = serde_json::to_string(&Value::Obj(vec![("jobs".to_string(), Value::Arr(merged))]))
         .expect("merged job list serializes");
-    Response::json(200, version.ok_body(&doc))
+    finish(200, &doc)
 }
 
 /// `GET /metrics`: scrape every shard, merge the histograms, and report
@@ -1878,9 +1796,40 @@ mod tests {
     }
 
     #[test]
+    fn no_reachable_shard_answers_503_in_the_envelope() {
+        // A port nothing listens on once its listener is dropped.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port");
+        let router = start_router(RouterConfig {
+            addr: "127.0.0.1:0".to_string(),
+            shards: vec![dead],
+            weights: Vec::new(),
+            record: None,
+            allow_admin: false,
+        })
+        .expect("router boots");
+        let body = br#"{"kernel": "spmv", "matrix": "R09"}"#;
+        let resp = forward(
+            router.addr,
+            "POST",
+            "/v2/simulate",
+            Some(body),
+            Duration::from_secs(30),
+        )
+        .expect("the router answers");
+        router.shutdown();
+        assert_eq!(resp.status, 503);
+        assert_eq!(resp.header("retry-after"), Some("1"));
+        let text = std::str::from_utf8(&resp.body).expect("UTF-8 body");
+        let head = r#"{"v": 2, "data": null, "error": {"code":"shard_unavailable","#;
+        assert!(text.starts_with(head), "{text}");
+    }
+
+    #[test]
     fn moved_markers_splice_into_the_v2_envelope() {
         let resp = Response::json(200, "{\"v\": 2, \"data\": {\"x\": 1}}");
-        let marked = mark_moved(resp, ApiVersion::V2, "rerouted");
+        let marked = mark_moved(resp, "rerouted");
         let body = std::str::from_utf8(&marked.body).unwrap();
         assert!(body.starts_with("{\"rerouted\": true,"));
         assert!(body.contains("\"data\""));
@@ -1888,20 +1837,11 @@ mod tests {
         // The planned-move marker uses its own vocabulary end to end.
         let resharded = mark_moved(
             Response::json(200, "{\"v\": 2, \"data\": {\"x\": 1}}"),
-            ApiVersion::V2,
             "resharded",
         );
         let body = std::str::from_utf8(&resharded.body).unwrap();
         assert!(body.starts_with("{\"resharded\": true,"));
         assert_eq!(resharded.header("x-sparseadapt-resharded"), Some("1"));
         assert_eq!(resharded.header("x-sparseadapt-rerouted"), None);
-        // v1 has no envelope: body untouched, header still present.
-        let v1 = mark_moved(
-            Response::json(200, "{\"x\": 1}"),
-            ApiVersion::V1,
-            "rerouted",
-        );
-        assert_eq!(v1.body, b"{\"x\": 1}");
-        assert_eq!(v1.header("x-sparseadapt-rerouted"), Some("1"));
     }
 }

@@ -13,7 +13,7 @@ use sparseadapt::trace_cache::TraceCache;
 
 fn post(addr: &SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write_request(&mut stream, "POST", target, Some(body)).expect("write");
+    write_request(&mut stream, "POST", target, Some(body.as_bytes())).expect("write");
     read_response(&stream).expect("read")
 }
 

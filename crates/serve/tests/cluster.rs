@@ -4,7 +4,8 @@
 //!
 //! One sequential `#[test]`: the shards are OS processes and the boot
 //! cost is amortized across every assertion (routing, caching,
-//! cross-process disk tier, failover, record/replay, merged metrics).
+//! cross-process disk tier, job polling, failover, record/replay,
+//! merged metrics, byte-exact proxying).
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -15,6 +16,10 @@ use serve::loadgen::{self, LoadgenConfig};
 use serve::shard::{routing_key, spawn_shards, start_router, Ring, RouterConfig, ShardSpawn};
 
 fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
+    post_bytes(addr, target, body.as_bytes())
+}
+
+fn post_bytes(addr: &std::net::SocketAddr, target: &str, body: &[u8]) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(&mut stream, "POST", target, Some(body)).expect("write");
     read_response(&stream).expect("read")
@@ -65,11 +70,41 @@ fn as_u64(v: &serde::Value) -> u64 {
     }
 }
 
-fn cached_flag(doc: &serde::Value) -> bool {
-    field(doc, &["cached"])
-        .or_else(|| field(doc, &["data", "cached"]))
-        .map(|v| v == serde::Value::Bool(true))
-        .unwrap_or(false)
+fn as_str(v: &serde::Value) -> &str {
+    match v {
+        serde::Value::Str(s) => s,
+        other => panic!("expected string, got {other:?}"),
+    }
+}
+
+/// The `data` document of a success envelope.
+fn data_of(resp: &Response) -> serde::Value {
+    let doc = parse(resp);
+    assert_eq!(
+        field(&doc, &["v"]),
+        Some(serde::Value::UInt(2)),
+        "{}",
+        body_str(resp)
+    );
+    field(&doc, &["data"]).expect("enveloped data")
+}
+
+/// Asserts `resp` is `status` with the error envelope and `code`.
+fn assert_error(resp: &Response, status: u16, code: &str) {
+    assert_eq!(resp.status, status, "body: {}", body_str(resp));
+    let doc = parse(resp);
+    assert_eq!(field(&doc, &["v"]), Some(serde::Value::UInt(2)));
+    assert_eq!(field(&doc, &["data"]), Some(serde::Value::Null));
+    assert_eq!(
+        field(&doc, &["error", "code"]).as_ref().map(as_str),
+        Some(code),
+        "body: {}",
+        body_str(resp)
+    );
+}
+
+fn cached_flag(resp: &Response) -> bool {
+    field(&data_of(resp), &["cached"]) == Some(serde::Value::Bool(true))
 }
 
 fn sim_body(matrix: &str) -> String {
@@ -114,8 +149,17 @@ fn cluster_end_to_end() {
     let health = get(&addr, "/healthz");
     assert_eq!(health.status, 200);
     assert!(body_str(&health).contains("\"router\""));
-    assert_eq!(get(&addr, "/nope").status, 404);
-    assert_eq!(post(&addr, "/healthz", "{}").status, 405);
+    assert_error(&get(&addr, "/nope"), 404, "not_found");
+    assert_error(&post(&addr, "/healthz", "{}"), 405, "method_not_allowed");
+    assert_error(&get(&addr, "/v2/simulate"), 405, "method_not_allowed");
+    assert_error(&get(&addr, "/v2/admin/shards"), 405, "method_not_allowed");
+    // The retired /v1 dialect is an unknown path on the router too.
+    assert_error(
+        &post(&addr, "/v1/simulate", &sim_body("R01")),
+        404,
+        "not_found",
+    );
+    assert_error(&get(&addr, "/v1/jobs"), 404, "not_found");
 
     // -- cold pass then warm pass through the router ------------------
     // Each workload routes to one owner shard; the repeat must be a
@@ -125,18 +169,15 @@ fn cluster_end_to_end() {
     let mut sent: Vec<String> = Vec::new();
     for m in &matrices {
         let body = sim_body(m);
-        let cold = post_logged(&mut sent, &addr, "/v1/simulate", &body);
+        let cold = post_logged(&mut sent, &addr, "/v2/simulate", &body);
         assert_eq!(cold.status, 200, "body: {}", body_str(&cold));
-        assert!(
-            !cached_flag(&parse(&cold)),
-            "fresh cluster must simulate {m} cold"
-        );
+        assert!(!cached_flag(&cold), "fresh cluster must simulate {m} cold");
     }
     for m in &matrices {
-        let warm = post_logged(&mut sent, &addr, "/v1/simulate", &sim_body(m));
+        let warm = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body(m));
         assert_eq!(warm.status, 200);
         assert!(
-            cached_flag(&parse(&warm)),
+            cached_flag(&warm),
             "repeat of {m} must hit the owner shard's cache"
         );
     }
@@ -163,51 +204,61 @@ fn cluster_end_to_end() {
         "every simulation must be published to the shared disk tier"
     );
 
-    // -- v2 envelope through the router -------------------------------
-    let v2 = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body("R01"));
-    assert_eq!(v2.status, 200);
-    let v2_doc = parse(&v2);
-    assert_eq!(field(&v2_doc, &["v"]), Some(serde::Value::UInt(2)));
-    assert!(cached_flag(&v2_doc));
-
-    // -- async sweep + job polling through the router -----------------
-    let sweep = post_logged(
-        &mut sent,
-        &addr,
-        "/v1/sweep",
-        r#"{"kernel": "spmspv", "matrix": "R01", "sampled": 2}"#,
-    );
-    assert_eq!(sweep.status, 202, "body: {}", body_str(&sweep));
-    let job_id = as_u64(&field(&parse(&sweep), &["job_id"]).expect("job_id"));
+    // -- async sweeps + job polling through the router ----------------
+    // Two sweeps whose workloads live on different shards. The router
+    // does not know which shard holds a job, so it fans each poll out
+    // to every shard; each poll must still come back with its own job.
+    let ring = Ring::new(3);
+    let owner = |body: &[u8]| ring.assign(&routing_key(body));
+    let sweep_body = |m: &str| format!(r#"{{"kernel": "spmspv", "matrix": "{m}", "sampled": 2}}"#);
+    let first_owner = owner(sweep_body("R01").as_bytes());
+    let other = ["R02", "R03", "R04", "R05"]
+        .into_iter()
+        .find(|m| owner(sweep_body(m).as_bytes()) != first_owner)
+        .expect("some matrix routes to another shard");
+    let mut jobs = Vec::new();
+    for m in ["R01", other] {
+        let sweep = post_logged(&mut sent, &addr, "/v2/sweep", &sweep_body(m));
+        assert_eq!(sweep.status, 202, "body: {}", body_str(&sweep));
+        let job_id = as_u64(&field(&data_of(&sweep), &["job_id"]).expect("job_id"));
+        jobs.push((m, job_id));
+    }
+    assert_ne!(jobs[0].1, jobs[1].1, "job ids must be unique across shards");
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        // Ids are per-shard: the router fans the poll out and relays
-        // whichever shard knows the job.
-        let poll = get(&addr, &format!("/v1/jobs/{job_id}"));
-        assert_eq!(poll.status, 200, "body: {}", body_str(&poll));
-        match field(&parse(&poll), &["status"]) {
-            Some(serde::Value::Str(s)) if s == "done" => break,
-            Some(serde::Value::Str(s)) if s == "failed" => {
-                panic!("sweep failed: {}", body_str(&poll))
-            }
-            _ => {
-                assert!(Instant::now() < deadline, "sweep did not finish in time");
-                std::thread::sleep(Duration::from_millis(100));
+    for (m, job_id) in &jobs {
+        loop {
+            let poll = get(&addr, &format!("/v2/jobs/{job_id}"));
+            assert_eq!(poll.status, 200, "body: {}", body_str(&poll));
+            let job = data_of(&poll);
+            assert_eq!(field(&job, &["job_id"]).as_ref().map(as_u64), Some(*job_id));
+            let desc = field(&job, &["desc"]).expect("desc");
+            assert!(
+                as_str(&desc).contains(&format!("spmspv/{m} ")),
+                "the poll for job {job_id} ({m}) answered {}",
+                body_str(&poll)
+            );
+            match field(&job, &["status"]).as_ref().map(as_str) {
+                Some("done") => break,
+                Some("failed") => panic!("sweep failed: {}", body_str(&poll)),
+                _ => {
+                    assert!(Instant::now() < deadline, "sweep did not finish in time");
+                    std::thread::sleep(Duration::from_millis(100));
+                }
             }
         }
     }
-    let listing = parse(&get(&addr, "/v1/jobs"));
-    let jobs = field(&listing, &["jobs"]).expect("jobs array");
-    let serde::Value::Arr(entries) = jobs else {
+    let listing = data_of(&get(&addr, "/v2/jobs"));
+    let jobs_doc = field(&listing, &["jobs"]).expect("jobs array");
+    let serde::Value::Arr(entries) = jobs_doc else {
         panic!("jobs should be an array");
     };
-    assert!(!entries.is_empty());
+    assert_eq!(entries.len(), jobs.len());
+    let shard_of = |e: &serde::Value| field(e, &["shard"]).as_ref().map(as_u64);
     assert!(
-        entries
-            .iter()
-            .all(|e| matches!(e, serde::Value::Obj(p) if p.iter().any(|(k, _)| k == "shard"))),
-        "merged listing entries must carry their shard index"
+        entries.iter().all(|e| shard_of(e).is_some()),
+        "merged listing entries must carry their shard id"
     );
+    assert_ne!(shard_of(&entries[0]), shard_of(&entries[1]));
 
     // -- matrix upload through the router -----------------------------
     // The upload routes by body content hash to one shard; the
@@ -222,14 +273,14 @@ fn cluster_end_to_end() {
     .expect("upload body serializes");
     let up = post_logged(&mut sent, &addr, "/v2/matrices", &upload_body);
     assert_eq!(up.status, 200, "body: {}", body_str(&up));
-    let up_doc = parse(&up);
-    let mtx_id = match field(&up_doc, &["data", "matrix"]) {
+    let up_doc = data_of(&up);
+    let mtx_id = match field(&up_doc, &["matrix"]) {
         Some(serde::Value::Str(id)) => id,
         other => panic!("upload must return a matrix id, got {other:?}"),
     };
     assert!(mtx_id.starts_with("mtx:"), "id: {mtx_id}");
     assert_eq!(
-        field(&up_doc, &["data", "deduplicated"]),
+        field(&up_doc, &["deduplicated"]),
         Some(serde::Value::Bool(false))
     );
     assert!(
@@ -243,7 +294,7 @@ fn cluster_end_to_end() {
     let up2 = post_logged(&mut sent, &addr, "/v2/matrices", &upload_body);
     assert_eq!(up2.status, 200);
     assert_eq!(
-        field(&parse(&up2), &["data", "deduplicated"]),
+        field(&data_of(&up2), &["deduplicated"]),
         Some(serde::Value::Bool(true)),
         "re-uploading identical content must deduplicate on its shard"
     );
@@ -256,26 +307,24 @@ fn cluster_end_to_end() {
             "{kernel} against an uploaded matrix must resolve on any shard: {}",
             body_str(&cold)
         );
-        assert!(!cached_flag(&parse(&cold)), "first {kernel} run is cold");
+        assert!(!cached_flag(&cold), "first {kernel} run is cold");
         let warm = post_logged(&mut sent, &addr, "/v2/simulate", &body);
         assert_eq!(warm.status, 200);
         assert!(
-            cached_flag(&parse(&warm)),
+            cached_flag(&warm),
             "repeat {kernel} on the uploaded matrix must hit the owner shard's cache"
         );
     }
 
     // -- failover: kill the owner of R01 mid-service ------------------
-    let ring = Ring::new(3);
-    let owner = |body: &String| ring.assign(&routing_key(body.as_bytes()));
-    let victim = owner(&sim_body("R01"));
+    let victim = owner(sim_body("R01").as_bytes());
     shards[victim as usize].kill();
     let pre_kill = sent.len();
 
     // The very next request for R01 hits the dead owner, fails
     // transport, and must fail over to the next ring node — which has
     // never simulated R01 but finds it in the shared disk tier.
-    let failed_over = post_logged(&mut sent, &addr, "/v1/simulate", &sim_body("R01"));
+    let failed_over = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body("R01"));
     assert_eq!(
         failed_over.status,
         200,
@@ -283,29 +332,25 @@ fn cluster_end_to_end() {
         body_str(&failed_over)
     );
     assert_eq!(failed_over.header("x-sparseadapt-rerouted"), Some("1"));
-    assert!(
-        cached_flag(&parse(&failed_over)),
-        "the failover shard must hit the shared disk tier, not re-simulate"
-    );
-    let failed_over_v2 = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body("R01"));
-    assert_eq!(failed_over_v2.status, 200);
     assert_eq!(
-        field(&parse(&failed_over_v2), &["rerouted"]),
+        field(&parse(&failed_over), &["rerouted"]),
         Some(serde::Value::Bool(true)),
-        "v2 envelope must carry the rerouted marker"
+        "the envelope must carry the rerouted marker"
+    );
+    assert!(
+        cached_flag(&failed_over),
+        "the failover shard must hit the shared disk tier, not re-simulate"
     );
 
     // -- burst with one shard down: no client-visible 5xx -------------
     for m in &matrices {
-        for version in ["/v1/simulate", "/v2/simulate"] {
-            let resp = post_logged(&mut sent, &addr, version, &sim_body(m));
-            assert!(
-                resp.status == 200,
-                "{version} {m} after shard kill: status {} body {}",
-                resp.status,
-                body_str(&resp)
-            );
-        }
+        let resp = post_logged(&mut sent, &addr, "/v2/simulate", &sim_body(m));
+        assert!(
+            resp.status == 200,
+            "{m} after shard kill: status {} body {}",
+            resp.status,
+            body_str(&resp)
+        );
     }
 
     // -- merged /metrics ----------------------------------------------
@@ -320,7 +365,7 @@ fn cluster_end_to_end() {
     // polls only add to it).
     let survivors_answered = sent[..pre_kill]
         .iter()
-        .filter(|body| owner(body) != victim)
+        .filter(|body| owner(body.as_bytes()) != victim)
         .count()
         + (sent.len() - pre_kill);
     assert!(
@@ -354,6 +399,37 @@ fn cluster_end_to_end() {
     assert_eq!(
         replay_report.warm.errors, 0,
         "replaying the recorded trace against the degraded cluster must not error"
+    );
+
+    // -- the router forwards request bytes as they arrived -------------
+    // A body that is not UTF-8 gets the same 400 through the router as
+    // from the shard that owns it. It is sent after the replay, which
+    // must see no errors, and its matrix is picked so that the body's
+    // owner shard is still alive.
+    let bad = ["R01", "R02", "R03", "R04", "R05"]
+        .into_iter()
+        .map(|m| {
+            [
+                &b"{\"kernel\": \"\xff\", \"matrix\": \""[..],
+                m.as_bytes(),
+                b"\"}",
+            ]
+            .concat()
+        })
+        .find(|body| owner(body) != victim)
+        .expect("some body routes to a live shard");
+    let through_router = post_bytes(&addr, "/v2/simulate", &bad);
+    let direct = post_bytes(&shard_addrs[owner(&bad) as usize], "/v2/simulate", &bad);
+    assert_error(&direct, 400, "bad_request");
+    assert!(
+        body_str(&direct).contains("not UTF-8"),
+        "{}",
+        body_str(&direct)
+    );
+    assert_eq!(
+        (through_router.status, body_str(&through_router)),
+        (direct.status, body_str(&direct)),
+        "the router must not rewrite the body it forwards"
     );
 
     router.shutdown();

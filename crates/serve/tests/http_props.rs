@@ -196,7 +196,7 @@ proptest! {
         httpish in 0u8..2,
         cuts in cuts(),
     ) {
-        const ALPHABET: &[u8] = b"GET POST /v1 HTTP/1.1\r\n\r\ncontent-length: 12\n:x";
+        const ALPHABET: &[u8] = b"GET POST /v2 HTTP/1.1\r\n\r\ncontent-length: 12\n:x";
         let bytes: Vec<u8> = match httpish {
             0 => raw,
             _ => raw.iter().map(|b| ALPHABET[*b as usize % ALPHABET.len()]).collect(),

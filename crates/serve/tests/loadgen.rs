@@ -56,8 +56,8 @@ fn replayed_request_queued_behind_a_slow_one_keeps_its_wait() {
     let log = dir.join("replay.jsonl");
     std::fs::write(
         &log,
-        "{\"ts_ms\": 0, \"method\": \"POST\", \"target\": \"/v1/simulate\", \"body\": \"{}\"}\n\
-         {\"ts_ms\": 5, \"method\": \"POST\", \"target\": \"/v1/simulate\", \"body\": \"{}\"}\n",
+        "{\"ts_ms\": 0, \"method\": \"POST\", \"target\": \"/v2/simulate\", \"body\": \"{}\"}\n\
+         {\"ts_ms\": 5, \"method\": \"POST\", \"target\": \"/v2/simulate\", \"body\": \"{}\"}\n",
     )
     .expect("write log");
     let report = run(&LoadgenConfig {

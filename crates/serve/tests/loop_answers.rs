@@ -21,7 +21,7 @@ use serve::{start, ServeConfig, ServerHandle};
 
 fn post(addr: &SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write_request(&mut stream, "POST", target, Some(body)).expect("write");
+    write_request(&mut stream, "POST", target, Some(body.as_bytes())).expect("write");
     read_response(&stream).expect("read")
 }
 
@@ -102,14 +102,14 @@ fn memory_hits_answer_on_the_loop_while_the_pool_is_full() {
     let addr = server.addr;
 
     // -- cold answers, computed on the pool --------------------------
-    let warm_v1 = simulate_body("R09", "baseline");
-    let warm_v2 = simulate_body("R09", "best_avg_cache");
-    let cold_v1 = post(&addr, "/v1/simulate", &warm_v1);
-    assert_eq!(cold_v1.status, 200, "{}", body_str(&cold_v1));
-    assert_cached(&cold_v1, false);
-    let cold_v2 = post(&addr, "/v2/simulate", &warm_v2);
-    assert_eq!(cold_v2.status, 200, "{}", body_str(&cold_v2));
-    assert_cached(&cold_v2, false);
+    let warm_a = simulate_body("R09", "baseline");
+    let warm_b = simulate_body("R09", "best_avg_cache");
+    let cold_a = post(&addr, "/v2/simulate", &warm_a);
+    assert_eq!(cold_a.status, 200, "{}", body_str(&cold_a));
+    assert_cached(&cold_a, false);
+    let cold_b = post(&addr, "/v2/simulate", &warm_b);
+    assert_eq!(cold_b.status, 200, "{}", body_str(&cold_b));
+    assert_cached(&cold_b, false);
     let rec_body = format!(
         r#"{{"kernel": "spmspv", "telemetry": {}, "current": {}, "policy": null, "last_epoch_time_s": 0.01}}"#,
         serde_json::to_string(&transmuter::counters::Telemetry::default()).unwrap(),
@@ -143,24 +143,14 @@ fn memory_hits_answer_on_the_loop_while_the_pool_is_full() {
     let hits_before = sparseadapt::trace_cache::TraceCache::global().stats().hits;
 
     // -- memory hits answer on the loop ------------------------------
-    let loop_v1 = post(&addr, "/v1/simulate", &warm_v1);
-    assert_eq!(loop_v1.status, 200, "{}", body_str(&loop_v1));
-    assert_cached(&loop_v1, true);
-    assert_eq!(stable(&loop_v1), stable(&cold_v1), "v1 loop vs pool answer");
-    let loop_v2 = post(&addr, "/v2/simulate", &warm_v2);
-    assert_eq!(loop_v2.status, 200, "{}", body_str(&loop_v2));
-    assert_cached(&loop_v2, true);
-    assert_eq!(stable(&loop_v2), stable(&cold_v2), "v2 loop vs pool answer");
-    // The same trace in the other dialect: the envelope wraps the bare
-    // document the loop serves on /v1.
-    let loop_v2_of_v1 = post(&addr, "/v2/simulate", &warm_v1);
-    assert_eq!(loop_v2_of_v1.status, 200, "{}", body_str(&loop_v2_of_v1));
-    assert_eq!(
-        stable(&loop_v2_of_v1),
-        format!("{{\"v\": 2, \"data\": {}}}", stable(&loop_v1))
-    );
+    for (body, cold) in [(&warm_a, &cold_a), (&warm_b, &cold_b)] {
+        let answer = post(&addr, "/v2/simulate", body);
+        assert_eq!(answer.status, 200, "{}", body_str(&answer));
+        assert_cached(&answer, true);
+        assert_eq!(stable(&answer), stable(cold), "loop vs pool answer");
+    }
     let hits = sparseadapt::trace_cache::TraceCache::global().stats().hits - hits_before;
-    assert_eq!(hits, 3, "each loop answer counts one trace-cache hit");
+    assert_eq!(hits, 2, "each loop answer counts one trace-cache hit");
     let rec = post(&addr, "/v2/recommend", &rec_body);
     assert_eq!(rec.status, 200, "{}", body_str(&rec));
     assert_eq!(
@@ -168,8 +158,6 @@ fn memory_hits_answer_on_the_loop_while_the_pool_is_full() {
         body_str(&rec_loaded),
         "loop vs pool recommend"
     );
-    let rec_v1 = post(&addr, "/v1/recommend", &rec_body);
-    assert_eq!(rec_v1.status, 200, "{}", body_str(&rec_v1));
     // Bodies that do not decode are answered where they were decoded.
     assert_eq!(post(&addr, "/v2/simulate", "not json").status, 400);
     assert_eq!(post(&addr, "/v2/recommend", "{}").status, 400);
@@ -178,7 +166,7 @@ fn memory_hits_answer_on_the_loop_while_the_pool_is_full() {
     let cold = simulate_body("R11", "maximum");
     assert_queue_full(&post(&addr, "/v2/simulate", &cold), "a cold key");
     assert_queue_full(
-        &post(&addr, "/v2/simulate", &padded(&warm_v2)),
+        &post(&addr, "/v2/simulate", &padded(&warm_b)),
         "a warm key past the loop's body bound",
     );
     assert_queue_full(

@@ -17,7 +17,7 @@ use serve::shard::{spawn_shards, ShardSpawn};
 
 fn post(addr: &SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write_request(&mut stream, "POST", target, Some(body)).expect("write");
+    write_request(&mut stream, "POST", target, Some(body.as_bytes())).expect("write");
     read_response(&stream).expect("read")
 }
 
@@ -201,7 +201,7 @@ fn peer_tier_cluster_end_to_end() {
     );
     // The tier is read-only: nothing can write a peer's trace cache.
     let mut stream = TcpStream::connect(a).expect("connect");
-    write_request(&mut stream, "PUT", unknown, Some("SATR")).expect("write");
+    write_request(&mut stream, "PUT", unknown, Some(b"SATR")).expect("write");
     assert_eq!(
         read_response(&stream).expect("read").status,
         405,

@@ -65,6 +65,11 @@ fn status_of(raw: &[u8]) -> u16 {
         .unwrap_or_else(|| panic!("no status line in: {line:?}"))
 }
 
+/// The start of an error envelope carrying `code`.
+fn envelope(code: &str) -> String {
+    format!(r#"{{"v": 2, "data": null, "error": {{"code":"{code}","message":"#)
+}
+
 /// Digs a field out of a JSON object tree.
 fn field(value: &serde::Value, path: &[&str]) -> Option<serde::Value> {
     let mut cur = value.clone();
@@ -157,7 +162,10 @@ fn oversized_request_line_gets_431() {
     let resp = raw_roundtrip(&server.addr, &raw);
     let text = String::from_utf8_lossy(&resp);
     assert_eq!(status_of(&resp), 431, "got: {text}");
-    assert!(text.contains("\"payload_too_large\""), "body: {text}");
+    assert!(
+        text.contains(&envelope("payload_too_large")),
+        "body: {text}"
+    );
     server.shutdown();
 }
 
@@ -168,7 +176,7 @@ fn mid_body_disconnect_leaves_server_healthy() {
         let mut stream = TcpStream::connect(&server.addr).expect("connect");
         stream
             .write_all(
-                b"POST /v1/simulate HTTP/1.1\r\nhost: quitter\r\ncontent-length: 1000\r\n\r\npartial",
+                b"POST /v2/simulate HTTP/1.1\r\nhost: quitter\r\ncontent-length: 1000\r\n\r\npartial",
             )
             .expect("partial body");
         drop(stream);
@@ -211,7 +219,7 @@ fn connection_cap_overflow_sheds_503() {
         String::from_utf8_lossy(&resp)
     );
     let text = String::from_utf8_lossy(&resp);
-    assert!(text.contains("\"overloaded\""), "body: {text}");
+    assert!(text.contains(&envelope("overloaded")), "body: {text}");
     assert!(text.contains("retry_after_ms"), "body: {text}");
 
     drop(held);

@@ -338,7 +338,7 @@ fn elastic_cluster_end_to_end() {
                 total.fetch_add(1, Ordering::Relaxed);
                 let outcome = TcpStream::connect(addr).and_then(|mut stream| {
                     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                    write_request(&mut stream, "POST", "/v2/simulate", Some(body))?;
+                    write_request(&mut stream, "POST", "/v2/simulate", Some(body.as_bytes()))?;
                     read_response(&stream)
                 });
                 match outcome {

@@ -12,7 +12,7 @@ use serve::{start, ServeConfig};
 
 fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write_request(&mut stream, "POST", target, Some(body)).expect("write");
+    write_request(&mut stream, "POST", target, Some(body.as_bytes())).expect("write");
     read_response(&stream).expect("read")
 }
 
@@ -59,6 +59,45 @@ fn as_f64(v: &serde::Value) -> f64 {
     }
 }
 
+/// The `data` document of a success envelope.
+fn data_of(resp: &Response) -> serde::Value {
+    let doc = parse(resp);
+    assert_eq!(
+        field(&doc, &["v"]),
+        Some(serde::Value::UInt(2)),
+        "{}",
+        body_str(resp)
+    );
+    field(&doc, &["data"]).expect("enveloped data")
+}
+
+/// Asserts `resp` is `status` with the error envelope
+/// `{"v": 2, "data": null, "error": {code, message, ...}}`.
+fn assert_error(resp: &Response, status: u16, code: &str) {
+    assert_eq!(resp.status, status, "body: {}", body_str(resp));
+    let doc = parse(resp);
+    assert_eq!(field(&doc, &["v"]), Some(serde::Value::UInt(2)));
+    assert_eq!(field(&doc, &["data"]), Some(serde::Value::Null));
+    assert_eq!(
+        field(&doc, &["error", "code"]),
+        Some(serde::Value::Str(code.to_string())),
+        "body: {}",
+        body_str(resp)
+    );
+    assert!(matches!(
+        field(&doc, &["error", "message"]),
+        Some(serde::Value::Str(_))
+    ));
+}
+
+/// The status string of a job document.
+fn status_of(job: &serde::Value) -> String {
+    match field(job, &["status"]) {
+        Some(serde::Value::Str(s)) => s,
+        other => panic!("a job carries a status, got {other:?}"),
+    }
+}
+
 #[test]
 fn daemon_end_to_end() {
     let server = start(ServeConfig {
@@ -73,54 +112,53 @@ fn daemon_end_to_end() {
     // -- health and routing basics ------------------------------------
     let health = get(&addr, "/healthz");
     assert_eq!(health.status, 200);
-    assert!(body_str(&health).contains("true"));
-    assert_eq!(get(&addr, "/nope").status, 404);
-    assert_eq!(post(&addr, "/healthz", "{}").status, 405);
-    // Errors are one structured shape: bare in /v1, enveloped in /v2.
-    let bad = post(&addr, "/v1/simulate", "not json");
-    assert_eq!(bad.status, 400);
-    assert_eq!(
-        field(&parse(&bad), &["code"]),
-        Some(serde::Value::Str("bad_request".to_string()))
-    );
-    let bad_v2 = post(&addr, "/v2/simulate", "not json");
-    assert_eq!(bad_v2.status, 400);
-    let bad_v2_doc = parse(&bad_v2);
-    assert_eq!(field(&bad_v2_doc, &["v"]), Some(serde::Value::UInt(2)));
-    assert_eq!(field(&bad_v2_doc, &["data"]), Some(serde::Value::Null));
-    assert_eq!(
-        field(&bad_v2_doc, &["error", "code"]),
-        Some(serde::Value::Str("bad_request".to_string()))
-    );
-    assert!(field(&bad_v2_doc, &["error", "message"]).is_some());
-    assert_eq!(
-        post(
+    assert_eq!(body_str(&health), "{\"ok\": true}");
+    assert_error(&get(&addr, "/nope"), 404, "not_found");
+    assert_error(&post(&addr, "/healthz", "{}"), 405, "method_not_allowed");
+    assert_error(&get(&addr, "/v2/simulate"), 405, "method_not_allowed");
+    assert_error(&get(&addr, "/v2/admin/drain"), 405, "method_not_allowed");
+    // The retired /v1 dialect is an unknown path like any other.
+    let sim_body = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
+    for (target, body) in [
+        ("/v1/simulate", sim_body),
+        ("/v1/recommend", "{}"),
+        ("/v1/sweep", "{}"),
+    ] {
+        assert_error(&post(&addr, target, body), 404, "not_found");
+    }
+    for target in ["/v1/jobs", "/v1/jobs/1"] {
+        assert_error(&get(&addr, target), 404, "not_found");
+    }
+    // Errors are one structured shape, in the envelope.
+    assert_error(&post(&addr, "/v2/simulate", "not json"), 400, "bad_request");
+    assert_error(
+        &post(
             &addr,
-            "/v1/simulate",
-            r#"{"kernel": "gemm", "matrix": "R01"}"#
+            "/v2/simulate",
+            r#"{"kernel": "gemm", "matrix": "R01"}"#,
+        ),
+        400,
+        "bad_request",
+    );
+    let not_utf8 = {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_request(
+            &mut stream,
+            "POST",
+            "/v2/simulate",
+            Some(b"{\"kernel\": \"\xff\"}"),
         )
-        .status,
-        400
-    );
+        .expect("write");
+        read_response(&stream).expect("read")
+    };
+    assert_error(&not_utf8, 400, "bad_request");
+    assert!(body_str(&not_utf8).contains("not UTF-8"));
 
-    // -- request-side negotiation: /v1 ignores unknown fields, /v2
-    // rejects them with a structured code ------------------------------
+    // -- every POST rejects an unknown top-level field ----------------
     let typo_body = r#"{"kernel": "spmspv", "matrix": "R09", "confg_name": "maximum"}"#;
-    let lenient = post(&addr, "/v1/simulate", typo_body);
-    assert_eq!(
-        lenient.status,
-        200,
-        "/v1 keeps its ignore-unknowns shim semantics; body: {}",
-        body_str(&lenient)
-    );
     let strict = post(&addr, "/v2/simulate", typo_body);
-    assert_eq!(strict.status, 400);
-    let strict_doc = parse(&strict);
-    assert_eq!(
-        field(&strict_doc, &["error", "code"]),
-        Some(serde::Value::Str("unknown_field".to_string()))
-    );
-    let strict_msg = match field(&strict_doc, &["error", "message"]) {
+    assert_error(&strict, 400, "unknown_field");
+    let strict_msg = match field(&parse(&strict), &["error", "message"]) {
         Some(serde::Value::Str(s)) => s,
         other => panic!("expected error message, got {other:?}"),
     };
@@ -128,37 +166,35 @@ fn daemon_end_to_end() {
         strict_msg.contains("confg_name") && strict_msg.contains("config_name"),
         "message should name the offender and the known fields: {strict_msg}"
     );
-    // Same contract on the other POST endpoints (rejected before any
-    // job is created).
-    let sweep_typo = post(
-        &addr,
-        "/v2/sweep",
-        r#"{"kernel": "spmspv", "matrix": "R09", "samples": 4}"#,
-    );
-    assert_eq!(sweep_typo.status, 400);
-    assert_eq!(
-        field(&parse(&sweep_typo), &["error", "code"]),
-        Some(serde::Value::Str("unknown_field".to_string()))
-    );
-    // A non-object body on /v2 is a plain bad_request, not unknown_field.
-    let arr = post(&addr, "/v2/sweep", "[1, 2]");
-    assert_eq!(arr.status, 400);
-    assert_eq!(
-        field(&parse(&arr), &["error", "code"]),
-        Some(serde::Value::Str("bad_request".to_string()))
-    );
+    // Same contract on the other POST endpoints (a sweep is rejected
+    // before any job is created).
+    for (target, body) in [
+        (
+            "/v2/sweep",
+            r#"{"kernel": "spmspv", "matrix": "R09", "samples": 4}"#,
+        ),
+        ("/v2/recommend", r#"{"kernel": "spmspv", "telemtry": {}}"#),
+        ("/v2/matrices", r#"{"mtx": "x", "name": "wing"}"#),
+    ] {
+        assert_error(&post(&addr, target, body), 400, "unknown_field");
+    }
+    // A non-object body is a plain bad_request, not unknown_field.
+    assert_error(&post(&addr, "/v2/sweep", "[1, 2]"), 400, "bad_request");
 
     // -- simulate: cold then cached -----------------------------------
-    let sim_body = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
-    let first = post(&addr, "/v1/simulate", sim_body);
+    let first = post(&addr, "/v2/simulate", sim_body);
     assert_eq!(first.status, 200, "body: {}", body_str(&first));
-    let first_doc = parse(&first);
+    let first_doc = data_of(&first);
+    assert_eq!(
+        field(&first_doc, &["cached"]),
+        Some(serde::Value::Bool(false))
+    );
     assert!(as_f64(&field(&first_doc, &["summary", "gflops"]).expect("gflops")) > 0.0);
     assert!(as_u64(&field(&first_doc, &["summary", "epochs"]).expect("epochs")) > 0);
 
-    let second = post(&addr, "/v1/simulate", sim_body);
+    let second = post(&addr, "/v2/simulate", sim_body);
     assert_eq!(second.status, 200);
-    let second_doc = parse(&second);
+    let second_doc = data_of(&second);
     assert_eq!(
         field(&second_doc, &["cached"]),
         Some(serde::Value::Bool(true)),
@@ -170,55 +206,40 @@ fn daemon_end_to_end() {
         field(&second_doc, &["summary"])
     );
 
-    // -- /v2: same handlers, versioned envelope -----------------------
-    let v2 = post(&addr, "/v2/simulate", sim_body);
-    assert_eq!(v2.status, 200);
-    let v2_doc = parse(&v2);
-    assert_eq!(field(&v2_doc, &["v"]), Some(serde::Value::UInt(2)));
-    assert_eq!(
-        field(&v2_doc, &["data", "cached"]),
-        Some(serde::Value::Bool(true)),
-        "/v2 must reach the same typed handler and cache as /v1"
-    );
-    assert_eq!(
-        field(&v2_doc, &["data", "summary"]),
-        field(&first_doc, &["summary"]),
-        "the envelope must wrap the exact document /v1 serves"
-    );
-
     // -- coalescing: two identical concurrent requests, one simulation -
     // A fresh (matrix, config) pair so the simulation is cold and slow
-    // enough for the second request to arrive while it's in flight. One
-    // goes through /v1 and one through /v2: the dialects coalesce
-    // together because the coalescer keys on the workload, not the
-    // path, and caches the inner (pre-envelope) document.
+    // enough for the second request to arrive while it's in flight. The
+    // leader renders one response and sends it to its follower, so the
+    // two bodies are the same bytes, `sim_ms` included.
     let coalesce_body = r#"{"kernel": "spmspv", "matrix": "R10", "config_name": "best_avg_cache"}"#;
     let led_before = server.state.coalescer.led_total();
+    let coalesced_before = server.state.coalescer.coalesced_total();
     let barrier = Barrier::new(2);
-    let (resp_v1, resp_v2) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| {
-            barrier.wait();
-            post(&addr, "/v1/simulate", coalesce_body)
-        });
-        let b = scope.spawn(|| {
+    let (resp_a, resp_b) = std::thread::scope(|scope| {
+        let send = || {
             barrier.wait();
             post(&addr, "/v2/simulate", coalesce_body)
-        });
+        };
+        let a = scope.spawn(send);
+        let b = scope.spawn(send);
         (a.join().expect("thread a"), b.join().expect("thread b"))
     });
-    assert_eq!(resp_v1.status, 200);
-    assert_eq!(resp_v2.status, 200);
+    assert_eq!(resp_a.status, 200);
+    assert_eq!(resp_b.status, 200);
     assert_eq!(
-        body_str(&resp_v2),
-        format!("{{\"v\": 2, \"data\": {}}}", body_str(&resp_v1)),
-        "coalesced dialects must share one byte-identical inner document"
+        body_str(&resp_a),
+        body_str(&resp_b),
+        "coalesced requests must get one byte-identical body"
     );
     assert_eq!(
         server.state.coalescer.led_total() - led_before,
         1,
         "two identical concurrent requests must run exactly one computation"
     );
-    assert!(server.state.coalescer.coalesced_total() >= 1);
+    assert_eq!(
+        server.state.coalescer.coalesced_total() - coalesced_before,
+        1
+    );
 
     // -- recommend ----------------------------------------------------
     let rec_body = format!(
@@ -226,9 +247,9 @@ fn daemon_end_to_end() {
         serde_json::to_string(&transmuter::counters::Telemetry::default()).unwrap(),
         serde_json::to_string(&transmuter::config::TransmuterConfig::baseline()).unwrap(),
     );
-    let rec = post(&addr, "/v1/recommend", &rec_body);
+    let rec = post(&addr, "/v2/recommend", &rec_body);
     assert_eq!(rec.status, 200, "body: {}", body_str(&rec));
-    let rec_doc = parse(&rec);
+    let rec_doc = data_of(&rec);
     assert!(field(&rec_doc, &["predicted"]).is_some());
     assert!(field(&rec_doc, &["chosen", "clock"]).is_some());
     assert!(matches!(
@@ -239,21 +260,24 @@ fn daemon_end_to_end() {
     // -- async sweep job ----------------------------------------------
     let sweep = post(
         &addr,
-        "/v1/sweep",
+        "/v2/sweep",
         r#"{"kernel": "spmspv", "matrix": "R09", "sampled": 3}"#,
     );
     assert_eq!(sweep.status, 202, "body: {}", body_str(&sweep));
-    let job_id = as_u64(&field(&parse(&sweep), &["job_id"]).expect("job_id"));
+    let accepted = data_of(&sweep);
+    let job_id = as_u64(&field(&accepted, &["job_id"]).expect("job_id"));
+    assert_eq!(
+        field(&accepted, &["poll"]),
+        Some(serde::Value::Str(format!("/v2/jobs/{job_id}")))
+    );
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
     let result = loop {
-        let poll = get(&addr, &format!("/v1/jobs/{job_id}"));
+        let poll = get(&addr, &format!("/v2/jobs/{job_id}"));
         assert_eq!(poll.status, 200);
-        let doc = parse(&poll);
-        match field(&doc, &["status"]) {
-            Some(serde::Value::Str(s)) if s == "done" => break doc,
-            Some(serde::Value::Str(s)) if s == "failed" => {
-                panic!("sweep failed: {}", body_str(&poll))
-            }
+        let doc = data_of(&poll);
+        match status_of(&doc).as_str() {
+            "done" => break doc,
+            "failed" => panic!("sweep failed: {}", body_str(&poll)),
             _ => {
                 assert!(
                     std::time::Instant::now() < deadline,
@@ -270,50 +294,17 @@ fn daemon_end_to_end() {
     assert!(
         as_f64(&field(&result, &["result", "best_perf", "gflops"]).expect("best gflops")) > 0.0
     );
-    let listing = get(&addr, "/v1/jobs");
+    let listing = get(&addr, "/v2/jobs");
     assert_eq!(listing.status, 200);
-    assert!(body_str(&listing).contains("\"jobs\""));
-    assert_eq!(get(&addr, "/v1/jobs/999999").status, 404);
-
-    // The same sweep through /v2: the accepted envelope points at a
-    // dialect-matched poll URL, and polling it answers in v2 framing.
-    let sweep_v2 = post(
-        &addr,
-        "/v2/sweep",
-        r#"{"kernel": "spmspv", "matrix": "R09", "sampled": 2}"#,
-    );
-    assert_eq!(sweep_v2.status, 202, "body: {}", body_str(&sweep_v2));
-    let sweep_v2_doc = parse(&sweep_v2);
-    assert_eq!(field(&sweep_v2_doc, &["v"]), Some(serde::Value::UInt(2)));
-    let poll_path = match field(&sweep_v2_doc, &["data", "poll"]) {
-        Some(serde::Value::Str(p)) => p,
-        other => panic!("accepted envelope must carry a poll path, got {other:?}"),
-    };
-    assert!(poll_path.starts_with("/v2/jobs/"), "poll: {poll_path}");
-    loop {
-        let poll = get(&addr, &poll_path);
-        assert_eq!(poll.status, 200);
-        let doc = parse(&poll);
-        assert_eq!(field(&doc, &["v"]), Some(serde::Value::UInt(2)));
-        match field(&doc, &["data", "status"]) {
-            Some(serde::Value::Str(s)) if s == "done" => break,
-            Some(serde::Value::Str(s)) if s == "failed" => {
-                panic!("v2 sweep failed: {}", body_str(&poll))
-            }
-            _ => {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "v2 sweep did not finish in time"
-                );
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        }
-    }
-    let missing_v2 = get(&addr, "/v2/jobs/999999");
-    assert_eq!(missing_v2.status, 404);
-    assert_eq!(
-        field(&parse(&missing_v2), &["error", "code"]),
-        Some(serde::Value::Str("not_found".to_string()))
+    assert!(matches!(
+        field(&data_of(&listing), &["jobs"]),
+        Some(serde::Value::Arr(jobs)) if jobs.len() == 1
+    ));
+    assert_error(&get(&addr, "/v2/jobs/nope"), 400, "bad_request");
+    assert_error(
+        &get(&addr, &format!("/v2/jobs/{}", job_id + 1)),
+        404,
+        "not_found",
     );
 
     // -- matrix upload: content-addressed, deduplicated, usable -------
@@ -370,21 +361,13 @@ fn daemon_end_to_end() {
         field(&up2_doc, &["data", "deduplicated"]),
         Some(serde::Value::Bool(true))
     );
-    // Strict fields and upload-specific failure modes.
-    let typo_up = post(&addr, "/v2/matrices", r#"{"mtx": "x", "name": "wing"}"#);
-    assert_eq!(typo_up.status, 400);
-    assert_eq!(
-        field(&parse(&typo_up), &["error", "code"]),
-        Some(serde::Value::Str("unknown_field".to_string()))
+    // Upload-specific failure modes.
+    assert_error(
+        &post(&addr, "/v2/matrices", r#"{"mtx": "not a matrix"}"#),
+        400,
+        "bad_request",
     );
-    let garbage = post(&addr, "/v2/matrices", r#"{"mtx": "not a matrix"}"#);
-    assert_eq!(garbage.status, 400);
-    assert_eq!(
-        field(&parse(&garbage), &["error", "code"]),
-        Some(serde::Value::Str("bad_request".to_string()))
-    );
-    assert_eq!(get(&addr, "/v2/matrices").status, 405);
-    assert_eq!(post(&addr, "/v1/matrices", &upload_body).status, 404);
+    assert_error(&get(&addr, "/v2/matrices"), 405, "method_not_allowed");
 
     // -- solver kernels against the uploaded matrix -------------------
     for kernel in ["spmv", "sptrsv", "symgs"] {
@@ -432,7 +415,7 @@ fn daemon_end_to_end() {
         "/v2/simulate",
         &format!(r#"{{"kernel": "sptrsv", "matrix": "{rect_id}"}}"#),
     );
-    assert_eq!(rect_solve.status, 400);
+    assert_error(&rect_solve, 400, "bad_request");
     let rect_msg = match field(&parse(&rect_solve), &["error", "message"]) {
         Some(serde::Value::Str(s)) => s,
         other => panic!("expected error message, got {other:?}"),
@@ -462,7 +445,9 @@ fn daemon_end_to_end() {
     let serde::Value::Obj(routes) = by_route else {
         panic!("requests_by_route should be an object");
     };
-    assert!(routes.iter().any(|(k, _)| k == "POST /v1/simulate 200"));
+    assert!(routes.iter().any(|(k, _)| k == "POST /v2/simulate 200"));
+    assert!(routes.iter().any(|(k, _)| k == "not_found 404"));
+    assert!(routes.iter().all(|(k, _)| !k.contains("/v1")), "{routes:?}");
 
     server.shutdown();
 
@@ -483,16 +468,16 @@ fn daemon_end_to_end() {
         .map(|m| format!(r#"{{"kernel": "spmspv", "matrix": "{m}", "config_name": "maximum"}}"#))
         .collect();
     let gate = Barrier::new(bodies.len());
-    let statuses: Vec<(u16, Option<String>, String)> = std::thread::scope(|scope| {
+    let answers: Vec<(Response, Option<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = bodies
             .iter()
             .map(|body| {
                 let gate = &gate;
                 scope.spawn(move || {
                     gate.wait();
-                    let resp = post(&small_addr, "/v1/simulate", body);
+                    let resp = post(&small_addr, "/v2/simulate", body);
                     let retry = resp.header("retry-after").map(|v| v.to_string());
-                    (resp.status, retry, body_str(&resp).to_string())
+                    (resp, retry)
                 })
             })
             .collect();
@@ -501,25 +486,25 @@ fn daemon_end_to_end() {
             .map(|h| h.join().expect("request thread"))
             .collect()
     });
+    let statuses: Vec<u16> = answers.iter().map(|(r, _)| r.status).collect();
     assert!(
-        statuses.iter().all(|(s, _, _)| *s == 200 || *s == 429),
+        statuses.iter().all(|s| *s == 200 || *s == 429),
         "statuses: {statuses:?}"
     );
-    let rejected: Vec<_> = statuses.iter().filter(|(s, _, _)| *s == 429).collect();
+    let rejected: Vec<_> = answers.iter().filter(|(r, _)| r.status == 429).collect();
     assert!(
         !rejected.is_empty(),
         "a saturated 1-worker/1-slot pool must reject some of 6 concurrent requests"
     );
-    assert!(
-        rejected.iter().all(|(_, retry, _)| retry.is_some()),
-        "429 responses must carry Retry-After"
-    );
-    assert!(
-        rejected
-            .iter()
-            .all(|(_, _, body)| body.contains("\"queue_full\"") && body.contains("retry_after_ms")),
-        "429 responses must carry the structured queue_full error: {rejected:?}"
-    );
+    for (resp, retry) in rejected {
+        assert!(retry.is_some(), "429 responses must carry Retry-After");
+        assert_error(resp, 429, "queue_full");
+        assert!(
+            field(&parse(resp), &["error", "retry_after_ms"]).is_some(),
+            "{}",
+            body_str(resp)
+        );
+    }
     assert!(small.state.metrics.rejected_429_total() >= 1);
     small.shutdown();
 }

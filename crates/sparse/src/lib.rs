@@ -20,10 +20,8 @@
 //! * [`mtx`] — strict, streaming Matrix Market reader/writer with typed
 //!   errors and content hashing (coordinate + array forms; general,
 //!   symmetric and skew-symmetric storage; real, integer and pattern
-//!   fields).
-//! * [`io`] — `io::Error`-flavoured compatibility wrappers over [`mtx`],
-//!   so users holding the original SuiteSparse/SNAP files can swap them
-//!   in for the stand-ins.
+//!   fields), so users holding the original SuiteSparse/SNAP files can
+//!   swap them in for the stand-ins.
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@ mod csc;
 mod csr;
 mod error;
 pub mod gen;
-pub mod io;
 pub mod mtx;
 pub mod stats;
 pub mod suite;

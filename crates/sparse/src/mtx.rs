@@ -1,10 +1,7 @@
 //! Strict, streaming Matrix Market (`.mtx`) reader and writer.
 //!
-//! The [`io`](crate::io) module keeps its original lenient, `io::Error`
-//! based entry points for backwards compatibility; this module is the
-//! engine underneath them and the surface new code should use. It
-//! differs from a quick line-splitting parser in the ways that matter
-//! when real SuiteSparse files and cache keys are involved:
+//! It differs from a quick line-splitting parser in the ways that
+//! matter when real SuiteSparse files and cache keys are involved:
 //!
 //! * **Streaming.** [`parse_reader`] consumes any [`BufRead`] line by
 //!   line — no full-file `String` is ever built, so multi-hundred-MB
@@ -931,6 +928,22 @@ mod tests {
             .expect("parses");
         assert_eq!(m.header.format, MtxFormat::Coordinate);
         assert_eq!(m.matrix.to_csr().get(0, 1), Some(3.5));
+    }
+
+    #[test]
+    fn symmetric_entries_are_mirrored() {
+        let m = csr_of("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 4\n3 3 7\n");
+        assert_eq!(m.get(1, 0), Some(4.0));
+        assert_eq!(m.get(0, 1), Some(4.0));
+        assert_eq!(m.get(2, 2), Some(7.0));
+        assert_eq!(m.nnz(), 3);
+    }
+
+    #[test]
+    fn pattern_entries_get_unit_values() {
+        let m = csr_of("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n");
+        assert_eq!(m.get(0, 1), Some(1.0));
+        assert_eq!(m.nnz(), 1);
     }
 
     #[test]
