@@ -22,10 +22,13 @@
 //! the in-memory trace cache (LRU eviction beyond the cap) for
 //! memory-constrained hosts. `--epoch-cache` additionally memoizes at
 //! *epoch* granularity, keyed on the machine state entering each epoch,
-//! so live controller runs fast-forward through epochs any earlier
-//! sweep already simulated (see DESIGN.md §2, "Epoch-granular
-//! memoization"). That cache is memory-only: `--cache-dir` is what
-//! carries work across processes. `--serial` runs experiments one after
+//! so a live controller run fast-forwards through the epochs an earlier
+//! live run of the same workload already simulated: the shared prefix
+//! up to where their decisions diverge (see DESIGN.md §2,
+//! "Epoch-granular memoization"). Sweeps never record into it. That
+//! cache is memory-only: `--cache-dir` is what carries work across
+//! processes, and the `# all done` line reports its hits, lookups and
+//! resident size. `--serial` runs experiments one after
 //! another at full thread count instead of fanning out; use it when
 //! per-experiment progress output matters more than wall clock.
 //!
@@ -282,8 +285,19 @@ fn main() {
         });
     }
     let stats = sparseadapt::trace_cache::TraceCache::global().stats();
+    let epochs = if cli.epoch_cache {
+        let s = sparseadapt::epoch_cache::EpochCache::global().stats();
+        format!(
+            "; epoch tier: {} hits / {} lookups, {:.1} MiB resident",
+            s.hits,
+            s.lookups,
+            s.resident_bytes as f64 / (1u64 << 20) as f64
+        )
+    } else {
+        String::new()
+    };
     eprintln!(
-        "# all done in {:.1}s — trace cache: {} hits / {} misses ({} from disk), {} resident",
+        "# all done in {:.1}s — trace cache: {} hits / {} misses ({} from disk), {} resident{epochs}",
         started.elapsed().as_secs_f64(),
         stats.hits,
         stats.misses,

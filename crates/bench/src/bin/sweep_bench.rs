@@ -1,8 +1,8 @@
 //! Timing harness for the sweep engine: measures thread scaling, the
 //! SoA inner loop against the frozen reference path, the trace cache's
-//! effect on a repeated sweep and the epoch cache's effect on a warm
-//! resweep and on live schemes, then writes the numbers to
-//! `BENCH_sweep.json` at the repository root.
+//! effect on a repeated sweep and the epoch cache's effect on live
+//! schemes, then writes the numbers to `BENCH_sweep.json` at the
+//! repository root.
 //!
 //! ```text
 //! Usage: sweep_bench [--threads N] [--configs S] [--out FILE]
@@ -29,9 +29,12 @@ use sparseadapt::stitch::{sample_configs, SweepData};
 use sparseadapt::trace_cache::{TraceCache, TraceKey};
 use sparseadapt::{PredictiveEnsemble, ReconfigPolicy, SparseAdaptController};
 use transmuter::config::{ConfigParam, MachineSpec, MemKind, TransmuterConfig};
+use transmuter::machine::RunResult;
 use transmuter::metrics::OptMode;
 use transmuter::workload::Workload;
 
+/// Each timing `X_s` is the minimum over the repetitions and
+/// `X_median_s` their median.
 #[derive(Serialize)]
 struct ScenarioTiming {
     workload: String,
@@ -39,20 +42,21 @@ struct ScenarioTiming {
     epochs: usize,
     /// One thread, work stealing (degenerates to serial execution).
     serial_s: f64,
+    serial_median_s: f64,
     /// N threads, work stealing, cache bypassed.
     work_stealing_s: f64,
+    work_stealing_median_s: f64,
     /// N threads, work stealing, but through the frozen pre-SoA
     /// reference simulation path (AoS op vectors, per-event heap churn,
-    /// unbatched HBM) — the PR-1 inner loop kept verbatim for A/B.
+    /// unbatched HBM) — the original inner loop kept verbatim for A/B.
     legacy_aos_s: f64,
-    /// N threads, work stealing, first pass through the trace cache.
+    legacy_aos_median_s: f64,
+    /// N threads, work stealing, through an emptied trace cache.
     cached_first_s: f64,
+    cached_first_median_s: f64,
     /// Same sweep again — every config is a cache hit.
     cached_second_s: f64,
-    /// Epoch-cache-warm resweep (trace cache cleared each rep): every
-    /// epoch fast-forwards from the epoch tier. Its traces must equal
-    /// the cold sweep's — a mismatch makes the harness exit non-zero.
-    epoch_resweep_s: f64,
+    cached_second_median_s: f64,
     /// serial_s / work_stealing_s: thread-scaling win.
     thread_speedup: f64,
     /// work_stealing_s / cached_second_s: what a repeated sweep costs
@@ -64,24 +68,26 @@ struct ScenarioTiming {
     /// One trace of this sweep in the binary `trace_bin` disk-cache
     /// format.
     trace_bin_bytes: usize,
-    /// The sweep re-run with the epoch cache recording (trace cache
-    /// cleared first): the one-time cost of warming the epoch tier.
-    epoch_sweep_warm_s: f64,
-    /// The epoch tier's accounted footprint right after that recording
-    /// sweep: every epoch's exit snapshot, shared cache pages counted
-    /// once.
-    epoch_resident_mb: f64,
     /// Live-scheme evaluation (live SparseAdapt + greedy replay +
     /// ProfileAdapt replay), epoch cache disabled.
     live_cold_s: f64,
-    /// The same evaluation right after the sweep warmed the cache: the
-    /// shared prefix epochs fast-forward, post-divergence epochs are
-    /// simulated once and recorded.
+    live_cold_median_s: f64,
+    /// The same evaluation from an emptied epoch cache: each run
+    /// records its epochs, and hits only what an earlier run of the
+    /// pass recorded.
     live_warm_first_s: f64,
+    live_warm_first_median_s: f64,
     /// Steady state: every epoch of every scheme is a cache hit.
     live_warm_s: f64,
+    live_warm_median_s: f64,
     /// live_cold_s / live_warm_s.
     live_speedup: f64,
+    /// The epoch tier's accounted footprint after one recording pass:
+    /// every live epoch's exit snapshot, shared cache pages counted
+    /// once.
+    epoch_resident_mb: f64,
+    /// Epoch-cache hit rate within one recording pass.
+    epoch_first_hit_rate: f64,
     /// Epoch-cache hit rate over the warm passes.
     epoch_hit_rate: f64,
 }
@@ -94,6 +100,8 @@ struct Report {
     host_cpus: usize,
     scale: String,
     sampled_configs: usize,
+    /// Repetitions behind every timing's minimum and median.
+    reps: usize,
     scenarios: Vec<ScenarioTiming>,
     /// Geometric means over the scenarios.
     geomean_thread_speedup: f64,
@@ -112,20 +120,45 @@ fn time<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (t.elapsed().as_secs_f64(), r)
 }
 
-/// Best-of-`reps` wall clock. The minimum is the standard
-/// noise-robust estimator for a deterministic computation: scheduler
-/// preemption and interrupts only ever add time, so the smallest
-/// observation is the closest to the true cost.
-fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let (mut best, mut out) = time(&mut f);
-    for _ in 1..reps {
-        let (t, r) = time(&mut f);
-        if t < best {
-            best = t;
-            out = r;
-        }
+/// Wall clock over repetitions of one computation.
+struct Timing {
+    /// The minimum: the standard noise-robust estimator for a
+    /// deterministic computation, since scheduler preemption and
+    /// interrupts only ever add time.
+    min_s: f64,
+    /// The median, which shows the spread the minimum hides.
+    median_s: f64,
+}
+
+/// Times `reps` runs of `run`, each after an untimed `prepare`, and
+/// returns every run's output in order.
+fn time_reps<R>(
+    reps: usize,
+    mut prepare: impl FnMut(),
+    mut run: impl FnMut() -> R,
+) -> (Timing, Vec<R>) {
+    let mut secs = Vec::with_capacity(reps);
+    let mut outs = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        prepare();
+        let (t, r) = time(&mut run);
+        secs.push(t);
+        outs.push(r);
     }
-    (best, out)
+    secs.sort_by(f64::total_cmp);
+    let mid = secs.len() / 2;
+    let median_s = if secs.len() % 2 == 0 {
+        (secs[mid - 1] + secs[mid]) / 2.0
+    } else {
+        secs[mid]
+    };
+    (
+        Timing {
+            min_s: secs[0],
+            median_s,
+        },
+        outs,
+    )
 }
 
 fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -139,9 +172,9 @@ fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
 
 /// A deterministic hand-built ensemble (no training cost): asks for a
 /// 125 MHz clock and Best Avg elsewhere, so the live SparseAdapt run
-/// performs one real reconfiguration — the epoch cache's warm pass has
-/// to survive the hit→miss transition at the divergence point, exactly
-/// like the differential suite.
+/// performs one real reconfiguration — the epoch cache has to survive
+/// the hit→miss transition at the divergence point, exactly like the
+/// differential suite.
 fn downclock_ensemble() -> PredictiveEnsemble {
     let best_avg = TransmuterConfig::best_avg_cache();
     let mut trees = BTreeMap::new();
@@ -167,10 +200,10 @@ fn live_schemes_pass(
     workload: &Workload,
     sweep: &SweepData,
     ensemble: &PredictiveEnsemble,
-) {
+) -> [RunResult; 3] {
     let mode = OptMode::default();
     let mut ctrl = SparseAdaptController::new(ensemble.clone(), ReconfigPolicy::Aggressive, spec);
-    run_live(
+    let live = run_live(
         spec,
         TransmuterConfig::best_avg_cache(),
         workload,
@@ -180,7 +213,7 @@ fn live_schemes_pass(
     let schedule: Vec<TransmuterConfig> =
         greedy.schedule.iter().map(|&i| sweep.configs[i]).collect();
     let mut replay = ScheduleController::new(schedule);
-    run_live(spec, replay.start_config(), workload, &mut replay);
+    let greedy = run_live(spec, replay.start_config(), workload, &mut replay);
     let mut max = TransmuterConfig::maximum();
     max.l1_kind = MemKind::Cache;
     let profile_idx = sweep
@@ -189,7 +222,8 @@ fn live_schemes_pass(
     let pa = schemes::profileadapt_ideal(sweep, mode, profile_idx);
     let schedule: Vec<TransmuterConfig> = pa.schedule.iter().map(|&i| sweep.configs[i]).collect();
     let mut replay = ScheduleController::new(schedule);
-    run_live(spec, replay.start_config(), workload, &mut replay);
+    let profile = run_live(spec, replay.start_config(), workload, &mut replay);
+    [live, greedy, profile]
 }
 
 /// SipHash vs FxHash lookup throughput on the cache-key shape (three
@@ -232,16 +266,17 @@ fn fxhash_lookup_bench() -> f64 {
     sip_s / fx_s
 }
 
-/// The epoch-cache-warm resweep must reproduce the cold sweep bit for
-/// bit. A divergence voids every epoch-cache timing, so the harness
-/// names the offending config and exits non-zero instead of reporting
-/// bogus speedups.
-fn check_resweep_identity(name: &str, cold: &SweepData, warm: &SweepData) {
-    for (c, (a, b)) in cold.traces.iter().zip(warm.traces.iter()).enumerate() {
-        if **a != **b {
+/// Every pass with the epoch cache on must reproduce the pass with it
+/// off bit for bit. A divergence voids every epoch-cache timing, so the
+/// harness names the offending run and exits non-zero instead of
+/// reporting bogus speedups.
+fn check_live_identity(name: &str, pass: &str, off: &[RunResult; 3], on: &[RunResult; 3]) {
+    let runs = ["SparseAdapt", "Ideal Greedy replay", "ProfileAdapt replay"];
+    for ((run, a), b) in runs.iter().zip(off).zip(on) {
+        if a != b {
             eprintln!(
-                "sweep_bench: epoch-cache-warm resweep diverged from the cold sweep on \
-                 scenario {name}, config {c}: the traces must be bit-identical"
+                "sweep_bench: the {run} run of a {pass} pass with the epoch cache on diverged \
+                 from the cache-off pass on scenario {name}: the results must be bit-identical"
             );
             std::process::exit(1);
         }
@@ -260,16 +295,23 @@ fn bench_scenario(
     // the first measured variant.
     SweepData::simulate_uncached(spec, workload, configs, threads);
 
-    let (serial_s, _) = time_min(reps, || {
-        SweepData::simulate_uncached(spec, workload, configs, 1)
-    });
-    let (work_stealing_s, sweep) = time_min(reps, || {
-        SweepData::simulate_uncached(spec, workload, configs, threads)
-    });
-    let (legacy_aos_s, legacy) = time_min(reps, || {
-        SweepData::simulate_reference(spec, workload, configs, threads)
-    });
-    for (c, (a, b)) in sweep.traces.iter().zip(legacy.traces.iter()).enumerate() {
+    let (serial, _) = time_reps(
+        reps,
+        || {},
+        || SweepData::simulate_uncached(spec, workload, configs, 1),
+    );
+    let (work_stealing, mut sweeps) = time_reps(
+        reps,
+        || {},
+        || SweepData::simulate_uncached(spec, workload, configs, threads),
+    );
+    let sweep = sweeps.swap_remove(0);
+    let (legacy_aos, legacy) = time_reps(
+        reps,
+        || {},
+        || SweepData::simulate_reference(spec, workload, configs, threads),
+    );
+    for (c, (a, b)) in sweep.traces.iter().zip(legacy[0].traces.iter()).enumerate() {
         assert_eq!(
             **a, **b,
             "SoA and legacy paths diverged on config {c}: the A/B is void"
@@ -277,69 +319,86 @@ fn bench_scenario(
     }
     let key = TraceKey::new(&spec, workload, &configs[0]);
     let trace_bin_bytes = sparseadapt::trace_bin::encode_trace(&key, &sweep.traces[0]).len();
-    TraceCache::global().clear();
-    let (cached_first_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
-    let (cached_second_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
+    let (cached_first, _) = time_reps(
+        reps,
+        || TraceCache::global().clear(),
+        || SweepData::simulate(spec, workload, configs, threads),
+    );
+    let (cached_second, _) = time_reps(
+        reps,
+        || {},
+        || SweepData::simulate(spec, workload, configs, threads),
+    );
 
     // -- epoch-granular memoization: the live-scheme evaluation path --
     let epoch_cache = EpochCache::global();
     let ensemble = downclock_ensemble();
     // Cold: cache off, every live epoch is simulated.
-    let (live_cold_s, _) = time_min(reps, || {
-        live_schemes_pass(spec, workload, &sweep, &ensemble)
-    });
-    // Warm the epoch tier by re-running the sweep with the cache
-    // recording (trace cache cleared so the sweep actually simulates).
-    epoch_cache.set_enabled(true);
-    epoch_cache.clear();
-    TraceCache::global().clear();
-    let (epoch_sweep_warm_s, _) = time(|| SweepData::simulate(spec, workload, configs, threads));
-    let epoch_resident_mb = epoch_cache.stats().resident_bytes as f64 / (1u64 << 20) as f64;
-    // Epoch-cache-warm resweep: the epoch tier is hot and the trace
-    // cache is cleared before every pass, so every epoch replays from
-    // the cache and must still match the cold sweep bit for bit.
-    let (epoch_resweep_s, warm) = time_min(reps, || {
-        TraceCache::global().clear();
-        SweepData::simulate(spec, workload, configs, threads)
-    });
-    check_resweep_identity(name, &sweep, &warm);
-    // First live pass after the sweep: constant-config prefixes
-    // fast-forward; each scheme's post-divergence tail simulates once
-    // and is recorded.
-    let (live_warm_first_s, _) = time(|| live_schemes_pass(spec, workload, &sweep, &ensemble));
-    // Steady state: everything hits.
-    let (live_warm_s, _) = time_min(reps, || {
-        live_schemes_pass(spec, workload, &sweep, &ensemble)
-    });
-    let epoch_stats = epoch_cache.stats();
-    assert!(
-        epoch_stats.hits > 0,
-        "warmed live-scheme passes never hit the epoch cache: {epoch_stats:?}"
+    let (live_cold, mut off) = time_reps(
+        reps,
+        || {},
+        || live_schemes_pass(spec, workload, &sweep, &ensemble),
     );
+    let off = off.swap_remove(0);
+    // First pass from an emptied tier: every run records its epochs and
+    // hits only those an earlier run of the pass shares with it.
+    epoch_cache.set_enabled(true);
+    let (live_warm_first, firsts) = time_reps(
+        reps,
+        || epoch_cache.clear(),
+        || live_schemes_pass(spec, workload, &sweep, &ensemble),
+    );
+    let first_stats = epoch_cache.stats();
+    // Steady state: everything hits.
+    let (live_warm, warms) = time_reps(
+        reps,
+        || {},
+        || live_schemes_pass(spec, workload, &sweep, &ensemble),
+    );
+    let warm_stats = epoch_cache.stats();
     epoch_cache.set_enabled(false);
     epoch_cache.clear();
+    for on in &firsts {
+        check_live_identity(name, "recording", &off, on);
+    }
+    for on in &warms {
+        check_live_identity(name, "warm", &off, on);
+    }
+    let warm_hits = warm_stats.hits - first_stats.hits;
+    let warm_lookups = warm_stats.lookups - first_stats.lookups;
+    assert!(
+        warm_hits > 0,
+        "warm live-scheme passes never hit the epoch cache: {warm_stats:?}"
+    );
 
     ScenarioTiming {
         workload: name.to_string(),
         configs: configs.len(),
         epochs: sweep.traces[0].len(),
-        serial_s,
-        work_stealing_s,
-        legacy_aos_s,
-        cached_first_s,
-        cached_second_s,
-        epoch_resweep_s,
-        thread_speedup: serial_s / work_stealing_s,
-        resweep_speedup: work_stealing_s / cached_second_s,
-        soa_speedup: legacy_aos_s / work_stealing_s,
+        serial_s: serial.min_s,
+        serial_median_s: serial.median_s,
+        work_stealing_s: work_stealing.min_s,
+        work_stealing_median_s: work_stealing.median_s,
+        legacy_aos_s: legacy_aos.min_s,
+        legacy_aos_median_s: legacy_aos.median_s,
+        cached_first_s: cached_first.min_s,
+        cached_first_median_s: cached_first.median_s,
+        cached_second_s: cached_second.min_s,
+        cached_second_median_s: cached_second.median_s,
+        thread_speedup: serial.min_s / work_stealing.min_s,
+        resweep_speedup: work_stealing.min_s / cached_second.min_s,
+        soa_speedup: legacy_aos.min_s / work_stealing.min_s,
         trace_bin_bytes,
-        epoch_sweep_warm_s,
-        epoch_resident_mb,
-        live_cold_s,
-        live_warm_first_s,
-        live_warm_s,
-        live_speedup: live_cold_s / live_warm_s,
-        epoch_hit_rate: epoch_stats.hit_rate(),
+        live_cold_s: live_cold.min_s,
+        live_cold_median_s: live_cold.median_s,
+        live_warm_first_s: live_warm_first.min_s,
+        live_warm_first_median_s: live_warm_first.median_s,
+        live_warm_s: live_warm.min_s,
+        live_warm_median_s: live_warm.median_s,
+        live_speedup: live_cold.min_s / live_warm.min_s,
+        epoch_resident_mb: first_stats.resident_bytes as f64 / (1u64 << 20) as f64,
+        epoch_first_hit_rate: first_stats.hit_rate(),
+        epoch_hit_rate: warm_hits as f64 / warm_lookups as f64,
     }
 }
 
@@ -375,8 +434,8 @@ fn main() {
     }
     if quick {
         // CI smoke leg: the point is exercising every code path
-        // (including both identity checks), not producing stable
-        // numbers.
+        // (including the SoA-vs-reference and cache-on-vs-off identity
+        // checks), not producing stable numbers.
         reps = 1;
         sampled = sampled.min(6);
     }
@@ -408,19 +467,18 @@ fn main() {
         eprintln!("# scenario {} ({:?})", mspec.id, kernel);
         let t = bench_scenario(mspec.id, spec, &wl, &configs, threads, reps);
         eprintln!(
-            "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s | \
-             warm resweep {:.3}s | epoch tier {:.1} MiB",
-            t.serial_s,
-            t.work_stealing_s,
-            t.legacy_aos_s,
-            t.soa_speedup,
-            t.cached_second_s,
-            t.epoch_resweep_s,
-            t.epoch_resident_mb
+            "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s",
+            t.serial_s, t.work_stealing_s, t.legacy_aos_s, t.soa_speedup, t.cached_second_s,
         );
         eprintln!(
-            "#   live cold {:.3}s | warm-first {:.3}s | warm {:.3}s ({:.2}x, hit rate {:.3})",
-            t.live_cold_s, t.live_warm_first_s, t.live_warm_s, t.live_speedup, t.epoch_hit_rate
+            "#   live cold {:.3}s | warm-first {:.3}s | warm {:.3}s ({:.2}x, hit rate {:.3}) | \
+             epoch tier {:.1} MiB",
+            t.live_cold_s,
+            t.live_warm_first_s,
+            t.live_warm_s,
+            t.live_speedup,
+            t.epoch_hit_rate,
+            t.epoch_resident_mb
         );
         scenarios.push(t);
     }
@@ -429,8 +487,9 @@ fn main() {
     let mut notes = vec![
         "serial_s is one thread; work_stealing_s is N threads, trace cache bypassed".into(),
         format!(
-            "every timing is the minimum over {reps} repetitions (best-of-N; OS noise only ever \
-             adds time to a deterministic computation)"
+            "every timing X_s is the minimum over {reps} repetitions (best-of-N; OS noise only \
+             ever adds time to a deterministic computation) and X_median_s their median; the \
+             speedups divide minimums"
         ),
         "cached_second_s repeats an identical sweep; every config is a trace-cache hit".into(),
         "resweep_speedup is the repeated-sweep cost vs a cold sweep, the situation `paper all` \
@@ -440,22 +499,17 @@ fn main() {
          traffic, unbatched HBM, allocating prefetch); soa_speedup is the inner-loop win with \
          bit-identical traces asserted on every config"
             .into(),
-        "epoch_resweep_s re-runs the sweep with the epoch tier hot and the trace cache \
-         cleared each rep; its traces must equal the cold sweep's (the harness exits non-zero \
-         on divergence)"
-            .into(),
         "live_* time the live-scheme evaluation path (closed-loop SparseAdapt with a \
          deterministic downclock ensemble that forces one reconfiguration, plus live replays \
-         of the Ideal Greedy and ProfileAdapt schedules) with the epoch cache off (cold), \
-         right after the sweep warmed it (warm_first: constant-config prefixes fast-forward, \
-         post-divergence tails simulate once and are recorded), and at steady state (warm: \
-         every epoch hits); results are bit-identical in all three, enforced by \
-         tests/epoch_cache_differential.rs"
+         of the Ideal Greedy and ProfileAdapt schedules) with the epoch cache off (cold), from \
+         an emptied cache each rep (warm_first: every run records its epochs, and hits only \
+         what an earlier run of the pass shares with it), and at steady state (warm: every \
+         epoch hits); sweeps never touch the epoch cache, and every cache-on pass must equal \
+         the cache-off pass (the harness exits non-zero on divergence)"
             .into(),
-        "epoch_sweep_warm_s is the one-time cost of the recording sweep (snapshotting machine \
-         state at every epoch boundary) relative to cached_first_s; epoch_resident_mb is the \
-         epoch tier's accounted memory right after it (snapshots share unchanged cache pages, \
-         each counted once)"
+        "epoch_resident_mb is the epoch tier's accounted memory after one recording pass \
+         (snapshots share unchanged cache pages, each counted once); epoch_first_hit_rate is \
+         the hit rate within that pass and epoch_hit_rate over the warm passes"
             .into(),
         "fxhash_lookup_speedup: the trace/epoch cache maps moved from SipHash HashMap to the \
          vendored FxHashMap; keys are already uniformly distributed fingerprints, so SipHash's \
@@ -476,6 +530,7 @@ fn main() {
         host_cpus,
         scale: format!("{:?}", harness.scale),
         sampled_configs: sampled,
+        reps,
         geomean_thread_speedup: geomean(scenarios.iter().map(|s| s.thread_speedup)),
         geomean_resweep_speedup: geomean(scenarios.iter().map(|s| s.resweep_speedup)),
         geomean_soa_speedup: geomean(scenarios.iter().map(|s| s.soa_speedup)),

@@ -3,14 +3,24 @@
 //! `(epoch record, exit machine state)`, held in process memory.
 //!
 //! The [`crate::trace_cache`] memoises whole runs; this cache memoises
-//! *epochs*, which is what makes reuse possible **across schemes**: a
-//! static sweep and a live controller run share every epoch up to the
-//! first point their configuration decisions diverge. The key includes a
-//! digest of the machine state entering the epoch
-//! ([`MachineState::digest`]), so a hit is sound by construction — two
-//! runs arriving at an epoch with the same entry state, configuration,
-//! workload and machine execute that epoch bit-identically (the
-//! simulator is deterministic and controllers act only at boundaries).
+//! *epochs*, which is what makes reuse possible **across live runs**:
+//! two closed-loop runs of one workload (another policy, another model,
+//! a replayed schedule) share every epoch up to the first point their
+//! configuration decisions diverge. The key includes a digest of the
+//! machine state entering the epoch ([`MachineState::digest`]), so a
+//! hit is sound by construction — two runs arriving at an epoch with
+//! the same entry state, configuration, workload and machine execute
+//! that epoch bit-identically (the simulator is deterministic and
+//! controllers act only at boundaries).
+//!
+//! Live runs ([`crate::runtime::run_live`]) are the cache's only
+//! writers and readers; a static sweep simulates unhooked. A live run
+//! starts at Best Avg and can first reconfigure after epoch 1, so a
+//! sweep shares only the first few epochs of that one configuration
+//! with it. On the benchmark's `adapt_memo` workload (seed 7), letting
+//! the sweeps record took 27,816 exit snapshots and a 307 MiB peak per
+//! round to add about 200 hits to the live runs' 6,954 lookups; about
+//! nine in ten of their hits come from one another.
 //!
 //! The cache is a memo local to one process: a mutex-guarded map with
 //! an LRU byte budget, used by `paper --epoch-cache`, the benchmark's
@@ -19,10 +29,10 @@
 //! runs: the serving tier runs only static configurations, and each of
 //! those lands whole in the trace cache.
 //!
-//! The cache is *disabled* by default — sweeps and live runs consult it
-//! only after [`EpochCache::set_enabled`]`(true)` (the `--epoch-cache`
-//! CLI flag). The frozen reference simulation path never consults it,
-//! keeping an independent witness for differential tests.
+//! The cache is *disabled* by default — live runs consult it only after
+//! [`EpochCache::set_enabled`]`(true)` (the `--epoch-cache` CLI flag).
+//! The frozen reference simulation path never consults it, keeping an
+//! independent witness for differential tests.
 //!
 //! [`MachineState::digest`]: transmuter::machine::MachineState::digest
 
@@ -33,9 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use fxhash::FxHashMap;
 use transmuter::cache::Page;
-use transmuter::config::{MachineSpec, TransmuterConfig};
-use transmuter::machine::{CachedEpoch, EpochBoundary, EpochHook, Machine};
-use transmuter::workload::Workload;
+use transmuter::machine::{CachedEpoch, EpochBoundary, EpochHook};
 
 /// Full identity of one cached epoch. The first three components name
 /// the run family (machine × workload × configuration *active for this
@@ -43,12 +51,14 @@ use transmuter::workload::Workload;
 /// entering it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EpochKey {
-    /// [`MachineSpec::fingerprint`] of the machine.
+    /// [`MachineSpec::fingerprint`](transmuter::config::MachineSpec::fingerprint)
+    /// of the machine.
     pub spec: u64,
-    /// [`Workload::fingerprint`](Workload::fingerprint) of the workload.
+    /// [`Workload::fingerprint`](transmuter::workload::Workload::fingerprint)
+    /// of the workload.
     pub workload: u64,
-    /// [`TransmuterConfig::fingerprint`] of the configuration the epoch
-    /// executes under.
+    /// [`TransmuterConfig::fingerprint`](transmuter::config::TransmuterConfig::fingerprint)
+    /// of the configuration the epoch executes under.
     pub config: u64,
     /// Epoch index within the run.
     pub index: u64,
@@ -217,7 +227,7 @@ impl EpochCacheStats {
 }
 
 /// The epoch cache. Use [`EpochCache::global`] to share across every
-/// sweep and live run in the process.
+/// live run in the process.
 #[derive(Default)]
 pub struct EpochCache {
     inner: Mutex<Inner>,
@@ -250,14 +260,13 @@ impl EpochCache {
         GLOBAL.get_or_init(EpochCache::new)
     }
 
-    /// Turns the cache on or off. Off (the default) makes every sweep
-    /// and live run simulate unhooked, exactly as before the cache
-    /// existed.
+    /// Turns the cache on or off. Off (the default) makes every live run
+    /// simulate unhooked, exactly as before the cache existed.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether sweeps and live runs should consult the cache.
+    /// Whether live runs should consult the cache.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -359,8 +368,7 @@ impl EpochCache {
 
     /// An [`EpochHook`] adapter binding this cache to one
     /// `(machine, workload)` pair by fingerprint. Pass it to
-    /// [`Machine::run_with_hook`] or
-    /// [`Machine::run_with_controller_and_hook`].
+    /// [`Machine::run_with_controller_and_hook`](transmuter::machine::Machine::run_with_controller_and_hook).
     pub fn hook_for(&self, spec_fp: u64, workload_fp: u64) -> EpochCacheHook<'_> {
         EpochCacheHook {
             cache: self,
@@ -400,51 +408,13 @@ impl EpochHook for EpochCacheHook<'_> {
     }
 }
 
-/// [`crate::trace_cache::simulate_trace`] routed through the global
-/// epoch cache when it is enabled: hit epochs fast-forward, miss epochs
-/// simulate and are recorded for every later sweep *and* live run.
-/// Bit-identical to the unhooked simulation by construction (and by the
-/// differential suite).
-pub fn simulate_trace_adaptive(
-    spec: MachineSpec,
-    workload: &Workload,
-    config: TransmuterConfig,
-) -> Vec<transmuter::machine::EpochRecord> {
-    simulate_trace_adaptive_keyed(
-        spec,
-        workload,
-        config,
-        spec.fingerprint(),
-        workload.fingerprint(),
-    )
-}
-
-/// [`simulate_trace_adaptive`] with the spec and workload fingerprints
-/// precomputed by the caller, so an N-config sweep hashes the (possibly
-/// large) workload once instead of once per configuration.
-pub fn simulate_trace_adaptive_keyed(
-    spec: MachineSpec,
-    workload: &Workload,
-    config: TransmuterConfig,
-    spec_fp: u64,
-    workload_fp: u64,
-) -> Vec<transmuter::machine::EpochRecord> {
-    let cache = EpochCache::global();
-    if cache.is_enabled() {
-        let mut hook = cache.hook_for(spec_fp, workload_fp);
-        Machine::new(spec, config)
-            .run_with_hook(workload, &mut hook)
-            .epochs
-    } else {
-        crate::trace_cache::simulate_trace(spec, workload, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fxhash::FxHashSet;
-    use transmuter::workload::{Op, OpStream, Phase};
+    use transmuter::config::{MachineSpec, TransmuterConfig};
+    use transmuter::machine::{Machine, StaticController};
+    use transmuter::workload::{Op, OpStream, Phase, Workload};
 
     /// A small workload whose access stride varies with `tag`, so
     /// different tags genuinely execute differently (not just at
@@ -476,7 +446,7 @@ mod tests {
         cfg: TransmuterConfig,
     ) -> transmuter::machine::RunResult {
         let mut hook = cache.hook_for(spec.fingerprint(), wl.fingerprint());
-        Machine::new(spec, cfg).run_with_hook(wl, &mut hook)
+        Machine::new(spec, cfg).run_with_controller_and_hook(wl, &mut StaticController, &mut hook)
     }
 
     #[test]
@@ -614,23 +584,5 @@ mod tests {
             }
         }
         assert!(shared_claims > 0, "pages claimed by the other cache");
-    }
-
-    #[test]
-    fn adaptive_simulation_matches_plain_when_disabled_and_enabled() {
-        // Private cache semantics via the global: this test is the only
-        // in-crate user of the global flag, and it restores it.
-        let spec = MachineSpec::default().with_epoch_ops(130);
-        let wl = tiny_workload(7);
-        let cfg = TransmuterConfig::best_avg_cache();
-        let plain = crate::trace_cache::simulate_trace(spec, &wl, cfg);
-        assert!(!EpochCache::global().is_enabled(), "default must be off");
-        assert_eq!(simulate_trace_adaptive(spec, &wl, cfg), plain);
-        EpochCache::global().set_enabled(true);
-        let on_cold = simulate_trace_adaptive(spec, &wl, cfg);
-        let on_warm = simulate_trace_adaptive(spec, &wl, cfg);
-        EpochCache::global().set_enabled(false);
-        assert_eq!(on_cold, plain);
-        assert_eq!(on_warm, plain);
     }
 }

@@ -106,8 +106,8 @@ pub fn reference_configs(
 ///
 /// The static schemes and the oracle family are stitched from one sweep
 /// over `setup.sampled` configurations; SparseAdapt itself runs *live*
-/// (closed loop on the simulator), starting from the Baseline
-/// configuration.
+/// (closed loop on the simulator), starting from the Best Avg
+/// configuration for `setup.l1_kind`.
 pub fn compare(
     workload: &Workload,
     ensemble: &PredictiveEnsemble,
@@ -130,7 +130,7 @@ pub fn compare(
     // configuration — the host picks the best-known static point at
     // dispatch time (§3.1), and SparseAdapt adapts from there. Routed
     // through `run_live`, so an enabled epoch cache lets the run
-    // fast-forward through epochs the sweep above already simulated.
+    // fast-forward through epochs an earlier live run already simulated.
     let mut ctrl = SparseAdaptController::new(ensemble.clone(), setup.policy, setup.spec);
     let live = crate::runtime::run_live(setup.spec, best_avg_cfg, workload, &mut ctrl);
 

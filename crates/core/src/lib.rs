@@ -28,8 +28,8 @@
 //!   traces in the [`trace_bin`] binary format.
 //! * [`epoch_cache`] — the process-local epoch memo, keyed on
 //!   `(machine, workload, config, epoch, entry-state digest)`, letting
-//!   live controller runs fast-forward through epochs a sweep already
-//!   simulated.
+//!   live controller runs fast-forward through epochs an earlier live
+//!   run already simulated.
 //! * [`service`] — the serializable request/response model of the
 //!   serving layer (the `serve` daemon's domain types).
 //! * [`schemes`] — the §5.3 comparison points: Ideal Static, Ideal

@@ -12,10 +12,12 @@ use crate::policy::ReconfigPolicy;
 
 /// Runs `workload` live under `controller` from the `start`
 /// configuration, routing through the global [`EpochCache`] when it is
-/// enabled: epochs whose `(config, index, entry-state)` key was already
-/// simulated — by a sweep or an earlier live run — are fast-forwarded
-/// instead of re-executed, and the controller still sees every boundary.
-/// With the cache disabled this is exactly
+/// enabled: epochs whose `(config, index, entry-state)` key an earlier
+/// live run already simulated are fast-forwarded instead of
+/// re-executed, and the controller still sees every boundary. Live runs
+/// are the cache's only writers (static sweeps simulate unhooked), so
+/// the reuse is between runs that share a start configuration and a
+/// decision prefix. With the cache disabled this is exactly
 /// [`Machine::run_with_controller`].
 pub fn run_live(
     spec: MachineSpec,

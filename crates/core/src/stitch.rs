@@ -20,7 +20,6 @@ use transmuter::power::EnergyTable;
 use transmuter::reconfig;
 use transmuter::workload::Workload;
 
-use crate::epoch_cache::simulate_trace_adaptive_keyed;
 use crate::exec;
 use crate::trace_cache::{simulate_trace, TraceCache, TraceKey};
 
@@ -47,9 +46,14 @@ impl SweepData {
     /// Simulates `workload` under every configuration on a work-stealing
     /// pool of up to `threads` OS threads, serving repeated
     /// `(spec, workload, config)` triples from the process-wide
-    /// [`TraceCache`]. When the [`crate::epoch_cache`] is enabled,
-    /// trace-cache misses simulate through it, so the sweep both reuses
-    /// epochs other runs produced and warms the cache for live schemes.
+    /// [`TraceCache`]. A trace-cache miss simulates unhooked: the
+    /// [`crate::epoch_cache`] belongs to live runs alone. A live run
+    /// starts at Best Avg and can first reconfigure after epoch 1, so a
+    /// static sweep shares only a few epochs of one configuration with
+    /// it; snapshotting every boundary of every configuration once held
+    /// a 307 MiB tier on the benchmark's `adapt_memo` (seed 7) for about
+    /// 200 extra hits in 6,954 live lookups (see DESIGN.md,
+    /// "Epoch-granular memoization").
     ///
     /// # Panics
     ///
@@ -77,9 +81,8 @@ impl SweepData {
             })
             .collect();
         let traces = exec::parallel_map(configs.len(), threads, |ci| {
-            TraceCache::global().get_or_simulate(keys[ci], || {
-                simulate_trace_adaptive_keyed(spec, workload, configs[ci], spec_fp, wl_fp)
-            })
+            TraceCache::global()
+                .get_or_simulate(keys[ci], || simulate_trace(spec, workload, configs[ci]))
         });
         SweepData::assemble(spec, workload, configs, traces)
     }

@@ -242,10 +242,20 @@ pub fn jobs(state: &AppState) -> Response {
     finish(200, &state.jobs.render_all())
 }
 
+/// The id of a `GET /v2/jobs/<id>` poll, or the 400 that answers a
+/// malformed one. The router answers with it too, before asking any
+/// shard.
+pub fn job_id(id_str: &str) -> Result<u64, Response> {
+    id_str
+        .parse::<u64>()
+        .map_err(|_| Response::error(400, "job id must be an integer"))
+}
+
 /// `GET /v2/jobs/<id>`.
 pub fn job(state: &AppState, id_str: &str) -> Response {
-    let Ok(id) = id_str.parse::<u64>() else {
-        return Response::error(400, "job id must be an integer");
+    let id = match job_id(id_str) {
+        Ok(id) => id,
+        Err(malformed) => return malformed,
     };
     match state.jobs.render(id) {
         Some(doc) => finish(200, &doc),

@@ -1266,8 +1266,13 @@ fn fan_out_get(view: &TopologyView, target: &str) -> Vec<(Arc<ShardSlot>, Option
 }
 
 /// `GET /v2/jobs/<id>`: the router does not know which shard ran the
-/// job, so ask everyone; the shard that knows the id answers.
+/// job, so ask everyone; the shard that knows the id answers. An id no
+/// shard could parse gets a shard's 400 without asking any.
 fn jobs_get(state: &Arc<RouterState>, req: &Request) -> Response {
+    let id = req.path.strip_prefix("/v2/jobs/").unwrap_or_default();
+    if let Err(malformed) = handlers::job_id(id) {
+        return malformed;
+    }
     let view = state.view();
     for (_, resp) in fan_out_get(&view, &req.path) {
         if let Some(resp) = resp.filter(|r| r.status == 200) {

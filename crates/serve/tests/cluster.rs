@@ -14,6 +14,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use serve::http::{read_response, write_request, Response};
 use serve::loadgen::{self, LoadgenConfig};
 use serve::shard::{routing_key, spawn_shards, start_router, Ring, RouterConfig, ShardSpawn};
+use serve::{start, ServeConfig};
 
 fn post(addr: &std::net::SocketAddr, target: &str, body: &str) -> Response {
     post_bytes(addr, target, body.as_bytes())
@@ -109,6 +110,41 @@ fn cached_flag(resp: &Response) -> bool {
 
 fn sim_body(matrix: &str) -> String {
     format!(r#"{{"kernel": "spmspv", "matrix": "{matrix}", "config_name": "baseline"}}"#)
+}
+
+/// A job poll whose id no shard can parse gets the shard's own 400
+/// through the router, not a 404 after asking every shard.
+#[test]
+fn router_answers_a_malformed_job_poll_like_its_shard() {
+    let shard = start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 4,
+        ..ServeConfig::default()
+    })
+    .expect("shard boots");
+    let router = start_router(RouterConfig {
+        addr: "127.0.0.1:0".to_string(),
+        shards: vec![shard.addr],
+        weights: Vec::new(),
+        record: None,
+        allow_admin: false,
+    })
+    .expect("router boots");
+    for addr in [shard.addr, router.addr] {
+        let resp = get(&addr, "/v2/jobs/nope");
+        assert_error(&resp, 400, "bad_request");
+        assert_eq!(
+            field(&parse(&resp), &["error", "message"])
+                .as_ref()
+                .map(as_str),
+            Some("job id must be an integer")
+        );
+    }
+    // A well-formed id that no shard knows is still the router's 404.
+    assert_error(&get(&router.addr, "/v2/jobs/12345"), 404, "not_found");
+    router.shutdown();
+    shard.shutdown();
 }
 
 #[test]

@@ -177,7 +177,7 @@ pub struct CachedEpoch {
     pub exit: MachineState,
 }
 
-/// Observes epoch boundaries during [`Machine::run_with_hook`] /
+/// Observes epoch boundaries during
 /// [`Machine::run_with_controller_and_hook`], enabling epoch-granular
 /// memoization: a `lookup` hit fast-forwards the run through the epoch by
 /// restoring the cached exit state and splicing the cached record.
@@ -501,16 +501,6 @@ impl Machine {
         controller: &mut dyn Controller,
     ) -> RunResult {
         self.run_impl(workload, controller, SimPath::Soa, None)
-    }
-
-    /// [`Machine::run`] with an [`EpochHook`] observing (and potentially
-    /// short-circuiting) every epoch boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a phase's stream count differs from the GPE count.
-    pub fn run_with_hook(&mut self, workload: &Workload, hook: &mut dyn EpochHook) -> RunResult {
-        self.run_impl(workload, &mut StaticController, SimPath::Soa, Some(hook))
     }
 
     /// [`Machine::run_with_controller`] with an [`EpochHook`]. The
@@ -1761,11 +1751,18 @@ mod tests {
         let plain = Machine::new(spec, TransmuterConfig::baseline()).run(&wl);
 
         let mut hook = MapHook::default();
-        let cold = Machine::new(spec, TransmuterConfig::baseline()).run_with_hook(&wl, &mut hook);
+        let run = |hook: &mut MapHook| {
+            Machine::new(spec, TransmuterConfig::baseline()).run_with_controller_and_hook(
+                &wl,
+                &mut StaticController,
+                hook,
+            )
+        };
+        let cold = run(&mut hook);
         assert_eq!(cold, plain, "a cold hooked run must not change results");
         assert_eq!(hook.hits, 0);
 
-        let warm = Machine::new(spec, TransmuterConfig::baseline()).run_with_hook(&wl, &mut hook);
+        let warm = run(&mut hook);
         assert_eq!(warm, plain, "a warm hooked run must be bit-identical");
         assert_eq!(warm.epochs.len(), hook.hits, "every epoch should hit");
     }
@@ -1789,10 +1786,13 @@ mod tests {
         let plain = Machine::new(spec, TransmuterConfig::baseline())
             .run_with_controller(&wl, &mut SwitchOnce);
 
-        // Warm the cache with a static (no-reconfiguration) run, as a
-        // sweep would.
+        // Warm the cache with a run that never reconfigures.
         let mut hook = MapHook::default();
-        Machine::new(spec, TransmuterConfig::baseline()).run_with_hook(&wl, &mut hook);
+        Machine::new(spec, TransmuterConfig::baseline()).run_with_controller_and_hook(
+            &wl,
+            &mut StaticController,
+            &mut hook,
+        );
         let warmed = hook.map.len();
 
         // The live run must reuse the static epochs until its first

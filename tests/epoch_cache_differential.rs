@@ -8,25 +8,38 @@
 //! [`sparseadapt::eval::compare`] pipeline — sweeps, stitched schemes,
 //! and the live SparseAdapt controller — three times per scenario and
 //! requires `SchemeComparison` equality down to the float bits, while
-//! also requiring that the warm passes actually *hit* (a cache that
-//! never hits is trivially sound).
+//! also requiring that the cached passes actually *hit* (a cache that
+//! never hits is trivially sound). Live runs are the cache's only
+//! writers and readers, and a second test holds sweeps to that.
 //!
 //! This lives in its own test binary because it toggles the process-wide
-//! [`EpochCache::global`] enabled flag; a single `#[test]` keeps the
-//! matrix strictly sequential.
+//! [`EpochCache::global`] enabled flag; its tests take [`GLOBAL_FLAG`]
+//! so they never overlap.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mltree::{Dataset, DecisionTree, TreeParams};
 use sa_bench::workloads;
 use sparse::suite::{spec_by_id, Scale};
 use sparseadapt::epoch_cache::EpochCache;
-use sparseadapt::eval::{compare, ComparisonSetup};
+use sparseadapt::eval::{compare, reference_configs, ComparisonSetup};
 use sparseadapt::features::{feature_names, FEATURE_COUNT};
+use sparseadapt::runtime::run_live;
+use sparseadapt::stitch::{sample_configs, SweepData};
 use sparseadapt::trace_cache::TraceCache;
 use sparseadapt::PredictiveEnsemble;
 use transmuter::config::{ConfigParam, MemKind, TransmuterConfig};
+use transmuter::machine::StaticController;
 use transmuter::workload::Workload;
+
+/// Held by every test here: each one toggles and clears the
+/// process-wide caches.
+static GLOBAL_FLAG: Mutex<()> = Mutex::new(());
+
+fn hold_global_flag() -> MutexGuard<'static, ()> {
+    GLOBAL_FLAG.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A deterministic ensemble that asks for a 125 MHz clock and the Best
 /// Avg values elsewhere. The live run starts at Best Avg, so the clock
@@ -90,6 +103,7 @@ fn scenarios() -> Vec<(
 
 #[test]
 fn schemes_are_bit_identical_with_cache_off_cold_and_warm() {
+    let _flag = hold_global_flag();
     let epoch_cache = EpochCache::global();
     let trace_cache = TraceCache::global();
     assert!(!epoch_cache.is_enabled(), "cache must default to off");
@@ -103,22 +117,26 @@ fn schemes_are_bit_identical_with_cache_off_cold_and_warm() {
             ..ComparisonSetup::default()
         };
         let ensemble = downclock_ensemble(l1_kind);
+        let (_, best_avg, _) = reference_configs(l1_kind);
 
         // A: epoch cache off — the pre-cache behaviour.
         let off = compare(&workload, &ensemble, &setup);
 
         // B: epoch cache on, cold. The trace cache is cleared so the
-        // sweep actually re-simulates — through the hook — warming the
-        // epoch cache; the live run then hits the sweep's epochs up to
-        // SparseAdapt's first reconfiguration.
+        // sweep re-simulates; it records nothing. A live run that never
+        // reconfigures goes first and records every Best Avg epoch, so
+        // SparseAdapt's run hits their shared prefix, misses once its
+        // reconfiguration diverges the state, and records its own tail.
         epoch_cache.set_enabled(true);
         epoch_cache.clear();
         trace_cache.clear();
+        run_live(spec, best_avg, &workload, &mut StaticController);
+        let primed = epoch_cache.stats();
         let cold = compare(&workload, &ensemble, &setup);
         let cold_stats = epoch_cache.stats();
 
-        // C: epoch cache on, warm. Trace cache cleared again, so every
-        // sweep epoch must be served by the epoch cache.
+        // C: epoch cache on, warm. Trace cache cleared again; the live
+        // run repeats B's and must be served by the epoch cache alone.
         trace_cache.clear();
         let warm = compare(&workload, &ensemble, &setup);
         let warm_stats = epoch_cache.stats();
@@ -126,13 +144,24 @@ fn schemes_are_bit_identical_with_cache_off_cold_and_warm() {
 
         assert_eq!(off, cold, "[{name}/{l1_kind:?}] cache-on-cold diverged");
         assert_eq!(off, warm, "[{name}/{l1_kind:?}] cache-on-warm diverged");
+        assert_eq!(primed.hits, 0, "[{name}/{l1_kind:?}] {primed:?}");
         assert!(
-            cold_stats.hits > 0,
-            "[{name}/{l1_kind:?}] live run should hit sweep-warmed epochs, stats {cold_stats:?}"
+            cold_stats.hits > primed.hits,
+            "[{name}/{l1_kind:?}] live run should hit the shared Best Avg prefix, \
+             {primed:?} -> {cold_stats:?}"
+        );
+        assert!(
+            cold_stats.inserts > primed.inserts,
+            "[{name}/{l1_kind:?}] live run should record its post-divergence epochs, \
+             {primed:?} -> {cold_stats:?}"
         );
         assert!(
             warm_stats.hits > cold_stats.hits,
             "[{name}/{l1_kind:?}] warm pass should add hits, {cold_stats:?} -> {warm_stats:?}"
+        );
+        assert_eq!(
+            warm_stats.inserts, cold_stats.inserts,
+            "[{name}/{l1_kind:?}] the warm pass should simulate no epoch"
         );
         assert!(
             off.sparseadapt_reconfigs > 0,
@@ -144,4 +173,30 @@ fn schemes_are_bit_identical_with_cache_off_cold_and_warm() {
         epoch_cache.clear();
         trace_cache.clear();
     }
+}
+
+/// A sweep with the epoch cache enabled neither reads nor writes it: its
+/// trace-cache misses simulate unhooked, exactly as with the cache off.
+#[test]
+fn sweeps_neither_look_up_nor_record_epochs() {
+    let _flag = hold_global_flag();
+    let epoch_cache = EpochCache::global();
+    let r12 = spec_by_id("R12").expect("R12 in suite");
+    let spec = workloads::spmspv_spec(Scale::Quick);
+    let workload = workloads::spmspv_workload(&r12, Scale::Quick, MemKind::Cache, 11, 16);
+    let configs = sample_configs(MemKind::Cache, 5, 0xC0FFEE);
+
+    epoch_cache.set_enabled(true);
+    epoch_cache.clear();
+    TraceCache::global().clear();
+    let sweep = SweepData::simulate(spec, &workload, &configs, 4);
+    let stats = epoch_cache.stats();
+    epoch_cache.set_enabled(false);
+    TraceCache::global().clear();
+
+    assert_eq!(stats.lookups, 0, "the sweep looked up epochs: {stats:?}");
+    assert_eq!(stats.inserts, 0, "the sweep recorded epochs: {stats:?}");
+    assert_eq!(stats.entries, 0, "{stats:?}");
+    let plain = SweepData::simulate_uncached(spec, &workload, &configs, 4);
+    assert_eq!(sweep.traces, plain.traces);
 }

@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use sa_bench::workloads;
 use sparse::suite::{spec_by_id, Scale};
 use transmuter::config::{MachineSpec, MemKind, TransmuterConfig};
-use transmuter::machine::{EpochRecord, Machine};
+use transmuter::machine::{EpochRecord, Machine, StaticController};
 use transmuter::workload::Workload;
 
 /// FNV-1a, the same stable hash the workload/config fingerprints use.
@@ -348,7 +348,11 @@ fn epoch_cached_traces_match_plain_digests() {
         let workload_fp = s.workload.fingerprint();
         for pass in ["cold", "warm"] {
             let mut hook = cache.hook_for(spec_fp, workload_fp);
-            let run = Machine::new(s.spec, s.config).run_with_hook(&s.workload, &mut hook);
+            let run = Machine::new(s.spec, s.config).run_with_controller_and_hook(
+                &s.workload,
+                &mut StaticController,
+                &mut hook,
+            );
             assert_eq!(
                 trace_digest(&run.epochs),
                 plain.digest,
