@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! Usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES]
-//!              [--epoch-cache] [--serial] [--mtx DIR] [--quick]
+//!              [--epoch-cache] [--mtx DIR] [--quick]
 //!              [experiment ...|all]
-//! Experiments: fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table6 sec64
-//!              sec7 insights ablation
+//! Experiments: the names in experiments::REGISTRY (`paper --help` lists them)
 //! Scale via SA_SCALE = quick | half | paper (default quick).
 //! ```
 //!
@@ -28,95 +27,30 @@
 //! "Epoch-granular memoization"). Sweeps never record into it. That
 //! cache is memory-only: `--cache-dir` is what carries work across
 //! processes, and the `# all done` line reports its hits, lookups and
-//! resident size. `--serial` runs experiments one after
-//! another at full thread count instead of fanning out; use it when
-//! per-experiment progress output matters more than wall clock.
+//! resident size.
 //!
-//! With `all` (the default), experiments themselves run concurrently.
-//! The thread budget is apportioned by each experiment's measured cost
-//! weight ([`sa_bench::experiment_weight`]), so sweep-heavy experiments
-//! (fig6/fig9/fig12-class) get proportionally more of the pool than the
-//! near-instant report-only ones, while all of them share the
-//! process-wide trace and model caches.
+//! Experiments are the entries of [`experiments::REGISTRY`]. Several
+//! named at once (`all`, the default, names every one) run
+//! concurrently: the thread budget is apportioned by each experiment's
+//! cost weight, so sweep-heavy experiments (fig6/fig9/fig12-class) get
+//! proportionally more of the pool than the near-instant report-only
+//! ones, while all of them share the process-wide trace and model
+//! caches. A lone experiment gets the whole budget.
 //!
 //! Models are trained on first use and cached under `models/<scale>/`;
 //! result CSVs land in `results/`.
 
-use sa_bench::{experiments, Harness};
+use sa_bench::experiments::{self, Experiment, REGISTRY};
+use sa_bench::Harness;
 
-const ALL: [&str; 14] = [
-    "fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table6", "sec64",
-    "sec7", "insights", "ablation",
-];
-
-fn run_one(harness: &Harness, which: &str) -> bool {
+fn run_one(harness: &Harness, experiment: &Experiment) {
     let started = std::time::Instant::now();
-    let ok = match which {
-        "fig1" => {
-            experiments::fig1::run(harness);
-            true
-        }
-        "fig5" => {
-            experiments::fig5::run(harness);
-            true
-        }
-        "fig6" => {
-            experiments::fig6::run(harness);
-            true
-        }
-        "fig7" => {
-            experiments::fig7::run(harness);
-            true
-        }
-        "fig8" => {
-            experiments::fig8::run(harness);
-            true
-        }
-        "fig9" => {
-            experiments::fig9::run(harness);
-            true
-        }
-        "fig10" => {
-            experiments::fig10::run(harness);
-            true
-        }
-        "fig11" => {
-            experiments::fig11::run(harness);
-            true
-        }
-        "fig12" => {
-            experiments::fig12::run(harness);
-            true
-        }
-        "table6" => {
-            experiments::table6::run(harness);
-            true
-        }
-        "sec64" => {
-            experiments::sec64::run(harness);
-            true
-        }
-        "sec7" => {
-            experiments::sec7::run(harness);
-            true
-        }
-        "insights" => {
-            experiments::insights::run(harness);
-            true
-        }
-        "ablation" => {
-            experiments::ablation::run(harness);
-            true
-        }
-        _ => false,
-    };
-    if ok {
-        eprintln!(
-            "# {which} finished in {:.1}s",
-            started.elapsed().as_secs_f64()
-        );
-    }
-    ok
+    (experiment.run)(harness);
+    eprintln!(
+        "# {} finished in {:.1}s",
+        experiment.name,
+        started.elapsed().as_secs_f64()
+    );
 }
 
 struct Cli {
@@ -124,19 +58,19 @@ struct Cli {
     cache_dir: Option<std::path::PathBuf>,
     cache_mem_cap: Option<usize>,
     epoch_cache: bool,
-    serial: bool,
     mtx_dir: Option<std::path::PathBuf>,
     quick: bool,
     experiments: Vec<String>,
 }
 
 fn usage_and_exit(code: i32) -> ! {
+    let names: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();
     eprintln!(
         "usage: paper [--threads N] [--cache-dir DIR] [--cache-mem-cap BYTES] \
-         [--epoch-cache] [--serial] [--mtx DIR] [--quick] \
+         [--epoch-cache] [--mtx DIR] [--quick] \
          [experiment ...|all]\n\
          experiments: {} all",
-        ALL.join(" ")
+        names.join(" ")
     );
     std::process::exit(code);
 }
@@ -147,7 +81,6 @@ fn parse_cli() -> Cli {
         cache_dir: None,
         cache_mem_cap: None,
         epoch_cache: false,
-        serial: false,
         mtx_dir: None,
         quick: false,
         experiments: Vec::new(),
@@ -185,7 +118,6 @@ fn parse_cli() -> Cli {
                 cli.cache_mem_cap = Some(cap);
             }
             "--epoch-cache" => cli.epoch_cache = true,
-            "--serial" => cli.serial = true,
             "--mtx" => {
                 let dir = args.next().unwrap_or_else(|| {
                     eprintln!("--mtx needs a directory of .mtx files");
@@ -222,19 +154,21 @@ fn main() {
     }
     // With `--mtx` and no named experiments, the run is the real-matrix
     // suite alone — `all` is not implied.
-    let list: Vec<String> = if cli.experiments.is_empty() && cli.mtx_dir.is_some() {
+    let mut list: Vec<&Experiment> = if cli.experiments.is_empty() && cli.mtx_dir.is_some() {
         Vec::new()
     } else if cli.experiments.is_empty() || cli.experiments.iter().any(|e| e == "all") {
-        ALL.iter().map(|s| s.to_string()).collect()
+        REGISTRY.iter().collect()
     } else {
-        cli.experiments.clone()
+        cli.experiments
+            .iter()
+            .map(|name| {
+                experiments::find(name).unwrap_or_else(|| {
+                    eprintln!("unknown experiment '{name}'");
+                    usage_and_exit(2)
+                })
+            })
+            .collect()
     };
-    for exp in &list {
-        if !ALL.contains(&exp.as_str()) {
-            eprintln!("unknown experiment '{exp}'");
-            usage_and_exit(2);
-        }
-    }
     eprintln!(
         "# scale={:?} sampled={} threads={} cache_dir={:?}",
         harness.scale, harness.sampled_configs, harness.threads, cli.cache_dir
@@ -254,36 +188,26 @@ fn main() {
             }
         }
     }
-    if cli.serial || list.len() <= 1 {
-        for exp in &list {
-            run_one(&harness, exp);
-        }
-    } else {
-        // Fan out across experiments, cost-weighted: `outer` experiments
-        // run concurrently and the thread budget is apportioned by each
-        // one's measured weight, so sweep-heavy experiments hold larger
-        // inner pools than the near-instant report-only ones. Heavy
-        // experiments also start first, shortening the makespan tail.
-        // All of them share the process-wide trace and model caches, so
-        // overlapping sweeps (e.g. fig6 and fig8 on the same suite)
-        // simulate each (spec, workload, config) triple exactly once.
-        let mut order: Vec<usize> = (0..list.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(sa_bench::experiment_weight(&list[i])));
-        let ordered: Vec<&String> = order.iter().map(|&i| &list[i]).collect();
-        let weights: Vec<u64> = ordered
-            .iter()
-            .map(|e| sa_bench::experiment_weight(e))
-            .collect();
-        let (outer, _) = sparseadapt::exec::split_threads(list.len(), harness.threads);
-        // With `outer` experiments in flight at a time, apportioning
-        // threads * len / outer across all of them keeps the expected
-        // concurrent thread usage near the budget.
-        let budget = (harness.threads * list.len()).div_ceil(outer);
-        let shares = sparseadapt::exec::weighted_shares(&weights, budget);
-        sparseadapt::exec::parallel_map(list.len(), outer, |i| {
-            run_one(&harness.with_threads(shares[i]), ordered[i])
-        });
-    }
+    // Fan out across experiments, cost-weighted: `outer` experiments run
+    // concurrently and the thread budget is apportioned by each one's
+    // weight, so sweep-heavy experiments hold larger inner pools than the
+    // near-instant report-only ones. Heavy experiments also start first,
+    // shortening the makespan tail. All of them share the process-wide
+    // trace and model caches, so overlapping sweeps (e.g. fig6 and fig8
+    // on the same suite) simulate each (spec, workload, config) triple
+    // exactly once. A lone experiment is one item: `outer` is 1 and its
+    // share the whole budget.
+    list.sort_by_key(|e| std::cmp::Reverse(e.weight));
+    let weights: Vec<u64> = list.iter().map(|e| e.weight).collect();
+    let (outer, _) = sparseadapt::exec::split_threads(list.len(), harness.threads);
+    // With `outer` experiments in flight at a time, apportioning
+    // threads * len / outer across all of them keeps the expected
+    // concurrent thread usage near the budget.
+    let budget = (harness.threads * list.len()).div_ceil(outer);
+    let shares = sparseadapt::exec::weighted_shares(&weights, budget);
+    sparseadapt::exec::parallel_map(list.len(), outer, |i| {
+        run_one(&harness.with_threads(shares[i]), list[i])
+    });
     let stats = sparseadapt::trace_cache::TraceCache::global().stats();
     let epochs = if cli.epoch_cache {
         let s = sparseadapt::epoch_cache::EpochCache::global().stats();

@@ -51,13 +51,8 @@ pub fn run(harness: &Harness) -> Vec<Table> {
             let spec = spec_by_id(id).expect("suite id");
             let wl = suite_workload(harness, &spec, Kernel::SpMSpV, MemKind::Cache);
             let setup = ComparisonSetup {
-                spec: Kernel::SpMSpV.spec(harness.scale),
-                mode,
                 policy,
-                l1_kind: MemKind::Cache,
-                sampled: harness.sampled_configs,
-                seed: harness.seed,
-                threads: harness.threads,
+                ..harness.comparison_setup(Kernel::SpMSpV, mode, MemKind::Cache)
             };
             let cmp = compare(&wl, &model, &setup);
             row.push(cmp.sparseadapt.gflops() / cmp.baseline.gflops());
@@ -77,15 +72,11 @@ pub fn run(harness: &Harness) -> Vec<Table> {
     );
     let spec = spec_by_id("P3").expect("suite id");
     let wl = suite_workload(harness, &spec, Kernel::SpMSpV, MemKind::Cache);
+    let base = harness.comparison_setup(Kernel::SpMSpV, mode, MemKind::Cache);
     for bw in BANDWIDTHS_GBPS {
         let setup = ComparisonSetup {
-            spec: Kernel::SpMSpV.spec(harness.scale).with_bandwidth_gbps(bw),
-            mode,
-            policy: Kernel::SpMSpV.policy(),
-            l1_kind: MemKind::Cache,
-            sampled: harness.sampled_configs,
-            seed: harness.seed,
-            threads: harness.threads,
+            spec: base.spec.with_bandwidth_gbps(bw),
+            ..base
         };
         let cmp = compare(&wl, &model, &setup);
         t.push(

@@ -28,33 +28,25 @@ pub fn run(harness: &Harness) -> Vec<Table> {
     // Model trained on the default 2×8 geometry only.
     let model = ensemble(harness.scale, MemKind::Cache, mode, harness.threads);
     let columns: Vec<String> = SYSTEMS.iter().map(|(m, n)| format!("{m}x{n}")).collect();
-    let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut t = Table::new(
         "Fig 12 — SpMSpM energy-eff gains over Baseline vs system size",
-        &col_refs,
+        &columns,
     );
+    let base = harness.comparison_setup(Kernel::SpMSpM, mode, MemKind::Cache);
     for spec in spmspm_suite() {
         let mut row = Vec::new();
         for (tiles, gpes) in SYSTEMS {
-            let machine_spec = Kernel::SpMSpM
-                .spec(harness.scale)
-                .with_geometry(tiles, gpes);
+            let setup = ComparisonSetup {
+                spec: base.spec.with_geometry(tiles, gpes),
+                ..base
+            };
             let wl = spmspm_workload(
                 &spec,
                 harness.scale,
                 MemKind::Cache,
                 harness.seed,
-                machine_spec.geometry.gpe_count(),
+                setup.spec.geometry.gpe_count(),
             );
-            let setup = ComparisonSetup {
-                spec: machine_spec,
-                mode,
-                policy: Kernel::SpMSpM.policy(),
-                l1_kind: MemKind::Cache,
-                sampled: harness.sampled_configs,
-                seed: harness.seed,
-                threads: harness.threads,
-            };
             let cmp = compare(&wl, &model, &setup);
             row.push(cmp.sparseadapt.gflops_per_watt() / cmp.baseline.gflops_per_watt());
         }

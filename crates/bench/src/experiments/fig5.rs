@@ -12,66 +12,33 @@ use sparse::suite::synthetic_suite;
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
-use super::{compare_workload, suite_workload, Kernel};
-use crate::models::{ensemble, results_dir};
+use super::{gains_table, Kernel, Scheme};
+use crate::models::results_dir;
 use crate::report::Table;
 use crate::Harness;
 
-/// Runs the experiment; returns one table per panel.
+/// Runs the experiment; returns one table per mode.
 pub fn run(harness: &Harness) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for (mode, columns) in [
-        (
-            OptMode::PowerPerformance,
-            vec![
-                "gflops:BestAvg",
-                "gflops:MaxCfg",
-                "gflops:SpAdapt",
-                "eff:BestAvg",
-                "eff:MaxCfg",
-                "eff:SpAdapt",
-            ],
-        ),
-        (
-            OptMode::EnergyEfficient,
-            vec!["eff:BestAvg", "eff:MaxCfg", "eff:SpAdapt"],
-        ),
-    ] {
-        let model = ensemble(harness.scale, MemKind::Cache, mode, harness.threads);
-        let mut t = Table::new(
-            &format!(
+    let schemes = [Scheme::BestAvg, Scheme::MaxCfg, Scheme::SparseAdapt];
+    [OptMode::PowerPerformance, OptMode::EnergyEfficient]
+        .into_iter()
+        .map(|mode| {
+            let title = format!(
                 "Fig 5 ({}) — SpMSpV synthetic, gains over Baseline",
                 mode.name()
-            ),
-            &columns,
-        );
-        let suite = synthetic_suite();
-        let rows = super::map_items(harness, &suite, |spec, h| {
-            let wl = suite_workload(h, spec, Kernel::SpMSpV, MemKind::Cache);
-            let cmp = compare_workload(h, &wl, &model, Kernel::SpMSpV, mode, MemKind::Cache);
-            let g = |m: &transmuter::metrics::Metrics| m.gflops() / cmp.baseline.gflops();
-            let e = |m: &transmuter::metrics::Metrics| {
-                m.gflops_per_watt() / cmp.baseline.gflops_per_watt()
-            };
-            if mode == OptMode::PowerPerformance {
-                vec![
-                    g(&cmp.best_avg),
-                    g(&cmp.max_cfg),
-                    g(&cmp.sparseadapt),
-                    e(&cmp.best_avg),
-                    e(&cmp.max_cfg),
-                    e(&cmp.sparseadapt),
-                ]
-            } else {
-                vec![e(&cmp.best_avg), e(&cmp.max_cfg), e(&cmp.sparseadapt)]
-            }
-        });
-        for (spec, row) in suite.iter().zip(rows) {
-            t.push(spec.id, row);
-        }
-        t.push_geomean();
-        t.emit(&results_dir(), &format!("fig5-{}", mode.name()));
-        tables.push(t);
-    }
-    tables
+            );
+            let suite = synthetic_suite();
+            let t = gains_table(
+                harness,
+                &title,
+                &suite,
+                Kernel::SpMSpV,
+                mode,
+                MemKind::Cache,
+                &schemes,
+            );
+            t.emit(&results_dir(), &format!("fig5-{}", mode.name()));
+            t
+        })
+        .collect()
 }

@@ -10,62 +10,33 @@ use sparse::suite::spmspm_suite;
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
-use super::{compare_workload, suite_workload, Kernel};
-use crate::models::{ensemble, results_dir};
+use super::{gains_table, Kernel, Scheme};
+use crate::models::results_dir;
 use crate::report::Table;
 use crate::Harness;
 
 /// Runs the experiment; returns one table per mode.
 pub fn run(harness: &Harness) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for mode in [OptMode::PowerPerformance, OptMode::EnergyEfficient] {
-        let model = ensemble(harness.scale, MemKind::Cache, mode, harness.threads);
-        let columns = if mode == OptMode::PowerPerformance {
-            vec![
-                "gflops:BestAvg",
-                "gflops:MaxCfg",
-                "gflops:SpAdapt",
-                "eff:BestAvg",
-                "eff:MaxCfg",
-                "eff:SpAdapt",
-            ]
-        } else {
-            vec!["eff:BestAvg", "eff:MaxCfg", "eff:SpAdapt"]
-        };
-        let mut t = Table::new(
-            &format!(
+    let schemes = [Scheme::BestAvg, Scheme::MaxCfg, Scheme::SparseAdapt];
+    [OptMode::PowerPerformance, OptMode::EnergyEfficient]
+        .into_iter()
+        .map(|mode| {
+            let title = format!(
                 "Fig 6 ({}) — SpMSpM real-world, gains over Baseline",
                 mode.name()
-            ),
-            &columns,
-        );
-        let suite = spmspm_suite();
-        let rows = super::map_items(harness, &suite, |spec, h| {
-            let wl = suite_workload(h, spec, Kernel::SpMSpM, MemKind::Cache);
-            let cmp = compare_workload(h, &wl, &model, Kernel::SpMSpM, mode, MemKind::Cache);
-            let g = |m: &transmuter::metrics::Metrics| m.gflops() / cmp.baseline.gflops();
-            let e = |m: &transmuter::metrics::Metrics| {
-                m.gflops_per_watt() / cmp.baseline.gflops_per_watt()
-            };
-            if mode == OptMode::PowerPerformance {
-                vec![
-                    g(&cmp.best_avg),
-                    g(&cmp.max_cfg),
-                    g(&cmp.sparseadapt),
-                    e(&cmp.best_avg),
-                    e(&cmp.max_cfg),
-                    e(&cmp.sparseadapt),
-                ]
-            } else {
-                vec![e(&cmp.best_avg), e(&cmp.max_cfg), e(&cmp.sparseadapt)]
-            }
-        });
-        for (spec, row) in suite.iter().zip(rows) {
-            t.push(spec.id, row);
-        }
-        t.push_geomean();
-        t.emit(&results_dir(), &format!("fig6-{}", mode.name()));
-        tables.push(t);
-    }
-    tables
+            );
+            let suite = spmspm_suite();
+            let t = gains_table(
+                harness,
+                &title,
+                &suite,
+                Kernel::SpMSpM,
+                mode,
+                MemKind::Cache,
+                &schemes,
+            );
+            t.emit(&results_dir(), &format!("fig6-{}", mode.name()));
+            t
+        })
+        .collect()
 }

@@ -10,57 +10,32 @@ use sparse::suite::spmspv_suite;
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
-use super::{compare_workload, suite_workload, Kernel};
-use crate::models::{ensemble, results_dir};
+use super::{gains_table, Kernel, Scheme};
+use crate::models::results_dir;
 use crate::report::Table;
 use crate::Harness;
 
 /// Runs the experiment; returns one table per L1 kind.
 pub fn run(harness: &Harness) -> Vec<Table> {
-    let mode = OptMode::PowerPerformance;
-    let mut tables = Vec::new();
-    for l1_kind in [MemKind::Cache, MemKind::Spm] {
-        let model = ensemble(harness.scale, l1_kind, mode, harness.threads);
-        let kind_name = match l1_kind {
-            MemKind::Cache => "cache",
-            MemKind::Spm => "spm",
-        };
-        let mut t = Table::new(
-            &format!(
+    let schemes = [Scheme::BestAvg, Scheme::MaxCfg, Scheme::SparseAdapt];
+    [(MemKind::Cache, "cache"), (MemKind::Spm, "spm")]
+        .into_iter()
+        .map(|(l1_kind, kind_name)| {
+            let title = format!(
                 "Fig 7 (L1 = {kind_name}) — SpMSpV real-world, power-perf gains over Baseline"
-            ),
-            &[
-                "gflops:BestAvg",
-                "gflops:MaxCfg",
-                "gflops:SpAdapt",
-                "eff:BestAvg",
-                "eff:MaxCfg",
-                "eff:SpAdapt",
-            ],
-        );
-        let suite = spmspv_suite();
-        let rows = super::map_items(harness, &suite, |spec, h| {
-            let wl = suite_workload(h, spec, Kernel::SpMSpV, l1_kind);
-            let cmp = compare_workload(h, &wl, &model, Kernel::SpMSpV, mode, l1_kind);
-            let g = |m: &transmuter::metrics::Metrics| m.gflops() / cmp.baseline.gflops();
-            let e = |m: &transmuter::metrics::Metrics| {
-                m.gflops_per_watt() / cmp.baseline.gflops_per_watt()
-            };
-            vec![
-                g(&cmp.best_avg),
-                g(&cmp.max_cfg),
-                g(&cmp.sparseadapt),
-                e(&cmp.best_avg),
-                e(&cmp.max_cfg),
-                e(&cmp.sparseadapt),
-            ]
-        });
-        for (spec, row) in suite.iter().zip(rows) {
-            t.push(spec.id, row);
-        }
-        t.push_geomean();
-        t.emit(&results_dir(), &format!("fig7-{kind_name}"));
-        tables.push(t);
-    }
-    tables
+            );
+            let suite = spmspv_suite();
+            let t = gains_table(
+                harness,
+                &title,
+                &suite,
+                Kernel::SpMSpV,
+                OptMode::PowerPerformance,
+                l1_kind,
+                &schemes,
+            );
+            t.emit(&results_dir(), &format!("fig7-{kind_name}"));
+            t
+        })
+        .collect()
 }

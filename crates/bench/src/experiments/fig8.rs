@@ -10,73 +10,38 @@ use sparse::suite::spmspm_suite;
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
-use super::{compare_workload, suite_workload, Kernel};
-use crate::models::{ensemble, results_dir};
+use super::{gains_table, Kernel, Scheme};
+use crate::models::results_dir;
 use crate::report::Table;
 use crate::Harness;
 
 /// Runs the experiment; returns one table per mode.
 pub fn run(harness: &Harness) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for mode in [OptMode::PowerPerformance, OptMode::EnergyEfficient] {
-        let model = ensemble(harness.scale, MemKind::Cache, mode, harness.threads);
-        let columns = if mode == OptMode::PowerPerformance {
-            vec![
-                "gflops:SpAdapt",
-                "gflops:IdealStatic",
-                "gflops:IdealGreedy",
-                "gflops:Oracle",
-                "eff:SpAdapt",
-                "eff:IdealStatic",
-                "eff:IdealGreedy",
-                "eff:Oracle",
-            ]
-        } else {
-            vec![
-                "eff:SpAdapt",
-                "eff:IdealStatic",
-                "eff:IdealGreedy",
-                "eff:Oracle",
-            ]
-        };
-        let mut t = Table::new(
-            &format!(
+    let schemes = [
+        Scheme::SparseAdapt,
+        Scheme::IdealStatic,
+        Scheme::IdealGreedy,
+        Scheme::Oracle,
+    ];
+    [OptMode::PowerPerformance, OptMode::EnergyEfficient]
+        .into_iter()
+        .map(|mode| {
+            let title = format!(
                 "Fig 8 ({}) — SpMSpM vs Ideal Static / Ideal Greedy / Oracle, gains over Baseline",
                 mode.name()
-            ),
-            &columns,
-        );
-        for spec in spmspm_suite() {
-            let wl = suite_workload(harness, &spec, Kernel::SpMSpM, MemKind::Cache);
-            let cmp = compare_workload(harness, &wl, &model, Kernel::SpMSpM, mode, MemKind::Cache);
-            let g = |m: &transmuter::metrics::Metrics| m.gflops() / cmp.baseline.gflops();
-            let e = |m: &transmuter::metrics::Metrics| {
-                m.gflops_per_watt() / cmp.baseline.gflops_per_watt()
-            };
-            let row = if mode == OptMode::PowerPerformance {
-                vec![
-                    g(&cmp.sparseadapt),
-                    g(&cmp.ideal_static),
-                    g(&cmp.ideal_greedy),
-                    g(&cmp.oracle),
-                    e(&cmp.sparseadapt),
-                    e(&cmp.ideal_static),
-                    e(&cmp.ideal_greedy),
-                    e(&cmp.oracle),
-                ]
-            } else {
-                vec![
-                    e(&cmp.sparseadapt),
-                    e(&cmp.ideal_static),
-                    e(&cmp.ideal_greedy),
-                    e(&cmp.oracle),
-                ]
-            };
-            t.push(spec.id, row);
-        }
-        t.push_geomean();
-        t.emit(&results_dir(), &format!("fig8-{}", mode.name()));
-        tables.push(t);
-    }
-    tables
+            );
+            let suite = spmspm_suite();
+            let t = gains_table(
+                harness,
+                &title,
+                &suite,
+                Kernel::SpMSpM,
+                mode,
+                MemKind::Cache,
+                &schemes,
+            );
+            t.emit(&results_dir(), &format!("fig8-{}", mode.name()));
+            t
+        })
+        .collect()
 }

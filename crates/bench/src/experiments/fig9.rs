@@ -51,13 +51,8 @@ pub fn run(harness: &Harness) -> Vec<Table> {
                 };
                 variant.replace_tree(p, DecisionTree::fit(&datasets[&p], &params));
                 let setup = ComparisonSetup {
-                    spec: Kernel::SpMSpV.spec(harness.scale),
-                    mode,
-                    policy: Kernel::SpMSpV.policy(),
-                    l1_kind: MemKind::Cache,
                     sampled: 3, // statics only: no oracle family needed here
-                    seed: harness.seed,
-                    threads: harness.threads,
+                    ..harness.comparison_setup(Kernel::SpMSpV, mode, MemKind::Cache)
                 };
                 let cmp = compare(&wl, &variant, &setup);
                 gflops_gains.push(cmp.sparseadapt.gflops() / cmp.baseline.gflops());

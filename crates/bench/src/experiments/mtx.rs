@@ -59,10 +59,9 @@ pub fn run(harness: &Harness, dir: &Path, quick: bool) -> Result<Table, String> 
         columns.push(format!("gflops:{name}"));
         columns.push(format!("eff:{name}"));
     }
-    let col_refs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new(
         "Real-matrix suite — presets vs Baseline per kernel",
-        &col_refs,
+        &columns,
     );
 
     // One work item per (matrix, kernel) pair; rectangular matrices

@@ -11,7 +11,7 @@
 //! 1.7×/1.1× and 2.4×.
 
 use sparse::suite::spmspv_suite;
-use sparseadapt::eval::{compare, reference_configs, ComparisonSetup};
+use sparseadapt::eval::{compare, reference_configs};
 use sparseadapt::schemes::{profileadapt_ideal, profileadapt_naive};
 use sparseadapt::stitch::{sample_configs, SweepData};
 use transmuter::config::MemKind;
@@ -43,19 +43,12 @@ pub fn run(harness: &Harness) -> Vec<Table> {
         let rows = super::map_items(harness, &suite, |spec, h| {
             let wl = suite_workload(h, spec, Kernel::SpMSpV, MemKind::Cache);
             // SparseAdapt at its fine epochs.
-            let setup = ComparisonSetup {
-                spec: Kernel::SpMSpV.spec(h.scale),
-                mode,
-                policy: Kernel::SpMSpV.policy(),
-                l1_kind: MemKind::Cache,
-                sampled: h.sampled_configs,
-                seed: h.seed,
-                threads: h.threads,
-            };
+            let setup = h.comparison_setup(Kernel::SpMSpV, mode, MemKind::Cache);
             let cmp = compare(&wl, &model, &setup);
             // ProfileAdapt at its coarse epochs (own sweep).
-            let spa_spec = Kernel::SpMSpV.spec(h.scale);
-            let pa_spec = spa_spec.with_epoch_ops(spa_spec.epoch_ops * PROFILEADAPT_EPOCH_RATIO);
+            let pa_spec = setup
+                .spec
+                .with_epoch_ops(setup.spec.epoch_ops * PROFILEADAPT_EPOCH_RATIO);
             let configs = sample_configs(MemKind::Cache, h.sampled_configs, h.seed);
             let sweep = SweepData::simulate(pa_spec, &wl, &configs, h.threads);
             let (_, _, max_cfg) = reference_configs(MemKind::Cache);

@@ -7,10 +7,11 @@
 //! near-diagonal R09.
 
 use sparse::suite::spmspv_suite;
+use sparseadapt::eval::compare;
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
-use super::{compare_workload, Kernel};
+use super::Kernel;
 use crate::models::{ensemble, results_dir};
 use crate::report::Table;
 use crate::workloads::{bfs_workload, sssp_workload};
@@ -34,7 +35,8 @@ pub fn run(harness: &Harness) -> Vec<Table> {
             } else {
                 sssp_workload(spec, h.scale, h.seed, n)
             };
-            let cmp = compare_workload(h, &wl, &model, Kernel::SpMSpV, mode, MemKind::Cache);
+            let setup = h.comparison_setup(Kernel::SpMSpV, mode, MemKind::Cache);
+            let cmp = compare(&wl, &model, &setup);
             // TEPS/W ratio = (edges/T/W) ratio; edges cancel, so the
             // gain is the inverse energy-delay ratio per traversed edge.
             let base = cmp.baseline.teps_per_watt(edges);

@@ -2,9 +2,10 @@
 //! paper's evaluation (see `DESIGN.md` §5 for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured results).
 //!
-//! The `paper` binary exposes one subcommand per experiment; the
-//! Criterion benches in `benches/` wrap the same functions. Scale is
-//! controlled by `SA_SCALE` (`quick` | `half` | `paper`).
+//! The `paper` binary exposes one subcommand per entry of
+//! [`experiments::REGISTRY`]; `sweep_bench` times the sweep engine
+//! itself. Scale is controlled by `SA_SCALE` (`quick` | `half` |
+//! `paper`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,6 +17,11 @@ pub mod report;
 pub mod workloads;
 
 use sparse::suite::Scale;
+use sparseadapt::eval::ComparisonSetup;
+use transmuter::config::MemKind;
+use transmuter::metrics::OptMode;
+
+use experiments::Kernel;
 
 /// Harness-wide settings resolved from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -54,54 +60,25 @@ impl Harness {
         self.threads = threads.max(1);
         self
     }
-}
 
-/// Relative cost weight of one experiment suite, for apportioning the
-/// thread budget when `paper all` fans out.
-///
-/// The weights are the measured serial runtimes at quick scale in
-/// deciseconds (cold trace cache, single process). Absolute values do
-/// not matter — only the ratios do, and those are dominated by each
-/// experiment's epoch count × sampled-configuration product, which
-/// scales uniformly with `SA_SCALE`, so one table serves every scale.
-/// Unknown names get a mid-range default rather than starving.
-pub fn experiment_weight(name: &str) -> u64 {
-    match name {
-        "fig1" => 40,
-        "fig5" => 5,
-        "fig6" => 320,
-        "fig7" => 9,
-        "fig8" => 28,
-        "fig9" => 1200,
-        "fig10" => 1,
-        "fig11" => 8,
-        "fig12" => 1120,
-        "table6" => 23,
-        "sec64" => 8,
-        "sec7" => 5,
-        "insights" => 1,
-        "ablation" => 10,
-        _ => 30,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn weights_order_sweep_heavy_experiments_first() {
-        // The two model-retraining sweeps and the oracle sweep dominate;
-        // the fan-out depends on that ordering, not on exact values.
-        assert!(experiment_weight("fig9") > experiment_weight("fig6"));
-        assert!(experiment_weight("fig12") > experiment_weight("fig6"));
-        assert!(experiment_weight("fig6") > experiment_weight("fig8"));
-        assert!(experiment_weight("fig8") > experiment_weight("fig10"));
-        for exp in [
-            "fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table6",
-            "sec64", "sec7", "insights", "ablation", "unknown",
-        ] {
-            assert!(experiment_weight(exp) >= 1);
+    /// The full scheme comparison's setup for `kernel` under the harness
+    /// defaults: the kernel's machine spec and policy, and the harness's
+    /// sampled-configuration count, seed and thread budget. Experiments
+    /// that sweep one knob override that one field.
+    pub(crate) fn comparison_setup(
+        &self,
+        kernel: Kernel,
+        mode: OptMode,
+        l1_kind: MemKind,
+    ) -> ComparisonSetup {
+        ComparisonSetup {
+            spec: kernel.spec(self.scale),
+            mode,
+            policy: kernel.policy(),
+            l1_kind,
+            sampled: self.sampled_configs,
+            seed: self.seed,
+            threads: self.threads,
         }
     }
 }

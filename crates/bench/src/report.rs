@@ -13,10 +13,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and value-column names.
-    pub fn new(title: &str, columns: &[&str]) -> Self {
+    pub fn new(title: &str, columns: &[impl AsRef<str>]) -> Self {
         Table {
             title: title.to_string(),
-            columns: columns.iter().map(|s| s.to_string()).collect(),
+            columns: columns.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }

@@ -704,10 +704,9 @@ mod tests {
             prop_assert!(decode_trace(&bytes, &KEY).is_err());
         }
 
-        /// The binary codec and the legacy JSON path agree on every
+        /// The binary codec and the serde JSON form agree on every
         /// valid record (JSON cannot carry NaN/inf, so those lanes are
-        /// scrubbed first) — the invariant the on-disk migration relies
-        /// on.
+        /// scrubbed first), so both describe one epoch the same way.
         #[test]
         fn json_and_binary_decode_agree(seed in 0u64..u64::MAX, n in 1usize..4) {
             let mut trace: Vec<EpochRecord> =

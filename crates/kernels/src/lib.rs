@@ -18,8 +18,6 @@
 //!   merge in tandem, §5.1).
 //! * [`bfs`] / [`sssp`] — graph algorithms mapped onto iterative SpMSpV,
 //!   GraphMat-style (§6.1.3).
-//! * [`inner`] — the alternative inner-product SpMSpM formulation that
-//!   §5.4 mentions and rules out for the evaluated densities.
 //! * [`gemm`] / [`conv`] — dense *regular* kernels, used to reproduce
 //!   the §7 negative result (dynamic control is overkill for them).
 //! * [`spmv`] — row-streaming sparse-matrix × dense-vector product, the
@@ -54,7 +52,6 @@
 pub mod bfs;
 pub mod conv;
 pub mod gemm;
-pub mod inner;
 pub mod layout;
 pub mod partition;
 pub mod spmspm;

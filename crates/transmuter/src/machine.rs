@@ -53,7 +53,10 @@ impl Controller for StaticController {
 
 /// Everything recorded about one epoch of execution.
 ///
-/// Serializable so sweep traces can live in the on-disk trace cache.
+/// The trace cache stores traces in its own binary form (`SATR`, see
+/// `sparseadapt::trace_bin`); the serde derive gives epochs a JSON
+/// form, which `perfbench`'s output digest hashes and a `trace_bin`
+/// property test checks against that binary form.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct EpochRecord {
     /// Epoch index within the run.

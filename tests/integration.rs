@@ -174,3 +174,17 @@ fn model_roundtrip_preserves_predictions() {
         );
     }
 }
+
+#[test]
+fn paper_rejects_unknown_experiments_and_flags_with_usage() {
+    for args in [&["fig1", "fig99"][..], &["--serial", "fig1"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(args)
+            .output()
+            .expect("paper binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: paper "), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
