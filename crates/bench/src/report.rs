@@ -89,13 +89,15 @@ impl Table {
         out
     }
 
-    /// Renders as CSV.
+    /// Renders as CSV (RFC 4180): a label or column name holding a
+    /// comma, a quote or a line break is quoted, its quotes doubled.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "label,{}", self.columns.join(","));
+        let columns: Vec<String> = self.columns.iter().map(|c| csv_field(c)).collect();
+        let _ = writeln!(out, "label,{}", columns.join(","));
         for (label, values) in &self.rows {
             let vals: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-            let _ = writeln!(out, "{label},{}", vals.join(","));
+            let _ = writeln!(out, "{},{}", csv_field(label), vals.join(","));
         }
         out
     }
@@ -106,6 +108,16 @@ impl Table {
         if std::fs::create_dir_all(results_dir).is_ok() {
             let _ = std::fs::write(results_dir.join(format!("{name}.csv")), self.to_csv());
         }
+    }
+}
+
+/// `text` as one CSV field: quoted, with its quotes doubled, when it
+/// holds a comma, a quote or a line break; as it is otherwise.
+fn csv_field(text: &str) -> String {
+    if text.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", text.replace('"', "\"\""))
+    } else {
+        text.to_string()
     }
 }
 
@@ -135,6 +147,21 @@ mod tests {
         assert!(rendered.contains("r1"));
         let csv = t.to_csv();
         assert!(csv.starts_with("label,a,b"));
+    }
+
+    #[test]
+    fn csv_quotes_fields_that_hold_separators() {
+        let mut t = Table::new("demo", &["plain", "a,b", "say \"hi\""]);
+        t.push("corr(bw,clock)", vec![0.5, 1.0, 2.0]);
+        t.push("two\nlines", vec![1.0, 2.0, 3.0]);
+        t.push("GM", vec![1.5, 2.5, 3.5]);
+        assert_eq!(
+            t.to_csv(),
+            "label,plain,\"a,b\",\"say \"\"hi\"\"\"\n\
+             \"corr(bw,clock)\",0.5,1,2\n\
+             \"two\nlines\",1,2,3\n\
+             GM,1.5,2.5,3.5\n"
+        );
     }
 
     #[test]

@@ -574,7 +574,7 @@ impl ApiVersion {
 }
 
 /// A [`SimulateRequest`] with every name resolved against the suite —
-/// the canonical form used for coalescing keys and execution.
+/// the canonical form a handler executes and keys its memos with.
 #[derive(Debug, Clone)]
 pub struct ResolvedSim {
     /// The kernel.
@@ -612,6 +612,16 @@ pub fn kernel_name(kernel: Kernel) -> &'static str {
     }
 }
 
+/// The identity of one workload, `kernel/matrix/l1_kind`: the canonical
+/// kernel name, the matrix's canonical id (a suite id, or `mtx:` and its
+/// content hash in lower-case hex) and the L1 kind. The router hashes it
+/// onto the ring ([`crate::shard::routing_key`]) and a shard keys its
+/// workload memo with it ([`ResolvedSim::workload_key`]), so both name
+/// a workload one way.
+pub fn workload_key(kernel: Kernel, matrix_id: &str, l1_kind: MemKind) -> String {
+    format!("{}/{matrix_id}/{l1_kind:?}", kernel_name(kernel))
+}
+
 /// Resolves a named configuration preset.
 pub fn config_by_name(name: &str) -> Result<TransmuterConfig, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -646,7 +656,7 @@ fn check_shape(kernel: Kernel, matrix: &MatrixSource) -> Result<(), String> {
 impl SimulateRequest {
     /// Resolves every name against the suite; the resolved form keeps
     /// the configuration concrete, so `{"config_name": "baseline"}` and
-    /// the equivalent explicit `config` coalesce to the same key.
+    /// the equivalent explicit `config` resolve to the same key.
     pub fn resolve(&self) -> Result<ResolvedSim, String> {
         let kernel = parse_kernel(&self.kernel)?;
         let matrix = resolve_matrix(&self.matrix)?;
@@ -670,8 +680,9 @@ impl SimulateRequest {
 }
 
 impl ResolvedSim {
-    /// The coalescing/dedup key: everything that determines the
-    /// response except server-side timing.
+    /// The request's identity: everything that determines the response
+    /// except server-side timing. No serving path keys on it; the
+    /// benchmark's decode layer (`perfbench`) times it.
     pub fn key(&self) -> String {
         format!(
             "sim/{}/{}/{:?}/{:016x}",
@@ -680,6 +691,11 @@ impl ResolvedSim {
             self.l1_kind,
             self.config.fingerprint()
         )
+    }
+
+    /// The [`workload_key`] of the workload this request simulates.
+    pub fn workload_key(&self) -> String {
+        workload_key(self.kernel, self.matrix.id(), self.l1_kind)
     }
 }
 

@@ -13,10 +13,10 @@
 //! busy lock, a larger body, an uploaded matrix, and the sweep, upload
 //! and peer trace routes — runs on a pool worker, admitted by
 //! [`crate::queue::admit`], and answers through the request's
-//! [`Reply`]. Simulate misses also coalesce on
-//! the pool: a request whose key is already in flight leaves its reply
-//! with the leader, which renders one response and sends every follower
-//! the same bytes.
+//! [`Reply`]. Concurrent identical simulate misses cost one
+//! simulation: the workload memo and the trace cache each fill a key
+//! once, and every other request for that key waits on the key's slot
+//! on its own worker, then renders its own answer.
 //!
 //! Handlers compute one typed payload, serialize it once and wrap it in
 //! the `{"v": 2, "data": ...}` envelope; errors are structured
@@ -306,7 +306,7 @@ pub fn simulate(state: &Arc<AppState>, mut req: Request, reply: Reply) {
             reply.send(Response::json(200, text));
         }
         None => to_pool(state, reply, move |state, reply| {
-            simulate_resolved(state, &resolved, reply);
+            reply.send(run_simulate(state, &resolved));
         }),
     }
 }
@@ -335,32 +335,16 @@ fn memory_hit(state: &AppState, r: &ResolvedSim) -> Option<(SimulateResponse, Tr
 /// Simulate on the pool for a request the loop did not resolve.
 fn simulate_on_pool(state: &Arc<AppState>, parsed: SimulateRequest, reply: Reply) {
     if let Some((resolved, reply)) = or_400(parsed.resolve().map_err(bad_request), reply) {
-        simulate_resolved(state, &resolved, reply);
+        reply.send(run_simulate(state, &resolved));
     }
 }
 
-/// Coalesced, cache-backed simulation, run in place on the pool worker
-/// that admitted it. A request whose key is already in flight leaves
-/// its reply with the leader and returns at once, freeing its worker;
-/// the leader renders one response and sends it to every follower, or
-/// they all get the leader's 500 if it panics.
-fn simulate_resolved(state: &Arc<AppState>, resolved: &ResolvedSim, reply: Reply) {
-    let Some((inner, waiters)) = state
-        .coalescer
-        .run(resolved.key(), reply, || run_simulate(state, resolved))
-    else {
-        state.metrics.record_coalesced();
-        return;
-    };
-    let response = finish(200, &inner);
-    for waiter in waiters {
-        waiter.send(response.clone());
-    }
-}
-
-/// Executes one resolved simulation on a pool worker; returns the
-/// serialized [`SimulateResponse`].
-fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
+/// Executes one resolved simulation on the pool worker that admitted
+/// it and renders its [`SimulateResponse`]. A request whose workload or
+/// trace another worker is still building waits for that one build
+/// (each memo fills a key once), then answers `"cached": true` with its
+/// own `sim_ms`.
+fn run_simulate(state: &AppState, r: &ResolvedSim) -> Response {
     let started = Instant::now();
     let spec = r.kernel.spec(state.harness.scale);
     let (workload, workload_fp) = state.suite_workload(r);
@@ -378,7 +362,10 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> String {
         simulate_trace(spec, &workload, r.config)
     });
     let response = simulate_response(r, &trace, !ran.load(Ordering::Relaxed), started);
-    serde_json::to_string(&response).expect("simulate response serializes")
+    finish(
+        200,
+        &serde_json::to_string(&response).expect("simulate response serializes"),
+    )
 }
 
 /// The [`SimulateResponse`] for a trace; `sim_ms` runs from `started`

@@ -6,8 +6,10 @@
 //! `/healthz`, and job polling. Everything rides the workspace's
 //! existing machinery: the bounded [`sparseadapt::exec::Pool`] is the
 //! admission queue, the process-wide
-//! [`sparseadapt::trace_cache::TraceCache`] deduplicates repeat
-//! simulations, and the bench harness builds workloads from suite ids.
+//! [`sparseadapt::trace_cache::TraceCache`] deduplicates simulations
+//! (repeats, and identical requests in flight at once, which wait on
+//! the one simulation), and the bench harness builds workloads from
+//! suite ids.
 //!
 //! Module map:
 //! - [`http`] — hand-rolled HTTP/1.1 subset (server and client side)
@@ -16,7 +18,6 @@
 //! - [`answer_memo`] — warm answers remembered by their exact request
 //!   bytes, so a repeated body skips JSON decode and encode
 //! - [`queue`] — admission control over the bounded pool (429 + Retry-After)
-//! - [`coalesce`] — in-flight dedup of identical simulate requests
 //! - [`jobs`] — async sweep-job registry behind 202 + `GET /v2/jobs/<id>`
 //! - [`metrics`] — counters, latency histogram, `/metrics` document
 //! - [`server`] — listener, shared state, graceful drain, shutdown
@@ -39,7 +40,6 @@
 
 pub mod answer_memo;
 pub mod api;
-pub mod coalesce;
 pub mod handlers;
 pub mod http;
 pub mod jobs;

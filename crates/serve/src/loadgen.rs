@@ -176,8 +176,6 @@ pub struct Report {
     pub warm_over_cold_rps: f64,
     /// Server-reported trace-cache hit ratio after the run.
     pub server_hit_ratio: f64,
-    /// Server-reported coalesced request count after the run.
-    pub server_coalesced_total: u64,
 }
 
 /// One prepared request: method, target, body.
@@ -943,7 +941,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<Report, String> {
         cold_cache_hits,
         warm,
         server_hit_ratio: at(&["trace_cache", "hit_ratio"]).unwrap_or(0.0),
-        server_coalesced_total: at(&["coalesced_total"]).unwrap_or(0.0) as u64,
     })
 }
 
@@ -1423,7 +1420,6 @@ mod tests {
             warm: phase,
             warm_over_cold_rps: 1.0,
             server_hit_ratio: 0.0,
-            server_coalesced_total: 0,
         }
     }
 }

@@ -178,7 +178,6 @@ pub struct ServerMetrics {
     rejected_429: AtomicU64,
     latency: LatencyHistogram,
     peer_fetch: LatencyHistogram,
-    coalesced: AtomicU64,
     started: Option<Instant>,
 }
 
@@ -204,8 +203,11 @@ pub struct MetricsSnapshot {
     pub requests_total: u64,
     /// Requests rejected with 429 by admission control.
     pub rejected_429_total: u64,
-    /// Requests whose response was shared from a concurrent identical
-    /// request ("coalesced waiters").
+    /// Always 0: no request shares another's response. Concurrent
+    /// identical simulations share one simulation through the workload
+    /// memo and the trace cache, and each renders its own answer. Kept
+    /// because the benchmark's `serve.coalesce.coalesced` layer reads
+    /// it.
     pub coalesced_total: u64,
     /// Per-`route status` request counts (e.g. `"POST /v2/simulate 200"`).
     pub requests_by_route: BTreeMap<String, u64>,
@@ -330,7 +332,6 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         merged.uptime_s = merged.uptime_s.max(s.uptime_s);
         merged.requests_total += s.requests_total;
         merged.rejected_429_total += s.rejected_429_total;
-        merged.coalesced_total += s.coalesced_total;
         for (route, n) in &s.requests_by_route {
             *merged.requests_by_route.entry(route.clone()).or_insert(0) += n;
         }
@@ -396,12 +397,6 @@ impl ServerMetrics {
         *map.entry((route, status)).or_insert(0) += 1;
     }
 
-    /// Records a request whose response was coalesced off a concurrent
-    /// identical request.
-    pub fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records the wall time of one fetch the trace cache's cluster
     /// tier sent to peers ([`crate::peer_tier`]).
     pub fn record_peer_fetch(&self, ms: f64) {
@@ -433,7 +428,7 @@ impl ServerMetrics {
             uptime_s: self.started.map_or(0.0, |t| t.elapsed().as_secs_f64()),
             requests_total: self.total.load(Ordering::Relaxed),
             rejected_429_total: self.rejected_429.load(Ordering::Relaxed),
-            coalesced_total: self.coalesced.load(Ordering::Relaxed),
+            coalesced_total: 0,
             requests_by_route: by_route,
             latency: self.latency.snapshot(),
             peer_fetch: self.peer_fetch.snapshot(),
@@ -530,7 +525,6 @@ mod tests {
         m.record("POST /v2/simulate", 200, 7.0);
         m.record("POST /v2/simulate", 429, 0.1);
         m.record("GET /metrics", 200, 0.2);
-        m.record_coalesced();
         let s = m.snapshot(
             gauges(),
             CacheStats::default(),
@@ -539,7 +533,6 @@ mod tests {
         );
         assert_eq!(s.requests_total, 4);
         assert_eq!(s.rejected_429_total, 1);
-        assert_eq!(s.coalesced_total, 1);
         assert_eq!(s.requests_by_route["POST /v2/simulate 200"], 2);
         assert_eq!(s.requests_by_route["POST /v2/simulate 429"], 1);
         assert_eq!(s.requests_by_route["GET /metrics 200"], 1);

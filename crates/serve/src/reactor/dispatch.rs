@@ -4,8 +4,7 @@
 //! a [`Reply`]. Whoever ends up holding the reply — the loop itself for
 //! a route that only reads in-process state or a memory hit, a pool
 //! worker for anything that simulates, reads disk or talks to the
-//! network, or a coalescing leader answering its followers — renders
-//! the response to bytes and
+//! network — renders the response to bytes and
 //! pushes a [`Completion`] onto the shared completion queue, signalling
 //! the reactor through an eventfd so its `epoll_wait` call wakes
 //! immediately.

@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use sparseadapt::exec::Pool;
 use sysio::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 use crate::api::{code, ApiError, ApiVersion};
@@ -72,8 +73,18 @@ const WAIT_MS: i32 = 50;
 const READ_CHUNK: usize = 16 * 1024;
 /// Backoff hint attached to shed 503s.
 const SHED_RETRY_MS: u64 = 1000;
+/// Listen backlog requested on every listener [`bind`] opens.
+const LISTEN_BACKLOG: i32 = 4096;
+/// Connection cap of the router, and the daemon's default
+/// ([`crate::server::ServeConfig::max_conns`]).
+pub(crate) const MAX_CONNS: usize = 12_288;
+/// Idle keep-alive timeout of the router, and the daemon's default
+/// ([`crate::server::ServeConfig::idle_timeout_ms`]), milliseconds.
+pub(crate) const IDLE_TIMEOUT_MS: u64 = 30_000;
 
-/// Reactor tuning knobs, resolved from [`crate::server::ServeConfig`].
+/// Reactor tuning knobs: the daemon's from its
+/// [`crate::server::ServeConfig`], the router's [`MAX_CONNS`] and
+/// [`IDLE_TIMEOUT_MS`].
 #[derive(Debug, Clone)]
 pub(crate) struct ReactorConfig {
     /// Hard cap on concurrently open connections.
@@ -122,48 +133,92 @@ impl ReactorStats {
 }
 
 /// Everything the reactor thread shares with the server that spawns
-/// it: the route, the shutdown and drain signals, and the counters.
+/// it: the route, its pool, the drain signal, and the counters.
 pub(crate) struct Shared {
     /// Answers every parsed request.
     pub route: RouteFn,
-    /// Cooperative shutdown flag, checked every loop turn.
-    pub stop: Arc<AtomicBool>,
+    /// The server's pool. Once it has nothing queued or running and
+    /// the connection slab is empty, a drain is complete.
+    pub pool: Arc<Pool>,
     /// Graceful-drain coordination.
     pub drain: Arc<DrainControl>,
-    /// Whether the server's pool has gone quiet; with an empty
-    /// connection slab, it completes a drain.
-    pub drain_idle: Arc<dyn Fn() -> bool + Send + Sync>,
     /// Connection-level I/O counters.
     pub stats: Arc<ReactorStats>,
     /// Per-route request counters, recorded by each [`Reply`].
     pub metrics: Arc<ServerMetrics>,
 }
 
-/// Spawns the reactor thread.
+/// Binds `addr` for [`spawn`]: nonblocking, with the listen backlog
+/// raised. std hardwires a backlog of 128, which a high-fanout loadgen
+/// opening thousands of sockets at once overflows, stalling each
+/// dropped SYN in 1 s retransmit cycles; the resize is best-effort.
+pub(crate) fn bind(addr: &str) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
+    let _ = sysio::listen_backlog(listener_fd(&listener), LISTEN_BACKLOG);
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
+/// A running reactor thread, plus any thread of the server that stops
+/// with it. Dropping it sets the stop flag the loop checks every turn
+/// and joins them all, the reactor first.
+#[derive(Debug)]
+pub(crate) struct Running {
+    stop: Arc<AtomicBool>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Running {
+    /// The stop flag, for a thread that should stop with the reactor.
+    pub(crate) fn stop_flag(&self) -> Arc<AtomicBool> {
+        Arc::clone(&self.stop)
+    }
+
+    /// Joins `thread` once the reactor has stopped.
+    pub(crate) fn join_on_stop(&mut self, thread: JoinHandle<()>) {
+        self.threads.push(thread);
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Spawns the reactor thread on a listener from [`bind`].
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Shared,
     cfg: ReactorConfig,
-) -> io::Result<JoinHandle<()>> {
+) -> io::Result<Running> {
     let epfd = sysio::epoll_create()?;
     let completions = Arc::new(CompletionQueue::new()?);
     sysio::epoll_add(epfd, completions.wake_fd(), EPOLLIN, TOK_WAKE)?;
-    // The listener arrives nonblocking from `server::start`.
     sysio::epoll_add(epfd, listener_fd(&listener), EPOLLIN, TOK_LISTENER)?;
+    let stop = Arc::new(AtomicBool::new(false));
     let mut reactor = Reactor {
         epfd,
         listener: Some(listener),
         slab: Slab::default(),
         wheel: TimerWheel::new(Instant::now()),
         shared,
+        stop: Arc::clone(&stop),
         completions,
         cfg,
         active: 0,
         draining: false,
     };
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("serve-reactor".into())
-        .spawn(move || reactor.run())
+        .spawn(move || reactor.run())?;
+    Ok(Running {
+        stop,
+        threads: vec![thread],
+    })
 }
 
 /// Raw fd of a listener without `unsafe` in this crate: `TcpListener`
@@ -192,6 +247,7 @@ struct Reactor {
     slab: Slab,
     wheel: TimerWheel,
     shared: Shared,
+    stop: Arc<AtomicBool>,
     completions: Arc<CompletionQueue>,
     cfg: ReactorConfig,
     /// Connections in `Dispatched` or `Writing` state.
@@ -202,7 +258,7 @@ struct Reactor {
 impl Reactor {
     fn run(&mut self) {
         let mut events = vec![sysio::EpollEvent::default(); 1024];
-        while !self.shared.stop.load(Ordering::SeqCst) {
+        while !self.stop.load(Ordering::SeqCst) {
             if self.shared.drain.requested() && !self.draining {
                 self.begin_drain();
             }
@@ -592,7 +648,8 @@ impl Reactor {
     }
 
     fn drain_complete(&self) -> bool {
-        self.slab.len() == 0 && (self.shared.drain_idle)()
+        let pool = &self.shared.pool;
+        self.slab.len() == 0 && pool.queue_depth() == 0 && pool.in_flight() == 0
     }
 
     fn teardown(&mut self) {
@@ -613,30 +670,29 @@ fn current_gen(slab: &Slab, slot: u32) -> u32 {
 mod tests {
     use super::*;
     use crate::http::{read_response, Response};
-    use sparseadapt::exec::Pool;
     use std::net::TcpStream;
 
     #[test]
     fn panicking_handler_answers_500_and_the_connection_serves_on() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).expect("nonblocking");
+        let listener = bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         // `/pool-panic` dies on a pool worker, `/loop-panic` on the loop
         // thread itself; anything else answers 200 from the pool.
         let pool = Arc::new(Pool::new(1, 4));
-        let route: RouteFn = Arc::new(move |req: Request, reply: Reply| {
-            assert_ne!(req.path, "/loop-panic", "route dies on the loop");
-            crate::queue::admit(&pool, reply, move |reply| {
-                assert_ne!(req.path, "/pool-panic", "handler dies on the pool");
-                reply.send(Response::json(200, "{}"));
-            });
-        });
-        let stop = Arc::new(AtomicBool::new(false));
+        let route: RouteFn = {
+            let pool = Arc::clone(&pool);
+            Arc::new(move |req: Request, reply: Reply| {
+                assert_ne!(req.path, "/loop-panic", "route dies on the loop");
+                crate::queue::admit(&pool, reply, move |reply| {
+                    assert_ne!(req.path, "/pool-panic", "handler dies on the pool");
+                    reply.send(Response::json(200, "{}"));
+                });
+            })
+        };
         let shared = Shared {
             route,
-            stop: Arc::clone(&stop),
+            pool,
             drain: Arc::new(DrainControl::new()),
-            drain_idle: Arc::new(|| true),
             stats: Arc::new(ReactorStats::new()),
             metrics: Arc::new(ServerMetrics::new()),
         };
@@ -644,7 +700,7 @@ mod tests {
             max_conns: 8,
             idle_timeout: Duration::from_secs(30),
         };
-        let reactor = spawn(listener, shared, cfg).expect("reactor starts");
+        let mut reactor = spawn(listener, shared, cfg).expect("reactor starts");
         let mut stream = TcpStream::connect(addr).expect("connect");
         let limit = Some(Duration::from_secs(30));
         stream.set_read_timeout(limit).expect("read timeout");
@@ -664,7 +720,9 @@ mod tests {
             let crashed = r#"{"v": 2, "data": null, "error": {"code":"worker_crashed","#;
             assert_eq!(body.starts_with(crashed), status == 500, "{path}: {body}");
         }
-        stop.store(true, Ordering::SeqCst);
-        reactor.join().expect("reactor thread exits cleanly");
+        reactor.stop.store(true, Ordering::SeqCst);
+        for thread in reactor.threads.drain(..) {
+            thread.join().expect("reactor thread exits cleanly");
+        }
     }
 }

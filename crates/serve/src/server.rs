@@ -18,11 +18,10 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use sa_bench::Harness;
@@ -31,15 +30,11 @@ use sparseadapt::trace_cache::TraceCache;
 use transmuter::workload::Workload;
 
 use crate::answer_memo::AnswerMemo;
-use crate::api::{kernel_name, ResolvedSim, TopologyDoc};
-use crate::coalesce::Coalescer;
+use crate::api::{ResolvedSim, TopologyDoc};
 use crate::jobs::JobRegistry;
 use crate::metrics::ServerMetrics;
-use crate::reactor::{self, ReactorStats, Reply, RouteFn};
+use crate::reactor::{self, ReactorStats, RouteFn};
 use crate::router;
-
-/// Listen backlog requested on every bound listener (see `start`).
-const LISTEN_BACKLOG: i32 = 4096;
 
 /// Graceful-drain coordination shared between the admin endpoint, the
 /// signal watcher, and the reactor.
@@ -151,8 +146,8 @@ impl Default for ServeConfig {
             cache_dir: None,
             cache_mem_cap: None,
             addr_file: None,
-            max_conns: 12288,
-            idle_timeout_ms: 30_000,
+            max_conns: reactor::MAX_CONNS,
+            idle_timeout_ms: reactor::IDLE_TIMEOUT_MS,
             handle_signals: false,
             peer_fetch: false,
             peer_fetch_budget_ms: 25,
@@ -165,16 +160,12 @@ impl Default for ServeConfig {
 pub struct AppState {
     /// The bounded worker pool every handler that simulates, reads
     /// disk or talks to the network runs on.
-    pub pool: Pool,
+    pub pool: Arc<Pool>,
     /// Request counters and latency histogram.
     pub metrics: Arc<ServerMetrics>,
     /// Answers the loop computed from memory, by route and exact
     /// request body.
     pub answers: AnswerMemo,
-    /// In-flight coalescer for identical simulate requests: followers
-    /// park their replies on the leader, which answers each with the
-    /// one document it computed.
-    pub coalescer: Coalescer<String, Reply>,
     /// Async sweep jobs.
     pub jobs: JobRegistry,
     /// Scale/threads/seed settings shared with the bench harness.
@@ -193,14 +184,41 @@ pub struct AppState {
     /// The address this daemon is bound at — what the peer fetcher
     /// excludes from the topology's shard list to avoid asking itself.
     pub self_addr: SocketAddr,
-    /// Memoized workloads with their content fingerprints.
-    /// Construction (op-stream generation) and fingerprinting both walk
-    /// every op, so each costs more than a cached simulation lookup —
-    /// warm requests must repeat neither. Bounded by the suite size
-    /// plus the set of uploaded matrices (tens of entries), so no
-    /// eviction. Sound for uploads because `mtx:` ids embed the
-    /// canonical content hash.
-    workloads: Mutex<HashMap<String, (Arc<Workload>, u64)>>,
+    /// Memoized workloads with their content fingerprints, by
+    /// [`ResolvedSim::workload_key`]. Construction (op-stream
+    /// generation) and fingerprinting both walk every op, so each costs
+    /// more than a cached simulation lookup — warm requests must repeat
+    /// neither, and concurrent first requests build once. Bounded by
+    /// the suite size plus the set of uploaded matrices (tens of
+    /// entries), so no eviction. Sound for uploads because `mtx:` ids
+    /// embed the canonical content hash.
+    workloads: OnceMemo<(Arc<Workload>, u64)>,
+}
+
+/// A memo that fills each key once, outside the map's lock: the first
+/// caller for a key builds its value in the key's slot while later
+/// callers for that key wait on the slot, and callers for other keys
+/// wait on nothing. `sa_bench::models::shared_ensemble` keeps its
+/// ensembles the same way.
+#[derive(Debug)]
+struct OnceMemo<V>(Mutex<HashMap<String, Arc<OnceLock<V>>>>);
+
+impl<V: Clone> OnceMemo<V> {
+    fn new() -> Self {
+        OnceMemo(Mutex::new(HashMap::new()))
+    }
+
+    /// The value for `key`, built by `build` if no caller has built it.
+    fn get_or_build(&self, key: String, build: impl FnOnce() -> V) -> V {
+        let slot = Arc::clone(self.0.lock().expect("memo lock").entry(key).or_default());
+        slot.get_or_init(build).clone()
+    }
+
+    /// The value for `key` if its slot is filled. Never builds, and
+    /// gives up (`None`) rather than wait for the map's lock or a slot.
+    fn get(&self, key: &str) -> Option<V> {
+        self.0.try_lock().ok()?.get(key)?.get().cloned()
+    }
 }
 
 impl AppState {
@@ -215,50 +233,32 @@ impl AppState {
     }
 
     /// The workload for a resolved request plus its
-    /// [`Workload::fingerprint`], built and hashed at most once per
-    /// `(kernel, matrix, l1_kind)` for the server's lifetime.
-    ///
-    /// Two threads may race to construct the same workload; the result
-    /// is deterministic, and the first insert wins, so callers always
-    /// converge on one shared instance (one trace-cache fingerprint).
+    /// [`Workload::fingerprint`], built and hashed exactly once per
+    /// `(kernel, matrix, l1_kind)` for the server's lifetime: concurrent
+    /// first requests for one workload wait for the one build and share
+    /// its instance (one trace-cache fingerprint).
     pub fn suite_workload(&self, r: &ResolvedSim) -> (Arc<Workload>, u64) {
-        let key = workload_key(r);
-        if let Some(entry) = self.workloads.lock().expect("workload memo lock").get(&key) {
-            return entry.clone();
-        }
-        let built = Arc::new(sa_bench::experiments::source_workload(
-            &self.harness,
-            &r.matrix,
-            r.kernel,
-            r.l1_kind,
-        ));
-        let fingerprint = built.fingerprint();
-        self.workloads
-            .lock()
-            .expect("workload memo lock")
-            .entry(key)
-            .or_insert((built, fingerprint))
-            .clone()
+        self.workloads.get_or_build(r.workload_key(), || {
+            let built = sa_bench::experiments::source_workload(
+                &self.harness,
+                &r.matrix,
+                r.kernel,
+                r.l1_kind,
+            );
+            let fingerprint = built.fingerprint();
+            (Arc::new(built), fingerprint)
+        })
     }
 
     /// The fingerprint [`AppState::suite_workload`] memoized for a
     /// resolved request, if it has: never builds or hashes a workload,
-    /// and gives up (`None`) rather than wait for the memo's lock.
+    /// and gives up (`None`) rather than wait for the memo's lock or a
+    /// build in flight.
     pub(crate) fn memoized_fingerprint(&self, r: &ResolvedSim) -> Option<u64> {
-        let memo = self.workloads.try_lock().ok()?;
-        memo.get(&workload_key(r))
-            .map(|(_, fingerprint)| *fingerprint)
+        self.workloads
+            .get(&r.workload_key())
+            .map(|(_, fingerprint)| fingerprint)
     }
-}
-
-/// The workload memo's key: everything that determines the workload.
-fn workload_key(r: &ResolvedSim) -> String {
-    format!(
-        "{}/{}/{:?}",
-        kernel_name(r.kernel),
-        r.matrix.id(),
-        r.l1_kind
-    )
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::shutdown`])
@@ -269,27 +269,13 @@ pub struct ServerHandle {
     pub addr: SocketAddr,
     /// Shared state, exposed so tests can read counters directly.
     pub state: Arc<AppState>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    reactor: reactor::Running,
 }
 
 impl ServerHandle {
     /// Signals shutdown and joins the reactor thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        drop(self.reactor);
     }
 }
 
@@ -323,16 +309,8 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     } else {
         config.workers
     };
-    let listener = TcpListener::bind(&config.addr)?;
-    // std hardwires a listen backlog of 128; a high-fanout loadgen
-    // opening thousands of sockets at once overflows that and stalls
-    // each dropped SYN in 1s retransmit cycles. Best-effort resize.
-    {
-        use std::os::fd::AsRawFd;
-        let _ = sysio::listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG);
-    }
+    let listener = reactor::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     if let Some(path) = &config.addr_file {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, addr.to_string())?;
@@ -341,19 +319,17 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
 
     let drain = Arc::new(DrainControl::new());
     let state = Arc::new(AppState {
-        pool: Pool::new(workers, config.queue_cap),
+        pool: Arc::new(Pool::new(workers, config.queue_cap)),
         metrics: Arc::new(ServerMetrics::new()),
         answers: AnswerMemo::default(),
-        coalescer: Coalescer::new(),
         jobs: JobRegistry::new(),
         harness: Harness::default(),
         drain: Arc::clone(&drain),
         reactor: Arc::new(ReactorStats::new()),
         topology: Mutex::new(None),
         self_addr: addr,
-        workloads: Mutex::new(HashMap::new()),
+        workloads: OnceMemo::new(),
     });
-    let stop = Arc::new(AtomicBool::new(false));
     if config.peer_fetch {
         TraceCache::global().set_remote(Some(Arc::new(crate::peer_tier::PeerFetcher::new(
             addr,
@@ -366,20 +342,15 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         let state = Arc::clone(&state);
         Arc::new(move |req, reply| router::route(&state, req, reply))
     };
-    let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = {
-        let state = Arc::clone(&state);
-        Arc::new(move || state.pool.queue_depth() == 0 && state.pool.in_flight() == 0)
-    };
     if let Some(fd) = signal_fd {
         spawn_signal_watcher(fd, Arc::clone(&drain));
     }
-    let accept = reactor::spawn(
+    let reactor = reactor::spawn(
         listener,
         reactor::Shared {
             route,
-            stop: Arc::clone(&stop),
+            pool: Arc::clone(&state.pool),
             drain,
-            drain_idle,
             stats: Arc::clone(&state.reactor),
             metrics: Arc::clone(&state.metrics),
         },
@@ -392,8 +363,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     Ok(ServerHandle {
         addr,
         state,
-        stop,
-        accept: Some(accept),
+        reactor,
     })
 }
 
@@ -412,4 +382,79 @@ fn spawn_signal_watcher(fd: i32, drain: Arc<DrainControl>) {
             sysio::close_fd(fd);
         })
         .expect("spawn signal watcher");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::SimulateRequest;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    /// Runs `call` on `n` threads released at once; returns every result.
+    fn at_once<T: Send>(n: usize, call: impl Fn() -> T + Sync) -> Vec<T> {
+        let barrier = Barrier::new(n);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        call()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_first_calls_build_once_in_the_slot() {
+        let memo = OnceMemo::new();
+        let builds = AtomicUsize::new(0);
+        assert_eq!(memo.get("k"), None, "an empty memo holds nothing");
+        let values = at_once(8, || {
+            memo.get_or_build("k".to_string(), || {
+                builds.fetch_add(1, Ordering::SeqCst);
+                // Widens the window in which the other callers find
+                // the build in flight; one build holds either way.
+                std::thread::sleep(Duration::from_millis(50));
+                Arc::new(7u64)
+            })
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        assert!(memo.get("k").is_some_and(|v| Arc::ptr_eq(&v, &values[0])));
+        assert_eq!(memo.get("other"), None);
+    }
+
+    #[test]
+    fn concurrent_first_suite_workload_calls_share_one_workload() {
+        let server = start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("server boots");
+        let resolved = SimulateRequest {
+            kernel: "spmspv".to_string(),
+            matrix: "R12".to_string(),
+            l1_kind: None,
+            config: None,
+            config_name: None,
+        }
+        .resolve()
+        .expect("resolves");
+        let state = &server.state;
+        assert_eq!(state.memoized_fingerprint(&resolved), None);
+        let built = at_once(8, || state.suite_workload(&resolved));
+        let (workload, fingerprint) = &built[0];
+        assert!(built
+            .iter()
+            .all(|(w, fp)| Arc::ptr_eq(w, workload) && fp == fingerprint));
+        assert_eq!(*fingerprint, workload.fingerprint());
+        assert_eq!(state.memoized_fingerprint(&resolved), Some(*fingerprint));
+    }
 }

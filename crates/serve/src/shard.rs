@@ -44,11 +44,10 @@
 //! per entry.
 
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Value};
@@ -56,7 +55,7 @@ use sparseadapt::exec::{parallel_map, Pool};
 use transmuter::config::MemKind;
 
 use crate::api::{
-    code, kernel_name, parse_body, parse_kernel, AddShardRequest, ApiError, ApiVersion,
+    code, parse_body, parse_kernel, workload_key, AddShardRequest, ApiError, ApiVersion,
     ReweightRequest, ShardDoc, TopologyChangeResponse, TopologyDoc,
 };
 use crate::handlers::{self, finish};
@@ -352,11 +351,11 @@ pub fn ring_diff(before: &Ring, after: &Ring) -> RingDiff {
 /// deterministically and the shard — not the router — owns rejecting
 /// them.
 ///
-/// The identity is built the way a shard resolves the names: the
-/// canonical kernel name whatever its case, a missing `l1_kind` as the
-/// default one, and an `mtx:` id by the hash it parses to, so every
-/// spelling of one workload routes to one shard and simulates there
-/// once.
+/// The identity is the shard's own [`workload_key`], read from the
+/// names the way a shard resolves them: the canonical kernel name
+/// whatever its case, a missing `l1_kind` as the default one, and an
+/// `mtx:` id by the hash it parses to, so every spelling of one workload
+/// routes to one shard and simulates there once.
 pub fn routing_key(body: &[u8]) -> String {
     workload_identity(body).unwrap_or_else(|| format!("raw/{:016x}", fnv1a(body)))
 }
@@ -374,17 +373,14 @@ fn workload_identity(body: &[u8]) -> Option<String> {
     ) else {
         return None;
     };
-    let kernel = kernel_name(parse_kernel(kernel).ok()?);
+    let kernel = parse_kernel(kernel).ok()?;
     let l1_kind: Option<MemKind> =
         Deserialize::from_value(serde::obj_get(&fields, "l1_kind")).ok()?;
     let matrix = match matrix.strip_prefix("mtx:") {
         Some(hex) => sparse::mtx::hash_id(u64::from_str_radix(hex, 16).ok()?),
         None => matrix.clone(),
     };
-    Some(format!(
-        "{kernel}/{matrix}/{:?}",
-        l1_kind.unwrap_or_default()
-    ))
+    Some(workload_key(kernel, &matrix, l1_kind.unwrap_or_default()))
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +531,7 @@ pub struct RouterState {
     pub metrics: Arc<ServerMetrics>,
     /// Runs every router route that talks to shards: proxying, fan-out
     /// and topology mutations (which push to every shard).
-    pool: Pool,
+    pool: Arc<Pool>,
     rerouted: AtomicU64,
     resharded: AtomicU64,
     /// f64 bits of the last topology change's moved key-space fraction.
@@ -555,9 +551,11 @@ impl RouterState {
         Arc::clone(&self.topology.read().expect("topology lock"))
     }
 
-    /// Swaps in a successor view.
+    /// Swaps in a successor view and pushes it to every shard. Callers
+    /// hold the admin lock.
     fn install(&self, view: TopologyView) {
         *self.topology.write().expect("topology lock") = Arc::new(view);
+        push_topology(self);
     }
 
     /// Shard addresses, active and draining, in topology order.
@@ -661,31 +659,13 @@ pub struct RouterHandle {
     pub addr: SocketAddr,
     /// Shared state, exposed so tests can read counters directly.
     pub state: Arc<RouterState>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    reactor: reactor::Running,
 }
 
 impl RouterHandle {
     /// Signals shutdown and joins the router threads.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.health.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    pub fn shutdown(self) {
+        drop(self.reactor);
     }
 }
 
@@ -728,15 +708,8 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         )),
         None => None,
     };
-    let listener = TcpListener::bind(&config.addr)?;
-    // Same backlog resize as `server::start`: the std default of 128
-    // collapses under a high-fanout connect burst.
-    {
-        use std::os::fd::AsRawFd;
-        let _ = sysio::listen_backlog(listener.as_raw_fd(), 4096);
-    }
+    let listener = reactor::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let slots: Vec<Arc<ShardSlot>> = config
         .shards
@@ -754,7 +727,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         next_id: AtomicU32::new(config.shards.len() as u32),
         allow_admin: config.allow_admin,
         metrics: Arc::new(ServerMetrics::new()),
-        pool: Pool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP),
+        pool: Arc::new(Pool::new(ROUTER_WORKERS, ROUTER_QUEUE_CAP)),
         rerouted: AtomicU64::new(0),
         resharded: AtomicU64::new(0),
         last_moved_bits: AtomicU64::new(0.0f64.to_bits()),
@@ -763,36 +736,31 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         reactor: Arc::new(ReactorStats::new()),
         drain: Arc::clone(&drain),
     });
-    let stop = Arc::new(AtomicBool::new(false));
 
     let route: RouteFn = {
         let state = Arc::clone(&state);
         Arc::new(move |req, reply| route_router(&state, req, reply))
     };
-    let drain_idle: Arc<dyn Fn() -> bool + Send + Sync> = {
-        let state = Arc::clone(&state);
-        Arc::new(move || state.pool.queue_depth() == 0 && state.pool.in_flight() == 0)
-    };
-    let accept = reactor::spawn(
+    let mut reactor = reactor::spawn(
         listener,
         reactor::Shared {
             route,
-            stop: Arc::clone(&stop),
+            pool: Arc::clone(&state.pool),
             drain,
-            drain_idle,
             stats: Arc::clone(&state.reactor),
             metrics: Arc::clone(&state.metrics),
         },
         reactor::ReactorConfig {
-            max_conns: 12288,
-            idle_timeout: Duration::from_millis(30_000),
+            max_conns: reactor::MAX_CONNS,
+            idle_timeout: Duration::from_millis(reactor::IDLE_TIMEOUT_MS),
         },
     )?;
     let health = {
         let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
+        let stop = reactor.stop_flag();
         std::thread::spawn(move || health_loop(&state, &stop))
     };
+    reactor.join_on_stop(health);
     // Seed every shard with the boot topology so each member reports
     // epoch 1 from the start (best-effort; the next push repairs any
     // shard that was not up yet).
@@ -801,9 +769,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
     Ok(RouterHandle {
         addr,
         state,
-        stop,
-        accept: Some(accept),
-        health: Some(health),
+        reactor,
     })
 }
 
@@ -983,7 +949,7 @@ fn change_response(doc: TopologyDoc, diff: &RingDiff) -> Response {
 /// member's `GET /v2/admin/topology` and `/metrics` epoch track the
 /// router's. A shard that is down (or already drained) just misses the
 /// push; the next change repeats it.
-fn push_topology(state: &Arc<RouterState>) {
+fn push_topology(state: &RouterState) {
     let view = state.view();
     let doc = serde_json::to_string(&view.doc()).expect("topology serializes");
     for slot in &view.shards {
@@ -1006,8 +972,16 @@ fn admin_topology_get(state: &RouterState) -> Response {
     )
 }
 
-/// `POST /v2/admin/shards` (router): add a running daemon to the ring.
-fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
+/// The one path of every admin topology change: the admin gate, the
+/// admin lock, the `If-Match` check, then `next`, which maps the current
+/// view to the successor's shard list or refuses the change with the
+/// response to answer. The successor is installed at the next epoch
+/// and pushed to every shard, and the answer reports what moved.
+fn change_topology(
+    state: &RouterState,
+    req: &Request,
+    next: impl FnOnce(&TopologyView) -> Result<Vec<Arc<ShardSlot>>, Response>,
+) -> Response {
     if let Err(resp) = require_admin(state) {
         return resp;
     }
@@ -1016,31 +990,45 @@ fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
     if let Some(conflict) = check_if_match(req, view.epoch) {
         return conflict;
     }
-    let parsed: AddShardRequest =
-        match parse_body(&req.body, ApiVersion::V2, AddShardRequest::FIELDS) {
-            Ok(p) => p,
-            Err(e) => return ApiVersion::V2.error_response(400, &e),
-        };
-    let Ok(addr) = parsed.addr.parse::<SocketAddr>() else {
-        return Response::error(400, "addr must be a host:port socket address");
+    let shards = match next(&view) {
+        Ok(shards) => shards,
+        Err(refusal) => return refusal,
     };
-    let weight = parsed.weight.unwrap_or(1.0);
-    if !(weight.is_finite() && weight > 0.0) {
-        return Response::error(400, "weight must be positive and finite");
-    }
-    if view.shards.iter().any(|s| s.addr == addr) {
-        return Response::error(400, &format!("shard {addr} is already in the topology"));
-    }
-    let id = state.next_id.fetch_add(1, Ordering::SeqCst);
-    let mut shards = view.shards.clone();
-    shards.push(ShardSlot::new(id, addr, weight));
     let next = build_view(view.epoch + 1, shards);
     let diff = ring_diff(&view.ring, &next.ring);
     state.note_reshard(&diff);
     let doc = next.doc();
     state.install(next);
-    push_topology(state);
     change_response(doc, &diff)
+}
+
+/// `POST /v2/admin/shards` (router): add a running daemon to the ring.
+fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
+    change_topology(state, req, |view| {
+        let parsed: AddShardRequest =
+            parse_body(&req.body, ApiVersion::V2, AddShardRequest::FIELDS)
+                .map_err(|e| ApiVersion::V2.error_response(400, &e))?;
+        let Ok(addr) = parsed.addr.parse::<SocketAddr>() else {
+            return Err(Response::error(
+                400,
+                "addr must be a host:port socket address",
+            ));
+        };
+        let weight = parsed.weight.unwrap_or(1.0);
+        if !(weight.is_finite() && weight > 0.0) {
+            return Err(Response::error(400, "weight must be positive and finite"));
+        }
+        if view.shards.iter().any(|s| s.addr == addr) {
+            return Err(Response::error(
+                400,
+                &format!("shard {addr} is already in the topology"),
+            ));
+        }
+        let id = state.next_id.fetch_add(1, Ordering::SeqCst);
+        let mut shards = view.shards.clone();
+        shards.push(ShardSlot::new(id, addr, weight));
+        Ok(shards)
+    })
 }
 
 /// `DELETE /v2/admin/shards/{id}` (router): drain a shard out of the
@@ -1051,58 +1039,54 @@ fn admin_add_shard(state: &Arc<RouterState>, req: &Request) -> Response {
 /// Idempotent: deleting an already-draining shard reports the current
 /// topology with nothing moved.
 fn admin_remove_shard(state: &Arc<RouterState>, req: &Request, id_str: &str) -> Response {
-    if let Err(resp) = require_admin(state) {
-        return resp;
+    let mut draining = None;
+    let response = change_topology(state, req, |view| {
+        let Ok(id) = id_str.parse::<u32>() else {
+            return Err(Response::error(400, "shard id must be an integer"));
+        };
+        let Some(slot) = view.slot(id) else {
+            return Err(Response::error(
+                404,
+                &format!("no shard {id} in the topology"),
+            ));
+        };
+        if slot.state == ShardState::Draining {
+            return Err(change_response(view.doc(), &RingDiff::empty()));
+        }
+        let active = view
+            .shards
+            .iter()
+            .filter(|s| s.state == ShardState::Active)
+            .count();
+        if active <= 1 {
+            return Err(Response::error(
+                400,
+                "cannot remove the last active shard; add a replacement first",
+            ));
+        }
+        draining = Some((id, slot.addr));
+        Ok(view
+            .shards
+            .iter()
+            .map(|s| {
+                if s.id == id {
+                    s.reshaped(s.weight, ShardState::Draining)
+                } else {
+                    Arc::clone(s)
+                }
+            })
+            .collect())
+    });
+    // Set only when the closure accepted the change, which then
+    // installed the shard as draining.
+    if let Some((id, addr)) = draining {
+        let worker_state = Arc::clone(state);
+        std::thread::Builder::new()
+            .name(format!("drain-shard-{id}"))
+            .spawn(move || drain_and_remove(&worker_state, id, addr))
+            .expect("spawn drain worker");
     }
-    let _serial = state.admin.lock().expect("admin lock");
-    let view = state.view();
-    if let Some(conflict) = check_if_match(req, view.epoch) {
-        return conflict;
-    }
-    let Ok(id) = id_str.parse::<u32>() else {
-        return Response::error(400, "shard id must be an integer");
-    };
-    let Some(slot) = view.slot(id) else {
-        return Response::error(404, &format!("no shard {id} in the topology"));
-    };
-    if slot.state == ShardState::Draining {
-        return change_response(view.doc(), &RingDiff::empty());
-    }
-    let active = view
-        .shards
-        .iter()
-        .filter(|s| s.state == ShardState::Active)
-        .count();
-    if active <= 1 {
-        return Response::error(
-            400,
-            "cannot remove the last active shard; add a replacement first",
-        );
-    }
-    let addr = slot.addr;
-    let shards: Vec<Arc<ShardSlot>> = view
-        .shards
-        .iter()
-        .map(|s| {
-            if s.id == id {
-                s.reshaped(s.weight, ShardState::Draining)
-            } else {
-                Arc::clone(s)
-            }
-        })
-        .collect();
-    let next = build_view(view.epoch + 1, shards);
-    let diff = ring_diff(&view.ring, &next.ring);
-    state.note_reshard(&diff);
-    let doc = next.doc();
-    state.install(next);
-    push_topology(state);
-    let worker_state = Arc::clone(state);
-    std::thread::Builder::new()
-        .name(format!("drain-shard-{id}"))
-        .spawn(move || drain_and_remove(&worker_state, id, addr))
-        .expect("spawn drain worker");
-    change_response(doc, &diff)
+    response
 }
 
 /// Drains a removed shard to completion, then drops it from the
@@ -1134,58 +1118,45 @@ fn drain_and_remove(state: &Arc<RouterState>, id: u32, addr: SocketAddr) {
         return;
     }
     state.install(build_view(view.epoch + 1, shards));
-    push_topology(state);
 }
 
 /// `POST /v2/admin/topology` (router): reweight active shards. Only the
 /// named shards change; ring placement keys on ids, so only the arcs
 /// the weight change gains or loses move owners.
 fn admin_reweight(state: &Arc<RouterState>, req: &Request) -> Response {
-    if let Err(resp) = require_admin(state) {
-        return resp;
-    }
-    let _serial = state.admin.lock().expect("admin lock");
-    let view = state.view();
-    if let Some(conflict) = check_if_match(req, view.epoch) {
-        return conflict;
-    }
-    let parsed: ReweightRequest =
-        match parse_body(&req.body, ApiVersion::V2, ReweightRequest::FIELDS) {
-            Ok(p) => p,
-            Err(e) => return ApiVersion::V2.error_response(400, &e),
-        };
-    if parsed.shards.is_empty() {
-        return Response::error(400, "shards must name at least one shard");
-    }
-    for entry in &parsed.shards {
-        let Some(slot) = view.slot(entry.id) else {
-            return Response::error(404, &format!("no shard {} in the topology", entry.id));
-        };
-        if slot.state != ShardState::Active {
-            return Response::error(
-                400,
-                &format!("shard {} is draining and cannot be reweighted", entry.id),
-            );
+    change_topology(state, req, |view| {
+        let parsed: ReweightRequest =
+            parse_body(&req.body, ApiVersion::V2, ReweightRequest::FIELDS)
+                .map_err(|e| ApiVersion::V2.error_response(400, &e))?;
+        if parsed.shards.is_empty() {
+            return Err(Response::error(400, "shards must name at least one shard"));
         }
-        if !(entry.weight.is_finite() && entry.weight > 0.0) {
-            return Response::error(400, "weight must be positive and finite");
+        for entry in &parsed.shards {
+            let Some(slot) = view.slot(entry.id) else {
+                return Err(Response::error(
+                    404,
+                    &format!("no shard {} in the topology", entry.id),
+                ));
+            };
+            if slot.state != ShardState::Active {
+                return Err(Response::error(
+                    400,
+                    &format!("shard {} is draining and cannot be reweighted", entry.id),
+                ));
+            }
+            if !(entry.weight.is_finite() && entry.weight > 0.0) {
+                return Err(Response::error(400, "weight must be positive and finite"));
+            }
         }
-    }
-    let shards: Vec<Arc<ShardSlot>> = view
-        .shards
-        .iter()
-        .map(|s| match parsed.shards.iter().find(|e| e.id == s.id) {
-            Some(e) => s.reshaped(e.weight, s.state),
-            None => Arc::clone(s),
-        })
-        .collect();
-    let next = build_view(view.epoch + 1, shards);
-    let diff = ring_diff(&view.ring, &next.ring);
-    state.note_reshard(&diff);
-    let doc = next.doc();
-    state.install(next);
-    push_topology(state);
-    change_response(doc, &diff)
+        Ok(view
+            .shards
+            .iter()
+            .map(|s| match parsed.shards.iter().find(|e| e.id == s.id) {
+                Some(e) => s.reshaped(e.weight, s.state),
+                None => Arc::clone(s),
+            })
+            .collect())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1791,6 +1762,36 @@ mod tests {
     }
 
     #[test]
+    fn routing_key_is_the_workload_memo_key_of_the_resolved_body() {
+        let (upload, _) = sa_bench::mtx::register_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 1.5\n3 2 -2.0\n",
+        )
+        .expect("a valid upload");
+        let hex = &upload.id()["mtx:".len()..];
+        assert_ne!(hex, hex.to_uppercase(), "the id must show a hex case");
+        for (matrix, l1_kind) in [
+            ("R10".to_string(), "Spm"),
+            (format!("mtx:{hex}"), "Cache"),
+            (format!("mtx:{}", hex.to_uppercase()), "Cache"),
+        ] {
+            let body =
+                format!(r#"{{"kernel": "SpMV", "matrix": "{matrix}", "l1_kind": "{l1_kind}"}}"#);
+            let parsed: crate::api::SimulateRequest = parse_body(
+                body.as_bytes(),
+                ApiVersion::V2,
+                crate::api::SimulateRequest::FIELDS,
+            )
+            .expect("the body decodes");
+            let resolved = parsed.resolve().expect("a shard resolves the body");
+            assert_eq!(
+                routing_key(body.as_bytes()),
+                resolved.workload_key(),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
     fn unparseable_bodies_fall_back_to_a_content_hash() {
         let a = routing_key(b"not json");
         let b = routing_key(b"not json");
@@ -1803,7 +1804,7 @@ mod tests {
     #[test]
     fn no_reachable_shard_answers_503_in_the_envelope() {
         // A port nothing listens on once its listener is dropped.
-        let dead = TcpListener::bind("127.0.0.1:0")
+        let dead = std::net::TcpListener::bind("127.0.0.1:0")
             .and_then(|l| l.local_addr())
             .expect("a free port");
         let router = start_router(RouterConfig {

@@ -100,7 +100,7 @@ fn metric_u64(doc: &serde::Value, path: &[&str]) -> u64 {
 #[test]
 fn reactor_serves_pipelined_requests_in_order() {
     let server = start(config()).expect("server boots");
-    let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
@@ -129,7 +129,7 @@ fn slowloris_connection_hits_idle_timeout() {
     cfg.idle_timeout_ms = 250;
     let server = start(cfg).expect("server boots");
 
-    let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -173,7 +173,7 @@ fn oversized_request_line_gets_431() {
 fn mid_body_disconnect_leaves_server_healthy() {
     let server = start(config()).expect("server boots");
     for _ in 0..4 {
-        let mut stream = TcpStream::connect(&server.addr).expect("connect");
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
         stream
             .write_all(
                 b"POST /v2/simulate HTTP/1.1\r\nhost: quitter\r\ncontent-length: 1000\r\n\r\npartial",
@@ -197,7 +197,7 @@ fn connection_cap_overflow_sheds_503() {
     // round-trip (connect() alone only proves the SYN queue took us).
     let mut held = Vec::new();
     for _ in 0..2 {
-        let mut stream = TcpStream::connect(&server.addr).expect("connect");
+        let mut stream = TcpStream::connect(server.addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("read timeout");
