@@ -1,11 +1,11 @@
 //! Timing harness for the sweep engine: measures thread scaling, the
-//! SoA inner loop against the frozen reference path, the trace cache's
-//! effect on a repeated sweep and the epoch cache's effect on live
-//! schemes, then writes the numbers to `BENCH_sweep.json` at the
-//! repository root.
+//! simulator's serial cost per simulated op, the SoA inner loop against
+//! the frozen reference path, the trace cache's effect on a repeated
+//! sweep and the epoch cache's effect on live schemes, then writes the
+//! numbers to `BENCH_sweep.json` at the repository root.
 //!
 //! ```text
-//! Usage: sweep_bench [--threads N] [--configs S] [--out FILE]
+//! Usage: sweep_bench [--threads N] [--configs S] [--reps R] [--out FILE] [--quick]
 //! Scale via SA_SCALE = quick | half | paper (default quick).
 //! ```
 //!
@@ -40,9 +40,14 @@ struct ScenarioTiming {
     workload: String,
     configs: usize,
     epochs: usize,
+    /// Op-stream entries of the workload, over every phase and GPE.
+    entries: u64,
     /// One thread, work stealing (degenerates to serial execution).
     serial_s: f64,
     serial_median_s: f64,
+    /// serial_s per simulated event (one op-stream entry under one
+    /// config), in ns: the simulator's host cost per op.
+    serial_ns_per_event: f64,
     /// N threads, work stealing, cache bypassed.
     work_stealing_s: f64,
     work_stealing_median_s: f64,
@@ -159,6 +164,16 @@ fn time_reps<R>(
         },
         outs,
     )
+}
+
+/// Op-stream entries of a workload, over every phase and GPE.
+fn entries(workload: &Workload) -> u64 {
+    workload
+        .phases
+        .iter()
+        .flat_map(|p| &p.streams)
+        .map(|s| s.len() as u64)
+        .sum()
 }
 
 fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -371,12 +386,15 @@ fn bench_scenario(
         "warm live-scheme passes never hit the epoch cache: {warm_stats:?}"
     );
 
+    let entries = entries(workload);
     ScenarioTiming {
         workload: name.to_string(),
         configs: configs.len(),
         epochs: sweep.traces[0].len(),
+        entries,
         serial_s: serial.min_s,
         serial_median_s: serial.median_s,
+        serial_ns_per_event: serial.min_s * 1e9 / (entries * configs.len() as u64) as f64,
         work_stealing_s: work_stealing.min_s,
         work_stealing_median_s: work_stealing.median_s,
         legacy_aos_s: legacy_aos.min_s,
@@ -467,8 +485,14 @@ fn main() {
         eprintln!("# scenario {} ({:?})", mspec.id, kernel);
         let t = bench_scenario(mspec.id, spec, &wl, &configs, threads, reps);
         eprintln!(
-            "#   serial {:.2}s | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | cached 2nd {:.4}s",
-            t.serial_s, t.work_stealing_s, t.legacy_aos_s, t.soa_speedup, t.cached_second_s,
+            "#   serial {:.2}s ({:.1} ns/event) | steal {:.2}s | legacy {:.2}s (soa {:.2}x) | \
+             cached 2nd {:.4}s",
+            t.serial_s,
+            t.serial_ns_per_event,
+            t.work_stealing_s,
+            t.legacy_aos_s,
+            t.soa_speedup,
+            t.cached_second_s,
         );
         eprintln!(
             "#   live cold {:.3}s | warm-first {:.3}s | warm {:.3}s ({:.2}x, hit rate {:.3}) | \
@@ -486,6 +510,9 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut notes = vec![
         "serial_s is one thread; work_stealing_s is N threads, trace cache bypassed".into(),
+        "serial_ns_per_event is serial_s over entries x configs: one event is one op-stream \
+         entry simulated under one config"
+            .into(),
         format!(
             "every timing X_s is the minimum over {reps} repetitions (best-of-N; OS noise only \
              ever adds time to a deterministic computation) and X_median_s their median; the \
@@ -496,8 +523,9 @@ fn main() {
          hits whenever two experiments share a (spec, workload, config) triple"
             .into(),
         "legacy_aos_s runs the frozen pre-SoA inner loop (AoS op vectors, per-event heap \
-         traffic, unbatched HBM, allocating prefetch); soa_speedup is the inner-loop win with \
-         bit-identical traces asserted on every config"
+         traffic, unbatched HBM, allocating prefetch, L1 access energies derived from the \
+         energy table on every access); soa_speedup is the inner-loop win with bit-identical \
+         traces asserted on every config"
             .into(),
         "live_* time the live-scheme evaluation path (closed-loop SparseAdapt with a \
          deterministic downclock ensemble that forces one reconfiguration, plus live replays \

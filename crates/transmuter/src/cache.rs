@@ -227,13 +227,21 @@ fn set_count(capacity_kb: u32, line_bytes: u32, ways: u32) -> Option<usize> {
 }
 
 /// One reconfigurable cache bank.
+///
+/// Line size and set count are powers of two, so an address splits into
+/// line offset, set index and tag by shifts and a mask alone.
 #[derive(Debug, Clone)]
 pub struct CacheBank {
     capacity_kb: u32,
     line_bytes: u32,
     ways: u32,
     sets: Vec<Line>, // sets × ways, row-major
-    n_sets: usize,
+    /// log2 of the line size: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// Set count − 1: a line's set is `line & set_mask`.
+    set_mask: usize,
+    /// `line_shift` + log2 of the set count: a tag is `addr >> tag_shift`.
+    tag_shift: u32,
     tick: u64,
     stats: BankStats,
     /// Valid lines, kept up to date by fills and flushes.
@@ -256,8 +264,13 @@ impl CacheBank {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one set.
+    /// Panics if the line size is not a power of two or the geometry does
+    /// not yield a power-of-two number of sets.
     pub fn new(capacity_kb: u32, line_bytes: u32, ways: u32) -> Self {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let n_sets = (capacity_kb as usize * 1024) / (line_bytes as usize * ways as usize);
         assert!(
             n_sets > 0,
@@ -275,7 +288,9 @@ impl CacheBank {
             line_bytes,
             ways,
             sets: vec![INVALID; lines],
-            n_sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: n_sets - 1,
+            tag_shift: line_bytes.trailing_zeros() + n_sets.trailing_zeros(),
             tick: 0,
             stats: BankStats::default(),
             valid: 0,
@@ -371,14 +386,12 @@ impl CacheBank {
     }
 
     fn locate(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes as u64;
-        let set = (line as usize) & (self.n_sets - 1);
-        let tag = line / self.n_sets as u64;
-        (set, tag)
+        let set = (addr >> self.line_shift) as usize & self.set_mask;
+        (set, addr >> self.tag_shift)
     }
 
     fn reconstruct_addr(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.n_sets as u64 + set as u64) * self.line_bytes as u64
+        (tag << self.tag_shift) | ((set as u64) << self.line_shift)
     }
 
     fn set_slice(&self, set: usize) -> &[Line] {
@@ -408,7 +421,7 @@ impl CacheBank {
         // Rebuild the resident address list before mutating geometry.
         let resident: Vec<(u64, bool)> = if grow {
             let mut v = Vec::new();
-            for set in 0..self.n_sets {
+            for set in 0..=self.set_mask {
                 for l in self.set_slice(set) {
                     if l.valid() {
                         v.push((self.reconstruct_addr(set, l.tag()), l.dirty()));
@@ -862,6 +875,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shift_split_matches_the_division_form() {
+        let mut x = 3u64;
+        for kb in crate::config::CAPACITIES_KB {
+            for line_bytes in [32u32, 64] {
+                // A 3-way bank of 3/4 the capacity has the 4-way set count.
+                for ways in [3u32, 4] {
+                    let bank = CacheBank::new(kb * ways / 4, line_bytes, ways);
+                    let (lb, n_sets) = (line_bytes as u64, bank.set_mask as u64 + 1);
+                    assert_eq!(n_sets * lb * 4, kb as u64 * 1024);
+                    for _ in 0..2_000 {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        // Small addresses as well as ones using every bit.
+                        let addr = if x & 1 == 0 { x >> 40 } else { x };
+                        let (set, tag) = bank.locate(addr);
+                        assert_eq!(set as u64, addr / lb % n_sets, "{kb} kB, {ways} ways");
+                        assert_eq!(tag, addr / lb / n_sets, "{kb} kB, {ways} ways");
+                        assert_eq!(
+                            bank.reconstruct_addr(set, tag),
+                            (tag * n_sets + set as u64) * lb
+                        );
+                        assert_eq!(bank.reconstruct_addr(set, tag), addr / lb * lb);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_lines_are_rejected() {
+        CacheBank::new(6, 48, 4);
     }
 
     #[test]

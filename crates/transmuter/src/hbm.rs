@@ -206,18 +206,8 @@ impl Hbm {
     /// The time at which the interface is next fully free, counting
     /// still-queued posted transfers.
     pub fn busy_until_ps(&self) -> u64 {
-        self.channels
-            .iter()
-            .map(|ch| {
-                let mut busy = ch.busy_until_ps;
-                for &(t, bytes) in &ch.pending {
-                    // Same fold as `drain`, without the memo (the virtual
-                    // view must not mutate).
-                    let service = (bytes as f64 * self.ps_per_byte).ceil() as u64;
-                    busy = busy.max(t) + service;
-                }
-                busy
-            })
+        (0..self.channels.len())
+            .map(|ci| self.folded_busy_ps(ci))
             .max()
             .unwrap_or(0)
     }
@@ -245,6 +235,8 @@ impl Hbm {
         let ch = &self.channels[ci];
         let mut busy = ch.busy_until_ps;
         for &(t, bytes) in &ch.pending {
+            // Same fold as `drain`, without the memo (the view must not
+            // mutate).
             let service = (bytes as f64 * self.ps_per_byte).ceil() as u64;
             busy = busy.max(t) + service;
         }

@@ -408,6 +408,52 @@ enum SimPath {
     Reference,
 }
 
+/// Constants of the per-access memory path, derived where the machine's
+/// configuration is set ([`Machine::new`], [`Machine::apply_config`] and
+/// snapshot restores), so that a load or store shifts, masks and reads
+/// where it would otherwise divide and call `log2`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathConsts {
+    /// log2 of the line size: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// log2 of the GPEs per tile: GPE `g` sits in tile `g >> tile_shift`.
+    tile_shift: u32,
+    /// Tiles − 1: the shared L2 bank of line `l` is `l & l2_mask`.
+    l2_mask: usize,
+    /// [`PowerModel::l1_access`] of the active configuration.
+    l1_access_j: f64,
+    /// [`PowerModel::l2_access`] of the active configuration.
+    l2_access_j: f64,
+}
+
+impl PathConsts {
+    /// # Panics
+    ///
+    /// Panics unless the line size, the tile count and the GPEs per tile
+    /// are powers of two.
+    fn new(spec: &MachineSpec, cfg: &TransmuterConfig, power: &PowerModel) -> Self {
+        let g = spec.geometry;
+        assert!(
+            spec.line_bytes.is_power_of_two(),
+            "line size must be a power of two, got {}",
+            spec.line_bytes
+        );
+        assert!(
+            g.tiles.is_power_of_two() && g.gpes_per_tile.is_power_of_two(),
+            "tiles and GPEs per tile must be powers of two, got {}x{}",
+            g.tiles,
+            g.gpes_per_tile
+        );
+        PathConsts {
+            line_shift: spec.line_bytes.trailing_zeros(),
+            tile_shift: g.gpes_per_tile.trailing_zeros(),
+            l2_mask: g.tiles as usize - 1,
+            l1_access_j: power.l1_access(cfg),
+            l2_access_j: power.l2_access(cfg),
+        }
+    }
+}
+
 /// The simulated Transmuter machine.
 #[derive(Debug)]
 pub struct Machine {
@@ -415,6 +461,7 @@ pub struct Machine {
     pub(crate) cfg: TransmuterConfig,
     pub(crate) table: EnergyTable,
     pub(crate) power: PowerModel,
+    pub(crate) consts: PathConsts,
     pub(crate) l1: Vec<CacheBank>,
     pub(crate) l1_pf: Vec<StridePrefetcher>,
     pub(crate) l2: Vec<CacheBank>,
@@ -434,6 +481,11 @@ pub struct Machine {
 
 impl Machine {
     /// Builds a cold machine in the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the spec's line size, tile count and GPEs per tile
+    /// are powers of two.
     pub fn new(spec: MachineSpec, cfg: TransmuterConfig) -> Self {
         let table = EnergyTable::default();
         Machine::with_energy_table(spec, cfg, table)
@@ -441,6 +493,10 @@ impl Machine {
 
     /// Builds a machine with a custom energy table (for calibration
     /// studies).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Machine::new`].
     pub fn with_energy_table(spec: MachineSpec, cfg: TransmuterConfig, table: EnergyTable) -> Self {
         let g = spec.geometry;
         let l1 = (0..g.l1_bank_count())
@@ -457,6 +513,7 @@ impl Machine {
             spec,
             cfg,
             table,
+            consts: PathConsts::new(&spec, &cfg, &power),
             power,
             l1,
             l1_pf,
@@ -955,7 +1012,7 @@ impl Machine {
                 if spm.iter().any(|r| r.contains(addr)) {
                     // Scratchpad hit: deterministic, tag-free.
                     self.raw.l1_accesses += 1;
-                    self.dyn_energy_j += self.power.l1_access(&self.cfg);
+                    self.dyn_energy_j += self.consts.l1_access_j;
                     match self.cfg.l1_sharing {
                         SharingMode::Private => t + period,
                         SharingMode::Shared => {
@@ -977,7 +1034,7 @@ impl Machine {
                     SharingMode::Private => t + period,
                     SharingMode::Shared => self.arbitrate_l1(bank, t),
                 };
-                self.dyn_energy_j += self.power.l1_access(&self.cfg);
+                self.dyn_energy_j += self.consts.l1_access_j;
                 let outcome = self.l1[bank].access(addr, write);
                 // Prefetcher observes every demand access. The fixed
                 // stack buffer keeps this allocation-free on the hot
@@ -1005,7 +1062,9 @@ impl Machine {
 
     /// The pre-SoA [`Machine::mem_access`], using the allocating
     /// prefetcher interface — kept so the reference path's performance
-    /// profile matches the historical baseline exactly.
+    /// profile matches the historical baseline exactly. It derives each
+    /// L1 access energy from the [`EnergyTable`] afresh, so the
+    /// differential suite checks the SoA path's precomputed one.
     fn mem_access_reference(
         &mut self,
         g: usize,
@@ -1067,23 +1126,20 @@ impl Machine {
     }
 
     /// Shared-mode L1 bank selection: line-interleaved across the tile's
-    /// banks.
+    /// banks. A tile's banks are the aligned power-of-two block holding
+    /// its GPEs, so the bank keeps `g`'s tile bits and takes the line's
+    /// low bits.
     pub(crate) fn l1_bank_shared(&self, g: usize, addr: u64) -> usize {
-        let n = self.spec.geometry.gpes_per_tile as usize;
-        let tile = self.spec.geometry.tile_of(g);
-        let line = addr / self.spec.line_bytes as u64;
-        tile * n + (line as usize % n)
+        let in_tile = (1 << self.consts.tile_shift) - 1;
+        let line = (addr >> self.consts.line_shift) as usize;
+        (g & !in_tile) | (line & in_tile)
     }
 
     /// L2 bank selection under the active sharing mode.
     pub(crate) fn l2_bank(&self, g: usize, addr: u64) -> usize {
-        let tiles = self.spec.geometry.l2_bank_count();
         match self.cfg.l2_sharing {
-            SharingMode::Private => self.spec.geometry.tile_of(g),
-            SharingMode::Shared => {
-                let line = addr / self.spec.line_bytes as u64;
-                line as usize % tiles
-            }
+            SharingMode::Private => g >> self.consts.tile_shift,
+            SharingMode::Shared => (addr >> self.consts.line_shift) as usize & self.consts.l2_mask,
         }
     }
 
@@ -1120,7 +1176,7 @@ impl Machine {
         let period = self.cfg.clock.period_ps();
         let bank = self.l2_bank(g, addr);
         let granted = self.arbitrate_l2(bank, t);
-        self.dyn_energy_j += self.power.l2_access(&self.cfg);
+        self.dyn_energy_j += self.consts.l2_access_j;
         let outcome = self.l2[bank].access(addr, write);
         if outcome.is_hit() {
             granted + L2_HIT_CYCLES * period
@@ -1142,7 +1198,7 @@ impl Machine {
     fn l2_writeback(&mut self, g: usize, t: u64, addr: u64) {
         let bank = self.l2_bank(g, addr);
         let granted = self.arbitrate_l2(bank, t);
-        self.dyn_energy_j += self.power.l2_access(&self.cfg);
+        self.dyn_energy_j += self.consts.l2_access_j;
         if let crate::cache::AccessOutcome::Miss {
             writeback: Some(wb),
         } = self.l2[bank].access(addr, true)
@@ -1160,13 +1216,13 @@ impl Machine {
             return;
         }
         let l2_bank = self.l2_bank(g, addr);
-        self.dyn_energy_j += self.power.l2_access(&self.cfg);
+        self.dyn_energy_j += self.consts.l2_access_j;
         if self.l2[l2_bank].probe(addr) {
             // On-chip prefetch: L2 → L1.
             if let Some(wb) = self.l1[bank].install_prefetch(addr) {
                 self.l2_writeback(g, t, wb);
             }
-            self.dyn_energy_j += self.power.l1_access(&self.cfg);
+            self.dyn_energy_j += self.consts.l1_access_j;
         } else {
             // Off-chip prefetch: posted bandwidth consumption.
             self.hbm.prefetch_read(t, addr, self.spec.line_bytes);
@@ -1179,7 +1235,7 @@ impl Machine {
             if let Some(wb) = self.l1[bank].install_prefetch(addr) {
                 self.l2_writeback(g, t, wb);
             }
-            self.dyn_energy_j += self.power.l1_access(&self.cfg);
+            self.dyn_energy_j += self.consts.l1_access_j;
         }
     }
 
@@ -1398,7 +1454,7 @@ impl Machine {
         );
         self.cfg = state.cfg;
         self.table = state.table;
-        self.power = PowerModel::new(state.table, &self.spec, &state.cfg);
+        self.set_power();
         for (bank, snap) in self.l1.iter_mut().zip(&state.l1) {
             bank.restore(snap);
         }
@@ -1461,8 +1517,15 @@ impl Machine {
             pf.set_degree(new_cfg.prefetch_degree);
         }
         self.cfg = new_cfg;
-        self.power = PowerModel::new(self.table, &self.spec, &self.cfg);
+        self.set_power();
         cost
+    }
+
+    /// Rebuilds the power model and the path constants for the active
+    /// configuration and energy table.
+    fn set_power(&mut self) {
+        self.power = PowerModel::new(self.table, &self.spec, &self.cfg);
+        self.consts = PathConsts::new(&self.spec, &self.cfg, &self.power);
     }
 }
 
@@ -1692,6 +1755,80 @@ mod tests {
         let r_soa = Machine::new(spec, TransmuterConfig::baseline()).run(&wl);
         let r_ref = Machine::new(spec, TransmuterConfig::baseline()).run_reference(&wl);
         assert_eq!(r_soa, r_ref);
+    }
+
+    #[test]
+    fn path_energies_equal_the_table_bit_for_bit() {
+        // Energies do not depend on the geometry; one bank per layer
+        // keeps 3,600 machines cheap.
+        let spec = MachineSpec::default().with_geometry(1, 1);
+        let t = EnergyTable::default();
+        for kind in [MemKind::Cache, MemKind::Spm] {
+            let space = TransmuterConfig::runtime_space(kind);
+            let mut switched = Machine::new(spec, space[0]);
+            let mut restored = Machine::new(spec, space[space.len() - 1]);
+            for &cfg in &space {
+                let scale = crate::power::dynamic_scale(cfg.clock);
+                let l1 = match kind {
+                    MemKind::Cache => t.cache_access(cfg.l1_capacity_kb),
+                    MemKind::Spm => t.spm_access(cfg.l1_capacity_kb),
+                } * scale;
+                let l2 = t.cache_access(cfg.l2_capacity_kb) * scale;
+                let fresh = Machine::new(spec, cfg);
+                switched.apply_config(cfg);
+                restored.restore(&fresh.snapshot());
+                for m in [&fresh, &switched, &restored] {
+                    let stored = (m.consts.l1_access_j, m.consts.l2_access_j);
+                    let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+                    assert_eq!(bits(stored), bits((l1, l2)), "{}", cfg.short());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bank_selection_matches_the_division_form() {
+        let mut x = 5u64;
+        for (tiles, gpes_per_tile) in [(1, 1), (2, 8), (2, 16), (4, 8), (4, 16)] {
+            let spec = MachineSpec::default().with_geometry(tiles, gpes_per_tile);
+            let mut m = Machine::new(spec, TransmuterConfig::baseline());
+            let (n, line) = (gpes_per_tile as usize, spec.line_bytes as u64);
+            for l2_sharing in [SharingMode::Shared, SharingMode::Private] {
+                m.cfg.l2_sharing = l2_sharing;
+                for g in 0..spec.geometry.gpe_count() {
+                    for _ in 0..50 {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let tile = g / n;
+                        let shared_l1 = tile * n + (x / line) as usize % n;
+                        assert_eq!(m.l1_bank_shared(g, x), shared_l1, "{tiles}x{n}");
+                        let l2 = match l2_sharing {
+                            SharingMode::Shared => (x / line) as usize % tiles as usize,
+                            SharingMode::Private => tile,
+                        };
+                        assert_eq!(m.l2_bank(g, x), l2, "{tiles}x{n}, {l2_sharing:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn new_rejects_non_power_of_two_geometry() {
+        let base = MachineSpec::default();
+        let mut wide_lines = base;
+        wide_lines.line_bytes = 48;
+        for spec in [
+            base.with_geometry(3, 8),
+            base.with_geometry(2, 6),
+            base.with_geometry(0, 8),
+            wide_lines,
+        ] {
+            let built =
+                std::panic::catch_unwind(|| Machine::new(spec, TransmuterConfig::baseline()));
+            assert!(built.is_err(), "{spec:?} was accepted");
+        }
     }
 
     #[test]

@@ -73,12 +73,21 @@ impl Default for PrefetchBuf {
     }
 }
 
+/// `x / 2^shift` on `i64`, truncating toward zero like `/`: a negative
+/// dividend is biased by `2^shift − 1` first, since an arithmetic shift
+/// alone rounds toward −∞.
+#[inline]
+fn div_pow2(x: i64, shift: u32) -> i64 {
+    (x + ((x >> 63) & ((1 << shift) - 1))) >> shift
+}
+
 /// PC-indexed stride prefetcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StridePrefetcher {
     table: Vec<StrideEntry>,
     degree: u8,
-    line_bytes: u32,
+    /// log2 of the line size.
+    line_shift: u32,
 }
 
 impl StridePrefetcher {
@@ -86,14 +95,23 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if the degree exceeds [`PrefetchBuf::CAPACITY`].
+    /// Panics if the degree exceeds [`PrefetchBuf::CAPACITY`] or the line
+    /// size is not a power of two.
     pub fn new(degree: u8, line_bytes: u32) -> Self {
         assert!(degree as usize <= PrefetchBuf::CAPACITY);
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         StridePrefetcher {
             table: vec![StrideEntry::default(); TABLE_SIZE],
             degree,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
         }
+    }
+
+    fn line_bytes(&self) -> u32 {
+        1 << self.line_shift
     }
 
     /// Active degree.
@@ -140,21 +158,22 @@ impl StridePrefetcher {
             }
             e.last_addr = addr;
             if e.confidence >= CONF_ISSUE && self.degree > 0 {
-                let line = self.line_bytes as i64;
+                let shift = self.line_shift;
+                let line = 1i64 << shift;
                 // Prefetch `degree` *lines* ahead along the stride
                 // direction, de-duplicated by line.
                 let dir = if e.stride >= 0 { 1 } else { -1 };
-                let mut last_line = addr as i64 / line;
+                let mut last_line = div_pow2(addr as i64, shift);
                 let mut k = 1i64;
                 while out.len() < self.degree as usize && k <= 4 * self.degree as i64 {
                     let target = addr as i64 + k * e.stride.max(-line * 64).min(line * 64);
-                    let target_line = target / line;
+                    let target_line = div_pow2(target, shift);
                     if target >= 0 && target_line != last_line {
-                        out.push((target_line * line) as u64);
+                        out.push((target_line << shift) as u64);
                         last_line = target_line;
                     } else if target_line == last_line && e.stride.abs() < line {
                         // Small strides: jump whole lines instead.
-                        let jump = (last_line + dir) * line;
+                        let jump = (last_line + dir) << shift;
                         if jump >= 0 {
                             out.push(jump as u64);
                             last_line += dir;
@@ -178,7 +197,7 @@ impl StridePrefetcher {
     pub(crate) fn snapshot(&self) -> PrefetcherState {
         PrefetcherState {
             degree: self.degree,
-            line_bytes: self.line_bytes,
+            line_bytes: self.line_bytes(),
             entries: valid_entries(&self.table),
         }
     }
@@ -186,7 +205,7 @@ impl StridePrefetcher {
     /// Reinstates a snapshot's prefetcher.
     pub(crate) fn restore(&mut self, state: &PrefetcherState) {
         self.degree = state.degree;
-        self.line_bytes = state.line_bytes;
+        self.line_shift = state.line_bytes.trailing_zeros();
         self.table.fill(StrideEntry::default());
         for &(i, e) in state.entries.iter() {
             self.table[i as usize] = e;
@@ -197,7 +216,7 @@ impl StridePrefetcher {
 impl DigestInto for StridePrefetcher {
     fn digest_into(&self, h: &mut fxhash::FxHasher) {
         let valid = self.table.iter().enumerate().filter(|(_, e)| e.valid);
-        fold_entries(h, self.degree, self.line_bytes, valid);
+        fold_entries(h, self.degree, self.line_bytes(), valid);
     }
 }
 
@@ -325,6 +344,49 @@ mod tests {
             b.observe_into(pc, addr, &mut buf);
             assert_eq!(alloc.as_slice(), buf.as_slice(), "diverged at access {i}");
         }
+    }
+
+    #[test]
+    fn line_math_truncates_like_division() {
+        let mut x = 17u64;
+        for shift in 0..=12 {
+            let line = 1i64 << shift;
+            let edges = [
+                i64::MIN,
+                i64::MIN + 1,
+                -line - 1,
+                -line,
+                -line + 1,
+                -1,
+                0,
+                1,
+            ];
+            let near_zero = -5 * line..5 * line;
+            let random = (0..2_000).map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x as i64) >> (x % 48)
+            });
+            for v in edges.into_iter().chain(near_zero).chain(random) {
+                let q = div_pow2(v, shift);
+                assert_eq!(q, v / line, "{v} / {line}");
+                assert_eq!(q << shift, q * line, "{q} * {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn descending_strides_stop_at_address_zero() {
+        // A −40-byte stride over 32-byte lines, confident at address 200:
+        // its targets 160, 120, 80, 40 and 0 lie on lines 5, 3, 2, 1 and
+        // 0, and the targets below zero are never issued.
+        let mut p = StridePrefetcher::new(8, 32);
+        let mut issued = Vec::new();
+        for i in 0..6u64 {
+            issued = p.observe(9, 400 - 40 * i);
+        }
+        assert_eq!(issued, vec![160, 96, 64, 32, 0]);
     }
 
     #[test]

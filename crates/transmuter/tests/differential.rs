@@ -10,8 +10,14 @@
 //! every telemetry feature — across workload shapes chosen to exercise
 //! different corners of the machine (streaming, cache-thrashing, bank
 //! contention, SPM regions, multi-phase, reconfiguration).
+//!
+//! The reference path derives each demand L1 access's energy from the
+//! energy table afresh, so these tests also check the SoA path's
+//! per-config precomputed one, over every bank capacity.
 
-use transmuter::config::{ClockFreq, MachineSpec, SharingMode, TransmuterConfig};
+use transmuter::config::{
+    ClockFreq, MachineSpec, MemKind, SharingMode, TransmuterConfig, CAPACITIES_KB, PREFETCH_DEGREES,
+};
 use transmuter::machine::{Controller, EpochRecord, Machine};
 use transmuter::workload::{OpStream, Phase, Region, Workload};
 
@@ -26,6 +32,10 @@ fn assert_paths_agree(spec: MachineSpec, cfg: TransmuterConfig, wl: &Workload) {
     );
 }
 
+/// Cache-L1 configurations: the Table 4 points, then a walk that gives
+/// each layer every capacity (L1 growing while L2 shrinks), both sharing
+/// modes on both layers in all four pairings, every prefetch degree and
+/// several clocks. Cycled in order, it grows and shrinks both layers.
 fn configs_under_test() -> Vec<TransmuterConfig> {
     let mut cfgs = vec![
         TransmuterConfig::baseline(),
@@ -40,7 +50,30 @@ fn configs_under_test() -> Vec<TransmuterConfig> {
     shared.l2_sharing = SharingMode::Shared;
     shared.l1_capacity_kb = 4;
     cfgs.push(shared);
+    let modes = [SharingMode::Shared, SharingMode::Private];
+    for (i, &l1_kb) in CAPACITIES_KB.iter().enumerate() {
+        cfgs.push(TransmuterConfig {
+            l1_kind: MemKind::Cache,
+            l1_sharing: modes[i % 2],
+            l2_sharing: modes[i / 2 % 2],
+            l1_capacity_kb: l1_kb,
+            l2_capacity_kb: CAPACITIES_KB[CAPACITIES_KB.len() - 1 - i],
+            clock: ClockFreq::ALL[5 - i % 3],
+            prefetch_degree: PREFETCH_DEGREES[i % PREFETCH_DEGREES.len()],
+        });
+    }
     cfgs
+}
+
+/// Scratchpad-L1 configurations (the L1 kind never changes at run time,
+/// so these are not cycled with the cache ones).
+fn spm_configs_under_test() -> Vec<TransmuterConfig> {
+    let mut big = TransmuterConfig::best_avg_spm();
+    big.l1_sharing = SharingMode::Shared;
+    big.l1_capacity_kb = 64;
+    big.l2_capacity_kb = 8;
+    big.prefetch_degree = 0;
+    vec![TransmuterConfig::best_avg_spm(), big]
 }
 
 /// Pure streaming: stable strides, prefetcher-friendly, HBM-bound.
@@ -167,7 +200,10 @@ fn all_shapes_agree_across_configs() {
         imbalanced(600),
     ];
     for wl in &workloads {
-        for cfg in configs_under_test() {
+        for cfg in configs_under_test()
+            .into_iter()
+            .chain(spm_configs_under_test())
+        {
             assert_paths_agree(spec, cfg, wl);
         }
     }
@@ -218,17 +254,24 @@ fn agreement_holds_while_reconfiguring() {
             Some(self.cfgs[(record.index + 1) % self.cfgs.len()])
         }
     }
-    let spec = MachineSpec::default().with_epoch_ops(300);
+    // Epochs short enough that each run cycles through every config.
+    let spec = MachineSpec::default().with_epoch_ops(150);
+    let cycle = configs_under_test();
     for wl in [streaming(900), hot_bank(700)] {
         let mut a = Cycler {
-            cfgs: configs_under_test(),
+            cfgs: cycle.clone(),
         };
         let mut b = Cycler {
-            cfgs: configs_under_test(),
+            cfgs: cycle.clone(),
         };
         let soa = Machine::new(spec, TransmuterConfig::baseline()).run_with_controller(&wl, &mut a);
         let reference = Machine::new(spec, TransmuterConfig::baseline())
             .run_reference_with_controller(&wl, &mut b);
+        assert!(
+            soa.epochs.len() > cycle.len(),
+            "{} epochs",
+            soa.epochs.len()
+        );
         assert_eq!(soa, reference, "paths diverged under reconfiguration");
     }
 }
