@@ -24,6 +24,7 @@ pub mod sec64;
 pub mod sec7;
 pub mod table6;
 
+use sparse::gen::GenSeed;
 use sparse::suite::MatrixSpec;
 use sparseadapt::eval::{compare, SchemeComparison};
 use sparseadapt::ReconfigPolicy;
@@ -242,28 +243,14 @@ pub fn suite_workload(
     l1_kind: MemKind,
 ) -> Workload {
     let n = kernel.spec(harness.scale).geometry.gpe_count();
-    match kernel {
-        Kernel::SpMSpM => {
-            crate::workloads::spmspm_workload(spec, harness.scale, l1_kind, harness.seed, n)
-        }
-        Kernel::SpMSpV => {
-            crate::workloads::spmspv_workload(spec, harness.scale, l1_kind, harness.seed, n)
-        }
-        Kernel::SpMV => {
-            crate::workloads::spmv_workload(spec, harness.scale, l1_kind, harness.seed, n)
-        }
-        Kernel::SpTRSV => {
-            crate::workloads::sptrsv_workload(spec, harness.scale, l1_kind, harness.seed, n)
-        }
-        Kernel::SymGS => {
-            crate::workloads::symgs_workload(spec, harness.scale, l1_kind, harness.seed, n)
-        }
-    }
+    let matrix = spec.generate(harness.scale, GenSeed(harness.seed));
+    kernel.workload(&matrix, l1_kind, harness.seed, n)
 }
 
-/// The workload for any matrix source — suite specs go through
-/// [`suite_workload`]; registered `.mtx` matrices are used as-is (no
-/// scaling) with the same deterministic operands.
+/// The workload for any matrix source: suite specs are generated at the
+/// harness's scale and seed, as in [`suite_workload`]; registered `.mtx`
+/// matrices are used as-is (no scaling) with the same deterministic
+/// operands.
 ///
 /// # Panics
 ///
@@ -275,39 +262,9 @@ pub fn source_workload(
     kernel: Kernel,
     l1_kind: MemKind,
 ) -> Workload {
-    let spec = match source {
-        MatrixSource::Suite(spec) => spec,
-        MatrixSource::Mtx { matrix, .. } => {
-            let n = kernel.spec(harness.scale).geometry.gpe_count();
-            let seed = harness.seed;
-            return match kernel {
-                Kernel::SpMV => {
-                    crate::workloads::spmv_workload_csr(&matrix.to_csr(), l1_kind, seed, n)
-                }
-                Kernel::SpTRSV => {
-                    crate::workloads::sptrsv_workload_csr(&matrix.to_csr(), l1_kind, seed, n)
-                }
-                Kernel::SymGS => {
-                    crate::workloads::symgs_workload_csr(&matrix.to_csr(), l1_kind, seed, n)
-                }
-                Kernel::SpMSpM => {
-                    let a = matrix.to_csc();
-                    let b = matrix.to_csr().transpose();
-                    kernels::spmspm::build_with_variant(&a, &b, n, l1_kind).workload
-                }
-                Kernel::SpMSpV => {
-                    let a = matrix.to_csc();
-                    let x = sparse::gen::uniform_random_vector(
-                        a.dim(),
-                        0.5,
-                        sparse::gen::GenSeed(seed ^ 0xFEED),
-                    );
-                    kernels::spmspv::build_with_variant(&a, &x, n, l1_kind).workload
-                }
-            };
-        }
-    };
-    suite_workload(harness, spec, kernel, l1_kind)
+    let n = kernel.spec(harness.scale).geometry.gpe_count();
+    let matrix = source.coo(harness.scale, harness.seed);
+    kernel.workload(&matrix, l1_kind, harness.seed, n)
 }
 
 #[cfg(test)]

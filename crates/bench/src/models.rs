@@ -4,15 +4,15 @@
 //! under `models/<preset>/`; every experiment then loads from disk, so
 //! repeated harness invocations skip the training sweep.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use sparse::suite::Scale;
+use sparseadapt::memo::OnceMemo;
 use sparseadapt::PredictiveEnsemble;
 use trainer::collect::CollectOptions;
 use trainer::scenarios::TrainingPreset;
-use trainer::train::{train_or_load_both, TrainOptions};
+use trainer::train::{train_or_load, TrainOptions};
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
@@ -84,13 +84,7 @@ pub fn shared_ensemble(
     mode: OptMode,
     threads: usize,
 ) -> Arc<PredictiveEnsemble> {
-    let slot: Slot = memo()
-        .lock()
-        .expect("model memo lock")
-        .entry((scale, l1_kind, mode))
-        .or_default()
-        .clone();
-    slot.get_or_init(|| {
+    memo().get_or_build((scale, l1_kind, mode), || {
         let dir = model_dir(scale);
         let copts = collect_options(scale, threads);
         let topts = TrainOptions {
@@ -99,11 +93,10 @@ pub fn shared_ensemble(
             ..TrainOptions::default()
         };
         Arc::new(
-            train_or_load_both(&dir, l1_kind, mode, &copts, &topts)
+            train_or_load(&dir, l1_kind, mode, &copts, &topts)
                 .expect("model cache directory must be writable"),
         )
     })
-    .clone()
 }
 
 /// The ensemble for (scale, L1 kind, mode) if this process has already
@@ -114,15 +107,13 @@ pub fn loaded_ensemble(
     l1_kind: MemKind,
     mode: OptMode,
 ) -> Option<Arc<PredictiveEnsemble>> {
-    let memo = memo().try_lock().ok()?;
-    memo.get(&(scale, l1_kind, mode))?.get().cloned()
+    memo().get(&(scale, l1_kind, mode))
 }
 
-type Slot = Arc<OnceLock<Arc<PredictiveEnsemble>>>;
-type Memo = Mutex<HashMap<(Scale, MemKind, OptMode), Slot>>;
+type EnsembleMemo = OnceMemo<(Scale, MemKind, OptMode), Arc<PredictiveEnsemble>>;
 
 /// One slot per (scale, L1 kind, mode); a slot fills once.
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+fn memo() -> &'static EnsembleMemo {
+    static MEMO: OnceLock<EnsembleMemo> = OnceLock::new();
+    MEMO.get_or_init(EnsembleMemo::default)
 }

@@ -5,9 +5,11 @@ use kernels::{bfs, spmspm, spmspv, spmv, sssp, symgs};
 use sparse::gen::{uniform_random_vector, GenSeed};
 use sparse::suite::Scale as SuiteScale;
 use sparse::suite::{MatrixSpec, Scale};
-use sparse::{CsrMatrix, DenseVector};
+use sparse::{CooMatrix, DenseVector};
 use transmuter::config::{MachineSpec, MemKind};
 use transmuter::workload::Workload;
+
+use crate::experiments::Kernel;
 
 /// Epoch sizes of §5.4.
 pub const SPMSPM_EPOCH_OPS: u64 = 5_000;
@@ -39,13 +41,11 @@ pub fn spmspm_workload(
     seed: u64,
     n_gpes: usize,
 ) -> Workload {
-    let m = spec.generate(scale, GenSeed(seed));
-    let a = m.to_csc();
-    let b = m.to_csr().transpose();
-    spmspm::build_with_variant(&a, &b, n_gpes, l1_kind).workload
+    Kernel::SpMSpM.workload(&spec.generate(scale, GenSeed(seed)), l1_kind, seed, n_gpes)
 }
 
-/// Builds `y = A · x` against a 50 %-dense uniform vector (§6.1.1).
+/// Builds `y = A · x` against a 50 %-dense uniform vector (§6.1.1) for
+/// a suite matrix.
 pub fn spmspv_workload(
     spec: &MatrixSpec,
     scale: Scale,
@@ -53,9 +53,52 @@ pub fn spmspv_workload(
     seed: u64,
     n_gpes: usize,
 ) -> Workload {
-    let a = spec.generate(scale, GenSeed(seed)).to_csc();
-    let x = uniform_random_vector(a.dim(), 0.5, GenSeed(seed ^ 0xFEED));
-    spmspv::build_with_variant(&a, &x, n_gpes, l1_kind).workload
+    Kernel::SpMSpV.workload(&spec.generate(scale, GenSeed(seed)), l1_kind, seed, n_gpes)
+}
+
+impl Kernel {
+    /// Builds this kernel's workload on a concrete matrix `m`. Every
+    /// operand besides `m` derives from `seed`, so one matrix and seed
+    /// always give the same op streams:
+    ///
+    /// * SpMSpM computes `C = A · Aᵀ`;
+    /// * SpMSpV multiplies by a 50 %-dense uniform vector;
+    /// * SpMV multiplies by a dense operand (rectangular `m` is fine);
+    /// * SpTRSV solves `L · y = b` forward on `m`'s lower triangle,
+    ///   with the diagonal patched in where absent, one phase per
+    ///   dependency level;
+    /// * SymGS applies one symmetric Gauss–Seidel sweep (forward then
+    ///   backward level ladder) to `m` with its diagonal patched in.
+    pub fn workload(self, m: &CooMatrix, l1_kind: MemKind, seed: u64, n_gpes: usize) -> Workload {
+        match self {
+            Kernel::SpMSpM => {
+                let (a, b) = (m.to_csc(), m.to_csr().transpose());
+                spmspm::build_with_variant(&a, &b, n_gpes, l1_kind).workload
+            }
+            Kernel::SpMSpV => {
+                let a = m.to_csc();
+                let x = uniform_random_vector(a.dim(), 0.5, GenSeed(seed ^ 0xFEED));
+                spmspv::build_with_variant(&a, &x, n_gpes, l1_kind).workload
+            }
+            Kernel::SpMV => {
+                let a = m.to_csr();
+                let x = dense_operand(a.cols(), seed ^ 0xD05E);
+                spmv::build_with_variant(&a, &x, n_gpes, l1_kind).workload
+            }
+            Kernel::SpTRSV => {
+                let a = m.to_csr();
+                let b = dense_operand(a.rows(), seed ^ 0x50F7);
+                let l = sptrsv::factor_lower(&a);
+                sptrsv::build_with_variant(&l, &b, Sweep::Forward, n_gpes, l1_kind).workload
+            }
+            Kernel::SymGS => {
+                let a = m.to_csr();
+                let b = dense_operand(a.rows(), seed ^ 0x6A55);
+                let ad = sptrsv::ensure_diagonal(&a);
+                symgs::build_with_variant(&ad, &b, n_gpes, l1_kind).workload
+            }
+        }
+    }
 }
 
 /// A fully dense operand/right-hand-side vector, derived
@@ -72,67 +115,6 @@ fn dense_operand(dim: u32, seed: u64) -> DenseVector {
         })
         .collect();
     DenseVector::from_values(values)
-}
-
-/// Builds `y = A · x` for a concrete CSR matrix against a dense
-/// deterministic operand (the real-matrix path; rectangular inputs are
-/// fine).
-pub fn spmv_workload_csr(a: &CsrMatrix, l1_kind: MemKind, seed: u64, n_gpes: usize) -> Workload {
-    let x = dense_operand(a.cols(), seed ^ 0xD05E);
-    spmv::build_with_variant(a, &x, n_gpes, l1_kind).workload
-}
-
-/// Builds the forward triangular solve `L · y = b` on the lower
-/// triangle of a concrete square CSR matrix (diagonal patched in when
-/// absent), level-scheduled so each dependency level is one phase.
-pub fn sptrsv_workload_csr(a: &CsrMatrix, l1_kind: MemKind, seed: u64, n_gpes: usize) -> Workload {
-    let l = sptrsv::factor_lower(a);
-    let b = dense_operand(a.rows(), seed ^ 0x50F7);
-    sptrsv::build_with_variant(&l, &b, Sweep::Forward, n_gpes, l1_kind).workload
-}
-
-/// Builds one symmetric Gauss–Seidel application (forward then backward
-/// level-scheduled sweep) on a concrete square CSR matrix.
-pub fn symgs_workload_csr(a: &CsrMatrix, l1_kind: MemKind, seed: u64, n_gpes: usize) -> Workload {
-    let ad = sptrsv::ensure_diagonal(a);
-    let b = dense_operand(a.rows(), seed ^ 0x6A55);
-    symgs::build_with_variant(&ad, &b, n_gpes, l1_kind).workload
-}
-
-/// Builds SpMV for a suite matrix at scale.
-pub fn spmv_workload(
-    spec: &MatrixSpec,
-    scale: Scale,
-    l1_kind: MemKind,
-    seed: u64,
-    n_gpes: usize,
-) -> Workload {
-    let a = spec.generate(scale, GenSeed(seed)).to_csr();
-    spmv_workload_csr(&a, l1_kind, seed, n_gpes)
-}
-
-/// Builds the forward SpTRSV for a suite matrix at scale.
-pub fn sptrsv_workload(
-    spec: &MatrixSpec,
-    scale: Scale,
-    l1_kind: MemKind,
-    seed: u64,
-    n_gpes: usize,
-) -> Workload {
-    let a = spec.generate(scale, GenSeed(seed)).to_csr();
-    sptrsv_workload_csr(&a, l1_kind, seed, n_gpes)
-}
-
-/// Builds SymGS for a suite matrix at scale.
-pub fn symgs_workload(
-    spec: &MatrixSpec,
-    scale: Scale,
-    l1_kind: MemKind,
-    seed: u64,
-    n_gpes: usize,
-) -> Workload {
-    let a = spec.generate(scale, GenSeed(seed)).to_csr();
-    symgs_workload_csr(&a, l1_kind, seed, n_gpes)
 }
 
 /// The traversal source: the highest-out-degree vertex, so power-law
@@ -180,14 +162,16 @@ mod tests {
     #[test]
     fn solver_family_workloads_build_at_quick_scale() {
         let n = 16;
-        let r09 = spec_by_id("R09").unwrap();
-        let w = spmv_workload(&r09, Scale::Quick, MemKind::Cache, 1, n);
+        let r09 = spec_by_id("R09")
+            .unwrap()
+            .generate(Scale::Quick, GenSeed(1));
+        let w = Kernel::SpMV.workload(&r09, MemKind::Cache, 1, n);
         assert!(w.total_flops() > 0);
         assert_eq!(w.phases.len(), 1);
-        let w = sptrsv_workload(&r09, Scale::Quick, MemKind::Spm, 1, n);
+        let w = Kernel::SpTRSV.workload(&r09, MemKind::Spm, 1, n);
         assert!(w.total_flops() > 0);
         assert!(w.phases.len() > 1, "level ladder expected");
-        let w = symgs_workload(&r09, Scale::Quick, MemKind::Cache, 1, n);
+        let w = Kernel::SymGS.workload(&r09, MemKind::Cache, 1, n);
         assert!(w.total_flops() > 0);
         assert!(w.phases.iter().any(|p| p.name.starts_with("symgs-bwd")));
     }

@@ -22,6 +22,8 @@
 //!   evaluation, the artifact's §A.7 methodology.
 //! * [`exec`] — the work-stealing sweep engine shared by every
 //!   parallel fan-out in the workspace.
+//! * [`memo`] — [`memo::OnceMemo`], a map that builds each key's value
+//!   once, outside its lock.
 //! * [`trace_cache`] — the process-wide content-addressed cache of
 //!   simulation traces, with a bounded in-memory layer, an optional
 //!   on-disk layer and an optional cluster tier, both of which carry
@@ -93,6 +95,7 @@ pub mod epoch_cache;
 pub mod eval;
 pub mod exec;
 pub mod features;
+pub mod memo;
 pub mod model;
 pub mod policy;
 pub mod runtime;

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use mltree::{Classifier, DecisionTree};
+use mltree::DecisionTree;
 use serde::{Deserialize, Serialize};
 use transmuter::config::{ConfigParam, TransmuterConfig};
 use transmuter::counters::Telemetry;

@@ -368,17 +368,6 @@ impl TraceCache {
         }
     }
 
-    /// Convenience wrapper building the [`TraceKey`] from the triple.
-    pub fn get_or_simulate_for(
-        &self,
-        spec: &MachineSpec,
-        workload: &Workload,
-        config: &TransmuterConfig,
-        simulate: impl FnOnce() -> Vec<EpochRecord>,
-    ) -> Arc<Vec<EpochRecord>> {
-        self.get_or_simulate(TraceKey::new(spec, workload, config), simulate)
-    }
-
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("trace cache lock");
@@ -538,7 +527,7 @@ mod tests {
         let cfg = TransmuterConfig::baseline();
         let sims = AtomicUsize::new(0);
         let run = || {
-            cache.get_or_simulate_for(&spec, &wl, &cfg, || {
+            cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
                 sims.fetch_add(1, Ordering::Relaxed);
                 simulate_trace(spec, &wl, cfg)
             })
@@ -559,12 +548,17 @@ mod tests {
         let wl1 = tiny_workload(1);
         let wl2 = tiny_workload(2);
         let cfg = TransmuterConfig::baseline();
-        let t1 = cache.get_or_simulate_for(&spec, &wl1, &cfg, || simulate_trace(spec, &wl1, cfg));
-        let t2 = cache.get_or_simulate_for(&spec, &wl2, &cfg, || simulate_trace(spec, &wl2, cfg));
+        let t1 = cache.get_or_simulate(TraceKey::new(&spec, &wl1, &cfg), || {
+            simulate_trace(spec, &wl1, cfg)
+        });
+        let t2 = cache.get_or_simulate(TraceKey::new(&spec, &wl2, &cfg), || {
+            simulate_trace(spec, &wl2, cfg)
+        });
         assert!(!Arc::ptr_eq(&t1, &t2));
         assert_eq!(cache.stats().misses, 2);
         // Same triple again -> same Arc.
-        let t1b = cache.get_or_simulate_for(&spec, &wl1, &cfg, || unreachable!("cached"));
+        let t1b =
+            cache.get_or_simulate(TraceKey::new(&spec, &wl1, &cfg), || unreachable!("cached"));
         assert!(Arc::ptr_eq(&t1, &t1b));
     }
 
@@ -578,7 +572,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    cache.get_or_simulate_for(&spec, &wl, &cfg, || {
+                    cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
                         sims.fetch_add(1, Ordering::Relaxed);
                         simulate_trace(spec, &wl, cfg)
                     });
@@ -596,10 +590,12 @@ mod tests {
         let spec = MachineSpec::default().with_epoch_ops(100);
         let wl = tiny_workload(4);
         let cfg = TransmuterConfig::baseline();
-        let first = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
+        let first = cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
+            simulate_trace(spec, &wl, cfg)
+        });
         // Forget the in-memory copy; the trace must come back from disk.
         cache.clear();
-        let second = cache.get_or_simulate_for(&spec, &wl, &cfg, || {
+        let second = cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
             unreachable!("disk layer should satisfy this lookup")
         });
         assert_eq!(*first, *second, "disk round-trip changed the trace");
@@ -619,12 +615,14 @@ mod tests {
         let spec = MachineSpec::default().with_epoch_ops(100);
         let wl = tiny_workload(7);
         let cfg = TransmuterConfig::baseline();
-        let first = writer.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
+        let first = writer.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
+            simulate_trace(spec, &wl, cfg)
+        });
         assert_eq!(writer.stats().disk_writes, 1);
 
         let reader = TraceCache::new();
         reader.set_disk_dir(Some(dir.clone()));
-        let second = reader.get_or_simulate_for(&spec, &wl, &cfg, || {
+        let second = reader.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
             unreachable!("the other instance's disk entry should satisfy this lookup")
         });
         assert_eq!(*first, *second);
@@ -646,7 +644,7 @@ mod tests {
         let cache = TraceCache::new();
         cache.set_disk_dir(Some(dir.clone()));
         let sims = AtomicUsize::new(0);
-        let got = cache.get_or_simulate_for(&spec, &wl, &cfg, || {
+        let got = cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
             sims.fetch_add(1, Ordering::Relaxed);
             simulate_trace(spec, &wl, cfg)
         });
@@ -712,7 +710,9 @@ mod tests {
         std::fs::create_dir_all(dir.join(key.file_name())).expect("plant dir");
         let cache = TraceCache::new();
         cache.set_disk_dir(Some(dir.clone()));
-        let got = cache.get_or_simulate_for(&spec, &wl, &cfg, || simulate_trace(spec, &wl, cfg));
+        let got = cache.get_or_simulate(TraceKey::new(&spec, &wl, &cfg), || {
+            simulate_trace(spec, &wl, cfg)
+        });
         assert_eq!(*got, simulate_trace(spec, &wl, cfg));
         assert_eq!(cache.stats().disk_writes, 0);
         // The temporary is not left behind.
@@ -785,7 +785,11 @@ mod tests {
         cache.set_memory_cap(Some(2 * one));
         let originals: Vec<_> = wls
             .iter()
-            .map(|wl| cache.get_or_simulate_for(&spec, wl, &cfg, || simulate_trace(spec, wl, cfg)))
+            .map(|wl| {
+                cache.get_or_simulate(TraceKey::new(&spec, wl, &cfg), || {
+                    simulate_trace(spec, wl, cfg)
+                })
+            })
             .collect();
         let s = cache.stats();
         assert!(
@@ -798,14 +802,14 @@ mod tests {
         // The oldest workload was evicted; looking it up re-simulates and
         // the deterministic simulator reproduces the trace exactly.
         let sims = AtomicUsize::new(0);
-        let again = cache.get_or_simulate_for(&spec, &wls[0], &cfg, || {
+        let again = cache.get_or_simulate(TraceKey::new(&spec, &wls[0], &cfg), || {
             sims.fetch_add(1, Ordering::Relaxed);
             simulate_trace(spec, &wls[0], cfg)
         });
         assert_eq!(sims.load(Ordering::Relaxed), 1, "evicted entry must miss");
         assert_eq!(*again, *originals[0], "re-simulation must be identical");
         // The most recent trace survived the whole time.
-        let kept = cache.get_or_simulate_for(&spec, &wls[3], &cfg, || {
+        let kept = cache.get_or_simulate(TraceKey::new(&spec, &wls[3], &cfg), || {
             unreachable!("most recent trace should still be resident")
         });
         assert!(Arc::ptr_eq(&kept, &originals[3]));
@@ -833,9 +837,10 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..12 {
                         let k = (t + i) % wls.len();
-                        let got = cache.get_or_simulate_for(&spec, &wls[k], &cfg, || {
-                            simulate_trace(spec, &wls[k], cfg)
-                        });
+                        let got = cache
+                            .get_or_simulate(TraceKey::new(&spec, &wls[k], &cfg), || {
+                                simulate_trace(spec, &wls[k], cfg)
+                            });
                         assert_eq!(*got, expected[k]);
                     }
                 });
@@ -1152,7 +1157,7 @@ mod tests {
             let cap = cap_traces * one;
             cache.set_memory_cap(Some(cap));
             for &(w, c) in &ops {
-                let got = cache.get_or_simulate_for(&spec, &wls[w], &cfgs[c], || {
+                let got = cache.get_or_simulate(TraceKey::new(&spec, &wls[w], &cfgs[c]), || {
                     simulate_trace(spec, &wls[w], cfgs[c])
                 });
                 prop_assert_eq!(&*got, &simulate_trace(spec, &wls[w], cfgs[c]));

@@ -6,7 +6,7 @@
 //! the *implicit* behaviour tracks the frontier: tiny localized frontiers
 //! early, a huge scattered frontier at the peak, then a tail.
 
-use sparse::{CscMatrix, SparseVector};
+use sparse::CscMatrix;
 use transmuter::workload::{AddressSpace, OpStream, Phase, Workload};
 
 use crate::layout::{CscLayout, DenseLayout, SparseVecLayout};
@@ -134,11 +134,6 @@ pub fn build(a: &CscMatrix, source: u32, n_gpes: usize) -> BfsBuild {
         edges_traversed: edges,
         iterations: depth.saturating_sub(if frontier.is_empty() { 1 } else { 0 }),
     }
-}
-
-/// A sparse frontier as a vector, for interoperability tests.
-pub fn frontier_vector(dim: u32, frontier: &[u32]) -> SparseVector {
-    SparseVector::from_pairs(dim, frontier.iter().map(|&v| (v, 1.0)).collect())
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! and `min_samples_leaf`).
 
 use crate::tree::{Criterion, DecisionTree, TreeParams};
-use crate::{Classifier, Dataset};
+use crate::Dataset;
 
 /// Splits `0..n` into `k` folds deterministically (round-robin, so class
 /// balance is roughly preserved for shuffled datasets). Returns

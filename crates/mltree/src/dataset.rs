@@ -114,20 +114,6 @@ impl Dataset {
         }
     }
 
-    /// Merges another dataset with the same schema into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature names differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(
-            self.feature_names, other.feature_names,
-            "dataset schemas differ"
-        );
-        self.features.extend(other.features.iter().cloned());
-        self.labels.extend(other.labels.iter().copied());
-    }
-
     /// Serialises to CSV (`header…,label`).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();

@@ -99,7 +99,7 @@ impl DecisionTree {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Classifier, Dataset, DecisionTree, TreeParams};
+    use crate::{Dataset, DecisionTree, TreeParams};
 
     fn names() -> Vec<String> {
         vec!["x".to_string()]

@@ -3,22 +3,23 @@
 //! The paper trains one Scikit-learn `DecisionTreeClassifier` per
 //! configuration parameter, tuned by 3-fold cross-validation over
 //! `criterion`, `max_depth` and `min_samples_leaf` (§5.1), and reports
-//! Gini feature importances (§6.3.2). Linear and logistic regression were
-//! evaluated and rejected for poor accuracy; random forests matched trees
-//! but cost more (§4.3). This crate reimplements that stack from
-//! scratch:
+//! Gini feature importances (§6.3.2). This crate reimplements that stack
+//! from scratch:
 //!
 //! * [`DecisionTree`] — CART with Gini/entropy splits, depth and leaf
 //!   limits, optional reduced-error pruning, and Gini importances.
-//! * [`RandomForest`] — bagged trees with feature subsampling.
-//! * [`LinearClassifier`] / [`LogisticRegression`] — the baselines.
 //! * [`cv`] — deterministic k-fold cross-validation and grid search.
 //! * [`Dataset`] — a feature matrix with class labels and CSV I/O.
+//!
+//! The paper also weighed linear and logistic regression (rejected for
+//! poor accuracy) and random forests (as accurate as trees, but costlier)
+//! before settling on trees (§4.3). That model comparison is not
+//! reproduced here, so only trees are implemented.
 //!
 //! # Example
 //!
 //! ```
-//! use mltree::{Classifier, Dataset, DecisionTree, TreeParams};
+//! use mltree::{Dataset, DecisionTree, TreeParams};
 //!
 //! // class = (x0 > 0.45) && (x1 > 0.45): needs two levels of splits.
 //! let mut d = Dataset::new(vec!["x0".into(), "x1".into()]);
@@ -38,27 +39,8 @@
 pub mod cv;
 mod dataset;
 mod explain;
-mod forest;
-mod linear;
 mod tree;
 
 pub use dataset::Dataset;
 pub use explain::PathStep;
-pub use forest::{ForestParams, RandomForest};
-pub use linear::{LinearClassifier, LogisticRegression};
 pub use tree::{Criterion, DecisionTree, NodeView, TreeParams};
-
-/// Common interface of every classifier in this crate.
-pub trait Classifier {
-    /// Predicts the class label of one feature row.
-    fn predict(&self, row: &[f64]) -> usize;
-
-    /// Fraction of dataset rows predicted correctly.
-    fn accuracy(&self, data: &Dataset) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let correct = data.rows().filter(|(x, y)| self.predict(x) == *y).count();
-        correct as f64 / data.len() as f64
-    }
-}

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Classifier, Dataset};
+use crate::Dataset;
 
 /// Split-quality criterion (the `criterion` hyperparameter of §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -235,6 +235,39 @@ impl DecisionTree {
         best
     }
 
+    /// Predicts the class label of one feature row.
+    pub fn predict(&self, row: &[f64]) -> usize {
+        let mut id = 0;
+        loop {
+            match &self.nodes[id] {
+                Node::Leaf { class } => return *class,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                    ..
+                } => {
+                    id = if row[*feature] <= *threshold {
+                        *left
+                    } else {
+                        *right
+                    };
+                }
+            }
+        }
+    }
+
+    /// Fraction of dataset rows predicted correctly (0 for an empty
+    /// dataset).
+    pub fn accuracy(&self, data: &Dataset) -> f64 {
+        if data.is_empty() {
+            return 0.0;
+        }
+        let correct = data.rows().filter(|(x, y)| self.predict(x) == *y).count();
+        correct as f64 / data.len() as f64
+    }
+
     /// Reduced-error pruning against a validation set: every split whose
     /// replacement by its majority leaf does not reduce validation
     /// accuracy is collapsed (bottom-up). Counters decision trees'
@@ -319,30 +352,6 @@ impl DecisionTree {
                 },
             })
             .collect()
-    }
-}
-
-impl Classifier for DecisionTree {
-    fn predict(&self, row: &[f64]) -> usize {
-        let mut id = 0;
-        loop {
-            match &self.nodes[id] {
-                Node::Leaf { class } => return *class,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    id = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
     }
 }
 

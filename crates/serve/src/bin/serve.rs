@@ -12,9 +12,11 @@
 //! ```
 //!
 //! Without `--router` the process is one daemon shard. With `--router`
-//! it spawns `--shards` copies of itself on ephemeral ports (sharing
-//! `--cache-dir` as the cluster's disk tier), then fronts them with a
-//! consistent-hash router on `--addr`; `--record` appends every routed
+//! it spawns `--shards` copies of itself on ephemeral ports, each with
+//! the daemon flags given here (so they share `--cache-dir` as the
+//! cluster's disk tier), then fronts them with a consistent-hash router
+//! on `--addr` whose own reactor also takes `--max-conns` and
+//! `--idle-timeout-ms`; `--record` appends every routed
 //! POST to a JSONL log that `loadgen --replay` can play back.
 //! `--shard-weights` assigns per-shard ring weights (comma-separated,
 //! one per shard); `--allow-admin` opts into runtime topology mutations
@@ -75,71 +77,15 @@ fn parse_cli() -> Cli {
         })
     };
     while let Some(arg) = args.next() {
+        match cli.config.parse_flag(&arg, &mut args) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(message) => {
+                eprintln!("{message}");
+                usage_and_exit(2)
+            }
+        }
         match arg.as_str() {
-            "--addr" => cli.config.addr = need(&mut args, "--addr"),
-            "--workers" => {
-                cli.config.workers = need(&mut args, "--workers").parse().unwrap_or_else(|_| {
-                    eprintln!("--workers needs an integer");
-                    usage_and_exit(2)
-                })
-            }
-            "--queue-cap" => {
-                cli.config.queue_cap = need(&mut args, "--queue-cap")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--queue-cap needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
-            "--cache-dir" => {
-                cli.config.cache_dir = Some(PathBuf::from(need(&mut args, "--cache-dir")))
-            }
-            "--cache-mem-cap" => {
-                cli.config.cache_mem_cap = Some(
-                    need(&mut args, "--cache-mem-cap")
-                        .parse()
-                        .unwrap_or_else(|_| {
-                            eprintln!("--cache-mem-cap needs a byte count");
-                            usage_and_exit(2)
-                        }),
-                )
-            }
-            "--addr-file" => {
-                cli.config.addr_file = Some(PathBuf::from(need(&mut args, "--addr-file")))
-            }
-            "--peer-fetch" => cli.config.peer_fetch = true,
-            "--peer-fetch-budget-ms" => {
-                cli.config.peer_fetch_budget_ms = need(&mut args, "--peer-fetch-budget-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--peer-fetch-budget-ms needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
-            "--max-conns" => {
-                cli.config.max_conns = need(&mut args, "--max-conns")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-conns needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
-            "--idle-timeout-ms" => {
-                cli.config.idle_timeout_ms = need(&mut args, "--idle-timeout-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--idle-timeout-ms needs a positive integer");
-                        usage_and_exit(2)
-                    })
-            }
             "--router" => cli.router = true,
             "--shards" => {
                 cli.shards = need(&mut args, "--shards")
@@ -223,12 +169,7 @@ fn run_router(cli: Cli) {
     let shards = match spawn_shards(&ShardSpawn {
         exe,
         count: cli.shards,
-        workers: cli.config.workers,
-        queue_cap: cli.config.queue_cap,
-        cache_dir: cli.config.cache_dir.clone(),
-        cache_mem_cap: cli.config.cache_mem_cap,
-        peer_fetch: cli.config.peer_fetch,
-        peer_fetch_budget_ms: cli.config.peer_fetch_budget_ms,
+        config: cli.config.clone(),
         run_dir,
     }) {
         Ok(shards) => shards,
@@ -237,8 +178,9 @@ fn run_router(cli: Cli) {
             std::process::exit(1);
         }
     };
+    let addr_file = cli.config.addr_file.clone();
     let handle = match start_router(RouterConfig {
-        addr: cli.config.addr,
+        daemon: cli.config,
         shards: shards.iter().map(|s| s.addr).collect(),
         weights: cli.weights,
         record: cli.record,
@@ -250,7 +192,7 @@ fn run_router(cli: Cli) {
             std::process::exit(1);
         }
     };
-    if let Some(path) = &cli.config.addr_file {
+    if let Some(path) = &addr_file {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         if std::fs::write(&tmp, handle.addr.to_string()).is_err()
             || std::fs::rename(&tmp, path).is_err()

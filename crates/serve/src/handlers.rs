@@ -350,8 +350,8 @@ fn run_simulate(state: &AppState, r: &ResolvedSim) -> Response {
     let (workload, workload_fp) = state.suite_workload(r);
     let ran = AtomicBool::new(false);
     // TraceKey is assembled from the memoized fingerprint rather than
-    // get_or_simulate_for: re-hashing the op stream on every warm
-    // request would dwarf the cache lookup it keys.
+    // by TraceKey::new: re-hashing the op stream on every warm request
+    // would dwarf the cache lookup it keys.
     let key = TraceKey {
         spec: spec.fingerprint(),
         workload: workload_fp,

@@ -1100,12 +1100,13 @@ fn run_peer_arm(
     let shards = crate::shard::spawn_shards(&crate::shard::ShardSpawn {
         exe: serve_exe.to_path_buf(),
         count: 2,
-        workers: 2,
-        queue_cap: 64,
-        cache_dir: None,
-        cache_mem_cap: None,
-        peer_fetch,
-        peer_fetch_budget_ms: PEER_AB_BUDGET_MS,
+        config: crate::ServeConfig {
+            workers: 2,
+            queue_cap: 64,
+            peer_fetch,
+            peer_fetch_budget_ms: PEER_AB_BUDGET_MS,
+            ..crate::ServeConfig::default()
+        },
         run_dir,
     })
     .map_err(|e| format!("peer-ab shard spawn: {e}"))?;

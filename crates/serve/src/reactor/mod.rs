@@ -75,16 +75,10 @@ const READ_CHUNK: usize = 16 * 1024;
 const SHED_RETRY_MS: u64 = 1000;
 /// Listen backlog requested on every listener [`bind`] opens.
 const LISTEN_BACKLOG: i32 = 4096;
-/// Connection cap of the router, and the daemon's default
-/// ([`crate::server::ServeConfig::max_conns`]).
-pub(crate) const MAX_CONNS: usize = 12_288;
-/// Idle keep-alive timeout of the router, and the daemon's default
-/// ([`crate::server::ServeConfig::idle_timeout_ms`]), milliseconds.
-pub(crate) const IDLE_TIMEOUT_MS: u64 = 30_000;
 
-/// Reactor tuning knobs: the daemon's from its
-/// [`crate::server::ServeConfig`], the router's [`MAX_CONNS`] and
-/// [`IDLE_TIMEOUT_MS`].
+/// Reactor tuning knobs, from the [`crate::server::ServeConfig`] of the
+/// daemon or the router ([`crate::server::ServeConfig::max_conns`],
+/// [`crate::server::ServeConfig::idle_timeout_ms`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ReactorConfig {
     /// Hard cap on concurrently open connections.

@@ -16,16 +16,18 @@
 //! finish, closes idle keep-alives, and then signals completion so the
 //! daemon can exit 0.
 
-use std::collections::HashMap;
+use std::ffi::OsString;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sa_bench::Harness;
 use sparseadapt::exec::Pool;
+use sparseadapt::memo::OnceMemo;
 use sparseadapt::trace_cache::TraceCache;
 use transmuter::workload::Workload;
 
@@ -98,8 +100,9 @@ impl DrainControl {
     }
 }
 
-/// Boot-time settings of the daemon.
-#[derive(Debug, Clone)]
+/// Boot-time settings of the daemon. Every field but `handle_signals`
+/// has a `serve` flag ([`ServeConfig::parse_flag`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (tests).
     pub addr: String,
@@ -146,13 +149,107 @@ impl Default for ServeConfig {
             cache_dir: None,
             cache_mem_cap: None,
             addr_file: None,
-            max_conns: reactor::MAX_CONNS,
-            idle_timeout_ms: reactor::IDLE_TIMEOUT_MS,
+            max_conns: 12_288,
+            idle_timeout_ms: 30_000,
             handle_signals: false,
             peer_fetch: false,
             peer_fetch_budget_ms: 25,
         }
     }
+}
+
+impl ServeConfig {
+    /// Applies one daemon flag of the `serve` command line, taking its
+    /// value from `args` when it has one. `Ok(false)` when `flag` is not
+    /// a daemon flag, so the caller can try its own.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag when its value is missing or malformed.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        args: &mut dyn Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        const POSITIVE: &str = "a positive integer";
+        match flag {
+            "--addr" => self.addr = flag_value(flag, args, "a value", |_| true)?,
+            "--workers" => self.workers = flag_value(flag, args, "an integer", |_| true)?,
+            "--queue-cap" => self.queue_cap = flag_value(flag, args, POSITIVE, |&n| n > 0)?,
+            "--max-conns" => self.max_conns = flag_value(flag, args, POSITIVE, |&n| n > 0)?,
+            "--idle-timeout-ms" => {
+                self.idle_timeout_ms = flag_value(flag, args, POSITIVE, |&n| n > 0)?
+            }
+            "--cache-dir" => self.cache_dir = Some(flag_value(flag, args, "a value", |_| true)?),
+            "--cache-mem-cap" => {
+                self.cache_mem_cap = Some(flag_value(flag, args, "a byte count", |_| true)?)
+            }
+            "--addr-file" => self.addr_file = Some(flag_value(flag, args, "a value", |_| true)?),
+            "--peer-fetch" => self.peer_fetch = true,
+            "--peer-fetch-budget-ms" => {
+                self.peer_fetch_budget_ms = flag_value(flag, args, POSITIVE, |&n| n > 0)?
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The daemon flags that [`ServeConfig::parse_flag`] turns back into
+    /// this config: how a router hands its settings to the shards it
+    /// spawns.
+    pub fn to_flags(&self) -> Vec<OsString> {
+        let mut flags: Vec<OsString> = [
+            ("--addr", self.addr.clone()),
+            ("--workers", self.workers.to_string()),
+            ("--queue-cap", self.queue_cap.to_string()),
+            ("--max-conns", self.max_conns.to_string()),
+            ("--idle-timeout-ms", self.idle_timeout_ms.to_string()),
+            (
+                "--peer-fetch-budget-ms",
+                self.peer_fetch_budget_ms.to_string(),
+            ),
+        ]
+        .into_iter()
+        .flat_map(|(flag, value)| [flag.into(), value.into()])
+        .collect();
+        if let Some(dir) = &self.cache_dir {
+            flags.extend(["--cache-dir".into(), dir.into()]);
+        }
+        if let Some(cap) = self.cache_mem_cap {
+            flags.extend(["--cache-mem-cap".into(), cap.to_string().into()]);
+        }
+        if let Some(path) = &self.addr_file {
+            flags.extend(["--addr-file".into(), path.into()]);
+        }
+        if self.peer_fetch {
+            flags.push("--peer-fetch".into());
+        }
+        flags
+    }
+
+    /// The reactor limits this config sets.
+    pub(crate) fn reactor_config(&self) -> reactor::ReactorConfig {
+        reactor::ReactorConfig {
+            max_conns: self.max_conns.max(1),
+            idle_timeout: Duration::from_millis(self.idle_timeout_ms.max(1)),
+        }
+    }
+}
+
+/// The next argument, parsed as a `T` that `valid` accepts, or an
+/// error naming `flag` and what it `needs`.
+fn flag_value<T: FromStr>(
+    flag: &str,
+    args: &mut dyn Iterator<Item = String>,
+    needs: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("{flag} needs {needs}"))
 }
 
 /// Everything the handlers share.
@@ -192,33 +289,7 @@ pub struct AppState {
     /// the suite size plus the set of uploaded matrices (tens of
     /// entries), so no eviction. Sound for uploads because `mtx:` ids
     /// embed the canonical content hash.
-    workloads: OnceMemo<(Arc<Workload>, u64)>,
-}
-
-/// A memo that fills each key once, outside the map's lock: the first
-/// caller for a key builds its value in the key's slot while later
-/// callers for that key wait on the slot, and callers for other keys
-/// wait on nothing. `sa_bench::models::shared_ensemble` keeps its
-/// ensembles the same way.
-#[derive(Debug)]
-struct OnceMemo<V>(Mutex<HashMap<String, Arc<OnceLock<V>>>>);
-
-impl<V: Clone> OnceMemo<V> {
-    fn new() -> Self {
-        OnceMemo(Mutex::new(HashMap::new()))
-    }
-
-    /// The value for `key`, built by `build` if no caller has built it.
-    fn get_or_build(&self, key: String, build: impl FnOnce() -> V) -> V {
-        let slot = Arc::clone(self.0.lock().expect("memo lock").entry(key).or_default());
-        slot.get_or_init(build).clone()
-    }
-
-    /// The value for `key` if its slot is filled. Never builds, and
-    /// gives up (`None`) rather than wait for the map's lock or a slot.
-    fn get(&self, key: &str) -> Option<V> {
-        self.0.try_lock().ok()?.get(key)?.get().cloned()
-    }
+    workloads: OnceMemo<String, (Arc<Workload>, u64)>,
 }
 
 impl AppState {
@@ -328,7 +399,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         reactor: Arc::new(ReactorStats::new()),
         topology: Mutex::new(None),
         self_addr: addr,
-        workloads: OnceMemo::new(),
+        workloads: OnceMemo::default(),
     });
     if config.peer_fetch {
         TraceCache::global().set_remote(Some(Arc::new(crate::peer_tier::PeerFetcher::new(
@@ -354,10 +425,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
             stats: Arc::clone(&state.reactor),
             metrics: Arc::clone(&state.metrics),
         },
-        reactor::ReactorConfig {
-            max_conns: config.max_conns.max(1),
-            idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
-        },
+        config.reactor_config(),
     )?;
 
     Ok(ServerHandle {
@@ -388,7 +456,6 @@ fn spawn_signal_watcher(fd: i32, drain: Arc<DrainControl>) {
 mod tests {
     use super::*;
     use crate::api::SimulateRequest;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     /// Runs `call` on `n` threads released at once; returns every result.
@@ -408,26 +475,6 @@ mod tests {
                 .map(|h| h.join().expect("caller"))
                 .collect()
         })
-    }
-
-    #[test]
-    fn concurrent_first_calls_build_once_in_the_slot() {
-        let memo = OnceMemo::new();
-        let builds = AtomicUsize::new(0);
-        assert_eq!(memo.get("k"), None, "an empty memo holds nothing");
-        let values = at_once(8, || {
-            memo.get_or_build("k".to_string(), || {
-                builds.fetch_add(1, Ordering::SeqCst);
-                // Widens the window in which the other callers find
-                // the build in flight; one build holds either way.
-                std::thread::sleep(Duration::from_millis(50));
-                Arc::new(7u64)
-            })
-        });
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
-        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
-        assert!(memo.get("k").is_some_and(|v| Arc::ptr_eq(&v, &values[0])));
-        assert_eq!(memo.get("other"), None);
     }
 
     #[test]
@@ -456,5 +503,89 @@ mod tests {
             .all(|(w, fp)| Arc::ptr_eq(w, workload) && fp == fingerprint));
         assert_eq!(*fingerprint, workload.fingerprint());
         assert_eq!(state.memoized_fingerprint(&resolved), Some(*fingerprint));
+    }
+
+    /// Parses `flags` as a `serve` command line of daemon flags only.
+    fn parse_flags(flags: Vec<OsString>) -> Result<ServeConfig, String> {
+        let mut args = flags
+            .into_iter()
+            .map(|f| f.into_string().expect("UTF-8 flag"));
+        let mut config = ServeConfig::default();
+        while let Some(flag) = args.next() {
+            assert!(
+                config.parse_flag(&flag, &mut args)?,
+                "{flag} is a daemon flag"
+            );
+        }
+        Ok(config)
+    }
+
+    #[test]
+    fn rendered_flags_parse_back_to_the_config() {
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 3,
+            queue_cap: 5,
+            cache_dir: Some(PathBuf::from("traces/shared cache")),
+            cache_mem_cap: Some(1 << 20),
+            addr_file: Some(PathBuf::from("run/shard-0.addr")),
+            max_conns: 7,
+            idle_timeout_ms: 300,
+            handle_signals: false,
+            peer_fetch: true,
+            peer_fetch_budget_ms: 9,
+        };
+        // Naming every field makes a new one fail to compile here until
+        // it is set away from its default below.
+        let ServeConfig {
+            addr,
+            workers,
+            queue_cap,
+            cache_dir,
+            cache_mem_cap,
+            addr_file,
+            max_conns,
+            idle_timeout_ms,
+            handle_signals: _,
+            peer_fetch,
+            peer_fetch_budget_ms,
+        } = &config;
+        let d = ServeConfig::default();
+        assert!(*addr != d.addr && *workers != d.workers && *queue_cap != d.queue_cap);
+        assert!(*cache_dir != d.cache_dir && *cache_mem_cap != d.cache_mem_cap);
+        assert!(*addr_file != d.addr_file && *max_conns != d.max_conns);
+        assert!(*idle_timeout_ms != d.idle_timeout_ms && *peer_fetch != d.peer_fetch);
+        assert!(*peer_fetch_budget_ms != d.peer_fetch_budget_ms);
+
+        assert_eq!(parse_flags(config.to_flags()), Ok(config));
+        assert_eq!(parse_flags(d.to_flags()), Ok(d));
+    }
+
+    #[test]
+    fn malformed_daemon_flags_are_named_and_others_passed_over() {
+        let flags = |args: &[&str]| args.iter().map(OsString::from).collect::<Vec<_>>();
+        for (args, message) in [
+            (
+                &["--idle-timeout-ms", "0"][..],
+                "--idle-timeout-ms needs a positive integer",
+            ),
+            (
+                &["--max-conns", "many"],
+                "--max-conns needs a positive integer",
+            ),
+            (&["--workers", "-1"], "--workers needs an integer"),
+            (
+                &["--cache-mem-cap", "1G"],
+                "--cache-mem-cap needs a byte count",
+            ),
+            (&["--addr"], "--addr needs a value"),
+        ] {
+            assert_eq!(parse_flags(flags(args)), Err(message.to_string()));
+        }
+        let mut rest = std::iter::empty();
+        assert_eq!(
+            ServeConfig::default().parse_flag("--router", &mut rest),
+            Ok(false)
+        );
     }
 }

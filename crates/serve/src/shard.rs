@@ -63,7 +63,7 @@ use crate::http::{read_response, write_request, Request, Response};
 use crate::metrics::{merge_snapshots, MetricsSnapshot, QueueGauges, ServerMetrics};
 use crate::queue;
 use crate::reactor::{self, ReactorStats, Reply, RouteFn};
-use crate::server::DrainControl;
+use crate::server::{DrainControl, ServeConfig};
 
 /// Virtual nodes per unit of shard weight on the hash ring. More vnodes
 /// smooth the key distribution and shrink the fraction of keys that
@@ -563,12 +563,6 @@ impl RouterState {
         self.view().shards.iter().map(|s| s.addr).collect()
     }
 
-    /// The current topology document (what `GET /v2/admin/topology`
-    /// serves).
-    pub fn topology_doc(&self) -> TopologyDoc {
-        self.view().doc()
-    }
-
     /// The current topology epoch.
     pub fn topology_epoch(&self) -> u64 {
         self.view().epoch
@@ -636,8 +630,11 @@ impl RouterState {
 /// Boot-time settings of the router.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Bind address; port 0 picks an ephemeral port.
-    pub addr: String,
+    /// Listener settings, parsed as a daemon's: the router binds `addr`
+    /// (port 0 picks an ephemeral port) and its reactor takes
+    /// `max_conns` and `idle_timeout_ms`. The router runs no
+    /// simulations, so it reads nothing else from here.
+    pub daemon: ServeConfig,
     /// Backend shard addresses, in initial ring order (ids `0..n`).
     pub shards: Vec<SocketAddr>,
     /// Per-shard ring weights; empty means every shard weighs 1.0,
@@ -708,7 +705,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         )),
         None => None,
     };
-    let listener = reactor::bind(&config.addr)?;
+    let listener = reactor::bind(&config.daemon.addr)?;
     let addr = listener.local_addr()?;
 
     let slots: Vec<Arc<ShardSlot>> = config
@@ -750,10 +747,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
             stats: Arc::clone(&state.reactor),
             metrics: Arc::clone(&state.metrics),
         },
-        reactor::ReactorConfig {
-            max_conns: reactor::MAX_CONNS,
-            idle_timeout: Duration::from_millis(reactor::IDLE_TIMEOUT_MS),
-        },
+        config.daemon.reactor_config(),
     )?;
     let health = {
         let state = Arc::clone(&state);
@@ -1358,20 +1352,14 @@ pub struct ShardSpawn {
     pub exe: PathBuf,
     /// Number of shards.
     pub count: usize,
-    /// Worker threads per shard (0 = per-shard default).
-    pub workers: usize,
-    /// Admission queue capacity per shard.
-    pub queue_cap: usize,
-    /// Shared on-disk trace-cache tier, mounted by every shard.
-    pub cache_dir: Option<PathBuf>,
-    /// Per-shard in-memory cache cap, bytes.
-    pub cache_mem_cap: Option<usize>,
+    /// Every shard's daemon settings, handed over as flags
+    /// ([`ServeConfig::to_flags`]). Each shard binds its own ephemeral
+    /// port and publishes it in `run_dir`, whatever `addr` and
+    /// `addr_file` say; a `cache_dir` is the disk tier every shard
+    /// mounts.
+    pub config: ServeConfig,
     /// Directory for the address rendezvous files.
     pub run_dir: PathBuf,
-    /// Enable shard-to-shard trace fetch-on-miss on every shard.
-    pub peer_fetch: bool,
-    /// Per-fetch wall-clock budget forwarded to every shard, ms.
-    pub peer_fetch_budget_ms: u64,
 }
 
 /// A spawned shard process; killed (and reaped) on drop.
@@ -1416,29 +1404,16 @@ pub fn spawn_shards(spawn: &ShardSpawn) -> io::Result<Vec<ShardChild>> {
     for i in 0..spawn.count {
         let addr_file = spawn.run_dir.join(format!("shard-{i}.addr"));
         let _ = std::fs::remove_file(&addr_file);
-        let mut cmd = std::process::Command::new(&spawn.exe);
-        cmd.arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--addr-file")
-            .arg(&addr_file)
-            .arg("--workers")
-            .arg(spawn.workers.to_string())
-            .arg("--queue-cap")
-            .arg(spawn.queue_cap.to_string())
+        let shard = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            addr_file: Some(addr_file.clone()),
+            ..spawn.config.clone()
+        };
+        let child = std::process::Command::new(&spawn.exe)
+            .args(shard.to_flags())
             .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-        if let Some(dir) = &spawn.cache_dir {
-            cmd.arg("--cache-dir").arg(dir);
-        }
-        if let Some(cap) = spawn.cache_mem_cap {
-            cmd.arg("--cache-mem-cap").arg(cap.to_string());
-        }
-        if spawn.peer_fetch {
-            cmd.arg("--peer-fetch")
-                .arg("--peer-fetch-budget-ms")
-                .arg(spawn.peer_fetch_budget_ms.to_string());
-        }
-        let child = cmd.spawn()?;
+            .stderr(std::process::Stdio::null())
+            .spawn()?;
         let addr = wait_for_addr(&addr_file, Duration::from_secs(10))?;
         children.push(ShardChild { addr, child });
     }
@@ -1808,7 +1783,10 @@ mod tests {
             .and_then(|l| l.local_addr())
             .expect("a free port");
         let router = start_router(RouterConfig {
-            addr: "127.0.0.1:0".to_string(),
+            daemon: ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                ..ServeConfig::default()
+            },
             shards: vec![dead],
             weights: Vec::new(),
             record: None,

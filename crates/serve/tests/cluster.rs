@@ -7,8 +7,10 @@
 //! cross-process disk tier, job polling, failover, record/replay,
 //! merged metrics, byte-exact proxying).
 
-use std::net::TcpStream;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serve::http::{read_response, write_request, Response};
@@ -124,7 +126,10 @@ fn router_answers_a_malformed_job_poll_like_its_shard() {
     })
     .expect("shard boots");
     let router = start_router(RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
+        daemon: ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        },
         shards: vec![shard.addr],
         weights: Vec::new(),
         record: None,
@@ -147,6 +152,101 @@ fn router_answers_a_malformed_job_poll_like_its_shard() {
     shard.shutdown();
 }
 
+/// A `serve --router` process; dropping it drains the router, whose
+/// exit takes down the shards it spawned (killing it would orphan
+/// them), and kills it only if the drain does not finish.
+struct RouterProcess {
+    child: Child,
+    addr: Option<SocketAddr>,
+}
+
+impl Drop for RouterProcess {
+    fn drop(&mut self) {
+        if let Some(addr) = self.addr {
+            if let Ok(mut stream) = TcpStream::connect(addr) {
+                // Waits for the answer: a client gone before the router
+                // reads its request is not served.
+                let _ = write_request(&mut stream, "POST", "/v2/admin/drain", Some(b"{}"))
+                    .and_then(|()| read_response(&stream));
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Instant::now() < deadline {
+                if matches!(self.child.try_wait(), Ok(Some(_))) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The router passes `--idle-timeout-ms` to its own reactor and to the
+/// shard it spawns: an idle connection to either closes well before
+/// the 30 s default.
+#[test]
+fn router_and_its_shard_close_idle_connections_at_the_flag_timeout() {
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .expect("clock")
+        .as_nanos();
+    let base = std::env::temp_dir().join(format!("sa_idle_{}_{nanos}", std::process::id()));
+    std::fs::create_dir_all(&base).expect("run dir");
+    let addr_file = base.join("router.addr");
+    let mut router = RouterProcess {
+        child: Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--router", "--shards", "1", "--workers", "1"])
+            .args(["--idle-timeout-ms", "300", "--addr", "127.0.0.1:0"])
+            .arg("--addr-file")
+            .arg(&addr_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("router starts"),
+        addr: None,
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let router_addr: SocketAddr = loop {
+        let published = std::fs::read_to_string(&addr_file).ok();
+        if let Some(addr) = published.and_then(|text| text.trim().parse().ok()) {
+            break addr;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "router never published its address"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    router.addr = Some(router_addr);
+    let topology = data_of(&get(&router_addr, "/v2/admin/topology"));
+    let Some(serde::Value::Arr(shards)) = field(&topology, &["shards"]) else {
+        panic!("topology without a shard list");
+    };
+    let shard_addr: SocketAddr = as_str(&field(&shards[0], &["addr"]).expect("shard addr"))
+        .parse()
+        .expect("shard addr parses");
+
+    for addr in [router_addr, shard_addr] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let started = Instant::now();
+        let n = stream
+            .read(&mut [0u8; 64])
+            .unwrap_or_else(|e| panic!("{addr} kept an idle connection open: {e}"));
+        assert_eq!(n, 0, "{addr}: expected a clean close");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "{addr} closed an idle connection after {:?}",
+            started.elapsed()
+        );
+    }
+    drop(router);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 #[test]
 fn cluster_end_to_end() {
     let nanos = SystemTime::now()
@@ -161,18 +261,21 @@ fn cluster_end_to_end() {
     let mut shards = spawn_shards(&ShardSpawn {
         exe: PathBuf::from(env!("CARGO_BIN_EXE_serve")),
         count: 3,
-        workers: 2,
-        queue_cap: 32,
-        cache_dir: Some(cache_dir.clone()),
-        cache_mem_cap: None,
-        peer_fetch: false,
-        peer_fetch_budget_ms: 25,
+        config: ServeConfig {
+            workers: 2,
+            queue_cap: 32,
+            cache_dir: Some(cache_dir.clone()),
+            ..ServeConfig::default()
+        },
         run_dir: base.join("run"),
     })
     .expect("shards boot");
     let shard_addrs: Vec<_> = shards.iter().map(|s| s.addr).collect();
     let router = start_router(RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
+        daemon: ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        },
         shards: shard_addrs.clone(),
         weights: Vec::new(),
         record: Some(record_path.clone()),

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serve::http::{read_response, write_request, Response};
 use serve::shard::{spawn_shards, ShardSpawn};
+use serve::ServeConfig;
 
 fn post(addr: &SocketAddr, target: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -124,12 +125,13 @@ fn peer_tier_cluster_end_to_end() {
         spawn_shards(&ShardSpawn {
             exe: exe.clone(),
             count,
-            workers: 2,
-            queue_cap: 32,
-            cache_dir: None,
-            cache_mem_cap: None,
-            peer_fetch,
-            peer_fetch_budget_ms: budget_ms,
+            config: ServeConfig {
+                workers: 2,
+                queue_cap: 32,
+                peer_fetch,
+                peer_fetch_budget_ms: budget_ms,
+                ..ServeConfig::default()
+            },
             run_dir: base.join(dir),
         })
         .expect("shards boot")

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serve::http::{read_response, write_request, Response};
 use serve::shard::{routing_key, spawn_shards, start_router, Ring, RouterConfig, ShardSpawn};
+use serve::ServeConfig;
 
 /// One HTTP exchange with arbitrary extra headers (`write_request`
 /// covers the plain case; the control plane also needs `If-Match`).
@@ -164,16 +165,17 @@ fn elastic_cluster_end_to_end() {
     std::fs::create_dir_all(&cache_dir).expect("cache dir");
     let exe = PathBuf::from(env!("CARGO_BIN_EXE_serve"));
 
+    let shard_config = ServeConfig {
+        workers: 2,
+        queue_cap: 64,
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    };
     let spawn_one = |run_dir: PathBuf| {
         spawn_shards(&ShardSpawn {
             exe: exe.clone(),
             count: 1,
-            workers: 2,
-            queue_cap: 64,
-            cache_dir: Some(cache_dir.clone()),
-            cache_mem_cap: None,
-            peer_fetch: false,
-            peer_fetch_budget_ms: 25,
+            config: shard_config.clone(),
             run_dir,
         })
         .expect("shard boots")
@@ -183,18 +185,16 @@ fn elastic_cluster_end_to_end() {
     let mut shards = spawn_shards(&ShardSpawn {
         exe: exe.clone(),
         count: 3,
-        workers: 2,
-        queue_cap: 64,
-        cache_dir: Some(cache_dir.clone()),
-        cache_mem_cap: None,
-        peer_fetch: false,
-        peer_fetch_budget_ms: 25,
+        config: shard_config.clone(),
         run_dir: base.join("run"),
     })
     .expect("shards boot");
     let shard_addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr).collect();
     let router = start_router(RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
+        daemon: ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        },
         shards: shard_addrs.clone(),
         weights: vec![1.0, 1.0, 2.0],
         record: None,
@@ -252,7 +252,10 @@ fn elastic_cluster_end_to_end() {
     // A router without --allow-admin refuses mutations but serves
     // reads.
     let readonly = start_router(RouterConfig {
-        addr: "127.0.0.1:0".to_string(),
+        daemon: ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        },
         shards: shard_addrs.clone(),
         weights: vec![1.0, 1.0, 2.0],
         record: None,

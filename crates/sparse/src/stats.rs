@@ -1,9 +1,8 @@
 //! Structural statistics of sparse matrices.
 //!
-//! Used by the generators' tests to verify pattern classes and by the
-//! experiment harness to report dataset properties alongside results
-//! (the paper's Table 5 lists dimension, NNZ and a spy plot per matrix;
-//! we report dimension, NNZ, density, degree skew and diagonal locality).
+//! The generators' and the suite's tests use them to check that each
+//! pattern class has the structure it claims: degree skew for power-law
+//! matrices, diagonal locality for banded ones.
 
 use crate::CsrMatrix;
 
@@ -59,31 +58,6 @@ pub fn mean_abs_diag_distance(m: &CsrMatrix) -> f64 {
     total / m.nnz() as f64
 }
 
-/// Maximum row degree — the hubbiest row.
-pub fn max_degree(m: &CsrMatrix) -> usize {
-    (0..m.rows()).map(|r| m.row_nnz(r)).max().unwrap_or(0)
-}
-
-/// Coefficient of variation (stddev / mean) of row degrees.
-pub fn degree_cv(m: &CsrMatrix) -> f64 {
-    let n = m.rows() as f64;
-    if n == 0.0 {
-        return 0.0;
-    }
-    let mean = m.nnz() as f64 / n;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    let var: f64 = (0..m.rows())
-        .map(|r| {
-            let d = m.row_nnz(r) as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / n;
-    var.sqrt() / mean
-}
-
 /// Fraction of non-zeros within `band` of the diagonal.
 pub fn band_fraction(m: &CsrMatrix, band: u32) -> f64 {
     if m.nnz() == 0 {
@@ -94,32 +68,6 @@ pub fn band_fraction(m: &CsrMatrix, band: u32) -> f64 {
         .filter(|&(r, c, _)| (r as i64 - c as i64).unsigned_abs() <= band as u64)
         .count();
     inside as f64 / m.nnz() as f64
-}
-
-/// A compact summary of a matrix's structure, for harness output.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StructureSummary {
-    /// Matrix dimension (square).
-    pub dim: u32,
-    /// Number of non-zeros.
-    pub nnz: usize,
-    /// Fraction of non-zero entries.
-    pub density: f64,
-    /// Gini coefficient of the row-degree distribution.
-    pub degree_gini: f64,
-    /// Mean |row − col| over non-zeros.
-    pub diag_distance: f64,
-}
-
-/// Computes a [`StructureSummary`].
-pub fn summarize(m: &CsrMatrix) -> StructureSummary {
-    StructureSummary {
-        dim: m.rows(),
-        nnz: m.nnz(),
-        density: m.density(),
-        degree_gini: degree_gini(m),
-        diag_distance: mean_abs_diag_distance(m),
-    }
 }
 
 #[cfg(test)]

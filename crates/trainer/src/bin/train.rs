@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use trainer::collect::{collect, CollectOptions};
 use trainer::scenarios::TrainingPreset;
-use trainer::train::{model_path, train_ensemble, TrainOptions};
+use trainer::train::{model_path, train_and_save_modes, TrainOptions};
 use transmuter::config::MemKind;
 use transmuter::metrics::OptMode;
 
@@ -78,11 +78,9 @@ fn main() -> std::io::Result<()> {
         if let Some(dir) = &csv {
             data.save_csvs(&dir.join(format!("{l1_kind:?}").to_lowercase()))?;
         }
+        train_and_save_modes(&out, l1_kind, &data, &topts)?;
         for mode in OptMode::ALL {
-            let ensemble = train_ensemble(&data.datasets_for(mode), &topts);
-            let path = model_path(&out, l1_kind, mode);
-            ensemble.save(&path)?;
-            eprintln!("wrote {}", path.display());
+            eprintln!("wrote {}", model_path(&out, l1_kind, mode).display());
         }
     }
     Ok(())

@@ -15,7 +15,10 @@
 //!    same traces are labelled twice, once per optimisation mode.
 //! 4. [`train`] — per-parameter decision trees, tuned by 3-fold
 //!    cross-validation over the §5.1 hyperparameter grid, assembled into
-//!    a [`sparseadapt::PredictiveEnsemble`].
+//!    a [`sparseadapt::PredictiveEnsemble`]. One collection trains both
+//!    modes' ensembles ([`train::train_and_save_modes`]), which the
+//!    `train` binary writes out and [`train::train_or_load`] caches on
+//!    a miss.
 //!
 //! # Example
 //!

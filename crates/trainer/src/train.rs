@@ -4,13 +4,14 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use mltree::cv::{default_grid, grid_search, GridSearchResult};
+use mltree::cv::{default_grid, grid_search};
 use mltree::{Dataset, DecisionTree, TreeParams};
 use sparseadapt::PredictiveEnsemble;
 use transmuter::config::{ConfigParam, MemKind};
 use transmuter::metrics::OptMode;
 
 use crate::collect::{collect, CollectOptions};
+use crate::TrainingData;
 
 /// Training options.
 #[derive(Debug, Clone, Copy)]
@@ -45,32 +46,19 @@ pub fn train_ensemble(
     datasets: &BTreeMap<ConfigParam, Dataset>,
     opts: &TrainOptions,
 ) -> PredictiveEnsemble {
-    let (ensemble, _) = train_ensemble_with_report(datasets, opts);
-    ensemble
-}
-
-/// Like [`train_ensemble`], also returning the per-parameter grid-search
-/// reports (empty when `opts.grid` is off).
-pub fn train_ensemble_with_report(
-    datasets: &BTreeMap<ConfigParam, Dataset>,
-    opts: &TrainOptions,
-) -> (PredictiveEnsemble, BTreeMap<ConfigParam, GridSearchResult>) {
     let mut trees = BTreeMap::new();
-    let mut reports = BTreeMap::new();
     for p in ConfigParam::ALL {
         let data = datasets
             .get(&p)
             .unwrap_or_else(|| panic!("missing dataset for {p:?}"));
         let tree = if opts.grid {
-            let (report, tree) = grid_search(data, &default_grid(), opts.cv_folds);
-            reports.insert(p, report);
-            tree
+            grid_search(data, &default_grid(), opts.cv_folds).1
         } else {
             DecisionTree::fit(data, &opts.fallback)
         };
         trees.insert(p, tree);
     }
-    (PredictiveEnsemble::new(trees), reports)
+    PredictiveEnsemble::new(trees)
 }
 
 /// Canonical model-file path for an (L1 kind, mode) pair.
@@ -82,9 +70,36 @@ pub fn model_path(dir: &Path, l1_kind: MemKind, mode: OptMode) -> PathBuf {
     dir.join(format!("sparseadapt-{kind}-{}.json", mode.name()))
 }
 
-/// Loads the cached model for (L1 kind, mode), or collects data, trains
-/// and saves it first. This is how the benches and examples obtain
-/// models without retraining on every run.
+/// Trains one ensemble per optimisation mode from one collection (the
+/// traces are mode-independent) and saves each at its [`model_path`]
+/// under `dir`, creating `dir` if needed. Returns the ensembles in
+/// [`OptMode::ALL`] order.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the model directory.
+pub fn train_and_save_modes(
+    dir: &Path,
+    l1_kind: MemKind,
+    data: &TrainingData,
+    opts: &TrainOptions,
+) -> io::Result<Vec<PredictiveEnsemble>> {
+    std::fs::create_dir_all(dir)?;
+    OptMode::ALL
+        .iter()
+        .map(|&mode| {
+            let ensemble = train_ensemble(&data.datasets_for(mode), opts);
+            ensemble.save(&model_path(dir, l1_kind, mode))?;
+            Ok(ensemble)
+        })
+        .collect()
+}
+
+/// Loads the cached model for (L1 kind, mode). On a miss it collects
+/// data once, trains and saves *both* modes' models
+/// ([`train_and_save_modes`]), and returns the one for `mode`. This is
+/// how the harness and the examples obtain models without retraining
+/// on every run.
 ///
 /// # Errors
 ///
@@ -100,48 +115,19 @@ pub fn train_or_load(
     if path.exists() {
         return PredictiveEnsemble::load(&path);
     }
-    std::fs::create_dir_all(dir)?;
     let data = collect(l1_kind, collect_opts);
-    let ensemble = train_ensemble(&data.datasets_for(mode), train_opts);
-    ensemble.save(&path)?;
-    Ok(ensemble)
-}
-
-/// Trains models for *both* modes from a single collection pass and
-/// caches them; returns the one for `mode`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the cache directory.
-pub fn train_or_load_both(
-    dir: &Path,
-    l1_kind: MemKind,
-    mode: OptMode,
-    collect_opts: &CollectOptions,
-    train_opts: &TrainOptions,
-) -> io::Result<PredictiveEnsemble> {
-    let path = model_path(dir, l1_kind, mode);
-    if path.exists() {
-        return PredictiveEnsemble::load(&path);
-    }
-    std::fs::create_dir_all(dir)?;
-    let data = collect(l1_kind, collect_opts);
-    let mut wanted = None;
-    for m in OptMode::ALL {
-        let ensemble = train_ensemble(&data.datasets_for(m), train_opts);
-        ensemble.save(&model_path(dir, l1_kind, m))?;
-        if m == mode {
-            wanted = Some(ensemble);
-        }
-    }
-    Ok(wanted.expect("mode trained"))
+    let mut trained = train_and_save_modes(dir, l1_kind, &data, train_opts)?;
+    let at = OptMode::ALL
+        .iter()
+        .position(|&m| m == mode)
+        .expect("OptMode::ALL lists every mode");
+    Ok(trained.swap_remove(at))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenarios::TrainingPreset;
-    use mltree::Classifier;
 
     fn tiny_data() -> crate::TrainingData {
         collect(
@@ -173,7 +159,7 @@ mod tests {
 
     #[test]
     fn train_or_load_caches_to_disk() {
-        let dir = std::env::temp_dir().join("sa-test-models");
+        let dir = std::env::temp_dir().join(format!("sa-test-models-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let copts = CollectOptions {
             preset: TrainingPreset::Tiny,
@@ -185,25 +171,17 @@ mod tests {
             grid: false,
             ..TrainOptions::default()
         };
-        let a = train_or_load(
-            &dir,
-            MemKind::Cache,
-            OptMode::EnergyEfficient,
-            &copts,
-            &topts,
-        )
-        .unwrap();
-        assert!(model_path(&dir, MemKind::Cache, OptMode::EnergyEfficient).exists());
-        // Second call loads the identical model.
-        let b = train_or_load(
-            &dir,
-            MemKind::Cache,
-            OptMode::EnergyEfficient,
-            &copts,
-            &topts,
-        )
-        .unwrap();
-        assert_eq!(a, b);
+        let load = |mode| train_or_load(&dir, MemKind::Cache, mode, &copts, &topts).unwrap();
+        let saved = |mode| PredictiveEnsemble::load(&model_path(&dir, MemKind::Cache, mode));
+        // One miss trains and saves both modes from one collection, and
+        // returns the one asked for.
+        let pp = load(OptMode::PowerPerformance);
+        let ee = saved(OptMode::EnergyEfficient).expect("the miss saved EE too");
+        assert_eq!(pp, saved(OptMode::PowerPerformance).unwrap());
+        assert_ne!(pp, ee, "the modes' labels differ, so their trees do");
+        // Later calls load the saved files, whichever mode they ask for.
+        assert_eq!(load(OptMode::EnergyEfficient), ee);
+        assert_eq!(load(OptMode::PowerPerformance), pp);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

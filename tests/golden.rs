@@ -24,9 +24,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use sa_bench::experiments::Kernel;
 use sa_bench::workloads;
+use sparse::gen::GenSeed;
 use sparse::suite::{spec_by_id, Scale};
-use transmuter::config::{MachineSpec, MemKind, TransmuterConfig};
+use transmuter::config::{ClockFreq, MachineSpec, MemKind, SharingMode, TransmuterConfig};
 use transmuter::machine::{EpochRecord, Machine, StaticController};
 use transmuter::workload::Workload;
 
@@ -73,28 +75,38 @@ struct Scenario {
     workload: Workload,
 }
 
-/// Loads a checked-in `.mtx` fixture as CSR.
-fn fixture_csr(name: &str) -> sparse::CsrMatrix {
+/// Loads a checked-in `.mtx` fixture.
+fn fixture(name: &str) -> sparse::CooMatrix {
     let path = repo_path(&format!("tests/fixtures/{name}"));
     sparse::mtx::load(&path)
         .unwrap_or_else(|e| panic!("cannot load fixture {}: {e}", path.display()))
         .matrix
-        .to_csr()
 }
 
 /// The golden matrix: one representative of each kernel family, plus
 /// configuration variety (baseline vs tuned, prefetch on/off, shared vs
-/// private) so every machine subsystem contributes to some digest.
+/// private, 4 kB vs larger banks, cache vs scratchpad L1) so every
+/// machine subsystem contributes to some digest.
 fn scenarios() -> Vec<Scenario> {
     let n_gpes = 16;
     let quick = Scale::Quick;
     let r02 = spec_by_id("R02").expect("R02 in suite");
+    let r09 = spec_by_id("R09").expect("R09 in suite");
     let r12 = spec_by_id("R12").expect("R12 in suite");
 
     let mut tuned = TransmuterConfig::best_avg_cache();
     tuned.prefetch_degree = 8;
     let mut no_prefetch = TransmuterConfig::best_avg_cache();
     no_prefetch.prefetch_degree = 0;
+    let big_private = TransmuterConfig {
+        l1_kind: MemKind::Cache,
+        l1_sharing: SharingMode::Private,
+        l2_sharing: SharingMode::Private,
+        l1_capacity_kb: 32,
+        l2_capacity_kb: 64,
+        clock: ClockFreq::Mhz500,
+        prefetch_degree: 4,
+    };
 
     vec![
         Scenario {
@@ -140,19 +152,14 @@ fn scenarios() -> Vec<Scenario> {
             name: "spmv-wing64-baseline",
             spec: workloads::spmspv_spec(quick),
             config: TransmuterConfig::baseline(),
-            workload: workloads::spmv_workload_csr(
-                &fixture_csr("wing_64.mtx"),
-                MemKind::Cache,
-                19,
-                n_gpes,
-            ),
+            workload: Kernel::SpMV.workload(&fixture("wing_64.mtx"), MemKind::Cache, 19, n_gpes),
         },
         Scenario {
             name: "sptrsv-mesh48-tuned",
             spec: workloads::spmspv_spec(quick),
             config: tuned,
-            workload: workloads::sptrsv_workload_csr(
-                &fixture_csr("mesh_sym_48.mtx"),
+            workload: Kernel::SpTRSV.workload(
+                &fixture("mesh_sym_48.mtx"),
                 MemKind::Cache,
                 23,
                 n_gpes,
@@ -162,10 +169,30 @@ fn scenarios() -> Vec<Scenario> {
             name: "symgs-net56-baseline",
             spec: workloads::spmspv_spec(quick),
             config: TransmuterConfig::baseline(),
-            workload: workloads::symgs_workload_csr(
-                &fixture_csr("net_pat_56.mtx"),
+            workload: Kernel::SymGS.workload(
+                &fixture("net_pat_56.mtx"),
                 MemKind::Cache,
                 29,
+                n_gpes,
+            ),
+        },
+        // Larger banks on both layers, both private, at half clock: the
+        // scenarios above all run 4 kB banks with a shared L2.
+        Scenario {
+            name: "spmspm-r02-bigbank-private",
+            spec: workloads::spmspm_spec(quick),
+            config: big_private,
+            workload: workloads::spmspm_workload(&r02, quick, MemKind::Cache, 7, n_gpes),
+        },
+        // A scratchpad L1 (Best Avg SPM: 32 kB private L2).
+        Scenario {
+            name: "spmv-r09-spm",
+            spec: workloads::spmspv_spec(quick),
+            config: TransmuterConfig::best_avg_spm(),
+            workload: Kernel::SpMV.workload(
+                &r09.generate(quick, GenSeed(31)),
+                MemKind::Spm,
+                31,
                 n_gpes,
             ),
         },
