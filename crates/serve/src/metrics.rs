@@ -232,8 +232,8 @@ pub struct MetricsSnapshot {
 }
 
 /// JSON shape of the reactor's connection gauges in `/metrics`.
-/// Counters are cumulative since boot; `conns_*` are point-in-time
-/// gauges sampled at render.
+/// Counters are cumulative since boot; `conns_*` and `timer_entries`
+/// are point-in-time gauges, published by the reactor every loop turn.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReactorSnapshot {
     /// Open connections (any state).
@@ -258,6 +258,9 @@ pub struct ReactorSnapshot {
     pub shed_503_total: u64,
     /// Idle keep-alive connections reaped by the timer wheel.
     pub idle_closed_total: u64,
+    /// Idle-timer hints the wheel holds: one per open connection, plus
+    /// the hints of connections closed since their hint last fired.
+    pub timer_entries: u64,
 }
 
 /// JSON shape of the trace-cache stats (mirrors
@@ -367,6 +370,7 @@ pub fn merge_snapshots(snaps: &[MetricsSnapshot]) -> Option<MetricsSnapshot> {
         r.accept_overflows_total += s.reactor.accept_overflows_total;
         r.shed_503_total += s.reactor.shed_503_total;
         r.idle_closed_total += s.reactor.idle_closed_total;
+        r.timer_entries += s.reactor.timer_entries;
         merged.topology_epoch = merged.topology_epoch.max(s.topology_epoch);
     }
     merged.latency.rederive();
@@ -561,6 +565,7 @@ mod tests {
         );
         snap_a.reactor.conns_open = 100;
         snap_a.reactor.shed_503_total = 3;
+        snap_a.reactor.timer_entries = 100;
         snap_a.topology_epoch = 3;
         snap_a.answer_memo = AnswerMemoStats {
             hits: 40,
@@ -576,6 +581,7 @@ mod tests {
         );
         snap_b.reactor.conns_open = 50;
         snap_b.reactor.epoll_wakeups_total = 7;
+        snap_b.reactor.timer_entries = 51;
         snap_b.topology_epoch = 5;
         snap_b.answer_memo.hits = 2;
         snap_b.answer_memo.fills = 3;
@@ -585,6 +591,7 @@ mod tests {
         assert_eq!(m.reactor.conns_open, 150);
         assert_eq!(m.reactor.shed_503_total, 3);
         assert_eq!(m.reactor.epoll_wakeups_total, 7);
+        assert_eq!(m.reactor.timer_entries, 151);
         assert_eq!(
             m.answer_memo,
             AnswerMemoStats {

@@ -49,6 +49,10 @@ pub(crate) struct Conn {
     pub idle_deadline: Instant,
     /// Current epoll interest mask (dedups `epoll_ctl` MODs).
     pub interest: u32,
+    /// The peer shut its write side: nothing more will be read, and the
+    /// connection closes once the complete requests it buffered are
+    /// answered.
+    pub eof: bool,
 }
 
 /// A slab entry: the live connection (if any) plus the slot's
@@ -173,6 +177,7 @@ mod tests {
                 close_after_write: false,
                 idle_deadline: Instant::now(),
                 interest: 0,
+                eof: false,
             }
         };
         let (slot, gen0) = slab.insert(make());

@@ -4,11 +4,14 @@
 //! a [`Reply`]. Whoever ends up holding the reply — the loop itself for
 //! a route that only reads in-process state or a memory hit, a pool
 //! worker for anything that simulates, reads disk or talks to the
-//! network — renders the response to bytes and
-//! pushes a [`Completion`] onto the shared completion queue, signalling
-//! the reactor through an eventfd so its `epoll_wait` call wakes
-//! immediately.
+//! network — renders the response to bytes and pushes a [`Completion`]
+//! onto the reactor's completion queue. The reactor takes the queue at
+//! the end of every loop turn and writes what it holds. A push from a
+//! pool worker also signals the queue's eventfd, so the reactor's
+//! `epoll_wait` wakes at once; a push from the loop thread itself does
+//! not, because that thread takes the queue before it waits again.
 
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -64,6 +67,13 @@ impl Drop for EventFd {
     }
 }
 
+thread_local! {
+    /// Address of the completion queue whose reactor runs on this
+    /// thread (0 on every other thread): see
+    /// [`CompletionQueue::mark_loop_thread`].
+    static LOOP_QUEUE: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Completions accumulated for the reactor, paired with the eventfd
 /// that wakes it.
 pub(crate) struct CompletionQueue {
@@ -85,21 +95,53 @@ impl CompletionQueue {
         self.wake.fd()
     }
 
-    /// Queues a completion and wakes the reactor. A poisoned lock is
-    /// recovered: every push leaves the vector valid, and this runs in
-    /// [`Reply`]'s `Drop`, which must not panic.
+    /// Records the calling thread as this queue's reactor thread: a
+    /// push from it needs no wakeup, since that thread takes the queue
+    /// at the end of its loop turn.
+    pub fn mark_loop_thread(&self) {
+        LOOP_QUEUE.with(|q| q.set(self as *const CompletionQueue as usize));
+    }
+
+    /// Queues a completion, and wakes the reactor unless this is its
+    /// own thread. A poisoned lock is recovered: every push leaves the
+    /// vector valid, and this runs in [`Reply`]'s `Drop`, which must
+    /// not panic.
     pub fn push(&self, completion: Completion) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(completion);
-        self.wake.signal();
+        if LOOP_QUEUE.with(Cell::get) != self as *const CompletionQueue as usize {
+            self.wake.signal();
+        }
     }
 
-    /// Takes every pending completion and clears the wake signal.
-    pub fn drain(&self) -> Vec<Completion> {
+    /// Whether any completion waits to be taken.
+    pub fn has_pending(&self) -> bool {
+        !self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
+    }
+
+    /// Swaps every pending completion into `batch`, which must be
+    /// empty; its capacity becomes the queue's, so neither side
+    /// allocates once both have grown. The wake signal is left alone:
+    /// the reactor clears it with [`CompletionQueue::clear_wake`] when
+    /// epoll reports it.
+    pub fn take_into(&self, batch: &mut Vec<Completion>) {
+        debug_assert!(batch.is_empty());
+        std::mem::swap(
+            &mut *self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+            batch,
+        );
+    }
+
+    /// Clears the wake signal so level-triggered epoll stops reporting
+    /// it.
+    pub fn clear_wake(&self) {
         self.wake.drain();
-        std::mem::take(&mut *self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -207,8 +249,9 @@ impl Reply {
             Arc::clone(&completions),
         );
         let answers = move || {
-            completions
-                .drain()
+            let mut batch = Vec::new();
+            completions.take_into(&mut batch);
+            batch
                 .into_iter()
                 .map(|c| String::from_utf8(c.bytes).expect("UTF-8 response"))
                 .collect()

@@ -8,14 +8,22 @@
 //! loop parses each request and calls the route with a [`Reply`].
 //! Routes that only read in-process state answer on the loop, and so do
 //! simulate and recommend requests whose trace or model is already in
-//! memory (see [`crate::handlers`]). Every other request goes to the
-//! bounded pool, whose worker renders the response and hands the bytes
-//! back through a completion queue + eventfd wakeup (see `dispatch`).
-//! Nothing that simulates, reads disk, loads a model or talks to the
-//! network runs on the loop thread, and the loop decodes no request
-//! body larger than [`crate::handlers::LOOP_BODY_MAX`]. A simulate or
-//! recommend body it answered before is not decoded at all: the
+//! memory (see [`crate::handlers`]); the loop writes those answers at
+//! the end of the same turn. Every other request goes to the bounded
+//! pool, whose worker renders the response and hands the bytes back
+//! through the completion queue, waking the loop through its eventfd
+//! (see `dispatch`). Nothing that simulates, reads disk, loads a model
+//! or talks to the network runs on the loop thread, and the loop
+//! decodes no request body larger than
+//! [`crate::handlers::LOOP_BODY_MAX`]. A simulate or recommend body it
+//! answered before is not decoded at all: the
 //! [answer memo](crate::answer_memo) answers it from its bytes.
+//!
+//! A request answered on the loop costs the reactor a fixed amount: one
+//! `epoll_wait` return, one read (a read shorter than the reactor's
+//! buffer drained the socket, and level-triggered epoll reports any
+//! later bytes again) and the writes of its answer. What the reactor
+//! keeps per connection does not grow with the requests it serves.
 //!
 //! Backpressure and robustness rules:
 //! - **Connection cap**: accepts beyond `max_conns` get an immediate
@@ -27,7 +35,12 @@
 //!   connection and arm `EPOLLOUT`; nothing ever blocks in `write`.
 //! - **Slowloris**: the idle deadline is set when a connection enters
 //!   `Reading` and *not* refreshed by partial header bytes, so a client
-//!   trickling one byte per second still expires on time.
+//!   trickling one byte per second still expires on time. Each open
+//!   connection holds one timer-wheel hint, scheduled at accept; a hint
+//!   that fires rechecks the deadline and reschedules itself once.
+//! - **Half-close**: a peer that shuts its write side still gets every
+//!   complete request it sent answered, in order, before the reactor
+//!   closes the connection; after EOF the socket leaves the read set.
 //! - **Read hygiene**: sockets stay readable while a request is in
 //!   flight (pipelined bytes buffer in the parser), but interest drops
 //!   once a peer has buffered more than a full request's worth.
@@ -53,8 +66,8 @@ use crate::metrics::{ReactorSnapshot, ServerMetrics};
 use crate::server::DrainControl;
 
 use conn::{token, untoken, Conn, ConnState, Slab};
-use dispatch::CompletionQueue;
 pub use dispatch::Reply;
+use dispatch::{Completion, CompletionQueue};
 use timer::TimerWheel;
 
 /// A request handler driving one listener: it answers through the
@@ -69,7 +82,7 @@ const TOK_LISTENER: u64 = u64::MAX;
 const TOK_WAKE: u64 = u64::MAX - 1;
 /// `epoll_wait` timeout: bounds drain/stop latency when no events fire.
 const WAIT_MS: i32 = 50;
-/// Per-read scratch buffer size.
+/// Size of the reactor's one read buffer.
 const READ_CHUNK: usize = 16 * 1024;
 /// Backoff hint attached to shed 503s.
 const SHED_RETRY_MS: u64 = 1000;
@@ -99,6 +112,7 @@ pub struct ReactorStats {
     accept_overflows_total: AtomicU64,
     shed_503_total: AtomicU64,
     idle_closed_total: AtomicU64,
+    timer_entries: AtomicU64,
 }
 
 impl ReactorStats {
@@ -122,6 +136,7 @@ impl ReactorStats {
             accept_overflows_total: self.accept_overflows_total.load(Ordering::Relaxed),
             shed_503_total: self.shed_503_total.load(Ordering::Relaxed),
             idle_closed_total: self.idle_closed_total.load(Ordering::Relaxed),
+            timer_entries: self.timer_entries.load(Ordering::Relaxed),
         }
     }
 }
@@ -202,6 +217,8 @@ pub(crate) fn spawn(
         shared,
         stop: Arc::clone(&stop),
         completions,
+        batch: Vec::new(),
+        read_buf: vec![0; READ_CHUNK],
         cfg,
         active: 0,
         draining: false,
@@ -243,6 +260,11 @@ struct Reactor {
     shared: Shared,
     stop: Arc<AtomicBool>,
     completions: Arc<CompletionQueue>,
+    /// The completions being written this turn (empty between turns; it
+    /// trades its capacity with the queue's, see `write_completions`).
+    batch: Vec<Completion>,
+    /// Every socket read lands here before it feeds a parser.
+    read_buf: Vec<u8>,
     cfg: ReactorConfig,
     /// Connections in `Dispatched` or `Writing` state.
     active: usize,
@@ -251,12 +273,21 @@ struct Reactor {
 
 impl Reactor {
     fn run(&mut self) {
+        self.completions.mark_loop_thread();
         let mut events = vec![sysio::EpollEvent::default(); 1024];
         while !self.stop.load(Ordering::SeqCst) {
             if self.shared.drain.requested() && !self.draining {
                 self.begin_drain();
             }
-            let n = match sysio::epoll_wait(self.epfd, &mut events, WAIT_MS) {
+            // Answers the loop queued while the last turn wrote (a
+            // pipelining peer's next request) are due now: poll, don't
+            // sleep.
+            let timeout = if self.completions.has_pending() {
+                0
+            } else {
+                WAIT_MS
+            };
+            let n = match sysio::epoll_wait(self.epfd, &mut events, timeout) {
                 Ok(n) => n,
                 Err(_) => break,
             };
@@ -269,13 +300,14 @@ impl Reactor {
             for ev in &events[..n] {
                 match ev.data {
                     TOK_LISTENER => self.accept_burst(),
-                    TOK_WAKE => self.drain_completions(),
+                    TOK_WAKE => self.completions.clear_wake(),
                     data => {
                         let (slot, gen) = untoken(data);
                         self.conn_event(slot, gen, ev.events);
                     }
                 }
             }
+            self.write_completions();
             self.tick_timers();
             self.publish_gauges();
             if self.draining && self.drain_complete() {
@@ -295,6 +327,10 @@ impl Reactor {
             .stats
             .conns_active
             .store(self.active as u64, Ordering::Relaxed);
+        self.shared
+            .stats
+            .timer_entries
+            .store(self.wheel.len() as u64, Ordering::Relaxed);
     }
 
     // -- accept path ----------------------------------------------------
@@ -341,6 +377,7 @@ impl Reactor {
                         close_after_write: false,
                         idle_deadline: deadline,
                         interest: EPOLLIN | EPOLLRDHUP,
+                        eof: false,
                     });
                     if sysio::epoll_add(self.epfd, fd, EPOLLIN | EPOLLRDHUP, token(slot, gen))
                         .is_err()
@@ -348,7 +385,8 @@ impl Reactor {
                         self.slab.remove(slot);
                         continue;
                     }
-                    self.wheel.schedule(slot, now, deadline);
+                    // The connection's one idle hint, for its lifetime.
+                    self.wheel.schedule(token(slot, gen), now, deadline);
                     // The peer may already have written a request.
                     self.conn_event(slot, gen, EPOLLIN);
                 }
@@ -376,11 +414,12 @@ impl Reactor {
         }
     }
 
-    /// Reads everything available into the connection's parser. Returns
-    /// through [`Reactor::close_conn`] on EOF/error.
+    /// Reads what the socket holds into the connection's parser, then
+    /// parses. One read usually suffices: a read shorter than the
+    /// buffer drained the socket, and level-triggered epoll reports any
+    /// later bytes, and EOF, again. EOF only marks the connection: the
+    /// requests it buffered are still answered (see `advance_parse`).
     fn do_read(&mut self, slot: u32) {
-        let mut buf = [0u8; READ_CHUNK];
-        let mut saw_eof = false;
         loop {
             let Some(conn) = self.slab.get_mut_unchecked(slot) else {
                 return;
@@ -388,15 +427,20 @@ impl Reactor {
             // Past a full request's worth of buffered bytes, stop
             // reading: interest drops below and epoll stays quiet until
             // the in-flight response frees the buffer.
-            if conn.parser.buffered() > MAX_HEAD_BYTES + MAX_BODY_BYTES {
+            if conn.eof || conn.parser.buffered() > MAX_HEAD_BYTES + MAX_BODY_BYTES {
                 break;
             }
-            match (&conn.stream).read(&mut buf) {
+            match (&conn.stream).read(&mut self.read_buf) {
                 Ok(0) => {
-                    saw_eof = true;
+                    conn.eof = true;
                     break;
                 }
-                Ok(n) => conn.parser.feed(&buf[..n]),
+                Ok(n) => {
+                    conn.parser.feed(&self.read_buf[..n]);
+                    if n < self.read_buf.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -405,18 +449,12 @@ impl Reactor {
                 }
             }
         }
-        if saw_eof {
-            // Peer closed its write side. A response still in flight
-            // (Dispatched/Writing) could in principle be flushed, but a
-            // closed reader rarely wants it; mid-body disconnects fold
-            // into the same path.
-            self.close_conn(slot);
-            return;
-        }
         self.advance_parse(slot);
     }
 
     /// Peels the next request if the connection is idle in `Reading`.
+    /// Once the peer has sent EOF and no complete request is left, the
+    /// connection closes.
     fn advance_parse(&mut self, slot: u32) {
         let Some(conn) = self.slab.get_mut_unchecked(slot) else {
             return;
@@ -427,21 +465,32 @@ impl Reactor {
             self.update_interest(slot);
             return;
         }
-        if conn.parser.buffered() > 0 {
-            match conn.parser.next_request() {
-                Parsed::Incomplete => {
+        let parsed = if conn.parser.buffered() > 0 {
+            conn.parser.next_request()
+        } else {
+            Parsed::Incomplete
+        };
+        match parsed {
+            Parsed::Incomplete if conn.eof => {
+                // Every complete request the peer sent is answered, and
+                // nothing more can arrive; mid-body disconnects end here.
+                self.close_conn(slot);
+                return;
+            }
+            Parsed::Incomplete => {
+                if conn.parser.buffered() > 0 {
                     self.shared
                         .stats
                         .partial_reads_total
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                Parsed::Request(req) => {
-                    self.dispatch(slot, *req);
-                }
-                Parsed::Malformed(resp) => {
-                    let bytes = response_bytes(&resp, false);
-                    self.queue_write(slot, bytes, true);
-                }
+            }
+            Parsed::Request(req) => {
+                self.dispatch(slot, *req);
+            }
+            Parsed::Malformed(resp) => {
+                let bytes = response_bytes(&resp, false);
+                self.queue_write(slot, bytes, true);
             }
         }
         self.update_interest(slot);
@@ -449,8 +498,11 @@ impl Reactor {
 
     /// Hands a parsed request to the route. Its answer arrives through
     /// the completion queue, even when the route answers on this thread:
-    /// the next loop turn writes it, so a peer pipelining thousands of
-    /// inline requests cannot recurse the loop or starve other sockets.
+    /// the loop writes what the queue holds at the end of this turn, and
+    /// an answer queued while those writes run (the next request of a
+    /// pipelining peer) waits for the next turn, so such a peer gets one
+    /// answer per turn and can neither recurse the loop nor starve other
+    /// sockets.
     fn dispatch(&mut self, slot: u32, req: Request) {
         let keep_alive = req.keep_alive() && !self.shared.drain.requested();
         let gen = current_gen(&self.slab, slot);
@@ -543,17 +595,21 @@ impl Reactor {
         conn.out = Vec::new();
         conn.out_pos = 0;
         conn.state = ConnState::Reading;
-        let now = Instant::now();
-        conn.idle_deadline = now + idle_timeout;
-        self.wheel.schedule(slot, now, conn.idle_deadline);
+        // The connection's hint sees the new deadline when it fires.
+        conn.idle_deadline = Instant::now() + idle_timeout;
         self.advance_parse(slot);
         true
     }
 
     // -- completions ----------------------------------------------------
 
-    fn drain_completions(&mut self) {
-        for completion in self.completions.drain() {
+    /// Writes every answer queued so far, from the loop or the pool.
+    /// Answers queued while these writes run wait for the next turn
+    /// (see `dispatch`).
+    fn write_completions(&mut self) {
+        let mut batch = std::mem::take(&mut self.batch);
+        self.completions.take_into(&mut batch);
+        for completion in batch.drain(..) {
             let Some(conn) = self.slab.get_mut(completion.slot, completion.gen) else {
                 continue; // connection died while the handler ran
             };
@@ -561,6 +617,7 @@ impl Reactor {
             self.active = self.active.saturating_sub(1);
             self.queue_write(completion.slot, completion.bytes, completion.close_after);
         }
+        self.batch = batch;
     }
 
     // -- interest management --------------------------------------------
@@ -573,9 +630,11 @@ impl Reactor {
         let Some(conn) = self.slab.get_mut_unchecked(slot) else {
             return;
         };
-        let mut want = EPOLLRDHUP;
-        if conn.parser.buffered() <= MAX_HEAD_BYTES + MAX_BODY_BYTES {
-            want |= EPOLLIN;
+        // After EOF, level-triggered read interest would report the
+        // EOF on every turn.
+        let mut want = 0;
+        if !conn.eof && conn.parser.buffered() <= MAX_HEAD_BYTES + MAX_BODY_BYTES {
+            want |= EPOLLIN | EPOLLRDHUP;
         }
         if conn.state == ConnState::Writing && conn.out_pos < conn.out.len() {
             want |= EPOLLOUT;
@@ -589,11 +648,15 @@ impl Reactor {
 
     // -- timers ----------------------------------------------------------
 
+    /// Fires the due idle hints. A hint whose connection closed (its
+    /// generation moved on) is dropped; any other closes its connection
+    /// if it idled past its deadline, or reschedules itself once.
     fn tick_timers(&mut self) {
         let now = Instant::now();
-        for slot in self.wheel.expired(now) {
-            let Some(conn) = self.slab.get_mut_unchecked(slot) else {
-                continue; // closed since scheduling; wheel entry is stale
+        for hint in self.wheel.expired(now) {
+            let (slot, gen) = untoken(hint);
+            let Some(conn) = self.slab.get_mut(slot, gen) else {
+                continue;
             };
             if conn.state == ConnState::Reading && now >= conn.idle_deadline {
                 self.shared
@@ -602,10 +665,11 @@ impl Reactor {
                     .fetch_add(1, Ordering::Relaxed);
                 self.close_conn(slot);
             } else {
-                // Early fire (clamped horizon) or mid-request: keep
-                // watching against the authoritative deadline.
+                // Early fire (clamped horizon, or activity pushed the
+                // deadline out) or mid-request: keep watching against
+                // the authoritative deadline.
                 let deadline = conn.idle_deadline.max(now + Duration::from_millis(100));
-                self.wheel.schedule(slot, now, deadline);
+                self.wheel.schedule(hint, now, deadline);
             }
         }
     }

@@ -164,17 +164,10 @@ impl Drop for RouterProcess {
     fn drop(&mut self) {
         if let Some(addr) = self.addr {
             if let Ok(mut stream) = TcpStream::connect(addr) {
-                // Waits for the answer: a client gone before the router
-                // reads its request is not served.
-                let _ = write_request(&mut stream, "POST", "/v2/admin/drain", Some(b"{}"))
-                    .and_then(|()| read_response(&stream));
+                let _ = write_request(&mut stream, "POST", "/v2/admin/drain", Some(b"{}"));
             }
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while Instant::now() < deadline {
-                if matches!(self.child.try_wait(), Ok(Some(_))) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
+            if self.exited_within(Duration::from_secs(10)) {
+                return;
             }
         }
         let _ = self.child.kill();
@@ -182,51 +175,79 @@ impl Drop for RouterProcess {
     }
 }
 
+impl RouterProcess {
+    /// Spawns `serve --router` over one shard with `flags` under `base`
+    /// and waits for it to publish its address. Returns the router and
+    /// the address of its shard.
+    fn spawn(base: &std::path::Path, flags: &[&str]) -> (RouterProcess, SocketAddr) {
+        std::fs::create_dir_all(base).expect("run dir");
+        let addr_file = base.join("router.addr");
+        let mut router = RouterProcess {
+            child: Command::new(env!("CARGO_BIN_EXE_serve"))
+                .args(["--router", "--shards", "1", "--workers", "1"])
+                .args(["--addr", "127.0.0.1:0"])
+                .args(flags)
+                .arg("--addr-file")
+                .arg(&addr_file)
+                .stdout(Stdio::null())
+                .stderr(Stdio::null())
+                .spawn()
+                .expect("router starts"),
+            addr: None,
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let router_addr: SocketAddr = loop {
+            let published = std::fs::read_to_string(&addr_file).ok();
+            if let Some(addr) = published.and_then(|text| text.trim().parse().ok()) {
+                break addr;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "router never published its address"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        router.addr = Some(router_addr);
+        let topology = data_of(&get(&router_addr, "/v2/admin/topology"));
+        let Some(serde::Value::Arr(shards)) = field(&topology, &["shards"]) else {
+            panic!("topology without a shard list");
+        };
+        let shard_addr = as_str(&field(&shards[0], &["addr"]).expect("shard addr"))
+            .parse()
+            .expect("shard addr parses");
+        (router, shard_addr)
+    }
+
+    /// Whether the process exits by itself within `limit`.
+    fn exited_within(&mut self, limit: Duration) -> bool {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            if matches!(self.child.try_wait(), Ok(Some(_))) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        false
+    }
+}
+
+/// A fresh run directory under the system temp dir.
+fn run_dir(tag: &str) -> PathBuf {
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .expect("clock")
+        .as_nanos();
+    std::env::temp_dir().join(format!("sa_{tag}_{}_{nanos}", std::process::id()))
+}
+
 /// The router passes `--idle-timeout-ms` to its own reactor and to the
 /// shard it spawns: an idle connection to either closes well before
 /// the 30 s default.
 #[test]
 fn router_and_its_shard_close_idle_connections_at_the_flag_timeout() {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .expect("clock")
-        .as_nanos();
-    let base = std::env::temp_dir().join(format!("sa_idle_{}_{nanos}", std::process::id()));
-    std::fs::create_dir_all(&base).expect("run dir");
-    let addr_file = base.join("router.addr");
-    let mut router = RouterProcess {
-        child: Command::new(env!("CARGO_BIN_EXE_serve"))
-            .args(["--router", "--shards", "1", "--workers", "1"])
-            .args(["--idle-timeout-ms", "300", "--addr", "127.0.0.1:0"])
-            .arg("--addr-file")
-            .arg(&addr_file)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("router starts"),
-        addr: None,
-    };
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let router_addr: SocketAddr = loop {
-        let published = std::fs::read_to_string(&addr_file).ok();
-        if let Some(addr) = published.and_then(|text| text.trim().parse().ok()) {
-            break addr;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "router never published its address"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    router.addr = Some(router_addr);
-    let topology = data_of(&get(&router_addr, "/v2/admin/topology"));
-    let Some(serde::Value::Arr(shards)) = field(&topology, &["shards"]) else {
-        panic!("topology without a shard list");
-    };
-    let shard_addr: SocketAddr = as_str(&field(&shards[0], &["addr"]).expect("shard addr"))
-        .parse()
-        .expect("shard addr parses");
-
+    let base = run_dir("idle");
+    let (router, shard_addr) = RouterProcess::spawn(&base, &["--idle-timeout-ms", "300"]);
+    let router_addr = router.addr.expect("router addr");
     for addr in [router_addr, shard_addr] {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -242,6 +263,32 @@ fn router_and_its_shard_close_idle_connections_at_the_flag_timeout() {
             "{addr} closed an idle connection after {:?}",
             started.elapsed()
         );
+    }
+    drop(router);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A drain request from a client that closes its socket right after
+/// writing it still drains the router, whose exit takes its shard down.
+#[test]
+fn router_drained_by_a_client_that_closes_at_once_exits_with_its_shard() {
+    let base = run_dir("drain");
+    let (mut router, shard_addr) = RouterProcess::spawn(&base, &[]);
+    let router_addr = router.addr.take().expect("router addr");
+    let mut stream = TcpStream::connect(router_addr).expect("connect");
+    write_request(&mut stream, "POST", "/v2/admin/drain", Some(b"{}")).expect("write drain");
+    drop(stream);
+    assert!(
+        router.exited_within(Duration::from_secs(10)),
+        "router still running after a drain request"
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while TcpStream::connect(shard_addr).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "shard {shard_addr} outlived its router"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
     drop(router);
     let _ = std::fs::remove_dir_all(&base);

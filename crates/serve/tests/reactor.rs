@@ -1,17 +1,20 @@
 //! Adversarial-client tests for the reactor serve core: slow clients,
-//! oversized heads, mid-body disconnects, connection-cap shedding,
-//! graceful drain, and a loop thread that keeps answering while every
-//! pool worker is busy.
+//! oversized heads, mid-body disconnects, half-closed peers,
+//! connection-cap shedding, graceful drain, a loop thread that keeps
+//! answering while every pool worker is busy, and the fixed per-request
+//! cost of a loop answer (wakeups, timer hints).
 //!
 //! Each test boots its own server on an ephemeral port. The trace
-//! cache is process-wide, so only the busy-pool test simulates (a sweep
-//! of a matrix no other test here touches); every other test sticks to
+//! cache is process-wide, so only two tests simulate, each on a matrix
+//! no other test here touches: the busy-pool sweep (R16) and the
+//! half-closed cold simulate (R09). Every other test sticks to
 //! cache-free endpoints.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use serve::http::{read_response, ResponseParser};
 use serve::{start, ServeConfig};
 
 fn config() -> ServeConfig {
@@ -53,6 +56,37 @@ fn raw_roundtrip(addr: &SocketAddr, raw: &[u8]) -> Vec<u8> {
             Err(e) => panic!("read: {e}"),
         }
     }
+    out
+}
+
+/// A keep-alive connection with a generous read timeout.
+fn keep_alive(addr: &SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
+/// A keep-alive `GET` with no body.
+fn get_request(target: &str) -> Vec<u8> {
+    format!("GET {target} HTTP/1.1\r\nhost: reactor-test\r\ncontent-length: 0\r\n\r\n").into_bytes()
+}
+
+/// Writes `raw`, shuts the write side (the FIN follows the request at
+/// once) and returns everything the server sends before it closes.
+fn half_closed_roundtrip(addr: &SocketAddr, raw: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    stream.write_all(raw).expect("write request");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut out = Vec::new();
+    stream
+        .read_to_end(&mut out)
+        .expect("read until the server closes");
     out
 }
 
@@ -329,4 +363,180 @@ fn drain_endpoint_stops_reactor_engine() {
         TcpStream::connect(addr).is_err(),
         "drained server still accepting"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Half-closed peers
+// ---------------------------------------------------------------------------
+
+#[test]
+fn requests_sent_with_the_clients_fin_are_answered() {
+    let server = start(config()).expect("server boots");
+    let answered = (0..100)
+        .filter(|_| {
+            let resp = half_closed_roundtrip(&server.addr, &get_request("/healthz"));
+            !resp.is_empty() && status_of(&resp) == 200
+        })
+        .count();
+    assert_eq!(answered, 100, "half-closed requests left unanswered");
+    // Two pipelined requests, then the FIN: both answers, in order.
+    let mut wire = get_request("/v2/jobs/1");
+    wire.extend_from_slice(&get_request("/v2/jobs/2"));
+    let resp = half_closed_roundtrip(&server.addr, &wire);
+    let text = String::from_utf8_lossy(&resp);
+    let first = text.find("no such job 1").expect("first answered");
+    let second = text.find("no such job 2").expect("second answered");
+    assert!(first < second, "answers out of order: {text}");
+    server.shutdown();
+}
+
+#[test]
+fn cold_simulate_sent_with_the_clients_fin_gets_its_200() {
+    let server = start(config()).expect("server boots");
+    // A cold key: the trace is simulated on a pool worker, and the
+    // answer reaches the reactor after the FIN did.
+    let body = r#"{"kernel": "spmspv", "matrix": "R09", "config_name": "baseline"}"#;
+    let raw = format!(
+        "POST /v2/simulate HTTP/1.1\r\nhost: reactor-test\r\ncontent-length: {}\r\n\
+         content-type: application/json\r\n\r\n{body}",
+        body.len()
+    );
+    let resp = half_closed_roundtrip(&server.addr, raw.as_bytes());
+    let text = String::from_utf8_lossy(&resp);
+    assert!(!resp.is_empty(), "closed without an answer");
+    assert_eq!(status_of(&resp), 200, "got: {text}");
+    assert!(
+        text.contains(r#""cached":false"#),
+        "not a pool answer: {text}"
+    );
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Per-request cost of a loop answer
+// ---------------------------------------------------------------------------
+
+/// Sends `n` sequential keep-alive `GET /healthz`, each answered before
+/// the next is written.
+fn sequential_healthz(stream: &mut TcpStream, n: usize) {
+    let request = get_request("/healthz");
+    for _ in 0..n {
+        stream.write_all(&request).expect("write");
+        let resp = read_response(stream).expect("answer");
+        assert_eq!(resp.status, 200);
+    }
+}
+
+#[test]
+fn loop_answers_cost_one_wakeup_each() {
+    let server = start(config()).expect("server boots");
+    let mut stream = keep_alive(&server.addr);
+    sequential_healthz(&mut stream, 10);
+    let before = metric_u64(
+        &metrics_doc(&server.addr),
+        &["reactor", "epoll_wakeups_total"],
+    );
+    const N: usize = 2_000;
+    sequential_healthz(&mut stream, N);
+    let after = metric_u64(
+        &metrics_doc(&server.addr),
+        &["reactor", "epoll_wakeups_total"],
+    );
+    // The two /metrics connections add a few wakeups of their own.
+    let per_request = (after - before) as f64 / N as f64;
+    assert!(
+        per_request <= 1.1,
+        "{per_request:.3} epoll wakeups per loop-answered request"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn timer_wheel_holds_one_hint_per_connection() {
+    let server = start(config()).expect("server boots");
+    let mut stream = keep_alive(&server.addr);
+    sequential_healthz(&mut stream, 10_000);
+    // The keep-alive connection and this /metrics connection are the
+    // only connections the server ever saw.
+    let doc = metrics_doc(&server.addr);
+    let hints = metric_u64(&doc, &["reactor", "timer_entries"]);
+    assert!(hints <= 2, "{hints} timer hints for 2 connections");
+    assert_eq!(metric_u64(&doc, &["reactor", "accepted_total"]), 2);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_burst_past_one_read_is_answered_in_order() {
+    let server = start(config()).expect("server boots");
+    let mut stream = keep_alive(&server.addr);
+    const N: usize = 400;
+    let wire: Vec<u8> = (0..N)
+        .flat_map(|i| get_request(&format!("/v2/jobs/{i}")))
+        .collect();
+    assert!(
+        wire.len() > 16 * 1024,
+        "the burst must take more than one read"
+    );
+    stream.write_all(&wire).expect("write the burst");
+    let mut parser = ResponseParser::new();
+    let mut buf = [0u8; 16 * 1024];
+    for i in 0..N {
+        let resp = loop {
+            if let Some(resp) = parser.next_response().expect("well-formed answers") {
+                break resp;
+            }
+            let n = stream.read(&mut buf).expect("read answers");
+            assert!(n > 0, "closed after {i} of {N} answers");
+            parser.feed(&buf[..n]);
+        };
+        assert_eq!(resp.status, 404);
+        let body = String::from_utf8_lossy(&resp.body);
+        assert!(
+            body.contains(&format!("no such job {i}\"")),
+            "answer {i}: {body}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn request_written_one_byte_per_write_is_answered() {
+    let server = start(config()).expect("server boots");
+    let mut stream = keep_alive(&server.addr);
+    for byte in get_request("/healthz") {
+        stream.write_all(&[byte]).expect("write one byte");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let resp = read_response(&stream).expect("answer");
+    assert_eq!(resp.status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn idle_connection_closes_at_the_timeout_after_serving_requests() {
+    let mut cfg = config();
+    cfg.idle_timeout_ms = 300;
+    let server = start(cfg).expect("server boots");
+    let mut stream = keep_alive(&server.addr);
+    // Busy for twice the timeout: the hint set at accept fires while
+    // the connection is active and must reschedule, not close it.
+    let busy_until = Instant::now() + Duration::from_millis(600);
+    while Instant::now() < busy_until {
+        sequential_healthz(&mut stream, 1);
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    sequential_healthz(&mut stream, 1);
+    let idle_since = Instant::now();
+    let n = stream
+        .read(&mut [0u8; 64])
+        .expect("server should close, not stall");
+    let idle = idle_since.elapsed();
+    assert_eq!(n, 0, "expected clean EOF, got {n} bytes");
+    assert!(
+        idle >= Duration::from_millis(250) && idle < Duration::from_secs(5),
+        "closed {idle:?} after the last answer, timeout 300 ms"
+    );
+    let doc = metrics_doc(&server.addr);
+    assert!(metric_u64(&doc, &["reactor", "idle_closed_total"]) >= 1);
+    server.shutdown();
 }
