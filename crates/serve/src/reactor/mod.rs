@@ -427,7 +427,7 @@ impl Reactor {
             // Past a full request's worth of buffered bytes, stop
             // reading: interest drops below and epoll stays quiet until
             // the in-flight response frees the buffer.
-            if conn.eof || conn.parser.buffered() > MAX_HEAD_BYTES + MAX_BODY_BYTES {
+            if conn.parser.buffered() > MAX_HEAD_BYTES + MAX_BODY_BYTES {
                 break;
             }
             match (&conn.stream).read(&mut self.read_buf) {
